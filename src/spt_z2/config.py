@@ -20,7 +20,6 @@ ENV_VAR = "SPT_Z2_CONFIG"
 @dataclass(frozen=True)
 class Config:
     # linear algebra residuals
-    eps_lin: float = 1e-10       # eigen/SVD reconstruction residual, relative
     eps_herm: float = 1e-8       # Hermiticity acceptance, relative
     eps_norm: float = 1e-9       # channel normalization residual
     eps_gauge: float = 1e-7      # gauge relation residual

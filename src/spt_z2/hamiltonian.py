@@ -52,9 +52,9 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
         m = (cert.injectivity_length or 1) + 1
     if m < 1:
         raise InvalidInput("window must span at least one site", m=m)
-    marg = marginal(t, inv.rho, m, cfg)
-    dim = marg.matrix.shape[0]
-    sys = herm_eig(marg.matrix, eps_herm=cfg.eps_herm)
+    dense = marginal(t, inv.rho, m, cfg).matrix
+    dim = dense.shape[0]
+    sys = herm_eig(dense, eps_herm=cfg.eps_herm)
     top = float(sys.values.max())
     keep = sys.values > cfg.rank_tol * max(top, 1e-300)
     basis = sys.vectors[:, keep]
@@ -73,8 +73,9 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
             UserWarning,
             stacklevel=2,
         )
-    return ParentInteraction(m=m, h=h, rank=dim - marg.rank,
-                             support_rank=marg.rank, range_warning=warn, d=t.d)
+    support = int(np.sum(keep))
+    return ParentInteraction(m=m, h=h, rank=dim - support,
+                             support_rank=support, range_warning=warn, d=t.d)
 
 
 def embed_sites(op: np.ndarray, sites: list[int], n: int, d: int) -> np.ndarray:

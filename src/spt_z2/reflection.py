@@ -14,8 +14,11 @@ is either symmetric or antisymmetric, and that sign is the index.
 Invariance is certified by two independent routes that must agree: the gauge
 route (dominant eigenvalue of the mixed transfer map has modulus 1 and its
 eigenmatrix is a unitary multiple solving the relation) and the marginal
-route (dense marginals up to twice the injectivity length are invariant
-under site reversal composed with ``pi``).
+route (marginals up to twice the injectivity length are invariant under
+site reversal composed with ``pi``). The marginal route never forms a dense
+marginal: each l-site marginal is the Gram matrix of a d^l x k^2 word factor,
+and its reversal mismatch is read from one QR of the factor beside its
+reversed copy.
 """
 
 from __future__ import annotations
@@ -177,10 +180,22 @@ def reversed_marginal(m: Marginal, t: MpsTuple) -> np.ndarray:
 
 def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
                                 cfg: Config) -> float:
+    """Largest ``||M_l - P M_l P||_F`` over l = 1..lengths, from word factors.
+
+    With ``M = Phi Phi^dagger`` and ``[Phi, P Phi] = Q [R1, R2]``, the residual
+    equals ``||R1 R1^dagger - R2 R2^dagger||_F`` because Q has orthonormal
+    columns; only a d^l x 2k^2 QR is needed. Expanding the norm into traces
+    instead would cancel catastrophically near the tolerance.
+    """
     worst = 0.0
+    pi = t.perm()
+    half = t.k * t.k
     for l in range(1, lengths + 1):
-        marg = marginal(t, rho, l, cfg)
-        worst = max(worst, frob(reversed_marginal(marg, t) - marg.matrix))
+        phi = marginal(t, rho, l, cfg).factor
+        idx = reverse_word_index(t.d, l, pi)
+        r = np.linalg.qr(np.hstack([phi, phi[idx]]), mode="r")
+        r1, r2 = r[:, :half], r[:, half:]
+        worst = max(worst, frob(r1 @ r1.conj().T - r2 @ r2.conj().T))
     return worst
 
 

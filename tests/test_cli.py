@@ -11,6 +11,7 @@ import spt_z2 as sz
 from spt_z2 import cli
 from spt_z2.config import ENV_VAR
 from spt_z2.errors import STATUS_EXIT
+from util import known_answer_tuple
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "report.schema.json").read_text())
@@ -111,6 +112,12 @@ def test_modular_zero_vector(tmp_path):
 def test_index_inconclusive_with_tiny_cap():
     code, env = run(["index", "--model", "aklt", "--l-max", "1"])
     assert code == 6 and env["status"] == "inconclusive"
+
+
+def test_index_periodic_not_primitive(tmp_path):
+    raw = known_answer_tuple(np.random.default_rng(3), 2, 2, -1)
+    code, env = run(["index", "--tuple", write_tuple(tmp_path, raw)])
+    assert code == 2 and env["status"] == "not_primitive"
 
 
 def test_index_numerical_error(tmp_path):
@@ -324,6 +331,16 @@ def test_cli_flag_overrides_env_config(monkeypatch, tmp_path):
 def test_bad_config_file_is_io_error(monkeypatch, tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"not_a_field": 1}))
+    monkeypatch.setenv(ENV_VAR, str(cfg_path))
+    code, env = run(["index", "--model", "aklt"])
+    assert code == 1 and env["status"] == "io_error"
+
+
+def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
+    code, env = run(["index", "--model", "aklt"])
+    assert "eps_lin" not in env["config"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"eps_lin": 1e-10}))
     monkeypatch.setenv(ENV_VAR, str(cfg_path))
     code, env = run(["index", "--model", "aklt"])
     assert code == 1 and env["status"] == "io_error"

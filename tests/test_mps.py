@@ -4,7 +4,8 @@ import pytest
 import spt_z2 as sz
 from spt_z2.linalg import frob
 from spt_z2.mps import apply_adjoint, apply_channel, channel_residual
-from util import marginal_oracle, random_channel_tuple, word_index
+from spt_z2.reflection import _marginal_reversal_residual, reverse_word_index
+from util import known_answer_tuple, marginal_oracle, random_channel_tuple, word_index
 
 
 def sigma_plus_tuple():
@@ -164,6 +165,20 @@ def test_primitivity_length_cap(aklt):
         sz.primitivity(aklt, l_max=1)
 
 
+def test_primitivity_periodic_tuple_not_primitive():
+    # v = Omega S at d=2, k=2 has transfer eigenvalues +-1: the word space
+    # alternates between two subspaces and never stalls, so only the
+    # Wielandt length k^4 makes "not primitive" conclusive
+    raw = known_answer_tuple(np.random.default_rng(3), 2, 2, -1)
+    cert = sz.primitivity(sz.normalize(raw))
+    assert not cert.is_primitive
+    assert cert.peripheral_count == 2
+    with pytest.raises(sz.NotPrimitive):
+        sz.z2_index(raw)
+    with pytest.raises(sz.Inconclusive):
+        sz.primitivity(sz.normalize(raw), l_max=15)
+
+
 def test_primitivity_requires_normalized(aklt):
     with pytest.raises(sz.NormalizationBroken):
         sz.primitivity(sz.MpsTuple(v=2.0 * aklt.v))
@@ -215,11 +230,31 @@ def test_marginal_aklt_two_site(aklt, aklt_rho):
 
 
 def test_marginal_matches_oracle(rng):
-    t = random_channel_tuple(rng, 2, 2)
-    rho = sz.invariant_state(t).rho
-    for l in (1, 2, 3):
-        m = sz.marginal(t, rho, l)
-        assert frob(m.matrix - marginal_oracle(t, rho, l)) < 1e-10
+    # a plain tuple, and a blocked one carrying reflect_perm; the generic k=3
+    # tuple is not reflection invariant, so its reversal residual is far from 0
+    cfg = sz.Config()
+    plain = random_channel_tuple(rng, 2, 2)
+    blocked = sz.block(random_channel_tuple(rng, 2, 3), 2)
+    assert blocked.reflect_perm is not None
+    for t, lengths in ((plain, (1, 2, 3)), (blocked, (1, 2))):
+        rho = sz.invariant_state(t).rho
+        worst = 0.0
+        for l in lengths:
+            m = sz.marginal(t, rho, l)
+            oracle = marginal_oracle(t, rho, l)
+            assert m.factor.shape == (t.d ** l, t.k ** 2)
+            assert frob(m.matrix - oracle) < 1e-10
+            evals = np.linalg.eigvalsh(oracle)
+            assert m.rank == int(np.sum(evals > cfg.rank_tol * evals.max()))
+            idx = reverse_word_index(t.d, l, t.perm())
+            worst = max(worst, frob(oracle[np.ix_(idx, idx)] - oracle))
+            assert abs(_marginal_reversal_residual(t, rho, l, cfg) - worst) < 1e-12
+    assert worst > 1e-3
+
+
+def test_marginal_singular_rho_not_faithful(aklt):
+    with pytest.raises(sz.NotFaithful):
+        sz.marginal(aklt, np.diag([1.0, 0.0]), 2)
 
 
 def test_marginal_window_cap(aklt, aklt_rho):

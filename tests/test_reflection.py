@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import spt_z2 as sz
 from spt_z2.linalg import frob
 from spt_z2.mps import channel_residual
 from spt_z2.reflection import reverse_word_index, reversed_marginal
-from util import haar_unitary, random_channel_tuple
+from util import haar_unitary, known_answer_tuple, random_channel_tuple
 
 
 # -- reflected tuple ----------------------------------------------------------
@@ -42,6 +44,19 @@ def test_marginal_reversal_identity(rng, aklt, aklt_rho):
             orig = sz.marginal(t, rho, l)
             tilde = sz.marginal(refl.tilde_v, rho, l)
             assert frob(tilde.matrix - reversed_marginal(orig, t)) < 1e-10
+
+
+@pytest.mark.parametrize("d,k,zeta,seed", [(2, 4, -1, 11), (2, 4, -1, 12),
+                                           (2, 6, +1, 11), (2, 6, +1, 12)])
+def test_known_answer_long_words(d, k, zeta, seed):
+    # injectivity length 6, so the reversal check runs to l = 12 (4096 words)
+    raw = known_answer_tuple(np.random.default_rng([seed, d, k]), d, k, zeta)
+    start = time.perf_counter()
+    rep = sz.z2_index(raw)
+    assert time.perf_counter() - start < 5.0
+    assert rep.zeta == zeta
+    assert rep.certificates.evidence.marginal_lengths == 12
+    assert rep.certificates.evidence.marginal_residual < 1e-12
 
 
 def test_reverse_word_index():

@@ -26,6 +26,31 @@ def random_channel_tuple(rng: np.random.Generator, d: int, k: int) -> sz.MpsTupl
     return sz.normalize(raw)
 
 
+def omega(k: int) -> np.ndarray:
+    """Omega = i sigma_y (x) 1 for even k: real and antisymmetric."""
+    return np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(k // 2))
+
+
+def known_answer_tuple(rng: np.random.Generator, d: int, k: int,
+                       zeta: int) -> np.ndarray:
+    """Raw tuple whose index is ``zeta`` by construction.
+
+    ``S_mu`` complex symmetric gives ``v^T = v`` (U = 1, zeta = +1);
+    ``v = Omega S`` gives ``v^T = -Omega^-1 v Omega`` (U = Omega, zeta = -1),
+    the structure ``v^T = e^{i theta} U^dagger v U`` with ``U^T = zeta U``.
+    A random gauge with condition number at most 4 and a random phase keep the
+    state, and so the answer.
+    """
+    a = rng.standard_normal((d, k, k)) + 1j * rng.standard_normal((d, k, k))
+    v = a + a.transpose(0, 2, 1)
+    if zeta == -1:
+        v = np.einsum("ab,mbc->mac", omega(k), v)
+    s = np.exp(rng.uniform(np.log(0.5), np.log(2.0), k))
+    g = haar_unitary(rng, k) @ np.diag(s) @ haar_unitary(rng, k)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return phase * np.einsum("ab,mbc,cd->mad", g, v, np.linalg.inv(g))
+
+
 def marginal_oracle(t: sz.MpsTuple, rho: np.ndarray, l: int) -> np.ndarray:
     """Brute-force l-site marginal from explicit word products."""
     d, k = t.d, t.k
