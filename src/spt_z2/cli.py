@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .config import Config
-from .errors import STATUS_EXIT, InvalidInput, SptError, UsageError
+from .errors import InvalidInput, SptError, UsageError
 from .hamiltonian import (
     ChainSpec,
     chain_hamiltonian,
@@ -330,12 +330,14 @@ def cmd_parent_ham(args, cfg: Config, desc: dict):
 
 def _scan_table(fam, report) -> str:
     lines = [f"family {fam.name}  [{fam.s0:g}, {fam.s1:g}]  grid {fam.grid}",
-             f"{'s':>10}  {'primitive':>9}  {'reflection':>10}  {'zeta':>5}  {'gap':>10}"]
+             f"{'s':>10}  {'primitive':>9}  {'reflection':>10}  {'zeta':>5}  {'gap':>10}"
+             "  status"]
     for p in report.points:
         zeta = "-" if p.zeta is None else f"{p.zeta:+d}"
         gap = "-" if p.transfer_gap is None else f"{p.transfer_gap:.6f}"
+        status = p.status if p.error is None else f"{p.status} ({p.error})"
         lines.append(f"{p.s:>10.6f}  {str(p.primitive):>9}  "
-                     f"{str(p.reflection_invariant):>10}  {zeta:>5}  {gap:>10}")
+                     f"{str(p.reflection_invariant):>10}  {zeta:>5}  {gap:>10}  {status}")
     lines.append(f"constant_index={report.constant_index}  "
                  f"first_failure={report.first_failure}")
     return "\n".join(lines)
@@ -357,7 +359,7 @@ def cmd_scan(args, cfg: Config, desc: dict):
         desc[key] = val
     if args.validate_only:
         return {"validated": True, "input": desc}
-    report = scan(fam, cfg, jobs=args.jobs)
+    report = scan(fam, cfg)
     if args.table:
         print(_scan_table(fam, report), file=sys.stderr)
     return {
@@ -450,8 +452,6 @@ def build_parser() -> Parser:
     sp.add_argument("--s0", type=float, default=None)
     sp.add_argument("--s1", type=float, default=None)
     sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker threads for grid points")
     sp.add_argument("--table", action="store_true",
                     help="also print a plain-text table to stderr")
     _add_common(sp)

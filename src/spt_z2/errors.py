@@ -11,6 +11,19 @@ from __future__ import annotations
 
 from typing import Any
 
+# The one binding of status to CLI exit code; ``SptError.exit_code`` reads it.
+STATUS_EXIT = {
+    "ok": 0,
+    "io_error": 1,
+    "not_primitive": 2,
+    "not_reflection_invariant": 3,
+    "ambiguous_symmetry": 4,
+    "degenerate_support": 5,
+    "inconclusive": 6,
+    "numerical_error": 7,
+    "resource_limit": 8,
+}
+
 
 class SptError(Exception):
     """Base class for all diagnosable failures.
@@ -26,12 +39,15 @@ class SptError(Exception):
     """
 
     status: str = "numerical_error"
-    exit_code: int = 7
 
     def __init__(self, message: str, **payload: Any):
         super().__init__(message)
         self.message = message
         self.payload = dict(payload)
+
+    @property
+    def exit_code(self) -> int:
+        return STATUS_EXIT[self.status]
 
     def describe(self) -> dict:
         return {"error": type(self).__name__, "message": self.message, **self.payload}
@@ -41,7 +57,6 @@ class InvalidInput(SptError):
     """Malformed tuple, vector, or file content."""
 
     status = "io_error"
-    exit_code = 1
 
 
 class UnknownModel(InvalidInput):
@@ -51,64 +66,51 @@ class UnknownModel(InvalidInput):
 class NotNormalizable(SptError):
     """No positive definite rescaling brings the tuple to channel form."""
 
-    status = "numerical_error"
-    exit_code = 7
-
 
 class NormalizationBroken(SptError):
     """A tuple that must satisfy the channel condition no longer does."""
-
-    status = "numerical_error"
-    exit_code = 7
 
 
 class NotPrimitive(SptError):
     """The tuple fails the primitivity certificate."""
 
     status = "not_primitive"
-    exit_code = 2
 
 
 class NotFaithful(SptError):
     """Invariant state is singular; reflected tuple is undefined."""
 
     status = "not_primitive"
-    exit_code = 2
 
 
 class NotSameState(SptError):
     """Two primitive tuples do not generate the same state."""
 
     status = "not_reflection_invariant"
-    exit_code = 3
 
 
 class NotUnitaryMultiple(SptError):
     """Dominant eigenmatrix of the mixed transfer map is not c * unitary."""
 
     status = "not_reflection_invariant"
-    exit_code = 3
 
 
 class NotReflectionInvariant(SptError):
     """State is primitive but not equal to its reflection."""
 
     status = "not_reflection_invariant"
-    exit_code = 3
 
 
 class AmbiguousSymmetry(SptError):
     """Gauge matrix is neither clearly symmetric nor clearly antisymmetric."""
 
     status = "ambiguous_symmetry"
-    exit_code = 4
 
 
 class DegenerateSupport(SptError):
     """Bipartite vector has no usable Schmidt support."""
 
     status = "degenerate_support"
-    exit_code = 5
 
 
 class ZeroVector(DegenerateSupport):
@@ -119,28 +121,20 @@ class Inconclusive(SptError):
     """Independent certification routes disagree; no verdict is safe."""
 
     status = "inconclusive"
-    exit_code = 6
 
 
 class ConvergenceFailure(SptError):
     """An eigensolver or iteration failed to meet its residual contract."""
 
-    status = "numerical_error"
-    exit_code = 7
-
 
 class RankDeficient(SptError):
     """Polar decomposition requested for a (numerically) singular matrix."""
-
-    status = "numerical_error"
-    exit_code = 7
 
 
 class ResourceLimit(SptError):
     """A dense computation would exceed the configured dimension cap."""
 
     status = "resource_limit"
-    exit_code = 8
 
 
 class WindowTooLarge(ResourceLimit):
@@ -154,22 +148,7 @@ class DimensionCap(ResourceLimit):
 class NotHermitian(SptError):
     """Matrix expected Hermitian is not, beyond tolerance."""
 
-    status = "numerical_error"
-    exit_code = 7
-
 
 class UsageError(InvalidInput):
     """Bad command line; replaces argparse's default exit behavior."""
 
-
-STATUS_EXIT = {
-    "ok": 0,
-    "io_error": 1,
-    "not_primitive": 2,
-    "not_reflection_invariant": 3,
-    "ambiguous_symmetry": 4,
-    "degenerate_support": 5,
-    "inconclusive": 6,
-    "numerical_error": 7,
-    "resource_limit": 8,
-}

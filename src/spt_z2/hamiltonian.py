@@ -33,6 +33,7 @@ class ParentInteraction:
     support_rank: int
     range_warning: bool
     d: int
+    perm: np.ndarray  # the tuple's reflection involution on the alphabet
 
 
 def parent_interaction(t: MpsTuple, m: int | None = None,
@@ -52,12 +53,11 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
         m = (cert.injectivity_length or 1) + 1
     if m < 1:
         raise InvalidInput("window must span at least one site", m=m)
-    dense = marginal(t, inv.rho, m, cfg).matrix
-    dim = dense.shape[0]
-    sys = herm_eig(dense, eps_herm=cfg.eps_herm)
-    top = float(sys.values.max())
-    keep = sys.values > cfg.rank_tol * max(top, 1e-300)
-    basis = sys.vectors[:, keep]
+    # the marginal is factor @ factor^dagger, so its support is the span of
+    # the factor's leading left singular vectors
+    marg = marginal(t, inv.rho, m, cfg)
+    dim = marg.factor.shape[0]
+    basis = np.linalg.svd(marg.factor, full_matrices=False)[0][:, :marg.rank]
     proj = basis @ basis.conj().T
     h = np.eye(dim) - proj
     h = 0.5 * (h + h.conj().T)
@@ -73,9 +73,8 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
             UserWarning,
             stacklevel=2,
         )
-    support = int(np.sum(keep))
-    return ParentInteraction(m=m, h=h, rank=dim - support,
-                             support_rank=support, range_warning=warn, d=t.d)
+    return ParentInteraction(m=m, h=h, rank=dim - marg.rank, support_rank=marg.rank,
+                             range_warning=warn, d=t.d, perm=t.perm())
 
 
 def embed_sites(op: np.ndarray, sites: list[int], n: int, d: int) -> np.ndarray:
@@ -159,7 +158,7 @@ def ed_report(h_total: np.ndarray, kernel_tol: float | None = None,
 
 
 def reflection_check(hint: ParentInteraction) -> float:
-    """Frobenius distance between the interaction and its factor reversal."""
-    idx = reverse_word_index(hint.d, hint.m, np.arange(hint.d))
+    """Frobenius distance between the interaction and its pi-twisted reversal."""
+    idx = reverse_word_index(hint.d, hint.m, hint.perm)
     rev = hint.h[np.ix_(idx, idx)]
     return frob(rev - hint.h)

@@ -379,7 +379,7 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
 
 @dataclass(frozen=True)
 class Marginal:
-    """l-site reduced state in factored form, ``matrix = factor @ factor^dagger``.
+    """l-site reduced state in factored form, ``M_l = factor @ factor^dagger``.
 
     ``factor`` is the d^l x k^2 word factor: with ``rho = L L^dagger`` its
     row for word w holds the entries of ``L^dagger V_w``. ``rank`` counts the
@@ -389,12 +389,6 @@ class Marginal:
     l: int
     factor: np.ndarray
     rank: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense d^l x d^l marginal, entries Tr(rho V_mu V_nu^dagger)."""
-        m = self.factor @ self.factor.conj().T
-        return 0.5 * (m + m.conj().T)
 
 
 def marginal(t: MpsTuple, rho: np.ndarray, l: int,

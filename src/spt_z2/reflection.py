@@ -43,7 +43,6 @@ from .errors import (
 from .linalg import frob, herm_eig, map_superop, phase_fix, polar_unitary, unvec
 from .mps import (
     InvariantState,
-    Marginal,
     MpsTuple,
     PrimitivityCertificate,
     channel_residual,
@@ -171,11 +170,6 @@ def reverse_word_index(d: int, l: int, pi: np.ndarray) -> np.ndarray:
     digits = np.unravel_index(np.arange(d ** l), (d,) * l)
     return np.ravel_multi_index(tuple(pi[digits[l - 1 - j]] for j in range(l)),
                                 (d,) * l)
-
-
-def reversed_marginal(m: Marginal, t: MpsTuple) -> np.ndarray:
-    idx = reverse_word_index(t.d, m.l, t.perm())
-    return m.matrix[np.ix_(idx, idx)]
 
 
 def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,

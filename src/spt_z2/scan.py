@@ -8,22 +8,13 @@ point.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .config import Config, resolve
-from .errors import (
-    AmbiguousSymmetry,
-    Inconclusive,
-    NotNormalizable,
-    NotPrimitive,
-    NotReflectionInvariant,
-    SptError,
-    UnknownModel,
-)
+from .errors import SptError, UnknownModel
 from .mps import normalize, transfer_spectrum
 from .reflection import z2_index
 
@@ -182,6 +173,8 @@ class ScanPoint:
     reflection_invariant: bool
     zeta: int | None
     transfer_gap: float | None
+    status: str
+    error: str | None
 
 
 @dataclass(frozen=True)
@@ -202,48 +195,45 @@ def _transfer_gap(raw, cfg: Config) -> float | None:
     return float(radius - (below.max() if below.size else 0.0))
 
 
+# (primitive, reflection_invariant) for a refused point, keyed by its status;
+# any other status certifies neither.
+_STATUS_FLAGS = {
+    "not_reflection_invariant": (True, False),
+    "ambiguous_symmetry": (True, True),  # both certificates held; only the sign failed
+}
+
+
 def _scan_point(spec: FamilySpec, s: float, cfg: Config) -> ScanPoint:
     raw = spec.generator(s)
     try:
         rep = z2_index(raw, cfg)
-        return ScanPoint(s=s, primitive=True, reflection_invariant=True,
-                         zeta=rep.zeta,
-                         transfer_gap=rep.certificates.primitivity.spectral_gap)
-    except NotNormalizable:
-        return ScanPoint(s=s, primitive=False, reflection_invariant=False,
-                         zeta=None, transfer_gap=None)
-    except NotPrimitive as exc:
+    except SptError as exc:
+        primitive, invariant = _STATUS_FLAGS.get(exc.status, (False, False))
         gap = exc.payload.get("spectral_gap")
         if gap is None:
             gap = _transfer_gap(raw, cfg)
-        return ScanPoint(s=s, primitive=False, reflection_invariant=False,
-                         zeta=None, transfer_gap=gap)
-    except NotReflectionInvariant:
-        return ScanPoint(s=s, primitive=True, reflection_invariant=False,
-                         zeta=None, transfer_gap=_transfer_gap(raw, cfg))
-    except AmbiguousSymmetry:
-        # both certificates passed; only the classification failed
-        return ScanPoint(s=s, primitive=True, reflection_invariant=True,
-                         zeta=None, transfer_gap=_transfer_gap(raw, cfg))
-    except Inconclusive:
-        return ScanPoint(s=s, primitive=False, reflection_invariant=False,
-                         zeta=None, transfer_gap=_transfer_gap(raw, cfg))
+        return ScanPoint(s=s, primitive=primitive, reflection_invariant=invariant,
+                         zeta=None, transfer_gap=gap, status=exc.status,
+                         error=type(exc).__name__)
+    return ScanPoint(s=s, primitive=True, reflection_invariant=True, zeta=rep.zeta,
+                     transfer_gap=rep.certificates.primitivity.spectral_gap,
+                     status="ok", error=None)
 
 
-def scan(spec: FamilySpec, config: Config | None = None, jobs: int = 1) -> ScanReport:
-    """Evaluate the index across the family grid; failures become flags.
+def scan(spec: FamilySpec, config: Config | None = None) -> ScanReport:
+    """Evaluate the index across the family grid, one point after another.
 
-    A point contributes ``zeta`` only when both certificates hold there.
+    No point aborts the scan: a point whose index call raises an
+    :class:`SptError` records that error's ``status`` and class name in
+    ``error`` (``"ok"`` and ``None`` otherwise). ``primitive`` and
+    ``reflection_invariant`` say which certificates held; a point
+    contributes ``zeta`` only when both held and the sign was classified.
     ``constant_index`` means every point has the same defined index;
     ``first_failure`` is the smallest grid value where certification failed.
     """
     cfg = resolve(config)
     values = np.linspace(spec.s0, spec.s1, spec.grid)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(lambda s: _scan_point(spec, float(s), cfg), values))
-    else:
-        points = [_scan_point(spec, float(s), cfg) for s in values]
+    points = [_scan_point(spec, float(s), cfg) for s in values]
     zetas = [p.zeta for p in points]
     constant = all(z is not None for z in zetas) and len(set(zetas)) == 1
     first_failure = None

@@ -161,6 +161,16 @@ def test_tuple_file_with_reflect_perm(tmp_path, aklt):
     assert env["result"]["zeta"] == -1
 
 
+def test_parent_ham_tuple_file_with_reflect_perm(tmp_path, aklt):
+    b2 = sz.block(aklt, 2)
+    path = write_tuple(tmp_path, b2.v, reflect_perm=b2.perm())
+    code, env = run(["parent-ham", "--tuple", path])
+    assert code == 0
+    res = env["result"]
+    assert res["support_rank"] == 4
+    assert res["reflection_residual"] < 1e-12
+
+
 def test_tuple_file_key_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"d": 2, "matrices": []}))
@@ -263,6 +273,23 @@ def test_scan_spec_file_with_table(tmp_path):
     assert all(p["zeta"] == -1 for p in res["points"])
     assert res["summary"]["constant_index"] is True
     assert "constant_index=True" in err
+    assert all(p["status"] == "ok" and p["error"] is None for p in res["points"])
+    header, *rows = err.splitlines()[1:-1]
+    assert header.split()[-1] == "status"
+    assert len(rows) == 3 and all(row.split()[-1] == "ok" for row in rows)
+
+
+def test_scan_table_names_refusals():
+    code, env, err = run_capturing_stderr(
+        ["scan", "--family", "aklt-breaker", "--grid", "2", "--table"])
+    assert code == 0
+    assert err.splitlines()[-2].endswith("not_reflection_invariant (NotReflectionInvariant)")
+
+
+def test_scan_jobs_is_not_an_option():
+    code, env = run(["scan", "--family", "deformed-aklt", "--jobs", "2"])
+    assert code == 1 and env["status"] == "io_error"
+    assert env["result"]["error"] == "UsageError"
 
 
 def test_scan_requires_a_source():
@@ -272,6 +299,20 @@ def test_scan_requires_a_source():
 
 
 # -- parser and envelope plumbing ----------------------------------------------
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_exits_with_its_status_code():
+    classes = [sz.SptError, *_subclasses(sz.SptError)]
+    assert len(classes) > 20
+    for cls in classes:
+        assert cls.status in STATUS_EXIT, cls.__name__
+        assert cls("x").exit_code == STATUS_EXIT[cls.status], cls.__name__
+
 
 def test_no_subcommand_is_usage_error():
     code, env = run([])

@@ -43,6 +43,14 @@ def test_reflection_check(aklt, aklt_h2):
         assert sz.reflection_check(sz.parent_interaction(aklt)) < 1e-12
 
 
+def test_reflection_check_blocked_tuple(aklt):
+    # the blocked alphabet's involution reverses each block; plain factor
+    # reversal without it does not leave the interaction fixed
+    hint = sz.parent_interaction(sz.block(aklt, 2))
+    assert np.array_equal(hint.perm, sz.block(aklt, 2).perm())
+    assert sz.reflection_check(hint) < 1e-12
+
+
 def test_parent_interaction_rejects_bad_window(aklt):
     with pytest.raises(sz.InvalidInput):
         sz.parent_interaction(aklt, m=0)

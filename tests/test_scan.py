@@ -94,10 +94,12 @@ def test_scan_breaker_first_failure():
     assert [round(p.s, 4) for p in rep.points] == [0.0, 0.05, 0.1, 0.15, 0.2]
     first = rep.points[0]
     assert first.primitive and first.reflection_invariant and first.zeta == -1
+    assert (first.status, first.error) == ("ok", None)
     for p in rep.points[1:]:
         assert p.primitive
         assert not p.reflection_invariant
         assert p.zeta is None
+        assert (p.status, p.error) == ("not_reflection_invariant", "NotReflectionInvariant")
     assert rep.first_failure == 0.05
     assert not rep.constant_index
     for p in rep.points:
@@ -116,14 +118,33 @@ def test_scan_deformed_constant():
 def test_scan_ghz_never_certifies():
     rep = sz.scan(sz.family("ghz", grid=3))
     assert all(not p.primitive and p.zeta is None for p in rep.points)
+    assert all((p.status, p.error) == ("not_primitive", "NotPrimitive") for p in rep.points)
     assert rep.first_failure == 0.0
     assert not rep.constant_index
 
 
-def test_scan_jobs_deterministic():
-    spec = sz.family("aklt-breaker", 0.0, 0.2, 5)
-    serial = sz.scan(spec, jobs=1)
-    threaded = sz.scan(spec, jobs=2)
-    assert serial.points == threaded.points
-    assert serial.constant_index == threaded.constant_index
-    assert serial.first_failure == threaded.first_failure
+def test_scan_records_status_and_keeps_going(aklt):
+    # the middle point raises NormalizationBroken in the index; the scan
+    # records it and still evaluates the points after it
+    a = np.random.default_rng(29).standard_normal((2, 6, 6))
+    broken = a + a.transpose(0, 2, 1)
+    spec = sz.FamilySpec(name="with-broken-point", s0=0.0, s1=1.0, grid=3,
+                         generator=lambda s: broken if s == 0.5 else aklt.v)
+    rep = sz.scan(spec)
+    assert [p.status for p in rep.points] == ["ok", "numerical_error", "ok"]
+    assert [p.error for p in rep.points] == [None, "NormalizationBroken", None]
+    mid = rep.points[1]
+    assert not mid.primitive and not mid.reflection_invariant and mid.zeta is None
+    assert rep.points[2].zeta == -1
+    assert rep.first_failure == 0.5
+    assert not rep.constant_index
+
+
+def test_scan_inconclusive_points():
+    rep = sz.scan(sz.family("deformed-aklt", grid=3), sz.Config(l_max=1))
+    for p in rep.points:
+        assert p.status == "inconclusive" and p.error == "Inconclusive"
+        assert not p.primitive and p.zeta is None
+        assert p.transfer_gap is not None
+    assert rep.first_failure == 0.0
+

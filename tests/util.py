@@ -51,6 +51,11 @@ def known_answer_tuple(rng: np.random.Generator, d: int, k: int,
     return phase * np.einsum("ab,mbc,cd->mad", g, v, np.linalg.inv(g))
 
 
+def dense_marginal(m: sz.Marginal) -> np.ndarray:
+    """The d^l x d^l marginal ``factor @ factor^dagger`` of a word factor."""
+    return m.factor @ m.factor.conj().T
+
+
 def marginal_oracle(t: sz.MpsTuple, rho: np.ndarray, l: int) -> np.ndarray:
     """Brute-force l-site marginal from explicit word products."""
     d, k = t.d, t.k
