@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import Config, resolve
 from .errors import ConvergenceFailure, DimensionCap, InvalidInput
-from .linalg import frob, herm_eig
+from .linalg import frob, herm_eigvals
 from .mps import MpsTuple, invariant_state, marginal, primitivity, require_normalized
 from .reflection import reverse_word_index
 
@@ -77,6 +77,22 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
                              range_warning=warn, d=t.d, perm=t.perm())
 
 
+def _add_on_sites(acc: np.ndarray, op: np.ndarray, sites: list[int]) -> None:
+    """Add ``op`` on ``sites`` (identity elsewhere) into a ``(d,)*2n`` tensor.
+
+    Axis s of ``acc`` is the row factor of site s and axis n + s its column
+    factor. Giving an untouched site's column axis its row label makes the
+    einsum a writable view of the entries where that site is diagonal; the
+    op is added there in place, so no d^n x d^n term is ever formed.
+    """
+    n, d = acc.ndim // 2, acc.shape[0]
+    others = [s for s in range(n) if s not in sites]
+    cols = [n + s if s in sites else s for s in range(n)]
+    view = np.einsum(acc, list(range(n)) + cols,
+                     list(sites) + [n + s for s in sites] + others)
+    view += op.reshape((d,) * (2 * len(sites)) + (1,) * len(others))
+
+
 def embed_sites(op: np.ndarray, sites: list[int], n: int, d: int) -> np.ndarray:
     """Embed an operator on the given sites into the n-site chain.
 
@@ -89,15 +105,9 @@ def embed_sites(op: np.ndarray, sites: list[int], n: int, d: int) -> np.ndarray:
     if op.shape != (d ** m, d ** m):
         raise InvalidInput("operator does not match the site count",
                            shape=list(op.shape), sites=sites)
-    rest = d ** (n - m)
-    big = np.kron(op, np.eye(rest))
-    # slot j of the kron order holds sites[j], then the others ascending
-    others = [s for s in range(n) if s not in sites]
-    slot_of_site = {s: j for j, s in enumerate(list(sites) + others)}
-    perm = [slot_of_site[s] for s in range(n)]
-    tensor = big.reshape((d,) * (2 * n))
-    tensor = tensor.transpose(perm + [n + p for p in perm])
-    return tensor.reshape(d ** n, d ** n)
+    out = np.zeros((d,) * (2 * n), dtype=np.result_type(op, float))
+    _add_on_sites(out, op, sites)
+    return out.reshape(d ** n, d ** n)
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,11 @@ class ChainSpec:
 
 def chain_hamiltonian(hint: ParentInteraction, spec: ChainSpec,
                       config: Config | None = None) -> np.ndarray:
-    """Dense translation sum of the interaction over an n-site chain."""
+    """Dense translation sum of the interaction over an n-site chain.
+
+    Each term is added in place into one d^n x d^n accumulator (see
+    :func:`_add_on_sites`); the result is symmetrized once at the end.
+    """
     cfg = resolve(config)
     n, d, m = spec.n, hint.d, hint.m
     if spec.boundary not in ("open", "periodic"):
@@ -119,12 +133,14 @@ def chain_hamiltonian(hint: ParentInteraction, spec: ChainSpec,
     if dim > cfg.ed_cap:
         raise DimensionCap("chain dimension exceeds the dense cap",
                            dimension=dim, cap=cfg.ed_cap)
-    h_total = np.zeros((dim, dim), dtype=complex)
+    h_total = np.zeros((d,) * (2 * n), dtype=complex)
     last = n - m + 1 if spec.boundary == "open" else n
     for p in range(last):
-        sites = [(p + j) % n for j in range(m)]
-        h_total += embed_sites(hint.h, sites, n, d)
-    return 0.5 * (h_total + h_total.conj().T)
+        _add_on_sites(h_total, hint.h, [(p + j) % n for j in range(m)])
+    h_total = h_total.reshape(dim, dim)
+    h_total += h_total.conj().T
+    h_total *= 0.5
+    return h_total
 
 
 @dataclass(frozen=True)
@@ -137,13 +153,17 @@ class EdReport:
 
 def ed_report(h_total: np.ndarray, kernel_tol: float | None = None,
               config: Config | None = None) -> EdReport:
-    """Dense spectrum summary: ground energy, kernel count, gap above it."""
+    """Dense spectrum summary: ground energy, kernel count, gap above it.
+
+    Only eigenvalues are computed (:func:`spt_z2.linalg.herm_eigvals`), in
+    real arithmetic when the matrix has no imaginary part.
+    """
     cfg = resolve(config)
     h_arr = np.asarray(h_total)
     if h_arr.shape[0] > cfg.ed_cap:
         raise DimensionCap("matrix exceeds the dense diagonalization cap",
                            dimension=int(h_arr.shape[0]), cap=cfg.ed_cap)
-    evals = herm_eig(h_arr, eps_herm=cfg.eps_herm).values
+    evals = herm_eigvals(h_arr, eps_herm=cfg.eps_herm)
     if kernel_tol is None:
         kernel_tol = 1e-8 * (float(evals.max(initial=0.0)) + 1.0)
     kernel = int(np.sum(evals < kernel_tol))

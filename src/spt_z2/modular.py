@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import Config, resolve
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector
-from .linalg import frob, herm_eig, psd_power
+from .linalg import frob, herm_eigvals, psd_power
 
 
 @dataclass(frozen=True)
@@ -258,8 +258,7 @@ def bond_vector(report, rho) -> BipartiteVector:
     result reproduces the reflection index.
     """
     rho_mat = getattr(rho, "rho", rho)
-    sys = herm_eig(np.asarray(rho_mat, dtype=complex))
-    diag = sys.values[::-1]
+    diag = herm_eigvals(rho_mat)[::-1]
     if diag.shape != report.rho_diag.shape or frob(diag - report.rho_diag) > 1e-8:
         raise InvalidInput(
             "invariant state does not match the report's spectral data",

@@ -250,6 +250,15 @@ def test_parent_ham_default_chain_is_window():
     assert np.allclose(head, [0.0] * 4 + [1.0] * 5, atol=1e-12)
 
 
+def test_parent_ham_default_window_n6():
+    code, env = run(["parent-ham", "--model", "aklt", "--n", "6"])
+    assert code == 0
+    res = env["result"]
+    assert (res["m"], res["rank"], res["support_rank"]) == (3, 23, 4)
+    assert res["chain"]["kernel_dim"] == 4
+    assert abs(res["chain"]["gap"] - 0.928646952736) < 1e-9
+
+
 # -- scan ---------------------------------------------------------------------
 
 def test_scan_breaker_family():

@@ -5,6 +5,7 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2.linalg import frob
+from util import embed_sites_oracle
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,21 @@ def test_chain_validation(aklt_h2):
         sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=8, boundary="open"))
 
 
+@pytest.mark.parametrize("m,n,boundary", [(3, 6, "open"), (2, 4, "periodic"),
+                                           (2, 7, "open"), (3, 5, "periodic")])
+def test_chain_matches_kron_oracle(aklt, m, n, boundary):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        hint = sz.parent_interaction(aklt, m=m)
+    want = np.zeros((3 ** n, 3 ** n), dtype=complex)
+    last = n - m + 1 if boundary == "open" else n
+    for p in range(last):
+        want += embed_sites_oracle(hint.h, [(p + j) % n for j in range(m)], n, 3)
+    want = 0.5 * (want + want.conj().T)
+    got = sz.chain_hamiltonian(hint, sz.ChainSpec(n=n, boundary=boundary))
+    assert np.array_equal(got, want)
+
+
 # -- spectrum report ----------------------------------------------------------
 
 def test_ed_report_kernel_tolerance():
@@ -182,3 +198,13 @@ def test_ed_report_rejects_non_hermitian():
     h[0, 1] = 1.0
     with pytest.raises(sz.NotHermitian):
         sz.ed_report(h)
+
+
+def test_ed_report_complex_hermitian(rng):
+    a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    h = a + a.conj().T
+    assert np.abs(h.imag).max() > 0.1
+    rep = sz.ed_report(h, kernel_tol=-np.inf)
+    want = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(rep.spectrum_head - want)) < 1e-12
+    assert abs(rep.ground_energy - want[0]) < 1e-12

@@ -5,6 +5,7 @@ from spt_z2 import errors
 from spt_z2.linalg import (
     frob,
     herm_eig,
+    herm_eigvals,
     map_superop,
     peripheral_eigs,
     phase_fix,
@@ -71,6 +72,43 @@ def test_herm_eig_rejects_skew(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(errors.NotHermitian):
         herm_eig(a + 2j * np.eye(4))
+
+
+def test_herm_eigvals_matches_herm_eig(rng, monkeypatch):
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    s = rng.standard_normal((6, 6))
+    b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    inputs = {
+        "complex": a + a.conj().T,
+        "real-as-complex": (s + s.T).astype(complex),
+        "rank-deficient-psd": b @ b.conj().T,
+    }
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(x):
+        seen.append(np.iscomplexobj(x))
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for name, h in inputs.items():
+        got = herm_eigvals(h)
+        assert np.max(np.abs(got - herm_eig(h).values)) < 1e-12, name
+    # only the matrix with a nonzero imaginary part is diagonalized as complex
+    assert seen == [True, False, True]
+
+
+@pytest.mark.parametrize("func", [herm_eig, herm_eigvals])
+def test_hermitian_solvers_reject_alike(rng, func):
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    with pytest.raises(errors.NotHermitian):
+        func(a + 2j * np.eye(4))
+    with pytest.raises(errors.NotHermitian):
+        func(np.triu(np.ones((4, 4))))
+    with pytest.raises(ValueError):
+        func(np.ones((3, 4)))
+    with pytest.raises(ValueError):
+        func(np.ones(4))
 
 
 def test_phase_fix_determinism():

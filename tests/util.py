@@ -74,6 +74,22 @@ def marginal_oracle(t: sz.MpsTuple, rho: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
+def embed_sites_oracle(op: np.ndarray, sites, n: int, d: int) -> np.ndarray:
+    """``op`` on ``sites`` of an n-site chain via kron with the identity.
+
+    The kron puts the listed sites first and the others after them in
+    ascending order; a transpose of the 2n-axis tensor moves every site back
+    to its own axis.
+    """
+    m = len(sites)
+    big = np.kron(op, np.eye(d ** (n - m)))
+    others = [s for s in range(n) if s not in sites]
+    slot_of_site = {s: j for j, s in enumerate(list(sites) + others)}
+    perm = [slot_of_site[s] for s in range(n)]
+    tensor = big.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return tensor.reshape(d ** n, d ** n)
+
+
 def word_index(word, d: int) -> int:
     """Big-endian flat index of a word, matching the package convention."""
     idx = 0
