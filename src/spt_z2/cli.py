@@ -35,7 +35,7 @@ from .hamiltonian import (
 )
 from .modular import as_bipartite, bond_vector, modular_data
 from .mps import MpsTuple, as_mps, normalize, primitivity
-from .reflection import reflection_invariant, z2_index
+from .reflection import _certify, z2_index
 from .scan import MODELS, family, parse_model, scan, zoo
 
 SCHEMA_VERSION = "1"
@@ -122,10 +122,13 @@ def load_json(path: str):
         raise InvalidInput(f"{path} is not valid JSON: {exc}", path=path) from exc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_entry(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in value)):
+            or not all(_is_number(x) for x in value)):
         raise InvalidInput(f"{where}: complex entries must be [re, im] pairs")
     return complex(float(value[0]), float(value[1]))
 
@@ -181,6 +184,11 @@ def family_from_data(data, s0=None, s1=None, grid=None):
     _check_keys(data, {"model"}, {"s0", "s1", "grid"}, "family file")
     if not isinstance(data["model"], str):
         raise InvalidInput("family model must be a string")
+    for key in ("s0", "s1"):
+        if key in data and not _is_number(data[key]):
+            raise InvalidInput(f"family {key} must be a number")
+    if "grid" in data and not (type(data["grid"]) is int and data["grid"] >= 2):
+        raise InvalidInput("family grid must be an integer of at least 2")
     return family(
         data["model"],
         s0=data.get("s0") if s0 is None else s0,
@@ -230,13 +238,9 @@ def cmd_check(args, cfg: Config, desc: dict):
         "peripheral_count": cert.peripheral_count,
         "spectral_gap": cert.spectral_gap,
     }
-    if cert.is_primitive:
-        evidence = reflection_invariant(t, cfg)
-        result["reflection_invariant"] = evidence.invariant
-        result["evidence"] = jsonable(evidence)
-    else:
-        result["reflection_invariant"] = None
-        result["evidence"] = None
+    evidence = _certify(t, cert, cfg)[2] if cert.is_primitive else None
+    result["reflection_invariant"] = None if evidence is None else evidence.invariant
+    result["evidence"] = jsonable(evidence)
     return result
 
 
@@ -263,9 +267,9 @@ def cmd_modular(args, cfg: Config, desc: dict):
     if args.vector:
         data = load_json(args.vector)
         desc["vector"] = data
+        bv = vector_from_data(data)
         if args.validate_only:
             return {"validated": True, "input": desc}
-        bv = vector_from_data(data)
         report = modular_data(bv, cfg, seed=args.seed)
         result = _modular_result(report)
         result["m"] = bv.m
@@ -275,9 +279,9 @@ def cmd_modular(args, cfg: Config, desc: dict):
         if os.path.exists(source):
             data = load_json(source)
             desc["from_index_tuple"] = data
+            raw = tuple_from_data(data)
             if args.validate_only:
                 return {"validated": True, "input": desc}
-            raw = tuple_from_data(data)
         else:
             parse_model(source)
             desc["from_index"] = source

@@ -1,8 +1,11 @@
 """Tolerance and limit configuration.
 
-All numerical thresholds live in one frozen dataclass so that a report can
-state exactly which tolerances produced it. Every public operation accepts an
-optional ``config``; ``None`` means :data:`DEFAULT`.
+The tolerances and caps a user may set live in one frozen dataclass, and
+every envelope states the values that produced it. Every public operation
+accepts an optional ``config``; ``None`` means :data:`DEFAULT`. Not every
+threshold is here: about 25 fixed literals (e.g. the 1e-7 eigen-residual in
+``mps.normalize`` and the 1e-9 polar tolerance in ``reflection.gauge_solve``)
+sit in the code that applies them and cannot be overridden.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ class Config:
         bad = sorted(set(data) - known)
         if bad:
             raise InvalidInput("unknown config keys", keys=bad)
+        for f in dataclasses.fields(cls):
+            v = data.get(f.name, 0)
+            if not (type(v) is int or (type(v) is float and f.type == "float")
+                    or (v is None and f.type == "int | None")):
+                raise InvalidInput("config value has the wrong type", key=f.name,
+                                   expected=f.type)
         return cls(**data)
 
     @classmethod

@@ -21,8 +21,8 @@ import numpy as np
 from .config import Config, resolve
 from .errors import ConvergenceFailure, DimensionCap, InvalidInput
 from .linalg import frob, herm_eigvals
-from .mps import MpsTuple, invariant_state, marginal, primitivity, require_normalized
-from .reflection import reverse_word_index
+from .mps import (MpsTuple, invariant_state, marginal, primitivity, require_normalized,
+                  reverse_word_index)
 
 
 @dataclass(frozen=True)

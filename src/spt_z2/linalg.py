@@ -9,15 +9,17 @@ Vectorization is column stacking. ``vec(X)`` concatenates the columns of
     vec(A @ X @ B) == kron(B.T, A) @ vec(X).
 
 Superoperators are therefore represented as ``k**2 x k**2`` matrices acting on
-column-stacked ``k x k`` matrices, built by :func:`map_superop`.
+column-stacked ``k x k`` matrices, built by :func:`kraus_superop` from two
+stacks of Kraus matrices.
 
 Hermitian eigensystems are returned with eigenvalues ascending (LAPACK order)
 and each eigenvector's phase fixed so that its first component of significant
-modulus is real and positive. General eigenvector phases and peripheral
-eigenmatrices follow the same rule via :func:`phase_fix`.
+modulus is real and positive. That rule is :func:`canonical_phases`; peripheral
+eigenmatrices, gauge unitaries and Schmidt vectors follow it too.
 
-Peripheral spectra, polar factors, and PSD powers all take their tolerances
-explicitly; policy defaults live in :mod:`spt_z2.config`, not here.
+Peripheral windows (:func:`peripheral_window`), polar factors, and PSD powers
+all take their tolerances explicitly; policy defaults live in
+:mod:`spt_z2.config`, not here.
 """
 
 from __future__ import annotations
@@ -44,40 +46,33 @@ def unvec(x: np.ndarray, k: int | None = None) -> np.ndarray:
     return x.reshape(k, -1, order="F")
 
 
-def map_superop(pairs) -> np.ndarray:
-    """Matrix of X -> sum_i A_i X B_i in the vec convention.
+def kraus_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of X -> sum_i a_i X b_i^dagger for two nonempty (n, k, k) stacks.
 
-    ``pairs`` iterates over (A_i, B_i). The result is sum_i kron(B_i.T, A_i).
+    This is sum_i kron(conj(b_i), a_i), summed in order of i as a kron loop
+    would: bases chosen inside degenerate transfer eigenspaces depend on
+    these bits.
     """
-    out = None
-    for a, b in pairs:
-        term = np.kron(np.asarray(b).T, np.asarray(a))
-        out = term if out is None else out + term
-    if out is None:
-        raise ValueError("map_superop needs at least one (A, B) pair")
-    return out
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2] or not len(a):
+        raise ValueError(f"expected two nonempty (n, k, k) stacks, got {a.shape}, {b.shape}")
+    k = a.shape[1]
+    terms = b.conj()[:, :, None, :, None] * a[:, None, :, None, :]
+    return terms.sum(axis=0).reshape(k * k, k * k)
 
 
-def phase_fix(v: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Rotate each column (vectors along ``axis``) to the canonical phase.
+def canonical_phases(v: np.ndarray) -> np.ndarray:
+    """Unit factors conj(p) / |p| that make each column's pivot p real and positive.
 
-    The first entry whose modulus is within a factor 0.5 of the column's
-    largest modulus is made real and positive. Deterministic under small
-    perturbations because the pivot is modulus-gated, not exactly-first-
-    nonzero.
+    The pivot of a column of the 2-D ``v`` is its first entry whose modulus
+    is at least half the column's largest, which keeps it stable under small
+    perturbations; a zero column gets factor 1.
     """
-    v = np.array(v, dtype=complex, copy=True)
-    moved = np.moveaxis(v, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    mags = np.abs(flat)
-    top = mags.max(axis=0)
-    for j in range(flat.shape[1]):
-        if top[j] == 0.0:
-            continue
-        pivots = np.nonzero(mags[:, j] >= 0.5 * top[j])[0]
-        p = flat[pivots[0], j]
-        flat[:, j] *= np.conj(p) / abs(p)
-    return v
+    mags = np.abs(v)
+    pivot = v[np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0), np.arange(v.shape[1])]
+    # hypot and a reciprocal give the bits of scalar conj(p) / abs(p)
+    size = np.hypot(pivot.real, pivot.imag)
+    return np.where(size > 0, np.conj(pivot) * (1.0 / np.where(size > 0, size, 1.0)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ def herm_eig(h: np.ndarray, *, eps_herm: float = 1e-8) -> HermEig:
     """
     hh = _symmetrized(np.asarray(h, dtype=complex), eps_herm)
     w, u = np.linalg.eigh(hh)
-    return HermEig(values=w, vectors=phase_fix(u, axis=0))
+    return HermEig(values=w, vectors=u * canonical_phases(u))
 
 
 def herm_eigvals(h: np.ndarray, *, eps_herm: float = 1e-8) -> np.ndarray:
@@ -141,29 +136,34 @@ def eig_sort_key(values: np.ndarray):
     return np.lexsort((np.angle(values), -np.abs(values)))
 
 
-def peripheral_eigs(mat: np.ndarray, tol: float) -> list[tuple[complex, np.ndarray]]:
-    """Eigenpairs of a superoperator matrix on the peripheral circle.
+def peripheral_window(values: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Mask of the eigenvalues of modulus >= r - tol * r, and the gap below them.
 
-    Returns (eigenvalue, eigenmatrix) pairs for every eigenvalue within
-    ``tol * r`` of the spectral radius r, ordered by modulus descending then
-    angle ascending. Eigenmatrices are unit Frobenius norm with the canonical
-    phase. ``tol`` must lie in (0, 0.5) so the window cannot wrap past the
-    origin.
+    r is the spectral radius; the gap is r minus the largest modulus outside
+    the window.
+    """
+    mods = np.abs(values)
+    r = float(mods.max(initial=0.0))
+    on = mods >= r - tol * r
+    return on, r - float(mods[~on].max(initial=0.0))
+
+
+def peripheral_eigs(mat: np.ndarray, tol: float) -> list[tuple[complex, np.ndarray]]:
+    """Eigenpairs of a superoperator matrix in the :func:`peripheral_window`.
+
+    Returns (eigenvalue, eigenmatrix) pairs ordered by modulus descending
+    then angle ascending. Eigenmatrices are unit Frobenius norm with the
+    canonical phase. ``tol`` must lie in (0, 0.5) so the window cannot wrap
+    past the origin.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError(f"peripheral tolerance must be in (0, 0.5), got {tol}")
-    mat = np.asarray(mat, dtype=complex)
-    w, v = np.linalg.eig(mat)
-    r = np.abs(w).max() if w.size else 0.0
-    keep = np.nonzero(np.abs(w) >= r - tol * r)[0] if r > 0 else np.arange(w.size)
-    order = eig_sort_key(w[keep])
-    out = []
-    for idx in keep[order]:
-        m = unvec(v[:, idx])
-        m = m / np.linalg.norm(m)
-        m = phase_fix(m.reshape(-1, 1), axis=0).reshape(m.shape)
-        out.append((complex(w[idx]), m))
-    return out
+    w, v = np.linalg.eig(np.asarray(mat, dtype=complex))
+    keep = np.nonzero(peripheral_window(w, tol)[0])[0]
+    keep = keep[eig_sort_key(w[keep])]
+    mats = v[:, keep] / np.linalg.norm(v[:, keep], axis=0)
+    mats = mats * canonical_phases(mats)
+    return [(complex(w[i]), unvec(mats[:, j])) for j, i in enumerate(keep)]
 
 
 def psd_power(rho: np.ndarray, power: float, *, rank_tol: float = 1e-12,

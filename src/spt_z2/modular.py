@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import Config, resolve
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector
-from .linalg import frob, herm_eigvals, psd_power
+from .linalg import canonical_phases, frob, herm_eigvals, psd_power
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ def schmidt(omega: BipartiteVector, rank_tol: float | None = None,
             config: Config | None = None) -> SchmidtData:
     """Schmidt decomposition with deterministic column phases.
 
-    The right vectors get the canonical phase of :func:`spt_z2.linalg.phase_fix`
-    and the left vectors absorb the compensating factor, which keeps
-    M = Xi diag(s) Z^T exact.
+    The right vectors get the canonical phase of
+    :func:`spt_z2.linalg.canonical_phases` and the left vectors absorb the
+    compensating factor, which keeps M = Xi diag(s) Z^T exact.
     """
     cfg = resolve(config)
     if rank_tol is None:
@@ -91,15 +91,9 @@ def schmidt(omega: BipartiteVector, rank_tol: float | None = None,
     if r == 0:
         raise DegenerateSupport("Schmidt support is empty at this rank tolerance",
                                 rank_tol=rank_tol)
-    xi = xi_full[:, :r].copy()
-    z = vh[:r, :].T.copy()
-    for j in range(r):
-        col = z[:, j]
-        mags = np.abs(col)
-        pivot = col[np.nonzero(mags >= 0.5 * mags.max())[0][0]]
-        c = np.conj(pivot) / abs(pivot)
-        z[:, j] = col * c
-        xi[:, j] = xi[:, j] * np.conj(c)
+    phases = canonical_phases(vh[:r].T)
+    z = vh[:r].T * phases
+    xi = xi_full[:, :r] * phases.conj()
     lam = (s[:r] ** 2).astype(float)
     recon = frob(mat - xi @ (s[:r, None] * z.T))
     if recon > 1e-9:

@@ -8,7 +8,8 @@ superoperator matrices follow the column-stacking convention of
 
 Multi-site index convention is big-endian: the word ``(mu_0, .., mu_{l-1})``
 maps to the flat index ``mu_0 * d**(l-1) + .. + mu_{l-1}``, so site 0 is the
-most significant digit. Blocking and marginals share this convention.
+most significant digit. Blocking and marginals share this convention, and
+:func:`reverse_word_index` is the one place that reverses such words.
 
 A tuple may carry ``reflect_perm``, an involution of the physical alphabet
 that spatial reflection applies on-site. Plain models have none (identity);
@@ -36,7 +37,8 @@ from .errors import (
     NotPrimitive,
     WindowTooLarge,
 )
-from .linalg import eig_sort_key, frob, herm_eig, map_superop, peripheral_eigs, unvec, vec
+from .linalg import (eig_sort_key, frob, herm_eig, kraus_superop, peripheral_eigs,
+                     peripheral_window, unvec, vec)
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,11 @@ def as_mps(obj, reflect_perm=None) -> MpsTuple:
 def _validate_perm(perm, d: int) -> np.ndarray | None:
     if perm is None:
         return None
-    p = np.asarray(perm, dtype=int)
-    if p.shape != (d,) or sorted(p.tolist()) != list(range(d)):
+    p = np.asarray(perm, dtype=object)
+    if (p.shape != (d,) or not all(np.issubdtype(type(x), np.integer) for x in p)
+            or sorted(p.tolist()) != list(range(d))):
         raise InvalidInput("reflect_perm must be a permutation of range(d)", d=d)
+    p = p.astype(int)
     if not np.array_equal(p[p], np.arange(d)):
         raise InvalidInput("reflect_perm must be an involution")
     return p
@@ -123,7 +127,7 @@ def apply_adjoint(t: MpsTuple, y: np.ndarray) -> np.ndarray:
 
 
 def transfer_matrix(t: MpsTuple) -> np.ndarray:
-    return map_superop((m, m.conj().T) for m in t.v)
+    return kraus_superop(t.v, t.v)
 
 
 def transfer_spectrum(t: MpsTuple) -> np.ndarray:
@@ -277,12 +281,8 @@ def primitivity(t: MpsTuple, l_max: int | None = None,
             full_dimension=full,
         )
 
-    spectrum = transfer_spectrum(t)
-    radius = float(np.abs(spectrum[0]))
-    mods = np.abs(spectrum)
-    periph = int(np.sum(mods >= radius - cfg.peripheral_tol * radius))
-    below = mods[mods < radius - cfg.peripheral_tol * radius]
-    gap = float(radius - (below.max() if below.size else 0.0))
+    on, gap = peripheral_window(transfer_spectrum(t), cfg.peripheral_tol)
+    periph = int(on.sum())
 
     spectral_ok = periph == 1
     if spectral_ok:
@@ -354,9 +354,7 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     """Faithful invariant state of a primitive tuple's adjoint channel."""
     cfg = resolve(config)
     require_normalized(t, cfg)
-    spectrum = transfer_spectrum(t)
-    radius = float(np.abs(spectrum[0]))
-    periph = int(np.sum(np.abs(spectrum) >= radius - cfg.peripheral_tol * radius))
+    periph = int(peripheral_window(transfer_spectrum(t), cfg.peripheral_tol)[0].sum())
     if periph != 1:
         raise NotPrimitive(
             "dominant transfer eigenvalue is not simple",
@@ -375,6 +373,29 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
             max_eigenvalue=hi,
         )
     return InvariantState(rho=rho, residual=res, min_eigenvalue=lo)
+
+
+def reverse_word_index(d: int, l: int, pi: np.ndarray) -> np.ndarray:
+    """Flat-index map from each big-endian word (mu_0..mu_{l-1}) to (pi(mu_{l-1})..pi(mu_0))."""
+    digits = np.unravel_index(np.arange(d ** l), (d,) * l)
+    return np.ravel_multi_index(tuple(pi[digits[l - 1 - j]] for j in range(l)),
+                                (d,) * l)
+
+
+def _word_count(d: int, l: int, cfg: Config, what: str) -> int:
+    """d**l, the number of words of length l, refused above ``marginal_cap``."""
+    if d ** l > cfg.marginal_cap:
+        raise WindowTooLarge(f"{what} exceeds the dense cap", dimension=d ** l,
+                             cap=cfg.marginal_cap)
+    return d ** l
+
+
+def _extend_words(words: np.ndarray, v: np.ndarray, l: int) -> np.ndarray:
+    """Products ``W v_mu_1 .. v_mu_l`` for each W and word, W's index most significant."""
+    k = v.shape[1]
+    for _ in range(l):
+        words = np.einsum("wab,mbc->wmac", words, v).reshape(-1, k, k)
+    return words
 
 
 @dataclass(frozen=True)
@@ -404,24 +425,14 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     cfg = resolve(config)
     if l < 1:
         raise InvalidInput("marginal needs l >= 1", l=l)
-    dim = t.d ** l
-    if dim > cfg.marginal_cap:
-        raise WindowTooLarge(
-            "marginal dimension exceeds the dense cap",
-            dimension=dim,
-            cap=cfg.marginal_cap,
-        )
+    dim = _word_count(t.d, l, cfg, "marginal dimension")
     rho = np.asarray(rho, dtype=complex)
     try:
         chol = np.linalg.cholesky(0.5 * (rho + rho.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NotFaithful("state is not positive definite; no Cholesky factor",
                           l=l) from exc
-    k = t.k
-    words = chol.conj().T[None, :, :]
-    for _ in range(l):
-        words = np.einsum("wab,mbc->wmac", words, t.v).reshape(-1, k, k)
-    phi = words.reshape(dim, k * k)
+    phi = _extend_words(chol.conj().T[None, :, :], t.v, l).reshape(dim, t.k * t.k)
     tr = float(np.vdot(phi, phi).real)
     if abs(tr - 1.0) > 1e-7:
         raise ConvergenceFailure("marginal trace drifted from 1", trace=tr, l=l)
@@ -450,20 +461,8 @@ def block(t: MpsTuple, b: int, config: Config | None = None) -> MpsTuple:
     if b == 1:
         return t
     require_normalized(t, cfg)
-    dim = t.d ** b
-    if dim > cfg.marginal_cap:
-        raise WindowTooLarge(
-            "blocked alphabet exceeds the dense cap",
-            dimension=dim,
-            cap=cfg.marginal_cap,
-        )
-    w = t.v
-    for _ in range(b - 1):
-        w = np.einsum("Mab,mbc->Mmac", w, t.v).reshape(-1, t.k, t.k)
-    digits = np.unravel_index(np.arange(dim), (t.d,) * b)
-    pi = t.perm()
-    new_perm = np.ravel_multi_index(tuple(pi[digits[b - 1 - j]] for j in range(b)),
-                                    (t.d,) * b)
-    out = MpsTuple(v=w, reflect_perm=new_perm.astype(int))
+    _word_count(t.d, b, cfg, "blocked alphabet")
+    out = MpsTuple(v=_extend_words(t.v, t.v, b - 1),
+                   reflect_perm=reverse_word_index(t.d, b, t.perm()))
     require_normalized(out, cfg)
     return out

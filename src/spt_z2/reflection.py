@@ -40,7 +40,7 @@ from .errors import (
     NotUnitaryMultiple,
     RankDeficient,
 )
-from .linalg import frob, herm_eig, map_superop, phase_fix, polar_unitary, unvec
+from .linalg import canonical_phases, frob, herm_eig, kraus_superop, polar_unitary, unvec
 from .mps import (
     InvariantState,
     MpsTuple,
@@ -51,6 +51,7 @@ from .mps import (
     normalize,
     primitivity,
     require_normalized,
+    reverse_word_index,
 )
 
 
@@ -120,7 +121,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, tol: float | None = None,
                            left=[t.d, t.k], right=[s.d, s.k])
     require_normalized(t, cfg)
     require_normalized(s, cfg)
-    mixed = map_superop((t.v[m], s.v[m].conj().T) for m in range(t.d))
+    mixed = kraus_superop(t.v, s.v)
     w, vs = np.linalg.eig(mixed)
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])
@@ -146,7 +147,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, tol: float | None = None,
             tolerance=tol,
         )
     u = polar.unitary.conj().T
-    u = phase_fix(u.reshape(-1, 1), axis=0).reshape(u.shape)
+    u = u * canonical_phases(u.reshape(-1, 1))
     phase = lam / radius
     res = max(frob(u @ t.v[m] - phase * s.v[m] @ u) for m in range(t.d))
     return GaugeSolution(U=u, phase=phase, relation_residual=float(res),
@@ -163,13 +164,6 @@ class ReflectionEvidence:
     mixed_radius: float
     marginal_residual: float
     marginal_lengths: int
-
-
-def reverse_word_index(d: int, l: int, pi: np.ndarray) -> np.ndarray:
-    """Flat-index permutation sending a word to its pi-twisted reversal."""
-    digits = np.unravel_index(np.arange(d ** l), (d,) * l)
-    return np.ravel_multi_index(tuple(pi[digits[l - 1 - j]] for j in range(l)),
-                                (d,) * l)
 
 
 def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
@@ -239,8 +233,8 @@ def _evidence(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
     return evidence, gauge
 
 
-def _certify(t: MpsTuple, cfg: Config):
-    cert = primitivity(t, config=cfg)
+def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
+    """Invariant state, reflected tuple and evidence of a certified tuple."""
     if not cert.is_primitive:
         raise NotPrimitive(
             "tuple is not primitive",
@@ -250,15 +244,14 @@ def _certify(t: MpsTuple, cfg: Config):
     inv = invariant_state(t, cfg)
     refl = reflected_tuple(t, inv.rho, cfg)
     evidence, gauge = _evidence(t, cert, inv, refl, cfg)
-    return cert, inv, refl, evidence, gauge
+    return inv, refl, evidence, gauge
 
 
 def reflection_invariant(raw, config: Config | None = None) -> ReflectionEvidence:
     """Dual-route reflection test of the state generated by a primitive tuple."""
     cfg = resolve(config)
     t = normalize(raw, cfg)
-    _, _, _, evidence, _ = _certify(t, cfg)
-    return evidence
+    return _certify(t, primitivity(t, config=cfg), cfg)[2]
 
 
 @dataclass(frozen=True)
@@ -295,7 +288,8 @@ def z2_index(raw, config: Config | None = None) -> IndexReport:
     """
     cfg = resolve(config)
     t = normalize(raw, cfg)
-    cert, inv, refl, evidence, gauge = _certify(t, cfg)
+    cert = primitivity(t, config=cfg)
+    inv, refl, evidence, gauge = _certify(t, cert, cfg)
     if not evidence.invariant or gauge is None:
         raise NotReflectionInvariant(
             "state differs from its reflection",

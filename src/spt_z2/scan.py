@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import Config, resolve
 from .errors import SptError, UnknownModel
+from .linalg import peripheral_window
 from .mps import normalize, transfer_spectrum
 from .reflection import z2_index
 
@@ -189,10 +190,7 @@ def _transfer_gap(raw, cfg: Config) -> float | None:
         spec = transfer_spectrum(normalize(raw, cfg))
     except SptError:
         return None
-    mods = np.abs(spec)
-    radius = float(mods[0])
-    below = mods[mods < radius - cfg.peripheral_tol * radius]
-    return float(radius - (below.max() if below.size else 0.0))
+    return peripheral_window(spec, cfg.peripheral_tol)[1]
 
 
 # (primitive, reflection_invariant) for a refused point, keyed by its status;

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import cli
+from spt_z2 import cli, reflection
 from spt_z2.config import ENV_VAR
 from spt_z2.errors import STATUS_EXIT
 from util import known_answer_tuple
 
-SCHEMA = json.loads(
-    (Path(cli.__file__).parent / "schemas" / "report.schema.json").read_text())
+SCHEMAS = Path(cli.__file__).parent / "schemas"
+SCHEMA = json.loads((SCHEMAS / "report.schema.json").read_text())
 
 
 def run(argv):
@@ -205,6 +205,22 @@ def test_modular_from_index():
     }
 
 
+def test_modular_validate_only_checks_inputs(tmp_path):
+    vector = tmp_path / "vector.json"
+    vector.write_text(json.dumps({"m": 2, "entries": [[1]]}))
+    code, env = run(["modular", "--vector", str(vector), "--validate-only"])
+    assert code == 1 and env["status"] == "io_error"
+    tuple_path = tmp_path / "tuple.json"
+    tuple_path.write_text(json.dumps({"d": 2, "k": 1, "matrices": [[[[1, 0]]]]}))
+    for argv in (["modular", "--from-index"], ["index", "--tuple"]):
+        code, env = run(argv + [str(tuple_path), "--validate-only"])
+        assert code == 1 and env["status"] == "io_error", argv
+    singlet = np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0)
+    code, env = run(["modular", "--vector", write_vector(tmp_path, singlet),
+                     "--validate-only"])
+    assert code == 0 and env["result"]["validated"] is True
+
+
 def test_modular_seed_determinism(tmp_path, rng):
     mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     path = write_vector(tmp_path, mat / np.linalg.norm(mat))
@@ -386,6 +402,21 @@ def test_bad_config_file_is_io_error(monkeypatch, tmp_path):
     assert code == 1 and env["status"] == "io_error"
 
 
+@pytest.mark.parametrize("data", [{"eps_norm": "x"}, {"eps_herm": True},
+                                  {"marginal_cap": 2.5}, {"panel_size": None},
+                                  {"l_max": 1.5}])
+def test_config_values_are_type_checked(monkeypatch, tmp_path, data):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    monkeypatch.setenv(ENV_VAR, str(cfg_path))
+    code, env = run(["index", "--model", "aklt"])
+    assert code == 1 and env["status"] == "io_error"
+    assert env["result"]["key"] == next(iter(data))
+    # integers are numbers, and l_max may be null
+    assert sz.Config.from_dict({"eps_norm": 1, "l_max": None, "ed_cap": 64}) == \
+        sz.Config(eps_norm=1, l_max=None, ed_cap=64)
+
+
 def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
     code, env = run(["index", "--model", "aklt"])
     assert "eps_lin" not in env["config"]
@@ -407,3 +438,45 @@ def test_canonical_floats_round_trip():
 def test_canonical_shape():
     text = cli.canonical({"b": 1, "a": [True, None, "s"]})
     assert text == '{"a":[true,null,"s"],"b":1}'
+
+
+def _product_tuple_data(**extra):
+    t = sz.normalize(sz.zoo("product:1,0"))
+    return {"d": t.d, "k": t.k, "matrices": [complex_rows(m) for m in t.v], **extra}
+
+
+@pytest.mark.parametrize("command,schema,data", [
+    ("scan", "family", {"model": "deformed-aklt", "s0": "abc"}),
+    ("scan", "family", {"model": "deformed-aklt", "s1": True}),
+    ("scan", "family", {"model": "deformed-aklt", "grid": "x"}),
+    ("scan", "family", {"model": "deformed-aklt", "grid": [3]}),
+    ("scan", "family", {"model": "deformed-aklt", "grid": 1}),
+    ("index", "tuple", _product_tuple_data(reflect_perm=["a", "b"])),
+    ("index", "tuple", _product_tuple_data(reflect_perm=[0.5, 1.7])),
+    ("index", "tuple", _product_tuple_data(reflect_perm=[True, False])),
+    ("index", "tuple", _product_tuple_data(reflect_perm=[[0], [1, 0]])),
+])
+def test_malformed_file_values_are_invalid_input(tmp_path, command, schema, data):
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, json.loads((SCHEMAS / f"{schema}.schema.json").read_text()))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    flag = "--spec" if command == "scan" else "--tuple"
+    code, env = run([command, flag, str(path)])
+    assert code == 1 and env["status"] == "io_error"
+    assert env["result"]["error"] == "InvalidInput"
+
+
+def test_check_certifies_primitivity_once(monkeypatch):
+    _, before = run(["check", "--model", "aklt"])
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return sz.primitivity(*args, **kwargs)
+
+    for module in (cli, reflection):
+        monkeypatch.setattr(module, "primitivity", spy)
+    code, env = run(["check", "--model", "aklt"])
+    assert code == 0 and len(calls) == 1
+    assert env == before

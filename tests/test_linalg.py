@@ -6,9 +6,10 @@ from spt_z2.linalg import (
     frob,
     herm_eig,
     herm_eigvals,
-    map_superop,
+    canonical_phases,
+    kraus_superop,
     peripheral_eigs,
-    phase_fix,
+    peripheral_window,
     polar_unitary,
     psd_power,
     unvec,
@@ -35,18 +36,22 @@ def test_vec_convention_kron_identity(rng):
 
 
 def test_map_superop_matches_sum(rng):
-    pairs = [(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
-              rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-             for _ in range(4)]
-    mat = map_superop(pairs)
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    b = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    mat = kraus_superop(a, b)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    direct = sum(a @ x @ b for a, b in pairs)
+    direct = sum(ai @ x @ bi.conj().T for ai, bi in zip(a, b))
     assert frob(unvec(mat @ vec(x)) - direct) < 1e-12
+    # the sequential kron sum of the vec convention, bit for bit
+    oracle = sum(np.kron(bi.conj(), ai) for ai, bi in zip(a, b))
+    assert np.array_equal(mat, oracle)
 
 
 def test_map_superop_empty():
     with pytest.raises(ValueError):
-        map_superop([])
+        kraus_superop(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError):
+        kraus_superop(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
 
 
 def test_herm_eig_contract(rng):
@@ -113,8 +118,43 @@ def test_hermitian_solvers_reject_alike(rng, func):
 
 def test_phase_fix_determinism():
     v = np.array([[0.0], [1j], [0.0]])
-    fixed = phase_fix(v, axis=0)
+    fixed = v * canonical_phases(v)
     assert np.allclose(fixed, [[0.0], [1.0], [0.0]])
+
+
+def test_canonical_phases_columns(rng):
+    gate = 0.5j  # modulus exactly half the column's largest: still the pivot
+    v = np.array([[0.0, 0.0, gate, 0.4999999j],
+                  [1j, 0.0, -1.0, -1.0],
+                  [0.0, 0.0, 0.25, 0.25]])
+    phases = canonical_phases(v)
+    assert np.allclose(np.abs(phases), 1.0)
+    assert phases[1] == 1.0  # zero column
+    assert np.allclose(v * phases, [[0.0, 0.0, 0.5, -0.4999999j],
+                                    [1.0, 0.0, 1j, 1.0],
+                                    [0.0, 0.0, -0.25j, -0.25]])
+    # reference: the per-column loop, pivot by the same gate
+    a = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    for j, c in enumerate(canonical_phases(a)):
+        mags = np.abs(a[:, j])
+        p = a[np.nonzero(mags >= 0.5 * mags.max())[0][0], j]
+        assert c == np.conj(p) / abs(p)
+
+
+def test_peripheral_window_edge():
+    tol = 1e-6
+    edge = 1.0 - tol * 1.0
+    below = np.nextafter(edge, 0.0)
+    on, gap = peripheral_window(np.array([1.0, -edge, 1j * below, 0.25]), tol)
+    assert on.tolist() == [True, True, False, False]
+    assert gap == 1.0 - below
+    # the window does not depend on order or on scale
+    on, gap = peripheral_window(np.array([0.25, 2j * below, -2 * edge, 2.0]), tol)
+    assert on.tolist() == [False, False, True, True] and gap == 2.0 - 2 * below
+    # all peripheral: the gap is the whole radius; zero spectrum: no gap
+    assert peripheral_window(np.array([1.0, -1.0, 1j]), tol)[1] == 1.0
+    on, gap = peripheral_window(np.zeros(3), tol)
+    assert on.all() and gap == 0.0
 
 
 def test_peripheral_eigs_known_spectrum():

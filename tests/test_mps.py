@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,17 @@ def test_block_perm_reverses_words(aklt):
     for a in range(3):
         for b in range(3):
             assert perm[word_index((a, b), 3)] == word_index((b, a), 3)
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_block_perm_twisted(rng, b):
+    pi = np.array([2, 1, 0])
+    t = sz.as_mps(random_channel_tuple(rng, 3, 2).v, reflect_perm=pi)
+    blocked = sz.block(t, b)
+    assert np.array_equal(blocked.perm(), reverse_word_index(3, b, pi))
+    for word in itertools.product(range(3), repeat=b):
+        twisted = tuple(int(pi[mu]) for mu in reversed(word))
+        assert blocked.perm()[word_index(word, 3)] == word_index(twisted, 3)
 
 
 def test_block_composes(aklt):
