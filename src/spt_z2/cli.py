@@ -10,6 +10,13 @@ digest is a sha256 over a canonical JSON form of the parsed input (sorted
 keys, floats printed with %.17g), so byte-identical inputs give identical
 digests across platforms. Negative certificates from `check` are ordinary
 results with status ok; exit 1 is reserved for unreadable or malformed input.
+
+Each `cmd_*` checks its inputs, records them in the description that the
+digest covers, and returns its computation as a zero-argument callable. One
+rule holds for `--validate-only` on every command: `main` skips that
+callable, so flags, config and input files pass exactly the checks that come
+before a full run's computation, and the result is
+{"validated": true, "input": <description>}.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .config import Config
+from .config import Config, load_json
 from .errors import InvalidInput, SptError, UsageError
 from .hamiltonian import (
     ChainSpec,
@@ -112,25 +119,8 @@ def envelope(command: str, desc: dict, cfg: Config | None, result, status: str) 
 
 # --------------------------------------------------------------------- loading
 
-def load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc}", path=path) from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path} is not valid JSON: {exc}", path=path) from exc
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _complex_entry(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_is_number(x) for x in value)):
-        raise InvalidInput(f"{where}: complex entries must be [re, im] pairs")
-    return complex(float(value[0]), float(value[1]))
 
 
 def _check_keys(data, required: set, optional: set, what: str) -> None:
@@ -143,41 +133,48 @@ def _check_keys(data, required: set, optional: set, what: str) -> None:
         raise InvalidInput(f"{what} has wrong keys", missing=missing, extra=extra)
 
 
+def _size(data: dict, key: str) -> int:
+    if type(data[key]) is not int or data[key] < 1:
+        raise InvalidInput(f"{key} must be a positive integer")
+    return data[key]
+
+
+def _complex_array(rows, shape: tuple, what: str) -> np.ndarray:
+    """Nested lists of [re, im] pairs as a complex array of ``shape``.
+
+    Every nesting length and entry is checked before anything is allocated.
+    """
+    def check(node, depth: int, where: str) -> None:
+        if depth == len(shape):
+            if not (isinstance(node, list) and len(node) == 2
+                    and all(_is_number(x) for x in node)):
+                raise InvalidInput(f"{where}: complex entries must be [re, im] pairs")
+            return
+        if not isinstance(node, list) or len(node) != shape[depth]:
+            raise InvalidInput(f"{where} must list {shape[depth]} entries",
+                               expected=shape[depth])
+        for i, child in enumerate(node):
+            check(child, depth + 1, f"{where}[{i}]")
+
+    check(rows, 0, what)
+    try:
+        pairs = np.array(rows, dtype=float)
+    except OverflowError as exc:
+        raise InvalidInput(f"{what}: entries must be finite numbers") from exc
+    return pairs.view(complex)[..., 0]
+
+
 def tuple_from_data(data) -> MpsTuple:
     _check_keys(data, {"d", "k", "matrices"}, {"reflect_perm"}, "tuple file")
-    d, k = data["d"], data["k"]
-    if not isinstance(d, int) or not isinstance(k, int):
-        raise InvalidInput("d and k must be integers")
-    mats = data["matrices"]
-    if not isinstance(mats, list) or len(mats) != d:
-        raise InvalidInput("matrices must list exactly d matrices", d=d)
-    arr = np.zeros((d, k, k), dtype=complex)
-    for mu, mat in enumerate(mats):
-        if not isinstance(mat, list) or len(mat) != k:
-            raise InvalidInput(f"matrix {mu} must have k rows", k=k)
-        for i, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != k:
-                raise InvalidInput(f"matrix {mu} row {i} must have k entries", k=k)
-            for j, entry in enumerate(row):
-                arr[mu, i, j] = _complex_entry(entry, f"matrix {mu}[{i}][{j}]")
+    d, k = _size(data, "d"), _size(data, "k")
+    arr = _complex_array(data["matrices"], (d, k, k), "matrices")
     return as_mps(arr, reflect_perm=data.get("reflect_perm"))
 
 
 def vector_from_data(data):
     _check_keys(data, {"m", "entries"}, set(), "vector file")
-    m = data["m"]
-    if not isinstance(m, int) or m < 1:
-        raise InvalidInput("m must be a positive integer")
-    rows = data["entries"]
-    if not isinstance(rows, list) or len(rows) != m:
-        raise InvalidInput("entries must list exactly m rows", m=m)
-    arr = np.zeros((m, m), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise InvalidInput(f"entries row {i} must have m entries", m=m)
-        for j, entry in enumerate(row):
-            arr[i, j] = _complex_entry(entry, f"entries[{i}][{j}]")
-    return as_bipartite(arr)
+    m = _size(data, "m")
+    return as_bipartite(_complex_array(data["entries"], (m, m), "entries"))
 
 
 def family_from_data(data, s0=None, s1=None, grid=None):
@@ -197,54 +194,62 @@ def family_from_data(data, s0=None, s1=None, grid=None):
     )
 
 
-def resolve_tuple_source(args, desc: dict):
-    """Raw tuple from --model or --tuple, recording the digest description."""
-    if getattr(args, "model", None) and getattr(args, "tuple", None):
-        raise UsageError("give either --model or --tuple, not both")
-    if getattr(args, "model", None):
-        parse_model(args.model)
-        desc["model"] = args.model
-        if args.validate_only:
-            return None
-        return zoo(args.model)
-    if getattr(args, "tuple", None):
-        data = load_json(args.tuple)
+def _one_of(args, a: str, b: str) -> str:
+    """Name of the one source option given among ``a`` and ``b``."""
+    flags = [f"--{name.replace('_', '-')}" for name in (a, b)]
+    given = [name for name in (a, b) if getattr(args, name)]
+    if len(given) == 2:
+        raise UsageError(f"give either {flags[0]} or {flags[1]}, not both")
+    if not given:
+        raise UsageError(f"one of {flags[0]} or {flags[1]} is required")
+    return given[0]
+
+
+def _load_tuple(desc: dict, key: str, source: str, from_file: bool):
+    """Check a tuple file or model name, record it as ``desc[key]``; return its loader."""
+    if from_file:
+        data = load_json(source)
         t = tuple_from_data(data)
-        desc["tuple"] = data
-        if args.validate_only:
-            return None
-        return t
-    raise UsageError("one of --model or --tuple is required")
+        desc[key] = data
+        return lambda: t
+    parse_model(source)
+    desc[key] = source
+    return lambda: zoo(source)
+
+
+def _tuple_source(args, desc: dict):
+    name = _one_of(args, "model", "tuple")
+    return _load_tuple(desc, name, getattr(args, name), name == "tuple")
 
 
 # -------------------------------------------------------------------- commands
 
 def cmd_index(args, cfg: Config, desc: dict):
-    raw = resolve_tuple_source(args, desc)
-    if raw is None:
-        return {"validated": True, "input": desc}
-    return jsonable(z2_index(raw, cfg))
+    raw = _tuple_source(args, desc)
+    return lambda: jsonable(z2_index(raw(), cfg))
 
 
 def cmd_check(args, cfg: Config, desc: dict):
-    raw = resolve_tuple_source(args, desc)
-    if raw is None:
-        return {"validated": True, "input": desc}
-    t = normalize(raw, cfg)
-    cert = primitivity(t, config=cfg)
-    result = {
-        "primitive": cert.is_primitive,
-        "injectivity_length": cert.injectivity_length,
-        "peripheral_count": cert.peripheral_count,
-        "spectral_gap": cert.spectral_gap,
-    }
-    evidence = _certify(t, cert, cfg)[2] if cert.is_primitive else None
-    result["reflection_invariant"] = None if evidence is None else evidence.invariant
-    result["evidence"] = jsonable(evidence)
-    return result
+    raw = _tuple_source(args, desc)
+
+    def run():
+        t = normalize(raw(), cfg)
+        cert = primitivity(t, config=cfg)
+        result = {
+            "primitive": cert.is_primitive,
+            "injectivity_length": cert.injectivity_length,
+            "peripheral_count": cert.peripheral_count,
+            "spectral_gap": cert.spectral_gap,
+        }
+        evidence = _certify(t, cert, cfg)[2] if cert.is_primitive else None
+        result["reflection_invariant"] = None if evidence is None else evidence.invariant
+        result["evidence"] = jsonable(evidence)
+        return result
+    return run
 
 
-def _modular_result(report) -> dict:
+def _modular_result(bv, cfg: Config, seed) -> dict:
+    report = modular_data(bv, cfg, seed=seed)
     return {
         "kappa": report.kappa,
         "sigma": report.sigma,
@@ -258,78 +263,62 @@ def _modular_result(report) -> dict:
             "u": jsonable(report.schmidt.u),
             "support_dim": report.schmidt.support_dim,
         },
+        "m": bv.m,
     }
 
 
 def cmd_modular(args, cfg: Config, desc: dict):
-    if args.vector and args.from_index:
-        raise UsageError("give either --vector or --from-index, not both")
-    if args.vector:
+    if _one_of(args, "vector", "from_index") == "vector":
         data = load_json(args.vector)
-        desc["vector"] = data
         bv = vector_from_data(data)
-        if args.validate_only:
-            return {"validated": True, "input": desc}
-        report = modular_data(bv, cfg, seed=args.seed)
-        result = _modular_result(report)
-        result["m"] = bv.m
-        return result
-    if args.from_index:
-        source = args.from_index
-        if os.path.exists(source):
-            data = load_json(source)
-            desc["from_index_tuple"] = data
-            raw = tuple_from_data(data)
-            if args.validate_only:
-                return {"validated": True, "input": desc}
-        else:
-            parse_model(source)
-            desc["from_index"] = source
-            if args.validate_only:
-                return {"validated": True, "input": desc}
-            raw = zoo(source)
-        rep = z2_index(raw, cfg)
+        desc["vector"] = data
+        return lambda: _modular_result(bv, cfg, args.seed)
+    source = args.from_index
+    from_file = os.path.exists(source)
+    raw = _load_tuple(desc, "from_index_tuple" if from_file else "from_index",
+                      source, from_file)
+
+    def run():
+        rep = z2_index(raw(), cfg)
         rho = rep.basis @ np.diag(rep.rho_diag) @ rep.basis.conj().T
-        bv = bond_vector(rep, rho)
-        report = modular_data(bv, cfg, seed=args.seed)
-        result = _modular_result(report)
-        result["m"] = bv.m
+        result = _modular_result(bond_vector(rep, rho), cfg, args.seed)
         result["from_index"] = {
             "zeta": rep.zeta,
-            "matches_sigma": report.sigma == rep.zeta,
-            "matches_kappa": report.kappa == rep.zeta,
+            "matches_sigma": result["sigma"] == rep.zeta,
+            "matches_kappa": result["kappa"] == rep.zeta,
         }
         return result
-    raise UsageError("one of --vector or --from-index is required")
+    return run
 
 
 def cmd_parent_ham(args, cfg: Config, desc: dict):
-    raw = resolve_tuple_source(args, desc)
+    raw = _tuple_source(args, desc)
     desc.update({k: v for k, v in (("m", args.m), ("n", args.n),
                                    ("boundary", args.boundary)) if v is not None})
-    if raw is None:
-        return {"validated": True, "input": desc}
-    t = normalize(raw, cfg)
-    hint = parent_interaction(t, m=args.m, config=cfg)
-    n = args.n if args.n is not None else hint.m
-    spec = ChainSpec(n=n, boundary=args.boundary)
-    h_total = chain_hamiltonian(hint, spec, cfg)
-    ed = ed_report(h_total, kernel_tol=args.kernel_tol, config=cfg)
-    return {
-        "m": hint.m,
-        "rank": hint.rank,
-        "support_rank": hint.support_rank,
-        "range_warning": hint.range_warning,
-        "reflection_residual": reflection_check(hint),
-        "chain": {
-            "n": n,
-            "boundary": spec.boundary,
-            "ground_energy": ed.ground_energy,
-            "kernel_dim": ed.kernel_dim,
-            "gap": ed.gap,
-            "spectrum_head": jsonable(ed.spectrum_head),
-        },
-    }
+
+    def run():
+        t = normalize(raw(), cfg)
+        hint = parent_interaction(t, m=args.m, config=cfg)
+        n = args.n if args.n is not None else hint.m
+        spec = ChainSpec(n=n, boundary=args.boundary)
+        h_total = chain_hamiltonian(hint, spec, cfg)
+        ed = ed_report(h_total, kernel_tol=args.kernel_tol, config=cfg)
+        return {
+            "m": hint.m,
+            "rank": hint.rank,
+            "support_rank": hint.support_rank,
+            "range_warning": hint.range_warning,
+            "reflection_residual": reflection_check(hint),
+            "chain": {
+                "n": n,
+                "boundary": spec.boundary,
+                "ground_energy": ed.ground_energy,
+                "kernel_dim": ed.kernel_dim,
+                "gap": ed.gap,
+                "spectrum_head": jsonable(ed.spectrum_head),
+            },
+        }
+    return run
 
 
 def _scan_table(fam, report) -> str:
@@ -348,40 +337,35 @@ def _scan_table(fam, report) -> str:
 
 
 def cmd_scan(args, cfg: Config, desc: dict):
-    if args.family and args.spec:
-        raise UsageError("give either --family or --spec, not both")
-    if args.family:
-        desc["family"] = args.family
+    if _one_of(args, "family", "spec") == "family":
         fam = family(args.family, s0=args.s0, s1=args.s1, grid=args.grid)
-    elif args.spec:
-        data = load_json(args.spec)
-        desc["spec"] = data
-        fam = family_from_data(data, s0=args.s0, s1=args.s1, grid=args.grid)
+        desc["family"] = args.family
     else:
-        raise UsageError("one of --family or --spec is required")
-    for key, val in (("s0", fam.s0), ("s1", fam.s1), ("grid", fam.grid)):
-        desc[key] = val
-    if args.validate_only:
-        return {"validated": True, "input": desc}
-    report = scan(fam, cfg)
-    if args.table:
-        print(_scan_table(fam, report), file=sys.stderr)
-    return {
-        "family": fam.name,
-        "s0": fam.s0,
-        "s1": fam.s1,
-        "grid": fam.grid,
-        "points": jsonable(report.points),
-        "summary": {
-            "constant_index": report.constant_index,
-            "first_failure": report.first_failure,
-        },
-    }
+        data = load_json(args.spec)
+        fam = family_from_data(data, s0=args.s0, s1=args.s1, grid=args.grid)
+        desc["spec"] = data
+    desc.update(s0=fam.s0, s1=fam.s1, grid=fam.grid)
+
+    def run():
+        report = scan(fam, cfg)
+        if args.table:
+            print(_scan_table(fam, report), file=sys.stderr)
+        return {
+            "family": fam.name,
+            "s0": fam.s0,
+            "s1": fam.s1,
+            "grid": fam.grid,
+            "points": jsonable(report.points),
+            "summary": {
+                "constant_index": report.constant_index,
+                "first_failure": report.first_failure,
+            },
+        }
+    return run
 
 
 def cmd_models(args, cfg: Config, desc: dict):
-    rows = [{"name": name, **MODELS[name]} for name in sorted(MODELS)]
-    return {"models": rows}
+    return lambda: {"models": [{"name": name, **MODELS[name]} for name in sorted(MODELS)]}
 
 
 # ---------------------------------------------------------------------- parser
@@ -389,6 +373,18 @@ def cmd_models(args, cfg: Config, desc: dict):
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise ValueError(text)
+    return value
 
 
 _CONFIG_HELP = {
@@ -400,7 +396,7 @@ _CONFIG_HELP = {
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file of tolerance overrides")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=nonnegative_int, default=None,
                     help="seed for randomized verification panels")
     sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sp.add_argument("--validate-only", action="store_true",
@@ -445,7 +441,7 @@ def build_parser() -> Parser:
     sp.add_argument("--n", type=int, default=None,
                     help="chain length (default: the window)")
     sp.add_argument("--boundary", choices=["open", "periodic"], default="open")
-    sp.add_argument("--kernel-tol", type=float, default=None,
+    sp.add_argument("--kernel-tol", type=finite_float, default=None,
                     help="kernel threshold for the dense spectrum")
     _add_common(sp)
     sp.set_defaults(runner=cmd_parent_ham)
@@ -468,15 +464,9 @@ def build_parser() -> Parser:
 
 
 def build_config(args) -> Config:
-    if getattr(args, "config", None):
-        cfg = Config.from_file(args.config)
-    else:
-        cfg = Config.from_env()
-    overrides = {}
-    for field in dataclasses.fields(Config):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = value
+    cfg = Config.from_file(args.config) if args.config else Config.from_env()
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Config)
+                 if getattr(args, f.name) is not None}
     return cfg.replace(**overrides) if overrides else cfg
 
 
@@ -487,29 +477,23 @@ def _emit(env: dict, pretty: bool) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "cmd", None) is None:
+            raise UsageError("a subcommand is required (see --help)")
     except UsageError as exc:
         _emit(envelope("cli", {}, None, exc.describe(), exc.status), False)
         return exc.exit_code
-    if getattr(args, "cmd", None) is None:
-        err = UsageError("a subcommand is required (see --help)")
-        _emit(envelope("cli", {}, None, err.describe(), err.status), False)
-        return err.exit_code
 
-    pretty = bool(getattr(args, "pretty", False))
     desc: dict = {}
     cfg: Config | None = None
     try:
         cfg = build_config(args)
-        result = args.runner(args, cfg, desc)
-        _emit(envelope(args.cmd, desc, cfg, result, "ok"), pretty)
+        compute = args.runner(args, cfg, desc)
+        result = {"validated": True, "input": desc} if args.validate_only else compute()
+        _emit(envelope(args.cmd, desc, cfg, result, "ok"), args.pretty)
         return 0
     except SptError as exc:
-        _emit(envelope(args.cmd, desc, cfg, exc.describe(), exc.status), pretty)
+        _emit(envelope(args.cmd, desc, cfg, exc.describe(), exc.status), args.pretty)
         return exc.exit_code
-    except (OSError, json.JSONDecodeError) as exc:
-        err = InvalidInput(str(exc))
-        _emit(envelope(args.cmd, desc, cfg, err.describe(), err.status), pretty)
-        return err.exit_code
 
 
 if __name__ == "__main__":

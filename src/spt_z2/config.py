@@ -2,22 +2,40 @@
 
 The tolerances and caps a user may set live in one frozen dataclass, and
 every envelope states the values that produced it. Every public operation
-accepts an optional ``config``; ``None`` means :data:`DEFAULT`. Not every
-threshold is here: about 25 fixed literals (e.g. the 1e-7 eigen-residual in
-``mps.normalize`` and the 1e-9 polar tolerance in ``reflection.gauge_solve``)
-sit in the code that applies them and cannot be overridden.
+accepts an optional ``config``; ``None`` means :data:`DEFAULT`, and no
+operation takes a keyword that shadows a field. Construction is the one
+validity check, whatever the source (flags, a file, ``SPT_Z2_CONFIG`` or a
+library caller): every float is finite (negative values are legal and only
+force refusals), ``peripheral_tol`` lies in (0, 0.5), and every integer is
+at least 1 (``l_max`` may be None). Not every threshold is here: about 25
+fixed literals (e.g. the 1e-7 eigen-residual in ``mps.normalize`` and the
+1e-9 polar tolerance in ``reflection.gauge_solve``) sit in the code that
+applies them and cannot be overridden.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
 from .errors import InvalidInput
 
 ENV_VAR = "SPT_Z2_CONFIG"
+
+
+def load_json(path: str):
+    """Parsed content of a JSON file; any read or parse failure is InvalidInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}", path=path) from exc
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInput(f"{path} is not valid JSON: {exc}", path=path) from exc
 
 
 @dataclass(frozen=True)
@@ -43,6 +61,23 @@ class Config:
     ed_cap: int = 4096           # largest d**n for dense chain diagonalization
     l_max: int | None = None     # primitivity word-length cap; None means k**4
 
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            number = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            if f.name == "peripheral_tol":
+                ok, expected = number and 0.0 < v < 0.5, "a number in (0, 0.5)"
+            elif f.type == "float":
+                ok, expected = number and math.isfinite(v), "a finite number"
+            else:
+                nullable = f.type == "int | None"
+                ok = (number and isinstance(v, numbers.Integral) and v >= 1
+                      or nullable and v is None)
+                expected = "an integer >= 1" + (" or null" if nullable else "")
+            if not ok:
+                raise InvalidInput(f"config {f.name} must be {expected}", key=f.name,
+                                   expected=expected)
+
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)
 
@@ -57,32 +92,17 @@ class Config:
         bad = sorted(set(data) - known)
         if bad:
             raise InvalidInput("unknown config keys", keys=bad)
-        for f in dataclasses.fields(cls):
-            v = data.get(f.name, 0)
-            if not (type(v) is int or (type(v) is float and f.type == "float")
-                    or (v is None and f.type == "int | None")):
-                raise InvalidInput("config value has the wrong type", key=f.name,
-                                   expected=f.type)
         return cls(**data)
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InvalidInput(f"cannot read config file: {exc}", path=path) from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"config file is not valid JSON: {exc}", path=path) from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_json(path))
 
     @classmethod
     def from_env(cls) -> "Config":
         """Config from the file named by SPT_Z2_CONFIG, or defaults."""
         path = os.environ.get(ENV_VAR)
-        if not path:
-            return cls()
-        return cls.from_file(path)
+        return cls.from_file(path) if path else cls()
 
 
 DEFAULT = Config()

@@ -72,17 +72,14 @@ class SchmidtData:
     support_dim: int
 
 
-def schmidt(omega: BipartiteVector, rank_tol: float | None = None,
-            config: Config | None = None) -> SchmidtData:
+def schmidt(omega: BipartiteVector, config: Config | None = None) -> SchmidtData:
     """Schmidt decomposition with deterministic column phases.
 
     The right vectors get the canonical phase of
     :func:`spt_z2.linalg.canonical_phases` and the left vectors absorb the
     compensating factor, which keeps M = Xi diag(s) Z^T exact.
     """
-    cfg = resolve(config)
-    if rank_tol is None:
-        rank_tol = cfg.rank_tol
+    rank_tol = resolve(config).rank_tol
     mat = omega.M
     xi_full, s, vh = np.linalg.svd(mat)
     if s[0] <= 0:
@@ -103,12 +100,9 @@ def schmidt(omega: BipartiteVector, rank_tol: float | None = None,
     return SchmidtData(lam=lam, left=xi, right=z, u=u, support_dim=r)
 
 
-def swap_sign(omega: BipartiteVector, tol: float | None = None,
-              config: Config | None = None) -> int | None:
+def swap_sign(omega: BipartiteVector, config: Config | None = None) -> int | None:
     """+1 for symmetric, -1 for antisymmetric coefficient matrix, else None."""
-    cfg = resolve(config)
-    if tol is None:
-        tol = cfg.swap_tol
+    tol = resolve(config).swap_tol
     mat = omega.M
     if frob(mat - mat.T) <= tol:
         return 1
@@ -153,9 +147,6 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
 
     def embed(c):
         return xi @ c @ z.T
-
-    def compress(w):
-        return xi.conj().T @ w @ z.conj()
 
     def j_ambient(w):
         # uses the reported isometry; w is any ambient coefficient matrix

@@ -227,8 +227,7 @@ def _word_space_step(v: np.ndarray, basis: np.ndarray, rank_tol: float) -> np.nd
     return vh[:rank]
 
 
-def primitivity(t: MpsTuple, l_max: int | None = None,
-                config: Config | None = None) -> PrimitivityCertificate:
+def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertificate:
     """Dual-route primitivity certificate.
 
     The word-space route grows span{products of length l} until it fills the
@@ -246,9 +245,7 @@ def primitivity(t: MpsTuple, l_max: int | None = None,
     cfg = resolve(config)
     require_normalized(t, cfg)
     k = t.k
-    cap = l_max if l_max is not None else (cfg.l_max if cfg.l_max is not None else k ** 4)
-    if cap < 1:
-        raise InvalidInput("l_max must be positive", l_max=cap)
+    cap = cfg.l_max if cfg.l_max is not None else k ** 4
 
     full = k * k
     inj: int | None = None

@@ -102,8 +102,7 @@ class GaugeSolution:
     mixed_radius: float
 
 
-def gauge_solve(t: MpsTuple, s: MpsTuple, tol: float | None = None,
-                config: Config | None = None) -> GaugeSolution:
+def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> GaugeSolution:
     """Unitary U and phase with U t_mu = phase * s_mu U, if the states match.
 
     Solves the mixed transfer map F(x) = sum_mu t_mu x s_mu^dagger for its
@@ -114,8 +113,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, tol: float | None = None,
     (:class:`NotUnitaryMultiple`).
     """
     cfg = resolve(config)
-    if tol is None:
-        tol = cfg.mixed_tol
+    tol = cfg.mixed_tol
     if t.d != s.d or t.k != s.k:
         raise InvalidInput("tuples must share (d, k)",
                            left=[t.d, t.k], right=[s.d, s.k])
@@ -197,7 +195,7 @@ def _evidence(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
     gauge: GaugeSolution | None = None
     gauge_residual: float | None = None
     try:
-        gauge = gauge_solve(v_eig, tilde_eig, tol=cfg.mixed_tol, config=cfg)
+        gauge = gauge_solve(v_eig, tilde_eig, config=cfg)
         mixed_radius = gauge.mixed_radius
         gauge_residual = gauge.relation_residual
         via_gauge = gauge_residual <= cfg.eps_gauge

@@ -162,6 +162,8 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     s0 = lo if s0 is None else float(s0)
     s1 = hi if s1 is None else float(s1)
     grid = 11 if grid is None else int(grid)
+    if not np.isfinite([s0, s1]).all():
+        raise UnknownModel("family endpoints s0 and s1 must be finite")
     if grid < 2:
         raise UnknownModel("family grid needs at least two points", grid=grid)
     return FamilySpec(name=name, s0=s0, s1=s1, grid=grid, generator=generator)

@@ -455,13 +455,16 @@ def _product_tuple_data(**extra):
     ("index", "tuple", _product_tuple_data(reflect_perm=[0.5, 1.7])),
     ("index", "tuple", _product_tuple_data(reflect_perm=[True, False])),
     ("index", "tuple", _product_tuple_data(reflect_perm=[[0], [1, 0]])),
+    ("index", "tuple", _product_tuple_data(k=True)),
+    ("index", "tuple", _product_tuple_data(k=-1)),
+    ("modular", "vector", {"m": True, "entries": [[[1.0, 0.0]]]}),
 ])
 def test_malformed_file_values_are_invalid_input(tmp_path, command, schema, data):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, json.loads((SCHEMAS / f"{schema}.schema.json").read_text()))
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    flag = "--spec" if command == "scan" else "--tuple"
+    flag = {"scan": "--spec", "index": "--tuple", "modular": "--vector"}[command]
     code, env = run([command, flag, str(path)])
     assert code == 1 and env["status"] == "io_error"
     assert env["result"]["error"] == "InvalidInput"
@@ -480,3 +483,95 @@ def test_check_certifies_primitivity_once(monkeypatch):
     code, env = run(["check", "--model", "aklt"])
     assert code == 0 and len(calls) == 1
     assert env == before
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["index", "--tuple"], b"\xff\xfe{"),
+    (["check", "--tuple"], b"[" * 100000),
+    (["modular", "--vector"], b'{"m": 1, "entries": [[[NaN, 0]]]}'),
+    (["scan", "--spec"], b'{"model": "deformed-aklt", "s0": NaN}'),
+    (["scan", "--family", "deformed-aklt", "--s1", "inf"], None),
+    (["index", "--model", "aklt", "--config"], b"\xff"),
+    # lengths are checked before an array of the declared size is allocated
+    (["index", "--tuple"], b'{"d": 2, "k": 1000000, "matrices": [[[[1, 0]]], [[[0, 0]]]]}'),
+    (["modular", "--vector"], b'{"m": 1, "entries": [[[1' + b"0" * 400 + b', 0]]]}'),
+    (["modular", "--from-index", "aklt", "--seed", "-1"], None),
+    # NaN compares false, so no state would count as a kernel state
+    (["parent-ham", "--model", "aklt", "--m", "2", "--kernel-tol", "nan"], None),
+], ids=["utf8", "nesting", "nan-vector", "nan-spec", "inf-flag", "utf8-config", "huge-k",
+        "huge-int", "seed", "kernel-tol"])
+def test_unusable_input_is_invalid_input(tmp_path, argv, content):
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = argv + [str(path)]
+    code, env = run(argv)
+    assert code == 1 and env["status"] == "io_error"
+    assert env["result"]["error"] in ("InvalidInput", "UnknownModel", "UsageError")
+
+
+# -- one input layer ------------------------------------------------------------
+
+INPUT_FILES = {
+    "tuple": _product_tuple_data(),
+    "vector": {"m": 2, "entries": complex_rows(np.array([[0.0, 1.0], [-1.0, 0.0]])
+                                               / np.sqrt(2.0))},
+    "spec": {"model": "deformed-aklt", "grid": 3},
+}
+
+
+@pytest.mark.parametrize("argv,desc", [
+    (["index", "--model", "aklt"], {"model": "aklt"}),
+    (["index", "--tuple", "tuple"], {"tuple": "tuple"}),
+    (["check", "--model", "ghz"], {"model": "ghz"}),
+    (["check", "--tuple", "tuple"], {"tuple": "tuple"}),
+    (["parent-ham", "--model", "aklt", "--n", "6"], {"model": "aklt", "n": 6, "boundary": "open"}),
+    (["parent-ham", "--tuple", "tuple", "--m", "2"], {"tuple": "tuple", "m": 2, "boundary": "open"}),
+    (["modular", "--vector", "vector"], {"vector": "vector"}),
+    (["modular", "--from-index", "aklt"], {"from_index": "aklt"}),
+    (["modular", "--from-index", "tuple"], {"from_index_tuple": "tuple"}),
+    (["scan", "--family", "deformed-aklt"],
+     {"family": "deformed-aklt", "s0": 0.0, "s1": 1.0, "grid": 11}),
+    (["scan", "--spec", "spec", "--s1", "0.5"], {"spec": "spec", "s0": 0.0, "s1": 0.5, "grid": 3}),
+    (["models"], {}),
+])
+def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, argv, desc):
+    """Every command and source: --validate-only echoes the input and computes nothing."""
+    paths = {}
+    for name, data in INPUT_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation ran under --validate-only")
+
+    for name in ("zoo", "normalize", "z2_index", "scan", "modular_data"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, env = run([str(paths[a]) if a in paths else a for a in argv] + ["--validate-only"])
+    expected = {k: INPUT_FILES.get(v, v) if isinstance(v, str) else v for k, v in desc.items()}
+    assert code == 0 and env["status"] == "ok"
+    assert env["result"] == {"validated": True, "input": expected}
+
+
+@pytest.mark.parametrize("key,value", [("eps_index", float("nan")), ("mixed_tol", float("inf")),
+                                       ("peripheral_tol", 0.7), ("l_max", 0)])
+def test_config_values_are_range_checked(monkeypatch, tmp_path, key, value):
+    """Config's one check refuses the value from a flag, a file, the environment and a caller."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    routes = [(["--" + key.replace("_", "-"), str(value)], None),
+              (["--config", str(cfg_path)], None),
+              ([], str(cfg_path))]
+    for extra, env_path in routes:
+        if env_path is None:
+            monkeypatch.delenv(ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(ENV_VAR, env_path)
+        # on product:1,0 an unchecked peripheral_tol reaches linalg's own ValueError
+        code, env = run(["index", "--model", "product:1,0", *extra])
+        json.dumps(env, allow_nan=False)
+        assert code == 1 and env["status"] == "io_error", extra
+        assert env["result"]["error"] == "InvalidInput" and env["result"]["key"] == key
+    with pytest.raises(sz.InvalidInput) as exc:
+        sz.Config(**{key: value})
+    assert exc.value.payload["key"] == key

@@ -165,7 +165,7 @@ def test_primitivity_blocked_aklt(aklt):
 
 def test_primitivity_length_cap(aklt):
     with pytest.raises(sz.Inconclusive):
-        sz.primitivity(aklt, l_max=1)
+        sz.primitivity(aklt, config=sz.Config(l_max=1))
 
 
 def test_primitivity_periodic_tuple_not_primitive():
@@ -179,7 +179,7 @@ def test_primitivity_periodic_tuple_not_primitive():
     with pytest.raises(sz.NotPrimitive):
         sz.z2_index(raw)
     with pytest.raises(sz.Inconclusive):
-        sz.primitivity(sz.normalize(raw), l_max=15)
+        sz.primitivity(sz.normalize(raw), config=sz.Config(l_max=15))
 
 
 def test_primitivity_requires_normalized(aklt):
