@@ -268,6 +268,8 @@ def _modular_result(bv, cfg: Config, seed) -> dict:
 
 
 def cmd_modular(args, cfg: Config, desc: dict):
+    if args.seed is not None:
+        desc["seed"] = args.seed
     if _one_of(args, "vector", "from_index") == "vector":
         data = load_json(args.vector)
         bv = vector_from_data(data)
@@ -280,8 +282,7 @@ def cmd_modular(args, cfg: Config, desc: dict):
 
     def run():
         rep = z2_index(raw(), cfg)
-        rho = rep.basis @ np.diag(rep.rho_diag) @ rep.basis.conj().T
-        result = _modular_result(bond_vector(rep, rho), cfg, args.seed)
+        result = _modular_result(bond_vector(rep), cfg, args.seed)
         result["from_index"] = {
             "zeta": rep.zeta,
             "matches_sigma": result["sigma"] == rep.zeta,
@@ -294,7 +295,8 @@ def cmd_modular(args, cfg: Config, desc: dict):
 def cmd_parent_ham(args, cfg: Config, desc: dict):
     raw = _tuple_source(args, desc)
     desc.update({k: v for k, v in (("m", args.m), ("n", args.n),
-                                   ("boundary", args.boundary)) if v is not None})
+                                   ("boundary", args.boundary),
+                                   ("kernel_tol", args.kernel_tol)) if v is not None})
 
     def run():
         t = normalize(raw(), cfg)
@@ -387,6 +389,12 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise ValueError(text)
+    return value
+
+
 _CONFIG_HELP = {
     "eps_gauge": "gauge relation residual bound",
     "eps_index": "symmetric/antisymmetric classification bound",
@@ -396,8 +404,6 @@ _CONFIG_HELP = {
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file of tolerance overrides")
-    sp.add_argument("--seed", type=nonnegative_int, default=None,
-                    help="seed for randomized verification panels")
     sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sp.add_argument("--validate-only", action="store_true",
                     help="validate and echo the input without computing")
@@ -431,14 +437,16 @@ def build_parser() -> Parser:
     sp.add_argument("--vector", help="path to a vector JSON file")
     sp.add_argument("--from-index",
                     help="model name or tuple path; uses the index's bond vector")
+    sp.add_argument("--seed", type=nonnegative_int, default=None,
+                    help="seed for randomized verification panels")
     _add_common(sp)
     sp.set_defaults(runner=cmd_modular)
 
     sp = sub.add_parser("parent-ham", help="parent interaction and chain spectrum")
     _add_tuple_source(sp)
-    sp.add_argument("--m", type=int, default=None,
+    sp.add_argument("--m", type=positive_int, default=None,
                     help="interaction window (default: injectivity length + 1)")
-    sp.add_argument("--n", type=int, default=None,
+    sp.add_argument("--n", type=positive_int, default=None,
                     help="chain length (default: the window)")
     sp.add_argument("--boundary", choices=["open", "periodic"], default="open")
     sp.add_argument("--kernel-tol", type=finite_float, default=None,

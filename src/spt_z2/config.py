@@ -1,16 +1,16 @@
 """Tolerance and limit configuration.
 
 The tolerances and caps a user may set live in one frozen dataclass, and
-every envelope states the values that produced it. Every public operation
-accepts an optional ``config``; ``None`` means :data:`DEFAULT`, and no
-operation takes a keyword that shadows a field. Construction is the one
-validity check, whatever the source (flags, a file, ``SPT_Z2_CONFIG`` or a
-library caller): every float is finite (negative values are legal and only
-force refusals), ``peripheral_tol`` lies in (0, 0.5), and every integer is
-at least 1 (``l_max`` may be None). Not every threshold is here: about 25
-fixed literals (e.g. the 1e-7 eigen-residual in ``mps.normalize`` and the
-1e-9 polar tolerance in ``reflection.gauge_solve``) sit in the code that
-applies them and cannot be overridden.
+every envelope states the values that produced it. Every public operation,
+the kernel in :mod:`spt_z2.linalg` included, accepts an optional ``config``
+(``None`` means :data:`DEFAULT`); none takes a keyword that shadows a field.
+Construction is the one validity check, whatever the source (flags, a file,
+``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
+values are legal and only force refusals), ``peripheral_tol`` lies in
+(0, 0.5), and every integer is at least 1 (``l_max`` may be None). Not every
+threshold is here: 19 fixed literals besides the 1e-300 division guards
+(e.g. the 1e-7 eigen-residual in ``mps.normalize`` and the 1e-9 singular
+value floor of ``linalg.polar_unitary``) sit in the code that applies them.
 """
 
 from __future__ import annotations

@@ -163,7 +163,7 @@ def ed_report(h_total: np.ndarray, kernel_tol: float | None = None,
     if h_arr.shape[0] > cfg.ed_cap:
         raise DimensionCap("matrix exceeds the dense diagonalization cap",
                            dimension=int(h_arr.shape[0]), cap=cfg.ed_cap)
-    evals = herm_eigvals(h_arr, eps_herm=cfg.eps_herm)
+    evals = herm_eigvals(h_arr, cfg)
     if kernel_tol is None:
         kernel_tol = 1e-8 * (float(evals.max(initial=0.0)) + 1.0)
     kernel = int(np.sum(evals < kernel_tol))

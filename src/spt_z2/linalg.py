@@ -17,9 +17,10 @@ and each eigenvector's phase fixed so that its first component of significant
 modulus is real and positive. That rule is :func:`canonical_phases`; peripheral
 eigenmatrices, gauge unitaries and Schmidt vectors follow it too.
 
-Peripheral windows (:func:`peripheral_window`), polar factors, and PSD powers
-all take their tolerances explicitly; policy defaults live in
-:mod:`spt_z2.config`, not here.
+Every tolerance these operations apply comes from the optional ``config``
+they take (``None`` means :data:`spt_z2.config.DEFAULT`); none has a
+tolerance keyword of its own. The one fixed threshold is the 1e-9 singular
+value floor of :func:`polar_unitary`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config, resolve
 from .errors import NotHermitian, RankDeficient
 
 
@@ -81,7 +83,7 @@ class HermEig:
     vectors: np.ndarray  # columns, orthonormal, phase-fixed
 
 
-def _symmetrized(h: np.ndarray, eps_herm: float) -> np.ndarray:
+def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
     """Square-shape and skew check shared by the Hermitian eigensolvers.
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
@@ -91,6 +93,7 @@ def _symmetrized(h: np.ndarray, eps_herm: float) -> np.ndarray:
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
+    eps_herm = resolve(config).eps_herm
     hc = h.conj().T
     scale = np.linalg.norm(h)
     skew = np.linalg.norm(h - hc)
@@ -105,19 +108,19 @@ def _symmetrized(h: np.ndarray, eps_herm: float) -> np.ndarray:
     return hh
 
 
-def herm_eig(h: np.ndarray, *, eps_herm: float = 1e-8) -> HermEig:
+def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
     """Eigensystem of a Hermitian matrix with the module's conventions.
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
     the norm; the symmetrized matrix is what gets diagonalized, so the
     returned system is exactly Hermitian-consistent.
     """
-    hh = _symmetrized(np.asarray(h, dtype=complex), eps_herm)
+    hh = _symmetrized(np.asarray(h, dtype=complex), config)
     w, u = np.linalg.eigh(hh)
     return HermEig(values=w, vectors=u * canonical_phases(u))
 
 
-def herm_eigvals(h: np.ndarray, *, eps_herm: float = 1e-8) -> np.ndarray:
+def herm_eigvals(h: np.ndarray, config: Config | None = None) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
     Same checks as :func:`herm_eig`. A matrix whose imaginary part is exactly
@@ -127,7 +130,7 @@ def herm_eigvals(h: np.ndarray, *, eps_herm: float = 1e-8) -> np.ndarray:
     h = np.asarray(h)
     if np.iscomplexobj(h) and not h.imag.any():
         h = h.real
-    hh = _symmetrized(h.astype(np.result_type(h, float), copy=False), eps_herm)
+    hh = _symmetrized(h.astype(np.result_type(h, float), copy=False), config)
     return np.linalg.eigvalsh(hh)
 
 
@@ -136,38 +139,36 @@ def eig_sort_key(values: np.ndarray):
     return np.lexsort((np.angle(values), -np.abs(values)))
 
 
-def peripheral_window(values: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Mask of the eigenvalues of modulus >= r - tol * r, and the gap below them.
+def peripheral_window(values: np.ndarray,
+                      config: Config | None = None) -> tuple[np.ndarray, float]:
+    """Mask of the eigenvalues of modulus >= r - peripheral_tol * r, and the gap.
 
     r is the spectral radius; the gap is r minus the largest modulus outside
     the window.
     """
     mods = np.abs(values)
     r = float(mods.max(initial=0.0))
-    on = mods >= r - tol * r
+    on = mods >= r - resolve(config).peripheral_tol * r
     return on, r - float(mods[~on].max(initial=0.0))
 
 
-def peripheral_eigs(mat: np.ndarray, tol: float) -> list[tuple[complex, np.ndarray]]:
+def peripheral_eigs(mat: np.ndarray,
+                    config: Config | None = None) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs of a superoperator matrix in the :func:`peripheral_window`.
 
     Returns (eigenvalue, eigenmatrix) pairs ordered by modulus descending
     then angle ascending. Eigenmatrices are unit Frobenius norm with the
-    canonical phase. ``tol`` must lie in (0, 0.5) so the window cannot wrap
-    past the origin.
+    canonical phase.
     """
-    if not 0.0 < tol < 0.5:
-        raise ValueError(f"peripheral tolerance must be in (0, 0.5), got {tol}")
     w, v = np.linalg.eig(np.asarray(mat, dtype=complex))
-    keep = np.nonzero(peripheral_window(w, tol)[0])[0]
+    keep = np.nonzero(peripheral_window(w, config)[0])[0]
     keep = keep[eig_sort_key(w[keep])]
     mats = v[:, keep] / np.linalg.norm(v[:, keep], axis=0)
     mats = mats * canonical_phases(mats)
     return [(complex(w[i]), unvec(mats[:, j])) for j, i in enumerate(keep)]
 
 
-def psd_power(rho: np.ndarray, power: float, *, rank_tol: float = 1e-12,
-              eps_herm: float = 1e-8) -> np.ndarray:
+def psd_power(rho: np.ndarray, power: float, config: Config | None = None) -> np.ndarray:
     """Real power of a PSD matrix on its support.
 
     Eigenvalues below ``rank_tol`` times the largest are treated as exact
@@ -175,14 +176,15 @@ def psd_power(rho: np.ndarray, power: float, *, rank_tol: float = 1e-12,
     powers they contribute nothing. Negative eigenvalues beyond that window
     are rejected.
     """
-    sys = herm_eig(rho, eps_herm=eps_herm)
+    cfg = resolve(config)
+    sys = herm_eig(rho, cfg)
     w, u = sys.values, sys.vectors
     top = float(w.max(initial=0.0))
     if top <= 0.0:
         if power < 0:
             raise RankDeficient("psd_power of the zero matrix with negative exponent")
         return np.zeros_like(np.asarray(rho, dtype=complex))
-    cut = rank_tol * top
+    cut = cfg.rank_tol * top
     if float(w.min()) < -cut:
         raise NotHermitian(
             "matrix has a significantly negative eigenvalue; not PSD",
@@ -202,22 +204,22 @@ class PolarFactor:
     deviation: float   # ||X - c U||_F / ||X||_F
 
 
-def polar_unitary(x: np.ndarray, *, tol: float = 1e-9) -> PolarFactor:
+def polar_unitary(x: np.ndarray) -> PolarFactor:
     """Unitary polar factor U = X (X^dagger X)^{-1/2} plus proximity data.
 
     Raises :class:`RankDeficient` when the smallest singular value is below
-    ``tol`` times the largest, since the factor is then not determined.
+    1e-9 times the largest, since the factor is then not determined.
     The deviation measures how far X is from an exact scalar multiple of a
     unitary: zero iff all singular values coincide.
     """
     x = np.asarray(x, dtype=complex)
     u, s, vh = np.linalg.svd(x)
-    if s[0] == 0.0 or s[-1] < tol * s[0]:
+    if s[0] == 0.0 or s[-1] < 1e-9 * s[0]:
         raise RankDeficient(
             "matrix is numerically singular; polar unitary undefined",
             sigma_min=float(s[-1]),
             sigma_max=float(s[0]),
-            tolerance=tol,
+            tolerance=1e-9,
         )
     c = float(s.mean())
     # ||X - cU||_F^2 = sum_i (s_i - c)^2 in the shared singular frame

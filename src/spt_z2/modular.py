@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import Config, resolve
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector
-from .linalg import canonical_phases, frob, herm_eigvals, psd_power
+from .linalg import canonical_phases, frob, psd_power
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
     p_left = xi @ xi.conj().T
     p_right = z @ z.conj().T
     rho_left = omega.M @ omega.M.conj().T
-    root = psd_power(rho_left, 0.5, rank_tol=cfg.rank_tol, eps_herm=cfg.eps_herm)
-    root_inv = psd_power(rho_left, -0.5, rank_tol=cfg.rank_tol, eps_herm=cfg.eps_herm)
+    root = psd_power(rho_left, 0.5, cfg)
+    root_inv = psd_power(rho_left, -0.5, cfg)
 
     def embed(c):
         return xi @ c @ z.T
@@ -235,20 +235,11 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
     )
 
 
-def bond_vector(report, rho) -> BipartiteVector:
+def bond_vector(report) -> BipartiteVector:
     """Bipartite vector U^dagger rho^{1/2} of an index report, in the rho eigenbasis.
 
-    ``rho`` may be the :class:`spt_z2.mps.InvariantState` or its matrix; its
-    descending eigenvalues must match the report's. The swap sign of the
-    result reproduces the reflection index.
+    Built from the report's ``U`` and ``rho_diag`` alone. The swap sign of
+    the result reproduces the reflection index.
     """
-    rho_mat = getattr(rho, "rho", rho)
-    diag = herm_eigvals(rho_mat)[::-1]
-    if diag.shape != report.rho_diag.shape or frob(diag - report.rho_diag) > 1e-8:
-        raise InvalidInput(
-            "invariant state does not match the report's spectral data",
-            spectrum=[float(x) for x in diag],
-            report_spectrum=[float(x) for x in report.rho_diag],
-        )
     mat = report.U.conj().T @ np.diag(np.sqrt(report.rho_diag))
     return as_bipartite(mat, normalized=True)

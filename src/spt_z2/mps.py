@@ -178,7 +178,7 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
             "identity has no component along a positive fixed point",
             eigen_residual=float(ev_res),
         )
-    sys = herm_eig(e, eps_herm=cfg.eps_herm)
+    sys = herm_eig(e, cfg)
     lo, hi = float(sys.values.min()), float(sys.values.max())
     if hi <= 0 or lo <= cfg.pos_def_tol * hi:
         raise NotNormalizable(
@@ -278,13 +278,13 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
             full_dimension=full,
         )
 
-    on, gap = peripheral_window(transfer_spectrum(t), cfg.peripheral_tol)
+    on, gap = peripheral_window(transfer_spectrum(t), cfg)
     periph = int(on.sum())
 
     spectral_ok = periph == 1
     if spectral_ok:
         rho, _ = _adjoint_fixed_point(t)
-        evals = herm_eig(rho, eps_herm=cfg.eps_herm).values
+        evals = herm_eig(rho, cfg).values
         spectral_ok = float(evals.min()) > cfg.pos_def_tol * max(float(evals.max()), 1e-300)
 
     if spectral_ok != verdict:
@@ -296,7 +296,7 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
             injectivity_length=inj,
         )
     # cross-check the peripheral window against the eigenmatrix route
-    pairs = peripheral_eigs(transfer_matrix(t), cfg.peripheral_tol)
+    pairs = peripheral_eigs(transfer_matrix(t), cfg)
     if len(pairs) != periph:
         raise Inconclusive(
             "peripheral eigenvalue counts disagree between routes",
@@ -351,7 +351,7 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     """Faithful invariant state of a primitive tuple's adjoint channel."""
     cfg = resolve(config)
     require_normalized(t, cfg)
-    periph = int(peripheral_window(transfer_spectrum(t), cfg.peripheral_tol)[0].sum())
+    periph = int(peripheral_window(transfer_spectrum(t), cfg)[0].sum())
     if periph != 1:
         raise NotPrimitive(
             "dominant transfer eigenvalue is not simple",
@@ -361,7 +361,7 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     if res > 1e-8:
         raise ConvergenceFailure("invariant state residual above tolerance",
                                  residual=res)
-    sys = herm_eig(rho, eps_herm=cfg.eps_herm)
+    sys = herm_eig(rho, cfg)
     lo, hi = float(sys.values.min()), float(sys.values.max())
     if lo <= cfg.pos_def_tol * hi:
         raise NotFaithful(
@@ -434,7 +434,7 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     if abs(tr - 1.0) > 1e-7:
         raise ConvergenceFailure("marginal trace drifted from 1", trace=tr, l=l)
     gram = phi.conj().T @ phi
-    evals = herm_eig(0.5 * (gram + gram.conj().T), eps_herm=cfg.eps_herm).values
+    evals = herm_eig(0.5 * (gram + gram.conj().T), cfg).values
     if float(evals.min()) < -1e-8:
         raise ConvergenceFailure(
             "marginal has a significantly negative eigenvalue",

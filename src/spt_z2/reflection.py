@@ -67,7 +67,7 @@ def reflected_tuple(t: MpsTuple, rho: np.ndarray,
     """Build R(v) from the invariant state; raises NotFaithful if rho is singular."""
     cfg = resolve(config)
     require_normalized(t, cfg)
-    sys = herm_eig(rho, eps_herm=cfg.eps_herm)
+    sys = herm_eig(rho, cfg)
     diag = sys.values[::-1].copy()
     w = sys.vectors[:, ::-1].copy()
     hi = float(diag[0])
@@ -132,7 +132,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
         )
     x = unvec(vs[:, i0], t.k)
     try:
-        polar = polar_unitary(x, tol=1e-9)
+        polar = polar_unitary(x)
     except RankDeficient as exc:
         raise NotUnitaryMultiple(
             "dominant mixed eigenmatrix is singular",

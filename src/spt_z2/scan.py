@@ -40,13 +40,7 @@ def _ghz() -> np.ndarray:
 
 def _product(amps: list[complex]) -> np.ndarray:
     vec_arr = np.asarray(amps, dtype=complex)
-    if vec_arr.size < 2:
-        raise UnknownModel("product model needs at least two amplitudes",
-                           count=int(vec_arr.size))
-    norm = np.linalg.norm(vec_arr)
-    if norm < 1e-12:
-        raise UnknownModel("product amplitudes are all zero")
-    vec_arr = vec_arr / norm
+    vec_arr = vec_arr / np.linalg.norm(vec_arr)
     return vec_arr.reshape(-1, 1, 1)
 
 
@@ -96,7 +90,12 @@ def _parse_scalar(text: str) -> complex:
         raise UnknownModel(f"cannot parse model argument {text!r}") from exc
 
 
-def parse_model(name: str) -> tuple[str, list[complex]]:
+def parse_model(name: str) -> tuple[str, list]:
+    """Base name and arguments of a model name; the one check of its arguments.
+
+    Arguments are finite; a one-parameter model gets one real one (a float)
+    and ``product`` at least two amplitudes, not all zero.
+    """
     base, _, argstr = name.partition(":")
     base = base.strip()
     if base not in MODELS:
@@ -107,29 +106,28 @@ def parse_model(name: str) -> tuple[str, list[complex]]:
         raise UnknownModel(
             f"model {base!r} takes {spec} argument(s), got {len(args)}",
         )
+    if not np.isfinite(args).all():
+        raise UnknownModel("model arguments must be finite")
+    if spec == 1:
+        if abs(args[0].imag) > 0:
+            raise UnknownModel(f"model {base!r} takes a real argument")
+        args = [float(args[0].real)]
+    if base == "product":
+        if len(args) < 2:
+            raise UnknownModel("product model needs at least two amplitudes",
+                               count=len(args))
+        if np.linalg.norm(np.asarray(args, dtype=complex)) < 1e-12:
+            raise UnknownModel("product amplitudes are all zero")
     return base, args
-
-
-def _real_arg(value: complex, base: str) -> float:
-    if abs(value.imag) > 0:
-        raise UnknownModel(f"model {base!r} takes a real argument")
-    return float(value.real)
 
 
 def zoo(name: str) -> np.ndarray:
     """Raw tuple for a point model; normalization is the caller's job."""
     base, args = parse_model(name)
-    if base == "aklt":
-        return _aklt()
-    if base == "ghz":
-        return _ghz()
     if base == "product":
         return _product(args)
-    if base == "deformed-aklt":
-        return _deformed(_real_arg(args[0], base))
-    if base == "aklt-breaker":
-        return _breaker(_real_arg(args[0], base))
-    raise UnknownModel(f"unknown model {base!r}")  # unreachable after parse
+    return {"aklt": _aklt, "ghz": _ghz, "deformed-aklt": _deformed,
+            "aklt-breaker": _breaker}[base](*args)
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ def _transfer_gap(raw, cfg: Config) -> float | None:
         spec = transfer_spectrum(normalize(raw, cfg))
     except SptError:
         return None
-    return peripheral_window(spec, cfg.peripheral_tol)[1]
+    return peripheral_window(spec, cfg)[1]
 
 
 # (primitive, reflection_invariant) for a refused point, keyed by its status;

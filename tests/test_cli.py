@@ -221,6 +221,17 @@ def test_modular_validate_only_checks_inputs(tmp_path):
     assert code == 0 and env["result"]["validated"] is True
 
 
+def test_inputs_that_change_the_result_change_the_digest():
+    _, first = run(["modular", "--from-index", "aklt", "--seed", "1"])
+    _, second = run(["modular", "--from-index", "aklt", "--seed", "2"])
+    _, unseeded = run(["modular", "--from-index", "aklt"])
+    assert first["result"]["residuals"] != second["result"]["residuals"]
+    assert len({first["input_digest"], second["input_digest"], unseeded["input_digest"]}) == 3
+    digests = {run(["parent-ham", "--model", "aklt", "--n", "4", *tol])[1]
+               ["input_digest"] for tol in ([], ["--kernel-tol", "1e-6"], ["--kernel-tol", "-1"])}
+    assert len(digests) == 3
+
+
 def test_modular_seed_determinism(tmp_path, rng):
     mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     path = write_vector(tmp_path, mat / np.linalg.norm(mat))
@@ -498,16 +509,27 @@ def test_check_certifies_primitivity_once(monkeypatch):
     (["modular", "--from-index", "aklt", "--seed", "-1"], None),
     # NaN compares false, so no state would count as a kernel state
     (["parent-ham", "--model", "aklt", "--m", "2", "--kernel-tol", "nan"], None),
+    (["index", "--model", "aklt", "--seed", "5"], None),
+    (["index", "--model", "product:0,0"], None),
+    (["index", "--model", "deformed-aklt:1i"], None),
+    (["index", "--model", "deformed-aklt:nan"], None),
+    (["check", "--model", "product:inf,1"], None),
+    (["scan", "--family", "product:0,0"], None),
+    (["parent-ham", "--model", "aklt", "--m", "0"], None),
+    (["parent-ham", "--model", "aklt", "--n", "0"], None),
 ], ids=["utf8", "nesting", "nan-vector", "nan-spec", "inf-flag", "utf8-config", "huge-k",
-        "huge-int", "seed", "kernel-tol"])
+        "huge-int", "seed", "kernel-tol", "index-seed", "zero-product", "complex-arg",
+        "nan-arg", "inf-amplitude", "zero-product-family", "window-0", "chain-0"])
 def test_unusable_input_is_invalid_input(tmp_path, argv, content):
+    """The full run and --validate-only refuse alike."""
     if content is not None:
         path = tmp_path / "input.json"
         path.write_bytes(content)
         argv = argv + [str(path)]
-    code, env = run(argv)
-    assert code == 1 and env["status"] == "io_error"
-    assert env["result"]["error"] in ("InvalidInput", "UnknownModel", "UsageError")
+    for extra in ([], ["--validate-only"]):
+        code, env = run(argv + extra)
+        assert code == 1 and env["status"] == "io_error", extra
+        assert env["result"]["error"] in ("InvalidInput", "UnknownModel", "UsageError")
 
 
 # -- one input layer ------------------------------------------------------------
@@ -534,6 +556,9 @@ INPUT_FILES = {
      {"family": "deformed-aklt", "s0": 0.0, "s1": 1.0, "grid": 11}),
     (["scan", "--spec", "spec", "--s1", "0.5"], {"spec": "spec", "s0": 0.0, "s1": 0.5, "grid": 3}),
     (["models"], {}),
+    (["parent-ham", "--model", "aklt", "--kernel-tol", "1e-6"],
+     {"model": "aklt", "boundary": "open", "kernel_tol": 1e-6}),
+    (["modular", "--vector", "vector", "--seed", "3"], {"vector": "vector", "seed": 3}),
 ])
 def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, argv, desc):
     """Every command and source: --validate-only echoes the input and computes nothing."""
@@ -554,7 +579,8 @@ def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, arg
 
 
 @pytest.mark.parametrize("key,value", [("eps_index", float("nan")), ("mixed_tol", float("inf")),
-                                       ("peripheral_tol", 0.7), ("l_max", 0)])
+                                       ("peripheral_tol", 0.7), ("peripheral_tol", 0.0),
+                                       ("l_max", 0)])
 def test_config_values_are_range_checked(monkeypatch, tmp_path, key, value):
     """Config's one check refuses the value from a flag, a file, the environment and a caller."""
     cfg_path = tmp_path / "config.json"
@@ -567,7 +593,8 @@ def test_config_values_are_range_checked(monkeypatch, tmp_path, key, value):
             monkeypatch.delenv(ENV_VAR, raising=False)
         else:
             monkeypatch.setenv(ENV_VAR, env_path)
-        # on product:1,0 an unchecked peripheral_tol reaches linalg's own ValueError
+        # product:1,0 has a 1x1 transfer matrix: no later step refuses an
+        # out-of-range peripheral_tol
         code, env = run(["index", "--model", "product:1,0", *extra])
         json.dumps(env, allow_nan=False)
         assert code == 1 and env["status"] == "io_error", extra

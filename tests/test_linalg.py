@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spt_z2 import errors
+from spt_z2.config import Config
 from spt_z2.linalg import (
     frob,
     herm_eig,
@@ -142,25 +143,25 @@ def test_canonical_phases_columns(rng):
 
 
 def test_peripheral_window_edge():
-    tol = 1e-6
-    edge = 1.0 - tol * 1.0
+    cfg = Config(peripheral_tol=1e-6)
+    edge = 1.0 - cfg.peripheral_tol * 1.0
     below = np.nextafter(edge, 0.0)
-    on, gap = peripheral_window(np.array([1.0, -edge, 1j * below, 0.25]), tol)
+    on, gap = peripheral_window(np.array([1.0, -edge, 1j * below, 0.25]), cfg)
     assert on.tolist() == [True, True, False, False]
     assert gap == 1.0 - below
     # the window does not depend on order or on scale
-    on, gap = peripheral_window(np.array([0.25, 2j * below, -2 * edge, 2.0]), tol)
+    on, gap = peripheral_window(np.array([0.25, 2j * below, -2 * edge, 2.0]), cfg)
     assert on.tolist() == [False, False, True, True] and gap == 2.0 - 2 * below
     # all peripheral: the gap is the whole radius; zero spectrum: no gap
-    assert peripheral_window(np.array([1.0, -1.0, 1j]), tol)[1] == 1.0
-    on, gap = peripheral_window(np.zeros(3), tol)
+    assert peripheral_window(np.array([1.0, -1.0, 1j]), cfg)[1] == 1.0
+    on, gap = peripheral_window(np.zeros(3), cfg)
     assert on.all() and gap == 0.0
 
 
 def test_peripheral_eigs_known_spectrum():
     # diagonal superoperator: eigenvalues on the diagonal, eigenmatrices are units
     diag = np.diag([1.0, -1.0, 1j, 0.1])
-    pairs = peripheral_eigs(diag, tol=1e-6)
+    pairs = peripheral_eigs(diag, Config(peripheral_tol=1e-6))
     vals = [p[0] for p in pairs]
     # modulus descending then angle ascending: 1 (angle 0), 1j (pi/2), -1 (pi)
     assert np.allclose(vals, [1.0, 1j, -1.0])
@@ -171,15 +172,8 @@ def test_peripheral_eigs_known_spectrum():
 
 def test_peripheral_eigs_window():
     diag = np.diag([1.0, 1.0 - 1e-9, 0.5, 0.1])
-    assert len(peripheral_eigs(diag, tol=1e-6)) == 2
-    assert len(peripheral_eigs(diag, tol=1e-12)) == 1
-
-
-def test_peripheral_eigs_tol_range():
-    with pytest.raises(ValueError):
-        peripheral_eigs(np.eye(4), tol=0.7)
-    with pytest.raises(ValueError):
-        peripheral_eigs(np.eye(4), tol=0.0)
+    assert len(peripheral_eigs(diag, Config(peripheral_tol=1e-6))) == 2
+    assert len(peripheral_eigs(diag, Config(peripheral_tol=1e-12))) == 1
 
 
 def test_psd_power_square_root(rng):
@@ -204,6 +198,31 @@ def test_psd_power_zero_matrix():
     assert np.allclose(psd_power(np.zeros((3, 3)), 0.5), 0.0)
     with pytest.raises(errors.RankDeficient):
         psd_power(np.zeros((3, 3)), -0.5)
+
+
+def test_kernel_ops_read_the_config_they_are_given(rng):
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = a + a.conj().T
+    skewed = h + 1e-6 * np.linalg.norm(h) * (1j * np.eye(4))
+    loose = Config(eps_herm=1e-4)
+    for func in (herm_eig, herm_eigvals):
+        with pytest.raises(errors.NotHermitian):
+            func(skewed)
+        func(skewed, loose)
+    assert np.allclose(herm_eigvals(skewed, loose), herm_eig(skewed, loose).values)
+    # psd_power drops eigenvalues at or below rank_tol times the largest
+    rho = np.diag([1.0, 1e-6])
+    assert np.allclose(psd_power(rho, -1.0), np.diag([1.0, 1e6]))
+    assert np.allclose(psd_power(rho, -1.0, Config(rank_tol=1e-5)), np.diag([1.0, 0.0]))
+    with pytest.raises(errors.NotHermitian):
+        psd_power(np.diag([1.0, -1e-6]), 0.5)
+    assert np.allclose(psd_power(np.diag([1.0, -1e-6]), 0.5, Config(rank_tol=1e-5)),
+                       np.diag([1.0, 0.0]))
+    # the peripheral window's width is peripheral_tol
+    spec = np.array([1.0, 1.0 - 1e-3, 0.5, 0.1])
+    assert peripheral_window(spec)[0].sum() == 1
+    assert peripheral_window(spec, Config(peripheral_tol=1e-2))[0].sum() == 2
+    assert len(peripheral_eigs(np.diag(spec), Config(peripheral_tol=1e-2))) == 2
 
 
 def test_polar_unitary_exact_multiple(rng):

@@ -111,8 +111,8 @@ def test_modular_singlet():
 
 # -- bond vector --------------------------------------------------------------
 
-def test_bond_vector_aklt(aklt_report, aklt_rho):
-    bv = sz.bond_vector(aklt_report, aklt_rho)
+def test_bond_vector_aklt(aklt_report):
+    bv = sz.bond_vector(aklt_report)
     assert np.allclose(bv.M, SINGLET, atol=1e-10)
     report = sz.modular_data(bv)
     assert report.kappa == -1 and report.sigma == -1
@@ -123,11 +123,5 @@ def test_bond_vector_aklt(aklt_report, aklt_rho):
 ])
 def test_bond_vector_swap_matches_index(name):
     rep = sz.z2_index(sz.zoo(name))
-    rho = sz.invariant_state(sz.normalize(sz.zoo(name)))
-    bv = sz.bond_vector(rep, rho)
+    bv = sz.bond_vector(rep)
     assert sz.swap_sign(bv) == rep.zeta
-
-
-def test_bond_vector_rejects_mismatched_state(aklt_report):
-    with pytest.raises(sz.InvalidInput):
-        sz.bond_vector(aklt_report, np.diag([0.9, 0.1]))
