@@ -37,7 +37,6 @@ from .hamiltonian import (
     ParentInteraction,
     chain_hamiltonian,
     ed_report,
-    embed_sites,
     parent_interaction,
     reflection_check,
 )

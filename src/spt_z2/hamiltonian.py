@@ -13,7 +13,6 @@ simulation engine.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
 
     Default window is injectivity length + 1. A shorter window still yields a
     valid frustration-free interaction but its chain kernel can exceed the
-    boundary-state count; that case sets ``range_warning`` and emits a
-    :class:`UserWarning`.
+    boundary-state count; that case sets ``range_warning``.
     """
     cfg = resolve(config)
     require_normalized(t, cfg)
@@ -65,16 +63,9 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     if idem > 1e-9:
         raise ConvergenceFailure("interaction is not a projector within tolerance",
                                  residual=float(idem))
-    warn = m < (cert.injectivity_length or 1) + 1
-    if warn:
-        warnings.warn(
-            "interaction window is shorter than injectivity length + 1; "
-            "chain kernels may exceed the boundary-state count",
-            UserWarning,
-            stacklevel=2,
-        )
     return ParentInteraction(m=m, h=h, rank=dim - marg.rank, support_rank=marg.rank,
-                             range_warning=warn, d=t.d, perm=t.perm())
+                             range_warning=m < (cert.injectivity_length or 1) + 1,
+                             d=t.d, perm=t.perm())
 
 
 def _add_on_sites(acc: np.ndarray, op: np.ndarray, sites: list[int]) -> None:
@@ -91,23 +82,6 @@ def _add_on_sites(acc: np.ndarray, op: np.ndarray, sites: list[int]) -> None:
     view = np.einsum(acc, list(range(n)) + cols,
                      list(sites) + [n + s for s in sites] + others)
     view += op.reshape((d,) * (2 * len(sites)) + (1,) * len(others))
-
-
-def embed_sites(op: np.ndarray, sites: list[int], n: int, d: int) -> np.ndarray:
-    """Embed an operator on the given sites into the n-site chain.
-
-    ``op`` acts on len(sites) factors in the listed order; remaining sites
-    get the identity. Sites may wrap in any order (used for periodic terms).
-    """
-    m = len(sites)
-    if sorted(set(sites)) != sorted(sites) or any(not 0 <= s < n for s in sites):
-        raise InvalidInput("sites must be distinct chain positions", sites=sites, n=n)
-    if op.shape != (d ** m, d ** m):
-        raise InvalidInput("operator does not match the site count",
-                           shape=list(op.shape), sites=sites)
-    out = np.zeros((d,) * (2 * n), dtype=np.result_type(op, float))
-    _add_on_sites(out, op, sites)
-    return out.reshape(d ** n, d ** n)
 
 
 @dataclass(frozen=True)

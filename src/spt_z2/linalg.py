@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, resolve
-from .errors import NotHermitian, RankDeficient
+from .errors import NotHermitian, RankDeficient, SptError
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -118,6 +118,22 @@ def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
     hh = _symmetrized(np.asarray(h, dtype=complex), config)
     w, u = np.linalg.eigh(hh)
     return HermEig(values=w, vectors=u * canonical_phases(u))
+
+
+def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
+                config: Config | None = None) -> HermEig:
+    """:func:`herm_eig` of a matrix that must be positive definite.
+
+    The one positive-definiteness rule: with eigenvalues ``lo <= .. <= hi``
+    the matrix passes when ``hi > 0`` and ``lo > max(pos_def_tol, 0) * hi``;
+    otherwise ``refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)``.
+    """
+    cfg = resolve(config)
+    sys = herm_eig(h, cfg)
+    lo, hi = float(sys.values[0]), float(sys.values[-1])
+    if hi <= 0 or lo <= max(cfg.pos_def_tol, 0.0) * hi:
+        raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)
+    return sys
 
 
 def herm_eigvals(h: np.ndarray, config: Config | None = None) -> np.ndarray:

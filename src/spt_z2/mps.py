@@ -38,7 +38,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .linalg import (eig_sort_key, frob, herm_eig, kraus_superop, peripheral_eigs,
-                     peripheral_window, unvec, vec)
+                     peripheral_window, pos_def_eig, unvec, vec)
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,6 @@ def require_normalized(t: MpsTuple, config: Config | None = None) -> None:
         )
 
 
-def apply_channel(t: MpsTuple, x: np.ndarray) -> np.ndarray:
-    return np.einsum("mab,bc,mdc->ad", t.v, x, t.v.conj())
-
-
 def apply_adjoint(t: MpsTuple, y: np.ndarray) -> np.ndarray:
     return np.einsum("mba,bc,mcd->ad", t.v.conj(), y, t.v)
 
@@ -145,7 +141,7 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
     eigenvalue may be degenerate (e.g. reducible tuples); the identity's
     projection onto the full dominant eigenspace decides whether a positive
     choice of ``e`` exists, and :class:`NotNormalizable` is raised when it
-    does not.
+    does not, or when the transfer matrix overflows.
     """
     cfg = resolve(config)
     t = as_mps(raw)
@@ -153,7 +149,10 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
         return t
 
     k = t.k
-    tm = transfer_matrix(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tm = transfer_matrix(t)
+    if not np.isfinite(tm).all():
+        raise NotNormalizable("transfer matrix overflows; tuple entries are too large")
     w, vs = np.linalg.eig(tm)
     r = float(np.abs(w).max())
     if r <= 1e-300:
@@ -178,14 +177,7 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
             "identity has no component along a positive fixed point",
             eigen_residual=float(ev_res),
         )
-    sys = herm_eig(e, cfg)
-    lo, hi = float(sys.values.min()), float(sys.values.max())
-    if hi <= 0 or lo <= cfg.pos_def_tol * hi:
-        raise NotNormalizable(
-            "dominant fixed point is not positive definite",
-            min_eigenvalue=lo,
-            max_eigenvalue=hi,
-        )
+    sys = pos_def_eig(e, NotNormalizable, "dominant fixed point is not positive definite", cfg)
     root = (sys.vectors * np.sqrt(sys.values)) @ sys.vectors.conj().T
     root_inv = (sys.vectors * (1.0 / np.sqrt(sys.values))) @ sys.vectors.conj().T
     out = as_mps(
@@ -283,9 +275,11 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
 
     spectral_ok = periph == 1
     if spectral_ok:
-        rho, _ = _adjoint_fixed_point(t)
-        evals = herm_eig(rho, cfg).values
-        spectral_ok = float(evals.min()) > cfg.pos_def_tol * max(float(evals.max()), 1e-300)
+        try:
+            pos_def_eig(_adjoint_fixed_point(t)[0], NotFaithful,
+                        "invariant state is singular; spectral route fails", cfg)
+        except NotFaithful:
+            spectral_ok = False
 
     if spectral_ok != verdict:
         raise Inconclusive(
@@ -361,15 +355,8 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     if res > 1e-8:
         raise ConvergenceFailure("invariant state residual above tolerance",
                                  residual=res)
-    sys = herm_eig(rho, cfg)
-    lo, hi = float(sys.values.min()), float(sys.values.max())
-    if lo <= cfg.pos_def_tol * hi:
-        raise NotFaithful(
-            "invariant state is singular within tolerance",
-            min_eigenvalue=lo,
-            max_eigenvalue=hi,
-        )
-    return InvariantState(rho=rho, residual=res, min_eigenvalue=lo)
+    sys = pos_def_eig(rho, NotFaithful, "invariant state is singular within tolerance", cfg)
+    return InvariantState(rho=rho, residual=res, min_eigenvalue=float(sys.values[0]))
 
 
 def reverse_word_index(d: int, l: int, pi: np.ndarray) -> np.ndarray:

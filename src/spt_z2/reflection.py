@@ -40,7 +40,8 @@ from .errors import (
     NotUnitaryMultiple,
     RankDeficient,
 )
-from .linalg import canonical_phases, frob, herm_eig, kraus_superop, polar_unitary, unvec
+from .linalg import (canonical_phases, frob, kraus_superop, polar_unitary,
+                     pos_def_eig, unvec)
 from .mps import (
     InvariantState,
     MpsTuple,
@@ -67,16 +68,10 @@ def reflected_tuple(t: MpsTuple, rho: np.ndarray,
     """Build R(v) from the invariant state; raises NotFaithful if rho is singular."""
     cfg = resolve(config)
     require_normalized(t, cfg)
-    sys = herm_eig(rho, cfg)
+    sys = pos_def_eig(rho, NotFaithful,
+                      "invariant state is singular; reflected tuple undefined", cfg)
     diag = sys.values[::-1].copy()
     w = sys.vectors[:, ::-1].copy()
-    hi = float(diag[0])
-    if hi <= 0 or float(diag[-1]) <= cfg.pos_def_tol * hi:
-        raise NotFaithful(
-            "invariant state is singular; reflected tuple undefined",
-            min_eigenvalue=float(diag[-1]),
-            max_eigenvalue=hi,
-        )
     pi = t.perm()
     v_eig = np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w)
     tilde_eig = (diag[None, :, None] ** -0.5) * np.transpose(v_eig[pi], (0, 2, 1)) \

@@ -190,7 +190,8 @@ def _transfer_gap(raw, cfg: Config) -> float | None:
         spec = transfer_spectrum(normalize(raw, cfg))
     except SptError:
         return None
-    return peripheral_window(spec, cfg)[1]
+    on, gap = peripheral_window(spec, cfg)
+    return gap if on.sum() == 1 else 0.0
 
 
 # (primitive, reflection_invariant) for a refused point, keyed by its status;
@@ -202,17 +203,15 @@ _STATUS_FLAGS = {
 
 
 def _scan_point(spec: FamilySpec, s: float, cfg: Config) -> ScanPoint:
-    raw = spec.generator(s)
+    raw = None
     try:
+        raw = spec.generator(s)
         rep = z2_index(raw, cfg)
     except SptError as exc:
         primitive, invariant = _STATUS_FLAGS.get(exc.status, (False, False))
-        gap = exc.payload.get("spectral_gap")
-        if gap is None:
-            gap = _transfer_gap(raw, cfg)
         return ScanPoint(s=s, primitive=primitive, reflection_invariant=invariant,
-                         zeta=None, transfer_gap=gap, status=exc.status,
-                         error=type(exc).__name__)
+                         zeta=None, transfer_gap=None if raw is None else _transfer_gap(raw, cfg),
+                         status=exc.status, error=type(exc).__name__)
     return ScanPoint(s=s, primitive=True, reflection_invariant=True, zeta=rep.zeta,
                      transfer_gap=rep.certificates.primitivity.spectral_gap,
                      status="ok", error=None)
@@ -221,11 +220,13 @@ def _scan_point(spec: FamilySpec, s: float, cfg: Config) -> ScanPoint:
 def scan(spec: FamilySpec, config: Config | None = None) -> ScanReport:
     """Evaluate the index across the family grid, one point after another.
 
-    No point aborts the scan: a point whose index call raises an
-    :class:`SptError` records that error's ``status`` and class name in
+    No point aborts the scan: a point whose generator or index call raises
+    an :class:`SptError` records that error's ``status`` and class name in
     ``error`` (``"ok"`` and ``None`` otherwise). ``primitive`` and
     ``reflection_invariant`` say which certificates held; a point
     contributes ``zeta`` only when both held and the sign was classified.
+    ``transfer_gap`` is the gap below the peripheral transfer window (0.0 if
+    it holds several eigenvalues, null if no tuple was generated or normalized).
     ``constant_index`` means every point has the same defined index;
     ``first_failure`` is the smallest grid value where certification failed.
     """

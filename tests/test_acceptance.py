@@ -119,7 +119,6 @@ def test_criterion_07_transfer_spectrum():
     assert np.allclose(spec, [1.0, -1 / 3, -1 / 3, -1 / 3], atol=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_criterion_08_parent_hamiltonian_spectra():
     t = sz.normalize(sz.zoo("aklt"))
     hint = sz.parent_interaction(t, m=2)

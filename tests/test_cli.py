@@ -128,6 +128,12 @@ def test_index_numerical_error(tmp_path):
     assert env["result"]["error"] == "NotNormalizable"
 
 
+def test_index_overflow_is_numerical_error():
+    code, env = run(["index", "--model", "aklt-breaker:1e308"])
+    assert code == 7 and env["status"] == "numerical_error"
+    assert env["result"]["error"] == "NotNormalizable"
+
+
 def test_parent_ham_resource_limit():
     code, env = run(["parent-ham", "--model", "aklt", "--n", "8"])
     assert code == 8 and env["status"] == "resource_limit"
@@ -242,7 +248,6 @@ def test_modular_seed_determinism(tmp_path, rng):
 
 # -- parent-ham ---------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_parent_ham_short_window():
     code, env = run(["parent-ham", "--model", "aklt", "--m", "2", "--n", "4"])
     assert code == 0
@@ -257,7 +262,6 @@ def test_parent_ham_short_window():
     assert abs(chain["gap"] - 0.448956) < 1e-5
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_parent_ham_periodic():
     code, env = run(["parent-ham", "--model", "aklt", "--m", "2", "--n", "4",
                      "--boundary", "periodic"])
@@ -267,7 +271,6 @@ def test_parent_ham_periodic():
     assert abs(chain["gap"] - 1 / 3) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_parent_ham_default_chain_is_window():
     code, env = run(["parent-ham", "--model", "aklt", "--m", "2"])
     assert code == 0
@@ -287,6 +290,20 @@ def test_parent_ham_default_window_n6():
 
 
 # -- scan ---------------------------------------------------------------------
+
+def test_scan_records_a_refusing_generator():
+    # the aklt-breaker generator renormalizes, and that refuses at s = 5e5;
+    # the point is recorded and the scan goes on
+    code, env = run(["scan", "--family", "aklt-breaker",
+                     "--s0", "0", "--s1", "1e6", "--grid", "3"])
+    assert code == 0
+    points = env["result"]["points"]
+    assert [p["status"] for p in points] == ["ok", "numerical_error", "numerical_error"]
+    mid = points[1]
+    assert (mid["s"], mid["error"], mid["transfer_gap"]) == (5e5, "NotNormalizable", None)
+    assert not mid["primitive"] and mid["zeta"] is None
+    assert env["result"]["summary"] == {"constant_index": False, "first_failure": 5e5}
+
 
 def test_scan_breaker_family():
     code, env = run(["scan", "--family", "aklt-breaker",

@@ -10,8 +10,9 @@ from util import embed_sites_oracle
 
 @pytest.fixture(scope="module")
 def aklt_h2(aklt):
-    with pytest.warns(UserWarning):
-        return sz.parent_interaction(aklt, m=2)
+    hint = sz.parent_interaction(aklt, m=2)
+    assert hint.range_warning
+    return hint
 
 
 # -- the interaction ----------------------------------------------------------
@@ -57,39 +58,6 @@ def test_parent_interaction_rejects_bad_window(aklt):
         sz.parent_interaction(aklt, m=0)
 
 
-# -- embedding ----------------------------------------------------------------
-
-def test_embed_sites_contiguous(rng):
-    op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert frob(sz.embed_sites(op, [0, 1], 3, 2) - np.kron(op, np.eye(2))) < 1e-13
-    assert frob(sz.embed_sites(op, [1, 2], 3, 2) - np.kron(np.eye(2), op)) < 1e-13
-
-
-def test_embed_sites_wrap(rng):
-    op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    got = sz.embed_sites(op, [2, 0], 3, 2)
-    o = op.reshape(2, 2, 2, 2)  # (x2, x0, y2, y0): listed site order
-    want = np.zeros((8, 8), dtype=complex)
-    for x0 in range(2):
-        for x1 in range(2):
-            for x2 in range(2):
-                for y0 in range(2):
-                    for y2 in range(2):
-                        want[x0 * 4 + x1 * 2 + x2, y0 * 4 + x1 * 2 + y2] = \
-                            o[x2, x0, y2, y0]
-    assert frob(got - want) < 1e-13
-
-
-def test_embed_sites_validation(rng):
-    op = np.eye(4)
-    with pytest.raises(sz.InvalidInput):
-        sz.embed_sites(op, [0, 0], 3, 2)
-    with pytest.raises(sz.InvalidInput):
-        sz.embed_sites(op, [0, 3], 3, 2)
-    with pytest.raises(sz.InvalidInput):
-        sz.embed_sites(op, [0], 3, 2)
-
-
 # -- chains and spectra -------------------------------------------------------
 
 @pytest.mark.parametrize("n,gap", [(4, 0.448956), (5, 0.413240), (6, 0.398451)])
@@ -121,8 +89,8 @@ def test_default_window_chain(aklt):
 
 def test_product_chain():
     t = sz.normalize(sz.zoo("product:1,0"))
-    with pytest.warns(UserWarning):
-        hint = sz.parent_interaction(t, m=1)
+    hint = sz.parent_interaction(t, m=1)
+    assert hint.range_warning
     rep = sz.ed_report(sz.chain_hamiltonian(hint, sz.ChainSpec(n=3, boundary="open")))
     assert rep.kernel_dim == 1
     assert abs(rep.gap - 1.0) < 1e-12
@@ -134,7 +102,7 @@ def test_open_chain_is_frustration_free(aklt_h2):
     kernel = vecs[:, evals < 1e-10]
     assert kernel.shape[1] == 4
     for p in range(3):
-        term = sz.embed_sites(aklt_h2.h, [p, p + 1], 4, 3)
+        term = embed_sites_oracle(aklt_h2.h, [p, p + 1], 4, 3)
         assert frob(term @ kernel) < 1e-8
 
 
@@ -158,9 +126,7 @@ def test_chain_validation(aklt_h2):
 @pytest.mark.parametrize("m,n,boundary", [(3, 6, "open"), (2, 4, "periodic"),
                                            (2, 7, "open"), (3, 5, "periodic")])
 def test_chain_matches_kron_oracle(aklt, m, n, boundary):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        hint = sz.parent_interaction(aklt, m=m)
+    hint = sz.parent_interaction(aklt, m=m)
     want = np.zeros((3 ** n, 3 ** n), dtype=complex)
     last = n - m + 1 if boundary == "open" else n
     for p in range(last):

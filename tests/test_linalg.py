@@ -12,6 +12,7 @@ from spt_z2.linalg import (
     peripheral_eigs,
     peripheral_window,
     polar_unitary,
+    pos_def_eig,
     psd_power,
     unvec,
     vec,
@@ -198,6 +199,31 @@ def test_psd_power_zero_matrix():
     assert np.allclose(psd_power(np.zeros((3, 3)), 0.5), 0.0)
     with pytest.raises(errors.RankDeficient):
         psd_power(np.zeros((3, 3)), -0.5)
+
+
+def test_pos_def_eig_rule():
+    def passes(diag, tol):
+        try:
+            sys = pos_def_eig(np.diag(diag), errors.NotFaithful, "singular",
+                              Config(pos_def_tol=tol))
+        except errors.NotFaithful as exc:
+            assert exc.message == "singular"
+            assert exc.payload == {"min_eigenvalue": min(diag), "max_eigenvalue": max(diag)}
+            return False
+        assert np.array_equal(sys.values, np.sort(diag))
+        return True
+
+    # the boundary lo == pos_def_tol * hi refuses; the next float up passes
+    assert not passes([0.25, 1.0], 0.25)
+    assert passes([np.nextafter(0.25, 1.0), 1.0], 0.25)
+    assert not passes([0.5, 2.0], 0.25)
+    assert not passes([0.0, 0.0], -1.0)
+    # a negative tolerance counts as 0: it refuses every singular or indefinite
+    # matrix, and what passes at 0 passes at it
+    for diag in ([0.0, 1.0], [-1e-3, 1.0], [-1.0, -0.5]):
+        assert not passes(diag, -1.0)
+    for diag in ([1e-300, 1.0], [0.5, 1.0]):
+        assert passes(diag, 0.0) and passes(diag, -1.0)
 
 
 def test_kernel_ops_read_the_config_they_are_given(rng):

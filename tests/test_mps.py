@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2.linalg import frob
-from spt_z2.mps import apply_adjoint, apply_channel, channel_residual
+from spt_z2.linalg import frob, unvec, vec
+from spt_z2.mps import apply_adjoint, channel_residual, transfer_matrix
 from spt_z2.reflection import _marginal_reversal_residual, reverse_word_index
 from util import (dense_marginal, known_answer_tuple, marginal_oracle, random_channel_tuple,
                   word_index)
@@ -75,7 +75,7 @@ def test_channel_adjoint_duality(rng):
     for _ in range(8):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = np.trace(y.conj().T @ apply_channel(t, x))
+        lhs = np.trace(y.conj().T @ unvec(transfer_matrix(t) @ vec(x)))
         rhs = np.trace(apply_adjoint(t, y).conj().T @ x)
         assert abs(lhs - rhs) < 1e-12
 
@@ -109,6 +109,12 @@ def test_normalize_reducible_unequal_blocks():
 def test_normalize_zero_tuple():
     with pytest.raises(sz.NotNormalizable):
         sz.normalize(np.zeros((2, 2, 2)))
+
+
+def test_normalize_refuses_overflowing_transfer_matrix():
+    # finite entries whose products overflow: a typed refusal, not a LinAlgError
+    with pytest.raises(sz.NotNormalizable, match="overflows"):
+        sz.z2_index(np.full((2, 2, 2), 1e200))
 
 
 def test_normalize_repairs_conjugated_tuple(rng):
@@ -213,6 +219,28 @@ def test_invariant_state_ghz_not_primitive():
 def test_invariant_state_not_faithful():
     with pytest.raises(sz.NotFaithful):
         sz.invariant_state(sigma_plus_tuple())
+
+
+@pytest.mark.parametrize("call,refusal", [
+    (lambda: sz.normalize(np.full((2, 2, 2), 1.0)),
+     (sz.NotNormalizable, "dominant fixed point is not positive definite")),
+    (lambda: sz.invariant_state(sigma_plus_tuple()),
+     (sz.NotFaithful, "invariant state is singular within tolerance")),
+    (lambda: sz.reflected_tuple(sigma_plus_tuple(), np.diag([0.0, 1.0])),
+     (sz.NotFaithful, "invariant state is singular; reflected tuple undefined")),
+    # primitivity reads the refusal as a failed spectral route
+    (lambda: sz.primitivity(sigma_plus_tuple()).is_primitive, None),
+])
+def test_faithful_state_refusals(call, refusal):
+    # every site that applies the shared positive-definiteness rule keeps its
+    # own refusal class and message, with the eigenvalue payload
+    if refusal is None:
+        assert call() is False
+        return
+    with pytest.raises(refusal[0]) as info:
+        call()
+    assert info.value.message == refusal[1]
+    assert info.value.payload == {"min_eigenvalue": 0.0, "max_eigenvalue": 1.0}
 
 
 # -- marginals ---------------------------------------------------------------

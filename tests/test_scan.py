@@ -115,6 +115,15 @@ def test_scan_deformed_constant():
     assert abs(rep.points[-1].transfer_gap - 1 / 3) < 1e-9
 
 
+def test_scan_gap_is_zero_with_several_peripheral_eigenvalues():
+    # at s = -1 and s = 2 the deformed tuple's peripheral window holds more
+    # than one eigenvalue, so no gap separates a dominant one
+    rep = sz.scan(sz.family("deformed-aklt", -1.0, 2.0, 4))
+    assert [p.status for p in rep.points] == ["not_primitive", "ok", "ok", "not_primitive"]
+    assert [rep.points[0].transfer_gap, rep.points[3].transfer_gap] == [0.0, 0.0]
+    assert abs(rep.points[1].transfer_gap - 2 / 3) < 1e-9
+
+
 def test_scan_ghz_never_certifies():
     rep = sz.scan(sz.family("ghz", grid=3))
     assert all(not p.primitive and p.zeta is None for p in rep.points)
