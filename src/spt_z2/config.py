@@ -57,7 +57,7 @@ class Config:
     panel_size: int = 16
 
     # dense-computation limits
-    marginal_cap: int = 4096     # largest d**l for dense marginals/interactions
+    marginal_cap: int = 4096     # largest d**l for marginal, block, parent_interaction
     ed_cap: int = 4096           # largest d**n for dense chain diagonalization
     l_max: int | None = None     # primitivity word-length cap; None means k**4
 

@@ -171,7 +171,7 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
     if frob(eh) < 1e-8 * frob(e):
         eh = (e - e.conj().T) / 2j
     e = eh
-    ev_res = frob(unvec(tm @ vec(e), k) - r * e) / max(frob(e), 1e-300)
+    ev_res = frob(unvec(tm @ vec(e), k) - r * e) / max(r * frob(e), 1e-300)
     if ev_res > 1e-7:
         raise NotNormalizable(
             "identity has no component along a positive fixed point",
@@ -404,7 +404,10 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     ``Phi Phi^dagger`` of the rows ``L^dagger V_w``. ``Phi`` is built one site
     at a time, so memory stays O(d^l k^2) and no d^l x d^l matrix is formed.
     The nonzero spectrum, and so the rank, comes from the k^2 x k^2 Gram
-    ``Phi^dagger Phi``. Indices are big-endian words.
+    ``Phi^dagger Phi``. Indices are big-endian words. Callers:
+    :func:`spt_z2.hamiltonian.parent_interaction` (its m-site support) and
+    the reflection check, which takes only the l = 1 factor and advances it
+    by QR (:func:`spt_z2.reflection._marginal_reversal_residual`).
     """
     cfg = resolve(config)
     if l < 1:
@@ -417,6 +420,20 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
         raise NotFaithful("state is not positive definite; no Cholesky factor",
                           l=l) from exc
     phi = _extend_words(chol.conj().T[None, :, :], t.v, l).reshape(dim, t.k * t.k)
+    evals = _checked_gram_spectrum(phi, l, cfg)
+    rank = int(np.sum(evals > cfg.rank_tol * max(float(evals.max()), 1e-300)))
+    return Marginal(l=l, factor=phi, rank=rank)
+
+
+def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
+    """Eigenvalues of ``phi^dagger phi`` for a factor of the l-site marginal.
+
+    ``phi`` is any matrix with ``M_l = Q phi phi^dagger Q^dagger`` for an
+    isometry ``Q``, so the trace of ``M_l`` is ``||phi||_F^2`` and its nonzero
+    spectrum is that of the Gram ``phi^dagger phi``. Raises
+    :class:`ConvergenceFailure` when the trace is off 1 by more than 1e-7 or
+    an eigenvalue lies below -1e-8.
+    """
     tr = float(np.vdot(phi, phi).real)
     if abs(tr - 1.0) > 1e-7:
         raise ConvergenceFailure("marginal trace drifted from 1", trace=tr, l=l)
@@ -427,8 +444,7 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
             "marginal has a significantly negative eigenvalue",
             min_eigenvalue=float(evals.min()),
         )
-    rank = int(np.sum(evals > cfg.rank_tol * max(float(evals.max()), 1e-300)))
-    return Marginal(l=l, factor=phi, rank=rank)
+    return evals
 
 
 def block(t: MpsTuple, b: int, config: Config | None = None) -> MpsTuple:

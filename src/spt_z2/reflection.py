@@ -15,10 +15,10 @@ Invariance is certified by two independent routes that must agree: the gauge
 route (dominant eigenvalue of the mixed transfer map has modulus 1 and its
 eigenmatrix is a unitary multiple solving the relation) and the marginal
 route (marginals up to twice the injectivity length are invariant under
-site reversal composed with ``pi``). The marginal route never forms a dense
-marginal: each l-site marginal is the Gram matrix of a d^l x k^2 word factor,
-and its reversal mismatch is read from one QR of the factor beside its
-reversed copy.
+site reversal composed with ``pi``). The marginal route forms no d^l-row
+matrix: each l-site marginal and its reversed copy are carried as one
+triangular factor with at most 2k^2 rows, advanced one site at a time by a
+QR of at most d * 2k^2 rows, so its cost is linear in l.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from .mps import (
     InvariantState,
     MpsTuple,
     PrimitivityCertificate,
+    _checked_gram_spectrum,
     channel_residual,
     invariant_state,
     marginal,
     normalize,
     primitivity,
     require_normalized,
-    reverse_word_index,
 )
 
 
@@ -161,21 +161,37 @@ class ReflectionEvidence:
 
 def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
                                 cfg: Config) -> float:
-    """Largest ``||M_l - P M_l P||_F`` over l = 1..lengths, from word factors.
+    """Largest ``||M_l - P M_l P||_F`` over l = 1..lengths, from one R factor.
 
-    With ``M = Phi Phi^dagger`` and ``[Phi, P Phi] = Q [R1, R2]``, the residual
-    equals ``||R1 R1^dagger - R2 R2^dagger||_F`` because Q has orthonormal
-    columns; only a d^l x 2k^2 QR is needed. Expanding the norm into traces
+    ``M_l = Phi Phi^dagger`` with rows ``vec(L^dagger V_w)``, ``rho = L L^dagger``.
+    With ``tilde v_mu = v_{pi(mu)}^T``, ``W_w = tilde v_{w_0} .. tilde v_{w_{l-1}}``
+    is ``V_{rev(w)}^T``, so ``P M_l P = Psi Psi^dagger`` with rows
+    ``vec(W_w K)``, ``K = conj(L)`` and ``K K^dagger = rho^T``. Both factors
+    grow by right multiplication, ``Phi`` by ``v_mu`` and ``Omega`` (rows
+    ``vec(W_w)``) by ``tilde v_mu``, so ``[Phi_l, Omega_l] = Q_l [R1, R2]``
+    advances through the QR of the stacked ``[R1 v_mu, R2 tilde v_mu]``.
+    With ``R2' = R2 K`` the residual is ``||R1 R1^dagger - R2' R2'^dagger||_F``,
+    as Q has orthonormal columns. Each length checks the trace and the sign
+    of ``R1`` as :func:`marginal` does. Expanding the norm into traces
     instead would cancel catastrophically near the tolerance.
     """
-    worst = 0.0
-    pi = t.perm()
     half = t.k * t.k
+
+    def times(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        # rows vec(X) of r -> rows vec(X m), stacked over m in mats
+        return (r.reshape(-1, t.k) @ mats).reshape(-1, half)
+
+    phi = marginal(t, rho, 1, cfg).factor
+    tilde = np.transpose(t.v[t.perm()], (0, 2, 1))
+    kfac = np.linalg.cholesky(0.5 * (rho + rho.conj().T)).conj()
+    r = np.linalg.qr(np.hstack([phi, tilde.reshape(t.d, half)]), mode="r")
+    worst = 0.0
     for l in range(1, lengths + 1):
-        phi = marginal(t, rho, l, cfg).factor
-        idx = reverse_word_index(t.d, l, pi)
-        r = np.linalg.qr(np.hstack([phi, phi[idx]]), mode="r")
-        r1, r2 = r[:, :half], r[:, half:]
+        if l > 1:
+            r = np.linalg.qr(np.hstack([times(r[:, :half], t.v),
+                                        times(r[:, half:], tilde)]), mode="r")
+            _checked_gram_spectrum(r[:, :half], l, cfg)
+        r1, r2 = r[:, :half], times(r[:, half:], kfac)
         worst = max(worst, frob(r1 @ r1.conj().T - r2 @ r2.conj().T))
     return worst
 
@@ -199,8 +215,6 @@ def _evidence(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
         via_gauge = False
 
     lengths = 2 * (cert.injectivity_length or 1)
-    while lengths > 1 and t.d ** lengths > cfg.marginal_cap:
-        lengths -= 1
     marg_res = _marginal_reversal_residual(t, inv.rho, lengths, cfg)
     via_marginals = marg_res <= cfg.refl_marginal_tol
 

@@ -292,16 +292,30 @@ def test_parent_ham_default_window_n6():
 # -- scan ---------------------------------------------------------------------
 
 def test_scan_records_a_refusing_generator():
-    # the aklt-breaker generator renormalizes, and that refuses at s = 5e5;
-    # the point is recorded and the scan goes on
+    # the aklt-breaker generator renormalizes, and at s = 5e307 its transfer
+    # matrix overflows; the point is recorded and the scan goes on
     code, env = run(["scan", "--family", "aklt-breaker",
-                     "--s0", "0", "--s1", "1e6", "--grid", "3"])
+                     "--s0", "0", "--s1", "1e308", "--grid", "3"])
     assert code == 0
     points = env["result"]["points"]
     assert [p["status"] for p in points] == ["ok", "numerical_error", "numerical_error"]
     mid = points[1]
-    assert (mid["s"], mid["error"], mid["transfer_gap"]) == (5e5, "NotNormalizable", None)
+    assert (mid["s"], mid["error"], mid["transfer_gap"]) == (5e307, "NotNormalizable", None)
     assert not mid["primitive"] and mid["zeta"] is None
+    assert env["result"]["summary"] == {"constant_index": False, "first_failure": 5e307}
+
+
+def test_scan_records_a_large_breaker_as_inconclusive():
+    # at s = 5e5 the generator normalizes; the transfer gap (about 2e-6) is
+    # recorded and primitivity refuses as inconclusive
+    code, env = run(["scan", "--family", "aklt-breaker",
+                     "--s0", "0", "--s1", "1e6", "--grid", "3"])
+    assert code == 0
+    points = env["result"]["points"]
+    assert [p["status"] for p in points] == ["ok", "inconclusive", "inconclusive"]
+    mid = points[1]
+    assert (mid["s"], mid["error"]) == (5e5, "Inconclusive")
+    assert 0.0 < mid["transfer_gap"] < 1e-5
     assert env["result"]["summary"] == {"constant_index": False, "first_failure": 5e5}
 
 

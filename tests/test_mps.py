@@ -5,8 +5,8 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2.linalg import frob, unvec, vec
-from spt_z2.mps import apply_adjoint, channel_residual, transfer_matrix
-from spt_z2.reflection import _marginal_reversal_residual, reverse_word_index
+from spt_z2.mps import apply_adjoint, channel_residual, reverse_word_index, transfer_matrix
+from spt_z2.reflection import _marginal_reversal_residual
 from util import (dense_marginal, known_answer_tuple, marginal_oracle, random_channel_tuple,
                   word_index)
 
@@ -115,6 +115,20 @@ def test_normalize_refuses_overflowing_transfer_matrix():
     # finite entries whose products overflow: a typed refusal, not a LinAlgError
     with pytest.raises(sz.NotNormalizable, match="overflows"):
         sz.z2_index(np.full((2, 2, 2), 1e200))
+
+
+@pytest.mark.parametrize("s", ["3e4", "1e6"])
+def test_normalize_large_entries(aklt_raw, s):
+    # aklt plus s * identity: the fixed-point residual is read relative to the
+    # spectral radius, so the large scale alone does not refuse the tuple
+    raw = aklt_raw.copy()
+    raw[1] = raw[1] + float(s) * np.eye(2)
+    out = sz.normalize(raw)
+    assert channel_residual(out) <= 1e-9
+    assert np.allclose(out.v, sz.zoo(f"aklt-breaker:{s}"))
+    # the transfer gap closes as 1/s, so the index refuses, but only later
+    with pytest.raises(sz.Inconclusive):
+        sz.z2_index(raw)
 
 
 def test_normalize_repairs_conjugated_tuple(rng):

@@ -5,9 +5,10 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2.linalg import frob
-from spt_z2.mps import channel_residual
-from spt_z2.reflection import reverse_word_index
-from util import dense_marginal, haar_unitary, known_answer_tuple, random_channel_tuple
+from spt_z2.mps import channel_residual, reverse_word_index
+from spt_z2.reflection import _marginal_reversal_residual
+from util import (dense_marginal, haar_unitary, known_answer_tuple, marginal_oracle,
+                  random_channel_tuple)
 
 
 # -- reflected tuple ----------------------------------------------------------
@@ -58,6 +59,73 @@ def test_known_answer_long_words(d, k, zeta, seed):
     assert rep.zeta == zeta
     assert rep.certificates.evidence.marginal_lengths == 12
     assert rep.certificates.evidence.marginal_residual < 1e-12
+
+
+def _normalized_known_answer(d, k, zeta, seed):
+    return sz.normalize(known_answer_tuple(np.random.default_rng([seed, d, k]), d, k, zeta))
+
+
+@pytest.mark.parametrize("case,lengths", [("d2k4-", 5), ("d3k3+", 3), ("blocked", 3),
+                                          ("breaker", 3)])
+def test_reversal_residual_matches_oracle(case, lengths):
+    # the R-factor recursion against the brute-force marginal, length by length
+    t = {"d2k4-": lambda: _normalized_known_answer(2, 4, -1, 11),
+         "d3k3+": lambda: _normalized_known_answer(3, 3, +1, 11),
+         "blocked": lambda: sz.block(_normalized_known_answer(2, 2, +1, 11), 2),
+         "breaker": lambda: sz.normalize(sz.zoo("aklt-breaker:0.05"))}[case]()
+    assert (t.reflect_perm is not None) == (case == "blocked")
+    rho = sz.invariant_state(t).rho
+    worst = 0.0
+    for l in range(1, lengths + 1):
+        oracle = marginal_oracle(t, rho, l)
+        idx = reverse_word_index(t.d, l, t.perm())
+        worst = max(worst, frob(oracle[np.ix_(idx, idx)] - oracle))
+        assert abs(_marginal_reversal_residual(t, rho, l, sz.Config()) - worst) < 1e-12
+    assert (worst > 1e-3) == (case == "breaker")
+
+
+def test_reversal_route_never_forms_word_rows(monkeypatch):
+    # d=2, k=6: lengths up to 12, yet every QR has at most d * 2k^2 rows and
+    # the only marginal is the l = 1 seed
+    raw = known_answer_tuple(np.random.default_rng([11, 2, 6]), 2, 6, +1)
+    rows, lengths = [], []
+    qr, marginal = np.linalg.qr, sz.reflection.marginal
+
+    def spy_qr(a, *args, **kw):
+        rows.append(np.shape(a)[0])
+        return qr(a, *args, **kw)
+
+    def spy_marginal(t, rho, l, *args, **kw):
+        lengths.append(l)
+        return marginal(t, rho, l, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    monkeypatch.setattr(sz.reflection, "marginal", spy_marginal)
+    rep = sz.z2_index(raw)
+    assert rep.certificates.evidence.marginal_lengths == 12
+    assert len(rows) == 12 and max(rows) <= 2 * 2 * 6 ** 2
+    assert lengths == [1]
+
+
+def test_reversal_route_checks_every_length():
+    # scaling by 1 + 9e-9 moves the l-site trace by about 1.8e-8 * l: the seed
+    # passes, and l = 6 is the first length past the 1e-7 bound
+    t = _normalized_known_answer(2, 4, -1, 11)
+    rho = sz.invariant_state(t).rho
+    scaled = sz.MpsTuple(v=t.v * (1 + 9e-9))
+    sz.marginal(scaled, rho, 1)
+    with pytest.raises(sz.ConvergenceFailure, match="marginal trace drifted from 1") as exc:
+        _marginal_reversal_residual(scaled, rho, 12, sz.Config())
+    assert exc.value.payload["l"] == 6
+
+
+def test_marginal_lengths_ignore_the_word_cap():
+    # 5^4 = 625 words exceed the cap, but the reversal route forms no word rows
+    raw = known_answer_tuple(np.random.default_rng([0, 5, 4]), 5, 4, +1)
+    rep = sz.z2_index(raw, config=sz.Config(marginal_cap=125))
+    assert rep.certificates.primitivity.injectivity_length == 2
+    assert rep.certificates.evidence.marginal_lengths == 4
+    assert rep.zeta == 1
 
 
 def test_reverse_word_index():
