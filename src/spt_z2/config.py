@@ -8,7 +8,7 @@ Construction is the one validity check, whatever the source (flags, a file,
 ``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
 (0, 0.5), and every integer is at least 1 (``l_max`` may be None). Not every
-threshold is here: 19 fixed literals besides the 1e-300 division guards
+threshold is here: 18 fixed literals besides the 1e-300 division guards
 (e.g. the 1e-7 eigen-residual in ``mps.normalize`` and the 1e-9 singular
 value floor of ``linalg.polar_unitary``) sit in the code that applies them.
 """

@@ -90,7 +90,7 @@ class NotSameState(SptError):
 
 
 class NotUnitaryMultiple(SptError):
-    """Dominant eigenmatrix of the mixed transfer map is not c * unitary."""
+    """Dominant eigenmatrix of the mixed transfer map is singular: no gauge."""
 
     status = "not_reflection_invariant"
 

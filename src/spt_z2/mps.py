@@ -22,6 +22,7 @@ transposition formulas.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,13 +225,15 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
 
     The word-space route grows span{products of length l} until it fills the
     matrix algebra (primitive; the length is the injectivity length) or
-    stalls (K_{l+1} inside K_l can never grow again: conclusively not
-    primitive). A span still short of the full algebra at length k^4 is also
+    falls inside the span of one of the k lengths before it (K_{l+p} inside
+    K_l can never fill: conclusively not primitive). Testing every p up to
+    k, not only p = 1, catches a periodic tuple after one period: its word
+    spaces cycle with its period, which is at most k, instead of stalling.
+    A span still short of the full algebra at length k^4 is also
     conclusively not primitive, by the quantum Wielandt bound (Sanz,
-    Perez-Garcia, Wolf, Cirac, IEEE TIT 56, 4668, 2010); this catches
-    periodic tuples, whose word spaces cycle instead of stalling. Below that
-    length the search stays :class:`Inconclusive`. The spectral route demands
-    a unique peripheral transfer eigenvalue *and* a faithful invariant state;
+    Perez-Garcia, Wolf, Cirac, IEEE TIT 56, 4668, 2010). Below that length
+    the search stays :class:`Inconclusive`. The spectral route demands a
+    unique peripheral transfer eigenvalue *and* a faithful invariant state;
     peripheral uniqueness alone is not sufficient. The two routes must agree
     or :class:`Inconclusive` is raised.
     """
@@ -242,22 +245,23 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
     full = k * k
     inj: int | None = None
     verdict: bool | None = None
-    basis = _word_space_step(t.v, _identity_row(k), cfg.rank_tol)
+    spans = deque([_word_space_step(t.v, _identity_row(k), cfg.rank_tol)], maxlen=k)
     length = 1
-    if basis.shape[0] == full:
+    if spans[0].shape[0] == full:
         inj, verdict = 1, True
     while verdict is None and length < cap:
-        nxt = _word_space_step(t.v, basis, cfg.rank_tol)
+        nxt = _word_space_step(t.v, spans[-1], cfg.rank_tol)
         length += 1
         if nxt.shape[0] == full:
             inj, verdict = length, True
             break
-        # containment check: once K_{l+1} is inside K_l the chain is frozen
-        resid = nxt - (nxt @ basis.conj().T) @ basis
-        if resid.shape[0] == 0 or np.abs(resid).max() <= 1e-10:
+        # K_{l+p} inside K_l puts K_{l+np} inside K_l for every n, so the
+        # span never fills: a stall (p = 1) or a cycle of period p
+        if any(np.abs(nxt - (nxt @ b.conj().T) @ b).max(initial=0.0) <= 1e-10
+               for b in reversed(spans)):
             verdict = False
             break
-        basis = nxt
+        spans.append(nxt)
     if verdict is None and length >= k ** 4:
         # quantum Wielandt: a primitive tuple's words of length
         # (k^2 - d' + 1) k^2 <= k^4 span M_k (d' = dim span{v_mu} >= 1)
@@ -266,7 +270,7 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
         raise Inconclusive(
             "word-space search hit the length cap without a verdict",
             l_max=cap,
-            last_dimension=int(basis.shape[0]),
+            last_dimension=int(spans[-1].shape[0]),
             full_dimension=full,
         )
 

@@ -1,24 +1,33 @@
 """Reflection invariance and the Z2 index of a primitive tuple.
 
-The reflected tuple of a primitive ``v`` with faithful invariant state
-``rho`` is, in the eigenbasis of ``rho`` (eigenvalues descending),
+Spatial reflection of the state generated by ``v`` is generated by the
+transposed tuple
 
-    R(v)_mu = D**-0.5 v_{pi(mu)}^T D**0.5,
+    tilde v_mu = v_{pi(mu)}^T,
 
 where ``pi`` is the tuple's on-site reflection involution (identity unless
-the tuple was blocked). ``R(v)`` generates the spatially reflected state.
-When reflected and original state coincide there is a gauge unitary ``U``
-with ``U v_mu = phase * R(v)_mu U``; ``U`` is unique up to a global phase and
-is either symmetric or antisymmetric, and that sign is the index.
+the tuple was blocked). The two generate the same state exactly when the one
+reflection operator
+
+    G(X) = sum_mu v_mu X tilde v_mu^dagger
+
+has a dominant eigenvalue ``phase`` of modulus 1 with an invertible
+eigenmatrix ``X``; then ``X tilde v_mu^dagger = phase * v_mu^dagger X``. In
+the eigenbasis of the invariant state, ``rho = diag(D)`` with eigenvalues
+descending, ``X`` is a multiple of ``U^dagger D^(1/2)`` for the gauge unitary
+``U``, so the unitary polar factor of ``X`` is ``U^dagger``. ``U`` is unique
+up to a global phase and is either symmetric or antisymmetric, and that sign
+is the index (Pollmann, Berg, Turner, Oshikawa, PRB 81, 064439 (2010);
+Pollmann and Turner, PRB 86, 125441 (2012)). Reading it takes no power of
+``rho``: only its eigenbasis, into which the tuple is rotated once.
 
 Invariance is certified by two independent routes that must agree: the gauge
-route (dominant eigenvalue of the mixed transfer map has modulus 1 and its
-eigenmatrix is a unitary multiple solving the relation) and the marginal
-route (marginals up to twice the injectivity length are invariant under
-site reversal composed with ``pi``). The marginal route forms no d^l-row
-matrix: each l-site marginal and its reversed copy are carried as one
-triangular factor with at most 2k^2 rows, advanced one site at a time by a
-QR of at most d * 2k^2 rows, so its cost is linear in l.
+route (the radius of G, an invertible eigenmatrix and the relation residual)
+and the marginal route (marginals up to twice the injectivity length are
+invariant under site reversal composed with ``pi``). The marginal route forms
+no d^l-row matrix: each l-site marginal and its reversed copy are carried as
+one triangular factor with at most 2k^2 rows, advanced one site at a time by
+a QR of at most d * 2k^2 rows, so its cost is linear in l.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from .errors import (
     Inconclusive,
     InvalidInput,
     NotFaithful,
-    NormalizationBroken,
     NotPrimitive,
     NotReflectionInvariant,
     NotSameState,
@@ -47,7 +55,6 @@ from .mps import (
     MpsTuple,
     PrimitivityCertificate,
     _checked_gram_spectrum,
-    channel_residual,
     invariant_state,
     marginal,
     normalize,
@@ -56,36 +63,30 @@ from .mps import (
 )
 
 
+def _transposed(t: MpsTuple) -> MpsTuple:
+    """The transposed tuple ``v_{pi(mu)}^T``, with the same involution."""
+    return MpsTuple(v=np.transpose(t.v[t.perm()], (0, 2, 1)), reflect_perm=t.reflect_perm)
+
+
 @dataclass(frozen=True)
 class ReflectedTuple:
-    tilde_v: MpsTuple        # reflected tuple, expressed in the original basis
+    tilde_v: MpsTuple        # the transposed tuple, in the original basis
     basis: np.ndarray        # columns: rho eigenbasis, eigenvalues descending
     rho_diag: np.ndarray     # the descending eigenvalues
 
 
 def reflected_tuple(t: MpsTuple, rho: np.ndarray,
                     config: Config | None = None) -> ReflectedTuple:
-    """Build R(v) from the invariant state; raises NotFaithful if rho is singular."""
-    cfg = resolve(config)
-    require_normalized(t, cfg)
+    """The transposed tuple and the eigenbasis of rho; NotFaithful if rho is singular.
+
+    ``tilde_v`` generates the reflected state, and reflecting it again gives
+    ``t`` back exactly. For ``t`` in channel form it satisfies the dual
+    condition ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
+    """
     sys = pos_def_eig(rho, NotFaithful,
-                      "invariant state is singular; reflected tuple undefined", cfg)
-    diag = sys.values[::-1].copy()
-    w = sys.vectors[:, ::-1].copy()
-    pi = t.perm()
-    v_eig = np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w)
-    tilde_eig = (diag[None, :, None] ** -0.5) * np.transpose(v_eig[pi], (0, 2, 1)) \
-        * (diag[None, None, :] ** 0.5)
-    tilde = np.einsum("ab,mbc,cd->mad", w, tilde_eig, w.conj().T)
-    out = MpsTuple(v=tilde, reflect_perm=None if t.reflect_perm is None
-                   else t.reflect_perm.copy())
-    res = channel_residual(out)
-    if res > 10 * cfg.eps_norm:
-        raise NormalizationBroken(
-            "reflected tuple violates the channel condition; rho is not invariant enough",
-            residual=res,
-        )
-    return ReflectedTuple(tilde_v=out, basis=w, rho_diag=diag)
+                      "invariant state is singular; reflected tuple undefined", config)
+    return ReflectedTuple(tilde_v=_transposed(t), basis=sys.vectors[:, ::-1].copy(),
+                          rho_diag=sys.values[::-1].copy())
 
 
 @dataclass(frozen=True)
@@ -93,37 +94,36 @@ class GaugeSolution:
     U: np.ndarray
     phase: complex
     relation_residual: float
-    unitary_multiple_deviation: float
     mixed_radius: float
 
 
 def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> GaugeSolution:
-    """Unitary U and phase with U t_mu = phase * s_mu U, if the states match.
+    """Gauge X and phase with ``X s_mu^dagger = phase * t_mu^dagger X``, if the states match.
 
-    Solves the mixed transfer map F(x) = sum_mu t_mu x s_mu^dagger for its
-    dominant eigenpair. For primitive tuples generating the same state the
-    dominant eigenvalue has modulus 1 and the eigenmatrix is a scalar
-    multiple of U^dagger; otherwise the modulus stays strictly below 1
-    (:class:`NotSameState`) or the eigenmatrix fails the polar test
-    (:class:`NotUnitaryMultiple`).
+    X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger; ``t``
+    must satisfy the channel condition, ``s`` need not. A modulus below
+    ``1 - mixed_tol`` raises :class:`NotSameState` and a singular X
+    :class:`NotUnitaryMultiple`, both with the measured ``mixed_radius``.
+    The caller judges ``relation_residual``, the relation's largest
+    Frobenius miss over ``||X||_F``, against ``eps_gauge``. ``U`` is the
+    adjoint of X's unitary polar factor, with the canonical phase; for the
+    transposed tuple in the rho eigenbasis, X is a multiple of
+    ``U^dagger D^(1/2)``.
     """
     cfg = resolve(config)
-    tol = cfg.mixed_tol
     if t.d != s.d or t.k != s.k:
         raise InvalidInput("tuples must share (d, k)",
                            left=[t.d, t.k], right=[s.d, s.k])
     require_normalized(t, cfg)
-    require_normalized(s, cfg)
-    mixed = kraus_superop(t.v, s.v)
-    w, vs = np.linalg.eig(mixed)
+    w, vs = np.linalg.eig(kraus_superop(t.v, s.v))
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])
     radius = abs(lam)
-    if radius < 1.0 - tol:
+    if radius < 1.0 - cfg.mixed_tol:
         raise NotSameState(
             "dominant mixed transfer eigenvalue below 1; different states",
             mixed_radius=radius,
-            tolerance=tol,
+            tolerance=cfg.mixed_tol,
         )
     x = unvec(vs[:, i0], t.k)
     try:
@@ -131,21 +131,15 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
     except RankDeficient as exc:
         raise NotUnitaryMultiple(
             "dominant mixed eigenmatrix is singular",
+            mixed_radius=radius,
             **exc.payload,
         ) from exc
-    if polar.deviation > tol:
-        raise NotUnitaryMultiple(
-            "dominant mixed eigenmatrix is not a scalar multiple of a unitary",
-            deviation=polar.deviation,
-            tolerance=tol,
-        )
     u = polar.unitary.conj().T
     u = u * canonical_phases(u.reshape(-1, 1))
     phase = lam / radius
-    res = max(frob(u @ t.v[m] - phase * s.v[m] @ u) for m in range(t.d))
-    return GaugeSolution(U=u, phase=phase, relation_residual=float(res),
-                         unitary_multiple_deviation=polar.deviation,
-                         mixed_radius=radius)
+    miss = x @ s.v.conj().transpose(0, 2, 1) - phase * t.v.conj().transpose(0, 2, 1) @ x
+    res = float(np.linalg.norm(miss, axis=(1, 2)).max()) / frob(x)
+    return GaugeSolution(U=u, phase=phase, relation_residual=res, mixed_radius=radius)
 
 
 @dataclass(frozen=True)
@@ -182,7 +176,7 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
         return (r.reshape(-1, t.k) @ mats).reshape(-1, half)
 
     phi = marginal(t, rho, 1, cfg).factor
-    tilde = np.transpose(t.v[t.perm()], (0, 2, 1))
+    tilde = _transposed(t).v
     kfac = np.linalg.cholesky(0.5 * (rho + rho.conj().T)).conj()
     r = np.linalg.qr(np.hstack([phi, tilde.reshape(t.d, half)]), mode="r")
     worst = 0.0
@@ -198,20 +192,19 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
 
 def _evidence(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
               refl: ReflectedTuple, cfg: Config) -> tuple[ReflectionEvidence, GaugeSolution | None]:
+    # the one rotation into the rho eigenbasis, where U is classified
     w = refl.basis
     v_eig = MpsTuple(v=np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w),
                      reflect_perm=t.reflect_perm)
-    tilde_eig = MpsTuple(v=np.einsum("ab,mbc,cd->mad", w.conj().T, refl.tilde_v.v, w),
-                         reflect_perm=t.reflect_perm)
     gauge: GaugeSolution | None = None
     gauge_residual: float | None = None
     try:
-        gauge = gauge_solve(v_eig, tilde_eig, config=cfg)
+        gauge = gauge_solve(v_eig, _transposed(v_eig), config=cfg)
         mixed_radius = gauge.mixed_radius
         gauge_residual = gauge.relation_residual
         via_gauge = gauge_residual <= cfg.eps_gauge
     except (NotSameState, NotUnitaryMultiple) as exc:
-        mixed_radius = float(exc.payload.get("mixed_radius", 0.0))
+        mixed_radius = float(exc.payload["mixed_radius"])
         via_gauge = False
 
     lengths = 2 * (cert.injectivity_length or 1)

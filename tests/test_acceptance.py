@@ -97,17 +97,18 @@ def test_criterion_05_swap_sign_reproduces_index():
 
 
 def test_criterion_06_gauge_relation_certificate():
+    # inverse-free form: X tilde v_mu^dagger = phase v_mu^dagger X with
+    # X = U^dagger D^(1/2), in the rho eigenbasis
     t = sz.normalize(sz.zoo("aklt"))
-    inv = sz.invariant_state(t)
-    refl = sz.reflected_tuple(t, inv.rho)
     rep = sz.z2_index(t)
-    w = refl.basis
+    w = rep.basis
     v_eig = np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w)
-    tilde_eig = np.einsum("ab,mbc,cd->mad", w.conj().T, refl.tilde_v.v, w)
+    tilde_eig = np.transpose(v_eig, (0, 2, 1))
+    x = rep.U.conj().T @ np.diag(np.sqrt(rep.rho_diag))
     relation = max(
-        frob(rep.U @ v_eig[mu] - rep.phase * tilde_eig[mu] @ rep.U)
+        frob(x @ tilde_eig[mu].conj().T - rep.phase * v_eig[mu].conj().T @ x)
         for mu in range(t.d)
-    )
+    ) / frob(x)
     assert relation < 1e-9
     assert abs(rep.phase ** 2 - 1.0) < 1e-10
     dmat = np.diag(rep.rho_diag)

@@ -190,16 +190,16 @@ def test_primitivity_length_cap(aklt):
 
 def test_primitivity_periodic_tuple_not_primitive():
     # v = Omega S at d=2, k=2 has transfer eigenvalues +-1: the word space
-    # alternates between two subspaces and never stalls, so only the
-    # Wielandt length k^4 makes "not primitive" conclusive
+    # alternates between two subspaces and never stalls, and K_3 inside K_1
+    # makes "not primitive" conclusive long before the Wielandt length k^4
     raw = known_answer_tuple(np.random.default_rng(3), 2, 2, -1)
     cert = sz.primitivity(sz.normalize(raw))
     assert not cert.is_primitive
     assert cert.peripheral_count == 2
     with pytest.raises(sz.NotPrimitive):
         sz.z2_index(raw)
-    with pytest.raises(sz.Inconclusive):
-        sz.primitivity(sz.normalize(raw), config=sz.Config(l_max=15))
+    cert = sz.primitivity(sz.normalize(raw), config=sz.Config(l_max=3))
+    assert not cert.is_primitive
 
 
 def test_primitivity_requires_normalized(aklt):

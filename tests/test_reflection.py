@@ -5,28 +5,32 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2.linalg import frob
-from spt_z2.mps import channel_residual, reverse_word_index
+from spt_z2.mps import _extend_words, reverse_word_index
 from spt_z2.reflection import _marginal_reversal_residual
 from util import (dense_marginal, haar_unitary, known_answer_tuple, marginal_oracle,
-                  random_channel_tuple)
+                  phase_pi_sign_plus, phase_zero_sign_minus, random_channel_tuple)
 
 
 # -- reflected tuple ----------------------------------------------------------
 
 def test_reflected_tuple_is_channel(aklt, aklt_rho):
+    # the transposed tuple satisfies the dual channel condition
     refl = sz.reflected_tuple(aklt, aklt_rho.rho)
-    assert channel_residual(refl.tilde_v) < 1e-12
+    tv = refl.tilde_v.v
+    assert frob(np.einsum("mba,mbc->ac", tv.conj(), tv) - np.eye(2)) < 1e-12
     assert np.allclose(refl.basis.conj().T @ refl.basis, np.eye(2), atol=1e-12)
     assert np.allclose(refl.rho_diag, [0.5, 0.5], atol=1e-12)
 
 
 def test_reflected_tuple_involution(rng, aklt, aklt_rho):
-    for t, rho in [(aklt, aklt_rho.rho), (random_channel_tuple(rng, 2, 3), None)]:
+    for t, rho in [(aklt, aklt_rho.rho), (random_channel_tuple(rng, 2, 3), None),
+                   (sz.block(aklt, 2), None)]:
         if rho is None:
             rho = sz.invariant_state(t).rho
         once = sz.reflected_tuple(t, rho)
         twice = sz.reflected_tuple(once.tilde_v, rho)
-        assert frob(twice.tilde_v.v - t.v) < 1e-9
+        assert np.array_equal(twice.tilde_v.v, t.v)
+        assert np.array_equal(twice.tilde_v.perm(), t.perm())
 
 
 def test_reflected_tuple_singular_rho(aklt):
@@ -35,17 +39,19 @@ def test_reflected_tuple_singular_rho(aklt):
 
 
 def test_marginal_reversal_identity(rng, aklt, aklt_rho):
-    # the reflected tuple's marginal is the index-reversed marginal, for any
+    # the transposed tuple's words W_w, as rows vec(W_w K) with K = conj(L)
+    # and rho = L L^dagger, give the index-reversed marginal, for any
     # primitive tuple, reflection invariant or not
     for t, rho in [(aklt, aklt_rho.rho), (random_channel_tuple(rng, 2, 2), None)]:
         if rho is None:
             rho = sz.invariant_state(t).rho
-        refl = sz.reflected_tuple(t, rho)
+        tv = sz.reflected_tuple(t, rho).tilde_v.v
+        kfac = np.linalg.cholesky(rho).conj()
         for l in (1, 2):
             orig = dense_marginal(sz.marginal(t, rho, l))
-            tilde = dense_marginal(sz.marginal(refl.tilde_v, rho, l))
+            psi = (_extend_words(tv, tv, l - 1) @ kfac).reshape(t.d ** l, -1)
             idx = reverse_word_index(t.d, l, t.perm())
-            assert frob(tilde - orig[np.ix_(idx, idx)]) < 1e-10
+            assert frob(psi @ psi.conj().T - orig[np.ix_(idx, idx)]) < 1e-10
 
 
 @pytest.mark.parametrize("d,k,zeta,seed", [(2, 4, -1, 11), (2, 4, -1, 12),
@@ -167,6 +173,23 @@ def test_gauge_solve_shape_mismatch(aklt):
         sz.gauge_solve(aklt, sz.normalize(sz.zoo("ghz")))
 
 
+def test_tampered_eigenmatrix_is_refused(monkeypatch):
+    # the symmetric part of a zeta = -1 eigenmatrix is no gauge: the index
+    # must refuse, not read zeta = +1 from it
+    unvec = sz.reflection.unvec
+
+    def symmetric_part(x, k):
+        m = unvec(x, k)
+        return 0.5 * (m + m.T)
+
+    monkeypatch.setattr(sz.reflection, "unvec", symmetric_part)
+    for raw in [sz.zoo("aklt"),
+                known_answer_tuple(np.random.default_rng([11, 3, 4]), 3, 4, -1)]:
+        with pytest.raises(sz.Inconclusive) as exc:
+            sz.z2_index(raw)
+        assert not exc.value.payload["via_gauge"] and exc.value.payload["via_marginals"]
+
+
 # -- invariance evidence ------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["aklt", "product:1,0", "deformed-aklt:0.5"])
@@ -176,6 +199,13 @@ def test_reflection_invariant_positive(name):
     assert ev.gauge_residual < 1e-8
     assert ev.marginal_residual < 1e-8
     assert abs(ev.mixed_radius - 1.0) < 1e-8
+
+
+def test_refusal_carries_the_measured_radius():
+    # G's eigenmatrix is singular here; the refusal still reports G's radius
+    with pytest.raises(sz.NotReflectionInvariant) as exc:
+        sz.z2_index(sz.zoo("aklt-breaker:1e3"))
+    assert exc.value.payload["mixed_radius"] > 0.99
 
 
 def test_reflection_invariant_breaker():
@@ -243,6 +273,34 @@ def test_z2_index_deformed_family(s, gap):
     rep = sz.z2_index(sz.zoo(f"deformed-aklt:{s}"))
     assert rep.zeta == -1
     assert abs(rep.certificates.primitivity.spectral_gap - gap) < 1e-9
+
+
+def test_z2_index_ill_conditioned_rho():
+    # cond(rho) is large here; the sign takes no power of rho, so it is certified
+    a = np.random.default_rng(29).standard_normal((2, 6, 6))
+    rep = sz.z2_index(a + a.transpose(0, 2, 1))
+    assert rep.zeta == 1
+    assert rep.certificates.evidence.gauge_residual < 1e-12
+    assert rep.sym_residual < 1e-10
+
+
+@pytest.mark.parametrize("generator,zeta,phase,cells", [
+    (phase_pi_sign_plus, +1, -1.0, [(3, 4), (4, 4), (2, 6)]),
+    (phase_zero_sign_minus, -1, +1.0, [(4, 4), (3, 6)]),
+], ids=["theta-pi-zeta-plus", "theta-0-zeta-minus"])
+def test_sign_is_not_the_gauge_phase(generator, zeta, phase, cells):
+    # known answers with e^{i theta} = -zeta: a sign read from the gauge phase
+    # is wrong on every conclusive cell. At (2, 2) and (2, 4) the peripheral
+    # spectrum is degenerate, and "not primitive" is the only true refusal.
+    for d, k in cells:
+        for seed in range(4):
+            rep = sz.z2_index(generator(np.random.default_rng([seed, d, k]), d, k))
+            assert rep.zeta == zeta
+            assert abs(rep.phase - phase) < 1e-8
+    for d, k in [(2, 2), (2, 4)]:
+        for seed in range(4):
+            with pytest.raises(sz.NotPrimitive):
+                sz.z2_index(generator(np.random.default_rng([seed, d, k]), d, k))
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):

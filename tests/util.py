@@ -31,6 +31,22 @@ def omega(k: int) -> np.ndarray:
     return np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(k // 2))
 
 
+def _in_random_gauge(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
+    """``phase * g v g^-1`` with a random g of condition number at most 4.
+
+    A gauge and a global phase keep the state, and so the index.
+    """
+    k = v.shape[1]
+    s = np.exp(rng.uniform(np.log(0.5), np.log(2.0), k))
+    g = haar_unitary(rng, k) @ np.diag(s) @ haar_unitary(rng, k)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return phase * np.einsum("ab,mbc,cd->mad", g, v, np.linalg.inv(g))
+
+
+def _complex_stack(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    return rng.standard_normal((d, k, k)) + 1j * rng.standard_normal((d, k, k))
+
+
 def known_answer_tuple(rng: np.random.Generator, d: int, k: int,
                        zeta: int) -> np.ndarray:
     """Raw tuple whose index is ``zeta`` by construction.
@@ -38,17 +54,37 @@ def known_answer_tuple(rng: np.random.Generator, d: int, k: int,
     ``S_mu`` complex symmetric gives ``v^T = v`` (U = 1, zeta = +1);
     ``v = Omega S`` gives ``v^T = -Omega^-1 v Omega`` (U = Omega, zeta = -1),
     the structure ``v^T = e^{i theta} U^dagger v U`` with ``U^T = zeta U``.
-    A random gauge with condition number at most 4 and a random phase keep the
-    state, and so the answer.
+    Here ``e^{i theta} = zeta``; :func:`phase_pi_sign_plus` and
+    :func:`phase_zero_sign_minus` break that link.
     """
-    a = rng.standard_normal((d, k, k)) + 1j * rng.standard_normal((d, k, k))
+    a = _complex_stack(rng, d, k)
     v = a + a.transpose(0, 2, 1)
     if zeta == -1:
         v = np.einsum("ab,mbc->mac", omega(k), v)
-    s = np.exp(rng.uniform(np.log(0.5), np.log(2.0), k))
-    g = haar_unitary(rng, k) @ np.diag(s) @ haar_unitary(rng, k)
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return phase * np.einsum("ab,mbc,cd->mad", g, v, np.linalg.inv(g))
+    return _in_random_gauge(rng, v)
+
+
+def phase_pi_sign_plus(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """Raw tuple with theta = pi and zeta = +1, for even k.
+
+    ``v = [[A, B], [B^T, D]]`` with A and D antisymmetric gives
+    ``v^T = -U^dagger v U`` for the symmetric ``U = diag(1, -1) (x) 1``.
+    """
+    a, b, c = (_complex_stack(rng, d, k // 2) for _ in range(3))
+    v = np.block([[a - a.transpose(0, 2, 1), b],
+                  [b.transpose(0, 2, 1), c - c.transpose(0, 2, 1)]])
+    return _in_random_gauge(rng, v)
+
+
+def phase_zero_sign_minus(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """Raw tuple with theta = 0 and zeta = -1, for even k.
+
+    ``v = Omega A`` with A antisymmetric gives ``v^T = A Omega =
+    Omega^dagger v Omega`` for the antisymmetric ``U = Omega``.
+    """
+    a = _complex_stack(rng, d, k)
+    v = np.einsum("ab,mbc->mac", omega(k), a - a.transpose(0, 2, 1))
+    return _in_random_gauge(rng, v)
 
 
 def dense_marginal(m: sz.Marginal) -> np.ndarray:
