@@ -43,7 +43,7 @@ from .hamiltonian import (
 from .modular import as_bipartite, bond_vector, modular_data
 from .mps import MpsTuple, as_mps, normalize, primitivity
 from .reflection import _certify, z2_index
-from .scan import MODELS, family, parse_model, scan, zoo
+from .scan import MODELS, check_grid, family, parse_model, scan, zoo
 
 SCHEMA_VERSION = "1"
 
@@ -347,6 +347,7 @@ def cmd_scan(args, cfg: Config, desc: dict):
         fam = family_from_data(data, s0=args.s0, s1=args.s1, grid=args.grid)
         desc["spec"] = data
     desc.update(s0=fam.s0, s1=fam.s1, grid=fam.grid)
+    check_grid(fam, cfg)
 
     def run():
         report = scan(fam, cfg)

@@ -132,7 +132,7 @@ class RankDeficient(SptError):
 
 
 class ResourceLimit(SptError):
-    """A dense computation would exceed the configured dimension cap."""
+    """A computation would exceed a configured cap on its size."""
 
     status = "resource_limit"
 

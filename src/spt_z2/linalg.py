@@ -12,10 +12,12 @@ Superoperators are therefore represented as ``k**2 x k**2`` matrices acting on
 column-stacked ``k x k`` matrices, built by :func:`kraus_superop` from two
 stacks of Kraus matrices.
 
-Hermitian eigensystems are returned with eigenvalues ascending (LAPACK order)
-and each eigenvector's phase fixed so that its first component of significant
-modulus is real and positive. That rule is :func:`canonical_phases`; peripheral
-eigenmatrices, gauge unitaries and Schmidt vectors follow it too.
+Hermitian eigensystems are returned with eigenvalues ascending (LAPACK order).
+Each eigenvector's phase is fixed so that its first component of significant
+modulus is real and positive; :class:`HermEig` applies that fix when its
+``vectors`` are first read, so a caller that reads only ``values`` never pays
+for it. The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
+unitaries and Schmidt vectors follow it too.
 
 Every tolerance these operations apply comes from the optional ``config``
 they take (``None`` means :data:`spt_z2.config.DEFAULT`); none has a
@@ -25,7 +27,9 @@ value floor of :func:`polar_unitary`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +83,18 @@ def canonical_phases(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermEig:
-    values: np.ndarray   # real, ascending
-    vectors: np.ndarray  # columns, orthonormal, phase-fixed
+    """Eigenvalues and orthonormal eigenvector columns of a Hermitian matrix.
+
+    ``values`` are real and ascending. ``vectors`` carry the canonical phase:
+    the fix runs on the first read of ``vectors`` and is cached, so a caller
+    that reads only ``values`` never pays for it.
+    """
+    values: np.ndarray
+    eigh_vectors: np.ndarray = field(repr=False)  # as eigh returns them
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return self.eigh_vectors * canonical_phases(self.eigh_vectors)
 
 
 def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
@@ -95,8 +109,8 @@ def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got {h.shape}")
     eps_herm = resolve(config).eps_herm
     hc = h.conj().T
-    scale = np.linalg.norm(h)
-    skew = np.linalg.norm(h - hc)
+    scale = frob(h)
+    skew = frob(h - hc)
     if scale > 0 and skew > eps_herm * max(scale, 1.0):
         raise NotHermitian(
             "matrix is not Hermitian within tolerance",
@@ -113,11 +127,12 @@ def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
     the norm; the symmetrized matrix is what gets diagonalized, so the
-    returned system is exactly Hermitian-consistent.
+    returned system is exactly Hermitian-consistent. Makes one ``eigh`` call;
+    the phase fix waits for the first read of ``vectors``.
     """
     hh = _symmetrized(np.asarray(h, dtype=complex), config)
     w, u = np.linalg.eigh(hh)
-    return HermEig(values=w, vectors=u * canonical_phases(u))
+    return HermEig(values=w, eigh_vectors=u)
 
 
 def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
@@ -244,4 +259,11 @@ def polar_unitary(x: np.ndarray) -> PolarFactor:
 
 
 def frob(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+    """Frobenius norm ``sqrt(Re vdot(x, x))`` of an array of any shape.
+
+    ``vdot`` conjugates its first argument and flattens both, so this is the
+    square root of the sum of ``|x_i|**2`` in one BLAS dot, with no call into
+    ``numpy.linalg.norm``. It can differ from that function in the last few
+    bits, since the sum is taken in a different order.
+    """
+    return math.sqrt(np.vdot(x, x).real)

@@ -442,7 +442,7 @@ def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
     if abs(tr - 1.0) > 1e-7:
         raise ConvergenceFailure("marginal trace drifted from 1", trace=tr, l=l)
     gram = phi.conj().T @ phi
-    evals = herm_eig(0.5 * (gram + gram.conj().T), cfg).values
+    evals = herm_eig(gram, cfg).values
     if float(evals.min()) < -1e-8:
         raise ConvergenceFailure(
             "marginal has a significantly negative eigenvalue",

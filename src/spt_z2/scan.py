@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .config import Config, resolve
-from .errors import SptError, UnknownModel
+from .errors import ResourceLimit, SptError, UnknownModel
 from .linalg import peripheral_window
 from .mps import normalize, transfer_spectrum
 from .reflection import z2_index
@@ -167,6 +167,13 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     return FamilySpec(name=name, s0=s0, s1=s1, grid=grid, generator=generator)
 
 
+def check_grid(spec: FamilySpec, config: Config | None = None) -> None:
+    """Refuse a grid of more than ``scan_cap`` points as :class:`ResourceLimit`."""
+    cap = resolve(config).scan_cap
+    if spec.grid > cap:
+        raise ResourceLimit("scan grid exceeds the point cap", grid=spec.grid, cap=cap)
+
+
 @dataclass(frozen=True)
 class ScanPoint:
     s: float
@@ -229,8 +236,10 @@ def scan(spec: FamilySpec, config: Config | None = None) -> ScanReport:
     it holds several eigenvalues, null if no tuple was generated or normalized).
     ``constant_index`` means every point has the same defined index;
     ``first_failure`` is the smallest grid value where certification failed.
+    A grid above ``scan_cap`` is refused before any point runs.
     """
     cfg = resolve(config)
+    check_grid(spec, cfg)
     values = np.linspace(spec.s0, spec.s1, spec.grid)
     points = [_scan_point(spec, float(s), cfg) for s in values]
     zetas = [p.zeta for p in points]

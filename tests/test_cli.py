@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 from pathlib import Path
@@ -137,6 +138,23 @@ def test_index_overflow_is_numerical_error():
 def test_parent_ham_resource_limit():
     code, env = run(["parent-ham", "--model", "aklt", "--n", "8"])
     assert code == 8 and env["status"] == "resource_limit"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid", "1000000000"],
+    ["--grid", "4", "--scan-cap", "3"],
+], ids=["huge-grid", "grid-above-flag-cap"])
+def test_scan_grid_above_cap_is_resource_limit(monkeypatch, argv):
+    """The full run and --validate-only refuse alike, before any point runs."""
+    def no_points(*args, **kw):
+        raise AssertionError("a scan point ran")
+
+    monkeypatch.setattr(importlib.import_module("spt_z2.scan"), "_scan_point", no_points)
+    for extra in ([], ["--validate-only"]):
+        code, env = run(["scan", "--family", "deformed-aklt"] + argv + extra)
+        assert code == 8 and env["status"] == "resource_limit", extra
+        assert env["result"]["error"] == "ResourceLimit"
+        assert env["result"]["cap"] == env["config"]["scan_cap"]
 
 
 # -- digests and round trips --------------------------------------------------

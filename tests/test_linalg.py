@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spt_z2 import errors
+from spt_z2 import errors, linalg
 from spt_z2.config import Config
 from spt_z2.linalg import (
     frob,
@@ -73,6 +73,44 @@ def test_herm_eig_contract(rng):
         col = sys.vectors[:, j]
         piv = col[np.abs(col) >= 0.5 * np.abs(col).max()][0]
         assert abs(piv.imag) < 1e-12 and piv.real > 0
+
+
+def _pairwise_degenerate(rng, k: int) -> np.ndarray:
+    """Hermitian matrix whose eigenvalues come in equal pairs, like rho at zeta = -1."""
+    from util import haar_unitary
+
+    q = haar_unitary(rng, k)
+    return (q * np.repeat(rng.uniform(0.1, 1.0, k // 2), 2)) @ q.conj().T
+
+
+@pytest.mark.parametrize("kind", ["complex", "pairwise-degenerate", "real-symmetric"])
+def test_herm_eig_vectors_are_the_eager_phase_fix(rng, monkeypatch, kind):
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    s = rng.standard_normal((6, 6))
+    h = {"complex": a + a.conj().T,
+         "pairwise-degenerate": _pairwise_degenerate(rng, 6),
+         "real-symmetric": s + s.T}[kind]
+    hc = np.asarray(h, dtype=complex)
+    w, u = np.linalg.eigh(0.5 * (hc + hc.conj().T))
+    calls = []
+    fix = linalg.canonical_phases
+    monkeypatch.setattr(linalg, "canonical_phases", lambda v: calls.append(1) or fix(v))
+    sys = herm_eig(h)
+    assert np.array_equal(sys.values, w)
+    assert not calls  # reading values only never fixes a phase
+    assert np.array_equal(sys.vectors, u * fix(u))
+    assert sys.vectors is sys.vectors and len(calls) == 1  # fixed once, then cached
+
+
+@pytest.mark.parametrize("x", [
+    np.arange(12.0).reshape(3, 4) - 5.5,
+    (np.arange(24.0) - 7.25).reshape(2, 3, 4) * (1 - 0.5j),
+    np.zeros((0, 3)),
+    np.array(3 - 4j),
+], ids=["real", "complex-3d", "empty", "scalar"])
+def test_frob_is_the_frobenius_norm(x):
+    assert abs(frob(x) - np.linalg.norm(x.ravel())) <= 4e-16 * np.linalg.norm(x.ravel())
+    assert isinstance(frob(x), float)
 
 
 def test_herm_eig_rejects_skew(rng):

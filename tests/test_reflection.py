@@ -1,9 +1,13 @@
+import sys
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spt_z2 as sz
+from spt_z2 import linalg, mps
 from spt_z2.linalg import frob
 from spt_z2.mps import _extend_words, reverse_word_index
 from spt_z2.reflection import _marginal_reversal_residual
@@ -284,23 +288,97 @@ def test_z2_index_ill_conditioned_rho():
     assert rep.sym_residual < 1e-10
 
 
-@pytest.mark.parametrize("generator,zeta,phase,cells", [
-    (phase_pi_sign_plus, +1, -1.0, [(3, 4), (4, 4), (2, 6)]),
-    (phase_zero_sign_minus, -1, +1.0, [(4, 4), (3, 6)]),
-], ids=["theta-pi-zeta-plus", "theta-0-zeta-minus"])
-def test_sign_is_not_the_gauge_phase(generator, zeta, phase, cells):
+_SIGN_PLUS_CELLS = ([(3, 4), (4, 4), (2, 6)],
+                    {(2, 2): sz.NotPrimitive, (2, 4): sz.NotPrimitive})
+_SIGN_MINUS_CELLS = ([(4, 4), (3, 6)],
+                     {(2, 2): sz.NotPrimitive, (2, 4): sz.NotPrimitive,
+                      (3, 4): sz.NotPrimitive, (2, 6): sz.NotPrimitive})
+
+
+@pytest.mark.parametrize("generator,zeta,phase,cells,refused,b", [
+    (phase_pi_sign_plus, +1, -1.0, *_SIGN_PLUS_CELLS, 1),
+    (phase_zero_sign_minus, -1, +1.0, *_SIGN_MINUS_CELLS, 1),
+    (phase_pi_sign_plus, +1, -1.0, *_SIGN_PLUS_CELLS, 2),
+    (phase_zero_sign_minus, -1, +1.0, *_SIGN_MINUS_CELLS, 2),
+], ids=["theta-pi-zeta-plus", "theta-0-zeta-minus",
+        "theta-pi-zeta-plus-blocked-2", "theta-0-zeta-minus-blocked-2"])
+def test_sign_is_not_the_gauge_phase(generator, zeta, phase, cells, refused, b):
     # known answers with e^{i theta} = -zeta: a sign read from the gauge phase
-    # is wrong on every conclusive cell. At (2, 2) and (2, 4) the peripheral
-    # spectrum is degenerate, and "not primitive" is the only true refusal.
+    # is wrong on every conclusive unblocked cell. Each refused cell has a
+    # degenerate peripheral spectrum, and "not primitive" is the only true
+    # refusal. Blocking b sites (with the composed reflect_perm) keeps zeta,
+    # raises the phase to the power b and the peripheral spectrum too, so
+    # the same cells answer and the same cells refuse.
+    def tuple_of(seed, d, k):
+        raw = generator(np.random.default_rng([seed, d, k]), d, k)
+        return raw if b == 1 else sz.block(sz.normalize(raw), b)
+
     for d, k in cells:
         for seed in range(4):
-            rep = sz.z2_index(generator(np.random.default_rng([seed, d, k]), d, k))
+            rep = sz.z2_index(tuple_of(seed, d, k))
             assert rep.zeta == zeta
-            assert abs(rep.phase - phase) < 1e-8
-    for d, k in [(2, 2), (2, 4)]:
+            assert abs(rep.phase - phase ** b) < 1e-8
+    for (d, k), refusal in refused.items():
         for seed in range(4):
-            with pytest.raises(sz.NotPrimitive):
-                sz.z2_index(generator(np.random.default_rng([seed, d, k]), d, k))
+            with pytest.raises(refusal):
+                sz.z2_index(tuple_of(seed, d, k))
+
+
+def _eager_herm_eig(h, config=None):
+    """Reference ``herm_eig``: ``eigh`` of the symmetrized matrix, phase fixed at once."""
+    h = np.asarray(h, dtype=complex)
+    w, u = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return SimpleNamespace(values=w, vectors=u * linalg.canonical_phases(u))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sz.zoo("aklt"),
+    lambda: known_answer_tuple(np.random.default_rng([0, 2, 4]), 2, 4, -1),
+], ids=["aklt", "d2k4-"])
+def test_lazy_phase_fix_keeps_reported_bits(monkeypatch, make):
+    def reported():
+        t = sz.normalize(make())
+        refl = sz.reflected_tuple(t, sz.invariant_state(t).rho)
+        rep = sz.z2_index(make())
+        return [refl.basis, refl.rho_diag, rep.U, rep.basis, rep.rho_diag, np.array(rep.phase)]
+
+    lazy = reported()
+    monkeypatch.setattr(linalg, "herm_eig", _eager_herm_eig)
+    monkeypatch.setattr(mps, "herm_eig", _eager_herm_eig)
+    for got, want in zip(lazy, reported()):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_aklt_index_call_counts(monkeypatch):
+    """One aklt index: 4 eig, 2 eigvals, 7 eigh, 3 svd, 5 transfer matrices, 3 phase fixes.
+
+    The counts mirror ``AKLT_CALLS`` in ``perfbench/run.py``, which the traced
+    benchmark self-check pins, so a drift fails here before it does there.
+    This test moves together with the re-pin of ROADMAP item 1.
+    """
+    counts = Counter()
+
+    holders = [np.linalg] + [mod for key, mod in sys.modules.items()
+                             if key.startswith("spt_z2")]
+
+    def count(fn, label):
+        def counted(*args, **kw):
+            counts[label] += 1
+            return fn(*args, **kw)
+
+        # swapped wherever it is held, as modules import functions by name
+        for mod in holders:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    for name in ("eig", "eigvals", "eigh", "svd"):
+        count(getattr(np.linalg, name), name)
+    count(mps.transfer_matrix, "transfer_matrix")
+    count(linalg.canonical_phases, "canonical_phases")
+    sz.z2_index(sz.zoo("aklt"))
+    assert counts == {"eig": 4, "eigvals": 2, "eigh": 7, "svd": 3,
+                      "transfer_matrix": 5, "canonical_phases": 3}
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):

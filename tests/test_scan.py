@@ -89,6 +89,12 @@ def test_family_validation():
 
 # -- scans --------------------------------------------------------------------
 
+def test_scan_refuses_a_grid_above_the_cap():
+    with pytest.raises(sz.ResourceLimit):
+        sz.scan(sz.family("deformed-aklt", grid=3), config=sz.Config(scan_cap=2))
+    assert len(sz.scan(sz.family("deformed-aklt", grid=2), config=sz.Config(scan_cap=2)).points) == 2
+
+
 def test_scan_breaker_first_failure():
     rep = sz.scan(sz.family("aklt-breaker", 0.0, 0.2, 5))
     assert [round(p.s, 4) for p in rep.points] == [0.0, 0.05, 0.1, 0.15, 0.2]
