@@ -8,9 +8,10 @@ Construction is the one validity check, whatever the source (flags, a file,
 ``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
 (0, 0.5), and every integer is at least 1 (``l_max`` may be None). Not every
-threshold is here: 18 fixed literals besides the 1e-300 division guards
-(e.g. the 1e-7 eigen-residual in ``mps.normalize`` and the 1e-9 singular
-value floor of ``linalg.polar_unitary``) sit in the code that applies them.
+threshold is here: 17 fixed thresholds besides the 1e-300 division guards
+(e.g. the 1e-7 eigen-residual of ``mps._positive_fixed_point`` and the 1e-9
+singular value floor of ``linalg.polar_unitary``) sit in the code that
+applies them.
 """
 
 from __future__ import annotations

@@ -228,20 +228,11 @@ def psd_power(rho: np.ndarray, power: float, config: Config | None = None) -> np
     return (u * wp) @ u.conj().T
 
 
-@dataclass(frozen=True)
-class PolarFactor:
-    unitary: np.ndarray
-    scale: float       # mean singular value, the best c in X ~ c U
-    deviation: float   # ||X - c U||_F / ||X||_F
-
-
-def polar_unitary(x: np.ndarray) -> PolarFactor:
-    """Unitary polar factor U = X (X^dagger X)^{-1/2} plus proximity data.
+def polar_unitary(x: np.ndarray) -> np.ndarray:
+    """Unitary polar factor U = X (X^dagger X)^{-1/2}.
 
     Raises :class:`RankDeficient` when the smallest singular value is below
     1e-9 times the largest, since the factor is then not determined.
-    The deviation measures how far X is from an exact scalar multiple of a
-    unitary: zero iff all singular values coincide.
     """
     x = np.asarray(x, dtype=complex)
     u, s, vh = np.linalg.svd(x)
@@ -252,10 +243,7 @@ def polar_unitary(x: np.ndarray) -> PolarFactor:
             sigma_max=float(s[0]),
             tolerance=1e-9,
         )
-    c = float(s.mean())
-    # ||X - cU||_F^2 = sum_i (s_i - c)^2 in the shared singular frame
-    dev = float(np.linalg.norm(s - c) / np.linalg.norm(s))
-    return PolarFactor(unitary=u @ vh, scale=c, deviation=dev)
+    return u @ vh
 
 
 def frob(x: np.ndarray) -> float:

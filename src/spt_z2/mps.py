@@ -36,9 +36,10 @@ from .errors import (
     NotFaithful,
     NotNormalizable,
     NotPrimitive,
+    SptError,
     WindowTooLarge,
 )
-from .linalg import (eig_sort_key, frob, herm_eig, kraus_superop, peripheral_eigs,
+from .linalg import (HermEig, eig_sort_key, frob, herm_eig, kraus_superop, peripheral_eigs,
                      peripheral_window, pos_def_eig, unvec, vec)
 
 
@@ -75,7 +76,7 @@ def as_mps(obj, reflect_perm=None) -> MpsTuple:
         if reflect_perm is not None:
             raise InvalidInput("cannot override reflect_perm of an existing tuple")
         return obj
-    v = np.asarray(obj, dtype=complex)
+    v = np.ascontiguousarray(obj, dtype=complex)
     if v.ndim != 3 or v.shape[1] != v.shape[2]:
         raise InvalidInput("tuple must have shape (d, k, k)", shape=list(v.shape))
     d, k = v.shape[0], v.shape[1]
@@ -111,16 +112,13 @@ def require_normalized(t: MpsTuple, config: Config | None = None) -> None:
     cfg = resolve(config)
     r = channel_residual(t)
     # small slack over eps_norm: blocked tuples accumulate a few ulps per site
-    if r > 10 * cfg.eps_norm:
+    tol = 10 * cfg.eps_norm
+    if not r <= tol:  # a NaN residual (overflowing entries) is refused too
         raise NormalizationBroken(
             "tuple does not satisfy the channel condition",
             residual=r,
-            tolerance=cfg.eps_norm,
+            tolerance=tol,
         )
-
-
-def apply_adjoint(t: MpsTuple, y: np.ndarray) -> np.ndarray:
-    return np.einsum("mba,bc,mcd->ad", t.v.conj(), y, t.v)
 
 
 def transfer_matrix(t: MpsTuple) -> np.ndarray:
@@ -133,52 +131,59 @@ def transfer_spectrum(t: MpsTuple) -> np.ndarray:
     return w[eig_sort_key(w)]
 
 
+def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], message: str,
+                          cfg: Config) -> tuple[float, np.ndarray, float, HermEig]:
+    """Positive definite eigenmatrix ``x`` of ``mat`` at its spectral radius ``r``.
+
+    ``x`` is the identity's orthogonal projection onto the whole eigenspace
+    at ``r``, which may be degenerate (e.g. reducible tuples); that space is
+    closed under the adjoint, so ``x`` is its Hermitian part. Returns ``r``,
+    ``x``, the residual ``||mat x - r x|| / (r ||x||)`` and the
+    :func:`pos_def_eig` system of ``x``. Every failure raises ``refusal``.
+    """
+    w, vs = np.linalg.eig(mat)
+    r = float(np.abs(w).max())
+    if r <= 1e-300:
+        raise refusal("tuple is numerically zero", spectral_radius=r)
+    # fixed points at eigenvalue r itself (positive real), not just modulus r
+    dom = np.nonzero(np.abs(w - r) <= 1e-9 * r)[0]
+    if dom.size == 0:
+        raise refusal(
+            "no transfer eigenvalue at the spectral radius on the positive axis",
+            spectral_radius=r,
+        )
+    basis = vs[:, dom]
+    coeff, *_ = np.linalg.lstsq(basis, vec(np.eye(k)), rcond=None)
+    x = unvec(basis @ coeff, k)
+    x = 0.5 * (x + x.conj().T)
+    res = frob(unvec(mat @ vec(x), k) - r * x) / max(r * frob(x), 1e-300)
+    if res > 1e-7:
+        raise refusal(
+            "identity has no component along a positive fixed point",
+            eigen_residual=res,
+        )
+    return r, x, res, pos_def_eig(x, refusal, message, cfg)
+
+
 def normalize(raw, config: Config | None = None) -> MpsTuple:
     """Rescale a raw tuple into channel form.
 
-    Leaves an already-normalized tuple untouched. Otherwise finds a positive
-    definite fixed point ``e`` of the transfer map at its spectral radius
-    ``r`` and returns ``w_mu = r**-0.5 e**-0.5 v_mu e**0.5``. The dominant
-    eigenvalue may be degenerate (e.g. reducible tuples); the identity's
-    projection onto the full dominant eigenspace decides whether a positive
-    choice of ``e`` exists, and :class:`NotNormalizable` is raised when it
-    does not, or when the transfer matrix overflows.
+    Leaves an already-normalized tuple untouched. Otherwise scales the
+    entries by a power of two (exact, and no scale over- or underflows the
+    transfer matrix), finds the positive definite fixed point ``e`` of the
+    transfer map at its spectral radius ``r`` (:func:`_positive_fixed_point`,
+    else :class:`NotNormalizable`) and returns ``r**-0.5 e**-0.5 v_mu e**0.5``.
     """
     cfg = resolve(config)
     t = as_mps(raw)
     if channel_residual(t) <= cfg.eps_norm:
         return t
 
-    k = t.k
-    with np.errstate(over="ignore", invalid="ignore"):
-        tm = transfer_matrix(t)
-    if not np.isfinite(tm).all():
-        raise NotNormalizable("transfer matrix overflows; tuple entries are too large")
-    w, vs = np.linalg.eig(tm)
-    r = float(np.abs(w).max())
-    if r <= 1e-300:
-        raise NotNormalizable("tuple is numerically zero", spectral_radius=r)
-    # fixed points at eigenvalue r itself (positive real), not just modulus r
-    dom = np.nonzero(np.abs(w - r) <= 1e-9 * r)[0]
-    if dom.size == 0:
-        raise NotNormalizable(
-            "no transfer eigenvalue at the spectral radius on the positive axis",
-            spectral_radius=r,
-        )
-    basis = vs[:, dom]
-    coeff, *_ = np.linalg.lstsq(basis, vec(np.eye(k)), rcond=None)
-    e = unvec(basis @ coeff, k)
-    eh = 0.5 * (e + e.conj().T)
-    if frob(eh) < 1e-8 * frob(e):
-        eh = (e - e.conj().T) / 2j
-    e = eh
-    ev_res = frob(unvec(tm @ vec(e), k) - r * e) / max(r * frob(e), 1e-300)
-    if ev_res > 1e-7:
-        raise NotNormalizable(
-            "identity has no component along a positive fixed point",
-            eigen_residual=float(ev_res),
-        )
-    sys = pos_def_eig(e, NotNormalizable, "dominant fixed point is not positive definite", cfg)
+    parts = t.v.view(float)
+    t = MpsTuple(v=np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex),
+                 reflect_perm=t.reflect_perm)
+    r, _, _, sys = _positive_fixed_point(transfer_matrix(t), t.k, NotNormalizable,
+                                         "dominant fixed point is not positive definite", cfg)
     root = (sys.vectors * np.sqrt(sys.values)) @ sys.vectors.conj().T
     root_inv = (sys.vectors * (1.0 / np.sqrt(sys.values))) @ sys.vectors.conj().T
     out = as_mps(
@@ -232,10 +237,11 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
     A span still short of the full algebra at length k^4 is also
     conclusively not primitive, by the quantum Wielandt bound (Sanz,
     Perez-Garcia, Wolf, Cirac, IEEE TIT 56, 4668, 2010). Below that length
-    the search stays :class:`Inconclusive`. The spectral route demands a
-    unique peripheral transfer eigenvalue *and* a faithful invariant state;
-    peripheral uniqueness alone is not sufficient. The two routes must agree
-    or :class:`Inconclusive` is raised.
+    the search stays :class:`Inconclusive`. The spectral route is
+    :func:`invariant_state`: it demands a unique peripheral transfer
+    eigenvalue *and* a faithful invariant state, since peripheral uniqueness
+    alone is not sufficient. The two routes must agree or
+    :class:`Inconclusive` is raised.
     """
     cfg = resolve(config)
     require_normalized(t, cfg)
@@ -274,16 +280,12 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
             full_dimension=full,
         )
 
-    on, gap = peripheral_window(transfer_spectrum(t), cfg)
-    periph = int(on.sum())
-
-    spectral_ok = periph == 1
-    if spectral_ok:
-        try:
-            pos_def_eig(_adjoint_fixed_point(t)[0], NotFaithful,
-                        "invariant state is singular; spectral route fails", cfg)
-        except NotFaithful:
-            spectral_ok = False
+    try:
+        spectral_ok, periph, gap = True, 1, invariant_state(t, cfg).spectral_gap
+    except (NotPrimitive, NotFaithful) as exc:
+        # a singular state comes after a simple peripheral eigenvalue
+        spectral_ok, gap = False, exc.payload["spectral_gap"]
+        periph = exc.payload.get("peripheral_count", 1)
 
     if spectral_ok != verdict:
         raise Inconclusive(
@@ -315,52 +317,45 @@ def _identity_row(k: int) -> np.ndarray:
     return row / np.linalg.norm(row)
 
 
-def _adjoint_fixed_point(t: MpsTuple) -> tuple[np.ndarray, float]:
-    """Trace-one Hermitian fixed point of the adjoint channel, with residual."""
-    k = t.k
-    am = transfer_matrix(t).conj().T
-    w, vs = np.linalg.eig(am)
-    idx = int(np.argmin(np.abs(w - 1.0)))
-    if abs(w[idx] - 1.0) > 1e-8:
-        raise ConvergenceFailure(
-            "adjoint transfer map has no eigenvalue at 1",
-            closest=complex(w[idx]),
-        )
-    x = unvec(vs[:, idx], k)
-    tr = np.trace(x)
-    if abs(tr) < 1e-12:
-        raise NotFaithful("adjoint fixed point is traceless; state undefined",
-                          trace=abs(complex(tr)))
-    x = x / tr
-    rho = 0.5 * (x + x.conj().T)
-    rho = rho / np.real(np.trace(rho))
-    res = frob(apply_adjoint(t, rho) - rho)
-    return rho, float(res)
-
-
 @dataclass(frozen=True)
 class InvariantState:
     rho: np.ndarray
     residual: float
     min_eigenvalue: float
+    spectral_gap: float
 
 
 def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState:
-    """Faithful invariant state of a primitive tuple's adjoint channel."""
+    """Faithful invariant state of a primitive tuple's adjoint channel.
+
+    The spectral primitivity route: a unique peripheral transfer eigenvalue
+    (else :class:`NotPrimitive`) and a positive definite adjoint fixed point
+    from :func:`_positive_fixed_point` (else :class:`NotFaithful`), both
+    refusals carrying ``spectral_gap``. ``rho`` has trace one.
+    """
     cfg = resolve(config)
     require_normalized(t, cfg)
-    periph = int(peripheral_window(transfer_spectrum(t), cfg)[0].sum())
+    on, gap = peripheral_window(transfer_spectrum(t), cfg)
+    periph = int(on.sum())
     if periph != 1:
         raise NotPrimitive(
             "dominant transfer eigenvalue is not simple",
             peripheral_count=periph,
+            spectral_gap=gap,
         )
-    rho, res = _adjoint_fixed_point(t)
-    if res > 1e-8:
+    try:
+        r, x, res, sys = _positive_fixed_point(
+            transfer_matrix(t).conj().T, t.k, NotFaithful,
+            "invariant state is singular within tolerance", cfg)
+    except NotFaithful as exc:
+        exc.payload["spectral_gap"] = gap
+        raise
+    if abs(r - 1.0) > 1e-8 or res > 1e-8:
         raise ConvergenceFailure("invariant state residual above tolerance",
-                                 residual=res)
-    sys = pos_def_eig(rho, NotFaithful, "invariant state is singular within tolerance", cfg)
-    return InvariantState(rho=rho, residual=res, min_eigenvalue=float(sys.values[0]))
+                                 spectral_radius=r, residual=res)
+    tr = float(np.trace(x).real)
+    return InvariantState(rho=x / tr, residual=res, min_eigenvalue=float(sys.values[0]) / tr,
+                          spectral_gap=gap)
 
 
 def reverse_word_index(d: int, l: int, pi: np.ndarray) -> np.ndarray:

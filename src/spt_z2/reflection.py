@@ -127,14 +127,13 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
         )
     x = unvec(vs[:, i0], t.k)
     try:
-        polar = polar_unitary(x)
+        u = polar_unitary(x).conj().T
     except RankDeficient as exc:
         raise NotUnitaryMultiple(
             "dominant mixed eigenmatrix is singular",
             mixed_radius=radius,
             **exc.payload,
         ) from exc
-    u = polar.unitary.conj().T
     u = u * canonical_phases(u.reshape(-1, 1))
     phase = lam / radius
     miss = x @ s.v.conj().transpose(0, 2, 1) - phase * t.v.conj().transpose(0, 2, 1) @ x
@@ -241,6 +240,9 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
             peripheral_count=cert.peripheral_count,
             spectral_gap=cert.spectral_gap,
         )
+    # primitivity found this state already; taking it from there would save one
+    # eigvals, eig and eigh and two transfer matrices per index, but moves the
+    # call counts the benchmark pins, so it waits for their re-pin (ROADMAP 4)
     inv = invariant_state(t, cfg)
     refl = reflected_tuple(t, inv.rho, cfg)
     evidence, gauge = _evidence(t, cert, inv, refl, cfg)

@@ -129,10 +129,13 @@ def test_index_numerical_error(tmp_path):
     assert env["result"]["error"] == "NotNormalizable"
 
 
-def test_index_overflow_is_numerical_error():
-    code, env = run(["index", "--model", "aklt-breaker:1e308"])
-    assert code == 7 and env["status"] == "numerical_error"
-    assert env["result"]["error"] == "NotNormalizable"
+def test_index_of_a_huge_breaker_is_not_primitive():
+    # normalize rescales by a power of two, so even s = 1e308 normalizes; the
+    # transfer gap closes as 1/s, and the tuple reads not_primitive as at 1e20
+    for s in ("1e20", "1e308"):
+        code, env = run(["index", "--model", f"aklt-breaker:{s}"])
+        assert code == 2 and env["status"] == "not_primitive"
+        assert env["result"]["error"] == "NotPrimitive"
 
 
 def test_parent_ham_resource_limit():
@@ -309,18 +312,26 @@ def test_parent_ham_default_window_n6():
 
 # -- scan ---------------------------------------------------------------------
 
-def test_scan_records_a_refusing_generator():
-    # the aklt-breaker generator renormalizes, and at s = 5e307 its transfer
-    # matrix overflows; the point is recorded and the scan goes on
+def test_scan_records_a_refusing_generator(monkeypatch):
+    # a generator that refuses for s > 0: the point is recorded and the scan goes on
+    scan_module = importlib.import_module("spt_z2.scan")
+    breaker = scan_module._breaker
+
+    def refusing(s):
+        if s > 0.0:
+            raise sz.NotNormalizable("no channel form", s=s)
+        return breaker(s)
+
+    monkeypatch.setattr(scan_module, "_breaker", refusing)
     code, env = run(["scan", "--family", "aklt-breaker",
-                     "--s0", "0", "--s1", "1e308", "--grid", "3"])
+                     "--s0", "0", "--s1", "0.5", "--grid", "3"])
     assert code == 0
     points = env["result"]["points"]
     assert [p["status"] for p in points] == ["ok", "numerical_error", "numerical_error"]
     mid = points[1]
-    assert (mid["s"], mid["error"], mid["transfer_gap"]) == (5e307, "NotNormalizable", None)
+    assert (mid["s"], mid["error"], mid["transfer_gap"]) == (0.25, "NotNormalizable", None)
     assert not mid["primitive"] and mid["zeta"] is None
-    assert env["result"]["summary"] == {"constant_index": False, "first_failure": 5e307}
+    assert env["result"]["summary"] == {"constant_index": False, "first_failure": 0.25}
 
 
 def test_scan_records_a_large_breaker_as_inconclusive():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
+from spt_z2 import mps
 from spt_z2.linalg import frob, unvec, vec
-from spt_z2.mps import apply_adjoint, channel_residual, reverse_word_index, transfer_matrix
+from spt_z2.mps import channel_residual, reverse_word_index, transfer_matrix
 from spt_z2.reflection import _marginal_reversal_residual
-from util import (dense_marginal, known_answer_tuple, marginal_oracle, random_channel_tuple,
-                  word_index)
+from util import (apply_adjoint, dense_marginal, known_answer_tuple, marginal_oracle,
+                  random_channel_tuple, word_index)
 
 
 def sigma_plus_tuple():
@@ -39,6 +40,14 @@ def test_as_mps_rejects_nonfinite():
     v[1, 0, 0] = np.nan
     with pytest.raises(sz.InvalidInput):
         sz.as_mps(v)
+
+
+def test_as_mps_accepts_a_strided_complex_tuple(rng):
+    # a transposed view is not contiguous in its last axis; as_mps copies it
+    a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    t = sz.as_mps(a.transpose(0, 2, 1))
+    assert np.array_equal(t.v, a.transpose(0, 2, 1))
+    assert sz.normalize(t).v.shape == (2, 3, 3)
 
 
 def test_as_mps_perm_validation(aklt_raw):
@@ -112,9 +121,22 @@ def test_normalize_zero_tuple():
 
 
 def test_normalize_refuses_overflowing_transfer_matrix():
-    # finite entries whose products overflow: a typed refusal, not a LinAlgError
-    with pytest.raises(sz.NotNormalizable, match="overflows"):
+    # entries whose products would overflow are first scaled by an exact power
+    # of two, so the tuple is refused as np.full(..., 1.0) is
+    with pytest.raises(sz.NotNormalizable, match="^dominant fixed point is not positive definite$"):
         sz.z2_index(np.full((2, 2, 2), 1e200))
+
+
+@pytest.mark.parametrize("s", [1e150, 1e-160])
+def test_normalize_is_scale_free(s):
+    # a symmetric k=6 tuple (index +1): its transfer matrix would overflow at
+    # 1e150 and underflow at 1e-160 without the power-of-two rescaling
+    a = np.random.default_rng(29).standard_normal((2, 6, 6))
+    a = a + a.transpose(0, 2, 1)
+    assert sz.z2_index(s * a).zeta == 1
+    # the rescaling is exact, so a power-of-two scale leaves every output bit alone
+    scaled = np.ldexp(a, int(np.log2(s)))
+    assert sz.normalize(scaled).v.tobytes() == sz.normalize(a).v.tobytes()
 
 
 @pytest.mark.parametrize("s", ["3e4", "1e6"])
@@ -207,6 +229,27 @@ def test_primitivity_requires_normalized(aklt):
         sz.primitivity(sz.MpsTuple(v=2.0 * aklt.v))
 
 
+@pytest.mark.parametrize("f,refused", [(2e-9, False), (5e-9, True)])
+def test_require_normalized_reports_the_applied_bound(aklt, f, refused):
+    # the bound is 10 * eps_norm = 1e-8; (1 + f) * aklt has residual 2 * sqrt(2) * f
+    t = sz.MpsTuple(v=(1.0 + f) * aklt.v)
+    if not refused:
+        mps.require_normalized(t)
+        return
+    with pytest.raises(sz.NormalizationBroken) as info:
+        mps.require_normalized(t)
+    assert info.value.payload["tolerance"] == 1e-8
+    assert info.value.payload["residual"] > 1e-8
+
+
+def test_require_normalized_refuses_a_nan_residual():
+    # the products of these entries overflow inside einsum, which warns about
+    # nothing and leaves a NaN residual: a typed refusal, not a LinAlgError later
+    t = sz.as_mps(np.full((2, 2, 2), 1e200 + 1e200j))
+    with pytest.raises(sz.NormalizationBroken):
+        sz.primitivity(t)
+
+
 # -- invariant state ---------------------------------------------------------
 
 def test_invariant_state_aklt(aklt_rho):
@@ -237,11 +280,12 @@ def test_invariant_state_not_faithful():
 
 @pytest.mark.parametrize("call,refusal", [
     (lambda: sz.normalize(np.full((2, 2, 2), 1.0)),
-     (sz.NotNormalizable, "dominant fixed point is not positive definite")),
+     (sz.NotNormalizable, "dominant fixed point is not positive definite", {})),
+    # invariant_state adds the transfer gap, which primitivity reads
     (lambda: sz.invariant_state(sigma_plus_tuple()),
-     (sz.NotFaithful, "invariant state is singular within tolerance")),
+     (sz.NotFaithful, "invariant state is singular within tolerance", {"spectral_gap": 1.0})),
     (lambda: sz.reflected_tuple(sigma_plus_tuple(), np.diag([0.0, 1.0])),
-     (sz.NotFaithful, "invariant state is singular; reflected tuple undefined")),
+     (sz.NotFaithful, "invariant state is singular; reflected tuple undefined", {})),
     # primitivity reads the refusal as a failed spectral route
     (lambda: sz.primitivity(sigma_plus_tuple()).is_primitive, None),
 ])
@@ -254,7 +298,39 @@ def test_faithful_state_refusals(call, refusal):
     with pytest.raises(refusal[0]) as info:
         call()
     assert info.value.message == refusal[1]
-    assert info.value.payload == {"min_eigenvalue": 0.0, "max_eigenvalue": 1.0}
+    assert info.value.payload == {"min_eigenvalue": 0.0, "max_eigenvalue": 1.0, **refusal[2]}
+
+
+def test_one_positive_fixed_point_routine(monkeypatch, aklt):
+    # normalize and invariant_state share one fixed-point routine
+    seen = []
+    inner = mps._positive_fixed_point
+
+    def spy(mat, k, refusal, message, cfg):
+        seen.append(refusal)
+        return inner(mat, k, refusal, message, cfg)
+
+    monkeypatch.setattr(mps, "_positive_fixed_point", spy)
+    sz.normalize(3.0 * aklt.v)
+    assert seen == [sz.NotNormalizable]
+    assert sz.normalize(aklt) is aklt
+    assert seen == [sz.NotNormalizable]
+    sz.invariant_state(aklt)
+    assert seen == [sz.NotNormalizable, sz.NotFaithful]
+    # primitivity's spectral route is invariant_state
+    assert sz.primitivity(aklt).spectral_gap == pytest.approx(2 / 3)
+    assert len(seen) == 3
+
+    with pytest.raises(sz.NotFaithful) as info:
+        sz.invariant_state(sigma_plus_tuple())
+    assert info.value.message == "invariant state is singular within tolerance"
+    assert len(seen) == 4
+    # a reducible tuple is refused before any fixed point is sought
+    with pytest.raises(sz.NotPrimitive) as info:
+        sz.invariant_state(sz.normalize(sz.zoo("ghz")))
+    assert info.value.message == "dominant transfer eigenvalue is not simple"
+    assert info.value.payload == {"peripheral_count": 2, "spectral_gap": 1.0}
+    assert len(seen) == 4
 
 
 # -- marginals ---------------------------------------------------------------

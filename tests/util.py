@@ -87,6 +87,11 @@ def phase_zero_sign_minus(rng: np.random.Generator, d: int, k: int) -> np.ndarra
     return _in_random_gauge(rng, v)
 
 
+def apply_adjoint(t: sz.MpsTuple, y: np.ndarray) -> np.ndarray:
+    """Adjoint channel ``sum_mu v_mu^dagger y v_mu`` by direct contraction."""
+    return np.einsum("mba,bc,mcd->ad", t.v.conj(), y, t.v)
+
+
 def dense_marginal(m: sz.Marginal) -> np.ndarray:
     """The d^l x d^l marginal ``factor @ factor^dagger`` of a word factor."""
     return m.factor @ m.factor.conj().T
