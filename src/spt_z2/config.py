@@ -9,9 +9,11 @@ Construction is the one validity check, whatever the source (flags, a file,
 values are legal and only force refusals), ``peripheral_tol`` lies in
 (0, 0.5), and every integer is at least 1 (``l_max`` may be None). Not every
 threshold is here: 17 fixed thresholds besides the 1e-300 division guards
-(e.g. the 1e-7 eigen-residual of ``mps._positive_fixed_point`` and the 1e-9
-singular value floor of ``linalg.polar_unitary``) sit in the code that
-applies them.
+sit in the code that applies them. Nine are upper bounds passed to
+:func:`spt_z2.errors.within`, so their refusals report them as
+``tolerance`` (e.g. the 1e-7 eigen-residual of
+``mps._positive_fixed_point``); the rest are rank and window cutoffs, input
+checks and the 1e-9 singular value floor of ``linalg.polar_unitary``.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ exception class carrying a machine-readable ``payload`` dict, a ``status``
 string, and the process exit code used by the CLI. Anything not listed here
 (programming errors, impossible states) is allowed to surface as a plain
 Python exception.
+
+A measured value is judged against its upper bound by :func:`within`, the one
+tolerance rule: the value passes only when it is at most the bound, so NaN
+never passes, and every such refusal carries the value and the
+``tolerance`` that judged it.
 """
 
 from __future__ import annotations
@@ -152,3 +157,13 @@ class NotHermitian(SptError):
 class UsageError(InvalidInput):
     """Bad command line; replaces argparse's default exit behavior."""
 
+
+def within(value: float, tol: float, refusal: type[SptError], message: str,
+           **payload: Any) -> None:
+    """Pass when ``value <= tol``; anything else, NaN included, is refused.
+
+    The refusal is ``refusal(message, **payload, tolerance=tol)``, so the
+    payload should name the measured value.
+    """
+    if not value <= tol:
+        raise refusal(message, **payload, tolerance=tol)

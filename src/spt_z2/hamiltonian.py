@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, resolve
-from .errors import ConvergenceFailure, DimensionCap, InvalidInput
+from .errors import ConvergenceFailure, DimensionCap, InvalidInput, within
 from .linalg import frob, herm_eigvals
-from .mps import (MpsTuple, invariant_state, marginal, primitivity, require_normalized,
-                  reverse_word_index)
+from .mps import MpsTuple, invariant_state, marginal, primitivity, reverse_word_index
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,6 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     boundary-state count; that case sets ``range_warning``.
     """
     cfg = resolve(config)
-    require_normalized(t, cfg)
     cert = primitivity(t, config=cfg)
     inv = invariant_state(t, cfg)
     if m is None:
@@ -60,9 +58,8 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     h = np.eye(dim) - proj
     h = 0.5 * (h + h.conj().T)
     idem = frob(h @ h - h)
-    if idem > 1e-9:
-        raise ConvergenceFailure("interaction is not a projector within tolerance",
-                                 residual=float(idem))
+    within(idem, 1e-9, ConvergenceFailure, "interaction is not a projector within tolerance",
+           residual=idem)
     return ParentInteraction(m=m, h=h, rank=dim - marg.rank, support_rank=marg.rank,
                              range_warning=m < (cert.injectivity_length or 1) + 1,
                              d=t.d, perm=t.perm())

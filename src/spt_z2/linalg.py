@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import Config, resolve
-from .errors import NotHermitian, RankDeficient, SptError
+from .errors import InvalidInput, NotHermitian, RankDeficient, SptError, within
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -101,22 +101,16 @@ def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
     """Square-shape and skew check shared by the Hermitian eigensolvers.
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
-    the norm and returns the symmetrized matrix, which is what gets
-    diagonalized. ``h`` is a float or complex array; a real input gives a
-    real result.
+    the norm (floored at 1), non-finite inputs included, and returns the
+    symmetrized matrix, which is what gets diagonalized. ``h`` is a float or
+    complex array; a real input gives a real result.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
-    eps_herm = resolve(config).eps_herm
     hc = h.conj().T
-    scale = frob(h)
-    skew = frob(h - hc)
-    if scale > 0 and skew > eps_herm * max(scale, 1.0):
-        raise NotHermitian(
-            "matrix is not Hermitian within tolerance",
-            skew_residual=float(skew / max(scale, 1.0)),
-            tolerance=eps_herm,
-        )
+    skew = frob(h - hc) / max(frob(h), 1.0)
+    within(skew, resolve(config).eps_herm, NotHermitian,
+           "matrix is not Hermitian within tolerance", skew_residual=skew)
     hh = h + hc
     hh *= 0.5
     return hh
@@ -146,7 +140,7 @@ def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
     cfg = resolve(config)
     sys = herm_eig(h, cfg)
     lo, hi = float(sys.values[0]), float(sys.values[-1])
-    if hi <= 0 or lo <= max(cfg.pos_def_tol, 0.0) * hi:
+    if not (hi > 0 and lo > max(cfg.pos_def_tol, 0.0) * hi):
         raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)
     return sys
 
@@ -216,12 +210,9 @@ def psd_power(rho: np.ndarray, power: float, config: Config | None = None) -> np
             raise RankDeficient("psd_power of the zero matrix with negative exponent")
         return np.zeros_like(np.asarray(rho, dtype=complex))
     cut = cfg.rank_tol * top
-    if float(w.min()) < -cut:
-        raise NotHermitian(
-            "matrix has a significantly negative eigenvalue; not PSD",
-            min_eigenvalue=float(w.min()),
-            cutoff=float(cut),
-        )
+    lo = float(w.min())
+    within(-lo, cut, NotHermitian, "matrix has a significantly negative eigenvalue; not PSD",
+           min_eigenvalue=lo, cutoff=cut)
     wp = np.zeros_like(w)
     on = w > cut
     wp[on] = w[on] ** power
@@ -231,12 +222,15 @@ def psd_power(rho: np.ndarray, power: float, config: Config | None = None) -> np
 def polar_unitary(x: np.ndarray) -> np.ndarray:
     """Unitary polar factor U = X (X^dagger X)^{-1/2}.
 
-    Raises :class:`RankDeficient` when the smallest singular value is below
-    1e-9 times the largest, since the factor is then not determined.
+    Raises :class:`InvalidInput` on a non-finite entry and
+    :class:`RankDeficient` when the smallest singular value is below 1e-9
+    times the largest, since the factor is then not determined.
     """
     x = np.asarray(x, dtype=complex)
+    if not np.isfinite(x).all():
+        raise InvalidInput("matrix entries must be finite")
     u, s, vh = np.linalg.svd(x)
-    if s[0] == 0.0 or s[-1] < 1e-9 * s[0]:
+    if not (s[0] > 0.0 and s[-1] >= 1e-9 * s[0]):
         raise RankDeficient(
             "matrix is numerically singular; polar unitary undefined",
             sigma_min=float(s[-1]),

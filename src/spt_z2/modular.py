@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, resolve
-from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector
+from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
 from .linalg import canonical_phases, frob, psd_power
 
 
@@ -93,9 +93,8 @@ def schmidt(omega: BipartiteVector, config: Config | None = None) -> SchmidtData
     xi = xi_full[:, :r] * phases.conj()
     lam = (s[:r] ** 2).astype(float)
     recon = frob(mat - xi @ (s[:r, None] * z.T))
-    if recon > 1e-9:
-        raise Inconclusive("Schmidt reconstruction residual above tolerance",
-                           residual=float(recon))
+    within(recon, 1e-9, Inconclusive, "Schmidt reconstruction residual above tolerance",
+           residual=recon)
     u = z @ xi.T
     return SchmidtData(lam=lam, left=xi, right=z, u=u, support_dim=r)
 
@@ -202,9 +201,9 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
         "delta_formula": float(res_delta_formula),
         "J_formula": float(res_j_formula),
     }
-    worst = max(residuals.values())
-    if worst > cfg.modular_tol:
-        raise Inconclusive("modular identities exceed tolerance", **residuals)
+    for value in residuals.values():
+        within(value, cfg.modular_tol, Inconclusive, "modular identities exceed tolerance",
+               **residuals)
 
     support_match = frob(xi - p_right @ xi)
     kappa: int | None = None

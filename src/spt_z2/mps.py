@@ -38,6 +38,7 @@ from .errors import (
     NotPrimitive,
     SptError,
     WindowTooLarge,
+    within,
 )
 from .linalg import (HermEig, eig_sort_key, frob, herm_eig, kraus_superop, peripheral_eigs,
                      peripheral_window, pos_def_eig, unvec, vec)
@@ -112,13 +113,8 @@ def require_normalized(t: MpsTuple, config: Config | None = None) -> None:
     cfg = resolve(config)
     r = channel_residual(t)
     # small slack over eps_norm: blocked tuples accumulate a few ulps per site
-    tol = 10 * cfg.eps_norm
-    if not r <= tol:  # a NaN residual (overflowing entries) is refused too
-        raise NormalizationBroken(
-            "tuple does not satisfy the channel condition",
-            residual=r,
-            tolerance=tol,
-        )
+    within(r, 10 * cfg.eps_norm, NormalizationBroken,
+           "tuple does not satisfy the channel condition", residual=r)
 
 
 def transfer_matrix(t: MpsTuple) -> np.ndarray:
@@ -157,11 +153,8 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
     x = unvec(basis @ coeff, k)
     x = 0.5 * (x + x.conj().T)
     res = frob(unvec(mat @ vec(x), k) - r * x) / max(r * frob(x), 1e-300)
-    if res > 1e-7:
-        raise refusal(
-            "identity has no component along a positive fixed point",
-            eigen_residual=res,
-        )
+    within(res, 1e-7, refusal, "identity has no component along a positive fixed point",
+           eigen_residual=res)
     return r, x, res, pos_def_eig(x, refusal, message, cfg)
 
 
@@ -191,12 +184,8 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
         reflect_perm=None if t.reflect_perm is None else t.reflect_perm.copy(),
     )
     res = channel_residual(out)
-    if res > cfg.eps_norm:
-        raise ConvergenceFailure(
-            "normalization residual above tolerance after rescaling",
-            residual=res,
-            tolerance=cfg.eps_norm,
-        )
+    within(res, cfg.eps_norm, ConvergenceFailure,
+           "normalization residual above tolerance after rescaling", residual=res)
     return out
 
 
@@ -350,9 +339,9 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     except NotFaithful as exc:
         exc.payload["spectral_gap"] = gap
         raise
-    if abs(r - 1.0) > 1e-8 or res > 1e-8:
-        raise ConvergenceFailure("invariant state residual above tolerance",
-                                 spectral_radius=r, residual=res)
+    for value in (abs(r - 1.0), res):
+        within(value, 1e-8, ConvergenceFailure, "invariant state residual above tolerance",
+               spectral_radius=r, residual=res)
     tr = float(np.trace(x).real)
     return InvariantState(rho=x / tr, residual=res, min_eigenvalue=float(sys.values[0]) / tr,
                           spectral_gap=gap)
@@ -430,19 +419,16 @@ def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
     ``phi`` is any matrix with ``M_l = Q phi phi^dagger Q^dagger`` for an
     isometry ``Q``, so the trace of ``M_l`` is ``||phi||_F^2`` and its nonzero
     spectrum is that of the Gram ``phi^dagger phi``. Raises
-    :class:`ConvergenceFailure` when the trace is off 1 by more than 1e-7 or
-    an eigenvalue lies below -1e-8.
+    :class:`ConvergenceFailure` when the trace is off 1 by more than 1e-7
+    (a NaN trace too) or an eigenvalue lies below -1e-8.
     """
     tr = float(np.vdot(phi, phi).real)
-    if abs(tr - 1.0) > 1e-7:
-        raise ConvergenceFailure("marginal trace drifted from 1", trace=tr, l=l)
-    gram = phi.conj().T @ phi
-    evals = herm_eig(gram, cfg).values
-    if float(evals.min()) < -1e-8:
-        raise ConvergenceFailure(
-            "marginal has a significantly negative eigenvalue",
-            min_eigenvalue=float(evals.min()),
-        )
+    within(abs(tr - 1.0), 1e-7, ConvergenceFailure, "marginal trace drifted from 1",
+           trace=tr, l=l)
+    evals = herm_eig(phi.conj().T @ phi, cfg).values
+    lo = float(evals.min())
+    within(-lo, 1e-8, ConvergenceFailure, "marginal has a significantly negative eigenvalue",
+           min_eigenvalue=lo)
     return evals
 
 

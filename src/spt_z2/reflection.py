@@ -47,6 +47,7 @@ from .errors import (
     NotSameState,
     NotUnitaryMultiple,
     RankDeficient,
+    within,
 )
 from .linalg import (canonical_phases, frob, kraus_superop, polar_unitary,
                      pos_def_eig, unvec)
@@ -119,12 +120,9 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])
     radius = abs(lam)
-    if radius < 1.0 - cfg.mixed_tol:
-        raise NotSameState(
-            "dominant mixed transfer eigenvalue below 1; different states",
-            mixed_radius=radius,
-            tolerance=cfg.mixed_tol,
-        )
+    within(1.0 - radius, cfg.mixed_tol, NotSameState,
+           "dominant mixed transfer eigenvalue below 1; different states",
+           mixed_radius=radius)
     x = unvec(vs[:, i0], t.k)
     try:
         u = polar_unitary(x).conj().T
@@ -302,23 +300,17 @@ def z2_index(raw, config: Config | None = None) -> IndexReport:
     u = gauge.U
     sym = frob(u - u.T)
     antisym = frob(u + u.T)
-    if min(sym, antisym) > cfg.eps_index:
-        raise AmbiguousSymmetry(
-            "gauge unitary is neither symmetric nor antisymmetric",
-            sym_residual=float(sym),
-            antisym_residual=float(antisym),
-            tolerance=cfg.eps_index,
-        )
+    # np.minimum, unlike min, is NaN when either residual is
+    within(float(np.minimum(sym, antisym)), cfg.eps_index, AmbiguousSymmetry,
+           "gauge unitary is neither symmetric nor antisymmetric",
+           sym_residual=sym, antisym_residual=antisym)
     zeta = 1 if sym <= antisym else -1
     phase_sq = abs(gauge.phase ** 2 - 1.0)
     dmat = np.diag(refl.rho_diag)
     commute = frob(u @ dmat - dmat @ u)
-    if phase_sq > cfg.eps_index or commute > 1e-6:
-        raise Inconclusive(
-            "gauge solution violates a structural invariant",
-            phase_sq_residual=float(phase_sq),
-            rho_commute_residual=float(commute),
-        )
+    for value, tol in ((phase_sq, cfg.eps_index), (commute, 1e-6)):
+        within(value, tol, Inconclusive, "gauge solution violates a structural invariant",
+               phase_sq_residual=phase_sq, rho_commute_residual=commute)
     certs = IndexCertificates(
         primitivity=cert,
         invariant_residual=inv.residual,

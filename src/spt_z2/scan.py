@@ -16,7 +16,7 @@ import numpy as np
 from .config import Config, resolve
 from .errors import ResourceLimit, SptError, UnknownModel
 from .linalg import peripheral_window
-from .mps import normalize, transfer_spectrum
+from .mps import MpsTuple, normalize, transfer_spectrum
 from .reflection import z2_index
 
 def _deformed(s: float) -> np.ndarray:
@@ -192,12 +192,8 @@ class ScanReport:
     first_failure: float | None
 
 
-def _transfer_gap(raw, cfg: Config) -> float | None:
-    try:
-        spec = transfer_spectrum(normalize(raw, cfg))
-    except SptError:
-        return None
-    on, gap = peripheral_window(spec, cfg)
+def _transfer_gap(t: MpsTuple, cfg: Config) -> float:
+    on, gap = peripheral_window(transfer_spectrum(t), cfg)
     return gap if on.sum() == 1 else 0.0
 
 
@@ -210,14 +206,14 @@ _STATUS_FLAGS = {
 
 
 def _scan_point(spec: FamilySpec, s: float, cfg: Config) -> ScanPoint:
-    raw = None
+    t = None
     try:
-        raw = spec.generator(s)
-        rep = z2_index(raw, cfg)
+        t = normalize(spec.generator(s), cfg)
+        rep = z2_index(t, cfg)  # whose normalize returns t untouched
     except SptError as exc:
         primitive, invariant = _STATUS_FLAGS.get(exc.status, (False, False))
         return ScanPoint(s=s, primitive=primitive, reflection_invariant=invariant,
-                         zeta=None, transfer_gap=None if raw is None else _transfer_gap(raw, cfg),
+                         zeta=None, transfer_gap=None if t is None else _transfer_gap(t, cfg),
                          status=exc.status, error=type(exc).__name__)
     return ScanPoint(s=s, primitive=True, reflection_invariant=True, zeta=rep.zeta,
                      transfer_gap=rep.certificates.primitivity.spectral_gap,

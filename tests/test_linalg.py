@@ -305,3 +305,10 @@ def test_polar_unitary_generic(rng):
 def test_polar_unitary_singular():
     with pytest.raises(errors.RankDeficient):
         polar_unitary(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_polar_unitary_refuses_non_finite_entries(bad):
+    # refused before the SVD, which would end in an untyped LinAlgError
+    with pytest.raises(errors.InvalidInput):
+        polar_unitary(np.full((2, 2), bad))
