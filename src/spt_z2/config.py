@@ -63,7 +63,7 @@ class Config:
     marginal_cap: int = 4096     # largest d**l for marginal, block, parent_interaction
     ed_cap: int = 4096           # largest d**n for dense chain diagonalization
     scan_cap: int = 10000        # largest number of grid points in one scan
-    l_max: int | None = None     # primitivity word-length cap; None means k**4
+    l_max: int | None = None     # primitivity word-length cap; None or above k**4 means k**4
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):

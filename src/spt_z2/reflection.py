@@ -55,6 +55,7 @@ from .mps import (
     InvariantState,
     MpsTuple,
     PrimitivityCertificate,
+    _append_letters,
     _checked_gram_spectrum,
     invariant_state,
     marginal,
@@ -71,23 +72,21 @@ def _transposed(t: MpsTuple) -> MpsTuple:
 
 @dataclass(frozen=True)
 class ReflectedTuple:
-    tilde_v: MpsTuple        # the transposed tuple, in the original basis
     basis: np.ndarray        # columns: rho eigenbasis, eigenvalues descending
     rho_diag: np.ndarray     # the descending eigenvalues
 
 
 def reflected_tuple(t: MpsTuple, rho: np.ndarray,
                     config: Config | None = None) -> ReflectedTuple:
-    """The transposed tuple and the eigenbasis of rho; NotFaithful if rho is singular.
+    """The eigenbasis of rho in which U is classified; NotFaithful if rho is singular.
 
-    ``tilde_v`` generates the reflected state, and reflecting it again gives
-    ``t`` back exactly. For ``t`` in channel form it satisfies the dual
+    The reflected tuple itself is :func:`_transposed`, which gives ``t`` back
+    when applied twice and, for ``t`` in channel form, satisfies the dual
     condition ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
     """
     sys = pos_def_eig(rho, NotFaithful,
                       "invariant state is singular; reflected tuple undefined", config)
-    return ReflectedTuple(tilde_v=_transposed(t), basis=sys.vectors[:, ::-1].copy(),
-                          rho_diag=sys.values[::-1].copy())
+    return ReflectedTuple(basis=sys.vectors[:, ::-1].copy(), rho_diag=sys.values[::-1].copy())
 
 
 @dataclass(frozen=True)
@@ -154,12 +153,12 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
                                 cfg: Config) -> float:
     """Largest ``||M_l - P M_l P||_F`` over l = 1..lengths, from one R factor.
 
-    ``M_l = Phi Phi^dagger`` with rows ``vec(L^dagger V_w)``, ``rho = L L^dagger``.
+    ``M_l = Phi Phi^dagger`` with word rows ``L^dagger V_w``, ``rho = L L^dagger``.
     With ``tilde v_mu = v_{pi(mu)}^T``, ``W_w = tilde v_{w_0} .. tilde v_{w_{l-1}}``
     is ``V_{rev(w)}^T``, so ``P M_l P = Psi Psi^dagger`` with rows
-    ``vec(W_w K)``, ``K = conj(L)`` and ``K K^dagger = rho^T``. Both factors
-    grow by right multiplication, ``Phi`` by ``v_mu`` and ``Omega`` (rows
-    ``vec(W_w)``) by ``tilde v_mu``, so ``[Phi_l, Omega_l] = Q_l [R1, R2]``
+    ``W_w K``, ``K = conj(L)`` and ``K K^dagger = rho^T``. Both factors grow
+    by :func:`_append_letters`, ``Phi`` by ``v_mu`` and ``Omega`` (rows
+    ``W_w``) by ``tilde v_mu``, so ``[Phi_l, Omega_l] = Q_l [R1, R2]``
     advances through the QR of the stacked ``[R1 v_mu, R2 tilde v_mu]``.
     With ``R2' = R2 K`` the residual is ``||R1 R1^dagger - R2' R2'^dagger||_F``,
     as Q has orthonormal columns. Each length checks the trace and the sign
@@ -167,22 +166,17 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
     instead would cancel catastrophically near the tolerance.
     """
     half = t.k * t.k
-
-    def times(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        # rows vec(X) of r -> rows vec(X m), stacked over m in mats
-        return (r.reshape(-1, t.k) @ mats).reshape(-1, half)
-
     phi = marginal(t, rho, 1, cfg).factor
     tilde = _transposed(t).v
-    kfac = np.linalg.cholesky(0.5 * (rho + rho.conj().T)).conj()
+    kfac = np.linalg.cholesky(0.5 * (rho + rho.conj().T)).conj()[None]
     r = np.linalg.qr(np.hstack([phi, tilde.reshape(t.d, half)]), mode="r")
     worst = 0.0
     for l in range(1, lengths + 1):
         if l > 1:
-            r = np.linalg.qr(np.hstack([times(r[:, :half], t.v),
-                                        times(r[:, half:], tilde)]), mode="r")
+            r = np.linalg.qr(np.hstack([_append_letters(r[:, :half], t.v),
+                                        _append_letters(r[:, half:], tilde)]), mode="r")
             _checked_gram_spectrum(r[:, :half], l, cfg)
-        r1, r2 = r[:, :half], times(r[:, half:], kfac)
+        r1, r2 = r[:, :half], _append_letters(r[:, half:], kfac)
         worst = max(worst, frob(r1 @ r1.conj().T - r2 @ r2.conj().T))
     return worst
 

@@ -8,8 +8,8 @@ from spt_z2 import mps
 from spt_z2.linalg import frob, unvec, vec
 from spt_z2.mps import channel_residual, reverse_word_index, transfer_matrix
 from spt_z2.reflection import _marginal_reversal_residual
-from util import (apply_adjoint, dense_marginal, known_answer_tuple, marginal_oracle,
-                  random_channel_tuple, word_index)
+from util import (apply_adjoint, dense_marginal, haar_unitary, injectivity_length_oracle,
+                  known_answer_tuple, marginal_oracle, random_channel_tuple, word_index)
 
 
 def sigma_plus_tuple():
@@ -222,6 +222,56 @@ def test_primitivity_periodic_tuple_not_primitive():
         sz.z2_index(raw)
     cert = sz.primitivity(sz.normalize(raw), config=sz.Config(l_max=3))
     assert not cert.is_primitive
+
+
+def rotation_tuple(k):
+    # (0.6 R, 0.8 R) with R unitary and eigenphases sqrt(2) j: every word of
+    # length l is a multiple of R^l, so the word space stays one-dimensional
+    # and neither stalls nor cycles, and all k^2 transfer eigenvalues are
+    # peripheral
+    q = haar_unitary(np.random.default_rng(k), k)
+    r = (q * np.exp(1j * np.sqrt(2) * np.arange(k))) @ q.conj().T
+    return np.stack([0.6 * r, 0.8 * r])
+
+
+def count_word_space_steps(monkeypatch):
+    calls = []
+    step = mps._word_space_step
+    monkeypatch.setattr(mps, "_word_space_step", lambda *a: calls.append(1) or step(*a))
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_primitivity_wielandt_stop(monkeypatch, k):
+    calls = count_word_space_steps(monkeypatch)
+    cert = sz.primitivity(sz.normalize(rotation_tuple(k)))
+    assert not cert.is_primitive
+    assert cert.injectivity_length is None
+    assert cert.peripheral_count == k * k
+    assert len(calls) == k ** 4
+    with pytest.raises(sz.NotPrimitive):
+        sz.z2_index(rotation_tuple(k))
+
+
+def test_primitivity_caps_l_max_at_the_wielandt_length(monkeypatch):
+    calls = count_word_space_steps(monkeypatch)
+    cert = sz.primitivity(sz.normalize(rotation_tuple(2)), config=sz.Config(l_max=2000))
+    assert not cert.is_primitive
+    assert len(calls) == 16
+
+
+@pytest.mark.parametrize("case", [*((d, k, seed) for d in (2, 3) for k in (2, 3)
+                                     for seed in range(3)), "blocked-aklt"], ids=str)
+def test_injectivity_length_matches_word_rank_oracle(aklt, case):
+    # the first length at which the d^l word products V_w span M_k
+    if case == "blocked-aklt":
+        t = sz.block(aklt, 2)
+    else:
+        d, k, seed = case
+        t = random_channel_tuple(np.random.default_rng([seed, d, k]), d, k)
+    cert = sz.primitivity(t)
+    assert cert.is_primitive
+    assert cert.injectivity_length == injectivity_length_oracle(t, 6)
 
 
 def test_primitivity_requires_normalized(aklt):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import time
 from collections import Counter
@@ -9,32 +10,29 @@ import pytest
 import spt_z2 as sz
 from spt_z2 import linalg, mps
 from spt_z2.linalg import frob
-from spt_z2.mps import _extend_words, reverse_word_index
-from spt_z2.reflection import _marginal_reversal_residual
+from spt_z2.mps import reverse_word_index
+from spt_z2.reflection import _marginal_reversal_residual, _transposed
 from util import (dense_marginal, haar_unitary, known_answer_tuple, marginal_oracle,
-                  phase_pi_sign_plus, phase_zero_sign_minus, random_channel_tuple)
+                  phase_pi_sign_plus, phase_zero_sign_minus, random_channel_tuple,
+                  word_product)
 
 
 # -- reflected tuple ----------------------------------------------------------
 
 def test_reflected_tuple_is_channel(aklt, aklt_rho):
     # the transposed tuple satisfies the dual channel condition
-    refl = sz.reflected_tuple(aklt, aklt_rho.rho)
-    tv = refl.tilde_v.v
+    tv = _transposed(aklt).v
     assert frob(np.einsum("mba,mbc->ac", tv.conj(), tv) - np.eye(2)) < 1e-12
+    refl = sz.reflected_tuple(aklt, aklt_rho.rho)
     assert np.allclose(refl.basis.conj().T @ refl.basis, np.eye(2), atol=1e-12)
     assert np.allclose(refl.rho_diag, [0.5, 0.5], atol=1e-12)
 
 
-def test_reflected_tuple_involution(rng, aklt, aklt_rho):
-    for t, rho in [(aklt, aklt_rho.rho), (random_channel_tuple(rng, 2, 3), None),
-                   (sz.block(aklt, 2), None)]:
-        if rho is None:
-            rho = sz.invariant_state(t).rho
-        once = sz.reflected_tuple(t, rho)
-        twice = sz.reflected_tuple(once.tilde_v, rho)
-        assert np.array_equal(twice.tilde_v.v, t.v)
-        assert np.array_equal(twice.tilde_v.perm(), t.perm())
+def test_reflected_tuple_involution(rng, aklt):
+    for t in [aklt, random_channel_tuple(rng, 2, 3), sz.block(aklt, 2)]:
+        twice = _transposed(_transposed(t))
+        assert np.array_equal(twice.v, t.v)
+        assert np.array_equal(twice.perm(), t.perm())
 
 
 def test_reflected_tuple_singular_rho(aklt):
@@ -49,11 +47,13 @@ def test_marginal_reversal_identity(rng, aklt, aklt_rho):
     for t, rho in [(aklt, aklt_rho.rho), (random_channel_tuple(rng, 2, 2), None)]:
         if rho is None:
             rho = sz.invariant_state(t).rho
-        tv = sz.reflected_tuple(t, rho).tilde_v.v
+        tv = _transposed(t).v
         kfac = np.linalg.cholesky(rho).conj()
         for l in (1, 2):
             orig = dense_marginal(sz.marginal(t, rho, l))
-            psi = (_extend_words(tv, tv, l - 1) @ kfac).reshape(t.d ** l, -1)
+            psi = np.array([word_product(tv, w) @ kfac
+                            for w in itertools.product(range(t.d), repeat=l)])
+            psi = psi.reshape(t.d ** l, -1)
             idx = reverse_word_index(t.d, l, t.perm())
             assert frob(psi @ psi.conj().T - orig[np.ix_(idx, idx)]) < 1e-10
 

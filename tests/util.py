@@ -97,22 +97,35 @@ def dense_marginal(m: sz.Marginal) -> np.ndarray:
     return m.factor @ m.factor.conj().T
 
 
+def word_product(v: np.ndarray, word) -> np.ndarray:
+    """``v[mu_0] @ .. @ v[mu_{l-1}]`` by an explicit loop; the identity for ()."""
+    mat = np.eye(v.shape[1], dtype=complex)
+    for mu in word:
+        mat = mat @ v[mu]
+    return mat
+
+
 def marginal_oracle(t: sz.MpsTuple, rho: np.ndarray, l: int) -> np.ndarray:
     """Brute-force l-site marginal from explicit word products."""
-    d, k = t.d, t.k
-    words = list(itertools.product(range(d), repeat=l))
-    prods = []
-    for word in words:
-        mat = np.eye(k, dtype=complex)
-        for mu in word:
-            mat = mat @ t.v[mu]
-        prods.append(mat)
+    d = t.d
+    prods = [word_product(t.v, w) for w in itertools.product(range(d), repeat=l)]
     dim = d ** l
     out = np.zeros((dim, dim), dtype=complex)
     for a, wa in enumerate(prods):
         for b, wb in enumerate(prods):
             out[a, b] = np.trace(rho @ wa @ wb.conj().T)
     return out
+
+
+def injectivity_length_oracle(t: sz.MpsTuple, l_max: int) -> int | None:
+    """First l at which the d^l products V_w span M_k, by brute-force rank; None past l_max."""
+    k = t.k
+    for l in range(1, l_max + 1):
+        rows = [word_product(t.v, w).ravel()
+                for w in itertools.product(range(t.d), repeat=l)]
+        if np.linalg.matrix_rank(np.array(rows)) == k * k:
+            return l
+    return None
 
 
 def embed_sites_oracle(op: np.ndarray, sites, n: int, d: int) -> np.ndarray:
