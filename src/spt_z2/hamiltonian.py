@@ -8,7 +8,9 @@ injectivity length the open-chain kernel is spanned by the tuple's boundary
 states (dimension k^2).
 
 Everything here is dense and capped; these are verification tools, not a
-simulation engine.
+simulation engine. A chain of a real interaction is built and diagonalized
+in real arithmetic, and dense ED holds at most two d^n x d^n matrices: the
+chain and LAPACK's working copy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .config import Config, resolve
 from .errors import ConvergenceFailure, DimensionCap, InvalidInput, within
-from .linalg import frob, herm_eigvals
+from .linalg import frob, herm_eigvals, real_if_exact
 from .mps import MpsTuple, invariant_state, marginal, primitivity, reverse_word_index
 
 
@@ -54,10 +56,18 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     marg = marginal(t, inv.rho, m, cfg)
     dim = marg.factor.shape[0]
     basis = np.linalg.svd(marg.factor, full_matrices=False)[0][:, :marg.rank]
-    proj = basis @ basis.conj().T
-    h = np.eye(dim) - proj
-    h = 0.5 * (h + h.conj().T)
-    idem = frob(h @ h - h)
+    # h = 1 - P, then 0.5 (h + h^dagger), in place beside one d^m x d^m buffer;
+    # the bits are those of eye(dim) - P symmetrized out of place (0 - p, not
+    # -p, gives a zero entry the sign that eye(dim) - P gives it)
+    h = basis @ basis.conj().T
+    np.subtract(0.0, h, out=h)
+    h.reshape(-1)[:: dim + 1] += 1.0
+    buf = np.conjugate(h.T, order="C")
+    h += buf
+    h *= 0.5
+    np.matmul(h, h, out=buf)
+    buf -= h
+    idem = frob(buf)
     within(idem, 1e-9, ConvergenceFailure, "interaction is not a projector within tolerance",
            residual=idem)
     return ParentInteraction(m=m, h=h, rank=dim - marg.rank, support_rank=marg.rank,
@@ -92,7 +102,14 @@ def chain_hamiltonian(hint: ParentInteraction, spec: ChainSpec,
     """Dense translation sum of the interaction over an n-site chain.
 
     Each term is added in place into one d^n x d^n accumulator (see
-    :func:`_add_on_sites`); the result is symmetrized once at the end.
+    :func:`_add_on_sites`), so the accumulator is the only matrix built. It
+    is real when the interaction's imaginary part is exactly zero (as for
+    aklt), else complex. The sum is exactly Hermitian with no symmetrization
+    pass: :func:`parent_interaction` makes ``h`` exactly Hermitian, entries
+    (i, j) and (j, i) receive conjugate values from the same terms in the
+    same order, and rounding commutes with conjugation. An ``h`` built any
+    other way is summed as it is; :func:`ed_report` then symmetrizes or
+    refuses it.
     """
     cfg = resolve(config)
     n, d, m = spec.n, hint.d, hint.m
@@ -104,14 +121,12 @@ def chain_hamiltonian(hint: ParentInteraction, spec: ChainSpec,
     if dim > cfg.ed_cap:
         raise DimensionCap("chain dimension exceeds the dense cap",
                            dimension=dim, cap=cfg.ed_cap)
-    h_total = np.zeros((d,) * (2 * n), dtype=complex)
+    h = real_if_exact(hint.h)
+    h_total = np.zeros((d,) * (2 * n), dtype=np.result_type(h, float))
     last = n - m + 1 if spec.boundary == "open" else n
     for p in range(last):
-        _add_on_sites(h_total, hint.h, [(p + j) % n for j in range(m)])
-    h_total = h_total.reshape(dim, dim)
-    h_total += h_total.conj().T
-    h_total *= 0.5
-    return h_total
+        _add_on_sites(h_total, h, [(p + j) % n for j in range(m)])
+    return h_total.reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,10 @@ def ed_report(h_total: np.ndarray, kernel_tol: float | None = None,
     """Dense spectrum summary: ground energy, kernel count, gap above it.
 
     Only eigenvalues are computed (:func:`spt_z2.linalg.herm_eigvals`), in
-    real arithmetic when the matrix has no imaginary part.
+    real arithmetic when the matrix has no imaginary part. An exactly
+    Hermitian chain, as :func:`chain_hamiltonian` builds it, goes to
+    ``eigvalsh`` as it is, so ED holds two d^n x d^n matrices at most: the
+    chain and LAPACK's working copy.
     """
     cfg = resolve(config)
     h_arr = np.asarray(h_total)

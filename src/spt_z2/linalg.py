@@ -102,18 +102,28 @@ def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
     the norm (floored at 1), non-finite inputs included, and returns the
-    symmetrized matrix, which is what gets diagonalized. ``h`` is a float or
-    complex array; a real input gives a real result.
+    symmetrized matrix 0.5 (h + h^dagger), which is what gets diagonalized.
+    ``h`` is a float or complex array; a real input gives a real result.
+
+    One d x d buffer holds h - h^dagger for the check and, when that is
+    nonzero, the symmetrized matrix. When it is exactly zero, ``h`` itself
+    is returned: 0.5 (h + h^dagger) then equals it entry for entry (a zero
+    may differ in sign only), and no second matrix is kept.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
-    hc = h.conj().T
-    skew = frob(h - hc) / max(frob(h), 1.0)
+    norm = frob(h)
+    buf = np.conjugate(h.T, order="C")
+    np.subtract(h, buf, out=buf)
+    skew = frob(buf) / max(norm, 1.0)
     within(skew, resolve(config).eps_herm, NotHermitian,
            "matrix is not Hermitian within tolerance", skew_residual=skew)
-    hh = h + hc
-    hh *= 0.5
-    return hh
+    if not buf.any():
+        return h
+    np.conjugate(h.T, out=buf)
+    buf += h
+    buf *= 0.5
+    return buf
 
 
 def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
@@ -121,8 +131,9 @@ def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
     the norm; the symmetrized matrix is what gets diagonalized, so the
-    returned system is exactly Hermitian-consistent. Makes one ``eigh`` call;
-    the phase fix waits for the first read of ``vectors``.
+    returned system is exactly Hermitian-consistent. An exactly Hermitian
+    input is diagonalized as it is, with no symmetrized copy. Makes one
+    ``eigh`` call; the phase fix waits for the first read of ``vectors``.
     """
     hh = _symmetrized(np.asarray(h, dtype=complex), config)
     w, u = np.linalg.eigh(hh)
@@ -145,16 +156,21 @@ def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
     return sys
 
 
+def real_if_exact(x: np.ndarray) -> np.ndarray:
+    """The real part of ``x`` (a view) when its imaginary part is exactly zero, else ``x``."""
+    return x.real if np.iscomplexobj(x) and not x.imag.any() else x
+
+
 def herm_eigvals(h: np.ndarray, config: Config | None = None) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
     Same checks as :func:`herm_eig`. A matrix whose imaginary part is exactly
     zero is checked and diagonalized in real arithmetic, at about a quarter
-    of the complex cost and half the memory.
+    of the complex cost and half the memory. An exactly Hermitian input goes
+    to ``eigvalsh`` as it is, so at most two d x d matrices are alive at
+    once: the input, and the check buffer or, after it, LAPACK's copy.
     """
-    h = np.asarray(h)
-    if np.iscomplexobj(h) and not h.imag.any():
-        h = h.real
+    h = real_if_exact(np.asarray(h))
     hh = _symmetrized(h.astype(np.result_type(h, float), copy=False), config)
     return np.linalg.eigvalsh(hh)
 

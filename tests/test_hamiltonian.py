@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2.linalg import frob
-from util import embed_sites_oracle
+from util import embed_sites_oracle, known_answer_tuple
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +14,20 @@ def aklt_h2(aklt):
     hint = sz.parent_interaction(aklt, m=2)
     assert hint.range_warning
     return hint
+
+
+@pytest.fixture(scope="module")
+def complex_tuple():
+    """A gauged complex known-answer tuple (d = k = 2) whose interaction is complex."""
+    return sz.normalize(known_answer_tuple(np.random.default_rng([0, 2, 2]), 2, 2, +1))
+
+
+def _traced_peak(func, *args):
+    """``func(*args)`` and the peak of traced memory while it ran; what earlier
+    traced calls allocated and still hold counts too."""
+    tracemalloc.reset_peak()
+    out = func(*args)
+    return out, tracemalloc.get_traced_memory()[1]
 
 
 # -- the interaction ----------------------------------------------------------
@@ -51,6 +66,31 @@ def test_reflection_check_blocked_tuple(aklt):
     hint = sz.parent_interaction(sz.block(aklt, 2))
     assert np.array_equal(hint.perm, sz.block(aklt, 2).perm())
     assert sz.reflection_check(hint) < 1e-12
+
+
+@pytest.mark.parametrize("model", ["aklt", "complex"])
+def test_parent_interaction_is_the_dense_formula(aklt, complex_tuple, model):
+    # h = 0.5 (e + e^dagger) with e = 1 - P, built in place with the same bits,
+    # the signs of zero entries included
+    t = aklt if model == "aklt" else complex_tuple
+    hint = sz.parent_interaction(t)
+    marg = sz.marginal(t, sz.invariant_state(t).rho, hint.m)
+    basis = np.linalg.svd(marg.factor, full_matrices=False)[0][:, :marg.rank]
+    e = np.eye(basis.shape[0]) - basis @ basis.conj().T
+    want = 0.5 * (e + e.conj().T)
+    assert hint.h.dtype == want.dtype and hint.h.tobytes() == want.tobytes()
+
+
+def test_parent_interaction_holds_two_windows(aklt):
+    # h = 1 - P is formed in place beside one d^m x d^m buffer, which serves
+    # the symmetrization and the idempotence residual
+    tracemalloc.start()
+    try:
+        hint, peak = _traced_peak(sz.parent_interaction, aklt, 6)
+    finally:
+        tracemalloc.stop()
+    assert hint.h.shape == (729, 729)
+    assert peak <= 2.1 * hint.h.nbytes
 
 
 def test_parent_interaction_rejects_bad_window(aklt):
@@ -123,17 +163,41 @@ def test_chain_validation(aklt_h2):
         sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=8, boundary="open"))
 
 
-@pytest.mark.parametrize("m,n,boundary", [(3, 6, "open"), (2, 4, "periodic"),
-                                           (2, 7, "open"), (3, 5, "periodic")])
-def test_chain_matches_kron_oracle(aklt, m, n, boundary):
-    hint = sz.parent_interaction(aklt, m=m)
-    want = np.zeros((3 ** n, 3 ** n), dtype=complex)
+@pytest.mark.parametrize("model,m,n,boundary", [
+    ("aklt", 3, 6, "open"), ("aklt", 2, 4, "periodic"), ("aklt", 2, 7, "open"),
+    ("aklt", 3, 5, "periodic"), ("complex", 3, 7, "open"), ("complex", 3, 6, "periodic")],
+    ids=["3-6-open", "2-4-periodic", "2-7-open", "3-5-periodic",
+         "complex-3-7-open", "complex-3-6-periodic"])
+def test_chain_matches_kron_oracle(aklt, complex_tuple, model, m, n, boundary):
+    hint = sz.parent_interaction(aklt if model == "aklt" else complex_tuple, m=m)
+    d = hint.d
+    want = np.zeros((d ** n, d ** n), dtype=complex)
     last = n - m + 1 if boundary == "open" else n
     for p in range(last):
-        want += embed_sites_oracle(hint.h, [(p + j) % n for j in range(m)], n, 3)
-    want = 0.5 * (want + want.conj().T)
+        want += embed_sites_oracle(hint.h, [(p + j) % n for j in range(m)], n, d)
     got = sz.chain_hamiltonian(hint, sz.ChainSpec(n=n, boundary=boundary))
     assert np.array_equal(got, want)
+    # exactly Hermitian with no symmetrization pass, and real when the interaction is
+    assert np.array_equal(got, got.conj().T)
+    assert got.dtype == (np.float64 if model == "aklt" else np.complex128)
+
+
+@pytest.mark.parametrize("model,n", [("aklt", 6), ("complex", 9)])
+def test_dense_ed_holds_two_matrices(aklt, complex_tuple, model, n):
+    # the chain is built in its one accumulator; ED adds one check buffer and
+    # hands the chain itself to eigvalsh (whose LAPACK copy is not traced)
+    hint = sz.parent_interaction(aklt if model == "aklt" else complex_tuple, m=3)
+    tracemalloc.start()
+    try:
+        h_total, build = _traced_peak(sz.chain_hamiltonian, hint,
+                                      sz.ChainSpec(n=n, boundary="open"))
+        rep, ed = _traced_peak(sz.ed_report, h_total)
+    finally:
+        tracemalloc.stop()
+    assert h_total.dtype == (np.float64 if model == "aklt" else np.complex128)
+    assert build <= 1.1 * h_total.nbytes
+    assert ed <= 2.1 * h_total.nbytes
+    assert rep.kernel_dim == 4 and rep.gap > 0.1
 
 
 # -- spectrum report ----------------------------------------------------------

@@ -14,6 +14,7 @@ from spt_z2.linalg import (
     polar_unitary,
     pos_def_eig,
     psd_power,
+    real_if_exact,
     unvec,
     vec,
 )
@@ -127,20 +128,31 @@ def test_herm_eigvals_matches_herm_eig(rng, monkeypatch):
         "complex": a + a.conj().T,
         "real-as-complex": (s + s.T).astype(complex),
         "rank-deficient-psd": b @ b.conj().T,
+        "real-symmetric": s + s.T,
+        "skew-1e-12": a + a.conj().T + 1e-12j * np.eye(6),
     }
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
     def spy(x):
-        seen.append(np.iscomplexobj(x))
+        seen.append(x)
         return eigvalsh(x)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    exact = {}
     for name, h in inputs.items():
         got = herm_eigvals(h)
         assert np.max(np.abs(got - herm_eig(h).values)) < 1e-12, name
-    # only the matrix with a nonzero imaginary part is diagonalized as complex
-    assert seen == [True, False, True]
+        # an exactly Hermitian input is diagonalized as it is, any other as
+        # 0.5 (h + h^dagger): the values are those bits' eigvalsh and eigh
+        exact[name] = np.array_equal(h, h.conj().T)
+        hh = h if exact[name] else 0.5 * (h + h.conj().T)
+        assert np.array_equal(got, eigvalsh(real_if_exact(hh))), name
+        assert np.array_equal(herm_eig(h).values, np.linalg.eigh(hh.astype(complex))[0]), name
+    assert exact["complex"] and exact["real-symmetric"] and not exact["skew-1e-12"]
+    # only a matrix with a nonzero imaginary part is diagonalized as complex
+    assert [np.iscomplexobj(x) for x in seen] == [True, False, True, False, True]
+    assert seen[3] is inputs["real-symmetric"]  # no symmetrized copy was made
 
 
 @pytest.mark.parametrize("func", [herm_eig, herm_eigvals])
