@@ -1,6 +1,8 @@
 """Command line interface.
 
-Every invocation prints exactly one JSON envelope to stdout:
+Every invocation prints exactly one JSON envelope to stdout, built by
+:func:`envelope` (a result's one pass through :func:`jsonable`) at the one
+exit of :func:`main`, for results, usage errors and refusals alike:
 
     {"schema_version": "1", "command": ..., "input_digest": ..., "config": ...,
      "result": ..., "status": ...}
@@ -226,7 +228,7 @@ def _tuple_source(args, desc: dict):
 
 def cmd_index(args, cfg: Config, desc: dict):
     raw = _tuple_source(args, desc)
-    return lambda: jsonable(z2_index(raw(), cfg))
+    return lambda: z2_index(raw(), cfg)
 
 
 def cmd_check(args, cfg: Config, desc: dict):
@@ -235,34 +237,29 @@ def cmd_check(args, cfg: Config, desc: dict):
     def run():
         t = normalize(raw(), cfg)
         cert = primitivity(t, config=cfg)
-        result = {
+        evidence = _certify(t, cert, cfg)[2] if cert.is_primitive else None
+        return {
             "primitive": cert.is_primitive,
             "injectivity_length": cert.injectivity_length,
             "peripheral_count": cert.peripheral_count,
             "spectral_gap": cert.spectral_gap,
+            "reflection_invariant": None if evidence is None else evidence.invariant,
+            "evidence": evidence,
         }
-        evidence = _certify(t, cert, cfg)[2] if cert.is_primitive else None
-        result["reflection_invariant"] = None if evidence is None else evidence.invariant
-        result["evidence"] = jsonable(evidence)
-        return result
     return run
 
 
 def _modular_result(bv, cfg: Config, seed) -> dict:
     report = modular_data(bv, cfg, seed=seed)
+    sd = report.schmidt
     return {
         "kappa": report.kappa,
         "sigma": report.sigma,
         "support_dim": report.support_dim,
         "support_match_residual": report.support_match_residual,
-        "residuals": jsonable(report.residuals),
-        "schmidt": {
-            "lambda": jsonable(report.schmidt.lam),
-            "left": jsonable(report.schmidt.left),
-            "right": jsonable(report.schmidt.right),
-            "u": jsonable(report.schmidt.u),
-            "support_dim": report.schmidt.support_dim,
-        },
+        "residuals": report.residuals,
+        "schmidt": {"lambda": sd.lam, "left": sd.left, "right": sd.right, "u": sd.u,
+                    "support_dim": sd.support_dim},
         "m": bv.m,
     }
 
@@ -317,7 +314,7 @@ def cmd_parent_ham(args, cfg: Config, desc: dict):
                 "ground_energy": ed.ground_energy,
                 "kernel_dim": ed.kernel_dim,
                 "gap": ed.gap,
-                "spectrum_head": jsonable(ed.spectrum_head),
+                "spectrum_head": ed.spectrum_head,
             },
         }
     return run
@@ -358,7 +355,7 @@ def cmd_scan(args, cfg: Config, desc: dict):
             "s0": fam.s0,
             "s1": fam.s1,
             "grid": fam.grid,
-            "points": jsonable(report.points),
+            "points": report.points,
             "summary": {
                 "constant_index": report.constant_index,
                 "first_failure": report.first_failure,
@@ -368,7 +365,8 @@ def cmd_scan(args, cfg: Config, desc: dict):
 
 
 def cmd_models(args, cfg: Config, desc: dict):
-    return lambda: {"models": [{"name": name, **MODELS[name]} for name in sorted(MODELS)]}
+    return lambda: {"models": [{"name": n, "parameters": e.parameters, "description": e.description}
+                               for n, e in sorted(MODELS.items())]}
 
 
 # ---------------------------------------------------------------------- parser
@@ -479,30 +477,21 @@ def build_config(args) -> Config:
     return cfg.replace(**overrides) if overrides else cfg
 
 
-def _emit(env: dict, pretty: bool) -> None:
-    print(json.dumps(env, indent=2 if pretty else None))
-
-
 def main(argv=None) -> int:
+    command, desc, cfg, pretty = "cli", {}, None, False
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "cmd", None) is None:
             raise UsageError("a subcommand is required (see --help)")
-    except UsageError as exc:
-        _emit(envelope("cli", {}, None, exc.describe(), exc.status), False)
-        return exc.exit_code
-
-    desc: dict = {}
-    cfg: Config | None = None
-    try:
+        command, pretty = args.cmd, args.pretty
         cfg = build_config(args)
         compute = args.runner(args, cfg, desc)
         result = {"validated": True, "input": desc} if args.validate_only else compute()
-        _emit(envelope(args.cmd, desc, cfg, result, "ok"), args.pretty)
-        return 0
+        status, code = "ok", 0
     except SptError as exc:
-        _emit(envelope(args.cmd, desc, cfg, exc.describe(), exc.status), args.pretty)
-        return exc.exit_code
+        result, status, code = exc.describe(), exc.status, exc.exit_code
+    print(json.dumps(envelope(command, desc, cfg, result, status), indent=2 if pretty else None))
+    return code
 
 
 if __name__ == "__main__":

@@ -7,13 +7,27 @@ the kernel in :mod:`spt_z2.linalg` included, accepts an optional ``config``
 Construction is the one validity check, whatever the source (flags, a file,
 ``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
-(0, 0.5), and every integer is at least 1 (``l_max`` may be None). Not every
-threshold is here: 17 fixed thresholds besides the 1e-300 division guards
-sit in the code that applies them. Nine are upper bounds passed to
-:func:`spt_z2.errors.within`, so their refusals report them as
-``tolerance`` (e.g. the 1e-7 eigen-residual of
-``mps._positive_fixed_point``); the rest are rank and window cutoffs, input
-checks and the 1e-9 singular value floor of ``linalg.polar_unitary``.
+(0, 0.5), and every integer is at least 1 (``l_max`` may be None).
+
+Not every threshold is here: the 17 fixed ones below (1e-300 division guards
+aside) sit in the code that applies them. The nine marked (w) are bounds
+judged by :func:`spt_z2.errors.within`, whose refusals report them as
+``tolerance``; the rest are cutoffs, input checks and a singular value floor.
+
+- ``mps``: ``require_normalized``, channel residual <= 10 eps_norm (w);
+  ``_positive_fixed_point``, eigenvalues within 1e-9 r of the radius r span
+  the fixed point, eigen-residual <= 1e-7 (w); ``invariant_state``,
+  abs(r - 1) <= 1e-8 (w), residual <= 1e-8 (w); ``_checked_gram_spectrum``,
+  abs(trace - 1) <= 1e-7 (w), smallest eigenvalue >= -1e-8 (w);
+  ``_word_space_step``, products of norm <= 1e-14 max(largest, 1) dropped,
+  singular values above max(rank_tol, 1e-13) times the largest counted;
+  ``primitivity``, a span within 1e-10 of one of the last k ends the search.
+- ``reflection.z2_index``: ``||U D - D U||_F <= 1e-6`` for rho's eigenvalues D (w).
+- ``modular``: ``schmidt`` reconstruction residual <= 1e-9 (w);
+  ``as_bipartite`` norm >= 1e-12 and, unless normalizing, abs(norm - 1) <= 1e-10.
+- ``hamiltonian.parent_interaction``: ``||h^2 - h||_F <= 1e-9`` (w).
+- ``linalg.polar_unitary``: smallest singular value >= 1e-9 times the largest.
+- ``scan.parse_model``: product amplitudes of norm >= 1e-12.
 """
 
 from __future__ import annotations

@@ -373,12 +373,14 @@ def _word_count(d: int, l: int, cfg: Config, what: str) -> int:
 class Marginal:
     """l-site reduced state in factored form, ``M_l = factor @ factor^dagger``.
 
-    ``factor`` is the d^l x k^2 word factor: with ``rho = L L^dagger`` its
-    row for word w holds the entries of ``L^dagger V_w``. ``rank`` counts the
-    nonzero eigenvalues of the marginal, read from the k^2 x k^2 Gram matrix.
+    ``root`` is the state's lower-triangular Cholesky factor L, with
+    ``L L^dagger = 0.5 (rho + rho^dagger)``; ``factor`` is the d^l x k^2 word
+    factor whose row for word w holds the entries of ``L^dagger V_w``. ``rank``
+    counts the marginal's nonzero eigenvalues, read from the k^2 x k^2 Gram.
     """
 
     l: int
+    root: np.ndarray
     factor: np.ndarray
     rank: int
 
@@ -409,7 +411,7 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     phi = _append_letters(chol.conj().T.reshape(1, t.k * t.k), t.v, l)
     evals = _checked_gram_spectrum(phi, l, cfg)
     rank = int(np.sum(evals > cfg.rank_tol * max(float(evals.max()), 1e-300)))
-    return Marginal(l=l, factor=phi, rank=rank)
+    return Marginal(l=l, root=chol, factor=phi, rank=rank)
 
 
 def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:

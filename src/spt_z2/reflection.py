@@ -153,7 +153,8 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
                                 cfg: Config) -> float:
     """Largest ``||M_l - P M_l P||_F`` over l = 1..lengths, from one R factor.
 
-    ``M_l = Phi Phi^dagger`` with word rows ``L^dagger V_w``, ``rho = L L^dagger``.
+    ``M_l = Phi Phi^dagger`` with word rows ``L^dagger V_w``, ``rho = L L^dagger``;
+    ``Phi_1`` and ``L`` are the l = 1 marginal's ``factor`` and ``root``.
     With ``tilde v_mu = v_{pi(mu)}^T``, ``W_w = tilde v_{w_0} .. tilde v_{w_{l-1}}``
     is ``V_{rev(w)}^T``, so ``P M_l P = Psi Psi^dagger`` with rows
     ``W_w K``, ``K = conj(L)`` and ``K K^dagger = rho^T``. Both factors grow
@@ -166,9 +167,9 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
     instead would cancel catastrophically near the tolerance.
     """
     half = t.k * t.k
-    phi = marginal(t, rho, 1, cfg).factor
+    one = marginal(t, rho, 1, cfg)
+    phi, kfac = one.factor, one.root.conj()[None]
     tilde = _transposed(t).v
-    kfac = np.linalg.cholesky(0.5 * (rho + rho.conj().T)).conj()[None]
     r = np.linalg.qr(np.hstack([phi, tilde.reshape(t.d, half)]), mode="r")
     worst = 0.0
     for l in range(1, lengths + 1):

@@ -1,9 +1,10 @@
 """Model zoo and parameter scans.
 
-Model names follow ``name:arg,arg`` with real or complex literal arguments
-(``0.5``, ``1+2i``, ``0.707i``). Point models double as constant families so
-a scan over, say, ``product:1,0`` evaluates the same tuple at every grid
-point.
+:data:`MODELS` is the zoo's one registry, read by :func:`parse_model`,
+:func:`zoo`, :func:`family` and the ``models`` command. Model names follow
+``name:arg,arg`` with real or complex literal arguments (``0.5``, ``1+2i``,
+``0.707i``). Point models double as constant families so a scan over, say,
+``product:1,0`` evaluates the same tuple at every grid point.
 """
 
 from __future__ import annotations
@@ -28,51 +29,47 @@ def _deformed(s: float) -> np.ndarray:
     return np.stack([alpha * up, beta * sz, -alpha * dn])
 
 
-def _aklt() -> np.ndarray:
-    return _deformed(0.0)
-
-
 def _ghz() -> np.ndarray:
     v0 = np.diag([1.0, 0.0]).astype(complex)
     v1 = np.diag([0.0, 1.0]).astype(complex)
     return np.stack([v0, v1])
 
 
-def _product(amps: list[complex]) -> np.ndarray:
+def _product(*amps: complex) -> np.ndarray:
     vec_arr = np.asarray(amps, dtype=complex)
     vec_arr = vec_arr / np.linalg.norm(vec_arr)
     return vec_arr.reshape(-1, 1, 1)
 
 
 def _breaker(s: float) -> np.ndarray:
-    raw = _aklt()
+    raw = _deformed(0.0)
     raw[1] = raw[1] + s * np.eye(2)
     return normalize(raw).v
 
 
+@dataclass(frozen=True)
+class ModelEntry:
+    """A zoo model: argument count (-1: two or more amplitudes), description, generator
+    of the raw tuple from the parsed arguments, default (s0, s1) of a one-parameter family."""
+
+    parameters: int
+    description: str
+    generator: Callable[..., np.ndarray]
+    family_range: tuple[float, float] | None = None
+
+
 MODELS = {
-    "aklt": {
-        "parameters": 0,
-        "description": "spin-1 valence bond chain, bond dimension 2, index -1",
-    },
-    "ghz": {
-        "parameters": 0,
-        "description": "two-block reducible tuple; fails primitivity",
-    },
-    "product": {
-        "parameters": -1,
-        "description": "product state from >= 2 amplitudes (normalized), index +1",
-    },
-    "deformed-aklt": {
-        "parameters": 1,
-        "description": "one-parameter deformation of aklt; primitive and "
-                       "reflection invariant with index -1 on [0, 1]",
-    },
-    "aklt-breaker": {
-        "parameters": 1,
-        "description": "aklt with s * identity added to the middle matrix, "
-                       "renormalized; breaks reflection invariance for s > 0",
-    },
+    "aklt": ModelEntry(0, "spin-1 valence bond chain, bond dimension 2, index -1",
+                       lambda: _deformed(0.0)),
+    "ghz": ModelEntry(0, "two-block reducible tuple; fails primitivity", _ghz),
+    "product": ModelEntry(-1, "product state from >= 2 amplitudes (normalized), index +1",
+                          _product),
+    "deformed-aklt": ModelEntry(1, "one-parameter deformation of aklt; primitive and "
+                                   "reflection invariant with index -1 on [0, 1]",
+                                _deformed, (0.0, 1.0)),
+    "aklt-breaker": ModelEntry(1, "aklt with s * identity added to the middle matrix, "
+                                  "renormalized; breaks reflection invariance for s > 0",
+                               _breaker, (0.0, 0.5)),
 }
 
 
@@ -101,7 +98,7 @@ def parse_model(name: str) -> tuple[str, list]:
     if base not in MODELS:
         raise UnknownModel(f"unknown model {base!r}", known=sorted(MODELS))
     args = [_parse_scalar(a) for a in argstr.split(",")] if argstr else []
-    spec = MODELS[base]["parameters"]
+    spec = MODELS[base].parameters
     if spec >= 0 and len(args) != spec:
         raise UnknownModel(
             f"model {base!r} takes {spec} argument(s), got {len(args)}",
@@ -124,10 +121,7 @@ def parse_model(name: str) -> tuple[str, list]:
 def zoo(name: str) -> np.ndarray:
     """Raw tuple for a point model; normalization is the caller's job."""
     base, args = parse_model(name)
-    if base == "product":
-        return _product(args)
-    return {"aklt": _aklt, "ghz": _ghz, "deformed-aklt": _deformed,
-            "aklt-breaker": _breaker}[base](*args)
+    return MODELS[base].generator(*args)
 
 
 @dataclass(frozen=True)
@@ -139,24 +133,22 @@ class FamilySpec:
     generator: Callable[[float], np.ndarray]
 
 
-_FAMILY_RANGES = {
-    "deformed-aklt": (0.0, 1.0),
-    "aklt-breaker": (0.0, 0.5),
-}
-
-
 def family(name: str, s0: float | None = None, s1: float | None = None,
            grid: int | None = None) -> FamilySpec:
-    """Family from a model name: parameterized if the model takes s, else constant."""
-    base = name.partition(":")[0].strip()
-    if base in _FAMILY_RANGES and ":" not in name:
-        lo, hi = _FAMILY_RANGES[base]
-        gen = _deformed if base == "deformed-aklt" else _breaker
-        generator: Callable[[float], np.ndarray] = lambda s: gen(float(s))
+    """Family from a model name, read from its :data:`MODELS` entry.
+
+    A bare one-parameter name runs its generator over ``family_range`` by
+    default; any other name is a point model, parsed once here, and gives a
+    constant family, over [0, 1] by default.
+    """
+    entry = MODELS.get(name.strip())
+    if entry is not None and entry.family_range is not None:
+        lo, hi = entry.family_range
+        generator: Callable[[float], np.ndarray] = lambda s: entry.generator(float(s))
     else:
-        parse_model(name)
-        generator = lambda s, _name=name: zoo(_name)
-        lo, hi = 0.0, 1.0
+        base, args = parse_model(name)
+        entry, (lo, hi) = MODELS[base], (0.0, 1.0)
+        generator = lambda s: entry.generator(*args)
     s0 = lo if s0 is None else float(s0)
     s1 = hi if s1 is None else float(s1)
     grid = 11 if grid is None else int(grid)

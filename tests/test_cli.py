@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -315,14 +316,16 @@ def test_parent_ham_default_window_n6():
 def test_scan_records_a_refusing_generator(monkeypatch):
     # a generator that refuses for s > 0: the point is recorded and the scan goes on
     scan_module = importlib.import_module("spt_z2.scan")
-    breaker = scan_module._breaker
+    entry = scan_module.MODELS["aklt-breaker"]
+    breaker = entry.generator
 
     def refusing(s):
         if s > 0.0:
             raise sz.NotNormalizable("no channel form", s=s)
         return breaker(s)
 
-    monkeypatch.setattr(scan_module, "_breaker", refusing)
+    monkeypatch.setitem(scan_module.MODELS, "aklt-breaker",
+                        dataclasses.replace(entry, generator=refusing))
     code, env = run(["scan", "--family", "aklt-breaker",
                      "--s0", "0", "--s1", "0.5", "--grid", "3"])
     assert code == 0
@@ -434,6 +437,21 @@ def test_models_listing():
     rows = env["result"]["models"]
     assert [r["name"] for r in rows] == sorted(sz.MODELS)
     assert all({"name", "parameters", "description"} <= set(r) for r in rows)
+    assert [list(r) for r in rows] == [["name", "parameters", "description"]] * 5
+    assert rows == [
+        {"name": "aklt", "parameters": 0,
+         "description": "spin-1 valence bond chain, bond dimension 2, index -1"},
+        {"name": "aklt-breaker", "parameters": 1,
+         "description": "aklt with s * identity added to the middle matrix, "
+                        "renormalized; breaks reflection invariance for s > 0"},
+        {"name": "deformed-aklt", "parameters": 1,
+         "description": "one-parameter deformation of aklt; primitive and "
+                        "reflection invariant with index -1 on [0, 1]"},
+        {"name": "ghz", "parameters": 0,
+         "description": "two-block reducible tuple; fails primitivity"},
+        {"name": "product", "parameters": -1,
+         "description": "product state from >= 2 amplitudes (normalized), index +1"},
+    ]
 
 
 def test_pretty_output_parses():

@@ -413,6 +413,8 @@ def test_marginal_matches_oracle(rng):
         for l in lengths:
             m = sz.marginal(t, rho, l)
             oracle = marginal_oracle(t, rho, l)
+            assert np.array_equal(m.root, np.tril(m.root))
+            assert frob(m.root @ m.root.conj().T - 0.5 * (rho + rho.conj().T)) < 1e-14
             assert m.factor.shape == (t.d ** l, t.k ** 2)
             assert frob(dense_marginal(m) - oracle) < 1e-10
             evals = np.linalg.eigvalsh(oracle)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,7 +63,20 @@ def test_models_registry():
         "aklt", "ghz", "product", "deformed-aklt", "aklt-breaker",
     }
     for meta in sz.MODELS.values():
-        assert isinstance(meta["description"], str)
+        assert isinstance(meta.description, str)
+
+
+def test_readme_model_zoo_table_is_the_registry():
+    # the table names exactly the keys of MODELS, with their argument counts and descriptions
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Model zoo", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`:]+)[^`]*` +\| +(-?\d+) +\| (.+?) \|$", section,
+                      flags=re.MULTILINE)
+    assert sorted(name for name, _, _ in rows) == sorted(sz.MODELS)
+    assert len(rows) == len(sz.MODELS)
+    for name, parameters, description in rows:
+        entry = sz.MODELS[name]
+        assert (int(parameters), description) == (entry.parameters, entry.description)
 
 
 # -- families -----------------------------------------------------------------
@@ -71,6 +87,15 @@ def test_family_default_ranges():
     breaker = sz.family("aklt-breaker")
     assert (breaker.s0, breaker.s1) == (0.0, 0.5)
     assert frob(deformed.generator(0.0) - sz.zoo("aklt")) < 1e-12
+
+
+@pytest.mark.parametrize("name", [n for n, e in sz.MODELS.items() if e.family_range])
+def test_family_reads_its_registry_entry(name):
+    fam = sz.family(name)
+    assert (fam.s0, fam.s1) == sz.MODELS[name].family_range
+    for s in (fam.s0, 0.5 * (fam.s0 + fam.s1), 0.3):
+        got, want = fam.generator(s), sz.zoo(f"{name}:{s}")
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_family_constant_from_point_model():
