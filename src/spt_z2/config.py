@@ -61,13 +61,13 @@ class Config:
     eps_herm: float = 1e-8       # Hermiticity acceptance, relative
     eps_norm: float = 1e-9       # channel normalization residual
     eps_gauge: float = 1e-7      # gauge relation residual
-    eps_index: float = 1e-7      # symmetric/antisymmetric classification
+    eps_index: float = 1e-7      # smaller sign miss of U against U^T (zeta)
     rank_tol: float = 1e-12      # relative spectral cutoff for ranks/pseudo-inverses
     pos_def_tol: float = 1e-10   # relative floor for positive definiteness
     peripheral_tol: float = 1e-6 # peripheral spectrum window (fraction of radius)
     mixed_tol: float = 1e-6      # mixed transfer radius deficit for same-state test
-    swap_tol: float = 1e-8       # matrix (anti)symmetry test for swap_sign
-    modular_tol: float = 1e-8    # modular identity residuals
+    swap_tol: float = 1e-8       # smaller sign miss of M against M^T (sigma)
+    modular_tol: float = 1e-8    # modular identity residuals and kappa's sign miss
     refl_marginal_tol: float = 1e-8  # marginal reversal mismatch threshold
 
     # panel sizes for randomized identity checks

@@ -23,6 +23,11 @@ Every tolerance these operations apply comes from the optional ``config``
 they take (``None`` means :data:`spt_z2.config.DEFAULT`); none has a
 tolerance keyword of its own. The one fixed threshold is the 1e-9 singular
 value floor of :func:`polar_unitary`.
+
+Every sign the package reports (the index zeta, the swap sign sigma and the
+antiunitary square kappa) is read by :func:`transpose_sign`, the one sign
+rule: the smaller of the misses ``||a - b||_F`` and ``||a + b||_F`` names the
+sign, which holds only when that miss is within the caller's bound.
 """
 
 from __future__ import annotations
@@ -265,3 +270,18 @@ def frob(x: np.ndarray) -> float:
     bits, since the sum is taken in a different order.
     """
     return math.sqrt(np.vdot(x, x).real)
+
+
+def transpose_sign(a: np.ndarray, b: np.ndarray,
+                   tol: float) -> tuple[int | None, float, float]:
+    """The sign s with ``a ~ s b``, and the misses ``||a - b||_F`` and ``||a + b||_F``.
+
+    The smaller miss names s (+1 on a tie), which holds only when that miss
+    is at most ``tol``; otherwise s is None. A NaN miss compares false both
+    ways, so it gives None, as :func:`spt_z2.errors.within` refuses NaN.
+    """
+    plus, minus = frob(a - b), frob(a + b)
+    sign = 1 if plus <= minus else -1 if minus < plus else None
+    if sign is not None and not min(plus, minus) <= tol:
+        sign = None
+    return sign, plus, minus

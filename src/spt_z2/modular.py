@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import Config, resolve
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
-from .linalg import canonical_phases, frob, psd_power
+from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,13 @@ def schmidt(omega: BipartiteVector, config: Config | None = None) -> SchmidtData
 
 
 def swap_sign(omega: BipartiteVector, config: Config | None = None) -> int | None:
-    """+1 for symmetric, -1 for antisymmetric coefficient matrix, else None."""
-    tol = resolve(config).swap_tol
-    mat = omega.M
-    if frob(mat - mat.T) <= tol:
-        return 1
-    if frob(mat + mat.T) <= tol:
-        return -1
-    return None
+    """+1 for a symmetric, -1 for an antisymmetric coefficient matrix M, else None.
+
+    The sign of :func:`spt_z2.linalg.transpose_sign` of M against M^T: the
+    smaller of ``||M - M^T||_F`` and ``||M + M^T||_F`` names it, and it holds
+    only when that miss is at most ``swap_tol``.
+    """
+    return transpose_sign(omega.M, omega.M.T, resolve(config).swap_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,9 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
     closed forms on one side are compared against independent ambient
     computations on the other (reduced-state powers from M M^dagger, the
     literal u-formulas). ``kappa`` is the sign of u conj(u) on the support
-    when that is a sign, and None otherwise; ``sigma`` is the swap sign of
-    the coefficient matrix. When both are defined they must agree.
+    against the identity, read by :func:`spt_z2.linalg.transpose_sign` at
+    ``modular_tol * max(1, sqrt(r))``, and None when that gives none;
+    ``sigma`` is :func:`swap_sign`. When both are defined they must agree.
     """
     cfg = resolve(config)
     sch = schmidt(omega, config=cfg)
@@ -159,22 +159,23 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
 
     omega_c = np.diag(dvec)
 
-    res_delta_formula = 0.0
-    res_s_action = 0.0
-    res_j_formula = 0.0
-    res_j_square = 0.0
+    # worst case of each identity, in report order
+    residuals = dict.fromkeys(("S_action", "J_square", "delta_fix", "delta_formula",
+                               "J_formula"), 0.0)
+
+    def fold(name, miss, scale=1.0):
+        residuals[name] = max(residuals[name], frob(miss) / max(scale, 1e-300))
+
     for _ in range(cfg.panel_size):
         # (a) Delta^{1/2} against the reduced-state power formula, ambient route
         x_c = rand_c(r)
         x_amb = xi @ x_c @ xi.conj().T
         lhs = embed(half_delta(x_c @ omega_c))
-        rhs = (root @ x_amb @ root_inv) @ omega.M
-        res_delta_formula = max(res_delta_formula, frob(lhs - rhs) / max(frob(lhs), 1e-300))
+        fold("delta_formula", lhs - (root @ x_amb @ root_inv) @ omega.M, frob(lhs))
 
         # (c) S = J Delta^{1/2} sends (x (x) 1) Omega to (x^dagger (x) 1) Omega
-        lhs = j_ambient(embed(half_delta(x_c @ omega_c)))
         rhs = (xi @ x_c.conj().T @ xi.conj().T) @ omega.M
-        res_s_action = max(res_s_action, frob(lhs - rhs) / max(frob(rhs), 1e-300))
+        fold("S_action", j_ambient(embed(half_delta(x_c @ omega_c))) - rhs, frob(rhs))
 
         # (b) J (P (x) y) J = (w conj(y) w^dagger) (x) P with w = u^T
         y = rand_c(omega.m)
@@ -183,24 +184,15 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
         lhs = j_ambient(p_left @ j_ambient(w_any) @ y.T)
         wmat = sch.u.T
         rhs = (wmat @ y.conj() @ wmat.conj().T) @ w_any @ p_right.T
-        res_j_formula = max(res_j_formula, frob(lhs - rhs) / max(frob(w_any), 1e-300))
+        fold("J_formula", lhs - rhs, frob(w_any))
 
         # J^2 is the support projector on both factors
-        lhs = j_ambient(j_ambient(w_any))
-        rhs = p_left @ w_any @ p_right.T
-        res_j_square = max(res_j_square, frob(lhs - rhs) / max(frob(w_any), 1e-300))
+        fold("J_square", j_ambient(j_ambient(w_any)) - p_left @ w_any @ p_right.T,
+             frob(w_any))
 
     # Delta and J fix Omega
-    res_fix = frob(embed(half_delta(half_delta(omega_c))) - omega.M)
-    res_fix = max(res_fix, frob(j_ambient(omega.M) - omega.M))
-
-    residuals = {
-        "S_action": float(res_s_action),
-        "J_square": float(res_j_square),
-        "delta_fix": float(res_fix),
-        "delta_formula": float(res_delta_formula),
-        "J_formula": float(res_j_formula),
-    }
+    fold("delta_fix", embed(half_delta(half_delta(omega_c))) - omega.M)
+    fold("delta_fix", j_ambient(omega.M) - omega.M)
     for value in residuals.values():
         within(value, cfg.modular_tol, Inconclusive, "modular identities exceed tolerance",
                **residuals)
@@ -209,12 +201,7 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
     kappa: int | None = None
     if support_match <= cfg.modular_tol:
         g = z.conj().T @ xi
-        t2 = g @ g.conj()
-        scale = max(1.0, r ** 0.5)
-        if frob(t2 - np.eye(r)) <= cfg.modular_tol * scale:
-            kappa = 1
-        elif frob(t2 + np.eye(r)) <= cfg.modular_tol * scale:
-            kappa = -1
+        kappa = transpose_sign(g @ g.conj(), np.eye(r), cfg.modular_tol * max(1.0, r ** 0.5))[0]
 
     sigma = swap_sign(omega, config=cfg)
     if kappa is not None and sigma is not None and kappa != sigma:

@@ -50,9 +50,8 @@ from .errors import (
     within,
 )
 from .linalg import (canonical_phases, frob, kraus_superop, polar_unitary,
-                     pos_def_eig, unvec)
+                     pos_def_eig, transpose_sign, unvec)
 from .mps import (
-    InvariantState,
     MpsTuple,
     PrimitivityCertificate,
     _append_letters,
@@ -182,37 +181,35 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
     return worst
 
 
-def _evidence(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
-              refl: ReflectedTuple, cfg: Config) -> tuple[ReflectionEvidence, GaugeSolution | None]:
+def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
+    """Invariant state, reflected tuple, evidence and gauge of a certified tuple."""
+    if not cert.is_primitive:
+        raise NotPrimitive(
+            "tuple is not primitive",
+            peripheral_count=cert.peripheral_count,
+            spectral_gap=cert.spectral_gap,
+        )
+    # primitivity found this state already; taking it from there would save one
+    # eigvals, eig and eigh and two transfer matrices per index, but moves the
+    # call counts the benchmark pins, so it waits for their re-pin (ROADMAP 1 and 3)
+    inv = invariant_state(t, cfg)
+    refl = reflected_tuple(t, inv.rho, cfg)
     # the one rotation into the rho eigenbasis, where U is classified
     w = refl.basis
     v_eig = MpsTuple(v=np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w),
                      reflect_perm=t.reflect_perm)
     gauge: GaugeSolution | None = None
-    gauge_residual: float | None = None
     try:
         gauge = gauge_solve(v_eig, _transposed(v_eig), config=cfg)
-        mixed_radius = gauge.mixed_radius
-        gauge_residual = gauge.relation_residual
+        mixed_radius, gauge_residual = gauge.mixed_radius, gauge.relation_residual
         via_gauge = gauge_residual <= cfg.eps_gauge
     except (NotSameState, NotUnitaryMultiple) as exc:
-        mixed_radius = float(exc.payload["mixed_radius"])
+        mixed_radius, gauge_residual = float(exc.payload["mixed_radius"]), None
         via_gauge = False
 
     lengths = 2 * (cert.injectivity_length or 1)
     marg_res = _marginal_reversal_residual(t, inv.rho, lengths, cfg)
     via_marginals = marg_res <= cfg.refl_marginal_tol
-
-    if via_gauge != via_marginals:
-        raise Inconclusive(
-            "gauge and marginal reflection certificates disagree",
-            via_gauge=via_gauge,
-            via_marginals=via_marginals,
-            gauge_residual=gauge_residual,
-            mixed_radius=mixed_radius,
-            marginal_residual=marg_res,
-            marginal_lengths=lengths,
-        )
     evidence = ReflectionEvidence(
         invariant=via_gauge and via_marginals,
         via_gauge=via_gauge,
@@ -222,23 +219,9 @@ def _evidence(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
         marginal_residual=marg_res,
         marginal_lengths=lengths,
     )
-    return evidence, gauge
-
-
-def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
-    """Invariant state, reflected tuple and evidence of a certified tuple."""
-    if not cert.is_primitive:
-        raise NotPrimitive(
-            "tuple is not primitive",
-            peripheral_count=cert.peripheral_count,
-            spectral_gap=cert.spectral_gap,
-        )
-    # primitivity found this state already; taking it from there would save one
-    # eigvals, eig and eigh and two transfer matrices per index, but moves the
-    # call counts the benchmark pins, so it waits for their re-pin (ROADMAP 4)
-    inv = invariant_state(t, cfg)
-    refl = reflected_tuple(t, inv.rho, cfg)
-    evidence, gauge = _evidence(t, cert, inv, refl, cfg)
+    if via_gauge != via_marginals:
+        raise Inconclusive("gauge and marginal reflection certificates disagree",
+                           **{k: v for k, v in vars(evidence).items() if k != "invariant"})
     return inv, refl, evidence, gauge
 
 
@@ -293,13 +276,11 @@ def z2_index(raw, config: Config | None = None) -> IndexReport:
             marginal_lengths=evidence.marginal_lengths,
         )
     u = gauge.U
-    sym = frob(u - u.T)
-    antisym = frob(u + u.T)
-    # np.minimum, unlike min, is NaN when either residual is
-    within(float(np.minimum(sym, antisym)), cfg.eps_index, AmbiguousSymmetry,
-           "gauge unitary is neither symmetric nor antisymmetric",
-           sym_residual=sym, antisym_residual=antisym)
-    zeta = 1 if sym <= antisym else -1
+    zeta, sym, antisym = transpose_sign(u, u.T, cfg.eps_index)
+    if zeta is None:
+        raise AmbiguousSymmetry("gauge unitary is neither symmetric nor antisymmetric",
+                                sym_residual=sym, antisym_residual=antisym,
+                                tolerance=cfg.eps_index)
     phase_sq = abs(gauge.phase ** 2 - 1.0)
     dmat = np.diag(refl.rho_diag)
     commute = frob(u @ dmat - dmat @ u)

@@ -223,7 +223,7 @@ def scan(spec: FamilySpec, config: Config | None = None) -> ScanReport:
     ``transfer_gap`` is the gap below the peripheral transfer window (0.0 if
     it holds several eigenvalues, null if no tuple was generated or normalized).
     ``constant_index`` means every point has the same defined index;
-    ``first_failure`` is the smallest grid value where certification failed.
+    ``first_failure`` is the first failing point in grid order.
     A grid above ``scan_cap`` is refused before any point runs.
     """
     cfg = resolve(config)

@@ -233,6 +233,18 @@ def test_modular_from_index():
     }
 
 
+def test_modular_from_index_with_loose_bounds():
+    # bounds that both misses pass must not flip kappa or sigma against zeta
+    code, env = run(["modular", "--from-index", "aklt", "--swap-tol", "3",
+                     "--modular-tol", "3"])
+    assert code == 0
+    res = env["result"]
+    assert res["kappa"] == -1 and res["sigma"] == -1
+    assert res["from_index"] == {
+        "zeta": -1, "matches_sigma": True, "matches_kappa": True,
+    }
+
+
 def test_modular_validate_only_checks_inputs(tmp_path):
     vector = tmp_path / "vector.json"
     vector.write_text(json.dumps({"m": 2, "entries": [[1]]}))

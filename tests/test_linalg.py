@@ -15,6 +15,7 @@ from spt_z2.linalg import (
     pos_def_eig,
     psd_power,
     real_if_exact,
+    transpose_sign,
     unvec,
     vec,
 )
@@ -112,6 +113,35 @@ def test_herm_eig_vectors_are_the_eager_phase_fix(rng, monkeypatch, kind):
 def test_frob_is_the_frobenius_norm(x):
     assert abs(frob(x) - np.linalg.norm(x.ravel())) <= 4e-16 * np.linalg.norm(x.ravel())
     assert isinstance(frob(x), float)
+
+
+def test_transpose_sign_smaller_miss_wins():
+    # both misses are within the bound; the smaller one, ||a + a^T||, names -1
+    a = np.array([[0.1, 1.0], [-1.0, 0.1]])
+    plus, minus = frob(a - a.T), frob(a + a.T)
+    assert minus < plus <= 10.0
+    assert transpose_sign(a, a.T, 10.0) == (-1, plus, minus)
+    assert transpose_sign(a, a.T, 1.0) == (-1, plus, minus)
+    assert transpose_sign(a, a.T, 0.1)[0] is None
+    eye = np.eye(3)
+    assert transpose_sign(eye, eye, 0.0) == (1, 0.0, frob(2 * eye))
+    assert transpose_sign(-eye, eye, 0.0)[0] == -1
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)),  # both misses NaN
+    (np.array([[np.inf]]), np.array([[np.inf]])),        # ||a - b|| alone NaN
+    (np.array([[np.inf]]), np.array([[-np.inf]])),       # ||a + b|| alone NaN
+], ids=["nan", "inf-minus-inf", "inf-plus-minus-inf"])
+def test_transpose_sign_refuses_a_nan_miss(a, b):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        sign, plus, minus = transpose_sign(a, b, np.inf)
+    assert sign is None and (np.isnan(plus) or np.isnan(minus))
+
+
+def test_transpose_sign_negative_bound_gives_none():
+    eye = np.eye(2)
+    assert transpose_sign(eye, eye, -1.0) == (None, 0.0, frob(2 * eye))
 
 
 def test_herm_eig_rejects_skew(rng):

@@ -67,6 +67,16 @@ def test_swap_sign_cases(rng):
     assert sz.swap_sign(sz.as_bipartite(SINGLET)) == -1
 
 
+def test_loose_bounds_keep_the_sign():
+    # above sqrt(2) both misses of a unit vector pass their bound; the
+    # smaller one still names the sign
+    omega = sz.as_bipartite(SINGLET)
+    cfg = sz.Config(swap_tol=3, modular_tol=3)
+    assert sz.swap_sign(omega, cfg) == -1
+    report = sz.modular_data(omega, cfg)
+    assert report.kappa == -1 and report.sigma == -1
+
+
 # -- modular data -------------------------------------------------------------
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
@@ -106,6 +116,8 @@ def test_modular_singlet():
     report = sz.modular_data(sz.as_bipartite(SINGLET))
     assert report.kappa == -1 and report.sigma == -1
     assert report.support_dim == 2
+    assert list(report.residuals) == ["S_action", "J_square", "delta_fix", "delta_formula",
+                                      "J_formula"]
     assert max(report.residuals.values()) < 1e-12
 
 

@@ -192,6 +192,9 @@ def test_tampered_eigenmatrix_is_refused(monkeypatch):
         with pytest.raises(sz.Inconclusive) as exc:
             sz.z2_index(raw)
         assert not exc.value.payload["via_gauge"] and exc.value.payload["via_marginals"]
+        assert list(exc.value.payload) == ["via_gauge", "via_marginals", "gauge_residual",
+                                           "mixed_radius", "marginal_residual",
+                                           "marginal_lengths"]
 
 
 # -- invariance evidence ------------------------------------------------------
@@ -382,5 +385,9 @@ def test_aklt_index_call_counts(monkeypatch):
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):
-    with pytest.raises(sz.AmbiguousSymmetry):
+    with pytest.raises(sz.AmbiguousSymmetry) as exc:
         sz.z2_index(aklt_raw, config=sz.Config(eps_index=-1.0))
+    assert exc.value.message == "gauge unitary is neither symmetric nor antisymmetric"
+    assert list(exc.value.payload) == ["sym_residual", "antisym_residual", "tolerance"]
+    assert exc.value.payload["tolerance"] == -1.0
+    assert exc.value.payload["sym_residual"] > exc.value.payload["antisym_residual"] >= 0.0

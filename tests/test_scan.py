@@ -137,6 +137,14 @@ def test_scan_breaker_first_failure():
         assert (p.zeta is not None) == (p.primitive and p.reflection_invariant)
 
 
+def test_scan_first_failure_follows_grid_order():
+    # on a descending grid the first failing point is the largest failing value
+    rep = sz.scan(sz.family("aklt-breaker", 0.5, 0.0, 3))
+    assert [p.s for p in rep.points] == [0.5, 0.25, 0.0]
+    assert [p.status for p in rep.points] == ["not_reflection_invariant"] * 2 + ["ok"]
+    assert rep.first_failure == 0.5
+
+
 def test_scan_deformed_constant():
     rep = sz.scan(sz.family("deformed-aklt", grid=5))
     assert rep.constant_index
