@@ -31,15 +31,8 @@ from .errors import (
     WindowTooLarge,
     ZeroVector,
 )
-from .hamiltonian import (
-    ChainSpec,
-    EdReport,
-    ParentInteraction,
-    chain_hamiltonian,
-    ed_report,
-    parent_interaction,
-    reflection_check,
-)
+from .hamiltonian import (EdReport, ParentInteraction, chain_hamiltonian, ed_report,
+                          parent_interaction, reflection_check)
 from .linalg import herm_eig, peripheral_eigs, polar_unitary, psd_power
 from .modular import (
     BipartiteVector,

@@ -33,15 +33,9 @@ import sys
 
 import numpy as np
 
-from .config import Config, load_json
+from .config import Config, is_real, load_json
 from .errors import InvalidInput, SptError, UsageError
-from .hamiltonian import (
-    ChainSpec,
-    chain_hamiltonian,
-    ed_report,
-    parent_interaction,
-    reflection_check,
-)
+from .hamiltonian import chain_hamiltonian, ed_report, parent_interaction, reflection_check
 from .modular import as_bipartite, bond_vector, modular_data
 from .mps import MpsTuple, as_mps, normalize, primitivity
 from .reflection import _certify, z2_index
@@ -121,10 +115,6 @@ def envelope(command: str, desc: dict, cfg: Config | None, result, status: str) 
 
 # --------------------------------------------------------------------- loading
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_keys(data, required: set, optional: set, what: str) -> None:
     if not isinstance(data, dict):
         raise InvalidInput(f"{what} must be a JSON object")
@@ -149,7 +139,7 @@ def _complex_array(rows, shape: tuple, what: str) -> np.ndarray:
     def check(node, depth: int, where: str) -> None:
         if depth == len(shape):
             if not (isinstance(node, list) and len(node) == 2
-                    and all(_is_number(x) for x in node)):
+                    and all(is_real(x) for x in node)):
                 raise InvalidInput(f"{where}: complex entries must be [re, im] pairs")
             return
         if not isinstance(node, list) or len(node) != shape[depth]:
@@ -184,7 +174,7 @@ def family_from_data(data, s0=None, s1=None, grid=None):
     if not isinstance(data["model"], str):
         raise InvalidInput("family model must be a string")
     for key in ("s0", "s1"):
-        if key in data and not _is_number(data[key]):
+        if key in data and not is_real(data[key]):
             raise InvalidInput(f"family {key} must be a number")
     if "grid" in data and not (type(data["grid"]) is int and data["grid"] >= 2):
         raise InvalidInput("family grid must be an integer of at least 2")
@@ -299,8 +289,7 @@ def cmd_parent_ham(args, cfg: Config, desc: dict):
         t = normalize(raw(), cfg)
         hint = parent_interaction(t, m=args.m, config=cfg)
         n = args.n if args.n is not None else hint.m
-        spec = ChainSpec(n=n, boundary=args.boundary)
-        h_total = chain_hamiltonian(hint, spec, cfg)
+        h_total = chain_hamiltonian(hint, n, args.boundary, cfg)
         ed = ed_report(h_total, kernel_tol=args.kernel_tol, config=cfg)
         return {
             "m": hint.m,
@@ -310,7 +299,7 @@ def cmd_parent_ham(args, cfg: Config, desc: dict):
             "reflection_residual": reflection_check(hint),
             "chain": {
                 "n": n,
-                "boundary": spec.boundary,
+                "boundary": args.boundary,
                 "ground_energy": ed.ground_energy,
                 "kernel_dim": ed.kernel_dim,
                 "gap": ed.gap,

@@ -9,8 +9,8 @@ Construction is the one validity check, whatever the source (flags, a file,
 values are legal and only force refusals), ``peripheral_tol`` lies in
 (0, 0.5), and every integer is at least 1 (``l_max`` may be None).
 
-Not every threshold is here: the 17 fixed ones below (1e-300 division guards
-aside) sit in the code that applies them. The nine marked (w) are bounds
+Not every threshold is here: the 16 fixed ones below (1e-300 division guards
+aside) sit in the code that applies them. The eight marked (w) are bounds
 judged by :func:`spt_z2.errors.within`, whose refusals report them as
 ``tolerance``; the rest are cutoffs, input checks and a singular value floor.
 
@@ -25,7 +25,6 @@ judged by :func:`spt_z2.errors.within`, whose refusals report them as
 - ``reflection.z2_index``: ``||U D - D U||_F <= 1e-6`` for rho's eigenvalues D (w).
 - ``modular``: ``schmidt`` reconstruction residual <= 1e-9 (w);
   ``as_bipartite`` norm >= 1e-12 and, unless normalizing, abs(norm - 1) <= 1e-10.
-- ``hamiltonian.parent_interaction``: ``||h^2 - h||_F <= 1e-9`` (w).
 - ``linalg.polar_unitary``: smallest singular value >= 1e-9 times the largest.
 - ``scan.parse_model``: product amplitudes of norm >= 1e-12.
 """
@@ -55,6 +54,16 @@ def load_json(path: str):
         raise InvalidInput(f"{path} is not valid JSON: {exc}", path=path) from exc
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return is_real(value) and isinstance(value, numbers.Integral)
+
+
 @dataclass(frozen=True)
 class Config:
     # linear algebra residuals
@@ -82,15 +91,13 @@ class Config:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            number = isinstance(v, numbers.Real) and not isinstance(v, bool)
             if f.name == "peripheral_tol":
-                ok, expected = number and 0.0 < v < 0.5, "a number in (0, 0.5)"
+                ok, expected = is_real(v) and 0.0 < v < 0.5, "a number in (0, 0.5)"
             elif f.type == "float":
-                ok, expected = number and math.isfinite(v), "a finite number"
+                ok, expected = is_real(v) and math.isfinite(v), "a finite number"
             else:
                 nullable = f.type == "int | None"
-                ok = (number and isinstance(v, numbers.Integral) and v >= 1
-                      or nullable and v is None)
+                ok = is_int(v) and v >= 1 or nullable and v is None
                 expected = "an integer >= 1" + (" or null" if nullable else "")
             if not ok:
                 raise InvalidInput(f"config {f.name} must be {expected}", key=f.name,

@@ -2,10 +2,14 @@
 
 The canonical m-site interaction of a primitive tuple is the complement of
 the marginal's support: h = 1 - P where P projects onto the range of the
-m-site reduced state. It is a projector, translation-covariant chains built
-from it are frustration free, and for m at least one more than the
-injectivity length the open-chain kernel is spanned by the tuple's boundary
-states (dimension k^2).
+m-site reduced state. Under the faithful state that ``primitivity``
+certifies, that range is the span of the word vectors sum_w Tr(X V_w)|w>
+(Fannes, Nachtergaele, Werner, CMP 144, 443 (1992); Perez-Garcia,
+Verstraete, Wolf, Cirac, QIC 7, 401 (2007)), so P needs no state, marginal
+or idempotency product, and the tuple is certified once. h is a projector,
+translation-covariant chains built from it are frustration free, and for m
+at least one more than the injectivity length the open-chain kernel is
+spanned by the tuple's boundary states (dimension k^2).
 
 Everything here is dense and capped; these are verification tools, not a
 simulation engine. A chain of a real interaction is built and diagonalized
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, resolve
-from .errors import ConvergenceFailure, DimensionCap, InvalidInput, within
+from .config import Config, is_int, is_real, resolve
+from .errors import DimensionCap, InvalidInput
 from .linalg import frob, herm_eigvals, real_if_exact
-from .mps import MpsTuple, invariant_state, marginal, primitivity, reverse_word_index
+from .mps import MpsTuple, _append_letters, _word_count, primitivity, reverse_word_index
 
 
 @dataclass(frozen=True)
@@ -40,37 +44,38 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
                        config: Config | None = None) -> ParentInteraction:
     """Projector onto the orthogonal complement of the m-site marginal support.
 
-    Default window is injectivity length + 1. A shorter window still yields a
-    valid frustration-free interaction but its chain kernel can exceed the
-    boundary-state count; that case sets ``range_warning``.
+    A tuple that is not primitive is refused as the index refuses it. The
+    support's basis B is the left singular vectors of the d^m x k^2 word
+    matrix (rows ``V_w``) with squared singular value above ``rank_tol`` times
+    the largest, as :func:`spt_z2.mps.marginal` counts Gram eigenvalues; h is
+    1 - B B^dagger, symmetrized. No ``||h^2 - h||_F`` bound is judged, as none
+    could fail: LAPACK's B is orthonormal to about dim * eps, so the miss is
+    of that order (9e-13 at ``marginal_cap`` = 4096, 3e-15 for aklt at m = 7)
+    where a bound would be 1e-9. The default window is injectivity length + 1;
+    a shorter one still gives a frustration-free interaction, but its chain
+    kernel can exceed the boundary-state count, which sets ``range_warning``.
     """
     cfg = resolve(config)
     cert = primitivity(t, config=cfg)
-    inv = invariant_state(t, cfg)
+    cert.require_primitive()
     if m is None:
         m = (cert.injectivity_length or 1) + 1
-    if m < 1:
-        raise InvalidInput("window must span at least one site", m=m)
-    # the marginal is factor @ factor^dagger, so its support is the span of
-    # the factor's leading left singular vectors
-    marg = marginal(t, inv.rho, m, cfg)
-    dim = marg.factor.shape[0]
-    basis = np.linalg.svd(marg.factor, full_matrices=False)[0][:, :marg.rank]
+    if not (is_int(m) and m >= 1):
+        raise InvalidInput("window must be an integer of at least one site", m=m)
+    dim = _word_count(t.d, m, cfg, "marginal dimension")
+    words = _append_letters(t.v.reshape(t.d, -1), t.v, m - 1)
+    u, s, _ = np.linalg.svd(words, full_matrices=False)
+    support = int(np.sum(s * s > cfg.rank_tol * max(float(s[0] * s[0]), 1e-300)))
+    basis = u[:, :support]
     # h = 1 - P, then 0.5 (h + h^dagger), in place beside one d^m x d^m buffer;
     # the bits are those of eye(dim) - P symmetrized out of place (0 - p, not
     # -p, gives a zero entry the sign that eye(dim) - P gives it)
     h = basis @ basis.conj().T
     np.subtract(0.0, h, out=h)
     h.reshape(-1)[:: dim + 1] += 1.0
-    buf = np.conjugate(h.T, order="C")
-    h += buf
+    h += np.conjugate(h.T, order="C")
     h *= 0.5
-    np.matmul(h, h, out=buf)
-    buf -= h
-    idem = frob(buf)
-    within(idem, 1e-9, ConvergenceFailure, "interaction is not a projector within tolerance",
-           residual=idem)
-    return ParentInteraction(m=m, h=h, rank=dim - marg.rank, support_rank=marg.rank,
+    return ParentInteraction(m=m, h=h, rank=dim - support, support_rank=support,
                              range_warning=m < (cert.injectivity_length or 1) + 1,
                              d=t.d, perm=t.perm())
 
@@ -91,15 +96,9 @@ def _add_on_sites(acc: np.ndarray, op: np.ndarray, sites: list[int]) -> None:
     view += op.reshape((d,) * (2 * len(sites)) + (1,) * len(others))
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    n: int
-    boundary: str  # "open" or "periodic"
-
-
-def chain_hamiltonian(hint: ParentInteraction, spec: ChainSpec,
+def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
                       config: Config | None = None) -> np.ndarray:
-    """Dense translation sum of the interaction over an n-site chain.
+    """Dense translation sum of the interaction over an n-site open or periodic chain.
 
     Each term is added in place into one d^n x d^n accumulator (see
     :func:`_add_on_sites`), so the accumulator is the only matrix built. It
@@ -112,9 +111,9 @@ def chain_hamiltonian(hint: ParentInteraction, spec: ChainSpec,
     refuses it.
     """
     cfg = resolve(config)
-    n, d, m = spec.n, hint.d, hint.m
-    if spec.boundary not in ("open", "periodic"):
-        raise InvalidInput("boundary must be open or periodic", boundary=spec.boundary)
+    d, m = hint.d, hint.m
+    if boundary not in ("open", "periodic"):
+        raise InvalidInput("boundary must be open or periodic", boundary=boundary)
     if n < m:
         raise InvalidInput("chain shorter than the interaction window", n=n, m=m)
     dim = d ** n
@@ -123,7 +122,7 @@ def chain_hamiltonian(hint: ParentInteraction, spec: ChainSpec,
                            dimension=dim, cap=cfg.ed_cap)
     h = real_if_exact(hint.h)
     h_total = np.zeros((d,) * (2 * n), dtype=np.result_type(h, float))
-    last = n - m + 1 if spec.boundary == "open" else n
+    last = n - m + 1 if boundary == "open" else n
     for p in range(last):
         _add_on_sites(h_total, h, [(p + j) % n for j in range(m)])
     return h_total.reshape(dim, dim)
@@ -145,9 +144,13 @@ def ed_report(h_total: np.ndarray, kernel_tol: float | None = None,
     real arithmetic when the matrix has no imaginary part. An exactly
     Hermitian chain, as :func:`chain_hamiltonian` builds it, goes to
     ``eigvalsh`` as it is, so ED holds two d^n x d^n matrices at most: the
-    chain and LAPACK's working copy.
+    chain and LAPACK's working copy. ``kernel_tol`` may be -inf (no kernel,
+    so the gap is the lowest eigenvalue) but not NaN or +inf.
     """
     cfg = resolve(config)
+    if kernel_tol is not None and not (is_real(kernel_tol) and kernel_tol < np.inf):
+        raise InvalidInput("kernel_tol must be a number other than NaN and +inf",
+                           kernel_tol=kernel_tol)
     h_arr = np.asarray(h_total)
     if h_arr.shape[0] > cfg.ed_cap:
         raise DimensionCap("matrix exceeds the dense diagonalization cap",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, resolve
+from .config import Config, is_int, resolve
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
@@ -129,9 +129,12 @@ def modular_data(omega: BipartiteVector, config: Config | None = None,
     literal u-formulas). ``kappa`` is the sign of u conj(u) on the support
     against the identity, read by :func:`spt_z2.linalg.transpose_sign` at
     ``modular_tol * max(1, sqrt(r))``, and None when that gives none;
-    ``sigma`` is :func:`swap_sign`. When both are defined they must agree.
+    ``sigma`` is :func:`swap_sign`. The two are compared only when both are
+    read (one alone is a legitimate answer), and then must agree.
     """
     cfg = resolve(config)
+    if seed is not None and not (is_int(seed) and seed >= 0):
+        raise InvalidInput("seed must be a non-negative integer", seed=seed)
     sch = schmidt(omega, config=cfg)
     r = sch.support_dim
     xi, z, lam = sch.left, sch.right, sch.lam

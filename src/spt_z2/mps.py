@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, resolve
+from .config import Config, is_int, resolve
 from .errors import (
     ConvergenceFailure,
     Inconclusive,
@@ -197,6 +197,12 @@ class PrimitivityCertificate:
     injectivity_length: int | None
     peripheral_count: int
     spectral_gap: float
+
+    def require_primitive(self) -> None:
+        """The one refusal of a tuple found not primitive, as :class:`NotPrimitive`."""
+        if not self.is_primitive:
+            raise NotPrimitive("tuple is not primitive", peripheral_count=self.peripheral_count,
+                               spectral_gap=self.spectral_gap)
 
 
 def _append_letters(rows: np.ndarray, mats: np.ndarray, l: int = 1) -> np.ndarray:
@@ -393,14 +399,13 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     ``Phi Phi^dagger`` of the rows ``L^dagger V_w``. ``Phi`` is built one site
     at a time, so memory stays O(d^l k^2) and no d^l x d^l matrix is formed.
     The nonzero spectrum, and so the rank, comes from the k^2 x k^2 Gram
-    ``Phi^dagger Phi``. Indices are big-endian words. Callers:
-    :func:`spt_z2.hamiltonian.parent_interaction` (its m-site support) and
-    the reflection check, which takes only the l = 1 factor and advances it
-    by QR (:func:`spt_z2.reflection._marginal_reversal_residual`).
+    ``Phi^dagger Phi``. Indices are big-endian words. The reflection check
+    takes only the l = 1 factor and advances it by QR
+    (:func:`spt_z2.reflection._marginal_reversal_residual`).
     """
     cfg = resolve(config)
-    if l < 1:
-        raise InvalidInput("marginal needs l >= 1", l=l)
+    if not (is_int(l) and l >= 1):
+        raise InvalidInput("marginal needs an integer l >= 1", l=l)
     _word_count(t.d, l, cfg, "marginal dimension")
     rho = np.asarray(rho, dtype=complex)
     try:
@@ -442,8 +447,8 @@ def block(t: MpsTuple, b: int, config: Config | None = None) -> MpsTuple:
     the old involution. Blocking preserves the channel condition exactly.
     """
     cfg = resolve(config)
-    if b < 1:
-        raise InvalidInput("block size must be at least 1", b=b)
+    if not (is_int(b) and b >= 1):
+        raise InvalidInput("block size must be an integer of at least 1", b=b)
     if b == 1:
         return t
     require_normalized(t, cfg)

@@ -42,7 +42,6 @@ from .errors import (
     Inconclusive,
     InvalidInput,
     NotFaithful,
-    NotPrimitive,
     NotReflectionInvariant,
     NotSameState,
     NotUnitaryMultiple,
@@ -183,12 +182,7 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
 
 def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
     """Invariant state, reflected tuple, evidence and gauge of a certified tuple."""
-    if not cert.is_primitive:
-        raise NotPrimitive(
-            "tuple is not primitive",
-            peripheral_count=cert.peripheral_count,
-            spectral_gap=cert.spectral_gap,
-        )
+    cert.require_primitive()
     # primitivity found this state already; taking it from there would save one
     # eigvals, eig and eigh and two transfer matrices per index, but moves the
     # call counts the benchmark pins, so it waits for their re-pin (ROADMAP 1 and 3)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import Config, resolve
+from .config import Config, is_int, is_real, resolve
 from .errors import ResourceLimit, SptError, UnknownModel
 from .linalg import peripheral_window
 from .mps import MpsTuple, normalize, transfer_spectrum
@@ -139,7 +139,8 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
 
     A bare one-parameter name runs its generator over ``family_range`` by
     default; any other name is a point model, parsed once here, and gives a
-    constant family, over [0, 1] by default.
+    constant family, over [0, 1] by default. Endpoints other than finite
+    numbers and a grid other than an integer >= 2 are :class:`UnknownModel`.
     """
     entry = MODELS.get(name.strip())
     if entry is not None and entry.family_range is not None:
@@ -149,14 +150,16 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
         base, args = parse_model(name)
         entry, (lo, hi) = MODELS[base], (0.0, 1.0)
         generator = lambda s: entry.generator(*args)
-    s0 = lo if s0 is None else float(s0)
-    s1 = hi if s1 is None else float(s1)
-    grid = 11 if grid is None else int(grid)
-    if not np.isfinite([s0, s1]).all():
+    s0 = lo if s0 is None else s0
+    s1 = hi if s1 is None else s1
+    grid = 11 if grid is None else grid
+    if not (is_real(s0) and is_real(s1) and np.isfinite([s0, s1]).all()):
         raise UnknownModel("family endpoints s0 and s1 must be finite")
+    if not is_int(grid):
+        raise UnknownModel("family grid must be an integer", grid=grid)
     if grid < 2:
         raise UnknownModel("family grid needs at least two points", grid=grid)
-    return FamilySpec(name=name, s0=s0, s1=s1, grid=grid, generator=generator)
+    return FamilySpec(name=name, s0=float(s0), s1=float(s1), grid=grid, generator=generator)
 
 
 def check_grid(spec: FamilySpec, config: Config | None = None) -> None:

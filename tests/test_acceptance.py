@@ -127,7 +127,7 @@ def test_criterion_08_parent_hamiltonian_spectra():
     assert sz.reflection_check(hint) < 1e-10
     start = time.perf_counter()
     for n in (4, 5, 6, 7):
-        h_total = sz.chain_hamiltonian(hint, sz.ChainSpec(n=n, boundary="open"))
+        h_total = sz.chain_hamiltonian(hint, n, "open")
         rep = sz.ed_report(h_total)
         assert -1e-9 <= rep.ground_energy <= 1e-9
         assert rep.kernel_dim == 4

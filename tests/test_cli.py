@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import io
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -218,6 +219,15 @@ def test_modular_singlet_vector(tmp_path):
     assert max(res["residuals"].values()) < 1e-10
 
 
+def test_modular_kappa_without_sigma(tmp_path):
+    # the antiunitary squares to +1 while M is neither M^T nor -M^T: one sign
+    # read and the other not is a legitimate answer, not a disagreement
+    mat = np.array([[0.0, np.sqrt(0.3)], [np.sqrt(0.7), 0.0]])
+    code, env = run(["modular", "--vector", write_vector(tmp_path, mat)])
+    assert code == 0 and env["status"] == "ok"
+    assert env["result"]["kappa"] == 1 and env["result"]["sigma"] is None
+
+
 def test_modular_rejects_unnormalized_vector(tmp_path):
     code, env = run(["modular", "--vector", write_vector(tmp_path, np.eye(2))])
     assert code == 1 and env["status"] == "io_error"
@@ -423,6 +433,16 @@ def test_every_error_exits_with_its_status_code():
     for cls in classes:
         assert cls.status in STATUS_EXIT, cls.__name__
         assert cls("x").exit_code == STATUS_EXIT[cls.status], cls.__name__
+
+
+def test_one_status_list():
+    # the README exit-code table and the schema's status enum are STATUS_EXIT,
+    # names, codes and order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| (\d+) +\| (\w+) +\|", section, flags=re.MULTILINE)
+    assert [(name, int(code)) for code, name in rows] == list(STATUS_EXIT.items())
+    assert SCHEMA["properties"]["status"]["enum"] == list(STATUS_EXIT)
 
 
 def test_no_subcommand_is_usage_error():

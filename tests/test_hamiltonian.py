@@ -1,12 +1,15 @@
+import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import spt_z2 as sz
 from spt_z2.linalg import frob
-from util import embed_sites_oracle, known_answer_tuple
+from spt_z2 import mps
+from util import embed_sites_oracle, known_answer_tuple, marginal_oracle
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +77,72 @@ def test_parent_interaction_is_the_dense_formula(aklt, complex_tuple, model):
     # the signs of zero entries included
     t = aklt if model == "aklt" else complex_tuple
     hint = sz.parent_interaction(t)
-    marg = sz.marginal(t, sz.invariant_state(t).rho, hint.m)
-    basis = np.linalg.svd(marg.factor, full_matrices=False)[0][:, :marg.rank]
+    words = mps._append_letters(t.v.reshape(t.d, -1), t.v, hint.m - 1)
+    basis = np.linalg.svd(words, full_matrices=False)[0][:, :hint.support_rank]
     e = np.eye(basis.shape[0]) - basis @ basis.conj().T
     want = 0.5 * (e + e.conj().T)
     assert hint.h.dtype == want.dtype and hint.h.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("model", ["aklt", "complex", "blocked", "d3-k3"])
+def test_word_span_is_the_marginal_support(aklt, complex_tuple, model):
+    # the complement of h projects onto the support of the brute-force marginal
+    t = {"aklt": aklt, "complex": complex_tuple, "blocked": sz.block(aklt, 2),
+         "d3-k3": sz.normalize(known_answer_tuple(np.random.default_rng([3, 3, 3]), 3, 3, +1))
+         }[model]
+    hint = sz.parent_interaction(t)
+    evals, vecs = np.linalg.eigh(marginal_oracle(t, sz.invariant_state(t).rho, hint.m))
+    support = vecs[:, evals > 1e-10 * evals[-1]]
+    assert support.shape[1] == hint.support_rank
+    want = np.eye(t.d ** hint.m) - support @ support.conj().T
+    assert frob(hint.h - want) < 1e-10
+
+
+def test_parent_interaction_call_counts(monkeypatch, aklt):
+    """One aklt interaction: primitivity's calls and one svd, with no state or marginal.
+
+    2 eig, 1 eigvals, 1 eigh, 1 lstsq and 3 transfer matrices are the
+    spectral route and the peripheral cross-check inside ``primitivity``
+    (whose one ``invariant_state`` call is that route); 2 of the 3 svd are
+    its word-space steps and the third is the word span's basis.
+    """
+    counts = Counter()
+    holders = [np.linalg] + [mod for key, mod in sys.modules.items()
+                             if key.startswith("spt_z2")]
+
+    def count(fn, label):
+        def counted(*args, **kw):
+            counts[label] += 1
+            return fn(*args, **kw)
+
+        for mod in holders:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    for name in ("eig", "eigvals", "eigh", "lstsq", "svd", "cholesky"):
+        count(getattr(np.linalg, name), name)
+    for name in ("transfer_matrix", "invariant_state", "marginal"):
+        count(getattr(mps, name), name)
+    sz.parent_interaction(aklt)
+    assert counts == {"eig": 2, "eigvals": 1, "eigh": 1, "lstsq": 1, "svd": 3,
+                      "transfer_matrix": 3, "invariant_state": 1}
+
+
+def test_parent_interaction_refuses_like_the_index():
+    # one refusal of a non-primitive tuple, shared with the index
+    t = sz.normalize(sz.zoo("ghz"))
+    with pytest.raises(sz.NotPrimitive) as ham:
+        sz.parent_interaction(t)
+    with pytest.raises(sz.NotPrimitive) as index:
+        sz.z2_index(t)
+    assert ham.value.message == index.value.message == "tuple is not primitive"
+    assert list(ham.value.payload.items()) == list(index.value.payload.items())
+
+
 def test_parent_interaction_holds_two_windows(aklt):
     # h = 1 - P is formed in place beside one d^m x d^m buffer, which serves
-    # the symmetrization and the idempotence residual
+    # the symmetrization
     tracemalloc.start()
     try:
         hint, peak = _traced_peak(sz.parent_interaction, aklt, 6)
@@ -102,7 +161,7 @@ def test_parent_interaction_rejects_bad_window(aklt):
 
 @pytest.mark.parametrize("n,gap", [(4, 0.448956), (5, 0.413240), (6, 0.398451)])
 def test_open_chain_anchors(aklt_h2, n, gap):
-    h_total = sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=n, boundary="open"))
+    h_total = sz.chain_hamiltonian(aklt_h2, n, "open")
     rep = sz.ed_report(h_total)
     assert abs(rep.ground_energy) < 1e-9
     assert rep.kernel_dim == 4
@@ -110,7 +169,7 @@ def test_open_chain_anchors(aklt_h2, n, gap):
 
 
 def test_periodic_chain_anchor(aklt_h2):
-    h_total = sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=4, boundary="periodic"))
+    h_total = sz.chain_hamiltonian(aklt_h2, 4, "periodic")
     rep = sz.ed_report(h_total)
     assert abs(rep.ground_energy) < 1e-9
     assert rep.kernel_dim == 1
@@ -121,7 +180,7 @@ def test_default_window_chain(aklt):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         hint = sz.parent_interaction(aklt)
-    rep = sz.ed_report(sz.chain_hamiltonian(hint, sz.ChainSpec(n=4, boundary="open")))
+    rep = sz.ed_report(sz.chain_hamiltonian(hint, 4, "open"))
     assert abs(rep.ground_energy) < 1e-9
     assert rep.kernel_dim == 4
     assert rep.gap > 0.3
@@ -131,13 +190,13 @@ def test_product_chain():
     t = sz.normalize(sz.zoo("product:1,0"))
     hint = sz.parent_interaction(t, m=1)
     assert hint.range_warning
-    rep = sz.ed_report(sz.chain_hamiltonian(hint, sz.ChainSpec(n=3, boundary="open")))
+    rep = sz.ed_report(sz.chain_hamiltonian(hint, 3, "open"))
     assert rep.kernel_dim == 1
     assert abs(rep.gap - 1.0) < 1e-12
 
 
 def test_open_chain_is_frustration_free(aklt_h2):
-    h_total = sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=4, boundary="open"))
+    h_total = sz.chain_hamiltonian(aklt_h2, 4, "open")
     evals, vecs = np.linalg.eigh(h_total)
     kernel = vecs[:, evals < 1e-10]
     assert kernel.shape[1] == 4
@@ -148,19 +207,19 @@ def test_open_chain_is_frustration_free(aklt_h2):
 
 def test_periodic_kernel_inside_open_kernel(aklt_h2):
     open_rep = sz.ed_report(
-        sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=4, boundary="open")))
+        sz.chain_hamiltonian(aklt_h2, 4, "open"))
     per_rep = sz.ed_report(
-        sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=4, boundary="periodic")))
+        sz.chain_hamiltonian(aklt_h2, 4, "periodic"))
     assert per_rep.kernel_dim <= open_rep.kernel_dim
 
 
 def test_chain_validation(aklt_h2):
     with pytest.raises(sz.InvalidInput):
-        sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=4, boundary="twisted"))
+        sz.chain_hamiltonian(aklt_h2, 4, "twisted")
     with pytest.raises(sz.InvalidInput):
-        sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=1, boundary="open"))
+        sz.chain_hamiltonian(aklt_h2, 1, "open")
     with pytest.raises(sz.DimensionCap):
-        sz.chain_hamiltonian(aklt_h2, sz.ChainSpec(n=8, boundary="open"))
+        sz.chain_hamiltonian(aklt_h2, 8, "open")
 
 
 @pytest.mark.parametrize("model,m,n,boundary", [
@@ -175,7 +234,7 @@ def test_chain_matches_kron_oracle(aklt, complex_tuple, model, m, n, boundary):
     last = n - m + 1 if boundary == "open" else n
     for p in range(last):
         want += embed_sites_oracle(hint.h, [(p + j) % n for j in range(m)], n, d)
-    got = sz.chain_hamiltonian(hint, sz.ChainSpec(n=n, boundary=boundary))
+    got = sz.chain_hamiltonian(hint, n, boundary)
     assert np.array_equal(got, want)
     # exactly Hermitian with no symmetrization pass, and real when the interaction is
     assert np.array_equal(got, got.conj().T)
@@ -190,7 +249,7 @@ def test_dense_ed_holds_two_matrices(aklt, complex_tuple, model, n):
     tracemalloc.start()
     try:
         h_total, build = _traced_peak(sz.chain_hamiltonian, hint,
-                                      sz.ChainSpec(n=n, boundary="open"))
+                                      n, "open")
         rep, ed = _traced_peak(sz.ed_report, h_total)
     finally:
         tracemalloc.stop()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import hamiltonian, modular, mps, reflection
+from spt_z2 import modular, mps, reflection
 from spt_z2.config import Config
 from spt_z2.errors import within
 from spt_z2.linalg import HermEig, psd_power
@@ -74,11 +74,6 @@ def _commute(mp, aklt):
 def _schmidt(mp, aklt):
     mp.setattr(modular, "frob", _nan)
     sz.schmidt(_bell())
-
-
-def _projector(mp, aklt):
-    mp.setattr(hamiltonian, "frob", _nan)
-    sz.parent_interaction(aklt)
 
 
 NUMERICAL = ("numerical_error", 7)
@@ -146,9 +141,6 @@ ROUTED = {
         lambda mp, aklt: sz.modular_data(_bell(), Config(modular_tol=-1.0)),
         sz.Inconclusive, "modular identities exceed tolerance", INCONCLUSIVE,
         {"S_action", "J_square", "delta_fix", "delta_formula", "J_formula"}, -1.0),
-    "parent_interaction": (
-        _projector, sz.ConvergenceFailure, "interaction is not a projector within tolerance",
-        NUMERICAL, {"residual"}, 1e-9),
 }
 
 
@@ -163,6 +155,30 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     assert (exc.status, exc.exit_code) == status_exit
     assert set(exc.payload) == keys | {"tolerance"}
     assert exc.payload["tolerance"] == tol
+
+
+@pytest.mark.parametrize("call,refusal,key", [
+    (lambda aklt: sz.modular_data(_bell(), seed=-1), sz.InvalidInput, "seed"),
+    (lambda aklt: sz.ed_report(np.eye(2), kernel_tol=float("nan")), sz.InvalidInput,
+     "kernel_tol"),
+    (lambda aklt: sz.ed_report(np.eye(2), kernel_tol=float("inf")), sz.InvalidInput,
+     "kernel_tol"),
+    (lambda aklt: sz.family("aklt", s0="x"), sz.UnknownModel, "s0"),
+    (lambda aklt: sz.family("aklt", s0="1.5"), sz.UnknownModel, "s0"),
+    (lambda aklt: sz.family("aklt", grid="x"), sz.UnknownModel, "grid"),
+    (lambda aklt: sz.family("aklt", grid=2.5), sz.UnknownModel, "grid"),
+    (lambda aklt: sz.parent_interaction(aklt, m=2.5), sz.InvalidInput, "m"),
+    (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 1.5), sz.InvalidInput, "l"),
+    (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
+], ids=["seed", "kernel_tol-nan", "kernel_tol-inf", "s0", "s0-text", "grid", "grid-float",
+        "window", "marginal-length", "block-size"])
+def test_library_argument_is_refused(call, refusal, key, aklt):
+    # the CLI's flag types refuse these first; a library caller gets the same typed status
+    with pytest.raises(sz.SptError) as info:
+        call(aklt)
+    assert type(info.value) is refusal
+    assert info.value.status == "io_error"
+    assert key in info.value.payload or key in info.value.message
 
 
 @pytest.mark.parametrize("call", [
