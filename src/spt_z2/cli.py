@@ -170,14 +170,16 @@ def vector_from_data(data):
 
 
 def family_from_data(data, s0=None, s1=None, grid=None):
+    """Family from a spec file's object; :func:`spt_z2.scan.family` judges its values.
+
+    A null value is refused with the keys: ``family`` would read it as unset.
+    """
     _check_keys(data, {"model"}, {"s0", "s1", "grid"}, "family file")
+    nulls = [key for key in ("grid", "s0", "s1") if key in data and data[key] is None]
+    if nulls:
+        raise InvalidInput("family file values must not be null", keys=nulls)
     if not isinstance(data["model"], str):
         raise InvalidInput("family model must be a string")
-    for key in ("s0", "s1"):
-        if key in data and not is_real(data[key]):
-            raise InvalidInput(f"family {key} must be a number")
-    if "grid" in data and not (type(data["grid"]) is int and data["grid"] >= 2):
-        raise InvalidInput("family grid must be an integer of at least 2")
     return family(
         data["model"],
         s0=data.get("s0") if s0 is None else s0,

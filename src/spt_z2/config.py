@@ -64,6 +64,15 @@ def is_int(value) -> bool:
     return is_real(value) and isinstance(value, numbers.Integral)
 
 
+def is_finite_real(value) -> bool:
+    """A real number that is not a bool and is a finite float: no NaN, no
+    infinity and no integer too large to convert."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Config:
     # linear algebra residuals
@@ -94,7 +103,7 @@ class Config:
             if f.name == "peripheral_tol":
                 ok, expected = is_real(v) and 0.0 < v < 0.5, "a number in (0, 0.5)"
             elif f.type == "float":
-                ok, expected = is_real(v) and math.isfinite(v), "a finite number"
+                ok, expected = is_finite_real(v), "a finite number"
             else:
                 nullable = f.type == "int | None"
                 ok = is_int(v) and v >= 1 or nullable and v is None

@@ -42,8 +42,8 @@ from .errors import (
     WindowTooLarge,
     within,
 )
-from .linalg import (HermEig, eig_sort_key, frob, herm_eig, kraus_superop, peripheral_eigs,
-                     peripheral_window, pos_def_eig, unvec, vec)
+from .linalg import (HermEig, eig_sort_key, frob, herm_eig, hermitian_frame, hermitian_real,
+                     kraus_superop, peripheral_eigs, peripheral_window, pos_def_eig)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,10 @@ def as_mps(obj, reflect_perm=None) -> MpsTuple:
         if reflect_perm is not None:
             raise InvalidInput("cannot override reflect_perm of an existing tuple")
         return obj
-    v = np.ascontiguousarray(obj, dtype=complex)
+    try:
+        v = np.ascontiguousarray(obj, dtype=complex)
+    except OverflowError as exc:  # an integer too large for a float
+        raise InvalidInput("tuple entries must be finite") from exc
     if v.ndim != 3 or v.shape[1] != v.shape[2]:
         raise InvalidInput("tuple must have shape (d, k, k)", shape=list(v.shape))
     d, k = v.shape[0], v.shape[1]
@@ -123,21 +126,33 @@ def transfer_matrix(t: MpsTuple) -> np.ndarray:
     return kraus_superop(t.v, t.v)
 
 
+def _real_transfer(t: MpsTuple) -> np.ndarray:
+    """The transfer matrix in the Hermitian basis: real, as E preserves Hermiticity."""
+    return hermitian_real(transfer_matrix(t))
+
+
 def transfer_spectrum(t: MpsTuple) -> np.ndarray:
-    """Transfer eigenvalues, modulus descending then angle ascending."""
-    w = np.linalg.eigvals(transfer_matrix(t))
-    return w[eig_sort_key(w)]
+    """Transfer eigenvalues, modulus descending then angle ascending.
+
+    Computed in real arithmetic, so real eigenvalues are exactly real and
+    the others come in exact conjugate pairs; returned as complex.
+    """
+    w = np.linalg.eigvals(_real_transfer(t))
+    return w[eig_sort_key(w)].astype(complex, copy=False)
 
 
 def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], message: str,
                           cfg: Config) -> tuple[float, np.ndarray, float, HermEig]:
     """Positive definite eigenmatrix ``x`` of ``mat`` at its spectral radius ``r``.
 
-    ``x`` is the identity's orthogonal projection onto the whole eigenspace
-    at ``r``, which may be degenerate (e.g. reducible tuples); that space is
-    closed under the adjoint, so ``x`` is its Hermitian part. Returns ``r``,
-    ``x``, the residual ``||mat x - r x|| / (r ||x||)`` and the
-    :func:`pos_def_eig` system of ``x``. Every failure raises ``refusal``.
+    ``mat`` is a real superoperator matrix in the Hermitian basis of
+    :func:`spt_z2.linalg.hermitian_frame`. ``x`` is the identity's orthogonal
+    projection onto the whole eigenspace at ``r``, which may be degenerate
+    (e.g. reducible tuples); that space is closed under the adjoint, so ``x``
+    is its Hermitian part, the real part of its coordinates. Returns ``r``, ``x``,
+    the residual ``||mat x - r x|| / (r ||x||)`` (the same in coordinates,
+    as the basis is orthonormal) and the :func:`pos_def_eig` system of
+    ``x``. Every failure raises ``refusal``.
     """
     w, vs = np.linalg.eig(mat)
     r = float(np.abs(w).max())
@@ -150,13 +165,14 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
             "no transfer eigenvalue at the spectral radius on the positive axis",
             spectral_radius=r,
         )
+    frame = hermitian_frame(k)
     basis = vs[:, dom]
-    coeff, *_ = np.linalg.lstsq(basis, vec(np.eye(k)), rcond=None)
-    x = unvec(basis @ coeff, k)
-    x = 0.5 * (x + x.conj().T)
-    res = frob(unvec(mat @ vec(x), k) - r * x) / max(r * frob(x), 1e-300)
+    coeff, *_ = np.linalg.lstsq(basis, frame.identity, rcond=None)
+    c = np.dot(basis, coeff).real
+    res = frob(np.dot(mat, c) - r * c) / max(r * frob(c), 1e-300)
     within(res, 1e-7, refusal, "identity has no component along a positive fixed point",
            eigen_residual=res)
+    x = frame.matrix(c)
     return r, x, res, pos_def_eig(x, refusal, message, cfg)
 
 
@@ -177,7 +193,7 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
     parts = t.v.view(float)
     t = MpsTuple(v=np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex),
                  reflect_perm=t.reflect_perm)
-    r, _, _, sys = _positive_fixed_point(transfer_matrix(t), t.k, NotNormalizable,
+    r, _, _, sys = _positive_fixed_point(_real_transfer(t), t.k, NotNormalizable,
                                          "dominant fixed point is not positive definite", cfg)
     root = (sys.vectors * np.sqrt(sys.values)) @ sys.vectors.conj().T
     root_inv = (sys.vectors * (1.0 / np.sqrt(sys.values))) @ sys.vectors.conj().T
@@ -304,7 +320,7 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
             injectivity_length=inj,
         )
     # cross-check the peripheral window against the eigenmatrix route
-    pairs = peripheral_eigs(transfer_matrix(t), cfg)
+    pairs = peripheral_eigs(_real_transfer(t), cfg)
     if len(pairs) != periph:
         raise Inconclusive(
             "peripheral eigenvalue counts disagree between routes",
@@ -347,7 +363,7 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
         )
     try:
         r, x, res, sys = _positive_fixed_point(
-            transfer_matrix(t).conj().T, t.k, NotFaithful,
+            _real_transfer(t).T, t.k, NotFaithful,
             "invariant state is singular within tolerance", cfg)
     except NotFaithful as exc:
         exc.payload["spectral_gap"] = gap
@@ -382,7 +398,8 @@ class Marginal:
     ``root`` is the state's lower-triangular Cholesky factor L, with
     ``L L^dagger = 0.5 (rho + rho^dagger)``; ``factor`` is the d^l x k^2 word
     factor whose row for word w holds the entries of ``L^dagger V_w``. ``rank``
-    counts the marginal's nonzero eigenvalues, read from the k^2 x k^2 Gram.
+    counts the marginal's nonzero eigenvalues, read from the smaller Gram (at
+    most k^2 x k^2).
     """
 
     l: int
@@ -398,9 +415,10 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     With ``rho = L L^dagger`` (Cholesky) the marginal is the Gram matrix
     ``Phi Phi^dagger`` of the rows ``L^dagger V_w``. ``Phi`` is built one site
     at a time, so memory stays O(d^l k^2) and no d^l x d^l matrix is formed.
-    The nonzero spectrum, and so the rank, comes from the k^2 x k^2 Gram
-    ``Phi^dagger Phi``. Indices are big-endian words. The reflection check
-    takes only the l = 1 factor and advances it by QR
+    The nonzero spectrum, and so the rank, comes from the smaller of the Grams
+    ``Phi Phi^dagger`` and ``Phi^dagger Phi``, at most k^2 x k^2. Indices are
+    big-endian words. The reflection check takes only the l = 1 factor and
+    advances it by QR
     (:func:`spt_z2.reflection._marginal_reversal_residual`).
     """
     cfg = resolve(config)
@@ -420,18 +438,21 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
 
 
 def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
-    """Eigenvalues of ``phi^dagger phi`` for a factor of the l-site marginal.
+    """Eigenvalues of the smaller Gram of a factor of the l-site marginal.
 
     ``phi`` is any matrix with ``M_l = Q phi phi^dagger Q^dagger`` for an
     isometry ``Q``, so the trace of ``M_l`` is ``||phi||_F^2`` and its nonzero
-    spectrum is that of the Gram ``phi^dagger phi``. Raises
+    spectrum is that of both ``phi phi^dagger`` and ``phi^dagger phi``; the
+    one on the smaller side of ``phi`` is diagonalized. Raises
     :class:`ConvergenceFailure` when the trace is off 1 by more than 1e-7
     (a NaN trace too) or an eigenvalue lies below -1e-8.
     """
     tr = float(np.vdot(phi, phi).real)
     within(abs(tr - 1.0), 1e-7, ConvergenceFailure, "marginal trace drifted from 1",
            trace=tr, l=l)
-    evals = herm_eig(phi.conj().T @ phi, cfg).values
+    rows, cols = phi.shape
+    gram = phi @ phi.conj().T if rows < cols else phi.conj().T @ phi
+    evals = herm_eig(gram, cfg).values
     lo = float(evals.min())
     within(-lo, 1e-8, ConvergenceFailure, "marginal has a significantly negative eigenvalue",
            min_eigenvalue=lo)

@@ -107,6 +107,10 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
     adjoint of X's unitary polar factor, with the canonical phase; for the
     transposed tuple in the rho eigenbasis, X is a multiple of
     ``U^dagger D^(1/2)``.
+
+    Unlike the transfer map, G is decomposed in complex arithmetic: with S
+    the swap, ``G^dagger = S G S``, which gives it no real form in the
+    Hermitian basis of :func:`spt_z2.linalg.hermitian_frame`.
     """
     cfg = resolve(config)
     if t.d != s.d or t.k != s.k:
@@ -174,7 +178,8 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
         if l > 1:
             r = np.linalg.qr(np.hstack([_append_letters(r[:, :half], t.v),
                                         _append_letters(r[:, half:], tilde)]), mode="r")
-            _checked_gram_spectrum(r[:, :half], l, cfg)
+            # R1's rows below the diagonal are exactly zero
+            _checked_gram_spectrum(r[:half, :half], l, cfg)
         r1, r2 = r[:, :half], _append_letters(r[:, half:], kfac)
         worst = max(worst, frob(r1 @ r1.conj().T - r2 @ r2.conj().T))
     return worst

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import Config, is_int, is_real, resolve
+from .config import Config, is_finite_real, is_int, resolve
 from .errors import ResourceLimit, SptError, UnknownModel
 from .linalg import peripheral_window
 from .mps import MpsTuple, normalize, transfer_spectrum
@@ -153,7 +153,7 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     s0 = lo if s0 is None else s0
     s1 = hi if s1 is None else s1
     grid = 11 if grid is None else grid
-    if not (is_real(s0) and is_real(s1) and np.isfinite([s0, s1]).all()):
+    if not (is_finite_real(s0) and is_finite_real(s1)):
         raise UnknownModel("family endpoints s0 and s1 must be finite")
     if not is_int(grid):
         raise UnknownModel("family grid must be an integer", grid=grid)

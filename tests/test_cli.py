@@ -12,7 +12,7 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2 import cli, reflection
-from spt_z2.config import ENV_VAR
+from spt_z2.config import ENV_VAR, is_finite_real
 from spt_z2.errors import STATUS_EXIT
 from util import known_answer_tuple
 
@@ -588,7 +588,32 @@ def test_malformed_file_values_are_invalid_input(tmp_path, command, schema, data
     flag = {"scan": "--spec", "index": "--tuple", "modular": "--vector"}[command]
     code, env = run([command, flag, str(path)])
     assert code == 1 and env["status"] == "io_error"
-    assert env["result"]["error"] == "InvalidInput"
+    # a spec file's values are judged by scan.family, as a model argument
+    assert env["result"]["error"] == ("UnknownModel" if command == "scan" else "InvalidInput")
+
+
+@pytest.mark.parametrize("key", ["s0", "s1", "grid"])
+def test_null_spec_file_value_is_not_a_default(tmp_path, key):
+    # family() reads None as "use the default"; a file's null is refused instead
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"model": "deformed-aklt", key: None}))
+    for extra in ([], ["--validate-only"]):
+        code, env = run(["scan", "--spec", str(path)] + extra)
+        assert code == 1 and env["status"] == "io_error"
+        assert env["result"] == {"error": "InvalidInput",
+                                 "message": "family file values must not be null",
+                                 "keys": [key]}
+
+
+def test_overlarge_integer_in_a_config_file_is_invalid_input(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"eps_herm": 1' + "0" * 400 + "}")
+    code, env = run(["index", "--model", "aklt", "--config", str(path)])
+    assert code == 1 and env["status"] == "io_error"
+    assert env["result"]["error"] == "InvalidInput" and env["result"]["key"] == "eps_herm"
+    # the finite-real test Config shares with family()
+    assert not is_finite_real(10 ** 400) and is_finite_real(10 ** 300)
+    assert not any(map(is_finite_real, (True, float("nan"), float("-inf"), "1", None)))
 
 
 def test_check_certifies_primitivity_once(monkeypatch):

@@ -7,6 +7,8 @@ from spt_z2.linalg import (
     frob,
     herm_eig,
     herm_eigvals,
+    hermitian_frame,
+    hermitian_real,
     canonical_phases,
     kraus_superop,
     peripheral_eigs,
@@ -221,6 +223,35 @@ def test_canonical_phases_columns(rng):
         mags = np.abs(a[:, j])
         p = a[np.nonzero(mags >= 0.5 * mags.max())[0][0], j]
         assert c == np.conj(p) / abs(p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_hermitian_basis_is_orthonormal_and_hermitian(k):
+    frame = hermitian_frame(k)
+    w = frame.w
+    assert frame is hermitian_frame(k) and not w.flags.writeable
+    assert frob(w.conj().T @ w - np.eye(k * k)) < 1e-15 * k
+    for j in range(k * k):
+        b = unvec(w[:, j])
+        assert np.array_equal(b, b.conj().T)
+        assert np.array_equal(frame.matrix(np.eye(k * k)[:, j]), b)
+    # the identity's coordinates give the identity
+    assert np.array_equal(frame.matrix(frame.identity), np.eye(k))
+
+
+@pytest.mark.parametrize("k", [2, 4])  # one real product up to k = 3, two complex ones above
+def test_hermitian_real_of_a_channel_is_its_real_matrix(rng, k):
+    a = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
+    t, w = kraus_superop(a, a), hermitian_frame(k).w
+    real = hermitian_real(t)
+    assert np.isrealobj(real)
+    assert frob((w.conj().T @ t @ w).imag) < 1e-13 * frob(t)
+    # the adjoint is the transpose, and entry (i, j) is Tr(B_i E(B_j))
+    assert frob(hermitian_real(t.conj().T) - real.T) < 1e-13 * frob(t)
+    for i, j in ((1, 2), (2, 1), (k * k - 1, 1)):
+        bi, bj = unvec(w[:, i]), unvec(w[:, j])
+        direct = np.trace(bi @ sum(m @ bj @ m.conj().T for m in a))
+        assert abs(real[i, j] - direct) < 1e-12
 
 
 def test_peripheral_window_edge():

@@ -5,7 +5,8 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2 import mps
-from spt_z2.linalg import frob, unvec, vec
+from spt_z2.config import DEFAULT
+from spt_z2.linalg import frob, hermitian_real, unvec, vec
 from spt_z2.mps import channel_residual, reverse_word_index, transfer_matrix
 from spt_z2.reflection import _marginal_reversal_residual
 from util import (apply_adjoint, dense_marginal, haar_unitary, injectivity_length_oracle,
@@ -22,6 +23,12 @@ def sigma_plus_tuple():
 
 
 # -- validation --------------------------------------------------------------
+
+def test_as_mps_refuses_an_overlarge_integer():
+    with pytest.raises(sz.InvalidInput) as info:
+        sz.as_mps([[[10 ** 400]], [[1]]])
+    assert info.value.message == "tuple entries must be finite"
+
 
 def test_as_mps_rejects_bad_shape():
     with pytest.raises(sz.InvalidInput):
@@ -87,6 +94,38 @@ def test_channel_adjoint_duality(rng):
         lhs = np.trace(y.conj().T @ unvec(transfer_matrix(t) @ vec(x)))
         rhs = np.trace(apply_adjoint(t, y).conj().T @ x)
         assert abs(lhs - rhs) < 1e-12
+
+
+def _complex_fixed_point(mat, k):
+    """The complex route: the identity's projection onto the eigenspace of
+    ``mat`` (vec basis) at its spectral radius, Hermitian part."""
+    w, vs = np.linalg.eig(mat)
+    r = np.abs(w).max()
+    basis = vs[:, np.abs(w - r) <= 1e-9 * r]
+    x = unvec(basis @ np.linalg.lstsq(basis, vec(np.eye(k)), rcond=None)[0], k)
+    return 0.5 * (x + x.conj().T)
+
+
+def _nearest_miss(a, b):
+    """Largest distance from an entry of either list to the nearest of the other."""
+    dist = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    return max(dist.min(axis=1).max(), dist.min(axis=0).max())
+
+
+@pytest.mark.parametrize("shape", [*itertools.product([2, 3, 5], repeat=2), "aklt"])
+def test_real_transfer_route_matches_the_complex_one(rng, shape):
+    t = sz.normalize(sz.zoo("aklt")) if shape == "aklt" else random_channel_tuple(rng, *shape)
+    complex_t = transfer_matrix(t)
+    real_t = hermitian_real(complex_t)
+    assert np.isrealobj(real_t)
+    spec = sz.transfer_spectrum(t)
+    assert spec.dtype == complex and len(spec) == t.k ** 2
+    assert _nearest_miss(spec, np.linalg.eigvals(complex_t)) < 1e-12
+    # normalize's fixed point (of E) and invariant_state's (of its adjoint)
+    for real, cplx in ((real_t, complex_t), (real_t.T, complex_t.conj().T)):
+        _, x, res, _ = mps._positive_fixed_point(real, t.k, sz.NotNormalizable, "", DEFAULT)
+        assert frob(x - _complex_fixed_point(cplx, t.k)) < 1e-12
+        assert res < 1e-12 and np.array_equal(x, x.conj().T)
 
 
 # -- normalization -----------------------------------------------------------
@@ -329,8 +368,11 @@ def test_invariant_state_not_faithful():
 
 
 @pytest.mark.parametrize("call,refusal", [
+    # the rank-one fixed point is found in the real Hermitian basis, whose
+    # sqrt(2) entries round; the payload is pinned to those exact bits
     (lambda: sz.normalize(np.full((2, 2, 2), 1.0)),
-     (sz.NotNormalizable, "dominant fixed point is not positive definite", {})),
+     (sz.NotNormalizable, "dominant fixed point is not positive definite",
+      {"min_eigenvalue": -1.6653345369377348e-16})),
     # invariant_state adds the transfer gap, which primitivity reads
     (lambda: sz.invariant_state(sigma_plus_tuple()),
      (sz.NotFaithful, "invariant state is singular within tolerance", {"spectral_gap": 1.0})),
@@ -423,6 +465,25 @@ def test_marginal_matches_oracle(rng):
             worst = max(worst, frob(oracle[np.ix_(idx, idx)] - oracle))
             assert abs(_marginal_reversal_residual(t, rho, l, cfg) - worst) < 1e-12
     assert worst > 1e-3
+
+
+def test_gram_spectra_take_the_smaller_side(monkeypatch, rng):
+    # d=2, k=5: the l-site Gram is 2^l x 2^l until 2^l reaches k^2 = 25
+    t = random_channel_tuple(rng, 2, 5)
+    rho = sz.invariant_state(t).rho
+    sizes, inner = [], mps.herm_eig
+
+    def spy(h, config=None):
+        sizes.append(h.shape)
+        return inner(h, config)
+
+    monkeypatch.setattr(mps, "herm_eig", spy)
+    assert sz.marginal(t, rho, 1).rank == 2
+    assert sz.marginal(t, rho, 5).rank == 25
+    assert sizes == [(2, 2), (25, 25)]
+    sizes.clear()
+    _marginal_reversal_residual(t, rho, 5, sz.Config())
+    assert sizes == [(2, 2), (4, 4), (8, 8), (16, 16), (25, 25)]
 
 
 def test_marginal_singular_rho_not_faithful(aklt):

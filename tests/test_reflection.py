@@ -353,7 +353,8 @@ def test_lazy_phase_fix_keeps_reported_bits(monkeypatch, make):
 
 
 def test_aklt_index_call_counts(monkeypatch):
-    """One aklt index: 4 eig, 2 eigvals, 7 eigh, 3 svd, 5 transfer matrices, 3 phase fixes.
+    """One aklt index: 4 eig, 2 eigvals, 7 eigh, 3 svd, 4 qr, 2 lstsq, 1 cholesky,
+    5 transfer matrices, 3 phase fixes.
 
     The counts mirror ``AKLT_CALLS`` in ``perfbench/run.py``, which the traced
     benchmark self-check pins, so a drift fails here before it does there.
@@ -375,13 +376,13 @@ def test_aklt_index_call_counts(monkeypatch):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, counted)
 
-    for name in ("eig", "eigvals", "eigh", "svd"):
+    for name in ("eig", "eigvals", "eigh", "svd", "qr", "lstsq", "cholesky"):
         count(getattr(np.linalg, name), name)
     count(mps.transfer_matrix, "transfer_matrix")
     count(linalg.canonical_phases, "canonical_phases")
     sz.z2_index(sz.zoo("aklt"))
-    assert counts == {"eig": 4, "eigvals": 2, "eigh": 7, "svd": 3,
-                      "transfer_matrix": 5, "canonical_phases": 3}
+    assert counts == {"eig": 4, "eigvals": 2, "eigh": 7, "svd": 3, "qr": 4, "lstsq": 2,
+                      "cholesky": 1, "transfer_matrix": 5, "canonical_phases": 3}
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):

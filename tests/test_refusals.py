@@ -167,11 +167,12 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.family("aklt", s0="1.5"), sz.UnknownModel, "s0"),
     (lambda aklt: sz.family("aklt", grid="x"), sz.UnknownModel, "grid"),
     (lambda aklt: sz.family("aklt", grid=2.5), sz.UnknownModel, "grid"),
+    (lambda aklt: sz.family("aklt", s1=10 ** 400), sz.UnknownModel, "s1"),
     (lambda aklt: sz.parent_interaction(aklt, m=2.5), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 1.5), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
 ], ids=["seed", "kernel_tol-nan", "kernel_tol-inf", "s0", "s0-text", "grid", "grid-float",
-        "window", "marginal-length", "block-size"])
+        "s1-overlarge", "window", "marginal-length", "block-size"])
 def test_library_argument_is_refused(call, refusal, key, aklt):
     # the CLI's flag types refuse these first; a library caller gets the same typed status
     with pytest.raises(sz.SptError) as info:
