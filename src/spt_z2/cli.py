@@ -27,13 +27,12 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .config import Config, is_real, load_json
+from .config import Config, is_finite_real, is_int, load_json
 from .errors import InvalidInput, SptError, UsageError
 from .hamiltonian import chain_hamiltonian, ed_report, parent_interaction, reflection_check
 from .modular import as_bipartite, bond_vector, modular_data
@@ -87,8 +86,6 @@ def canonical(obj) -> str:
     if isinstance(obj, int):
         return repr(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise InvalidInput("non-finite number in canonical form")
         return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -116,6 +113,7 @@ def envelope(command: str, desc: dict, cfg: Config | None, result, status: str) 
 # --------------------------------------------------------------------- loading
 
 def _check_keys(data, required: set, optional: set, what: str) -> None:
+    """Refuse a non-object, missing or unknown keys, and null values (with their keys)."""
     if not isinstance(data, dict):
         raise InvalidInput(f"{what} must be a JSON object")
     keys = set(data)
@@ -123,24 +121,25 @@ def _check_keys(data, required: set, optional: set, what: str) -> None:
     extra = sorted(keys - required - optional)
     if missing or extra:
         raise InvalidInput(f"{what} has wrong keys", missing=missing, extra=extra)
+    nulls = sorted(key for key in keys if data[key] is None)
+    if nulls:
+        raise InvalidInput(f"{what} values must not be null", keys=nulls)
 
 
-def _size(data: dict, key: str) -> int:
-    if type(data[key]) is not int or data[key] < 1:
-        raise InvalidInput(f"{key} must be a positive integer")
-    return data[key]
+def _complex_array(data: dict, key: str, dims: tuple) -> np.ndarray:
+    """``data[key]``, nested [re, im] pairs, as a complex array whose axis sizes are
+    the positive integers ``data[dim]`` for ``dim`` in ``dims``; every size, nesting
+    length and entry is checked before anything is allocated."""
+    for dim in dims:
+        if not (is_int(data[dim]) and data[dim] >= 1):
+            raise InvalidInput(f"{dim} must be a positive integer")
+    shape = tuple(data[dim] for dim in dims)
 
-
-def _complex_array(rows, shape: tuple, what: str) -> np.ndarray:
-    """Nested lists of [re, im] pairs as a complex array of ``shape``.
-
-    Every nesting length and entry is checked before anything is allocated.
-    """
     def check(node, depth: int, where: str) -> None:
         if depth == len(shape):
             if not (isinstance(node, list) and len(node) == 2
-                    and all(is_real(x) for x in node)):
-                raise InvalidInput(f"{where}: complex entries must be [re, im] pairs")
+                    and all(is_finite_real(x) for x in node)):
+                raise InvalidInput(f"{where}: entries must be [re, im] pairs of finite numbers")
             return
         if not isinstance(node, list) or len(node) != shape[depth]:
             raise InvalidInput(f"{where} must list {shape[depth]} entries",
@@ -148,44 +147,28 @@ def _complex_array(rows, shape: tuple, what: str) -> np.ndarray:
         for i, child in enumerate(node):
             check(child, depth + 1, f"{where}[{i}]")
 
-    check(rows, 0, what)
-    try:
-        pairs = np.array(rows, dtype=float)
-    except OverflowError as exc:
-        raise InvalidInput(f"{what}: entries must be finite numbers") from exc
-    return pairs.view(complex)[..., 0]
+    check(data[key], 0, key)
+    return np.array(data[key], dtype=float).view(complex)[..., 0]
 
 
 def tuple_from_data(data) -> MpsTuple:
     _check_keys(data, {"d", "k", "matrices"}, {"reflect_perm"}, "tuple file")
-    d, k = _size(data, "d"), _size(data, "k")
-    arr = _complex_array(data["matrices"], (d, k, k), "matrices")
+    arr = _complex_array(data, "matrices", ("d", "k", "k"))
     return as_mps(arr, reflect_perm=data.get("reflect_perm"))
 
 
 def vector_from_data(data):
     _check_keys(data, {"m", "entries"}, set(), "vector file")
-    m = _size(data, "m")
-    return as_bipartite(_complex_array(data["entries"], (m, m), "entries"))
+    return as_bipartite(_complex_array(data, "entries", ("m", "m")))
 
 
 def family_from_data(data, s0=None, s1=None, grid=None):
-    """Family from a spec file's object; :func:`spt_z2.scan.family` judges its values.
-
-    A null value is refused with the keys: ``family`` would read it as unset.
-    """
+    """Family from a spec file's object, whose values :func:`spt_z2.scan.family`
+    judges before the flags' ``s0``, ``s1`` and ``grid`` override them."""
     _check_keys(data, {"model"}, {"s0", "s1", "grid"}, "family file")
-    nulls = [key for key in ("grid", "s0", "s1") if key in data and data[key] is None]
-    if nulls:
-        raise InvalidInput("family file values must not be null", keys=nulls)
-    if not isinstance(data["model"], str):
-        raise InvalidInput("family model must be a string")
-    return family(
-        data["model"],
-        s0=data.get("s0") if s0 is None else s0,
-        s1=data.get("s1") if s1 is None else s1,
-        grid=data.get("grid") if grid is None else grid,
-    )
+    fam = family(data["model"], data.get("s0"), data.get("s1"), data.get("grid"))
+    return family(fam.name, s0=fam.s0 if s0 is None else s0, s1=fam.s1 if s1 is None else s1,
+                  grid=fam.grid if grid is None else grid)
 
 
 def _one_of(args, a: str, b: str) -> str:
@@ -368,19 +351,19 @@ class Parser(argparse.ArgumentParser):
 
 
 def finite_float(text: str) -> float:
-    if not math.isfinite(value := float(text)):
+    if not is_finite_real(value := float(text)):
         raise ValueError(text)
     return value
 
 
 def nonnegative_int(text: str) -> int:
-    if (value := int(text)) < 0:
+    if not (is_int(value := int(text)) and value >= 0):
         raise ValueError(text)
     return value
 
 
 def positive_int(text: str) -> int:
-    if (value := int(text)) < 1:
+    if not (is_int(value := int(text)) and value >= 1):
         raise ValueError(text)
     return value
 

@@ -1,4 +1,4 @@
-"""Tolerance and limit configuration.
+"""Tolerance and limit configuration, and the one input boundary.
 
 The tolerances and caps a user may set live in one frozen dataclass, and
 every envelope states the values that produced it. Every public operation,
@@ -7,7 +7,14 @@ the kernel in :mod:`spt_z2.linalg` included, accepts an optional ``config``
 Construction is the one validity check, whatever the source (flags, a file,
 ``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
-(0, 0.5), and every integer is at least 1 (``l_max`` may be None).
+(0, 0.5), and every integer lies in [1, 2**63) (``l_max`` may be None).
+
+Every number and array from outside is read by one rule each, all here:
+:func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
+float), :func:`is_int` (no bool, magnitude below 2**63) and :func:`finite_array`
+(a C-contiguous complex array of finite entries); tuple, vector and family
+files hold no null. Refusals are :class:`InvalidInput` (``family``: ``UnknownModel``).
+A representable but huge ``panel_size`` or cap is still unbounded work.
 
 Not every threshold is here: the 16 fixed ones below (1e-300 division guards
 aside) sit in the code that applies them. The eight marked (w) are bounds
@@ -38,6 +45,8 @@ import numbers
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInput
 
 ENV_VAR = "SPT_Z2_CONFIG"
@@ -60,8 +69,8 @@ def is_real(value) -> bool:
 
 
 def is_int(value) -> bool:
-    """An integer that is not a bool."""
-    return is_real(value) and isinstance(value, numbers.Integral)
+    """An integer that is not a bool, of magnitude below 2**63."""
+    return is_real(value) and isinstance(value, numbers.Integral) and int(value).bit_length() < 64
 
 
 def is_finite_real(value) -> bool:
@@ -71,6 +80,19 @@ def is_finite_real(value) -> bool:
         return is_real(value) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def finite_array(obj, what: str) -> np.ndarray:
+    """``obj`` as a C-contiguous complex array of finite entries, else InvalidInput."""
+    try:
+        arr = np.ascontiguousarray(obj, dtype=complex)
+    except OverflowError as exc:  # an integer too large for a float
+        raise InvalidInput(f"{what} entries must be finite") from exc
+    except (ValueError, TypeError) as exc:  # ragged nesting or a non-numeric entry
+        raise InvalidInput(f"{what} must be a regular array of numbers") from exc
+    if not np.isfinite(arr.view(float)).all():
+        raise InvalidInput(f"{what} entries must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -107,7 +129,7 @@ class Config:
             else:
                 nullable = f.type == "int | None"
                 ok = is_int(v) and v >= 1 or nullable and v is None
-                expected = "an integer >= 1" + (" or null" if nullable else "")
+                expected = "an integer in [1, 2**63)" + (" or null" if nullable else "")
             if not ok:
                 raise InvalidInput(f"config {f.name} must be {expected}", key=f.name,
                                    expected=expected)

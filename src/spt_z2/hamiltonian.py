@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, is_int, is_real, resolve
-from .errors import DimensionCap, InvalidInput
+from .config import Config, is_finite_real, is_int, is_real, resolve
+from .errors import DimensionCap, InvalidInput, WindowTooLarge
 from .linalg import frob, herm_eigvals, real_if_exact
 from .mps import MpsTuple, _append_letters, _word_count, primitivity, reverse_word_index
 
@@ -62,7 +62,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
         m = (cert.injectivity_length or 1) + 1
     if not (is_int(m) and m >= 1):
         raise InvalidInput("window must be an integer of at least one site", m=m)
-    dim = _word_count(t.d, m, cfg, "marginal dimension")
+    dim = _word_count(t.d, m, cfg.marginal_cap, WindowTooLarge, "marginal dimension")
     words = _append_letters(t.v.reshape(t.d, -1), t.v, m - 1)
     u, s, _ = np.linalg.svd(words, full_matrices=False)
     support = int(np.sum(s * s > cfg.rank_tol * max(float(s[0] * s[0]), 1e-300)))
@@ -110,16 +110,12 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     other way is summed as it is; :func:`ed_report` then symmetrizes or
     refuses it.
     """
-    cfg = resolve(config)
     d, m = hint.d, hint.m
     if boundary not in ("open", "periodic"):
         raise InvalidInput("boundary must be open or periodic", boundary=boundary)
-    if n < m:
-        raise InvalidInput("chain shorter than the interaction window", n=n, m=m)
-    dim = d ** n
-    if dim > cfg.ed_cap:
-        raise DimensionCap("chain dimension exceeds the dense cap",
-                           dimension=dim, cap=cfg.ed_cap)
+    if not (is_int(n) and n >= m):
+        raise InvalidInput("chain length must be an integer of at least the window", n=n, m=m)
+    dim = _word_count(d, n, resolve(config).ed_cap, DimensionCap, "chain dimension")
     h = real_if_exact(hint.h)
     h_total = np.zeros((d,) * (2 * n), dtype=np.result_type(h, float))
     last = n - m + 1 if boundary == "open" else n
@@ -148,7 +144,8 @@ def ed_report(h_total: np.ndarray, kernel_tol: float | None = None,
     so the gap is the lowest eigenvalue) but not NaN or +inf.
     """
     cfg = resolve(config)
-    if kernel_tol is not None and not (is_real(kernel_tol) and kernel_tol < np.inf):
+    if not (kernel_tol is None or is_finite_real(kernel_tol)
+            or is_real(kernel_tol) and kernel_tol == -np.inf):
         raise InvalidInput("kernel_tol must be a number other than NaN and +inf",
                            kernel_tol=kernel_tol)
     h_arr = np.asarray(h_total)

@@ -54,8 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, resolve
-from .errors import InvalidInput, NotHermitian, RankDeficient, SptError, within
+from .config import Config, finite_array, resolve
+from .errors import NotHermitian, RankDeficient, SptError, within
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -337,9 +337,7 @@ def polar_unitary(x: np.ndarray) -> np.ndarray:
     :class:`RankDeficient` when the smallest singular value is below 1e-9
     times the largest, since the factor is then not determined.
     """
-    x = np.asarray(x, dtype=complex)
-    if not np.isfinite(x).all():
-        raise InvalidInput("matrix entries must be finite")
+    x = finite_array(x, "matrix")
     u, s, vh = np.linalg.svd(x)
     if not (s[0] > 0.0 and s[-1] >= 1e-9 * s[0]):
         raise RankDeficient(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, is_int, resolve
+from .config import Config, finite_array, is_int, resolve
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
@@ -45,13 +45,11 @@ class BipartiteVector:
 
 def as_bipartite(matrix, normalized: bool = False) -> BipartiteVector:
     """Wrap a coefficient matrix; ``normalized=True`` rescales to unit norm."""
-    m_arr = np.asarray(matrix, dtype=complex)
+    m_arr = finite_array(matrix, "coefficient matrix")
     if m_arr.ndim != 2 or m_arr.shape[0] != m_arr.shape[1]:
         raise InvalidInput("coefficient matrix must be square", shape=list(m_arr.shape))
     if m_arr.shape[0] < 1:
         raise InvalidInput("coefficient matrix must be nonempty")
-    if not np.all(np.isfinite(m_arr.view(float))):
-        raise InvalidInput("coefficient entries must be finite")
     norm = float(np.linalg.norm(m_arr))
     if norm < 1e-12:
         raise ZeroVector("bipartite vector has numerically zero norm", norm=norm)

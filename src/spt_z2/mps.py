@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, is_int, resolve
+from .config import Config, finite_array, is_int, resolve
 from .errors import (
     ConvergenceFailure,
     Inconclusive,
@@ -79,10 +79,7 @@ def as_mps(obj, reflect_perm=None) -> MpsTuple:
         if reflect_perm is not None:
             raise InvalidInput("cannot override reflect_perm of an existing tuple")
         return obj
-    try:
-        v = np.ascontiguousarray(obj, dtype=complex)
-    except OverflowError as exc:  # an integer too large for a float
-        raise InvalidInput("tuple entries must be finite") from exc
+    v = finite_array(obj, "tuple")
     if v.ndim != 3 or v.shape[1] != v.shape[2]:
         raise InvalidInput("tuple must have shape (d, k, k)", shape=list(v.shape))
     d, k = v.shape[0], v.shape[1]
@@ -90,8 +87,6 @@ def as_mps(obj, reflect_perm=None) -> MpsTuple:
         raise InvalidInput("physical dimension d must be at least 2", d=d)
     if k < 1:
         raise InvalidInput("bond dimension k must be at least 1", k=k)
-    if not np.all(np.isfinite(v.view(float))):
-        raise InvalidInput("tuple entries must be finite")
     perm = _validate_perm(reflect_perm, d)
     return MpsTuple(v=v, reflect_perm=perm)
 
@@ -100,8 +95,7 @@ def _validate_perm(perm, d: int) -> np.ndarray | None:
     if perm is None:
         return None
     p = np.asarray(perm, dtype=object)
-    if (p.shape != (d,) or not all(np.issubdtype(type(x), np.integer) for x in p)
-            or sorted(p.tolist()) != list(range(d))):
+    if p.shape != (d,) or not all(map(is_int, p)) or sorted(p.tolist()) != list(range(d)):
         raise InvalidInput("reflect_perm must be a permutation of range(d)", d=d)
     p = p.astype(int)
     if not np.array_equal(p[p], np.arange(d)):
@@ -383,12 +377,16 @@ def reverse_word_index(d: int, l: int, pi: np.ndarray) -> np.ndarray:
                                 (d,) * l)
 
 
-def _word_count(d: int, l: int, cfg: Config, what: str) -> int:
-    """d**l, the number of words of length l, refused above ``marginal_cap``."""
-    if d ** l > cfg.marginal_cap:
-        raise WindowTooLarge(f"{what} exceeds the dense cap", dimension=d ** l,
-                             cap=cfg.marginal_cap)
-    return d ** l
+def _word_count(d: int, l: int, cap: int, refusal: type[SptError], what: str) -> int:
+    """d**l, the number of words of length l, refused as ``refusal`` above ``cap``.
+
+    The one cap rule: as d >= 2, d**l > cap once l exceeds the cap's bit length,
+    so no larger power is formed, and the refusal's ``dimension`` is then None.
+    """
+    dim = d ** l if l <= cap.bit_length() else None
+    if dim is None or dim > cap:
+        raise refusal(f"{what} exceeds the dense cap", dimension=dim, cap=cap)
+    return dim
 
 
 @dataclass(frozen=True)
@@ -424,8 +422,10 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     cfg = resolve(config)
     if not (is_int(l) and l >= 1):
         raise InvalidInput("marginal needs an integer l >= 1", l=l)
-    _word_count(t.d, l, cfg, "marginal dimension")
-    rho = np.asarray(rho, dtype=complex)
+    _word_count(t.d, l, cfg.marginal_cap, WindowTooLarge, "marginal dimension")
+    rho = finite_array(rho, "state")
+    if rho.shape != (t.k, t.k):
+        raise InvalidInput("state must be a k x k matrix", shape=list(rho.shape), k=t.k)
     try:
         chol = np.linalg.cholesky(0.5 * (rho + rho.conj().T))
     except np.linalg.LinAlgError as exc:
@@ -473,7 +473,7 @@ def block(t: MpsTuple, b: int, config: Config | None = None) -> MpsTuple:
     if b == 1:
         return t
     require_normalized(t, cfg)
-    _word_count(t.d, b, cfg, "blocked alphabet")
+    _word_count(t.d, b, cfg.marginal_cap, WindowTooLarge, "blocked alphabet")
     out = MpsTuple(v=_append_letters(t.v.reshape(t.d, -1), t.v, b - 1).reshape(-1, t.k, t.k),
                    reflect_perm=reverse_word_index(t.d, b, t.perm()))
     require_normalized(out, cfg)

@@ -142,6 +142,8 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     constant family, over [0, 1] by default. Endpoints other than finite
     numbers and a grid other than an integer >= 2 are :class:`UnknownModel`.
     """
+    if not isinstance(name, str):
+        raise UnknownModel("family model must be a string")
     entry = MODELS.get(name.strip())
     if entry is not None and entry.family_range is not None:
         lo, hi = entry.family_range

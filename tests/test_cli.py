@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +13,7 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2 import cli, reflection
-from spt_z2.config import ENV_VAR, is_finite_real
+from spt_z2.config import ENV_VAR, is_finite_real, is_int
 from spt_z2.errors import STATUS_EXIT
 from util import known_answer_tuple
 
@@ -614,6 +615,76 @@ def test_overlarge_integer_in_a_config_file_is_invalid_input(tmp_path):
     # the finite-real test Config shares with family()
     assert not is_finite_real(10 ** 400) and is_finite_real(10 ** 300)
     assert not any(map(is_finite_real, (True, float("nan"), float("-inf"), "1", None)))
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("tuple", _product_tuple_data(reflect_perm=None)),
+    ("vector", {"m": None, "entries": [[[1.0, 0.0]]]}),
+    ("spec", {"model": None}),
+])
+def test_null_file_value_is_refused_with_its_key(tmp_path, kind, data):
+    # a null is never read as a default or as the identity permutation
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    flag = {"tuple": ["index", "--tuple"], "vector": ["modular", "--vector"],
+            "spec": ["scan", "--spec"]}[kind]
+    what = {"spec": "family"}.get(kind, kind)
+    code, env = run(flag + [str(path)])
+    assert code == 1
+    assert env["result"] == {"error": "InvalidInput",
+                             "message": f"{what} file values must not be null",
+                             "keys": [key for key, value in data.items() if value is None]}
+
+
+def test_integers_end_below_two_to_the_63():
+    assert is_int(2 ** 63 - 1) and is_int(-(2 ** 63) + 1) and is_int(np.int64(-(2 ** 63)) + 1)
+    assert not any(map(is_int, (2 ** 63, -(2 ** 63), 10 ** 400, True, 1.0, "1", None)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--model", "aklt", "--panel-size", "1" + "0" * 400],
+    ["index", "--model", "aklt", "--marginal-cap", str(2 ** 63)],
+    ["modular", "--from-index", "aklt", "--seed", str(2 ** 63)],
+    ["parent-ham", "--model", "aklt", "--m", str(2 ** 63)],
+    ["scan", "--family", "deformed-aklt", "--grid", str(2 ** 63)],
+], ids=["panel-size", "marginal-cap", "seed", "window", "grid"])
+def test_integer_flag_of_two_to_the_63_is_refused(argv):
+    for extra in ([], ["--validate-only"]):
+        code, env = run(argv + extra)
+        assert code == 1 and env["status"] == "io_error"
+
+
+def test_overlarge_config_integer_is_refused_before_any_loop(tmp_path):
+    # a 401-digit panel_size used to be accepted, and `modular` then looped without
+    # end; `index` reads no panel, so a regression fails here instead of hanging
+    path = tmp_path / "config.json"
+    path.write_text('{"panel_size": 1' + "0" * 400 + "}")
+    code, env = run(["index", "--model", "aklt", "--config", str(path)])
+    assert code == 1 and env["result"]["key"] == "panel_size"
+    assert env["result"]["expected"] == "an integer in [1, 2**63)"
+
+
+@pytest.mark.parametrize("flag,value,error", [
+    ("--n", "100000000", "DimensionCap"), ("--m", "1000000000000", "WindowTooLarge")])
+def test_huge_chain_or_window_is_refused_at_once(flag, value, error):
+    start = time.perf_counter()
+    code, env = run(["parent-ham", "--model", "aklt", flag, value])
+    assert time.perf_counter() - start < 1.0
+    assert code == 8 and env["status"] == "resource_limit"
+    assert env["result"] == {"error": error, "message": env["result"]["message"],
+                             "dimension": None, "cap": 4096}
+
+
+def test_overridden_spec_file_value_is_still_read(tmp_path):
+    # a flag replaces a spec file's value, but the file's value passes the same check
+    path = tmp_path / "family.json"
+    path.write_text('{"model": "deformed-aklt", "s0": NaN, "grid": 3}')
+    for extra in ([], ["--validate-only"]):
+        code, env = run(["scan", "--spec", str(path), "--s0", "0.5"] + extra)
+        assert code == 1 and env["result"]["error"] == "UnknownModel"
+    path.write_text('{"model": "deformed-aklt", "s0": 0.25, "grid": 3}')
+    code, env = run(["scan", "--spec", str(path), "--s0", "0.5", "--validate-only"])
+    assert code == 0 and env["result"]["input"]["s0"] == 0.5
 
 
 def test_check_certifies_primitivity_once(monkeypatch):

@@ -157,6 +157,21 @@ def test_parent_interaction_rejects_bad_window(aklt):
         sz.parent_interaction(aklt, m=0)
 
 
+def test_huge_window_or_chain_is_refused_at_once(aklt, aklt_h2):
+    # d**m and d**n are never formed for a length beyond the cap's bit length
+    with pytest.raises(sz.WindowTooLarge) as info:
+        sz.parent_interaction(aklt, m=10 ** 12)
+    assert info.value.payload == {"dimension": None, "cap": 4096}
+    with pytest.raises(sz.DimensionCap) as info:
+        sz.chain_hamiltonian(aklt_h2, 10 ** 8, "open")
+    assert info.value.payload == {"dimension": None, "cap": 4096}
+    for n in (2.5, True, 2 ** 63):
+        with pytest.raises(sz.InvalidInput):
+            sz.chain_hamiltonian(aklt_h2, n, "open")
+    with pytest.raises(sz.InvalidInput):
+        sz.parent_interaction(aklt, m=10 ** 400)
+
+
 # -- chains and spectra -------------------------------------------------------
 
 @pytest.mark.parametrize("n,gap", [(4, 0.448956), (5, 0.413240), (6, 0.398451)])

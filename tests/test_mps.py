@@ -30,6 +30,15 @@ def test_as_mps_refuses_an_overlarge_integer():
     assert info.value.message == "tuple entries must be finite"
 
 
+@pytest.mark.parametrize("obj", [[[["a"]], [[1]]], [[[1, 2]], [[1]]], {"a": 1}],
+                         ids=["string", "ragged", "dict"])
+def test_as_mps_refuses_what_numpy_cannot_read(obj):
+    # numpy's ValueError and TypeError become the one typed refusal of finite_array
+    with pytest.raises(sz.InvalidInput) as info:
+        sz.as_mps(obj)
+    assert info.value.message == "tuple must be a regular array of numbers"
+
+
 def test_as_mps_rejects_bad_shape():
     with pytest.raises(sz.InvalidInput):
         sz.as_mps(np.zeros((2, 2)))
@@ -500,6 +509,38 @@ def test_marginal_window_cap(aklt, aklt_rho):
 def test_marginal_rejects_bad_length(aklt, aklt_rho):
     with pytest.raises(sz.InvalidInput):
         sz.marginal(aklt, aklt_rho.rho, 0)
+
+
+def test_marginal_rejects_a_state_of_the_wrong_shape(aklt):
+    for rho in (np.eye(3) / 3, np.eye(2)[None] / 2):
+        with pytest.raises(sz.InvalidInput) as info:
+            sz.marginal(aklt, rho, 1)
+        assert info.value.payload["shape"] == list(rho.shape)
+
+
+@pytest.mark.parametrize("call", [
+    lambda aklt, rho, n: sz.marginal(aklt, rho, n),
+    lambda aklt, rho, n: sz.block(aklt, n),
+], ids=["marginal", "block"])
+def test_huge_length_is_refused_without_forming_the_power(aklt, aklt_rho, call):
+    # 3**(10**12) would never finish; the cap's bit length stops the power first
+    with pytest.raises(sz.WindowTooLarge) as info:
+        call(aklt, aklt_rho.rho, 10 ** 12)
+    assert info.value.payload == {"dimension": None, "cap": 4096}
+    # at 2**63 and above the length is no integer the boundary reads
+    for n in (2 ** 63, 10 ** 400):
+        with pytest.raises(sz.InvalidInput):
+            call(aklt, aklt_rho.rho, n)
+
+
+def test_word_count_is_exact_up_to_the_cap_bit_length():
+    # d = 2, cap = 4096 (bit length 13): 2**12 passes, 2**13 is refused with its
+    # dimension, and from l = 14 on no power is formed
+    assert mps._word_count(2, 12, 4096, sz.WindowTooLarge, "w") == 4096
+    for l, dim in ((13, 8192), (14, None), (10 ** 400, None)):
+        with pytest.raises(sz.WindowTooLarge) as info:
+            mps._word_count(2, l, 4096, sz.WindowTooLarge, "w")
+        assert info.value.payload["dimension"] == dim
 
 
 # -- blocking ----------------------------------------------------------------

@@ -171,8 +171,17 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.parent_interaction(aklt, m=2.5), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 1.5), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
+    (lambda aklt: sz.modular_data(_bell(), seed=2 ** 63), sz.InvalidInput, "seed"),
+    (lambda aklt: sz.ed_report(np.eye(2), kernel_tol=10 ** 400), sz.InvalidInput, "kernel_tol"),
+    (lambda aklt: sz.family(10 ** 400), sz.UnknownModel, "model"),
+    (lambda aklt: sz.family("aklt", grid=10 ** 400), sz.UnknownModel, "grid"),
+    (lambda aklt: sz.parent_interaction(aklt, m=2 ** 63), sz.InvalidInput, "m"),
+    (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 10 ** 400), sz.InvalidInput, "l"),
+    (lambda aklt: sz.block(aklt, 2 ** 63), sz.InvalidInput, "b"),
 ], ids=["seed", "kernel_tol-nan", "kernel_tol-inf", "s0", "s0-text", "grid", "grid-float",
-        "s1-overlarge", "window", "marginal-length", "block-size"])
+        "s1-overlarge", "window", "marginal-length", "block-size", "seed-overlarge",
+        "kernel_tol-overlarge", "model-not-text", "grid-overlarge", "window-overlarge",
+        "marginal-length-overlarge", "block-size-overlarge"])
 def test_library_argument_is_refused(call, refusal, key, aklt):
     # the CLI's flag types refuse these first; a library caller gets the same typed status
     with pytest.raises(sz.SptError) as info:
