@@ -8,6 +8,7 @@ exit of :func:`main`, for results, usage errors and refusals alike:
      "result": ..., "status": ...}
 
 and exits with the code bound to the status (see errors.STATUS_EXIT). The
+envelope is strict JSON: :func:`jsonable` writes a non-finite float as text. The
 digest is a sha256 over a canonical JSON form of the parsed input (sorted
 keys, floats printed with %.17g), so byte-identical inputs give identical
 digests across platforms. Negative certificates from `check` are ordinary
@@ -27,6 +28,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -45,10 +47,17 @@ SCHEMA_VERSION = "1"
 
 # ---------------------------------------------------------------- serialization
 
+def _number(x: float):
+    """A finite float as it is; NaN and the infinities as the text of json's tokens."""
+    return x if math.isfinite(x) else json.dumps(x)
+
+
 def jsonable(obj):
     """Recursively convert reports, arrays, and scalars to JSON-ready data.
 
-    Complex numbers become [re, im] pairs; dataclasses become objects.
+    Complex numbers become [re, im] pairs; dataclasses become objects. A
+    non-finite float becomes the string "NaN", "Infinity" or "-Infinity",
+    since those bare tokens are not JSON.
     """
     if isinstance(obj, bool):
         return obj
@@ -59,13 +68,13 @@ def jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
+        return [_number(float(obj.real)), _number(float(obj.imag))]
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return _number(float(obj))
     if obj is None or isinstance(obj, str):
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -464,7 +473,8 @@ def main(argv=None) -> int:
         status, code = "ok", 0
     except SptError as exc:
         result, status, code = exc.describe(), exc.status, exc.exit_code
-    print(json.dumps(envelope(command, desc, cfg, result, status), indent=2 if pretty else None))
+    print(json.dumps(envelope(command, desc, cfg, result, status), indent=2 if pretty else None,
+                     allow_nan=False))
     return code
 
 

@@ -11,8 +11,10 @@ values are legal and only force refusals), ``peripheral_tol`` lies in
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
-float), :func:`is_int` (no bool, magnitude below 2**63) and :func:`finite_array`
-(a C-contiguous complex array of finite entries); tuple, vector and family
+float), :func:`is_int` (no bool, magnitude below 2**63), :func:`finite_array`
+(a C-contiguous complex array of finite entries) and :func:`numeric_array`
+(a float or complex array, for the Hermitian solvers of :mod:`spt_z2.linalg`,
+which refuse a non-finite entry as ``NotHermitian``); tuple, vector and family
 files hold no null. Refusals are :class:`InvalidInput` (``family``: ``UnknownModel``).
 A representable but huge ``panel_size`` or cap is still unbounded work.
 
@@ -93,6 +95,22 @@ def finite_array(obj, what: str) -> np.ndarray:
     if not np.isfinite(arr.view(float)).all():
         raise InvalidInput(f"{what} entries must be finite")
     return arr
+
+
+def numeric_array(obj) -> np.ndarray:
+    """A matrix ``obj`` as a float array (bool, integer or float entries) or a complex
+    one, else InvalidInput; entries may be non-finite, for the caller to judge."""
+    try:
+        arr = np.asarray(obj)
+        if arr.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in arr.flat):
+            arr = arr.astype(complex)
+    except OverflowError as exc:  # an integer too large for a float
+        raise InvalidInput("matrix entries must be finite") from exc
+    except (ValueError, TypeError) as exc:  # ragged nesting
+        raise InvalidInput("matrix must be a regular array of numbers") from exc
+    if arr.dtype.kind not in "biufc":  # text, None or another non-numeric entry
+        raise InvalidInput("matrix must be a regular array of numbers")
+    return arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
 
 
 @dataclass(frozen=True)

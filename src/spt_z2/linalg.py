@@ -32,7 +32,10 @@ Each eigenvector's phase is fixed so that its first component of significant
 modulus is real and positive; :class:`HermEig` applies that fix when its
 ``vectors`` are first read, so a caller that reads only ``values`` never pays
 for it. The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
-unitaries and Schmidt vectors follow it too.
+unitaries and Schmidt vectors follow it too. The Hermitian solvers read their
+input by :func:`spt_z2.config.numeric_array`: a ragged, non-numeric or
+non-square matrix is :class:`InvalidInput`, and a non-finite entry fails the
+Hermiticity check as :class:`NotHermitian`.
 
 Every tolerance these operations apply comes from the optional ``config``
 they take (``None`` means :data:`spt_z2.config.DEFAULT`); none has a
@@ -54,8 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, finite_array, resolve
-from .errors import NotHermitian, RankDeficient, SptError, within
+from .config import Config, finite_array, numeric_array, resolve
+from .errors import InvalidInput, NotHermitian, RankDeficient, SptError, within
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -197,6 +200,7 @@ def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
     the norm (floored at 1), non-finite inputs included, and returns the
     symmetrized matrix 0.5 (h + h^dagger), which is what gets diagonalized.
     ``h`` is a float or complex array; a real input gives a real result.
+    A non-square ``h`` is :class:`InvalidInput`.
 
     One d x d buffer holds h - h^dagger for the check and, when that is
     nonzero, the symmetrized matrix. When it is exactly zero, ``h`` itself
@@ -204,7 +208,7 @@ def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
     may differ in sign only), and no second matrix is kept.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got {h.shape}")
+        raise InvalidInput("matrix must be square", shape=list(h.shape))
     norm = frob(h)
     buf = np.conjugate(h.T, order="C")
     np.subtract(h, buf, out=buf)
@@ -228,7 +232,7 @@ def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
     input is diagonalized as it is, with no symmetrized copy. Makes one
     ``eigh`` call; the phase fix waits for the first read of ``vectors``.
     """
-    hh = _symmetrized(np.asarray(h, dtype=complex), config)
+    hh = _symmetrized(numeric_array(h).astype(complex, copy=False), config)
     w, u = np.linalg.eigh(hh)
     return HermEig(values=w, eigh_vectors=u)
 
@@ -263,8 +267,7 @@ def herm_eigvals(h: np.ndarray, config: Config | None = None) -> np.ndarray:
     to ``eigvalsh`` as it is, so at most two d x d matrices are alive at
     once: the input, and the check buffer or, after it, LAPACK's copy.
     """
-    h = real_if_exact(np.asarray(h))
-    hh = _symmetrized(h.astype(np.result_type(h, float), copy=False), config)
+    hh = _symmetrized(real_if_exact(numeric_array(h)), config)
     return np.linalg.eigvalsh(hh)
 
 

@@ -244,9 +244,13 @@ def _word_space_step(v: np.ndarray, basis: np.ndarray, rank_tol: float) -> np.nd
 
 
 def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertificate:
-    """Dual-route primitivity certificate.
+    """Dual-route primitivity certificate, spectral route first.
 
-    The word-space route grows the span of the words of length l,
+    The spectral route is :func:`invariant_state`: it demands a unique
+    peripheral transfer eigenvalue *and* a faithful invariant state, since
+    peripheral uniqueness alone is not sufficient. Its peripheral count is
+    cross-checked against the eigenmatrices of :func:`peripheral_eigs`.
+    The word-space route then grows the span of the words of length l,
     K_{l+1} = span{X v_mu : X in K_l} from K_0 = span{1}, until it fills the
     matrix algebra (primitive; the length is the injectivity length) or
     falls inside the span of one of the k lengths before it (K_{l+p} inside
@@ -256,18 +260,27 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
     A span still short of the full algebra at length k^4 is also
     conclusively not primitive, by the quantum Wielandt bound (Sanz,
     Perez-Garcia, Wolf, Cirac, IEEE TIT 56, 4668, 2010), so the search stops
-    there even when ``l_max`` is larger. A search cut shorter by ``l_max``
-    stays :class:`Inconclusive`. The spectral route is
-    :func:`invariant_state`: it demands a unique peripheral transfer
-    eigenvalue *and* a faithful invariant state, since peripheral uniqueness
-    alone is not sufficient. The two routes must agree or
-    :class:`Inconclusive` is raised.
+    there even when ``l_max`` is larger. Every :class:`Inconclusive` it
+    raises (the two peripheral counts differ, ``l_max`` cuts the search
+    short, or the routes disagree) carries ``peripheral_count`` and
+    ``spectral_gap`` from the spectral route.
     """
     cfg = resolve(config)
     require_normalized(t, cfg)
+    try:
+        spectral_ok, periph, gap = True, 1, invariant_state(t, cfg).spectral_gap
+    except (NotPrimitive, NotFaithful) as exc:
+        # a singular state comes after a simple peripheral eigenvalue
+        spectral_ok, gap = False, exc.payload["spectral_gap"]
+        periph = exc.payload.get("peripheral_count", 1)
+    spectrum = {"peripheral_count": periph, "spectral_gap": gap}
+    # cross-check the peripheral window against the eigenmatrix route
+    pairs = peripheral_eigs(_real_transfer(t), cfg)
+    if len(pairs) != periph:
+        raise Inconclusive("peripheral eigenvalue counts disagree between routes",
+                           **spectrum, from_eigenmatrices=len(pairs))
     k = t.k
     cap = k ** 4 if cfg.l_max is None else min(cfg.l_max, k ** 4)
-
     full = k * k
     inj: int | None = None
     verdict: bool | None = None
@@ -296,36 +309,20 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
             l_max=cap,
             last_dimension=int(spans[-1].shape[0]),
             full_dimension=full,
+            **spectrum,
         )
-
-    try:
-        spectral_ok, periph, gap = True, 1, invariant_state(t, cfg).spectral_gap
-    except (NotPrimitive, NotFaithful) as exc:
-        # a singular state comes after a simple peripheral eigenvalue
-        spectral_ok, gap = False, exc.payload["spectral_gap"]
-        periph = exc.payload.get("peripheral_count", 1)
-
     if spectral_ok != verdict:
         raise Inconclusive(
             "word-space and spectral primitivity certificates disagree",
             word_space_primitive=verdict,
             spectral_primitive=spectral_ok,
-            peripheral_count=periph,
+            **spectrum,
             injectivity_length=inj,
-        )
-    # cross-check the peripheral window against the eigenmatrix route
-    pairs = peripheral_eigs(_real_transfer(t), cfg)
-    if len(pairs) != periph:
-        raise Inconclusive(
-            "peripheral eigenvalue counts disagree between routes",
-            from_spectrum=periph,
-            from_eigenmatrices=len(pairs),
         )
     return PrimitivityCertificate(
         is_primitive=bool(verdict),
         injectivity_length=inj,
-        peripheral_count=periph,
-        spectral_gap=gap,
+        **spectrum,
     )
 
 
@@ -342,8 +339,8 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
 
     The spectral primitivity route: a unique peripheral transfer eigenvalue
     (else :class:`NotPrimitive`) and a positive definite adjoint fixed point
-    from :func:`_positive_fixed_point` (else :class:`NotFaithful`), both
-    refusals carrying ``spectral_gap``. ``rho`` has trace one.
+    from :func:`_positive_fixed_point` (else :class:`NotFaithful`); these and
+    a :class:`ConvergenceFailure` carry ``spectral_gap``. ``rho`` has trace one.
     """
     cfg = resolve(config)
     require_normalized(t, cfg)
@@ -364,7 +361,7 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
         raise
     for value in (abs(r - 1.0), res):
         within(value, 1e-8, ConvergenceFailure, "invariant state residual above tolerance",
-               spectral_radius=r, residual=res)
+               spectral_radius=r, residual=res, spectral_gap=gap)
     tr = float(np.trace(x).real)
     return InvariantState(rho=x / tr, residual=res, min_eigenvalue=float(sys.values[0]) / tr,
                           spectral_gap=gap)

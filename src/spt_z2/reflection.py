@@ -51,6 +51,7 @@ from .errors import (
 from .linalg import (canonical_phases, frob, kraus_superop, polar_unitary,
                      pos_def_eig, transpose_sign, unvec)
 from .mps import (
+    InvariantState,
     MpsTuple,
     PrimitivityCertificate,
     _append_letters,
@@ -266,7 +267,13 @@ def z2_index(raw, config: Config | None = None) -> IndexReport:
     cfg = resolve(config)
     t = normalize(raw, cfg)
     cert = primitivity(t, config=cfg)
-    inv, refl, evidence, gauge = _certify(t, cert, cfg)
+    return _classify(t, cert, *_certify(t, cert, cfg), cfg)
+
+
+def _classify(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
+              refl: ReflectedTuple, evidence: ReflectionEvidence,
+              gauge: GaugeSolution | None, cfg: Config) -> IndexReport:
+    """The index of a certified tuple from its :func:`_certify` stages, or a refusal."""
     if not evidence.invariant or gauge is None:
         raise NotReflectionInvariant(
             "state differs from its reflection",

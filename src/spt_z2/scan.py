@@ -16,9 +16,8 @@ import numpy as np
 
 from .config import Config, is_finite_real, is_int, resolve
 from .errors import ResourceLimit, SptError, UnknownModel
-from .linalg import peripheral_window
-from .mps import MpsTuple, normalize, transfer_spectrum
-from .reflection import z2_index
+from .mps import normalize, primitivity
+from .reflection import _certify, _classify
 
 def _deformed(s: float) -> np.ndarray:
     alpha = np.sqrt((2.0 - s) / 3.0 + 0j)
@@ -189,44 +188,40 @@ class ScanReport:
     first_failure: float | None
 
 
-def _transfer_gap(t: MpsTuple, cfg: Config) -> float:
-    on, gap = peripheral_window(transfer_spectrum(t), cfg)
-    return gap if on.sum() == 1 else 0.0
-
-
-# (primitive, reflection_invariant) for a refused point, keyed by its status;
-# any other status certifies neither.
-_STATUS_FLAGS = {
-    "not_reflection_invariant": (True, False),
-    "ambiguous_symmetry": (True, True),  # both certificates held; only the sign failed
-}
-
-
 def _scan_point(spec: FamilySpec, s: float, cfg: Config) -> ScanPoint:
-    t = None
+    """The index's stages at one point; its flags are the certificates they returned."""
+    cert = evidence = zeta = error = None
+    periph, gap, status = 1, None, "ok"
     try:
         t = normalize(spec.generator(s), cfg)
-        rep = z2_index(t, cfg)  # whose normalize returns t untouched
+        try:
+            cert = primitivity(t, config=cfg)
+        except SptError as exc:
+            periph, gap = exc.payload.get("peripheral_count", 1), exc.payload.get("spectral_gap")
+            raise
+        periph, gap = cert.peripheral_count, cert.spectral_gap
+        inv, refl, evidence, gauge = _certify(t, cert, cfg)
+        zeta = _classify(t, cert, inv, refl, evidence, gauge, cfg).zeta
     except SptError as exc:
-        primitive, invariant = _STATUS_FLAGS.get(exc.status, (False, False))
-        return ScanPoint(s=s, primitive=primitive, reflection_invariant=invariant,
-                         zeta=None, transfer_gap=None if t is None else _transfer_gap(t, cfg),
-                         status=exc.status, error=type(exc).__name__)
-    return ScanPoint(s=s, primitive=True, reflection_invariant=True, zeta=rep.zeta,
-                     transfer_gap=rep.certificates.primitivity.spectral_gap,
-                     status="ok", error=None)
+        status, error = exc.status, type(exc).__name__
+    return ScanPoint(s=s, primitive=cert is not None and cert.is_primitive,
+                     reflection_invariant=evidence is not None and evidence.invariant,
+                     zeta=zeta, transfer_gap=gap if periph == 1 else 0.0,
+                     status=status, error=error)
 
 
 def scan(spec: FamilySpec, config: Config | None = None) -> ScanReport:
     """Evaluate the index across the family grid, one point after another.
 
-    No point aborts the scan: a point whose generator or index call raises
-    an :class:`SptError` records that error's ``status`` and class name in
-    ``error`` (``"ok"`` and ``None`` otherwise). ``primitive`` and
-    ``reflection_invariant`` say which certificates held; a point
-    contributes ``zeta`` only when both held and the sign was classified.
-    ``transfer_gap`` is the gap below the peripheral transfer window (0.0 if
-    it holds several eigenvalues, null if no tuple was generated or normalized).
+    Each point runs the index's stages itself, and no point aborts the scan:
+    a point whose generator or stage raises an :class:`SptError` records
+    that error's ``status`` and class name in ``error`` (``"ok"`` and
+    ``None`` otherwise). ``primitive`` and ``reflection_invariant`` are read
+    from the certificates the stages returned, and ``zeta`` is set only when
+    both held and the sign was classified. ``transfer_gap``, the gap below
+    the peripheral transfer window, comes from the primitivity certificate
+    or refusal: 0.0 if the window holds several eigenvalues, null if the
+    point was refused before primitivity measured the transfer spectrum.
     ``constant_index`` means every point has the same defined index;
     ``first_failure`` is the first failing point in grid order.
     A grid above ``scan_cap`` is refused before any point runs.

@@ -21,12 +21,20 @@ SCHEMAS = Path(cli.__file__).parent / "schemas"
 SCHEMA = json.loads((SCHEMAS / "report.schema.json").read_text())
 
 
+def strict_json(text):
+    """Parsed JSON text that holds no bare NaN, Infinity or -Infinity token."""
+    def refuse(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(argv):
     """Invoke the CLI in process; validate the envelope and the exit mapping."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
-    env = json.loads(buf.getvalue())
+    env = strict_json(buf.getvalue())
     jsonschema.validate(instance=env, schema=SCHEMA)
     assert code == STATUS_EXIT[env["status"]]
     return code, env
@@ -36,7 +44,7 @@ def run_capturing_stderr(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    env = json.loads(out.getvalue())
+    env = strict_json(out.getvalue())
     jsonschema.validate(instance=env, schema=SCHEMA)
     return code, env, err.getvalue()
 
@@ -685,6 +693,26 @@ def test_overridden_spec_file_value_is_still_read(tmp_path):
     path.write_text('{"model": "deformed-aklt", "s0": 0.25, "grid": 3}')
     code, env = run(["scan", "--spec", str(path), "--s0", "0.5", "--validate-only"])
     assert code == 0 and env["result"]["input"]["s0"] == 0.5
+
+
+@pytest.mark.parametrize("value,text", [("NaN", "NaN"), ("Infinity", "Infinity"),
+                                        ("-Infinity", "-Infinity")])
+def test_non_finite_file_value_is_echoed_as_text(tmp_path, value, text):
+    # the refusal echoes the grid; a bare NaN or Infinity token would not be JSON
+    path = tmp_path / "family.json"
+    path.write_text('{"model": "deformed-aklt", "grid": %s}' % value)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["scan", "--spec", str(path)])
+    env = strict_json(buf.getvalue())
+    assert code == 1 and env["status"] == "io_error"
+    assert env["result"]["error"] == "UnknownModel" and env["result"]["grid"] == text
+
+
+def test_jsonable_writes_non_finite_floats_as_text():
+    nan, inf = float("nan"), float("inf")
+    assert cli.jsonable([nan, -inf, np.float64(inf), complex(nan, -inf), 1.5]) == \
+        ["NaN", "-Infinity", "Infinity", ["NaN", "-Infinity"], 1.5]
 
 
 def test_check_certifies_primitivity_once(monkeypatch):

@@ -194,9 +194,9 @@ def test_hermitian_solvers_reject_alike(rng, func):
         func(a + 2j * np.eye(4))
     with pytest.raises(errors.NotHermitian):
         func(np.triu(np.ones((4, 4))))
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.InvalidInput):
         func(np.ones((3, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.InvalidInput):
         func(np.ones(4))
 
 

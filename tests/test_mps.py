@@ -258,6 +258,18 @@ def test_primitivity_length_cap(aklt):
         sz.primitivity(aklt, config=sz.Config(l_max=1))
 
 
+def test_primitivity_length_cap_reports_the_spectrum():
+    # the spectral route runs before the word-space search, so the cap's refusal has it
+    t = sz.normalize(sz.zoo("deformed-aklt:0.5"))
+    with pytest.raises(sz.Inconclusive) as info:
+        sz.primitivity(t, config=sz.Config(l_max=1))
+    payload = info.value.payload
+    assert payload["peripheral_count"] == 1
+    assert abs(payload["spectral_gap"] - 0.5) < 1e-12
+    assert list(payload) == ["l_max", "last_dimension", "full_dimension", "peripheral_count",
+                             "spectral_gap"]
+
+
 def test_primitivity_periodic_tuple_not_primitive():
     # v = Omega S at d=2, k=2 has transfer eigenvalues +-1: the word space
     # alternates between two subspaces and never stalls, and K_3 inside K_1

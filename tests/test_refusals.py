@@ -15,7 +15,7 @@ import spt_z2 as sz
 from spt_z2 import modular, mps, reflection
 from spt_z2.config import Config
 from spt_z2.errors import within
-from spt_z2.linalg import HermEig, psd_power
+from spt_z2.linalg import HermEig, herm_eigvals, pos_def_eig, psd_power
 
 NAN_MATRIX = np.full((2, 2), np.nan)
 OVERFLOWING = np.full((2, 2, 2), 1e200 + 1e200j)  # products overflow to NaN inside einsum
@@ -100,7 +100,7 @@ ROUTED = {
     "invariant_state": (
         _invariant_state,
         sz.ConvergenceFailure, "invariant state residual above tolerance", NUMERICAL,
-        {"spectral_radius", "residual"}, 1e-8),
+        {"spectral_radius", "residual", "spectral_gap"}, 1e-8),
     "marginal_trace": (
         lambda mp, aklt: sz.marginal(sz.as_mps(OVERFLOWING), np.eye(2) / 2, 1),
         sz.ConvergenceFailure, "marginal trace drifted from 1", NUMERICAL, {"trace", "l"}, 1e-7),
@@ -200,6 +200,23 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
     with pytest.raises(sz.NotHermitian) as info:
         call(aklt)
     assert np.isnan(info.value.payload["skew_residual"])
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], "x", [[1, None], [None, 1]], [1.0, 2.0],
+                                    np.ones((2, 3)), [[10 ** 400, 0], [0, 1]]],
+                         ids=["ragged", "text", "none", "1-d", "non-square", "overlarge"])
+@pytest.mark.parametrize("call", [
+    lambda aklt, h: sz.herm_eig(h),
+    lambda aklt, h: herm_eigvals(h),
+    lambda aklt, h: pos_def_eig(h, sz.NotFaithful, "singular"),
+    lambda aklt, h: psd_power(h, 0.5),
+    lambda aklt, h: sz.reflected_tuple(aklt, h),
+], ids=["herm_eig", "herm_eigvals", "pos_def_eig", "psd_power", "reflected_tuple"])
+def test_unusable_matrix_is_invalid_input(call, matrix, aklt):
+    with pytest.raises(sz.SptError) as info:
+        call(aklt, matrix)
+    assert type(info.value) is sz.InvalidInput
+    assert info.value.message.startswith("matrix ")
 
 
 def test_overflowing_marginal_is_a_typed_refusal():

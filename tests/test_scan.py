@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -195,3 +197,36 @@ def test_scan_inconclusive_points():
         assert p.transfer_gap is not None
     assert rep.first_failure == 0.0
 
+
+def test_scan_decomposes_each_transfer_matrix_once(monkeypatch):
+    # a refused point reads its gap from primitivity, not from a second spectrum
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a, **kw: calls.append(1) or eigvals(*a, **kw))
+    rep = sz.scan(sz.family("ghz", grid=3))
+    assert len(calls) == 3
+    assert [p.transfer_gap for p in rep.points] == [0.0] * 3
+
+
+def test_scan_flags_survive_a_reflection_disagreement():
+    # the marginal route fails every point while the gauge route holds: primitivity
+    # was certified, reflection was not
+    rep = sz.scan(sz.family("deformed-aklt", grid=3), sz.Config(refl_marginal_tol=-1))
+    for p in rep.points:
+        assert (p.status, p.error) == ("inconclusive", "Inconclusive")
+        assert p.primitive and not p.reflection_invariant and p.zeta is None
+    assert abs(rep.points[0].transfer_gap - 2 / 3) < 1e-9
+    assert rep.first_failure == 0.0
+
+
+def test_scan_structural_inconclusive_keeps_both_flags(monkeypatch):
+    # a gauge phase of i breaks phase^2 = 1 after both certificates held
+    reflection = importlib.import_module("spt_z2.reflection")
+    solve = reflection.gauge_solve
+    monkeypatch.setattr(reflection, "gauge_solve",
+                        lambda *a, **kw: dataclasses.replace(solve(*a, **kw), phase=1j))
+    rep = sz.scan(sz.family("deformed-aklt", grid=3))
+    for p in rep.points:
+        assert (p.status, p.error) == ("inconclusive", "Inconclusive")
+        assert p.primitive and p.reflection_invariant and p.zeta is None
+    assert not rep.constant_index and rep.first_failure is None
