@@ -233,8 +233,8 @@ def cmd_check(args, cfg: Config, desc: dict):
     return run
 
 
-def _modular_result(bv, cfg: Config, seed) -> dict:
-    report = modular_data(bv, cfg, seed=seed)
+def _modular_result(bv, cfg: Config) -> dict:
+    report = modular_data(bv, cfg)
     sd = report.schmidt
     return {
         "kappa": report.kappa,
@@ -249,13 +249,11 @@ def _modular_result(bv, cfg: Config, seed) -> dict:
 
 
 def cmd_modular(args, cfg: Config, desc: dict):
-    if args.seed is not None:
-        desc["seed"] = args.seed
     if _one_of(args, "vector", "from_index") == "vector":
         data = load_json(args.vector)
         bv = vector_from_data(data)
         desc["vector"] = data
-        return lambda: _modular_result(bv, cfg, args.seed)
+        return lambda: _modular_result(bv, cfg)
     source = args.from_index
     from_file = os.path.exists(source)
     raw = _load_tuple(desc, "from_index_tuple" if from_file else "from_index",
@@ -263,7 +261,7 @@ def cmd_modular(args, cfg: Config, desc: dict):
 
     def run():
         rep = z2_index(raw(), cfg)
-        result = _modular_result(bond_vector(rep), cfg, args.seed)
+        result = _modular_result(bond_vector(rep), cfg)
         result["from_index"] = {
             "zeta": rep.zeta,
             "matches_sigma": result["sigma"] == rep.zeta,
@@ -276,15 +274,14 @@ def cmd_modular(args, cfg: Config, desc: dict):
 def cmd_parent_ham(args, cfg: Config, desc: dict):
     raw = _tuple_source(args, desc)
     desc.update({k: v for k, v in (("m", args.m), ("n", args.n),
-                                   ("boundary", args.boundary),
-                                   ("kernel_tol", args.kernel_tol)) if v is not None})
+                                   ("boundary", args.boundary)) if v is not None})
 
     def run():
         t = normalize(raw(), cfg)
         hint = parent_interaction(t, m=args.m, config=cfg)
         n = args.n if args.n is not None else hint.m
         h_total = chain_hamiltonian(hint, n, args.boundary, cfg)
-        ed = ed_report(h_total, kernel_tol=args.kernel_tol, config=cfg)
+        ed = ed_report(h_total, cfg)
         return {
             "m": hint.m,
             "rank": hint.rank,
@@ -359,18 +356,6 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def finite_float(text: str) -> float:
-    if not is_finite_real(value := float(text)):
-        raise ValueError(text)
-    return value
-
-
-def nonnegative_int(text: str) -> int:
-    if not (is_int(value := int(text)) and value >= 0):
-        raise ValueError(text)
-    return value
-
-
 def positive_int(text: str) -> int:
     if not (is_int(value := int(text)) and value >= 1):
         raise ValueError(text)
@@ -381,6 +366,8 @@ _CONFIG_HELP = {
     "eps_gauge": "gauge relation residual bound",
     "eps_index": "symmetric/antisymmetric classification bound",
     "mixed_tol": "same-state deficit for the mixed transfer radius",
+    "kernel_tol": "kernel threshold for the dense spectrum",
+    "seed": "seed for randomized verification panels",
 }
 
 
@@ -419,8 +406,6 @@ def build_parser() -> Parser:
     sp.add_argument("--vector", help="path to a vector JSON file")
     sp.add_argument("--from-index",
                     help="model name or tuple path; uses the index's bond vector")
-    sp.add_argument("--seed", type=nonnegative_int, default=None,
-                    help="seed for randomized verification panels")
     _add_common(sp)
     sp.set_defaults(runner=cmd_modular)
 
@@ -431,8 +416,6 @@ def build_parser() -> Parser:
     sp.add_argument("--n", type=positive_int, default=None,
                     help="chain length (default: the window)")
     sp.add_argument("--boundary", choices=["open", "periodic"], default="open")
-    sp.add_argument("--kernel-tol", type=finite_float, default=None,
-                    help="kernel threshold for the dense spectrum")
     _add_common(sp)
     sp.set_defaults(runner=cmd_parent_ham)
 

@@ -7,15 +7,17 @@ the kernel in :mod:`spt_z2.linalg` included, accepts an optional ``config``
 Construction is the one validity check, whatever the source (flags, a file,
 ``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
-(0, 0.5), and every integer lies in [1, 2**63) (``l_max`` may be None).
+(0, 0.5), ``seed`` in [0, 2**63) and every other integer in [1, 2**63);
+``kernel_tol`` and ``l_max`` may be None.
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
-float), :func:`is_int` (no bool, magnitude below 2**63), :func:`finite_array`
-(a C-contiguous complex array of finite entries) and :func:`numeric_array`
-(a float or complex array, for the Hermitian solvers of :mod:`spt_z2.linalg`,
-which refuse a non-finite entry as ``NotHermitian``); tuple, vector and family
-files hold no null. Refusals are :class:`InvalidInput` (``family``: ``UnknownModel``).
+float), :func:`is_int` (no bool, magnitude below 2**63), :func:`numeric_array`
+(a float or complex array of numbers, never text, for the Hermitian solvers of
+:mod:`spt_z2.linalg`, which refuse a non-finite entry as ``NotHermitian``) and
+:func:`finite_array` (its result, with finite entries, as a C-contiguous
+complex array); tuple, vector and family files hold no null. Refusals are
+:class:`InvalidInput` (``family``: ``UnknownModel``).
 A representable but huge ``panel_size`` or cap is still unbounded work.
 
 Not every threshold is here: the 16 fixed ones below (1e-300 division guards
@@ -84,33 +86,29 @@ def is_finite_real(value) -> bool:
         return False
 
 
-def finite_array(obj, what: str) -> np.ndarray:
-    """``obj`` as a C-contiguous complex array of finite entries, else InvalidInput."""
-    try:
-        arr = np.ascontiguousarray(obj, dtype=complex)
-    except OverflowError as exc:  # an integer too large for a float
-        raise InvalidInput(f"{what} entries must be finite") from exc
-    except (ValueError, TypeError) as exc:  # ragged nesting or a non-numeric entry
-        raise InvalidInput(f"{what} must be a regular array of numbers") from exc
-    if not np.isfinite(arr.view(float)).all():
-        raise InvalidInput(f"{what} entries must be finite")
-    return arr
-
-
-def numeric_array(obj) -> np.ndarray:
-    """A matrix ``obj`` as a float array (bool, integer or float entries) or a complex
-    one, else InvalidInput; entries may be non-finite, for the caller to judge."""
+def numeric_array(obj, what: str = "matrix") -> np.ndarray:
+    """``obj`` as a float array (bool, integer or float entries) or a complex one,
+    else InvalidInput; entries may be non-finite, for the caller to judge."""
     try:
         arr = np.asarray(obj)
         if arr.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in arr.flat):
             arr = arr.astype(complex)
     except OverflowError as exc:  # an integer too large for a float
-        raise InvalidInput("matrix entries must be finite") from exc
+        raise InvalidInput(f"{what} entries must be finite") from exc
     except (ValueError, TypeError) as exc:  # ragged nesting
-        raise InvalidInput("matrix must be a regular array of numbers") from exc
+        raise InvalidInput(f"{what} must be a regular array of numbers") from exc
     if arr.dtype.kind not in "biufc":  # text, None or another non-numeric entry
-        raise InvalidInput("matrix must be a regular array of numbers")
+        raise InvalidInput(f"{what} must be a regular array of numbers")
     return arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
+
+
+def finite_array(obj, what: str) -> np.ndarray:
+    """``obj`` read by :func:`numeric_array`, as a C-contiguous complex array of
+    finite entries, else InvalidInput."""
+    arr = numeric_array(obj, what)
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{what} entries must be finite")
+    return np.ascontiguousarray(arr, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -127,9 +125,11 @@ class Config:
     swap_tol: float = 1e-8       # smaller sign miss of M against M^T (sigma)
     modular_tol: float = 1e-8    # modular identity residuals and kappa's sign miss
     refl_marginal_tol: float = 1e-8  # marginal reversal mismatch threshold
+    kernel_tol: float | None = None  # ED kernel threshold; None: 1e-8 (top eigenvalue + 1)
 
-    # panel sizes for randomized identity checks
+    # randomized identity checks
     panel_size: int = 16
+    seed: int = 0                # panel seed of modular_data
 
     # dense-computation limits
     marginal_cap: int = 4096     # largest d**l for marginal, block, parent_interaction
@@ -142,12 +142,13 @@ class Config:
             v = getattr(self, f.name)
             if f.name == "peripheral_tol":
                 ok, expected = is_real(v) and 0.0 < v < 0.5, "a number in (0, 0.5)"
-            elif f.type == "float":
+            elif f.type.startswith("float"):
                 ok, expected = is_finite_real(v), "a finite number"
             else:
-                nullable = f.type == "int | None"
-                ok = is_int(v) and v >= 1 or nullable and v is None
-                expected = "an integer in [1, 2**63)" + (" or null" if nullable else "")
+                low = 0 if f.name == "seed" else 1
+                ok, expected = is_int(v) and v >= low, f"an integer in [{low}, 2**63)"
+            if f.type.endswith("| None"):
+                ok, expected = ok or v is None, expected + " or null"
             if not ok:
                 raise InvalidInput(f"config {f.name} must be {expected}", key=f.name,
                                    expected=expected)

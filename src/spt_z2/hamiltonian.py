@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, is_finite_real, is_int, is_real, resolve
+from .config import Config, is_int, resolve
 from .errors import DimensionCap, InvalidInput, WindowTooLarge
 from .linalg import frob, herm_eigvals, real_if_exact
 from .mps import MpsTuple, _append_letters, _word_count, primitivity, reverse_word_index
@@ -132,27 +132,25 @@ class EdReport:
     spectrum_head: np.ndarray
 
 
-def ed_report(h_total: np.ndarray, kernel_tol: float | None = None,
-              config: Config | None = None) -> EdReport:
+def ed_report(h_total: np.ndarray, config: Config | None = None) -> EdReport:
     """Dense spectrum summary: ground energy, kernel count, gap above it.
 
     Only eigenvalues are computed (:func:`spt_z2.linalg.herm_eigvals`), in
     real arithmetic when the matrix has no imaginary part. An exactly
     Hermitian chain, as :func:`chain_hamiltonian` builds it, goes to
     ``eigvalsh`` as it is, so ED holds two d^n x d^n matrices at most: the
-    chain and LAPACK's working copy. ``kernel_tol`` may be -inf (no kernel,
-    so the gap is the lowest eigenvalue) but not NaN or +inf.
+    chain and LAPACK's working copy. The kernel is the eigenvalues below
+    ``kernel_tol``, by default 1e-8 (largest eigenvalue + 1); below the lowest
+    eigenvalue (any negative value, for a frustration-free chain) the kernel is
+    empty and the gap is the lowest eigenvalue.
     """
     cfg = resolve(config)
-    if not (kernel_tol is None or is_finite_real(kernel_tol)
-            or is_real(kernel_tol) and kernel_tol == -np.inf):
-        raise InvalidInput("kernel_tol must be a number other than NaN and +inf",
-                           kernel_tol=kernel_tol)
     h_arr = np.asarray(h_total)
     if h_arr.shape[0] > cfg.ed_cap:
         raise DimensionCap("matrix exceeds the dense diagonalization cap",
                            dimension=int(h_arr.shape[0]), cap=cfg.ed_cap)
     evals = herm_eigvals(h_arr, cfg)
+    kernel_tol = cfg.kernel_tol
     if kernel_tol is None:
         kernel_tol = 1e-8 * (float(evals.max(initial=0.0)) + 1.0)
     kernel = int(np.sum(evals < kernel_tol))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, finite_array, is_int, resolve
+from .config import Config, finite_array, resolve
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
@@ -117,27 +117,25 @@ class ModularReport:
     schmidt: SchmidtData
 
 
-def modular_data(omega: BipartiteVector, config: Config | None = None,
-                 seed: int | None = None) -> ModularReport:
+def modular_data(omega: BipartiteVector, config: Config | None = None) -> ModularReport:
     """Modular operators of the left algebra with dual-route verification.
 
-    Each identity is exercised on a seeded random panel; the compressed
-    closed forms on one side are compared against independent ambient
-    computations on the other (reduced-state powers from M M^dagger, the
-    literal u-formulas). ``kappa`` is the sign of u conj(u) on the support
-    against the identity, read by :func:`spt_z2.linalg.transpose_sign` at
-    ``modular_tol * max(1, sqrt(r))``, and None when that gives none;
+    Each identity is exercised on a panel of ``panel_size`` random draws
+    seeded by ``seed``; the compressed closed forms on one side are compared
+    against independent ambient computations on the other (reduced-state
+    powers from M M^dagger, the literal u-formulas). ``kappa`` is the sign of
+    u conj(u) on the support against the identity, read by
+    :func:`spt_z2.linalg.transpose_sign` at ``modular_tol * max(1, sqrt(r))``,
+    and None when that gives none;
     ``sigma`` is :func:`swap_sign`. The two are compared only when both are
     read (one alone is a legitimate answer), and then must agree.
     """
     cfg = resolve(config)
-    if seed is not None and not (is_int(seed) and seed >= 0):
-        raise InvalidInput("seed must be a non-negative integer", seed=seed)
     sch = schmidt(omega, config=cfg)
     r = sch.support_dim
     xi, z, lam = sch.left, sch.right, sch.lam
     dvec = np.sqrt(lam)
-    rng = np.random.default_rng(0 if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
 
     p_left = xi @ xi.conj().T
     p_right = z @ z.conj().T

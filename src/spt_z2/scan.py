@@ -222,20 +222,16 @@ def scan(spec: FamilySpec, config: Config | None = None) -> ScanReport:
     the peripheral transfer window, comes from the primitivity certificate
     or refusal: 0.0 if the window holds several eigenvalues, null if the
     point was refused before primitivity measured the transfer spectrum.
-    ``constant_index`` means every point has the same defined index;
-    ``first_failure`` is the first failing point in grid order.
+    ``first_failure`` is the first point in grid order with no ``zeta``,
+    whatever refused it, and ``constant_index`` means there is none and every
+    point has the same index.
     A grid above ``scan_cap`` is refused before any point runs.
     """
     cfg = resolve(config)
     check_grid(spec, cfg)
     values = np.linspace(spec.s0, spec.s1, spec.grid)
     points = [_scan_point(spec, float(s), cfg) for s in values]
-    zetas = [p.zeta for p in points]
-    constant = all(z is not None for z in zetas) and len(set(zetas)) == 1
-    first_failure = None
-    for p in points:
-        if not (p.primitive and p.reflection_invariant):
-            first_failure = p.s
-            break
+    first_failure = next((p.s for p in points if p.zeta is None), None)
+    constant = first_failure is None and len({p.zeta for p in points}) == 1
     return ScanReport(points=points, constant_index=constant,
                       first_failure=first_failure)

@@ -281,14 +281,42 @@ def test_modular_validate_only_checks_inputs(tmp_path):
 
 
 def test_inputs_that_change_the_result_change_the_digest():
-    _, first = run(["modular", "--from-index", "aklt", "--seed", "1"])
-    _, second = run(["modular", "--from-index", "aklt", "--seed", "2"])
-    _, unseeded = run(["modular", "--from-index", "aklt"])
-    assert first["result"]["residuals"] != second["result"]["residuals"]
-    assert len({first["input_digest"], second["input_digest"], unseeded["input_digest"]}) == 3
-    digests = {run(["parent-ham", "--model", "aklt", "--n", "4", *tol])[1]
-               ["input_digest"] for tol in ([], ["--kernel-tol", "1e-6"], ["--kernel-tol", "-1"])}
-    assert len(digests) == 3
+    """The digest covers the input; a setting changes the result and `config`, not the digest."""
+    chains = {run(["parent-ham", "--model", "aklt", "--n", n])[1]["input_digest"]
+              for n in ("4", "5")}
+    assert len(chains) == 2
+    for key, argv, values in (
+            ("seed", ["modular", "--from-index", "aklt", "--seed"], ("1", "2")),
+            ("kernel_tol", ["parent-ham", "--model", "aklt", "--n", "4", "--kernel-tol"],
+             ("1e-6", "-1"))):
+        first, second = (run(argv + [value])[1] for value in values)
+        assert first["config"][key] != second["config"][key]
+        assert first["result"] != second["result"]
+        assert first["input_digest"] == second["input_digest"]
+
+
+def test_setting_flags_are_accepted_by_every_command():
+    # every Config field is a flag of every command, as --ed-cap always was
+    for extra in ([], ["--validate-only"]):
+        code, env = run(["index", "--model", "aklt", "--seed", "5", "--ed-cap", "5", *extra])
+        assert code == 0 and env["status"] == "ok", extra
+        assert (env["config"]["seed"], env["config"]["ed_cap"]) == (5, 5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["parent-ham", "--model", "aklt", "--m", "2", "--n", "4"],
+    ["modular", "--from-index", "aklt"],
+], ids=["parent-ham", "modular"])
+def test_settings_load_from_a_config_file_and_the_environment(monkeypatch, tmp_path, argv):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"seed": 3, "kernel_tol": 1e-6}))
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    _, by_flags = run(argv + ["--seed", "3", "--kernel-tol", "1e-6"])
+    _, by_file = run(argv + ["--config", str(cfg_path)])
+    monkeypatch.setenv(ENV_VAR, str(cfg_path))
+    _, by_env = run(argv)
+    assert (by_flags["config"]["seed"], by_flags["config"]["kernel_tol"]) == (3, 1e-6)
+    assert by_flags == by_file == by_env
 
 
 def test_modular_seed_determinism(tmp_path, rng):
@@ -743,7 +771,6 @@ def test_check_certifies_primitivity_once(monkeypatch):
     (["modular", "--from-index", "aklt", "--seed", "-1"], None),
     # NaN compares false, so no state would count as a kernel state
     (["parent-ham", "--model", "aklt", "--m", "2", "--kernel-tol", "nan"], None),
-    (["index", "--model", "aklt", "--seed", "5"], None),
     (["index", "--model", "product:0,0"], None),
     (["index", "--model", "deformed-aklt:1i"], None),
     (["index", "--model", "deformed-aklt:nan"], None),
@@ -752,7 +779,7 @@ def test_check_certifies_primitivity_once(monkeypatch):
     (["parent-ham", "--model", "aklt", "--m", "0"], None),
     (["parent-ham", "--model", "aklt", "--n", "0"], None),
 ], ids=["utf8", "nesting", "nan-vector", "nan-spec", "inf-flag", "utf8-config", "huge-k",
-        "huge-int", "seed", "kernel-tol", "index-seed", "zero-product", "complex-arg",
+        "huge-int", "seed", "kernel-tol", "zero-product", "complex-arg",
         "nan-arg", "inf-amplitude", "zero-product-family", "window-0", "chain-0"])
 def test_unusable_input_is_invalid_input(tmp_path, argv, content):
     """The full run and --validate-only refuse alike."""
@@ -790,9 +817,10 @@ INPUT_FILES = {
      {"family": "deformed-aklt", "s0": 0.0, "s1": 1.0, "grid": 11}),
     (["scan", "--spec", "spec", "--s1", "0.5"], {"spec": "spec", "s0": 0.0, "s1": 0.5, "grid": 3}),
     (["models"], {}),
+    # a setting is stated in config, not echoed as input
     (["parent-ham", "--model", "aklt", "--kernel-tol", "1e-6"],
-     {"model": "aklt", "boundary": "open", "kernel_tol": 1e-6}),
-    (["modular", "--vector", "vector", "--seed", "3"], {"vector": "vector", "seed": 3}),
+     {"model": "aklt", "boundary": "open"}),
+    (["modular", "--vector", "vector", "--seed", "3"], {"vector": "vector"}),
 ])
 def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, argv, desc):
     """Every command and source: --validate-only echoes the input and computes nothing."""
@@ -814,7 +842,8 @@ def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, arg
 
 @pytest.mark.parametrize("key,value", [("eps_index", float("nan")), ("mixed_tol", float("inf")),
                                        ("peripheral_tol", 0.7), ("peripheral_tol", 0.0),
-                                       ("l_max", 0)])
+                                       ("l_max", 0), ("seed", -1), ("seed", 2 ** 63),
+                                       ("kernel_tol", float("nan")), ("kernel_tol", float("inf"))])
 def test_config_values_are_range_checked(monkeypatch, tmp_path, key, value):
     """Config's one check refuses the value from a flag, a file, the environment and a caller."""
     cfg_path = tmp_path / "config.json"

@@ -281,7 +281,7 @@ def test_ed_report_kernel_tolerance():
     default = sz.ed_report(h)
     assert default.kernel_dim == 1
     assert abs(default.gap - 1e-7) < 1e-15
-    loose = sz.ed_report(h, kernel_tol=1e-6)
+    loose = sz.ed_report(h, sz.Config(kernel_tol=1e-6))
     assert loose.kernel_dim == 2
     assert abs(loose.gap - 1.0) < 1e-12
 
@@ -308,7 +308,8 @@ def test_ed_report_complex_hermitian(rng):
     a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     h = a + a.conj().T
     assert np.abs(h.imag).max() > 0.1
-    rep = sz.ed_report(h, kernel_tol=-np.inf)
+    # any threshold below the lowest eigenvalue leaves the kernel empty
+    rep = sz.ed_report(h, sz.Config(kernel_tol=-1e300))
     want = np.linalg.eigvalsh(h)
     assert np.max(np.abs(rep.spectrum_head - want)) < 1e-12
     assert abs(rep.ground_energy - want[0]) < 1e-12

@@ -105,10 +105,10 @@ def test_modular_kappa_antisymmetric(rng):
 
 def test_modular_data_seed_determinism(rng):
     omega = random_bipartite(rng, 4)
-    first = sz.modular_data(omega, seed=5)
-    second = sz.modular_data(omega, seed=5)
+    first = sz.modular_data(omega, sz.Config(seed=5))
+    second = sz.modular_data(omega, sz.Config(seed=5))
     assert first.residuals == second.residuals
-    other = sz.modular_data(omega, seed=6)
+    other = sz.modular_data(omega, sz.Config(seed=6))
     assert max(other.residuals.values()) < 1e-10
 
 

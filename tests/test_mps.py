@@ -30,13 +30,26 @@ def test_as_mps_refuses_an_overlarge_integer():
     assert info.value.message == "tuple entries must be finite"
 
 
-@pytest.mark.parametrize("obj", [[[["a"]], [[1]]], [[[1, 2]], [[1]]], {"a": 1}],
-                         ids=["string", "ragged", "dict"])
+@pytest.mark.parametrize("obj", [[[["a"]], [[1]]], [[[1, 2]], [[1]]], {"a": 1},
+                                 [[["0.6"]], [["0.8"]]], [[[0.6]], [["0.8"]]]],
+                         ids=["string", "ragged", "dict", "numeric-string", "mixed"])
 def test_as_mps_refuses_what_numpy_cannot_read(obj):
-    # numpy's ValueError and TypeError become the one typed refusal of finite_array
+    # numpy's ValueError and TypeError, and text even where it parses as a number,
+    # become the one typed refusal of numeric_array
     with pytest.raises(sz.InvalidInput) as info:
         sz.as_mps(obj)
     assert info.value.message == "tuple must be a regular array of numbers"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sz.as_bipartite([["1"]]),
+    lambda: sz.marginal(sz.normalize(sz.zoo("aklt")), [["0.5", "0"], ["0", "0.5"]], 1),
+], ids=["as_bipartite", "marginal-state"])
+def test_text_entries_are_not_numbers(call):
+    # numeric_array decides what an array entry is, for finite_array too
+    with pytest.raises(sz.InvalidInput) as info:
+        call()
+    assert info.value.message.endswith("must be a regular array of numbers")
 
 
 def test_as_mps_rejects_bad_shape():

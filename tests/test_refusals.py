@@ -158,10 +158,11 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
 
 
 @pytest.mark.parametrize("call,refusal,key", [
-    (lambda aklt: sz.modular_data(_bell(), seed=-1), sz.InvalidInput, "seed"),
-    (lambda aklt: sz.ed_report(np.eye(2), kernel_tol=float("nan")), sz.InvalidInput,
+    # settings are Config fields: Config refuses them before the call runs
+    (lambda aklt: sz.modular_data(_bell(), Config(seed=-1)), sz.InvalidInput, "seed"),
+    (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=float("nan"))), sz.InvalidInput,
      "kernel_tol"),
-    (lambda aklt: sz.ed_report(np.eye(2), kernel_tol=float("inf")), sz.InvalidInput,
+    (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=float("inf"))), sz.InvalidInput,
      "kernel_tol"),
     (lambda aklt: sz.family("aklt", s0="x"), sz.UnknownModel, "s0"),
     (lambda aklt: sz.family("aklt", s0="1.5"), sz.UnknownModel, "s0"),
@@ -171,8 +172,9 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.parent_interaction(aklt, m=2.5), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 1.5), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
-    (lambda aklt: sz.modular_data(_bell(), seed=2 ** 63), sz.InvalidInput, "seed"),
-    (lambda aklt: sz.ed_report(np.eye(2), kernel_tol=10 ** 400), sz.InvalidInput, "kernel_tol"),
+    (lambda aklt: sz.modular_data(_bell(), Config(seed=2 ** 63)), sz.InvalidInput, "seed"),
+    (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=10 ** 400)), sz.InvalidInput,
+     "kernel_tol"),
     (lambda aklt: sz.family(10 ** 400), sz.UnknownModel, "model"),
     (lambda aklt: sz.family("aklt", grid=10 ** 400), sz.UnknownModel, "grid"),
     (lambda aklt: sz.parent_interaction(aklt, m=2 ** 63), sz.InvalidInput, "m"),
@@ -189,6 +191,8 @@ def test_library_argument_is_refused(call, refusal, key, aklt):
     assert type(info.value) is refusal
     assert info.value.status == "io_error"
     assert key in info.value.payload or key in info.value.message
+    if refusal is sz.InvalidInput and "key" in info.value.payload:  # a Config field
+        assert info.value.payload["key"] == key
 
 
 @pytest.mark.parametrize("call", [

@@ -229,4 +229,14 @@ def test_scan_structural_inconclusive_keeps_both_flags(monkeypatch):
     for p in rep.points:
         assert (p.status, p.error) == ("inconclusive", "Inconclusive")
         assert p.primitive and p.reflection_invariant and p.zeta is None
-    assert not rep.constant_index and rep.first_failure is None
+    # a point with no zeta is a failure, whichever certificates held
+    assert not rep.constant_index and rep.first_failure == 0.0
+
+
+def test_scan_first_failure_counts_refused_classifications():
+    # both certificates hold at every point, and a negative eps_index refuses each sign
+    rep = sz.scan(sz.family("deformed-aklt", grid=3), sz.Config(eps_index=-1))
+    for p in rep.points:
+        assert (p.status, p.error) == ("ambiguous_symmetry", "AmbiguousSymmetry")
+        assert p.primitive and p.reflection_invariant and p.zeta is None
+    assert not rep.constant_index and rep.first_failure == 0.0
