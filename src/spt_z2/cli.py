@@ -362,15 +362,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-_CONFIG_HELP = {
-    "eps_gauge": "gauge relation residual bound",
-    "eps_index": "symmetric/antisymmetric classification bound",
-    "mixed_tol": "same-state deficit for the mixed transfer radius",
-    "kernel_tol": "kernel threshold for the dense spectrum",
-    "seed": "seed for randomized verification panels",
-}
-
-
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file of tolerance overrides")
     sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
@@ -380,7 +371,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         flag = "--" + field.name.replace("_", "-")
         kind = int if field.type.startswith("int") else float
         sp.add_argument(flag, type=kind, default=None, dest=field.name,
-                        help=_CONFIG_HELP.get(field.name, argparse.SUPPRESS))
+                        help=f"config field {field.name} (default {json.dumps(field.default)})")
 
 
 def _add_tuple_source(sp: argparse.ArgumentParser) -> None:

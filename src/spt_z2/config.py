@@ -7,8 +7,8 @@ the kernel in :mod:`spt_z2.linalg` included, accepts an optional ``config``
 Construction is the one validity check, whatever the source (flags, a file,
 ``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
-(0, 0.5), ``seed`` in [0, 2**63) and every other integer in [1, 2**63);
-``kernel_tol`` and ``l_max`` may be None.
+(0, 0.5) and every integer in [1, 2**63); ``kernel_tol`` and ``l_max`` may
+be None.
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
@@ -18,7 +18,7 @@ float), :func:`is_int` (no bool, magnitude below 2**63), :func:`numeric_array`
 :func:`finite_array` (its result, with finite entries, as a C-contiguous
 complex array); tuple, vector and family files hold no null. Refusals are
 :class:`InvalidInput` (``family``: ``UnknownModel``).
-A representable but huge ``panel_size`` or cap is still unbounded work.
+A representable but huge cap is still unbounded work.
 
 Not every threshold is here: the 16 fixed ones below (1e-300 division guards
 aside) sit in the code that applies them. The eight marked (w) are bounds
@@ -127,10 +127,6 @@ class Config:
     refl_marginal_tol: float = 1e-8  # marginal reversal mismatch threshold
     kernel_tol: float | None = None  # ED kernel threshold; None: 1e-8 (top eigenvalue + 1)
 
-    # randomized identity checks
-    panel_size: int = 16
-    seed: int = 0                # panel seed of modular_data
-
     # dense-computation limits
     marginal_cap: int = 4096     # largest d**l for marginal, block, parent_interaction
     ed_cap: int = 4096           # largest d**n for dense chain diagonalization
@@ -145,8 +141,7 @@ class Config:
             elif f.type.startswith("float"):
                 ok, expected = is_finite_real(v), "a finite number"
             else:
-                low = 0 if f.name == "seed" else 1
-                ok, expected = is_int(v) and v >= low, f"an integer in [{low}, 2**63)"
+                ok, expected = is_int(v) and v >= 1, "an integer in [1, 2**63)"
             if f.type.endswith("| None"):
                 ok, expected = ok or v is None, expected + " or null"
             if not ok:

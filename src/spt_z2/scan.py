@@ -75,7 +75,7 @@ MODELS = {
 def _parse_scalar(text: str) -> complex:
     text = text.strip().replace("I", "i")
     if not text:
-        raise UnknownModel("empty model argument")
+        raise UnknownModel("empty model argument", key="model")
     try:
         return complex(float(text))
     except ValueError:
@@ -83,37 +83,37 @@ def _parse_scalar(text: str) -> complex:
     try:
         return complex(text.replace("i", "j"))
     except ValueError as exc:
-        raise UnknownModel(f"cannot parse model argument {text!r}") from exc
+        raise UnknownModel(f"cannot parse model argument {text!r}", key="model") from exc
 
 
 def parse_model(name: str) -> tuple[str, list]:
     """Base name and arguments of a model name; the one check of its arguments.
 
     Arguments are finite; a one-parameter model gets one real one (a float)
-    and ``product`` at least two amplitudes, not all zero.
+    and ``product`` at least two amplitudes, not all zero. Every refusal is
+    :class:`UnknownModel` with ``key`` ``"model"``.
     """
     base, _, argstr = name.partition(":")
     base = base.strip()
     if base not in MODELS:
-        raise UnknownModel(f"unknown model {base!r}", known=sorted(MODELS))
+        raise UnknownModel(f"unknown model {base!r}", key="model", known=sorted(MODELS))
     args = [_parse_scalar(a) for a in argstr.split(",")] if argstr else []
     spec = MODELS[base].parameters
     if spec >= 0 and len(args) != spec:
-        raise UnknownModel(
-            f"model {base!r} takes {spec} argument(s), got {len(args)}",
-        )
+        raise UnknownModel(f"model {base!r} takes {spec} argument(s), got {len(args)}",
+                           key="model")
     if not np.isfinite(args).all():
-        raise UnknownModel("model arguments must be finite")
+        raise UnknownModel("model arguments must be finite", key="model")
     if spec == 1:
         if abs(args[0].imag) > 0:
-            raise UnknownModel(f"model {base!r} takes a real argument")
+            raise UnknownModel(f"model {base!r} takes a real argument", key="model")
         args = [float(args[0].real)]
     if base == "product":
         if len(args) < 2:
-            raise UnknownModel("product model needs at least two amplitudes",
+            raise UnknownModel("product model needs at least two amplitudes", key="model",
                                count=len(args))
         if np.linalg.norm(np.asarray(args, dtype=complex)) < 1e-12:
-            raise UnknownModel("product amplitudes are all zero")
+            raise UnknownModel("product amplitudes are all zero", key="model")
     return base, args
 
 
@@ -139,10 +139,11 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     A bare one-parameter name runs its generator over ``family_range`` by
     default; any other name is a point model, parsed once here, and gives a
     constant family, over [0, 1] by default. Endpoints other than finite
-    numbers and a grid other than an integer >= 2 are :class:`UnknownModel`.
+    numbers and a grid other than an integer >= 2 are :class:`UnknownModel`,
+    whose ``key`` names the argument (``model``, ``s0``, ``s1`` or ``grid``).
     """
     if not isinstance(name, str):
-        raise UnknownModel("family model must be a string")
+        raise UnknownModel("family model must be a string", key="model")
     entry = MODELS.get(name.strip())
     if entry is not None and entry.family_range is not None:
         lo, hi = entry.family_range
@@ -154,12 +155,13 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     s0 = lo if s0 is None else s0
     s1 = hi if s1 is None else s1
     grid = 11 if grid is None else grid
-    if not (is_finite_real(s0) and is_finite_real(s1)):
-        raise UnknownModel("family endpoints s0 and s1 must be finite")
+    for key, value in (("s0", s0), ("s1", s1)):
+        if not is_finite_real(value):
+            raise UnknownModel(f"family endpoint {key} must be finite", key=key)
     if not is_int(grid):
-        raise UnknownModel("family grid must be an integer", grid=grid)
+        raise UnknownModel("family grid must be an integer", key="grid", grid=grid)
     if grid < 2:
-        raise UnknownModel("family grid needs at least two points", grid=grid)
+        raise UnknownModel("family grid needs at least two points", key="grid", grid=grid)
     return FamilySpec(name=name, s0=float(s0), s1=float(s1), grid=grid, generator=generator)
 
 

@@ -286,7 +286,7 @@ def test_inputs_that_change_the_result_change_the_digest():
               for n in ("4", "5")}
     assert len(chains) == 2
     for key, argv, values in (
-            ("seed", ["modular", "--from-index", "aklt", "--seed"], ("1", "2")),
+            ("modular_tol", ["modular", "--from-index", "aklt", "--modular-tol"], ("1e-8", "-1")),
             ("kernel_tol", ["parent-ham", "--model", "aklt", "--n", "4", "--kernel-tol"],
              ("1e-6", "-1"))):
         first, second = (run(argv + [value])[1] for value in values)
@@ -298,9 +298,9 @@ def test_inputs_that_change_the_result_change_the_digest():
 def test_setting_flags_are_accepted_by_every_command():
     # every Config field is a flag of every command, as --ed-cap always was
     for extra in ([], ["--validate-only"]):
-        code, env = run(["index", "--model", "aklt", "--seed", "5", "--ed-cap", "5", *extra])
+        code, env = run(["index", "--model", "aklt", "--scan-cap", "5", "--ed-cap", "5", *extra])
         assert code == 0 and env["status"] == "ok", extra
-        assert (env["config"]["seed"], env["config"]["ed_cap"]) == (5, 5)
+        assert (env["config"]["scan_cap"], env["config"]["ed_cap"]) == (5, 5)
 
 
 @pytest.mark.parametrize("argv", [
@@ -309,22 +309,22 @@ def test_setting_flags_are_accepted_by_every_command():
 ], ids=["parent-ham", "modular"])
 def test_settings_load_from_a_config_file_and_the_environment(monkeypatch, tmp_path, argv):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"seed": 3, "kernel_tol": 1e-6}))
+    cfg_path.write_text(json.dumps({"scan_cap": 3, "kernel_tol": 1e-6}))
     monkeypatch.delenv(ENV_VAR, raising=False)
-    _, by_flags = run(argv + ["--seed", "3", "--kernel-tol", "1e-6"])
+    _, by_flags = run(argv + ["--scan-cap", "3", "--kernel-tol", "1e-6"])
     _, by_file = run(argv + ["--config", str(cfg_path)])
     monkeypatch.setenv(ENV_VAR, str(cfg_path))
     _, by_env = run(argv)
-    assert (by_flags["config"]["seed"], by_flags["config"]["kernel_tol"]) == (3, 1e-6)
+    assert (by_flags["config"]["scan_cap"], by_flags["config"]["kernel_tol"]) == (3, 1e-6)
     assert by_flags == by_file == by_env
 
 
-def test_modular_seed_determinism(tmp_path, rng):
+def test_modular_repeat_gives_the_same_envelope(tmp_path, rng):
     mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     path = write_vector(tmp_path, mat / np.linalg.norm(mat))
-    _, first = run(["modular", "--vector", path, "--seed", "7"])
-    _, second = run(["modular", "--vector", path, "--seed", "7"])
-    assert first == second
+    _, first = run(["modular", "--vector", path])
+    _, second = run(["modular", "--vector", path])
+    assert first["status"] == "ok" and first == second
 
 
 # -- parent-ham ---------------------------------------------------------------
@@ -561,7 +561,7 @@ def test_bad_config_file_is_io_error(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("data", [{"eps_norm": "x"}, {"eps_herm": True},
-                                  {"marginal_cap": 2.5}, {"panel_size": None},
+                                  {"marginal_cap": 2.5}, {"scan_cap": None},
                                   {"l_max": 1.5}])
 def test_config_values_are_type_checked(monkeypatch, tmp_path, data):
     cfg_path = tmp_path / "config.json"
@@ -583,6 +583,36 @@ def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
     monkeypatch.setenv(ENV_VAR, str(cfg_path))
     code, env = run(["index", "--model", "aklt"])
     assert code == 1 and env["status"] == "io_error"
+
+
+@pytest.mark.parametrize("argv", [["--seed", "0"], ["--panel-size", "16"]],
+                         ids=["seed", "panel-size"])
+def test_panel_settings_are_gone(monkeypatch, tmp_path, argv):
+    # modular_data checks its generators, not a seeded panel of draws
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    code, env = run(["modular", "--from-index", "aklt", *argv])
+    assert code == 1 and env["result"]["error"] == "UsageError"
+    key = argv[0][2:].replace("-", "_")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({key: int(argv[1])}))
+    code, env = run(["modular", "--from-index", "aklt", "--config", str(cfg_path)])
+    assert code == 1 and env["result"] == {"error": "InvalidInput",
+                                           "message": "unknown config keys", "keys": [key]}
+    assert key not in env["config"] and key not in sz.Config().as_dict()
+
+
+@pytest.mark.parametrize("command", ["index", "check", "modular", "parent-ham", "scan",
+                                     "models"])
+def test_help_lists_every_setting(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for field in dataclasses.fields(sz.Config):
+        flag = "--" + field.name.replace("_", "-")
+        default = json.dumps(field.default)
+        # the options list, not the usage line: a suppressed flag is in neither
+        assert f"{flag} {field.name.upper()} config field {field.name} (default {default})" \
+            in text, flag
 
 
 # -- canonical form -------------------------------------------------------------
@@ -678,12 +708,12 @@ def test_integers_end_below_two_to_the_63():
 
 
 @pytest.mark.parametrize("argv", [
-    ["index", "--model", "aklt", "--panel-size", "1" + "0" * 400],
+    ["index", "--model", "aklt", "--scan-cap", "1" + "0" * 400],
     ["index", "--model", "aklt", "--marginal-cap", str(2 ** 63)],
-    ["modular", "--from-index", "aklt", "--seed", str(2 ** 63)],
+    ["modular", "--from-index", "aklt", "--ed-cap", str(2 ** 63)],
     ["parent-ham", "--model", "aklt", "--m", str(2 ** 63)],
     ["scan", "--family", "deformed-aklt", "--grid", str(2 ** 63)],
-], ids=["panel-size", "marginal-cap", "seed", "window", "grid"])
+], ids=["scan-cap", "marginal-cap", "ed-cap", "window", "grid"])
 def test_integer_flag_of_two_to_the_63_is_refused(argv):
     for extra in ([], ["--validate-only"]):
         code, env = run(argv + extra)
@@ -691,12 +721,12 @@ def test_integer_flag_of_two_to_the_63_is_refused(argv):
 
 
 def test_overlarge_config_integer_is_refused_before_any_loop(tmp_path):
-    # a 401-digit panel_size used to be accepted, and `modular` then looped without
-    # end; `index` reads no panel, so a regression fails here instead of hanging
+    # a 401-digit integer is refused with its key by Config, before any command
+    # reads the field; `index` reads no scan_cap, so a regression fails here
     path = tmp_path / "config.json"
-    path.write_text('{"panel_size": 1' + "0" * 400 + "}")
+    path.write_text('{"scan_cap": 1' + "0" * 400 + "}")
     code, env = run(["index", "--model", "aklt", "--config", str(path)])
-    assert code == 1 and env["result"]["key"] == "panel_size"
+    assert code == 1 and env["result"]["key"] == "scan_cap"
     assert env["result"]["expected"] == "an integer in [1, 2**63)"
 
 
@@ -768,7 +798,9 @@ def test_check_certifies_primitivity_once(monkeypatch):
     # lengths are checked before an array of the declared size is allocated
     (["index", "--tuple"], b'{"d": 2, "k": 1000000, "matrices": [[[[1, 0]]], [[[0, 0]]]]}'),
     (["modular", "--vector"], b'{"m": 1, "entries": [[[1' + b"0" * 400 + b', 0]]]}'),
-    (["modular", "--from-index", "aklt", "--seed", "-1"], None),
+    # the panel seed is no setting: an unknown flag
+    (["modular", "--from-index", "aklt", "--seed", "1"], None),
+    (["modular", "--from-index", "aklt", "--modular-tol", "nan"], None),
     # NaN compares false, so no state would count as a kernel state
     (["parent-ham", "--model", "aklt", "--m", "2", "--kernel-tol", "nan"], None),
     (["index", "--model", "product:0,0"], None),
@@ -779,7 +811,7 @@ def test_check_certifies_primitivity_once(monkeypatch):
     (["parent-ham", "--model", "aklt", "--m", "0"], None),
     (["parent-ham", "--model", "aklt", "--n", "0"], None),
 ], ids=["utf8", "nesting", "nan-vector", "nan-spec", "inf-flag", "utf8-config", "huge-k",
-        "huge-int", "seed", "kernel-tol", "zero-product", "complex-arg",
+        "huge-int", "seed", "modular-tol", "kernel-tol", "zero-product", "complex-arg",
         "nan-arg", "inf-amplitude", "zero-product-family", "window-0", "chain-0"])
 def test_unusable_input_is_invalid_input(tmp_path, argv, content):
     """The full run and --validate-only refuse alike."""
@@ -820,7 +852,7 @@ INPUT_FILES = {
     # a setting is stated in config, not echoed as input
     (["parent-ham", "--model", "aklt", "--kernel-tol", "1e-6"],
      {"model": "aklt", "boundary": "open"}),
-    (["modular", "--vector", "vector", "--seed", "3"], {"vector": "vector"}),
+    (["modular", "--vector", "vector", "--modular-tol", "1e-7"], {"vector": "vector"}),
 ])
 def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, argv, desc):
     """Every command and source: --validate-only echoes the input and computes nothing."""
@@ -842,7 +874,7 @@ def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, arg
 
 @pytest.mark.parametrize("key,value", [("eps_index", float("nan")), ("mixed_tol", float("inf")),
                                        ("peripheral_tol", 0.7), ("peripheral_tol", 0.0),
-                                       ("l_max", 0), ("seed", -1), ("seed", 2 ** 63),
+                                       ("l_max", 0), ("scan_cap", 0), ("scan_cap", 2 ** 63),
                                        ("kernel_tol", float("nan")), ("kernel_tol", float("inf"))])
 def test_config_values_are_range_checked(monkeypatch, tmp_path, key, value):
     """Config's one check refuses the value from a flag, a file, the environment and a caller."""

@@ -86,7 +86,7 @@ VALID = {
     "vector": {"m": 2, "entries": complex_rows(np.array([[0.0, 1.0], [-1.0, 0.0]])
                                                / np.sqrt(2.0))},
     "spec": {"model": "deformed-aklt", "s0": 0.0, "s1": 1.0, "grid": 3},
-    "config": {"eps_norm": 1e-9, "peripheral_tol": 1e-6, "panel_size": 4,
+    "config": {"eps_norm": 1e-9, "peripheral_tol": 1e-6, "scan_cap": 4,
                "marginal_cap": 4096, "l_max": 16},
 }
 FILE_SCHEMA = {"tuple": _validator("tuple"), "vector": _validator("vector"),
@@ -100,7 +100,7 @@ ARGV = {
 
 
 # the README's rules for the fields of the valid config file
-CONFIG_RULES = {"eps_norm": "number", "peripheral_tol": "(0, 0.5)", "panel_size": "int",
+CONFIG_RULES = {"eps_norm": "number", "peripheral_tol": "(0, 0.5)", "scan_cap": "int",
                 "marginal_cap": "int", "l_max": "int or null"}
 
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
+from spt_z2 import modular
 from spt_z2.linalg import frob
-from util import random_bipartite
+from util import modular_identities_oracle, random_bipartite
 
 SINGLET = np.array([[0.0, -1.0], [1.0, 0.0]]) / np.sqrt(2.0)
+RESIDUALS = ["left_isometry", "right_isometry", "reconstruction", "root_eigenvectors", "polar"]
 
 
 # -- construction -------------------------------------------------------------
@@ -103,22 +105,91 @@ def test_modular_kappa_antisymmetric(rng):
         assert report.support_dim % 2 == 0
 
 
-def test_modular_data_seed_determinism(rng):
+def test_modular_data_is_bitwise_repeatable(rng):
     omega = random_bipartite(rng, 4)
-    first = sz.modular_data(omega, sz.Config(seed=5))
-    second = sz.modular_data(omega, sz.Config(seed=5))
+    first, second = sz.modular_data(omega), sz.modular_data(omega)
     assert first.residuals == second.residuals
-    other = sz.modular_data(omega, sz.Config(seed=6))
-    assert max(other.residuals.values()) < 1e-10
+    assert (first.kappa, first.sigma, first.support_match_residual) == \
+        (second.kappa, second.sigma, second.support_match_residual)
+    for name in ("lam", "left", "right", "u"):
+        assert np.array_equal(getattr(first.schmidt, name), getattr(second.schmidt, name))
 
 
 def test_modular_singlet():
     report = sz.modular_data(sz.as_bipartite(SINGLET))
     assert report.kappa == -1 and report.sigma == -1
     assert report.support_dim == 2
-    assert list(report.residuals) == ["S_action", "J_square", "delta_fix", "delta_formula",
-                                      "J_formula"]
+    assert list(report.residuals) == RESIDUALS
     assert max(report.residuals.values()) < 1e-12
+
+
+@pytest.mark.parametrize("symmetry", ["sym", "antisym", "none"])
+def test_closed_form_identities_hold_on_the_reported_schmidt_data(rng, symmetry):
+    # the five identities the generator residuals imply, evaluated literally
+    for m in (2, 3, 5, 8):
+        omega = random_bipartite(rng, m, symmetry=symmetry)
+        report = sz.modular_data(omega)
+        worst = modular_identities_oracle(omega, report.schmidt, rng)
+        assert max(worst.values()) < 1e-10, (m, worst)
+
+
+def _tampered(sch, omega, what):
+    """Schmidt data with exactly one generator fact broken (see ``what``)."""
+    xi_full, _, vh = np.linalg.svd(omega.M)
+    r = sch.support_dim
+    left, right, lam, u = sch.left, sch.right, sch.lam, sch.u
+    if what in ("left_isometry", "right_isometry"):
+        # one more column of zero weight, in the kernels of M M^dagger and M^T conj(M),
+        # of norm 2 on one side: (R), (E) and (P) still hold
+        scale = (2.0, 1.0) if what == "left_isometry" else (1.0, 2.0)
+        left = np.column_stack([left, scale[0] * xi_full[:, r]])
+        right = np.column_stack([right, scale[1] * vh[r]])
+        lam, u, r = np.append(lam, 0.0), right @ left.T, r + 1
+    elif what == "reconstruction":
+        right = right * np.where(np.arange(r) == 0, -1.0, 1.0)  # u is kept
+    elif what == "polar":
+        u = -u
+    return sz.SchmidtData(lam=lam, left=left, right=right, u=u, support_dim=r)
+
+
+@pytest.mark.parametrize("what", ["left_isometry", "right_isometry", "reconstruction",
+                                  "polar"])
+def test_broken_generator_is_refused(monkeypatch, rng, what):
+    # odd m: a support of dimension 2 inside C^3, so a zero-weight column fits
+    omega = random_bipartite(rng, 3, symmetry="antisym")
+    real = modular.schmidt
+    monkeypatch.setattr(modular, "schmidt",
+                        lambda om, config=None: _tampered(real(om, config), om, what))
+    with pytest.raises(sz.Inconclusive) as info:
+        sz.modular_data(omega)
+    payload = info.value.payload
+    assert list(payload) == RESIDUALS + ["tolerance"]
+    assert {k for k in RESIDUALS if payload[k] > payload["tolerance"]} == {what}
+
+
+def test_root_of_the_reduced_state_is_checked(monkeypatch, rng):
+    # a wrong ambient root breaks (E) and (P), and only those
+    real = modular.psd_power
+    monkeypatch.setattr(modular, "psd_power", lambda *a: (1.0 + 1e-6) * real(*a))
+    with pytest.raises(sz.Inconclusive) as info:
+        sz.modular_data(random_bipartite(rng, 4))
+    payload = info.value.payload
+    assert {k for k in RESIDUALS if payload[k] > payload["tolerance"]} == \
+        {"root_eigenvectors", "polar"}
+
+
+@pytest.mark.parametrize("shape,eps", [("diag", 1e-9), ("diag", 1e-10), ("diag", 1e-11),
+                                       ("W", 1e-5), ("W", 3e-6), ("W", 1e-9)])
+def test_small_schmidt_coefficients_known_answer(rng, shape, eps):
+    # symmetric, so kappa = sigma = +1; the smallest coefficient is kept by schmidt
+    if shape == "diag":
+        mat = np.diag([1.0, eps])
+    else:
+        w = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        mat = w @ np.diag([1.0, 0.6, eps]) @ w.T
+    report = sz.modular_data(sz.as_bipartite(mat, normalized=True))
+    assert report.kappa == 1 and report.sigma == 1
+    assert report.support_dim == mat.shape[0]
 
 
 # -- bond vector --------------------------------------------------------------

@@ -140,7 +140,8 @@ ROUTED = {
     "modular_data": (
         lambda mp, aklt: sz.modular_data(_bell(), Config(modular_tol=-1.0)),
         sz.Inconclusive, "modular identities exceed tolerance", INCONCLUSIVE,
-        {"S_action", "J_square", "delta_fix", "delta_formula", "J_formula"}, -1.0),
+        {"left_isometry", "right_isometry", "reconstruction", "root_eigenvectors", "polar"},
+        -1.0),
 }
 
 
@@ -159,7 +160,8 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
 
 @pytest.mark.parametrize("call,refusal,key", [
     # settings are Config fields: Config refuses them before the call runs
-    (lambda aklt: sz.modular_data(_bell(), Config(seed=-1)), sz.InvalidInput, "seed"),
+    (lambda aklt: sz.modular_data(_bell(), Config(modular_tol=float("nan"))), sz.InvalidInput,
+     "modular_tol"),
     (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=float("nan"))), sz.InvalidInput,
      "kernel_tol"),
     (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=float("inf"))), sz.InvalidInput,
@@ -172,17 +174,20 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.parent_interaction(aklt, m=2.5), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 1.5), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
-    (lambda aklt: sz.modular_data(_bell(), Config(seed=2 ** 63)), sz.InvalidInput, "seed"),
+    (lambda aklt: sz.scan(sz.family("aklt"), Config(scan_cap=2 ** 63)), sz.InvalidInput,
+     "scan_cap"),
     (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=10 ** 400)), sz.InvalidInput,
      "kernel_tol"),
     (lambda aklt: sz.family(10 ** 400), sz.UnknownModel, "model"),
+    (lambda aklt: sz.family("nope"), sz.UnknownModel, "model"),
     (lambda aklt: sz.family("aklt", grid=10 ** 400), sz.UnknownModel, "grid"),
     (lambda aklt: sz.parent_interaction(aklt, m=2 ** 63), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 10 ** 400), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2 ** 63), sz.InvalidInput, "b"),
-], ids=["seed", "kernel_tol-nan", "kernel_tol-inf", "s0", "s0-text", "grid", "grid-float",
-        "s1-overlarge", "window", "marginal-length", "block-size", "seed-overlarge",
-        "kernel_tol-overlarge", "model-not-text", "grid-overlarge", "window-overlarge",
+], ids=["modular_tol-nan", "kernel_tol-nan", "kernel_tol-inf", "s0", "s0-text", "grid",
+        "grid-float", "s1-overlarge", "window", "marginal-length", "block-size",
+        "scan_cap-overlarge", "kernel_tol-overlarge", "model-not-text", "model-unknown",
+        "grid-overlarge", "window-overlarge",
         "marginal-length-overlarge", "block-size-overlarge"])
 def test_library_argument_is_refused(call, refusal, key, aklt):
     # the CLI's flag types refuse these first; a library caller gets the same typed status
@@ -191,7 +196,7 @@ def test_library_argument_is_refused(call, refusal, key, aklt):
     assert type(info.value) is refusal
     assert info.value.status == "io_error"
     assert key in info.value.payload or key in info.value.message
-    if refusal is sz.InvalidInput and "key" in info.value.payload:  # a Config field
+    if refusal is sz.UnknownModel or "key" in info.value.payload:  # family or a Config field
         assert info.value.payload["key"] == key
 
 

@@ -160,3 +160,59 @@ def random_bipartite(rng: np.random.Generator, m: int,
     elif symmetry == "antisym":
         a = a - a.T
     return sz.as_bipartite(a, normalized=True)
+
+
+def modular_identities_oracle(omega: sz.BipartiteVector, sch: sz.SchmidtData,
+                              rng: np.random.Generator, draws: int = 16) -> dict:
+    """Worst relative miss of each closed-form modular identity over random draws.
+
+    The identities that ``modular_data`` derives from its generator residuals,
+    evaluated literally: S, Delta^{1/2} and J in compressed coordinates against
+    ambient routes (reduced-state powers rho^{+-1/2} from ``psd_power``, the
+    u-conjugation formula for J).
+    """
+    from spt_z2.linalg import frob, psd_power
+
+    xi, z, u = sch.left, sch.right, sch.u
+    r = sch.support_dim
+    dvec = np.sqrt(sch.lam)
+    p_left, p_right = xi @ xi.conj().T, z @ z.conj().T
+    rho = omega.M @ omega.M.conj().T
+    root, root_inv = psd_power(rho, 0.5), psd_power(rho, -0.5)
+
+    def embed(c):
+        return xi @ c @ z.T
+
+    def j_ambient(w):
+        return u.T @ w.conj().T @ u.T
+
+    def half_delta(c):
+        return (dvec[:, None] * c) / dvec[None, :]
+
+    def rand_c(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    worst = dict.fromkeys(("S_action", "J_square", "delta_fix", "delta_formula",
+                           "J_formula"), 0.0)
+
+    def fold(name, miss, scale=1.0):
+        worst[name] = max(worst[name], frob(miss) / max(scale, 1e-300))
+
+    omega_c = np.diag(dvec)
+    for _ in range(draws):
+        x_c = rand_c(r)
+        lhs = embed(half_delta(x_c @ omega_c))
+        fold("delta_formula", lhs - (root @ (xi @ x_c @ xi.conj().T) @ root_inv) @ omega.M,
+             frob(lhs))
+        rhs = (xi @ x_c.conj().T @ xi.conj().T) @ omega.M
+        fold("S_action", j_ambient(embed(half_delta(x_c @ omega_c))) - rhs, frob(rhs))
+        y = p_right @ rand_c(omega.m) @ p_right
+        w_any = rand_c(omega.m)
+        lhs = j_ambient(p_left @ j_ambient(w_any) @ y.T)
+        rhs = (u.T @ y.conj() @ u.conj()) @ w_any @ p_right.T
+        fold("J_formula", lhs - rhs, frob(w_any))
+        fold("J_square", j_ambient(j_ambient(w_any)) - p_left @ w_any @ p_right.T,
+             frob(w_any))
+    fold("delta_fix", embed(half_delta(half_delta(omega_c))) - omega.M)
+    fold("delta_fix", j_ambient(omega.M) - omega.M)
+    return worst
