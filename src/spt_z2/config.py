@@ -20,8 +20,8 @@ complex array); tuple, vector and family files hold no null. Refusals are
 :class:`InvalidInput` (``family``: ``UnknownModel``).
 A representable but huge cap is still unbounded work.
 
-Not every threshold is here: the 16 fixed ones below (1e-300 division guards
-aside) sit in the code that applies them. The eight marked (w) are bounds
+Not every threshold is here: the 15 fixed ones below (1e-300 division guards
+aside) sit in the code that applies them. The seven marked (w) are bounds
 judged by :func:`spt_z2.errors.within`, whose refusals report them as
 ``tolerance``; the rest are cutoffs, input checks and a singular value floor.
 
@@ -34,8 +34,8 @@ judged by :func:`spt_z2.errors.within`, whose refusals report them as
   singular values above max(rank_tol, 1e-13) times the largest counted;
   ``primitivity``, a span within 1e-10 of one of the last k ends the search.
 - ``reflection.z2_index``: ``||U D - D U||_F <= 1e-6`` for rho's eigenvalues D (w).
-- ``modular``: ``schmidt`` reconstruction residual <= 1e-9 (w);
-  ``as_bipartite`` norm >= 1e-12 and, unless normalizing, abs(norm - 1) <= 1e-10.
+- ``modular``: ``as_bipartite`` norm >= 1e-12 and, unless normalizing,
+  abs(norm - 1) <= 1e-10.
 - ``linalg.polar_unitary``: smallest singular value >= 1e-9 times the largest.
 - ``scan.parse_model``: product amplitudes of norm >= 1e-12.
 """

@@ -32,10 +32,12 @@ Each eigenvector's phase is fixed so that its first component of significant
 modulus is real and positive; :class:`HermEig` applies that fix when its
 ``vectors`` are first read, so a caller that reads only ``values`` never pays
 for it. The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
-unitaries and Schmidt vectors follow it too. The Hermitian solvers read their
-input by :func:`spt_z2.config.numeric_array`: a ragged, non-numeric or
-non-square matrix is :class:`InvalidInput`, and a non-finite entry fails the
-Hermiticity check as :class:`NotHermitian`.
+unitaries and Schmidt vectors follow it too. The public Hermitian solvers
+check their input, read by :func:`spt_z2.config.numeric_array`: a ragged,
+non-numeric or non-square matrix is :class:`InvalidInput`, and a non-finite
+entry fails the Hermiticity check as :class:`NotHermitian`. Internal solves
+of matrices Hermitian by construction (a Gram matrix, or
+:meth:`HermitianFrame.matrix` of real coordinates) check nothing.
 
 Every tolerance these operations apply comes from the optional ``config``
 they take (``None`` means :data:`spt_z2.config.DEFAULT`); none has a
@@ -223,6 +225,12 @@ def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
     return buf
 
 
+def _eigh(h: np.ndarray) -> HermEig:
+    """One unchecked ``eigh`` of a matrix Hermitian by construction (internal solves)."""
+    w, u = np.linalg.eigh(h)
+    return HermEig(values=w, eigh_vectors=u)
+
+
 def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
     """Eigensystem of a Hermitian matrix with the module's conventions.
 
@@ -232,25 +240,25 @@ def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
     input is diagonalized as it is, with no symmetrized copy. Makes one
     ``eigh`` call; the phase fix waits for the first read of ``vectors``.
     """
-    hh = _symmetrized(numeric_array(h).astype(complex, copy=False), config)
-    w, u = np.linalg.eigh(hh)
-    return HermEig(values=w, eigh_vectors=u)
+    return _eigh(_symmetrized(numeric_array(h).astype(complex, copy=False), config))
 
 
-def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
-                config: Config | None = None) -> HermEig:
-    """:func:`herm_eig` of a matrix that must be positive definite.
-
-    The one positive-definiteness rule: with eigenvalues ``lo <= .. <= hi``
-    the matrix passes when ``hi > 0`` and ``lo > max(pos_def_tol, 0) * hi``;
-    otherwise ``refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)``.
-    """
-    cfg = resolve(config)
-    sys = herm_eig(h, cfg)
+def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
+                       cfg: Config) -> HermEig:
+    """The one positive-definiteness rule: with eigenvalues ``lo <= .. <= hi`` the
+    matrix passes when ``hi > 0`` and ``lo > max(pos_def_tol, 0) * hi``; otherwise
+    ``refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)``."""
     lo, hi = float(sys.values[0]), float(sys.values[-1])
     if not (hi > 0 and lo > max(cfg.pos_def_tol, 0.0) * hi):
         raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)
     return sys
+
+
+def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
+                config: Config | None = None) -> HermEig:
+    """:func:`herm_eig` of a matrix that must pass :func:`_positive_definite`."""
+    cfg = resolve(config)
+    return _positive_definite(herm_eig(h, cfg), refusal, message, cfg)
 
 
 def real_if_exact(x: np.ndarray) -> np.ndarray:

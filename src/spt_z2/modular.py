@@ -102,24 +102,25 @@ def schmidt(omega: BipartiteVector, config: Config | None = None) -> SchmidtData
 
     The right vectors get the canonical phase of
     :func:`spt_z2.linalg.canonical_phases` and the left vectors absorb the
-    compensating factor, which keeps M = Xi diag(s) Z^T exact.
+    compensating factor, which keeps M = Xi diag(s) Z^T exact. The
+    reconstruction residual is judged against ``modular_tol``.
     """
-    rank_tol = resolve(config).rank_tol
+    cfg = resolve(config)
     mat = omega.M
     xi_full, s, vh = np.linalg.svd(mat)
     if s[0] <= 0:
         raise DegenerateSupport("coefficient matrix has no singular values above zero")
-    r = int(np.sum(s > rank_tol * s[0]))
+    r = int(np.sum(s > cfg.rank_tol * s[0]))
     if r == 0:
         raise DegenerateSupport("Schmidt support is empty at this rank tolerance",
-                                rank_tol=rank_tol)
+                                rank_tol=cfg.rank_tol)
     phases = canonical_phases(vh[:r].T)
     z = vh[:r].T * phases
     xi = xi_full[:, :r] * phases.conj()
     lam = (s[:r] ** 2).astype(float)
     recon = frob(mat - xi @ (s[:r, None] * z.T))
-    within(recon, 1e-9, Inconclusive, "Schmidt reconstruction residual above tolerance",
-           residual=recon)
+    within(recon, cfg.modular_tol, Inconclusive,
+           "Schmidt reconstruction residual above tolerance", residual=recon)
     u = z @ xi.T
     return SchmidtData(lam=lam, left=xi, right=z, u=u, support_dim=r)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .errors import (
     WindowTooLarge,
     within,
 )
-from .linalg import (HermEig, eig_sort_key, frob, herm_eig, hermitian_frame, hermitian_real,
-                     kraus_superop, peripheral_eigs, peripheral_window, pos_def_eig)
+from .linalg import (HermEig, _eigh, _positive_definite, eig_sort_key, frob, hermitian_frame,
+                     hermitian_real, kraus_superop, peripheral_eigs, peripheral_window)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,8 @@ class MpsTuple:
 
     Build through :func:`as_mps`; direct construction skips validation.
     ``reflect_perm`` is either None (identity) or an involutive permutation of
-    ``range(d)`` stored as an integer array.
+    ``range(d)`` stored as an integer array. ``v`` is not mutated after
+    construction, so the channel residual is computed once per tuple and kept.
     """
 
     v: np.ndarray
@@ -71,6 +73,11 @@ class MpsTuple:
         if self.reflect_perm is None:
             return np.arange(self.d)
         return self.reflect_perm
+
+    @cached_property
+    def _channel_residual(self) -> float:
+        s = np.einsum("mab,mcb->ac", self.v, self.v.conj())
+        return frob(s - np.eye(self.k))
 
 
 def as_mps(obj, reflect_perm=None) -> MpsTuple:
@@ -104,8 +111,8 @@ def _validate_perm(perm, d: int) -> np.ndarray | None:
 
 
 def channel_residual(t: MpsTuple) -> float:
-    s = np.einsum("mab,mcb->ac", t.v, t.v.conj())
-    return frob(s - np.eye(t.k))
+    """``||sum_mu v_mu v_mu^dagger - 1||_F``, evaluated on the tuple's first use."""
+    return t._channel_residual
 
 
 def require_normalized(t: MpsTuple, config: Config | None = None) -> None:
@@ -145,8 +152,9 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
     (e.g. reducible tuples); that space is closed under the adjoint, so ``x``
     is its Hermitian part, the real part of its coordinates. Returns ``r``, ``x``,
     the residual ``||mat x - r x|| / (r ||x||)`` (the same in coordinates,
-    as the basis is orthonormal) and the :func:`pos_def_eig` system of
-    ``x``. Every failure raises ``refusal``.
+    as the basis is orthonormal) and the positive definite eigensystem of
+    ``x``, solved unchecked: its entries (a, b) and (b, a) are
+    sqrt(1/2) (c_ab -+ i c_ba), exact conjugates. Every failure raises ``refusal``.
     """
     w, vs = np.linalg.eig(mat)
     r = float(np.abs(w).max())
@@ -167,7 +175,7 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
     within(res, 1e-7, refusal, "identity has no component along a positive fixed point",
            eigen_residual=res)
     x = frame.matrix(c)
-    return r, x, res, pos_def_eig(x, refusal, message, cfg)
+    return r, x, res, _positive_definite(_eigh(x), refusal, message, cfg)
 
 
 def normalize(raw, config: Config | None = None) -> MpsTuple:
@@ -191,8 +199,8 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
                                          "dominant fixed point is not positive definite", cfg)
     root = (sys.vectors * np.sqrt(sys.values)) @ sys.vectors.conj().T
     root_inv = (sys.vectors * (1.0 / np.sqrt(sys.values))) @ sys.vectors.conj().T
-    out = as_mps(
-        np.einsum("ab,mbc,cd->mad", root_inv, t.v, root) / np.sqrt(r),
+    out = MpsTuple(  # built from a validated tuple; a NaN fails the residual check
+        v=np.einsum("ab,mbc,cd->mad", root_inv, t.v, root) / np.sqrt(r),
         reflect_perm=None if t.reflect_perm is None else t.reflect_perm.copy(),
     )
     res = channel_residual(out)
@@ -429,19 +437,19 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
         raise NotFaithful("state is not positive definite; no Cholesky factor",
                           l=l) from exc
     phi = _append_letters(chol.conj().T.reshape(1, t.k * t.k), t.v, l)
-    evals = _checked_gram_spectrum(phi, l, cfg)
+    evals = _checked_gram_spectrum(phi, l)
     rank = int(np.sum(evals > cfg.rank_tol * max(float(evals.max()), 1e-300)))
     return Marginal(l=l, root=chol, factor=phi, rank=rank)
 
 
-def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
+def _checked_gram_spectrum(phi: np.ndarray, l: int) -> np.ndarray:
     """Eigenvalues of the smaller Gram of a factor of the l-site marginal.
 
     ``phi`` is any matrix with ``M_l = Q phi phi^dagger Q^dagger`` for an
     isometry ``Q``, so the trace of ``M_l`` is ``||phi||_F^2`` and its nonzero
     spectrum is that of both ``phi phi^dagger`` and ``phi^dagger phi``; the
-    one on the smaller side of ``phi`` is diagonalized. Raises
-    :class:`ConvergenceFailure` when the trace is off 1 by more than 1e-7
+    one on the smaller side, Hermitian by construction, is diagonalized
+    unchecked. Raises :class:`ConvergenceFailure` when the trace is off 1 by more than 1e-7
     (a NaN trace too) or an eigenvalue lies below -1e-8.
     """
     tr = float(np.vdot(phi, phi).real)
@@ -449,7 +457,7 @@ def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
            trace=tr, l=l)
     rows, cols = phi.shape
     gram = phi @ phi.conj().T if rows < cols else phi.conj().T @ phi
-    evals = herm_eig(gram, cfg).values
+    evals = _eigh(gram).values
     lo = float(evals.min())
     within(-lo, 1e-8, ConvergenceFailure, "marginal has a significantly negative eigenvalue",
            min_eigenvalue=lo)

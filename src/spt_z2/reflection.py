@@ -180,7 +180,7 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
             r = np.linalg.qr(np.hstack([_append_letters(r[:, :half], t.v),
                                         _append_letters(r[:, half:], tilde)]), mode="r")
             # R1's rows below the diagonal are exactly zero
-            _checked_gram_spectrum(r[:half, :half], l, cfg)
+            _checked_gram_spectrum(r[:half, :half], l)
         r1, r2 = r[:, :half], _append_letters(r[:, half:], kfac)
         worst = max(worst, frob(r1 @ r1.conj().T - r2 @ r2.conj().T))
     return worst
@@ -189,9 +189,10 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
 def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
     """Invariant state, reflected tuple, evidence and gauge of a certified tuple."""
     cert.require_primitive()
-    # primitivity found this state already; taking it from there would save one
-    # eigvals, eig and eigh and two transfer matrices per index, but moves the
-    # call counts the benchmark pins, so it waits for their re-pin (ROADMAP 1 and 3)
+    # primitivity found this state already, and its second solve re-checks nothing;
+    # taking it from there would save one eigvals, eig and eigh and two transfer
+    # matrices per index, but that moves the call counts the benchmark pins, so it
+    # waits for their re-pin (ROADMAP 1 and 3)
     inv = invariant_state(t, cfg)
     refl = reflected_tuple(t, inv.rho, cfg)
     # the one rotation into the rho eigenbasis, where U is classified

@@ -707,17 +707,20 @@ def test_integers_end_below_two_to_the_63():
     assert not any(map(is_int, (2 ** 63, -(2 ** 63), 10 ** 400, True, 1.0, "1", None)))
 
 
-@pytest.mark.parametrize("argv", [
-    ["index", "--model", "aklt", "--scan-cap", "1" + "0" * 400],
-    ["index", "--model", "aklt", "--marginal-cap", str(2 ** 63)],
-    ["modular", "--from-index", "aklt", "--ed-cap", str(2 ** 63)],
-    ["parent-ham", "--model", "aklt", "--m", str(2 ** 63)],
-    ["scan", "--family", "deformed-aklt", "--grid", str(2 ** 63)],
+@pytest.mark.parametrize("argv,error,key", [
+    (["index", "--model", "aklt", "--scan-cap", "1" + "0" * 400], "InvalidInput", "scan_cap"),
+    (["index", "--model", "aklt", "--marginal-cap", str(2 ** 63)], "InvalidInput",
+     "marginal_cap"),
+    (["modular", "--from-index", "aklt", "--ed-cap", str(2 ** 63)], "InvalidInput", "ed_cap"),
+    (["parent-ham", "--model", "aklt", "--m", str(2 ** 63)], "UsageError", None),
+    (["scan", "--family", "deformed-aklt", "--grid", str(2 ** 63)], "UnknownModel", "grid"),
 ], ids=["scan-cap", "marginal-cap", "ed-cap", "window", "grid"])
-def test_integer_flag_of_two_to_the_63_is_refused(argv):
+def test_integer_flag_of_two_to_the_63_is_refused(argv, error, key):
+    # each row names its refusal, so a flag that no longer exists cannot pass as one
     for extra in ([], ["--validate-only"]):
         code, env = run(argv + extra)
         assert code == 1 and env["status"] == "io_error"
+        assert (env["result"]["error"], env["result"].get("key")) == (error, key), extra
 
 
 def test_overlarge_config_integer_is_refused_before_any_loop(tmp_path):
@@ -788,33 +791,41 @@ def test_check_certifies_primitivity_once(monkeypatch):
     assert env == before
 
 
-@pytest.mark.parametrize("argv,content", [
-    (["index", "--tuple"], b"\xff\xfe{"),
-    (["check", "--tuple"], b"[" * 100000),
-    (["modular", "--vector"], b'{"m": 1, "entries": [[[NaN, 0]]]}'),
-    (["scan", "--spec"], b'{"model": "deformed-aklt", "s0": NaN}'),
-    (["scan", "--family", "deformed-aklt", "--s1", "inf"], None),
-    (["index", "--model", "aklt", "--config"], b"\xff"),
+FILE = ("InvalidInput", None)   # a file refusal carries no Config key
+MODEL = ("UnknownModel", "model")
+USAGE = ("UsageError", None)
+
+
+@pytest.mark.parametrize("argv,content,refusal", [
+    (["index", "--tuple"], b"\xff\xfe{", FILE),
+    (["check", "--tuple"], b"[" * 100000, FILE),
+    (["modular", "--vector"], b'{"m": 1, "entries": [[[NaN, 0]]]}', FILE),
+    (["scan", "--spec"], b'{"model": "deformed-aklt", "s0": NaN}', ("UnknownModel", "s0")),
+    (["scan", "--family", "deformed-aklt", "--s1", "inf"], None, ("UnknownModel", "s1")),
+    (["index", "--model", "aklt", "--config"], b"\xff", FILE),
     # lengths are checked before an array of the declared size is allocated
-    (["index", "--tuple"], b'{"d": 2, "k": 1000000, "matrices": [[[[1, 0]]], [[[0, 0]]]]}'),
-    (["modular", "--vector"], b'{"m": 1, "entries": [[[1' + b"0" * 400 + b', 0]]]}'),
+    (["index", "--tuple"], b'{"d": 2, "k": 1000000, "matrices": [[[[1, 0]]], [[[0, 0]]]]}',
+     FILE),
+    (["modular", "--vector"], b'{"m": 1, "entries": [[[1' + b"0" * 400 + b', 0]]]}', FILE),
     # the panel seed is no setting: an unknown flag
-    (["modular", "--from-index", "aklt", "--seed", "1"], None),
-    (["modular", "--from-index", "aklt", "--modular-tol", "nan"], None),
+    (["modular", "--from-index", "aklt", "--seed", "1"], None, USAGE),
+    (["modular", "--from-index", "aklt", "--modular-tol", "nan"], None,
+     ("InvalidInput", "modular_tol")),
     # NaN compares false, so no state would count as a kernel state
-    (["parent-ham", "--model", "aklt", "--m", "2", "--kernel-tol", "nan"], None),
-    (["index", "--model", "product:0,0"], None),
-    (["index", "--model", "deformed-aklt:1i"], None),
-    (["index", "--model", "deformed-aklt:nan"], None),
-    (["check", "--model", "product:inf,1"], None),
-    (["scan", "--family", "product:0,0"], None),
-    (["parent-ham", "--model", "aklt", "--m", "0"], None),
-    (["parent-ham", "--model", "aklt", "--n", "0"], None),
+    (["parent-ham", "--model", "aklt", "--m", "2", "--kernel-tol", "nan"], None,
+     ("InvalidInput", "kernel_tol")),
+    (["index", "--model", "product:0,0"], None, MODEL),
+    (["index", "--model", "deformed-aklt:1i"], None, MODEL),
+    (["index", "--model", "deformed-aklt:nan"], None, MODEL),
+    (["check", "--model", "product:inf,1"], None, MODEL),
+    (["scan", "--family", "product:0,0"], None, MODEL),
+    (["parent-ham", "--model", "aklt", "--m", "0"], None, USAGE),
+    (["parent-ham", "--model", "aklt", "--n", "0"], None, USAGE),
 ], ids=["utf8", "nesting", "nan-vector", "nan-spec", "inf-flag", "utf8-config", "huge-k",
         "huge-int", "seed", "modular-tol", "kernel-tol", "zero-product", "complex-arg",
         "nan-arg", "inf-amplitude", "zero-product-family", "window-0", "chain-0"])
-def test_unusable_input_is_invalid_input(tmp_path, argv, content):
-    """The full run and --validate-only refuse alike."""
+def test_unusable_input_is_invalid_input(tmp_path, argv, content, refusal):
+    """The full run and --validate-only refuse alike, each with its named error."""
     if content is not None:
         path = tmp_path / "input.json"
         path.write_bytes(content)
@@ -822,7 +833,7 @@ def test_unusable_input_is_invalid_input(tmp_path, argv, content):
     for extra in ([], ["--validate-only"]):
         code, env = run(argv + extra)
         assert code == 1 and env["status"] == "io_error", extra
-        assert env["result"]["error"] in ("InvalidInput", "UnknownModel", "UsageError")
+        assert (env["result"]["error"], env["result"].get("key")) == refusal, extra
 
 
 # -- one input layer ------------------------------------------------------------

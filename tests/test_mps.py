@@ -505,13 +505,13 @@ def test_gram_spectra_take_the_smaller_side(monkeypatch, rng):
     # d=2, k=5: the l-site Gram is 2^l x 2^l until 2^l reaches k^2 = 25
     t = random_channel_tuple(rng, 2, 5)
     rho = sz.invariant_state(t).rho
-    sizes, inner = [], mps.herm_eig
+    sizes, inner = [], mps._eigh
 
-    def spy(h, config=None):
+    def spy(h):
         sizes.append(h.shape)
-        return inner(h, config)
+        return inner(h)
 
-    monkeypatch.setattr(mps, "herm_eig", spy)
+    monkeypatch.setattr(mps, "_eigh", spy)
     assert sz.marginal(t, rho, 1).rank == 2
     assert sz.marginal(t, rho, 5).rank == 25
     assert sizes == [(2, 2), (25, 25)]

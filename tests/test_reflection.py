@@ -327,10 +327,9 @@ def test_sign_is_not_the_gauge_phase(generator, zeta, phase, cells, refused, b):
                 sz.z2_index(tuple_of(seed, d, k))
 
 
-def _eager_herm_eig(h, config=None):
-    """Reference ``herm_eig``: ``eigh`` of the symmetrized matrix, phase fixed at once."""
-    h = np.asarray(h, dtype=complex)
-    w, u = np.linalg.eigh(0.5 * (h + h.conj().T))
+def _eager_eigh(h):
+    """Reference ``linalg._eigh``: one ``eigh``, phase fixed at once."""
+    w, u = np.linalg.eigh(h)
     return SimpleNamespace(values=w, vectors=u * linalg.canonical_phases(u))
 
 
@@ -346,19 +345,24 @@ def test_lazy_phase_fix_keeps_reported_bits(monkeypatch, make):
         return [refl.basis, refl.rho_diag, rep.U, rep.basis, rep.rho_diag, np.array(rep.phase)]
 
     lazy = reported()
-    monkeypatch.setattr(linalg, "herm_eig", _eager_herm_eig)
-    monkeypatch.setattr(mps, "herm_eig", _eager_herm_eig)
+    # herm_eig solves through linalg._eigh, the index's inner stages through mps._eigh
+    monkeypatch.setattr(linalg, "_eigh", _eager_eigh)
+    monkeypatch.setattr(mps, "_eigh", _eager_eigh)
     for got, want in zip(lazy, reported()):
         assert got.tobytes() == want.tobytes()
 
 
 def test_aklt_index_call_counts(monkeypatch):
     """One aklt index: 4 eig, 2 eigvals, 7 eigh, 3 svd, 4 qr, 2 lstsq, 1 cholesky,
-    5 transfer matrices, 3 phase fixes.
+    5 transfer matrices, 3 phase fixes, 1 Hermiticity check and 2 channel residuals.
 
-    The counts mirror ``AKLT_CALLS`` in ``perfbench/run.py``, which the traced
-    benchmark self-check pins, so a drift fails here before it does there.
-    This test moves together with the re-pin of ROADMAP item 1.
+    The LAPACK and transfer-matrix counts mirror ``AKLT_CALLS`` in
+    ``perfbench/run.py``, which the traced benchmark self-check pins, so a
+    drift fails here before it does there; they move together with the re-pin
+    of ROADMAP item 1. Of the 7 ``eigh``, only ``reflected_tuple``'s checks its
+    input (the other 6 solve Gram matrices and fixed points, Hermitian by
+    construction), and each of the 2 tuples (the normalized one and its
+    rotation into the rho eigenbasis) evaluates its channel residual once.
     """
     counts = Counter()
 
@@ -380,9 +384,19 @@ def test_aklt_index_call_counts(monkeypatch):
         count(getattr(np.linalg, name), name)
     count(mps.transfer_matrix, "transfer_matrix")
     count(linalg.canonical_phases, "canonical_phases")
+    count(linalg._symmetrized, "hermiticity_check")
+    residual = mps.MpsTuple.__dict__["_channel_residual"]  # a cached_property
+    inner = residual.func
+
+    def evaluated(t):
+        counts["channel_residual"] += 1
+        return inner(t)
+
+    monkeypatch.setattr(residual, "func", evaluated)
     sz.z2_index(sz.zoo("aklt"))
     assert counts == {"eig": 4, "eigvals": 2, "eigh": 7, "svd": 3, "qr": 4, "lstsq": 2,
-                      "cholesky": 1, "transfer_matrix": 5, "canonical_phases": 3}
+                      "cholesky": 1, "transfer_matrix": 5, "canonical_phases": 3,
+                      "hermiticity_check": 1, "channel_residual": 2}
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):

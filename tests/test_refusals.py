@@ -52,7 +52,7 @@ def _invariant_state(mp, aklt):
 
 
 def _gram_floor(mp, aklt):
-    mp.setattr(mps, "herm_eig", lambda h, config=None: HermEig(
+    mp.setattr(mps, "_eigh", lambda h: HermEig(
         values=np.full(len(h), np.nan), eigh_vectors=np.eye(len(h))))
     sz.marginal(aklt, np.eye(2) / 2, 1)
 
@@ -73,7 +73,15 @@ def _commute(mp, aklt):
 
 def _schmidt(mp, aklt):
     mp.setattr(modular, "frob", _nan)
-    sz.schmidt(_bell())
+    sz.schmidt(_bell(), Config(modular_tol=2e-9))  # judged against modular_tol
+
+
+def _modular_data(mp, aklt):
+    # schmidt judges its reconstruction against modular_tol too, so a negative
+    # modular_tol is refused there; a wrong root reaches modular_data's own check
+    root = modular.psd_power
+    mp.setattr(modular, "psd_power", lambda *a: (1.0 + 1e-6) * root(*a))
+    sz.modular_data(_bell())
 
 
 NUMERICAL = ("numerical_error", 7)
@@ -136,12 +144,12 @@ ROUTED = {
         {"phase_sq_residual", "rho_commute_residual"}, 1e-6),
     "schmidt": (
         _schmidt, sz.Inconclusive, "Schmidt reconstruction residual above tolerance",
-        INCONCLUSIVE, {"residual"}, 1e-9),
+        INCONCLUSIVE, {"residual"}, 2e-9),
     "modular_data": (
-        lambda mp, aklt: sz.modular_data(_bell(), Config(modular_tol=-1.0)),
+        _modular_data,
         sz.Inconclusive, "modular identities exceed tolerance", INCONCLUSIVE,
         {"left_isometry", "right_isometry", "reconstruction", "root_eigenvectors", "polar"},
-        -1.0),
+        Config().modular_tol),
 }
 
 
