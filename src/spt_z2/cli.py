@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .config import Config, is_finite_real, is_int, load_json
-from .errors import InvalidInput, SptError, UsageError
+from .errors import InvalidInput, SptError, UnknownModel, UsageError
 from .hamiltonian import chain_hamiltonian, ed_report, parent_interaction, reflection_check
 from .modular import as_bipartite, bond_vector, modular_data
 from .mps import MpsTuple, as_mps, normalize, primitivity
@@ -254,10 +254,12 @@ def cmd_modular(args, cfg: Config, desc: dict):
         bv = vector_from_data(data)
         desc["vector"] = data
         return lambda: _modular_result(bv, cfg)
-    source = args.from_index
-    from_file = os.path.exists(source)
-    raw = _load_tuple(desc, "from_index_tuple" if from_file else "from_index",
-                      source, from_file)
+    try:  # a model name first; a tuple file named like one is passed as ./name
+        raw = _load_tuple(desc, "from_index", args.from_index, False)
+    except UnknownModel:
+        if not os.path.exists(args.from_index):
+            raise
+        raw = _load_tuple(desc, "from_index_tuple", args.from_index, True)
 
     def run():
         rep = z2_index(raw(), cfg)
@@ -395,8 +397,8 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("modular", help="modular data of a bipartite vector")
     sp.add_argument("--vector", help="path to a vector JSON file")
-    sp.add_argument("--from-index",
-                    help="model name or tuple path; uses the index's bond vector")
+    sp.add_argument("--from-index", help="model name, else tuple path (a tuple file named "
+                    "like a model as ./name); uses the index's bond vector")
     _add_common(sp)
     sp.set_defaults(runner=cmd_modular)
 

@@ -8,7 +8,8 @@ Construction is the one validity check, whatever the source (flags, a file,
 ``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
 (0, 0.5) and every integer in [1, 2**63); ``kernel_tol`` and ``l_max`` may
-be None.
+be None. One reading has one setting: ``peripheral_tol`` also judges the
+same-state test, and ``modular_tol`` both signs of the modular data.
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
@@ -120,10 +121,8 @@ class Config:
     eps_index: float = 1e-7      # smaller sign miss of U against U^T (zeta)
     rank_tol: float = 1e-12      # relative spectral cutoff for ranks/pseudo-inverses
     pos_def_tol: float = 1e-10   # relative floor for positive definiteness
-    peripheral_tol: float = 1e-6 # peripheral spectrum window (fraction of radius)
-    mixed_tol: float = 1e-6      # mixed transfer radius deficit for same-state test
-    swap_tol: float = 1e-8       # smaller sign miss of M against M^T (sigma)
-    modular_tol: float = 1e-8    # modular identity residuals and kappa's sign miss
+    peripheral_tol: float = 1e-6 # unit-circle window (fraction of radius), transfer and mixed map
+    modular_tol: float = 1e-8    # modular identity residuals, kappa's and sigma's sign misses
     refl_marginal_tol: float = 1e-8  # marginal reversal mismatch threshold
     kernel_tol: float | None = None  # ED kernel threshold; None: 1e-8 (top eigenvalue + 1)
 

@@ -289,7 +289,7 @@ def peripheral_window(values: np.ndarray,
     """Mask of the eigenvalues of modulus >= r - peripheral_tol * r, and the gap.
 
     r is the spectral radius; the gap is r minus the largest modulus outside
-    the window.
+    the window; :func:`spt_z2.reflection.gauge_solve` applies it at r = 1.
     """
     mods = np.abs(values)
     r = float(mods.max(initial=0.0))

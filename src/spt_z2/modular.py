@@ -130,9 +130,9 @@ def swap_sign(omega: BipartiteVector, config: Config | None = None) -> int | Non
 
     The sign of :func:`spt_z2.linalg.transpose_sign` of M against M^T: the
     smaller of ``||M - M^T||_F`` and ``||M + M^T||_F`` names it, and it holds
-    only when that miss is at most ``swap_tol``.
+    only when that miss is at most ``modular_tol``, which also bounds kappa's.
     """
-    return transpose_sign(omega.M, omega.M.T, resolve(config).swap_tol)[0]
+    return transpose_sign(omega.M, omega.M.T, resolve(config).modular_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,9 @@ def modular_data(omega: BipartiteVector, config: Config | None = None) -> Modula
     order, are each judged against ``modular_tol``. ``kappa`` is the sign of
     u conj(u) on the support against the identity, read by
     :func:`spt_z2.linalg.transpose_sign` at ``modular_tol * max(1, sqrt(r))``,
-    and None when that gives none;
-    ``sigma`` is :func:`swap_sign`. The two are compared only when both are
-    read (one alone is a legitimate answer), and then must agree.
+    and None when that gives none; ``sigma`` is :func:`swap_sign`, at
+    ``modular_tol`` too. The two are compared only when both are read (one
+    alone is a legitimate answer), and then must agree.
     """
     cfg = resolve(config)
     sch = schmidt(omega, config=cfg)

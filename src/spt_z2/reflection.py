@@ -101,17 +101,16 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
 
     X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger; ``t``
     must satisfy the channel condition, ``s`` need not. A modulus below
-    ``1 - mixed_tol`` raises :class:`NotSameState` and a singular X
-    :class:`NotUnitaryMultiple`, both with the measured ``mixed_radius``.
+    ``1 - peripheral_tol`` (the peripheral window at r = 1) raises :class:`NotSameState`
+    and a singular X :class:`NotUnitaryMultiple`, both with the measured ``mixed_radius``.
     The caller judges ``relation_residual``, the relation's largest
     Frobenius miss over ``||X||_F``, against ``eps_gauge``. ``U`` is the
     adjoint of X's unitary polar factor, with the canonical phase; for the
     transposed tuple in the rho eigenbasis, X is a multiple of
     ``U^dagger D^(1/2)``.
 
-    Unlike the transfer map, G is decomposed in complex arithmetic: with S
-    the swap, ``G^dagger = S G S``, which gives it no real form in the
-    Hermitian basis of :func:`spt_z2.linalg.hermitian_frame`.
+    Unlike the transfer map, G is decomposed in complex arithmetic, for the
+    reason the docstring of :mod:`spt_z2.linalg` gives.
     """
     cfg = resolve(config)
     if t.d != s.d or t.k != s.k:
@@ -122,7 +121,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])
     radius = abs(lam)
-    within(1.0 - radius, cfg.mixed_tol, NotSameState,
+    within(1.0 - radius, cfg.peripheral_tol, NotSameState,
            "dominant mixed transfer eigenvalue below 1; different states",
            mixed_radius=radius)
     x = unvec(vs[:, i0], t.k)

@@ -252,10 +252,22 @@ def test_modular_from_index():
     }
 
 
+def test_modular_from_index_reads_a_model_before_a_file(monkeypatch, tmp_path):
+    # a file named like a model does not shadow it; ./name reads the file
+    (tmp_path / "aklt").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    code, env = run(["modular", "--from-index", "aklt"])
+    assert code == 0 and env["result"]["from_index"]["zeta"] == -1
+    code, env = run(["modular", "--from-index", "./aklt"])
+    assert code == 1 and env["result"]["message"] == "tuple file has wrong keys"
+    code, env = run(["modular", "--from-index", "nope"])
+    assert code == 1 and (env["result"]["error"], env["result"]["key"]) == ("UnknownModel",
+                                                                            "model")
+
+
 def test_modular_from_index_with_loose_bounds():
     # bounds that both misses pass must not flip kappa or sigma against zeta
-    code, env = run(["modular", "--from-index", "aklt", "--swap-tol", "3",
-                     "--modular-tol", "3"])
+    code, env = run(["modular", "--from-index", "aklt", "--modular-tol", "3"])
     assert code == 0
     res = env["result"]
     assert res["kappa"] == -1 and res["sigma"] == -1
@@ -585,16 +597,18 @@ def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
     assert code == 1 and env["status"] == "io_error"
 
 
-@pytest.mark.parametrize("argv", [["--seed", "0"], ["--panel-size", "16"]],
-                         ids=["seed", "panel-size"])
+@pytest.mark.parametrize("argv", [["--seed", "0"], ["--panel-size", "16"],
+                                  ["--swap-tol", "1e-8"], ["--mixed-tol", "1e-6"]],
+                         ids=["seed", "panel-size", "swap-tol", "mixed-tol"])
 def test_panel_settings_are_gone(monkeypatch, tmp_path, argv):
-    # modular_data checks its generators, not a seeded panel of draws
+    # modular_data checks its generators, not a seeded panel of draws; sigma's
+    # sign miss is judged at modular_tol and the same-state test at peripheral_tol
     monkeypatch.delenv(ENV_VAR, raising=False)
     code, env = run(["modular", "--from-index", "aklt", *argv])
     assert code == 1 and env["result"]["error"] == "UsageError"
     key = argv[0][2:].replace("-", "_")
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({key: int(argv[1])}))
+    cfg_path.write_text(json.dumps({key: json.loads(argv[1])}))
     code, env = run(["modular", "--from-index", "aklt", "--config", str(cfg_path)])
     assert code == 1 and env["result"] == {"error": "InvalidInput",
                                            "message": "unknown config keys", "keys": [key]}
@@ -818,12 +832,15 @@ USAGE = ("UsageError", None)
     (["index", "--model", "deformed-aklt:1i"], None, MODEL),
     (["index", "--model", "deformed-aklt:nan"], None, MODEL),
     (["check", "--model", "product:inf,1"], None, MODEL),
+    (["index", "--model", "product:1,,0"], None, MODEL),
+    (["index", "--model", "deformed-aklt:abc"], None, MODEL),
     (["scan", "--family", "product:0,0"], None, MODEL),
     (["parent-ham", "--model", "aklt", "--m", "0"], None, USAGE),
     (["parent-ham", "--model", "aklt", "--n", "0"], None, USAGE),
 ], ids=["utf8", "nesting", "nan-vector", "nan-spec", "inf-flag", "utf8-config", "huge-k",
         "huge-int", "seed", "modular-tol", "kernel-tol", "zero-product", "complex-arg",
-        "nan-arg", "inf-amplitude", "zero-product-family", "window-0", "chain-0"])
+        "nan-arg", "inf-amplitude", "empty-arg", "unparsable-arg", "zero-product-family",
+        "window-0", "chain-0"])
 def test_unusable_input_is_invalid_input(tmp_path, argv, content, refusal):
     """The full run and --validate-only refuse alike, each with its named error."""
     if content is not None:
@@ -883,7 +900,7 @@ def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, arg
     assert env["result"] == {"validated": True, "input": expected}
 
 
-@pytest.mark.parametrize("key,value", [("eps_index", float("nan")), ("mixed_tol", float("inf")),
+@pytest.mark.parametrize("key,value", [("eps_index", float("nan")), ("modular_tol", float("inf")),
                                        ("peripheral_tol", 0.7), ("peripheral_tol", 0.0),
                                        ("l_max", 0), ("scan_cap", 0), ("scan_cap", 2 ** 63),
                                        ("kernel_tol", float("nan")), ("kernel_tol", float("inf"))])

@@ -17,6 +17,8 @@ def test_as_bipartite_validation():
         sz.as_bipartite(np.ones((2, 3)))
     with pytest.raises(sz.ZeroVector):
         sz.as_bipartite(np.zeros((2, 2)))
+    with pytest.raises(sz.InvalidInput, match="must be nonempty"):
+        sz.as_bipartite(np.zeros((0, 0)))
     with pytest.raises(sz.InvalidInput):
         sz.as_bipartite(2.0 * SINGLET)
     omega = sz.as_bipartite(2.0 * SINGLET, normalized=True)
@@ -54,6 +56,13 @@ def test_schmidt_singlet_anchor():
     assert np.allclose(sch.u @ sch.u.conj(), -np.eye(2), atol=1e-12)
 
 
+def test_schmidt_refuses_an_empty_support():
+    # no singular value lies above rank_tol = 1 times the largest
+    with pytest.raises(sz.DegenerateSupport, match="Schmidt support is empty") as info:
+        sz.schmidt(sz.as_bipartite(SINGLET), sz.Config(rank_tol=1))
+    assert info.value.payload == {"rank_tol": 1}
+
+
 def test_schmidt_antisymmetric_support_is_even(rng):
     omega = random_bipartite(rng, 5, symmetry="antisym")
     sch = sz.schmidt(omega)
@@ -73,7 +82,7 @@ def test_loose_bounds_keep_the_sign():
     # above sqrt(2) both misses of a unit vector pass their bound; the
     # smaller one still names the sign
     omega = sz.as_bipartite(SINGLET)
-    cfg = sz.Config(swap_tol=3, modular_tol=3)
+    cfg = sz.Config(modular_tol=3)
     assert sz.swap_sign(omega, cfg) == -1
     report = sz.modular_data(omega, cfg)
     assert report.kappa == -1 and report.sigma == -1

@@ -58,6 +58,23 @@ def test_marginal_reversal_identity(rng, aklt, aklt_rho):
             assert frob(psi @ psi.conj().T - orig[np.ix_(idx, idx)]) < 1e-10
 
 
+@pytest.mark.parametrize("d,k,zeta", [(d, k, zeta) for d in (2, 3) for k in (2, 3, 4)
+                                      for zeta in (1, -1) if zeta == 1 or k % 2 == 0])
+def test_conjugation_and_transposition_keep_the_index(d, k, zeta):
+    # v^T = e^{i theta} U^dagger v U with U^T = zeta U gives the same relation for
+    # conj(v) with conj(U), and for v^T with U^dagger, of the same symmetry
+    for seed in range(3):
+        raw = known_answer_tuple(np.random.default_rng([seed, d, k]), d, k, zeta)
+        for v in (raw, raw.conj(), raw.transpose(0, 2, 1)):
+            # k = 2 and zeta = -1 make both v_mu traceless, and two traceless 2 x 2
+            # matrices anticommute with a third: the tuple has period 2
+            if (d, k, zeta) == (2, 2, -1):
+                with pytest.raises(sz.NotPrimitive):
+                    sz.z2_index(v)
+            else:
+                assert sz.z2_index(v).zeta == zeta
+
+
 @pytest.mark.parametrize("d,k,zeta,seed", [(2, 4, -1, 11), (2, 4, -1, 12),
                                            (2, 6, +1, 11), (2, 6, +1, 12)])
 def test_known_answer_long_words(d, k, zeta, seed):

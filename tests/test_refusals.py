@@ -1,9 +1,10 @@
 """Every residual judged against an upper bound goes through ``errors.within``.
 
 Each routed site is forced to refuse, by a negative tolerance in ``Config``,
-by an input whose residual overflows or is off, or by a NaN standing in for a
-broken measurement. The refusal must keep its class, message, status and
-payload keys, and report the bound it applied as ``tolerance``.
+by an input whose residual overflows or is off (two different states, for the
+same-state test), or by a NaN standing in for a broken measurement. The
+refusal must keep its class, message, status and payload keys, and report the
+bound it applied as ``tolerance``.
 """
 
 import dataclasses
@@ -125,9 +126,13 @@ ROUTED = {
         sz.NotHermitian, "matrix has a significantly negative eigenvalue; not PSD", NUMERICAL,
         {"min_eigenvalue", "cutoff"}, -1.0),
     "gauge_solve": (
-        lambda mp, aklt: sz.gauge_solve(aklt, aklt, Config(mixed_tol=-1.0)),
+        lambda mp, aklt: sz.gauge_solve(aklt, sz.as_mps(sz.zoo("deformed-aklt:0.5"))),
         sz.NotSameState, "dominant mixed transfer eigenvalue below 1; different states",
-        ("not_reflection_invariant", 3), {"mixed_radius"}, -1.0),
+        ("not_reflection_invariant", 3), {"mixed_radius"}, Config().peripheral_tol),
+    "gauge_solve_breaker": (
+        lambda mp, aklt: sz.gauge_solve(aklt, sz.as_mps(sz.zoo("aklt-breaker:0.05"))),
+        sz.NotSameState, "dominant mixed transfer eigenvalue below 1; different states",
+        ("not_reflection_invariant", 3), {"mixed_radius"}, Config().peripheral_tol),
     "z2_index_ambiguity": (
         lambda mp, aklt: sz.z2_index(aklt, Config(eps_index=-1.0)),
         sz.AmbiguousSymmetry, "gauge unitary is neither symmetric nor antisymmetric",
@@ -192,11 +197,12 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.parent_interaction(aklt, m=2 ** 63), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 10 ** 400), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2 ** 63), sz.InvalidInput, "b"),
+    (lambda aklt: sz.as_mps(np.zeros((2, 0, 0))), sz.InvalidInput, "k"),
 ], ids=["modular_tol-nan", "kernel_tol-nan", "kernel_tol-inf", "s0", "s0-text", "grid",
         "grid-float", "s1-overlarge", "window", "marginal-length", "block-size",
         "scan_cap-overlarge", "kernel_tol-overlarge", "model-not-text", "model-unknown",
         "grid-overlarge", "window-overlarge",
-        "marginal-length-overlarge", "block-size-overlarge"])
+        "marginal-length-overlarge", "block-size-overlarge", "bond-dimension-0"])
 def test_library_argument_is_refused(call, refusal, key, aklt):
     # the CLI's flag types refuse these first; a library caller gets the same typed status
     with pytest.raises(sz.SptError) as info:
