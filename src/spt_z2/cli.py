@@ -7,7 +7,8 @@ exit of :func:`main`, for results, usage errors and refusals alike:
     {"schema_version": "1", "command": ..., "input_digest": ..., "config": ...,
      "result": ..., "status": ...}
 
-and exits with the code bound to the status (see errors.STATUS_EXIT). The
+and exits with the code bound to the status (see errors.STATUS_EXIT), also
+when the reader has closed stdout before the envelope is written. The
 envelope is strict JSON: :func:`jsonable` writes a non-finite float as text. The
 digest is a sha256 over a canonical JSON form of the parsed input (sorted
 keys, floats printed with %.17g), so byte-identical inputs give identical
@@ -449,8 +450,14 @@ def main(argv=None) -> int:
         status, code = "ok", 0
     except SptError as exc:
         result, status, code = exc.describe(), exc.status, exc.exit_code
-    print(json.dumps(envelope(command, desc, cfg, result, status), indent=2 if pretty else None,
-                     allow_nan=False))
+    try:
+        print(json.dumps(envelope(command, desc, cfg, result, status),
+                         indent=2 if pretty else None, allow_nan=False))
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout on os.devnull keeps the final flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -9,7 +9,10 @@ Construction is the one validity check, whatever the source (flags, a file,
 values are legal and only force refusals), ``peripheral_tol`` lies in
 (0, 0.5) and every integer in [1, 2**63); ``kernel_tol`` and ``l_max`` may
 be None. One reading has one setting: ``peripheral_tol`` also judges the
-same-state test, and ``modular_tol`` both signs of the modular data.
+same-state test, ``modular_tol`` both signs of the modular data, and
+``dense_cap`` every dense space on x sites, of dimension d**x: an explicit
+marginal, a blocked alphabet, the parent window and the chain that ED
+diagonalizes.
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
@@ -21,15 +24,16 @@ complex array); tuple, vector and family files hold no null. Refusals are
 :class:`InvalidInput` (``family``: ``UnknownModel``).
 A representable but huge cap is still unbounded work.
 
-Not every threshold is here: the 15 fixed ones below (1e-300 division guards
-aside) sit in the code that applies them. The seven marked (w) are bounds
+Not every threshold is here: the 14 fixed ones below (1e-300 division guards
+aside) sit in the code that applies them. The six marked (w) are bounds
 judged by :func:`spt_z2.errors.within`, whose refusals report them as
 ``tolerance``; the rest are cutoffs, input checks and a singular value floor.
 
-- ``mps``: ``require_normalized``, channel residual <= 10 eps_norm (w);
+- ``mps``: ``require_normalized``, channel residual <= 10 eps_norm (w), the
+  bound ``invariant_state`` also applies to abs(r - 1) of its radius r;
   ``_positive_fixed_point``, eigenvalues within 1e-9 r of the radius r span
   the fixed point, eigen-residual <= 1e-7 (w); ``invariant_state``,
-  abs(r - 1) <= 1e-8 (w), residual <= 1e-8 (w); ``_checked_gram_spectrum``,
+  residual <= 1e-8 (w); ``_checked_gram_spectrum``,
   abs(trace - 1) <= 1e-7 (w), smallest eigenvalue >= -1e-8 (w);
   ``_word_space_step``, products of norm <= 1e-14 max(largest, 1) dropped,
   singular values above max(rank_tol, 1e-13) times the largest counted;
@@ -127,8 +131,7 @@ class Config:
     kernel_tol: float | None = None  # ED kernel threshold; None: 1e-8 (top eigenvalue + 1)
 
     # dense-computation limits
-    marginal_cap: int = 4096     # largest d**l for marginal, block, parent_interaction
-    ed_cap: int = 4096           # largest d**n for dense chain diagonalization
+    dense_cap: int = 4096        # largest d**x for marginal, block, parent window and chain
     scan_cap: int = 10000        # largest number of grid points in one scan
     l_max: int | None = None     # primitivity word-length cap; None or above k**4 means k**4
 

@@ -11,10 +11,11 @@ translation-covariant chains built from it are frustration free, and for m
 at least one more than the injectivity length the open-chain kernel is
 spanned by the tuple's boundary states (dimension k^2).
 
-Everything here is dense and capped; these are verification tools, not a
-simulation engine. A chain of a real interaction is built and diagonalized
-in real arithmetic, and dense ED holds at most two d^n x d^n matrices: the
-chain and LAPACK's working copy.
+Everything here is dense, and one setting caps it: ``dense_cap`` bounds the
+window's d^m (``WindowTooLarge``) and the chain's d^n (``DimensionCap``).
+These are verification tools, not a simulation engine. A chain of a real
+interaction is built and diagonalized in real arithmetic, and dense ED holds
+at most two d^n x d^n matrices: the chain and LAPACK's working copy.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     support's basis B is the left singular vectors of the d^m x k^2 word
     matrix (rows ``V_w``) with squared singular value above ``rank_tol`` times
     the largest, as :func:`spt_z2.mps.marginal` counts Gram eigenvalues; h is
-    1 - B B^dagger, symmetrized. No ``||h^2 - h||_F`` bound is judged, as none
+    1 - B B^dagger, symmetrized, and d^m above ``dense_cap`` is refused as
+    :class:`WindowTooLarge`. No ``||h^2 - h||_F`` bound is judged, as none
     could fail: LAPACK's B is orthonormal to about dim * eps, so the miss is
-    of that order (9e-13 at ``marginal_cap`` = 4096, 3e-15 for aklt at m = 7)
+    of that order (9e-13 at ``dense_cap`` = 4096, 3e-15 for aklt at m = 7)
     where a bound would be 1e-9. The default window is injectivity length + 1;
     a shorter one still gives a frustration-free interaction, but its chain
     kernel can exceed the boundary-state count, which sets ``range_warning``.
@@ -62,7 +64,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
         m = (cert.injectivity_length or 1) + 1
     if not (is_int(m) and m >= 1):
         raise InvalidInput("window must be an integer of at least one site", m=m)
-    dim = _word_count(t.d, m, cfg.marginal_cap, WindowTooLarge, "marginal dimension")
+    dim = _word_count(t.d, m, cfg.dense_cap, WindowTooLarge, "marginal dimension")
     words = _append_letters(t.v.reshape(t.d, -1), t.v, m - 1)
     u, s, _ = np.linalg.svd(words, full_matrices=False)
     support = int(np.sum(s * s > cfg.rank_tol * max(float(s[0] * s[0]), 1e-300)))
@@ -115,7 +117,7 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
         raise InvalidInput("boundary must be open or periodic", boundary=boundary)
     if not (is_int(n) and n >= m):
         raise InvalidInput("chain length must be an integer of at least the window", n=n, m=m)
-    dim = _word_count(d, n, resolve(config).ed_cap, DimensionCap, "chain dimension")
+    dim = _word_count(d, n, resolve(config).dense_cap, DimensionCap, "chain dimension")
     h = real_if_exact(hint.h)
     h_total = np.zeros((d,) * (2 * n), dtype=np.result_type(h, float))
     last = n - m + 1 if boundary == "open" else n
@@ -146,9 +148,9 @@ def ed_report(h_total: np.ndarray, config: Config | None = None) -> EdReport:
     """
     cfg = resolve(config)
     h_arr = np.asarray(h_total)
-    if h_arr.shape[0] > cfg.ed_cap:
+    if h_arr.shape[0] > cfg.dense_cap:
         raise DimensionCap("matrix exceeds the dense diagonalization cap",
-                           dimension=int(h_arr.shape[0]), cap=cfg.ed_cap)
+                           dimension=int(h_arr.shape[0]), cap=cfg.dense_cap)
     evals = herm_eigvals(h_arr, cfg)
     kernel_tol = cfg.kernel_tol
     if kernel_tol is None:

@@ -349,6 +349,9 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     (else :class:`NotPrimitive`) and a positive definite adjoint fixed point
     from :func:`_positive_fixed_point` (else :class:`NotFaithful`); these and
     a :class:`ConvergenceFailure` carry ``spectral_gap``. ``rho`` has trace one.
+    The radius r is judged by :func:`require_normalized`'s bound, ``10 eps_norm``:
+    for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with E(1) =
+    sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel residual.
     """
     cfg = resolve(config)
     require_normalized(t, cfg)
@@ -367,8 +370,8 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     except NotFaithful as exc:
         exc.payload["spectral_gap"] = gap
         raise
-    for value in (abs(r - 1.0), res):
-        within(value, 1e-8, ConvergenceFailure, "invariant state residual above tolerance",
+    for value, tol in ((abs(r - 1.0), 10 * cfg.eps_norm), (res, 1e-8)):
+        within(value, tol, ConvergenceFailure, "invariant state residual above tolerance",
                spectral_radius=r, residual=res, spectral_gap=gap)
     tr = float(np.trace(x).real)
     return InvariantState(rho=x / tr, residual=res, min_eigenvalue=float(sys.values[0]) / tr,
@@ -427,7 +430,7 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     cfg = resolve(config)
     if not (is_int(l) and l >= 1):
         raise InvalidInput("marginal needs an integer l >= 1", l=l)
-    _word_count(t.d, l, cfg.marginal_cap, WindowTooLarge, "marginal dimension")
+    _word_count(t.d, l, cfg.dense_cap, WindowTooLarge, "marginal dimension")
     rho = finite_array(rho, "state")
     if rho.shape != (t.k, t.k):
         raise InvalidInput("state must be a k x k matrix", shape=list(rho.shape), k=t.k)
@@ -478,7 +481,7 @@ def block(t: MpsTuple, b: int, config: Config | None = None) -> MpsTuple:
     if b == 1:
         return t
     require_normalized(t, cfg)
-    _word_count(t.d, b, cfg.marginal_cap, WindowTooLarge, "blocked alphabet")
+    _word_count(t.d, b, cfg.dense_cap, WindowTooLarge, "blocked alphabet")
     out = MpsTuple(v=_append_letters(t.v.reshape(t.d, -1), t.v, b - 1).reshape(-1, t.k, t.k),
                    reflect_perm=reverse_word_index(t.d, b, t.perm()))
     require_normalized(out, cfg)

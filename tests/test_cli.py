@@ -3,7 +3,10 @@ import dataclasses
 import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -308,11 +311,13 @@ def test_inputs_that_change_the_result_change_the_digest():
 
 
 def test_setting_flags_are_accepted_by_every_command():
-    # every Config field is a flag of every command, as --ed-cap always was
+    # every Config field is a flag of every command; index reads no scan_cap and
+    # forms no dense space above d = 3
     for extra in ([], ["--validate-only"]):
-        code, env = run(["index", "--model", "aklt", "--scan-cap", "5", "--ed-cap", "5", *extra])
+        code, env = run(["index", "--model", "aklt", "--scan-cap", "5", "--dense-cap", "5",
+                         *extra])
         assert code == 0 and env["status"] == "ok", extra
-        assert (env["config"]["scan_cap"], env["config"]["ed_cap"]) == (5, 5)
+        assert (env["config"]["scan_cap"], env["config"]["dense_cap"]) == (5, 5)
 
 
 @pytest.mark.parametrize("argv", [
@@ -544,24 +549,45 @@ def test_pretty_output_parses():
     assert env["result"]["zeta"] == 1
 
 
+@pytest.mark.parametrize("argv,exit_code", [
+    (["scan", "--family", "deformed-aklt", "--grid", "41"], 0),
+    (["index", "--model", "ghz"], 2),
+], ids=["scan", "not-primitive"])
+def test_closed_stdout_keeps_the_status_exit_code(argv, exit_code):
+    # the pipe's read end is closed before the process starts, so its one
+    # write fails; the status still sets the exit code, with nothing on stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from spt_z2.cli import main; sys.exit(main())",
+             *argv], stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env={**env, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (exit_code, "")
+
+
 # -- config plumbing ------------------------------------------------------------
 
 def test_env_config_pickup(monkeypatch, tmp_path):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"marginal_cap": 2}))
+    cfg_path.write_text(json.dumps({"dense_cap": 2}))
     monkeypatch.setenv(ENV_VAR, str(cfg_path))
     code, env = run(["index", "--model", "aklt"])
     assert code == 8 and env["status"] == "resource_limit"
-    assert env["config"]["marginal_cap"] == 2
+    assert env["config"]["dense_cap"] == 2
 
 
 def test_cli_flag_overrides_env_config(monkeypatch, tmp_path):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"marginal_cap": 2}))
+    cfg_path.write_text(json.dumps({"dense_cap": 2}))
     monkeypatch.setenv(ENV_VAR, str(cfg_path))
-    code, env = run(["index", "--model", "aklt", "--marginal-cap", "4096"])
+    code, env = run(["index", "--model", "aklt", "--dense-cap", "4096"])
     assert code == 0
-    assert env["config"]["marginal_cap"] == 4096
+    assert env["config"]["dense_cap"] == 4096
 
 
 def test_bad_config_file_is_io_error(monkeypatch, tmp_path):
@@ -573,7 +599,7 @@ def test_bad_config_file_is_io_error(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("data", [{"eps_norm": "x"}, {"eps_herm": True},
-                                  {"marginal_cap": 2.5}, {"scan_cap": None},
+                                  {"dense_cap": 2.5}, {"scan_cap": None},
                                   {"l_max": 1.5}])
 def test_config_values_are_type_checked(monkeypatch, tmp_path, data):
     cfg_path = tmp_path / "config.json"
@@ -583,8 +609,8 @@ def test_config_values_are_type_checked(monkeypatch, tmp_path, data):
     assert code == 1 and env["status"] == "io_error"
     assert env["result"]["key"] == next(iter(data))
     # integers are numbers, and l_max may be null
-    assert sz.Config.from_dict({"eps_norm": 1, "l_max": None, "ed_cap": 64}) == \
-        sz.Config(eps_norm=1, l_max=None, ed_cap=64)
+    assert sz.Config.from_dict({"eps_norm": 1, "l_max": None, "dense_cap": 64}) == \
+        sz.Config(eps_norm=1, l_max=None, dense_cap=64)
 
 
 def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
@@ -598,11 +624,14 @@ def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["--seed", "0"], ["--panel-size", "16"],
-                                  ["--swap-tol", "1e-8"], ["--mixed-tol", "1e-6"]],
-                         ids=["seed", "panel-size", "swap-tol", "mixed-tol"])
+                                  ["--swap-tol", "1e-8"], ["--mixed-tol", "1e-6"],
+                                  ["--marginal-cap", "4096"], ["--ed-cap", "4096"]],
+                         ids=["seed", "panel-size", "swap-tol", "mixed-tol", "marginal-cap",
+                              "ed-cap"])
 def test_panel_settings_are_gone(monkeypatch, tmp_path, argv):
     # modular_data checks its generators, not a seeded panel of draws; sigma's
-    # sign miss is judged at modular_tol and the same-state test at peripheral_tol
+    # sign miss is judged at modular_tol and the same-state test at peripheral_tol;
+    # dense_cap bounds every dense multi-site space, the chain included
     monkeypatch.delenv(ENV_VAR, raising=False)
     code, env = run(["modular", "--from-index", "aklt", *argv])
     assert code == 1 and env["result"]["error"] == "UsageError"
@@ -723,12 +752,14 @@ def test_integers_end_below_two_to_the_63():
 
 @pytest.mark.parametrize("argv,error,key", [
     (["index", "--model", "aklt", "--scan-cap", "1" + "0" * 400], "InvalidInput", "scan_cap"),
-    (["index", "--model", "aklt", "--marginal-cap", str(2 ** 63)], "InvalidInput",
-     "marginal_cap"),
-    (["modular", "--from-index", "aklt", "--ed-cap", str(2 ** 63)], "InvalidInput", "ed_cap"),
+    (["modular", "--from-index", "aklt", "--dense-cap", str(2 ** 63)], "InvalidInput",
+     "dense_cap"),
+    # the two caps that dense_cap replaced are no flags
+    (["index", "--model", "aklt", "--marginal-cap", str(2 ** 63)], "UsageError", None),
+    (["modular", "--from-index", "aklt", "--ed-cap", str(2 ** 63)], "UsageError", None),
     (["parent-ham", "--model", "aklt", "--m", str(2 ** 63)], "UsageError", None),
     (["scan", "--family", "deformed-aklt", "--grid", str(2 ** 63)], "UnknownModel", "grid"),
-], ids=["scan-cap", "marginal-cap", "ed-cap", "window", "grid"])
+], ids=["scan-cap", "dense-cap", "marginal-cap", "ed-cap", "window", "grid"])
 def test_integer_flag_of_two_to_the_63_is_refused(argv, error, key):
     # each row names its refusal, so a flag that no longer exists cannot pass as one
     for extra in ([], ["--validate-only"]):

@@ -294,7 +294,7 @@ def test_ed_report_spectrum_head():
 
 def test_ed_report_dimension_cap():
     with pytest.raises(sz.DimensionCap):
-        sz.ed_report(np.eye(4), config=sz.Config(ed_cap=2))
+        sz.ed_report(np.eye(4), config=sz.Config(dense_cap=2))
 
 
 def test_ed_report_rejects_non_hermitian():

@@ -381,6 +381,15 @@ def test_invariant_state_aklt(aklt_rho):
     assert abs(aklt_rho.min_eigenvalue - 0.5) < 1e-12
 
 
+def test_a_looser_eps_norm_governs_the_invariant_state():
+    # radius 1 + 2e-8, inside the channel bound 10 * eps_norm = 1e-4; a
+    # fixed 1e-8 on abs(r - 1) refused this tuple after require_normalized passed it
+    raw = 1.00000001 * sz.zoo("aklt")
+    state = sz.invariant_state(sz.MpsTuple(v=raw), sz.Config(eps_norm=1e-5))
+    assert abs(np.trace(state.rho) - 1.0) < 1e-12
+    assert sz.z2_index(raw, sz.Config(eps_norm=1e-5)).zeta == -1
+
+
 def test_invariant_state_oracle(rng):
     t = random_channel_tuple(rng, 2, 3)
     state = sz.invariant_state(t)
@@ -526,7 +535,7 @@ def test_marginal_singular_rho_not_faithful(aklt):
 
 
 def test_marginal_window_cap(aklt, aklt_rho):
-    cfg = sz.Config(marginal_cap=8)
+    cfg = sz.Config(dense_cap=8)
     with pytest.raises(sz.WindowTooLarge):
         sz.marginal(aklt, aklt_rho.rho, 2, config=cfg)
 
@@ -619,4 +628,4 @@ def test_block_marginal_consistency(aklt, aklt_rho):
 
 def test_block_dimension_cap(aklt):
     with pytest.raises(sz.WindowTooLarge):
-        sz.block(aklt, 2, config=sz.Config(marginal_cap=8))
+        sz.block(aklt, 2, config=sz.Config(dense_cap=8))

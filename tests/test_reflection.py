@@ -13,7 +13,7 @@ from spt_z2.linalg import frob
 from spt_z2.mps import reverse_word_index
 from spt_z2.reflection import _marginal_reversal_residual, _transposed
 from util import (dense_marginal, haar_unitary, known_answer_tuple, marginal_oracle,
-                  phase_pi_sign_plus, phase_zero_sign_minus, random_channel_tuple,
+                  phase_pi_sign_plus, phase_zero_sign_minus, random_channel_tuple, stack,
                   word_product)
 
 
@@ -149,7 +149,7 @@ def test_reversal_route_checks_every_length():
 def test_marginal_lengths_ignore_the_word_cap():
     # 5^4 = 625 words exceed the cap, but the reversal route forms no word rows
     raw = known_answer_tuple(np.random.default_rng([0, 5, 4]), 5, 4, +1)
-    rep = sz.z2_index(raw, config=sz.Config(marginal_cap=125))
+    rep = sz.z2_index(raw, config=sz.Config(dense_cap=125))
     assert rep.certificates.primitivity.injectivity_length == 2
     assert rep.certificates.evidence.marginal_lengths == 4
     assert rep.zeta == 1
@@ -342,6 +342,46 @@ def test_sign_is_not_the_gauge_phase(generator, zeta, phase, cells, refused, b):
         for seed in range(4):
             with pytest.raises(refusal):
                 sz.z2_index(tuple_of(seed, d, k))
+
+
+def _outcome(t):
+    """The index, or the name of the refusal."""
+    try:
+        return sz.z2_index(t).zeta
+    except sz.SptError as exc:
+        return type(exc).__name__
+
+
+def test_stacked_chains_multiply_their_indices():
+    # group law: the chain v beside the chain w has index zeta(v) zeta(w).
+    # zeta = -1 factors are d=3 (d=2/k=2 ones are periodic, so not primitive)
+    factor = {+1: (2, 2), -1: (3, 2)}
+    signs = [(zv, zw) for zv in (1, -1) for zw in (1, -1)]
+    got, want = {}, {}
+    for zv, zw in signs:
+        for seed in range(4):
+            rng = np.random.default_rng([seed, zv + 1, zw + 1])
+            v = known_answer_tuple(rng, *factor[zv], zv)
+            w = known_answer_tuple(rng, *factor[zw], zw)
+            got[zv, zw, seed] = (_outcome(v), _outcome(w), _outcome(stack(v, w)))
+            want[zv, zw, seed] = (zv, zw, zv * zw)
+    # aklt stacked n times has index (-1)^n (n = 3: d = 27, k = 8)
+    aklt = sz.normalize(sz.zoo("aklt"))
+    power = aklt
+    for n in (1, 2, 3):
+        got["aklt", n] = _outcome(power)
+        want["aklt", n] = (-1) ** n
+        power = stack(power.v, aklt.v, power.perm(), aklt.perm())
+    # blocking 2 sites commutes with stacking, pi_v x pi_w included
+    for zv, zw in signs:
+        rng = np.random.default_rng([7, zv + 1, zw + 1])
+        v = sz.normalize(known_answer_tuple(rng, *factor[zv], zv))
+        w = sz.normalize(known_answer_tuple(rng, *factor[zw], zw))
+        bv, bw = sz.block(v, 2), sz.block(w, 2)
+        got["blocked", zv, zw] = (_outcome(sz.block(sz.normalize(stack(v.v, w.v)), 2)),
+                                  _outcome(stack(bv.v, bw.v, bv.perm(), bw.perm())))
+        want["blocked", zv, zw] = (zv * zw, zv * zw)
+    assert got == want
 
 
 def _eager_eigh(h):

@@ -48,8 +48,10 @@ def _ambiguity_nan(mp, aklt):
 
 
 def _invariant_state(mp, aklt):
-    # off the channel condition by 2e-6, inside a loose eps_norm: radius 1 + 2e-6
-    sz.invariant_state(sz.MpsTuple(v=(1.0 + 1e-6) * aklt.v), Config(eps_norm=1e-3))
+    # a NaN spectral radius, judged against the channel bound 10 * eps_norm
+    fixed_point = mps._positive_fixed_point
+    mp.setattr(mps, "_positive_fixed_point", lambda *a: (float("nan"), *fixed_point(*a)[1:]))
+    sz.invariant_state(aklt, Config(eps_norm=1e-5))
 
 
 def _gram_floor(mp, aklt):
@@ -109,7 +111,7 @@ ROUTED = {
     "invariant_state": (
         _invariant_state,
         sz.ConvergenceFailure, "invariant state residual above tolerance", NUMERICAL,
-        {"spectral_radius", "residual", "spectral_gap"}, 1e-8),
+        {"spectral_radius", "residual", "spectral_gap"}, 10 * 1e-5),
     "marginal_trace": (
         lambda mp, aklt: sz.marginal(sz.as_mps(OVERFLOWING), np.eye(2) / 2, 1),
         sz.ConvergenceFailure, "marginal trace drifted from 1", NUMERICAL, {"trace", "l"}, 1e-7),

@@ -87,6 +87,21 @@ def phase_zero_sign_minus(rng: np.random.Generator, d: int, k: int) -> np.ndarra
     return _in_random_gauge(rng, v)
 
 
+def stack(v: np.ndarray, w: np.ndarray, pv=None, pw=None) -> sz.MpsTuple:
+    """The chain of v beside the chain of w, as one tuple.
+
+    Letter (mu, nu) is index ``mu * d_w + nu``, with matrix ``v_mu (x) w_nu``,
+    and its involution is ``pi_v x pi_w``: (mu, nu) -> (pv[mu], pw[nu]). A
+    missing involution is the identity. Reflection reverses both chains at
+    once, so the index of the stacked state is the product of the two.
+    """
+    dv, dw = len(v), len(w)
+    pv = np.arange(dv) if pv is None else np.asarray(pv)
+    pw = np.arange(dw) if pw is None else np.asarray(pw)
+    mats = np.einsum("mab,ncd->mnacbd", v, w).reshape(dv * dw, v.shape[1] * w.shape[1], -1)
+    return sz.as_mps(mats, reflect_perm=(pv[:, None] * dw + pw[None, :]).ravel())
+
+
 def apply_adjoint(t: sz.MpsTuple, y: np.ndarray) -> np.ndarray:
     """Adjoint channel ``sum_mu v_mu^dagger y v_mu`` by direct contraction."""
     return np.einsum("mba,bc,mcd->ad", t.v.conj(), y, t.v)
