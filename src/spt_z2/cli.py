@@ -56,14 +56,17 @@ def _number(x: float):
 def jsonable(obj):
     """Recursively convert reports, arrays, and scalars to JSON-ready data.
 
-    Complex numbers become [re, im] pairs; dataclasses become objects. A
-    non-finite float becomes the string "NaN", "Infinity" or "-Infinity",
-    since those bare tokens are not JSON.
+    Complex numbers become [re, im] pairs; a record (a NamedTuple) becomes an
+    object in field order, any other tuple an array. A non-finite float
+    becomes the string "NaN", "Infinity" or "-Infinity", since those bare
+    tokens are not JSON.
     """
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: jsonable(value) for name, value in zip(obj._fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
     if isinstance(obj, dict):
@@ -78,8 +81,6 @@ def jsonable(obj):
         return _number(float(obj))
     if obj is None or isinstance(obj, str):
         return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -365,7 +366,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _common() -> argparse.ArgumentParser:
+    """The flags every command shares, built once as the subcommands' parent."""
+    sp = argparse.ArgumentParser(add_help=False)
     sp.add_argument("--config", help="JSON file of tolerance overrides")
     sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sp.add_argument("--validate-only", action="store_true",
@@ -375,6 +378,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         kind = int if field.type.startswith("int") else float
         sp.add_argument(flag, type=kind, default=None, dest=field.name,
                         help=f"config field {field.name} (default {json.dumps(field.default)})")
+    return sp
 
 
 def _add_tuple_source(sp: argparse.ArgumentParser) -> None:
@@ -385,35 +389,34 @@ def _add_tuple_source(sp: argparse.ArgumentParser) -> None:
 def build_parser() -> Parser:
     p = Parser(prog="spt-z2", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", parser_class=Parser)
+    common = [_common()]
 
-    sp = sub.add_parser("index", help="compute the reflection index")
+    sp = sub.add_parser("index", parents=common, help="compute the reflection index")
     _add_tuple_source(sp)
-    _add_common(sp)
     sp.set_defaults(runner=cmd_index)
 
-    sp = sub.add_parser("check", help="primitivity and reflection certificates")
+    sp = sub.add_parser("check", parents=common,
+                        help="primitivity and reflection certificates")
     _add_tuple_source(sp)
-    _add_common(sp)
     sp.set_defaults(runner=cmd_check)
 
-    sp = sub.add_parser("modular", help="modular data of a bipartite vector")
+    sp = sub.add_parser("modular", parents=common, help="modular data of a bipartite vector")
     sp.add_argument("--vector", help="path to a vector JSON file")
     sp.add_argument("--from-index", help="model name, else tuple path (a tuple file named "
                     "like a model as ./name); uses the index's bond vector")
-    _add_common(sp)
     sp.set_defaults(runner=cmd_modular)
 
-    sp = sub.add_parser("parent-ham", help="parent interaction and chain spectrum")
+    sp = sub.add_parser("parent-ham", parents=common,
+                        help="parent interaction and chain spectrum")
     _add_tuple_source(sp)
     sp.add_argument("--m", type=positive_int, default=None,
                     help="interaction window (default: injectivity length + 1)")
     sp.add_argument("--n", type=positive_int, default=None,
                     help="chain length (default: the window)")
     sp.add_argument("--boundary", choices=["open", "periodic"], default="open")
-    _add_common(sp)
     sp.set_defaults(runner=cmd_parent_ham)
 
-    sp = sub.add_parser("scan", help="index across a parameter family")
+    sp = sub.add_parser("scan", parents=common, help="index across a parameter family")
     sp.add_argument("--family", help="family name from the model zoo")
     sp.add_argument("--spec", help="path to a family JSON file")
     sp.add_argument("--s0", type=float, default=None)
@@ -421,11 +424,9 @@ def build_parser() -> Parser:
     sp.add_argument("--grid", type=int, default=None)
     sp.add_argument("--table", action="store_true",
                     help="also print a plain-text table to stderr")
-    _add_common(sp)
     sp.set_defaults(runner=cmd_scan)
 
-    sp = sub.add_parser("models", help="list the model zoo")
-    _add_common(sp)
+    sp = sub.add_parser("models", parents=common, help="list the model zoo")
     sp.set_defaults(runner=cmd_models)
     return p
 

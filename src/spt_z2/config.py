@@ -24,8 +24,8 @@ complex array); tuple, vector and family files hold no null. Refusals are
 :class:`InvalidInput` (``family``: ``UnknownModel``).
 A representable but huge cap is still unbounded work.
 
-Not every threshold is here: the 14 fixed ones below (1e-300 division guards
-aside) sit in the code that applies them. The six marked (w) are bounds
+Not every threshold is here: the 13 fixed ones below (1e-300 division guards
+aside) sit in the code that applies them. The five marked (w) are bounds
 judged by :func:`spt_z2.errors.within`, whose refusals report them as
 ``tolerance``; the rest are cutoffs, input checks and a singular value floor.
 
@@ -33,8 +33,9 @@ judged by :func:`spt_z2.errors.within`, whose refusals report them as
   bound ``invariant_state`` also applies to abs(r - 1) of its radius r;
   ``_positive_fixed_point``, eigenvalues within 1e-9 r of the radius r span
   the fixed point, eigen-residual <= 1e-7 (w); ``invariant_state``,
-  residual <= 1e-8 (w); ``_checked_gram_spectrum``,
-  abs(trace - 1) <= 1e-7 (w), smallest eigenvalue >= -1e-8 (w);
+  residual <= 1e-8 (w); ``_checked_gram_spectrum``, smallest eigenvalue
+  >= -1e-8 (w), its trace judged at l times the bound of
+  ``require_normalized``;
   ``_word_space_step``, products of norm <= 1e-14 max(largest, 1) dropped,
   singular values above max(rank_tol, 1e-13) times the largest counted;
   ``primitivity``, a span within 1e-10 of one of the last k ends the search.

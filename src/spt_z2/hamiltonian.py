@@ -20,7 +20,7 @@ at most two d^n x d^n matrices: the chain and LAPACK's working copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .linalg import frob, herm_eigvals, real_if_exact
 from .mps import MpsTuple, _append_letters, _word_count, primitivity, reverse_word_index
 
 
-@dataclass(frozen=True)
-class ParentInteraction:
+class ParentInteraction(NamedTuple):
     m: int
     h: np.ndarray
     rank: int
@@ -126,8 +125,7 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     return h_total.reshape(dim, dim)
 
 
-@dataclass(frozen=True)
-class EdReport:
+class EdReport(NamedTuple):
     ground_energy: float
     kernel_dim: int
     gap: float

@@ -55,7 +55,7 @@ symmetry, in which case kappa is None).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, w
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
 
-@dataclass(frozen=True)
-class BipartiteVector:
+class BipartiteVector(NamedTuple):
     m: int
     M: np.ndarray  # unit Frobenius norm
 
@@ -88,8 +87,7 @@ def as_bipartite(matrix, normalized: bool = False) -> BipartiteVector:
     return BipartiteVector(m=m_arr.shape[0], M=m_arr)
 
 
-@dataclass(frozen=True)
-class SchmidtData:
+class SchmidtData(NamedTuple):
     lam: np.ndarray      # Schmidt weights, descending, summing to 1
     left: np.ndarray     # m x r, columns xi_k
     right: np.ndarray    # m x r, columns zeta_k
@@ -135,8 +133,7 @@ def swap_sign(omega: BipartiteVector, config: Config | None = None) -> int | Non
     return transpose_sign(omega.M, omega.M.T, resolve(config).modular_tol)[0]
 
 
-@dataclass(frozen=True)
-class ModularReport:
+class ModularReport(NamedTuple):
     kappa: int | None
     sigma: int | None
     support_dim: int

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,8 +210,7 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
     return out
 
 
-@dataclass(frozen=True)
-class PrimitivityCertificate:
+class PrimitivityCertificate(NamedTuple):
     is_primitive: bool
     injectivity_length: int | None
     peripheral_count: int
@@ -334,8 +334,7 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
     )
 
 
-@dataclass(frozen=True)
-class InvariantState:
+class InvariantState(NamedTuple):
     rho: np.ndarray
     residual: float
     min_eigenvalue: float
@@ -397,8 +396,7 @@ def _word_count(d: int, l: int, cap: int, refusal: type[SptError], what: str) ->
     return dim
 
 
-@dataclass(frozen=True)
-class Marginal:
+class Marginal(NamedTuple):
     """l-site reduced state in factored form, ``M_l = factor @ factor^dagger``.
 
     ``root`` is the state's lower-triangular Cholesky factor L, with
@@ -440,24 +438,33 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
         raise NotFaithful("state is not positive definite; no Cholesky factor",
                           l=l) from exc
     phi = _append_letters(chol.conj().T.reshape(1, t.k * t.k), t.v, l)
-    evals = _checked_gram_spectrum(phi, l)
+    evals = _checked_gram_spectrum(phi, l, cfg)
     rank = int(np.sum(evals > cfg.rank_tol * max(float(evals.max()), 1e-300)))
     return Marginal(l=l, root=chol, factor=phi, rank=rank)
 
 
-def _checked_gram_spectrum(phi: np.ndarray, l: int) -> np.ndarray:
+def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
     """Eigenvalues of the smaller Gram of a factor of the l-site marginal.
 
     ``phi`` is any matrix with ``M_l = Q phi phi^dagger Q^dagger`` for an
     isometry ``Q``, so the trace of ``M_l`` is ``||phi||_F^2`` and its nonzero
     spectrum is that of both ``phi phi^dagger`` and ``phi^dagger phi``; the
     one on the smaller side, Hermitian by construction, is diagonalized
-    unchecked. Raises :class:`ConvergenceFailure` when the trace is off 1 by more than 1e-7
-    (a NaN trace too) or an eigenvalue lies below -1e-8.
+    unchecked. Raises :class:`ConvergenceFailure` when the trace is off 1 by
+    more than ``l * 10 eps_norm`` (a NaN trace too) or an eigenvalue lies
+    below -1e-8.
+
+    The trace bound is that of :func:`require_normalized` once per site. With
+    E(X) = sum_mu v_mu X v_mu^dagger and a the operator norm of E(1) - 1 (at
+    most the channel residual, which that check bounds by 10 eps_norm), a
+    state rho >= 0 of unit trace gives Tr M_l = Tr(rho E^l(1)), and
+    E^l(1) - 1 = sum_{j<l} E^j(E(1) - 1), so
+    abs(Tr M_l - 1) <= a (Tr M_0 + .. + Tr M_{l-1}) <= (1 + a)^l - 1,
+    which is l a to first order; that first-order term is the bound judged.
     """
     tr = float(np.vdot(phi, phi).real)
-    within(abs(tr - 1.0), 1e-7, ConvergenceFailure, "marginal trace drifted from 1",
-           trace=tr, l=l)
+    within(abs(tr - 1.0), l * 10 * cfg.eps_norm, ConvergenceFailure,
+           "marginal trace drifted from 1", trace=tr, l=l)
     rows, cols = phi.shape
     gram = phi @ phi.conj().T if rows < cols else phi.conj().T @ phi
     evals = _eigh(gram).values

@@ -32,7 +32,7 @@ a QR of at most d * 2k^2 rows, so its cost is linear in l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def _transposed(t: MpsTuple) -> MpsTuple:
     return MpsTuple(v=np.transpose(t.v[t.perm()], (0, 2, 1)), reflect_perm=t.reflect_perm)
 
 
-@dataclass(frozen=True)
-class ReflectedTuple:
+class ReflectedTuple(NamedTuple):
     basis: np.ndarray        # columns: rho eigenbasis, eigenvalues descending
     rho_diag: np.ndarray     # the descending eigenvalues
 
@@ -88,8 +87,7 @@ def reflected_tuple(t: MpsTuple, rho: np.ndarray,
     return ReflectedTuple(basis=sys.vectors[:, ::-1].copy(), rho_diag=sys.values[::-1].copy())
 
 
-@dataclass(frozen=True)
-class GaugeSolution:
+class GaugeSolution(NamedTuple):
     U: np.ndarray
     phase: complex
     relation_residual: float
@@ -140,8 +138,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
     return GaugeSolution(U=u, phase=phase, relation_residual=res, mixed_radius=radius)
 
 
-@dataclass(frozen=True)
-class ReflectionEvidence:
+class ReflectionEvidence(NamedTuple):
     invariant: bool
     via_gauge: bool
     via_marginals: bool
@@ -179,7 +176,7 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
             r = np.linalg.qr(np.hstack([_append_letters(r[:, :half], t.v),
                                         _append_letters(r[:, half:], tilde)]), mode="r")
             # R1's rows below the diagonal are exactly zero
-            _checked_gram_spectrum(r[:half, :half], l)
+            _checked_gram_spectrum(r[:half, :half], l, cfg)
         r1, r2 = r[:, :half], _append_letters(r[:, half:], kfac)
         worst = max(worst, frob(r1 @ r1.conj().T - r2 @ r2.conj().T))
     return worst
@@ -221,7 +218,7 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
     )
     if via_gauge != via_marginals:
         raise Inconclusive("gauge and marginal reflection certificates disagree",
-                           **{k: v for k, v in vars(evidence).items() if k != "invariant"})
+                           **{k: v for k, v in evidence._asdict().items() if k != "invariant"})
     return inv, refl, evidence, gauge
 
 
@@ -232,16 +229,14 @@ def reflection_invariant(raw, config: Config | None = None) -> ReflectionEvidenc
     return _certify(t, primitivity(t, config=cfg), cfg)[2]
 
 
-@dataclass(frozen=True)
-class IndexCertificates:
+class IndexCertificates(NamedTuple):
     primitivity: PrimitivityCertificate
     invariant_residual: float
     rho_min_eigenvalue: float
     evidence: ReflectionEvidence
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     zeta: int
     U: np.ndarray
     phase: complex

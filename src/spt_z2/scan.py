@@ -9,8 +9,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +45,7 @@ def _breaker(s: float) -> np.ndarray:
     return normalize(raw).v
 
 
-@dataclass(frozen=True)
-class ModelEntry:
+class ModelEntry(NamedTuple):
     """A zoo model: argument count (-1: two or more amplitudes), description, generator
     of the raw tuple from the parsed arguments, default (s0, s1) of a one-parameter family."""
 
@@ -123,8 +121,7 @@ def zoo(name: str) -> np.ndarray:
     return MODELS[base].generator(*args)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
     s0: float
     s1: float
@@ -172,8 +169,7 @@ def check_grid(spec: FamilySpec, config: Config | None = None) -> None:
         raise ResourceLimit("scan grid exceeds the point cap", grid=spec.grid, cap=cap)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     s: float
     primitive: bool
     reflection_invariant: bool
@@ -183,8 +179,7 @@ class ScanPoint:
     error: str | None
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     points: list
     constant_index: bool
     first_failure: float | None

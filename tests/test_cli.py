@@ -401,7 +401,7 @@ def test_scan_records_a_refusing_generator(monkeypatch):
         return breaker(s)
 
     monkeypatch.setitem(scan_module.MODELS, "aklt-breaker",
-                        dataclasses.replace(entry, generator=refusing))
+                        entry._replace(generator=refusing))
     code, env = run(["scan", "--family", "aklt-breaker",
                      "--s0", "0", "--s1", "0.5", "--grid", "3"])
     assert code == 0

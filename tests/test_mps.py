@@ -390,6 +390,20 @@ def test_a_looser_eps_norm_governs_the_invariant_state():
     assert sz.z2_index(raw, sz.Config(eps_norm=1e-5)).zeta == -1
 
 
+@pytest.mark.parametrize("f", [1e-8, 3e-8, 1e-7, 1e-6])
+def test_a_looser_eps_norm_governs_the_marginal_trace(f):
+    # Tr M_l = (1 + f)^(2l) is off 1 by about 2 f l: inside l * 10 eps_norm =
+    # l * 1e-4, where a fixed 1e-7 refused every f here but 1e-8; outside the
+    # default l * 1e-8
+    raw = (1 + f) * sz.zoo("aklt")
+    loose = sz.Config(eps_norm=1e-5)
+    assert sz.z2_index(raw, loose).zeta == -1
+    t = sz.MpsTuple(v=raw)
+    assert sz.marginal(t, np.eye(2) / 2, 4, loose).rank == 4
+    with pytest.raises(sz.ConvergenceFailure, match="marginal trace drifted from 1"):
+        sz.marginal(t, np.eye(2) / 2, 1)
+
+
 def test_invariant_state_oracle(rng):
     t = random_channel_tuple(rng, 2, 3)
     state = sz.invariant_state(t)

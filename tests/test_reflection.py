@@ -135,15 +135,17 @@ def test_reversal_route_never_forms_word_rows(monkeypatch):
 
 
 def test_reversal_route_checks_every_length():
-    # scaling by 1 + 9e-9 moves the l-site trace by about 1.8e-8 * l: the seed
-    # passes, and l = 6 is the first length past the 1e-7 bound
+    # bond weights tilted by 1 +- 1e-7 leave Tr M_1 = 1 under rho = 1/k, but
+    # the drift then grows faster than the bound l * 10 eps_norm: the seed and
+    # l = 2 (0.88 of it) pass, and l = 3 (1.56 of it) is the first length past it
     t = _normalized_known_answer(2, 4, -1, 11)
-    rho = sz.invariant_state(t).rho
-    scaled = sz.MpsTuple(v=t.v * (1 + 9e-9))
-    sz.marginal(scaled, rho, 1)
+    rho = np.eye(4) / 4
+    tilted = sz.MpsTuple(v=np.sqrt(1 + 1e-7 * np.array([1, 1, -1, -1]))[:, None] * t.v)
+    sz.marginal(tilted, rho, 1)
+    sz.marginal(tilted, rho, 2)
     with pytest.raises(sz.ConvergenceFailure, match="marginal trace drifted from 1") as exc:
-        _marginal_reversal_residual(scaled, rho, 12, sz.Config())
-    assert exc.value.payload["l"] == 6
+        _marginal_reversal_residual(tilted, rho, 12, sz.Config())
+    assert exc.value.payload["l"] == 3
 
 
 def test_marginal_lengths_ignore_the_word_cap():

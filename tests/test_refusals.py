@@ -7,8 +7,6 @@ refusal must keep its class, message, status and payload keys, and report the
 bound it applied as ``tolerance``.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -42,8 +40,8 @@ def _normalize_nan(mp, aklt):
 
 def _ambiguity_nan(mp, aklt):
     solve = reflection.gauge_solve
-    mp.setattr(reflection, "gauge_solve", lambda *a, **kw: dataclasses.replace(
-        solve(*a, **kw), U=np.full((2, 2), np.nan)))
+    mp.setattr(reflection, "gauge_solve", lambda *a, **kw: solve(*a, **kw)._replace(
+        U=np.full((2, 2), np.nan)))
     sz.z2_index(aklt)
 
 
@@ -62,15 +60,15 @@ def _gram_floor(mp, aklt):
 
 def _phase(mp, aklt):
     solve = reflection.gauge_solve
-    mp.setattr(reflection, "gauge_solve", lambda *a, **kw: dataclasses.replace(
-        solve(*a, **kw), phase=complex(np.nan, 0.0)))
+    mp.setattr(reflection, "gauge_solve", lambda *a, **kw: solve(*a, **kw)._replace(
+        phase=complex(np.nan, 0.0)))
     sz.z2_index(aklt)
 
 
 def _commute(mp, aklt):
     reflect = reflection.reflected_tuple
-    mp.setattr(reflection, "reflected_tuple", lambda *a, **kw: dataclasses.replace(
-        reflect(*a, **kw), rho_diag=np.full(2, np.nan)))
+    mp.setattr(reflection, "reflected_tuple", lambda *a, **kw: reflect(*a, **kw)._replace(
+        rho_diag=np.full(2, np.nan)))
     sz.z2_index(aklt)
 
 
@@ -114,7 +112,7 @@ ROUTED = {
         {"spectral_radius", "residual", "spectral_gap"}, 10 * 1e-5),
     "marginal_trace": (
         lambda mp, aklt: sz.marginal(sz.as_mps(OVERFLOWING), np.eye(2) / 2, 1),
-        sz.ConvergenceFailure, "marginal trace drifted from 1", NUMERICAL, {"trace", "l"}, 1e-7),
+        sz.ConvergenceFailure, "marginal trace drifted from 1", NUMERICAL, {"trace", "l"}, 1e-8),
     "marginal_gram_floor": (
         _gram_floor,
         sz.ConvergenceFailure, "marginal has a significantly negative eigenvalue", NUMERICAL,

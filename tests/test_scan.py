@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -224,7 +223,7 @@ def test_scan_structural_inconclusive_keeps_both_flags(monkeypatch):
     reflection = importlib.import_module("spt_z2.reflection")
     solve = reflection.gauge_solve
     monkeypatch.setattr(reflection, "gauge_solve",
-                        lambda *a, **kw: dataclasses.replace(solve(*a, **kw), phase=1j))
+                        lambda *a, **kw: solve(*a, **kw)._replace(phase=1j))
     rep = sz.scan(sz.family("deformed-aklt", grid=3))
     for p in rep.points:
         assert (p.status, p.error) == ("inconclusive", "Inconclusive")
