@@ -375,7 +375,7 @@ def _common() -> argparse.ArgumentParser:
                     help="validate and echo the input without computing")
     for field in dataclasses.fields(Config):
         flag = "--" + field.name.replace("_", "-")
-        kind = int if field.type.startswith("int") else float
+        kind = int if field.type == "int" else float
         sp.add_argument(flag, type=kind, default=None, dest=field.name,
                         help=f"config field {field.name} (default {json.dumps(field.default)})")
     return sp

@@ -2,26 +2,28 @@
 
 The tolerances and caps a user may set live in one frozen dataclass, and
 every envelope states the values that produced it. Every public operation,
-the kernel in :mod:`spt_z2.linalg` included, accepts an optional ``config``
-(``None`` means :data:`DEFAULT`); none takes a keyword that shadows a field.
-Construction is the one validity check, whatever the source (flags, a file,
-``SPT_Z2_CONFIG`` or a library caller): every float is finite (negative
+the kernel in :mod:`spt_z2.linalg` included, takes ``config``, by default
+:data:`DEFAULT` (one shared instance, as a ``Config`` is frozen); none takes a
+keyword that shadows a field. Construction is the one validity check,
+whatever the source (flags, a file, ``SPT_Z2_CONFIG`` or a library caller):
+every field is a plain number, never None. Every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
-(0, 0.5) and every integer in [1, 2**63); ``kernel_tol`` and ``l_max`` may
-be None. One reading has one setting: ``peripheral_tol`` also judges the
-same-state test, ``modular_tol`` both signs of the modular data, and
-``dense_cap`` every dense space on x sites, of dimension d**x: an explicit
-marginal, a blocked alphabet, the parent window and the chain that ED
-diagonalizes.
+(0, 0.5) and every integer in [1, 2**63). One reading has one setting:
+``peripheral_tol`` also judges the same-state test, ``modular_tol`` both
+signs of the modular data, and ``dense_cap`` every dense space on x sites, of
+dimension d**x: an explicit marginal, a blocked alphabet, the parent window
+and the chain that ED diagonalizes.
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
 float), :func:`is_int` (no bool, magnitude below 2**63), :func:`numeric_array`
-(a float or complex array of numbers, never text, for the Hermitian solvers of
-:mod:`spt_z2.linalg`, which refuse a non-finite entry as ``NotHermitian``) and
-:func:`finite_array` (its result, with finite entries, as a C-contiguous
-complex array); tuple, vector and family files hold no null. Refusals are
-:class:`InvalidInput` (``family``: ``UnknownModel``).
+(a float or complex array of numbers, never text), :func:`square_array` (its
+result, a nonempty square matrix, for the matrix entry points of
+:mod:`spt_z2.linalg` and ``ed_report``; the Hermitian solvers refuse a
+non-finite entry as ``NotHermitian``) and :func:`finite_array` (its result,
+with finite entries, as a C-contiguous complex array); tuple, vector and
+family files hold no null. Refusals are :class:`InvalidInput` (``family``:
+``UnknownModel``).
 A representable but huge cap is still unbounded work.
 
 Not every threshold is here: the 13 fixed ones below (1e-300 division guards
@@ -108,6 +110,15 @@ def numeric_array(obj, what: str = "matrix") -> np.ndarray:
     return arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
 
 
+def square_array(obj) -> np.ndarray:
+    """``obj`` read by :func:`numeric_array`, else InvalidInput unless it is a
+    nonempty square matrix."""
+    arr = numeric_array(obj)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise InvalidInput("matrix must be a nonempty square matrix", shape=list(arr.shape))
+    return arr
+
+
 def finite_array(obj, what: str) -> np.ndarray:
     """``obj`` read by :func:`numeric_array`, as a C-contiguous complex array of
     finite entries, else InvalidInput."""
@@ -129,24 +140,21 @@ class Config:
     peripheral_tol: float = 1e-6 # unit-circle window (fraction of radius), transfer and mixed map
     modular_tol: float = 1e-8    # modular identity residuals, kappa's and sigma's sign misses
     refl_marginal_tol: float = 1e-8  # marginal reversal mismatch threshold
-    kernel_tol: float | None = None  # ED kernel threshold; None: 1e-8 (top eigenvalue + 1)
+    kernel_tol: float = 1e-8     # ED kernel threshold, relative to (top eigenvalue + 1)
 
     # dense-computation limits
     dense_cap: int = 4096        # largest d**x for marginal, block, parent window and chain
     scan_cap: int = 10000        # largest number of grid points in one scan
-    l_max: int | None = None     # primitivity word-length cap; None or above k**4 means k**4
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if f.name == "peripheral_tol":
                 ok, expected = is_real(v) and 0.0 < v < 0.5, "a number in (0, 0.5)"
-            elif f.type.startswith("float"):
+            elif f.type == "float":
                 ok, expected = is_finite_real(v), "a finite number"
             else:
                 ok, expected = is_int(v) and v >= 1, "an integer in [1, 2**63)"
-            if f.type.endswith("| None"):
-                ok, expected = ok or v is None, expected + " or null"
             if not ok:
                 raise InvalidInput(f"config {f.name} must be {expected}", key=f.name,
                                    expected=expected)
@@ -180,6 +188,3 @@ class Config:
 
 DEFAULT = Config()
 
-
-def resolve(config: Config | None) -> Config:
-    return DEFAULT if config is None else config

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, is_int, resolve
+from .config import DEFAULT, Config, is_int, square_array
 from .errors import DimensionCap, InvalidInput, WindowTooLarge
 from .linalg import frob, herm_eigvals, real_if_exact
 from .mps import MpsTuple, _append_letters, _word_count, primitivity, reverse_word_index
@@ -41,7 +41,7 @@ class ParentInteraction(NamedTuple):
 
 
 def parent_interaction(t: MpsTuple, m: int | None = None,
-                       config: Config | None = None) -> ParentInteraction:
+                       config: Config = DEFAULT) -> ParentInteraction:
     """Projector onto the orthogonal complement of the m-site marginal support.
 
     A tuple that is not primitive is refused as the index refuses it. The
@@ -56,17 +56,16 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     a shorter one still gives a frustration-free interaction, but its chain
     kernel can exceed the boundary-state count, which sets ``range_warning``.
     """
-    cfg = resolve(config)
-    cert = primitivity(t, config=cfg)
+    cert = primitivity(t, config=config)
     cert.require_primitive()
     if m is None:
         m = (cert.injectivity_length or 1) + 1
     if not (is_int(m) and m >= 1):
         raise InvalidInput("window must be an integer of at least one site", m=m)
-    dim = _word_count(t.d, m, cfg.dense_cap, WindowTooLarge, "marginal dimension")
+    dim = _word_count(t.d, m, config.dense_cap, WindowTooLarge, "marginal dimension")
     words = _append_letters(t.v.reshape(t.d, -1), t.v, m - 1)
     u, s, _ = np.linalg.svd(words, full_matrices=False)
-    support = int(np.sum(s * s > cfg.rank_tol * max(float(s[0] * s[0]), 1e-300)))
+    support = int(np.sum(s * s > config.rank_tol * max(float(s[0] * s[0]), 1e-300)))
     basis = u[:, :support]
     # h = 1 - P, then 0.5 (h + h^dagger), in place beside one d^m x d^m buffer;
     # the bits are those of eye(dim) - P symmetrized out of place (0 - p, not
@@ -98,7 +97,7 @@ def _add_on_sites(acc: np.ndarray, op: np.ndarray, sites: list[int]) -> None:
 
 
 def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
-                      config: Config | None = None) -> np.ndarray:
+                      config: Config = DEFAULT) -> np.ndarray:
     """Dense translation sum of the interaction over an n-site open or periodic chain.
 
     Each term is added in place into one d^n x d^n accumulator (see
@@ -116,7 +115,7 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
         raise InvalidInput("boundary must be open or periodic", boundary=boundary)
     if not (is_int(n) and n >= m):
         raise InvalidInput("chain length must be an integer of at least the window", n=n, m=m)
-    dim = _word_count(d, n, resolve(config).dense_cap, DimensionCap, "chain dimension")
+    dim = _word_count(d, n, config.dense_cap, DimensionCap, "chain dimension")
     h = real_if_exact(hint.h)
     h_total = np.zeros((d,) * (2 * n), dtype=np.result_type(h, float))
     last = n - m + 1 if boundary == "open" else n
@@ -132,7 +131,7 @@ class EdReport(NamedTuple):
     spectrum_head: np.ndarray
 
 
-def ed_report(h_total: np.ndarray, config: Config | None = None) -> EdReport:
+def ed_report(h_total: np.ndarray, config: Config = DEFAULT) -> EdReport:
     """Dense spectrum summary: ground energy, kernel count, gap above it.
 
     Only eigenvalues are computed (:func:`spt_z2.linalg.herm_eigvals`), in
@@ -140,19 +139,17 @@ def ed_report(h_total: np.ndarray, config: Config | None = None) -> EdReport:
     Hermitian chain, as :func:`chain_hamiltonian` builds it, goes to
     ``eigvalsh`` as it is, so ED holds two d^n x d^n matrices at most: the
     chain and LAPACK's working copy. The kernel is the eigenvalues below
-    ``kernel_tol``, by default 1e-8 (largest eigenvalue + 1); below the lowest
-    eigenvalue (any negative value, for a frustration-free chain) the kernel is
-    empty and the gap is the lowest eigenvalue.
+    ``kernel_tol * (max(largest eigenvalue, 0) + 1)``: ``kernel_tol`` is
+    relative, as ``eps_herm`` is relative to the norm floored at 1. Below the
+    lowest eigenvalue (any negative value, for a frustration-free chain) the
+    kernel is empty and the gap is the lowest eigenvalue.
     """
-    cfg = resolve(config)
-    h_arr = np.asarray(h_total)
-    if h_arr.shape[0] > cfg.dense_cap:
+    h_arr = square_array(h_total)
+    if h_arr.shape[0] > config.dense_cap:
         raise DimensionCap("matrix exceeds the dense diagonalization cap",
-                           dimension=int(h_arr.shape[0]), cap=cfg.dense_cap)
-    evals = herm_eigvals(h_arr, cfg)
-    kernel_tol = cfg.kernel_tol
-    if kernel_tol is None:
-        kernel_tol = 1e-8 * (float(evals.max(initial=0.0)) + 1.0)
+                           dimension=int(h_arr.shape[0]), cap=config.dense_cap)
+    evals = herm_eigvals(h_arr, config)
+    kernel_tol = config.kernel_tol * (float(evals.max(initial=0.0)) + 1.0)
     kernel = int(np.sum(evals < kernel_tol))
     above = evals[evals >= kernel_tol]
     gap = float(above.min()) if above.size else 0.0

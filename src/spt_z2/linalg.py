@@ -32,16 +32,18 @@ Each eigenvector's phase is fixed so that its first component of significant
 modulus is real and positive; :class:`HermEig` applies that fix when its
 ``vectors`` are first read, so a caller that reads only ``values`` never pays
 for it. The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
-unitaries and Schmidt vectors follow it too. The public Hermitian solvers
-check their input, read by :func:`spt_z2.config.numeric_array`: a ragged,
-non-numeric or non-square matrix is :class:`InvalidInput`, and a non-finite
-entry fails the Hermiticity check as :class:`NotHermitian`. Internal solves
-of matrices Hermitian by construction (a Gram matrix, or
-:meth:`HermitianFrame.matrix` of real coordinates) check nothing.
+unitaries and Schmidt vectors follow it too. The public matrix entry points
+check their input, read by :func:`spt_z2.config.square_array`: an empty,
+ragged, non-numeric or non-square matrix is :class:`InvalidInput`. A
+non-finite entry fails the Hermiticity check of the Hermitian solvers as
+:class:`NotHermitian`, and is :class:`InvalidInput` to :func:`peripheral_eigs`
+and :func:`polar_unitary`. Internal solves of matrices Hermitian by
+construction (a Gram matrix, or :meth:`HermitianFrame.matrix` of real
+coordinates) check nothing.
 
-Every tolerance these operations apply comes from the optional ``config``
-they take (``None`` means :data:`spt_z2.config.DEFAULT`); none has a
-tolerance keyword of its own. The one fixed threshold is the 1e-9 singular
+Every tolerance these operations apply comes from the ``config`` they take
+(by default :data:`spt_z2.config.DEFAULT`); none has a tolerance keyword of
+its own. The one fixed threshold is the 1e-9 singular
 value floor of :func:`polar_unitary`.
 
 Every sign the package reports (the index zeta, the swap sign sigma and the
@@ -59,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, finite_array, numeric_array, resolve
+from .config import DEFAULT, Config, finite_array, square_array
 from .errors import InvalidInput, NotHermitian, RankDeficient, SptError, within
 
 
@@ -195,27 +197,25 @@ class HermEig:
         return self.eigh_vectors * canonical_phases(self.eigh_vectors)
 
 
-def _symmetrized(h: np.ndarray, config: Config | None) -> np.ndarray:
-    """Square-shape and skew check shared by the Hermitian eigensolvers.
+def _symmetrized(h: np.ndarray, cfg: Config) -> np.ndarray:
+    """Skew check shared by the Hermitian eigensolvers.
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
     the norm (floored at 1), non-finite inputs included, and returns the
     symmetrized matrix 0.5 (h + h^dagger), which is what gets diagonalized.
-    ``h`` is a float or complex array; a real input gives a real result.
-    A non-square ``h`` is :class:`InvalidInput`.
+    ``h`` is a :func:`spt_z2.config.square_array` result, float or complex; a
+    real input gives a real result.
 
     One d x d buffer holds h - h^dagger for the check and, when that is
     nonzero, the symmetrized matrix. When it is exactly zero, ``h`` itself
     is returned: 0.5 (h + h^dagger) then equals it entry for entry (a zero
     may differ in sign only), and no second matrix is kept.
     """
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InvalidInput("matrix must be square", shape=list(h.shape))
     norm = frob(h)
     buf = np.conjugate(h.T, order="C")
     np.subtract(h, buf, out=buf)
     skew = frob(buf) / max(norm, 1.0)
-    within(skew, resolve(config).eps_herm, NotHermitian,
+    within(skew, cfg.eps_herm, NotHermitian,
            "matrix is not Hermitian within tolerance", skew_residual=skew)
     if not buf.any():
         return h
@@ -231,7 +231,7 @@ def _eigh(h: np.ndarray) -> HermEig:
     return HermEig(values=w, eigh_vectors=u)
 
 
-def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
+def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
     """Eigensystem of a Hermitian matrix with the module's conventions.
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
@@ -240,7 +240,7 @@ def herm_eig(h: np.ndarray, config: Config | None = None) -> HermEig:
     input is diagonalized as it is, with no symmetrized copy. Makes one
     ``eigh`` call; the phase fix waits for the first read of ``vectors``.
     """
-    return _eigh(_symmetrized(numeric_array(h).astype(complex, copy=False), config))
+    return _eigh(_symmetrized(square_array(h).astype(complex, copy=False), config))
 
 
 def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
@@ -255,10 +255,9 @@ def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
 
 
 def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
-                config: Config | None = None) -> HermEig:
+                config: Config = DEFAULT) -> HermEig:
     """:func:`herm_eig` of a matrix that must pass :func:`_positive_definite`."""
-    cfg = resolve(config)
-    return _positive_definite(herm_eig(h, cfg), refusal, message, cfg)
+    return _positive_definite(herm_eig(h, config), refusal, message, config)
 
 
 def real_if_exact(x: np.ndarray) -> np.ndarray:
@@ -266,7 +265,7 @@ def real_if_exact(x: np.ndarray) -> np.ndarray:
     return x.real if np.iscomplexobj(x) and not x.imag.any() else x
 
 
-def herm_eigvals(h: np.ndarray, config: Config | None = None) -> np.ndarray:
+def herm_eigvals(h: np.ndarray, config: Config = DEFAULT) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
     Same checks as :func:`herm_eig`. A matrix whose imaginary part is exactly
@@ -275,7 +274,7 @@ def herm_eigvals(h: np.ndarray, config: Config | None = None) -> np.ndarray:
     to ``eigvalsh`` as it is, so at most two d x d matrices are alive at
     once: the input, and the check buffer or, after it, LAPACK's copy.
     """
-    hh = _symmetrized(real_if_exact(numeric_array(h)), config)
+    hh = _symmetrized(real_if_exact(square_array(h)), config)
     return np.linalg.eigvalsh(hh)
 
 
@@ -285,7 +284,7 @@ def eig_sort_key(values: np.ndarray):
 
 
 def peripheral_window(values: np.ndarray,
-                      config: Config | None = None) -> tuple[np.ndarray, float]:
+                      config: Config = DEFAULT) -> tuple[np.ndarray, float]:
     """Mask of the eigenvalues of modulus >= r - peripheral_tol * r, and the gap.
 
     r is the spectral radius; the gap is r minus the largest modulus outside
@@ -293,21 +292,24 @@ def peripheral_window(values: np.ndarray,
     """
     mods = np.abs(values)
     r = float(mods.max(initial=0.0))
-    on = mods >= r - resolve(config).peripheral_tol * r
+    on = mods >= r - config.peripheral_tol * r
     return on, r - float(mods[~on].max(initial=0.0))
 
 
 def peripheral_eigs(mat: np.ndarray,
-                    config: Config | None = None) -> list[tuple[complex, np.ndarray]]:
+                    config: Config = DEFAULT) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs of a superoperator matrix in the :func:`peripheral_window`.
 
     Returns (eigenvalue, eigenmatrix) pairs ordered by modulus descending
     then angle ascending. Eigenmatrices are unit Frobenius norm with the
     canonical phase, unvec'd in the basis ``mat`` is written in. A real
     ``mat``, such as a :func:`hermitian_real` matrix, is decomposed in real
-    arithmetic.
+    arithmetic, with no copy; a non-finite entry is :class:`InvalidInput`.
     """
-    w, v = np.linalg.eig(np.asarray(mat))
+    mat = square_array(mat)
+    if not np.isfinite(mat).all():
+        raise InvalidInput("matrix entries must be finite")
+    w, v = np.linalg.eig(mat)
     keep = np.nonzero(peripheral_window(w, config)[0])[0]
     keep = keep[eig_sort_key(w[keep])]
     mats = v[:, keep] / np.linalg.norm(v[:, keep], axis=0)
@@ -315,7 +317,7 @@ def peripheral_eigs(mat: np.ndarray,
     return [(complex(w[i]), unvec(mats[:, j])) for j, i in enumerate(keep)]
 
 
-def psd_power(rho: np.ndarray, power: float, config: Config | None = None) -> np.ndarray:
+def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.ndarray:
     """Real power of a PSD matrix on its support.
 
     Eigenvalues below ``rank_tol`` times the largest are treated as exact
@@ -323,15 +325,14 @@ def psd_power(rho: np.ndarray, power: float, config: Config | None = None) -> np
     powers they contribute nothing. Negative eigenvalues beyond that window
     are rejected.
     """
-    cfg = resolve(config)
-    sys = herm_eig(rho, cfg)
+    sys = herm_eig(rho, config)
     w, u = sys.values, sys.vectors
     top = float(w.max(initial=0.0))
     if top <= 0.0:
         if power < 0:
             raise RankDeficient("psd_power of the zero matrix with negative exponent")
         return np.zeros_like(np.asarray(rho, dtype=complex))
-    cut = cfg.rank_tol * top
+    cut = config.rank_tol * top
     lo = float(w.min())
     within(-lo, cut, NotHermitian, "matrix has a significantly negative eigenvalue; not PSD",
            min_eigenvalue=lo, cutoff=cut)
@@ -344,11 +345,12 @@ def psd_power(rho: np.ndarray, power: float, config: Config | None = None) -> np
 def polar_unitary(x: np.ndarray) -> np.ndarray:
     """Unitary polar factor U = X (X^dagger X)^{-1/2}.
 
-    Raises :class:`InvalidInput` on a non-finite entry and
-    :class:`RankDeficient` when the smallest singular value is below 1e-9
-    times the largest, since the factor is then not determined.
+    Raises :class:`InvalidInput` unless ``x`` is a nonempty square matrix of
+    finite entries, and :class:`RankDeficient` when the smallest singular
+    value is below 1e-9 times the largest, since the factor is then not
+    determined.
     """
-    x = finite_array(x, "matrix")
+    x = finite_array(square_array(x), "matrix")
     u, s, vh = np.linalg.svd(x)
     if not (s[0] > 0.0 and s[-1] >= 1e-9 * s[0]):
         raise RankDeficient(

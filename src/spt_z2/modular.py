@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, finite_array, resolve
+from .config import DEFAULT, Config, finite_array
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
@@ -95,7 +95,7 @@ class SchmidtData(NamedTuple):
     support_dim: int
 
 
-def schmidt(omega: BipartiteVector, config: Config | None = None) -> SchmidtData:
+def schmidt(omega: BipartiteVector, config: Config = DEFAULT) -> SchmidtData:
     """Schmidt decomposition with deterministic column phases.
 
     The right vectors get the canonical phase of
@@ -103,34 +103,33 @@ def schmidt(omega: BipartiteVector, config: Config | None = None) -> SchmidtData
     compensating factor, which keeps M = Xi diag(s) Z^T exact. The
     reconstruction residual is judged against ``modular_tol``.
     """
-    cfg = resolve(config)
     mat = omega.M
     xi_full, s, vh = np.linalg.svd(mat)
     if s[0] <= 0:
         raise DegenerateSupport("coefficient matrix has no singular values above zero")
-    r = int(np.sum(s > cfg.rank_tol * s[0]))
+    r = int(np.sum(s > config.rank_tol * s[0]))
     if r == 0:
         raise DegenerateSupport("Schmidt support is empty at this rank tolerance",
-                                rank_tol=cfg.rank_tol)
+                                rank_tol=config.rank_tol)
     phases = canonical_phases(vh[:r].T)
     z = vh[:r].T * phases
     xi = xi_full[:, :r] * phases.conj()
     lam = (s[:r] ** 2).astype(float)
     recon = frob(mat - xi @ (s[:r, None] * z.T))
-    within(recon, cfg.modular_tol, Inconclusive,
+    within(recon, config.modular_tol, Inconclusive,
            "Schmidt reconstruction residual above tolerance", residual=recon)
     u = z @ xi.T
     return SchmidtData(lam=lam, left=xi, right=z, u=u, support_dim=r)
 
 
-def swap_sign(omega: BipartiteVector, config: Config | None = None) -> int | None:
+def swap_sign(omega: BipartiteVector, config: Config = DEFAULT) -> int | None:
     """+1 for a symmetric, -1 for an antisymmetric coefficient matrix M, else None.
 
     The sign of :func:`spt_z2.linalg.transpose_sign` of M against M^T: the
     smaller of ``||M - M^T||_F`` and ``||M + M^T||_F`` names it, and it holds
     only when that miss is at most ``modular_tol``, which also bounds kappa's.
     """
-    return transpose_sign(omega.M, omega.M.T, resolve(config).modular_tol)[0]
+    return transpose_sign(omega.M, omega.M.T, config.modular_tol)[0]
 
 
 class ModularReport(NamedTuple):
@@ -142,7 +141,7 @@ class ModularReport(NamedTuple):
     schmidt: SchmidtData
 
 
-def modular_data(omega: BipartiteVector, config: Config | None = None) -> ModularReport:
+def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularReport:
     """Modular operators of the left algebra, checked on the facts they rest on.
 
     The residuals of (I), (R), (E) and (P) of the module docstring, in that
@@ -153,12 +152,11 @@ def modular_data(omega: BipartiteVector, config: Config | None = None) -> Modula
     ``modular_tol`` too. The two are compared only when both are read (one
     alone is a legitimate answer), and then must agree.
     """
-    cfg = resolve(config)
-    sch = schmidt(omega, config=cfg)
+    sch = schmidt(omega, config=config)
     r = sch.support_dim
     xi, z = sch.left, sch.right
     dvec = np.sqrt(sch.lam)
-    root = psd_power(omega.M @ omega.M.conj().T, 0.5, cfg)
+    root = psd_power(omega.M @ omega.M.conj().T, 0.5, config)
     residuals = {
         "left_isometry": frob(xi.conj().T @ xi - np.eye(r)),
         "right_isometry": frob(z.conj().T @ z - np.eye(r)),
@@ -167,16 +165,16 @@ def modular_data(omega: BipartiteVector, config: Config | None = None) -> Modula
         "polar": frob(root @ sch.u.T - omega.M),
     }
     for value in residuals.values():
-        within(value, cfg.modular_tol, Inconclusive, "modular identities exceed tolerance",
+        within(value, config.modular_tol, Inconclusive, "modular identities exceed tolerance",
                **residuals)
 
     support_match = frob(xi - z @ z.conj().T @ xi)
     kappa: int | None = None
-    if support_match <= cfg.modular_tol:
+    if support_match <= config.modular_tol:
         g = z.conj().T @ xi
-        kappa = transpose_sign(g @ g.conj(), np.eye(r), cfg.modular_tol * max(1.0, r ** 0.5))[0]
+        kappa = transpose_sign(g @ g.conj(), np.eye(r), config.modular_tol * max(1.0, r ** 0.5))[0]
 
-    sigma = swap_sign(omega, config=cfg)
+    sigma = swap_sign(omega, config=config)
     if kappa is not None and sigma is not None and kappa != sigma:
         raise Inconclusive(
             "antiunitary square and swap sign disagree",

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, finite_array, is_int, resolve
+from .config import DEFAULT, Config, finite_array, is_int
 from .errors import (
     ConvergenceFailure,
     Inconclusive,
@@ -116,11 +116,10 @@ def channel_residual(t: MpsTuple) -> float:
     return t._channel_residual
 
 
-def require_normalized(t: MpsTuple, config: Config | None = None) -> None:
-    cfg = resolve(config)
+def require_normalized(t: MpsTuple, config: Config = DEFAULT) -> None:
     r = channel_residual(t)
     # small slack over eps_norm: blocked tuples accumulate a few ulps per site
-    within(r, 10 * cfg.eps_norm, NormalizationBroken,
+    within(r, 10 * config.eps_norm, NormalizationBroken,
            "tuple does not satisfy the channel condition", residual=r)
 
 
@@ -179,7 +178,7 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
     return r, x, res, _positive_definite(_eigh(x), refusal, message, cfg)
 
 
-def normalize(raw, config: Config | None = None) -> MpsTuple:
+def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     """Rescale a raw tuple into channel form.
 
     Leaves an already-normalized tuple untouched. Otherwise scales the
@@ -188,16 +187,15 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
     transfer map at its spectral radius ``r`` (:func:`_positive_fixed_point`,
     else :class:`NotNormalizable`) and returns ``r**-0.5 e**-0.5 v_mu e**0.5``.
     """
-    cfg = resolve(config)
     t = as_mps(raw)
-    if channel_residual(t) <= cfg.eps_norm:
+    if channel_residual(t) <= config.eps_norm:
         return t
 
     parts = t.v.view(float)
     t = MpsTuple(v=np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex),
                  reflect_perm=t.reflect_perm)
     r, _, _, sys = _positive_fixed_point(_real_transfer(t), t.k, NotNormalizable,
-                                         "dominant fixed point is not positive definite", cfg)
+                                         "dominant fixed point is not positive definite", config)
     root = (sys.vectors * np.sqrt(sys.values)) @ sys.vectors.conj().T
     root_inv = (sys.vectors * (1.0 / np.sqrt(sys.values))) @ sys.vectors.conj().T
     out = MpsTuple(  # built from a validated tuple; a NaN fails the residual check
@@ -205,7 +203,7 @@ def normalize(raw, config: Config | None = None) -> MpsTuple:
         reflect_perm=None if t.reflect_perm is None else t.reflect_perm.copy(),
     )
     res = channel_residual(out)
-    within(res, cfg.eps_norm, ConvergenceFailure,
+    within(res, config.eps_norm, ConvergenceFailure,
            "normalization residual above tolerance after rescaling", residual=res)
     return out
 
@@ -251,7 +249,7 @@ def _word_space_step(v: np.ndarray, basis: np.ndarray, rank_tol: float) -> np.nd
     return vh[:rank]
 
 
-def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertificate:
+def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate:
     """Dual-route primitivity certificate, spectral route first.
 
     The spectral route is :func:`invariant_state`: it demands a unique
@@ -267,36 +265,35 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
     spaces cycle with its period, which is at most k, instead of stalling.
     A span still short of the full algebra at length k^4 is also
     conclusively not primitive, by the quantum Wielandt bound (Sanz,
-    Perez-Garcia, Wolf, Cirac, IEEE TIT 56, 4668, 2010), so the search stops
-    there even when ``l_max`` is larger. Every :class:`Inconclusive` it
-    raises (the two peripheral counts differ, ``l_max`` cuts the search
-    short, or the routes disagree) carries ``peripheral_count`` and
-    ``spectral_gap`` from the spectral route.
+    Perez-Garcia, Wolf, Cirac, IEEE TIT 56, 4668, 2010), so the search always
+    ends in a verdict, at k^4 at the latest. Both :class:`Inconclusive`
+    refusals it raises (the two peripheral counts differ, or the routes
+    disagree) carry ``peripheral_count`` and ``spectral_gap`` from the
+    spectral route.
     """
-    cfg = resolve(config)
-    require_normalized(t, cfg)
+    require_normalized(t, config)
     try:
-        spectral_ok, periph, gap = True, 1, invariant_state(t, cfg).spectral_gap
+        spectral_ok, periph, gap = True, 1, invariant_state(t, config).spectral_gap
     except (NotPrimitive, NotFaithful) as exc:
         # a singular state comes after a simple peripheral eigenvalue
         spectral_ok, gap = False, exc.payload["spectral_gap"]
         periph = exc.payload.get("peripheral_count", 1)
     spectrum = {"peripheral_count": periph, "spectral_gap": gap}
     # cross-check the peripheral window against the eigenmatrix route
-    pairs = peripheral_eigs(_real_transfer(t), cfg)
+    pairs = peripheral_eigs(_real_transfer(t), config)
     if len(pairs) != periph:
         raise Inconclusive("peripheral eigenvalue counts disagree between routes",
                            **spectrum, from_eigenmatrices=len(pairs))
     k = t.k
-    cap = k ** 4 if cfg.l_max is None else min(cfg.l_max, k ** 4)
     full = k * k
+    # not primitive unless the span fills: by quantum Wielandt a primitive
+    # tuple's words of length (k^2 - d' + 1) k^2 <= k^4 span M_k
+    # (d' = dim span{v_mu} >= 1)
     inj: int | None = None
-    verdict: bool | None = None
+    verdict = False
     spans = deque([np.eye(k, dtype=complex).reshape(1, full) / np.sqrt(k)], maxlen=k)
-    length = 0
-    while length < cap:
-        nxt = _word_space_step(t.v, spans[-1], cfg.rank_tol)
-        length += 1
+    for length in range(1, k ** 4 + 1):
+        nxt = _word_space_step(t.v, spans[-1], config.rank_tol)
         if nxt.shape[0] == full:
             inj, verdict = length, True
             break
@@ -304,21 +301,8 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
         # span never fills: a stall (p = 1) or a cycle of period p
         if any(np.abs(nxt - (nxt @ b.conj().T) @ b).max(initial=0.0) <= 1e-10
                for b in reversed(spans)):
-            verdict = False
             break
         spans.append(nxt)
-    if verdict is None and length == k ** 4:
-        # quantum Wielandt: a primitive tuple's words of length
-        # (k^2 - d' + 1) k^2 <= k^4 span M_k (d' = dim span{v_mu} >= 1)
-        verdict = False
-    if verdict is None:
-        raise Inconclusive(
-            "word-space search hit the length cap without a verdict",
-            l_max=cap,
-            last_dimension=int(spans[-1].shape[0]),
-            full_dimension=full,
-            **spectrum,
-        )
     if spectral_ok != verdict:
         raise Inconclusive(
             "word-space and spectral primitivity certificates disagree",
@@ -328,7 +312,7 @@ def primitivity(t: MpsTuple, config: Config | None = None) -> PrimitivityCertifi
             injectivity_length=inj,
         )
     return PrimitivityCertificate(
-        is_primitive=bool(verdict),
+        is_primitive=verdict,
         injectivity_length=inj,
         **spectrum,
     )
@@ -341,7 +325,7 @@ class InvariantState(NamedTuple):
     spectral_gap: float
 
 
-def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState:
+def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
     """Faithful invariant state of a primitive tuple's adjoint channel.
 
     The spectral primitivity route: a unique peripheral transfer eigenvalue
@@ -352,9 +336,8 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with E(1) =
     sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel residual.
     """
-    cfg = resolve(config)
-    require_normalized(t, cfg)
-    on, gap = peripheral_window(transfer_spectrum(t), cfg)
+    require_normalized(t, config)
+    on, gap = peripheral_window(transfer_spectrum(t), config)
     periph = int(on.sum())
     if periph != 1:
         raise NotPrimitive(
@@ -365,11 +348,11 @@ def invariant_state(t: MpsTuple, config: Config | None = None) -> InvariantState
     try:
         r, x, res, sys = _positive_fixed_point(
             _real_transfer(t).T, t.k, NotFaithful,
-            "invariant state is singular within tolerance", cfg)
+            "invariant state is singular within tolerance", config)
     except NotFaithful as exc:
         exc.payload["spectral_gap"] = gap
         raise
-    for value, tol in ((abs(r - 1.0), 10 * cfg.eps_norm), (res, 1e-8)):
+    for value, tol in ((abs(r - 1.0), 10 * config.eps_norm), (res, 1e-8)):
         within(value, tol, ConvergenceFailure, "invariant state residual above tolerance",
                spectral_radius=r, residual=res, spectral_gap=gap)
     tr = float(np.trace(x).real)
@@ -413,7 +396,7 @@ class Marginal(NamedTuple):
 
 
 def marginal(t: MpsTuple, rho: np.ndarray, l: int,
-             config: Config | None = None) -> Marginal:
+             config: Config = DEFAULT) -> Marginal:
     """l-site reduced state as a word factor, entries Tr(rho V_mu V_nu^dagger).
 
     With ``rho = L L^dagger`` (Cholesky) the marginal is the Gram matrix
@@ -425,10 +408,9 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     advances it by QR
     (:func:`spt_z2.reflection._marginal_reversal_residual`).
     """
-    cfg = resolve(config)
     if not (is_int(l) and l >= 1):
         raise InvalidInput("marginal needs an integer l >= 1", l=l)
-    _word_count(t.d, l, cfg.dense_cap, WindowTooLarge, "marginal dimension")
+    _word_count(t.d, l, config.dense_cap, WindowTooLarge, "marginal dimension")
     rho = finite_array(rho, "state")
     if rho.shape != (t.k, t.k):
         raise InvalidInput("state must be a k x k matrix", shape=list(rho.shape), k=t.k)
@@ -438,8 +420,8 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
         raise NotFaithful("state is not positive definite; no Cholesky factor",
                           l=l) from exc
     phi = _append_letters(chol.conj().T.reshape(1, t.k * t.k), t.v, l)
-    evals = _checked_gram_spectrum(phi, l, cfg)
-    rank = int(np.sum(evals > cfg.rank_tol * max(float(evals.max()), 1e-300)))
+    evals = _checked_gram_spectrum(phi, l, config)
+    rank = int(np.sum(evals > config.rank_tol * max(float(evals.max()), 1e-300)))
     return Marginal(l=l, root=chol, factor=phi, rank=rank)
 
 
@@ -474,7 +456,7 @@ def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
     return evals
 
 
-def block(t: MpsTuple, b: int, config: Config | None = None) -> MpsTuple:
+def block(t: MpsTuple, b: int, config: Config = DEFAULT) -> MpsTuple:
     """Group b consecutive sites into one, composing the reflection involution.
 
     The blocked alphabet is big-endian words of length b. Reflection of the
@@ -482,14 +464,13 @@ def block(t: MpsTuple, b: int, config: Config | None = None) -> MpsTuple:
     sends the word (mu_0..mu_{b-1}) to (pi(mu_{b-1})..pi(mu_0)) where pi is
     the old involution. Blocking preserves the channel condition exactly.
     """
-    cfg = resolve(config)
     if not (is_int(b) and b >= 1):
         raise InvalidInput("block size must be an integer of at least 1", b=b)
     if b == 1:
         return t
-    require_normalized(t, cfg)
-    _word_count(t.d, b, cfg.dense_cap, WindowTooLarge, "blocked alphabet")
+    require_normalized(t, config)
+    _word_count(t.d, b, config.dense_cap, WindowTooLarge, "blocked alphabet")
     out = MpsTuple(v=_append_letters(t.v.reshape(t.d, -1), t.v, b - 1).reshape(-1, t.k, t.k),
                    reflect_perm=reverse_word_index(t.d, b, t.perm()))
-    require_normalized(out, cfg)
+    require_normalized(out, config)
     return out

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, resolve
+from .config import DEFAULT, Config
 from .errors import (
     AmbiguousSymmetry,
     Inconclusive,
@@ -75,7 +75,7 @@ class ReflectedTuple(NamedTuple):
 
 
 def reflected_tuple(t: MpsTuple, rho: np.ndarray,
-                    config: Config | None = None) -> ReflectedTuple:
+                    config: Config = DEFAULT) -> ReflectedTuple:
     """The eigenbasis of rho in which U is classified; NotFaithful if rho is singular.
 
     The reflected tuple itself is :func:`_transposed`, which gives ``t`` back
@@ -94,7 +94,7 @@ class GaugeSolution(NamedTuple):
     mixed_radius: float
 
 
-def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> GaugeSolution:
+def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolution:
     """Gauge X and phase with ``X s_mu^dagger = phase * t_mu^dagger X``, if the states match.
 
     X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger; ``t``
@@ -110,16 +110,15 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config | None = None) -> Gauge
     Unlike the transfer map, G is decomposed in complex arithmetic, for the
     reason the docstring of :mod:`spt_z2.linalg` gives.
     """
-    cfg = resolve(config)
     if t.d != s.d or t.k != s.k:
         raise InvalidInput("tuples must share (d, k)",
                            left=[t.d, t.k], right=[s.d, s.k])
-    require_normalized(t, cfg)
+    require_normalized(t, config)
     w, vs = np.linalg.eig(kraus_superop(t.v, s.v))
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])
     radius = abs(lam)
-    within(1.0 - radius, cfg.peripheral_tol, NotSameState,
+    within(1.0 - radius, config.peripheral_tol, NotSameState,
            "dominant mixed transfer eigenvalue below 1; different states",
            mixed_radius=radius)
     x = unvec(vs[:, i0], t.k)
@@ -222,11 +221,10 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
     return inv, refl, evidence, gauge
 
 
-def reflection_invariant(raw, config: Config | None = None) -> ReflectionEvidence:
+def reflection_invariant(raw, config: Config = DEFAULT) -> ReflectionEvidence:
     """Dual-route reflection test of the state generated by a primitive tuple."""
-    cfg = resolve(config)
-    t = normalize(raw, cfg)
-    return _certify(t, primitivity(t, config=cfg), cfg)[2]
+    t = normalize(raw, config)
+    return _certify(t, primitivity(t, config=config), config)[2]
 
 
 class IndexCertificates(NamedTuple):
@@ -251,7 +249,7 @@ class IndexReport(NamedTuple):
     k: int
 
 
-def z2_index(raw, config: Config | None = None) -> IndexReport:
+def z2_index(raw, config: Config = DEFAULT) -> IndexReport:
     """Full pipeline: normalize, certify, solve the gauge, classify U.
 
     ``U`` is reported in the eigenbasis of the invariant state (descending
@@ -259,10 +257,9 @@ def z2_index(raw, config: Config | None = None) -> IndexReport:
     index is +1 for symmetric, -1 for antisymmetric; anything in between at
     tolerance ``eps_index`` raises :class:`AmbiguousSymmetry`.
     """
-    cfg = resolve(config)
-    t = normalize(raw, cfg)
-    cert = primitivity(t, config=cfg)
-    return _classify(t, cert, *_certify(t, cert, cfg), cfg)
+    t = normalize(raw, config)
+    cert = primitivity(t, config=config)
+    return _classify(t, cert, *_certify(t, cert, config), config)
 
 
 def _classify(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import Config, is_finite_real, is_int, resolve
+from .config import DEFAULT, Config, is_finite_real, is_int
 from .errors import ResourceLimit, SptError, UnknownModel
 from .mps import normalize, primitivity
 from .reflection import _certify, _classify
@@ -162,9 +162,9 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     return FamilySpec(name=name, s0=float(s0), s1=float(s1), grid=grid, generator=generator)
 
 
-def check_grid(spec: FamilySpec, config: Config | None = None) -> None:
+def check_grid(spec: FamilySpec, config: Config = DEFAULT) -> None:
     """Refuse a grid of more than ``scan_cap`` points as :class:`ResourceLimit`."""
-    cap = resolve(config).scan_cap
+    cap = config.scan_cap
     if spec.grid > cap:
         raise ResourceLimit("scan grid exceeds the point cap", grid=spec.grid, cap=cap)
 
@@ -207,7 +207,7 @@ def _scan_point(spec: FamilySpec, s: float, cfg: Config) -> ScanPoint:
                      status=status, error=error)
 
 
-def scan(spec: FamilySpec, config: Config | None = None) -> ScanReport:
+def scan(spec: FamilySpec, config: Config = DEFAULT) -> ScanReport:
     """Evaluate the index across the family grid, one point after another.
 
     Each point runs the index's stages itself, and no point aborts the scan:
@@ -224,10 +224,9 @@ def scan(spec: FamilySpec, config: Config | None = None) -> ScanReport:
     point has the same index.
     A grid above ``scan_cap`` is refused before any point runs.
     """
-    cfg = resolve(config)
-    check_grid(spec, cfg)
+    check_grid(spec, config)
     values = np.linspace(spec.s0, spec.s1, spec.grid)
-    points = [_scan_point(spec, float(s), cfg) for s in values]
+    points = [_scan_point(spec, float(s), config) for s in values]
     first_failure = next((p.s for p in points if p.zeta is None), None)
     constant = first_failure is None and len({p.zeta for p in points}) == 1
     return ScanReport(points=points, constant_index=constant,

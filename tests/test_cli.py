@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -125,8 +127,10 @@ def test_modular_zero_vector(tmp_path):
 
 
 def test_index_inconclusive_with_tiny_cap():
-    code, env = run(["index", "--model", "aklt", "--l-max", "1"])
+    # a negative reversal tolerance fails the marginal route while the gauge route holds
+    code, env = run(["index", "--model", "aklt", "--refl-marginal-tol", "-1"])
     assert code == 6 and env["status"] == "inconclusive"
+    assert env["result"]["message"] == "gauge and marginal reflection certificates disagree"
 
 
 def test_index_periodic_not_primitive(tmp_path):
@@ -600,7 +604,7 @@ def test_bad_config_file_is_io_error(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("data", [{"eps_norm": "x"}, {"eps_herm": True},
                                   {"dense_cap": 2.5}, {"scan_cap": None},
-                                  {"l_max": 1.5}])
+                                  {"kernel_tol": None}])
 def test_config_values_are_type_checked(monkeypatch, tmp_path, data):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data))
@@ -608,9 +612,34 @@ def test_config_values_are_type_checked(monkeypatch, tmp_path, data):
     code, env = run(["index", "--model", "aklt"])
     assert code == 1 and env["status"] == "io_error"
     assert env["result"]["key"] == next(iter(data))
-    # integers are numbers, and l_max may be null
-    assert sz.Config.from_dict({"eps_norm": 1, "l_max": None, "dense_cap": 64}) == \
-        sz.Config(eps_norm=1, l_max=None, dense_cap=64)
+    # integers are numbers, and no setting may be null
+    assert sz.Config.from_dict({"eps_norm": 1, "dense_cap": 64}) == \
+        sz.Config(eps_norm=1, dense_cap=64)
+
+
+def _public_functions():
+    """Every public function defined in a module of the package."""
+    found = set()
+    for info in pkgutil.iter_modules(sz.__path__):
+        module = importlib.import_module(f"spt_z2.{info.name}")
+        found |= {value for name, value in vars(module).items()
+                  if inspect.isfunction(value) and value.__module__ == module.__name__
+                  and not name.startswith("_")}
+    return found
+
+
+def test_no_setting_is_none():
+    # every setting is a plain number: no None that means "work it out"
+    for field in dataclasses.fields(sz.Config):
+        assert field.type in ("float", "int"), field.name
+        assert type(field.default) is {"float": float, "int": int}[field.type], field.name
+    # every public operation that takes config shares one frozen default, the
+    # 19 that spt_z2 exports among them
+    takers = {fn for fn in _public_functions() if "config" in inspect.signature(fn).parameters}
+    for fn in takers:
+        assert inspect.signature(fn).parameters["config"].default is sz.DEFAULT, fn.__qualname__
+    exported = {value for value in map(sz.__dict__.get, sz.__all__) if inspect.isfunction(value)}
+    assert (len(takers), len(takers & exported)) == (24, 19)
 
 
 def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
@@ -625,13 +654,15 @@ def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("argv", [["--seed", "0"], ["--panel-size", "16"],
                                   ["--swap-tol", "1e-8"], ["--mixed-tol", "1e-6"],
-                                  ["--marginal-cap", "4096"], ["--ed-cap", "4096"]],
+                                  ["--marginal-cap", "4096"], ["--ed-cap", "4096"],
+                                  ["--l-max", "1"]],
                          ids=["seed", "panel-size", "swap-tol", "mixed-tol", "marginal-cap",
-                              "ed-cap"])
+                              "ed-cap", "l-max"])
 def test_panel_settings_are_gone(monkeypatch, tmp_path, argv):
     # modular_data checks its generators, not a seeded panel of draws; sigma's
     # sign miss is judged at modular_tol and the same-state test at peripheral_tol;
-    # dense_cap bounds every dense multi-site space, the chain included
+    # dense_cap bounds every dense multi-site space, the chain included; the
+    # word-space search always runs to its verdict, at k**4 at the latest
     monkeypatch.delenv(ENV_VAR, raising=False)
     code, env = run(["modular", "--from-index", "aklt", *argv])
     assert code == 1 and env["result"]["error"] == "UsageError"
@@ -933,7 +964,7 @@ def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, arg
 
 @pytest.mark.parametrize("key,value", [("eps_index", float("nan")), ("modular_tol", float("inf")),
                                        ("peripheral_tol", 0.7), ("peripheral_tol", 0.0),
-                                       ("l_max", 0), ("scan_cap", 0), ("scan_cap", 2 ** 63),
+                                       ("dense_cap", 0), ("scan_cap", 0), ("scan_cap", 2 ** 63),
                                        ("kernel_tol", float("nan")), ("kernel_tol", float("inf"))])
 def test_config_values_are_range_checked(monkeypatch, tmp_path, key, value):
     """Config's one check refuses the value from a flag, a file, the environment and a caller."""

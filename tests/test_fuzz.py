@@ -87,7 +87,7 @@ VALID = {
                                                / np.sqrt(2.0))},
     "spec": {"model": "deformed-aklt", "s0": 0.0, "s1": 1.0, "grid": 3},
     "config": {"eps_norm": 1e-9, "peripheral_tol": 1e-6, "scan_cap": 4,
-               "dense_cap": 4096, "l_max": 16},
+               "dense_cap": 4096, "kernel_tol": 1e-8},
 }
 FILE_SCHEMA = {"tuple": _validator("tuple"), "vector": _validator("vector"),
                "spec": _validator("family")}
@@ -101,13 +101,13 @@ ARGV = {
 
 # the README's rules for the fields of the valid config file
 CONFIG_RULES = {"eps_norm": "number", "peripheral_tol": "(0, 0.5)", "scan_cap": "int",
-                "dense_cap": "int", "l_max": "int or null"}
+                "dense_cap": "int", "kernel_tol": "number"}
 
 
 def _legal_config_value(rule, value) -> bool:
-    if value is None or type(value) not in (int, float):
-        return value is None and rule == "int or null"
-    if rule.startswith("int"):
+    if type(value) not in (int, float):
+        return False
+    if rule == "int":
         return type(value) is int and 1 <= value < 2 ** 63
     try:
         value = float(value)

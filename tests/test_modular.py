@@ -168,7 +168,7 @@ def test_broken_generator_is_refused(monkeypatch, rng, what):
     omega = random_bipartite(rng, 3, symmetry="antisym")
     real = modular.schmidt
     monkeypatch.setattr(modular, "schmidt",
-                        lambda om, config=None: _tampered(real(om, config), om, what))
+                        lambda om, config=sz.DEFAULT: _tampered(real(om, config), om, what))
     with pytest.raises(sz.Inconclusive) as info:
         sz.modular_data(omega)
     payload = info.value.payload

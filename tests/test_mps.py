@@ -266,21 +266,32 @@ def test_primitivity_blocked_aklt(aklt):
     assert abs(cert.spectral_gap - 8 / 9) < 1e-10
 
 
-def test_primitivity_length_cap(aklt):
-    with pytest.raises(sz.Inconclusive):
-        sz.primitivity(aklt, config=sz.Config(l_max=1))
-
-
-def test_primitivity_length_cap_reports_the_spectrum():
-    # the spectral route runs before the word-space search, so the cap's refusal has it
+def test_primitivity_refuses_disagreeing_peripheral_counts(monkeypatch):
+    # the eigenmatrix route finds no peripheral eigenvalue where the spectral route finds one
+    monkeypatch.setattr(mps, "peripheral_eigs", lambda *a, **kw: [])
     t = sz.normalize(sz.zoo("deformed-aklt:0.5"))
     with pytest.raises(sz.Inconclusive) as info:
-        sz.primitivity(t, config=sz.Config(l_max=1))
+        sz.primitivity(t)
+    assert info.value.message == "peripheral eigenvalue counts disagree between routes"
     payload = info.value.payload
-    assert payload["peripheral_count"] == 1
+    assert list(payload) == ["peripheral_count", "spectral_gap", "from_eigenmatrices"]
+    assert (payload["peripheral_count"], payload["from_eigenmatrices"]) == (1, 0)
     assert abs(payload["spectral_gap"] - 0.5) < 1e-12
-    assert list(payload) == ["l_max", "last_dimension", "full_dimension", "peripheral_count",
-                             "spectral_gap"]
+
+
+def test_primitivity_refuses_disagreeing_routes(monkeypatch, aklt):
+    # a singular invariant state after a simple peripheral eigenvalue: the spectral
+    # route says not primitive, the word space fills at length 2
+    def singular(*a, **kw):
+        raise sz.NotFaithful("invariant state is singular within tolerance", spectral_gap=2 / 3)
+    monkeypatch.setattr(mps, "invariant_state", singular)
+    with pytest.raises(sz.Inconclusive) as info:
+        sz.primitivity(aklt)
+    assert info.value.message == "word-space and spectral primitivity certificates disagree"
+    payload = info.value.payload
+    assert (payload["word_space_primitive"], payload["spectral_primitive"]) == (True, False)
+    assert (payload["peripheral_count"], payload["spectral_gap"]) == (1, 2 / 3)
+    assert payload["injectivity_length"] == 2
 
 
 def test_primitivity_periodic_tuple_not_primitive():
@@ -293,8 +304,6 @@ def test_primitivity_periodic_tuple_not_primitive():
     assert cert.peripheral_count == 2
     with pytest.raises(sz.NotPrimitive):
         sz.z2_index(raw)
-    cert = sz.primitivity(sz.normalize(raw), config=sz.Config(l_max=3))
-    assert not cert.is_primitive
 
 
 def rotation_tuple(k):
@@ -324,13 +333,6 @@ def test_primitivity_wielandt_stop(monkeypatch, k):
     assert len(calls) == k ** 4
     with pytest.raises(sz.NotPrimitive):
         sz.z2_index(rotation_tuple(k))
-
-
-def test_primitivity_caps_l_max_at_the_wielandt_length(monkeypatch):
-    calls = count_word_space_steps(monkeypatch)
-    cert = sz.primitivity(sz.normalize(rotation_tuple(2)), config=sz.Config(l_max=2000))
-    assert not cert.is_primitive
-    assert len(calls) == 16
 
 
 @pytest.mark.parametrize("case", [*((d, k, seed) for d in (2, 3) for k in (2, 3)

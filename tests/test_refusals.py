@@ -226,20 +226,36 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
 
 
 @pytest.mark.parametrize("matrix", [[[1, 2], [3]], "x", [[1, None], [None, 1]], [1.0, 2.0],
-                                    np.ones((2, 3)), [[10 ** 400, 0], [0, 1]]],
-                         ids=["ragged", "text", "none", "1-d", "non-square", "overlarge"])
+                                    np.ones((2, 3)), [[10 ** 400, 0], [0, 1]], 1.0,
+                                    np.zeros((0, 0)), np.ones((2, 2, 2))],
+                         ids=["ragged", "text", "none", "1-d", "non-square", "overlarge",
+                              "scalar", "empty", "3-d"])
 @pytest.mark.parametrize("call", [
     lambda aklt, h: sz.herm_eig(h),
     lambda aklt, h: herm_eigvals(h),
     lambda aklt, h: pos_def_eig(h, sz.NotFaithful, "singular"),
     lambda aklt, h: psd_power(h, 0.5),
     lambda aklt, h: sz.reflected_tuple(aklt, h),
-], ids=["herm_eig", "herm_eigvals", "pos_def_eig", "psd_power", "reflected_tuple"])
+    lambda aklt, h: sz.ed_report(h),
+    lambda aklt, h: sz.polar_unitary(h),
+    lambda aklt, h: sz.peripheral_eigs(h),
+], ids=["herm_eig", "herm_eigvals", "pos_def_eig", "psd_power", "reflected_tuple", "ed_report",
+        "polar_unitary", "peripheral_eigs"])
 def test_unusable_matrix_is_invalid_input(call, matrix, aklt):
+    # one rule, config.square_array: a 2-d, square, nonempty numeric array
     with pytest.raises(sz.SptError) as info:
         call(aklt, matrix)
     assert type(info.value) is sz.InvalidInput
     assert info.value.message.startswith("matrix ")
+
+
+@pytest.mark.parametrize("call", [sz.polar_unitary, sz.peripheral_eigs],
+                         ids=["polar_unitary", "peripheral_eigs"])
+def test_non_finite_matrix_is_invalid_input_outside_the_hermitian_solvers(call):
+    with pytest.raises(sz.SptError) as info:
+        call(NAN_MATRIX)
+    assert type(info.value) is sz.InvalidInput
+    assert info.value.message == "matrix entries must be finite"
 
 
 def test_overflowing_marginal_is_a_typed_refusal():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
+from spt_z2 import mps
 from spt_z2.linalg import frob
 from spt_z2.mps import channel_residual
 
@@ -188,12 +189,15 @@ def test_scan_records_status_and_keeps_going(aklt):
     assert not rep.constant_index
 
 
-def test_scan_inconclusive_points():
-    rep = sz.scan(sz.family("deformed-aklt", grid=3), sz.Config(l_max=1))
+def test_scan_inconclusive_points(monkeypatch):
+    # no peripheral eigenmatrix: the two peripheral counts disagree at every point
+    monkeypatch.setattr(mps, "peripheral_eigs", lambda *a, **kw: [])
+    rep = sz.scan(sz.family("deformed-aklt", grid=3))
     for p in rep.points:
         assert p.status == "inconclusive" and p.error == "Inconclusive"
         assert not p.primitive and p.zeta is None
         assert p.transfer_gap is not None
+    assert np.allclose([p.transfer_gap for p in rep.points], [2 / 3, 1 / 2, 1 / 3], atol=1e-9)
     assert rep.first_failure == 0.0
 
 
