@@ -22,7 +22,9 @@ result, a nonempty square matrix, for the matrix entry points of
 :mod:`spt_z2.linalg` and ``ed_report``; the Hermitian solvers refuse a
 non-finite entry as ``NotHermitian``) and :func:`finite_array` (its result,
 with finite entries, as a C-contiguous complex array); tuple, vector and
-family files hold no null. Refusals are :class:`InvalidInput` (``family``:
+family files hold no null. Every public operation that takes ``config``
+passes it to :func:`require_config` first, which refuses anything but a
+``Config``. Refusals are :class:`InvalidInput` (``family``:
 ``UnknownModel``).
 A representable but huge cap is still unbounded work.
 
@@ -188,3 +190,10 @@ class Config:
 
 DEFAULT = Config()
 
+
+def require_config(value) -> None:
+    """Refuse a ``config`` argument that is not a :class:`Config` (None, a dict
+    of settings, a file name) as InvalidInput with ``key="config"``."""
+    if not isinstance(value, Config):
+        raise InvalidInput("config must be a Config", key="config",
+                           got=type(value).__name__)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, is_int, square_array
+from .config import DEFAULT, Config, is_int, require_config, square_array
 from .errors import DimensionCap, InvalidInput, WindowTooLarge
 from .linalg import frob, herm_eigvals, real_if_exact
 from .mps import MpsTuple, _append_letters, _word_count, primitivity, reverse_word_index
@@ -56,6 +56,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     a shorter one still gives a frustration-free interaction, but its chain
     kernel can exceed the boundary-state count, which sets ``range_warning``.
     """
+    require_config(config)
     cert = primitivity(t, config=config)
     cert.require_primitive()
     if m is None:
@@ -110,6 +111,7 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     other way is summed as it is; :func:`ed_report` then symmetrizes or
     refuses it.
     """
+    require_config(config)
     d, m = hint.d, hint.m
     if boundary not in ("open", "periodic"):
         raise InvalidInput("boundary must be open or periodic", boundary=boundary)
@@ -144,6 +146,7 @@ def ed_report(h_total: np.ndarray, config: Config = DEFAULT) -> EdReport:
     lowest eigenvalue (any negative value, for a frustration-free chain) the
     kernel is empty and the gap is the lowest eigenvalue.
     """
+    require_config(config)
     h_arr = square_array(h_total)
     if h_arr.shape[0] > config.dense_cap:
         raise DimensionCap("matrix exceeds the dense diagonalization cap",

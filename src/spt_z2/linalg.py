@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, finite_array, square_array
+from .config import DEFAULT, Config, finite_array, require_config, square_array
 from .errors import InvalidInput, NotHermitian, RankDeficient, SptError, within
 
 
@@ -240,6 +240,7 @@ def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
     input is diagonalized as it is, with no symmetrized copy. Makes one
     ``eigh`` call; the phase fix waits for the first read of ``vectors``.
     """
+    require_config(config)
     return _eigh(_symmetrized(square_array(h).astype(complex, copy=False), config))
 
 
@@ -257,6 +258,7 @@ def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
 def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
                 config: Config = DEFAULT) -> HermEig:
     """:func:`herm_eig` of a matrix that must pass :func:`_positive_definite`."""
+    require_config(config)
     return _positive_definite(herm_eig(h, config), refusal, message, config)
 
 
@@ -274,6 +276,7 @@ def herm_eigvals(h: np.ndarray, config: Config = DEFAULT) -> np.ndarray:
     to ``eigvalsh`` as it is, so at most two d x d matrices are alive at
     once: the input, and the check buffer or, after it, LAPACK's copy.
     """
+    require_config(config)
     hh = _symmetrized(real_if_exact(square_array(h)), config)
     return np.linalg.eigvalsh(hh)
 
@@ -290,6 +293,7 @@ def peripheral_window(values: np.ndarray,
     r is the spectral radius; the gap is r minus the largest modulus outside
     the window; :func:`spt_z2.reflection.gauge_solve` applies it at r = 1.
     """
+    require_config(config)
     mods = np.abs(values)
     r = float(mods.max(initial=0.0))
     on = mods >= r - config.peripheral_tol * r
@@ -306,6 +310,7 @@ def peripheral_eigs(mat: np.ndarray,
     ``mat``, such as a :func:`hermitian_real` matrix, is decomposed in real
     arithmetic, with no copy; a non-finite entry is :class:`InvalidInput`.
     """
+    require_config(config)
     mat = square_array(mat)
     if not np.isfinite(mat).all():
         raise InvalidInput("matrix entries must be finite")
@@ -325,6 +330,7 @@ def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.nda
     powers they contribute nothing. Negative eigenvalues beyond that window
     are rejected.
     """
+    require_config(config)
     sys = herm_eig(rho, config)
     w, u = sys.values, sys.vectors
     top = float(w.max(initial=0.0))

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, finite_array
+from .config import DEFAULT, Config, finite_array, require_config
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
@@ -103,6 +103,7 @@ def schmidt(omega: BipartiteVector, config: Config = DEFAULT) -> SchmidtData:
     compensating factor, which keeps M = Xi diag(s) Z^T exact. The
     reconstruction residual is judged against ``modular_tol``.
     """
+    require_config(config)
     mat = omega.M
     xi_full, s, vh = np.linalg.svd(mat)
     if s[0] <= 0:
@@ -129,6 +130,7 @@ def swap_sign(omega: BipartiteVector, config: Config = DEFAULT) -> int | None:
     smaller of ``||M - M^T||_F`` and ``||M + M^T||_F`` names it, and it holds
     only when that miss is at most ``modular_tol``, which also bounds kappa's.
     """
+    require_config(config)
     return transpose_sign(omega.M, omega.M.T, config.modular_tol)[0]
 
 
@@ -152,6 +154,7 @@ def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularRep
     ``modular_tol`` too. The two are compared only when both are read (one
     alone is a legitimate answer), and then must agree.
     """
+    require_config(config)
     sch = schmidt(omega, config=config)
     r = sch.support_dim
     xi, z = sch.left, sch.right

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, finite_array, is_int
+from .config import DEFAULT, Config, finite_array, is_int, require_config
 from .errors import (
     ConvergenceFailure,
     Inconclusive,
@@ -117,6 +117,7 @@ def channel_residual(t: MpsTuple) -> float:
 
 
 def require_normalized(t: MpsTuple, config: Config = DEFAULT) -> None:
+    require_config(config)
     r = channel_residual(t)
     # small slack over eps_norm: blocked tuples accumulate a few ulps per site
     within(r, 10 * config.eps_norm, NormalizationBroken,
@@ -187,6 +188,7 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     transfer map at its spectral radius ``r`` (:func:`_positive_fixed_point`,
     else :class:`NotNormalizable`) and returns ``r**-0.5 e**-0.5 v_mu e**0.5``.
     """
+    require_config(config)
     t = as_mps(raw)
     if channel_residual(t) <= config.eps_norm:
         return t
@@ -271,6 +273,7 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
     disagree) carry ``peripheral_count`` and ``spectral_gap`` from the
     spectral route.
     """
+    require_config(config)
     require_normalized(t, config)
     try:
         spectral_ok, periph, gap = True, 1, invariant_state(t, config).spectral_gap
@@ -336,6 +339,7 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
     for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with E(1) =
     sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel residual.
     """
+    require_config(config)
     require_normalized(t, config)
     on, gap = peripheral_window(transfer_spectrum(t), config)
     periph = int(on.sum())
@@ -408,6 +412,7 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     advances it by QR
     (:func:`spt_z2.reflection._marginal_reversal_residual`).
     """
+    require_config(config)
     if not (is_int(l) and l >= 1):
         raise InvalidInput("marginal needs an integer l >= 1", l=l)
     _word_count(t.d, l, config.dense_cap, WindowTooLarge, "marginal dimension")
@@ -464,6 +469,7 @@ def block(t: MpsTuple, b: int, config: Config = DEFAULT) -> MpsTuple:
     sends the word (mu_0..mu_{b-1}) to (pi(mu_{b-1})..pi(mu_0)) where pi is
     the old involution. Blocking preserves the channel condition exactly.
     """
+    require_config(config)
     if not (is_int(b) and b >= 1):
         raise InvalidInput("block size must be an integer of at least 1", b=b)
     if b == 1:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config
+from .config import DEFAULT, Config, require_config
 from .errors import (
     AmbiguousSymmetry,
     Inconclusive,
@@ -82,6 +82,7 @@ def reflected_tuple(t: MpsTuple, rho: np.ndarray,
     when applied twice and, for ``t`` in channel form, satisfies the dual
     condition ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
     """
+    require_config(config)
     sys = pos_def_eig(rho, NotFaithful,
                       "invariant state is singular; reflected tuple undefined", config)
     return ReflectedTuple(basis=sys.vectors[:, ::-1].copy(), rho_diag=sys.values[::-1].copy())
@@ -110,6 +111,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
     Unlike the transfer map, G is decomposed in complex arithmetic, for the
     reason the docstring of :mod:`spt_z2.linalg` gives.
     """
+    require_config(config)
     if t.d != s.d or t.k != s.k:
         raise InvalidInput("tuples must share (d, k)",
                            left=[t.d, t.k], right=[s.d, s.k])
@@ -223,6 +225,7 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
 
 def reflection_invariant(raw, config: Config = DEFAULT) -> ReflectionEvidence:
     """Dual-route reflection test of the state generated by a primitive tuple."""
+    require_config(config)
     t = normalize(raw, config)
     return _certify(t, primitivity(t, config=config), config)[2]
 
@@ -257,6 +260,7 @@ def z2_index(raw, config: Config = DEFAULT) -> IndexReport:
     index is +1 for symmetric, -1 for antisymmetric; anything in between at
     tolerance ``eps_index`` raises :class:`AmbiguousSymmetry`.
     """
+    require_config(config)
     t = normalize(raw, config)
     cert = primitivity(t, config=config)
     return _classify(t, cert, *_certify(t, cert, config), config)

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, is_finite_real, is_int
+from .config import DEFAULT, Config, is_finite_real, is_int, require_config
 from .errors import ResourceLimit, SptError, UnknownModel
 from .mps import normalize, primitivity
 from .reflection import _certify, _classify
@@ -164,6 +164,7 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
 
 def check_grid(spec: FamilySpec, config: Config = DEFAULT) -> None:
     """Refuse a grid of more than ``scan_cap`` points as :class:`ResourceLimit`."""
+    require_config(config)
     cap = config.scan_cap
     if spec.grid > cap:
         raise ResourceLimit("scan grid exceeds the point cap", grid=spec.grid, cap=cap)
@@ -224,6 +225,7 @@ def scan(spec: FamilySpec, config: Config = DEFAULT) -> ScanReport:
     point has the same index.
     A grid above ``scan_cap`` is refused before any point runs.
     """
+    require_config(config)
     check_grid(spec, config)
     values = np.linspace(spec.s0, spec.s1, spec.grid)
     points = [_scan_point(spec, float(s), config) for s in values]

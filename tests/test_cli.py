@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import io
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import cli, reflection
+from spt_z2 import cli, linalg, mps, reflection
 from spt_z2.config import ENV_VAR, is_finite_real, is_int
 from spt_z2.errors import STATUS_EXIT
+from spt_z2.scan import check_grid
 from util import known_answer_tuple
 
 SCHEMAS = Path(cli.__file__).parent / "schemas"
@@ -186,6 +188,56 @@ def test_digest_deterministic_and_validate_only():
     _, dry = run(["index", "--model", "aklt", "--validate-only"])
     assert full["input_digest"] == again["input_digest"] == dry["input_digest"]
     assert dry["result"] == {"validated": True, "input": {"model": "aklt"}}
+
+
+# the digest of `index --model aklt`, fixed by the canonical text and SHA-256
+AKLT_DIGEST = "535866334603d49595073a7bcb12d6051c58a6d1b63edf072c78791cd5248a7a"
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports the package from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**env, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("command,desc", [
+    ("index", {"model": "aklt"}),
+    ("index", {"tuple": {"d": 2, "k": 1, "matrices": [[[[0.1, 1e-300]]], [[[-2.5e17, 1 / 3]]]]}}),
+    ("scan", {"family": "deformed-aklt", "s0": 0.0, "s1": 1.0, "grid": 11}),
+], ids=["model", "tuple-file", "scan-family"])
+def test_digest_is_hashlib_sha256_of_the_canonical_text(command, desc):
+    text = cli.canonical(cli.jsonable({"command": command, **desc}))
+    assert cli.input_digest(command, desc) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_aklt_digest_is_pinned():
+    assert run(["index", "--model", "aklt"])[1]["input_digest"] == AKLT_DIGEST
+
+
+def test_digest_falls_back_to_hashlib():
+    # an interpreter without the built-in SHA-256 modules computes the same digest
+    proc = _python("import hashlib, sys\n"
+                   "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                   "from spt_z2 import cli\n"
+                   "if cli.sha256 is not hashlib.sha256:\n"
+                   "    sys.exit('the digest does not come from hashlib')\n"
+                   "sys.exit(cli.main(['index', '--model', 'aklt']))")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["input_digest"] == AKLT_DIGEST
+
+
+def test_a_process_loads_no_openssl():
+    # hashlib and ssl load OpenSSL's libcrypto, several MB of every process
+    proc = _python("import json, sys\n"
+                   "from spt_z2 import cli\n"
+                   "cli.main(['index', '--model', 'aklt'])\n"
+                   "print(json.dumps(sorted({'_hashlib', 'ssl'} & set(sys.modules))),"
+                   " file=sys.stderr)")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["input_digest"] == AKLT_DIGEST
+    assert json.loads(proc.stderr) == []
 
 
 def test_tuple_file_round_trip(tmp_path, aklt):
@@ -628,6 +680,11 @@ def _public_functions():
     return found
 
 
+def _config_takers():
+    """Every public function of the package that takes ``config``."""
+    return {fn for fn in _public_functions() if "config" in inspect.signature(fn).parameters}
+
+
 def test_no_setting_is_none():
     # every setting is a plain number: no None that means "work it out"
     for field in dataclasses.fields(sz.Config):
@@ -635,11 +692,60 @@ def test_no_setting_is_none():
         assert type(field.default) is {"float": float, "int": int}[field.type], field.name
     # every public operation that takes config shares one frozen default, the
     # 19 that spt_z2 exports among them
-    takers = {fn for fn in _public_functions() if "config" in inspect.signature(fn).parameters}
+    takers = _config_takers()
     for fn in takers:
         assert inspect.signature(fn).parameters["config"].default is sz.DEFAULT, fn.__qualname__
     exported = {value for value in map(sz.__dict__.get, sz.__all__) if inspect.isfunction(value)}
     assert (len(takers), len(takers & exported)) == (24, 19)
+
+
+def _bell():
+    return sz.as_bipartite(np.eye(2), normalized=True)
+
+
+# one call per public operation that takes config, with inputs it accepts
+CONFIG_CALLS = {
+    "hamiltonian.parent_interaction": lambda t, cfg: sz.parent_interaction(t, 2, config=cfg),
+    "hamiltonian.chain_hamiltonian":
+        lambda t, cfg: sz.chain_hamiltonian(sz.parent_interaction(t, 2), 2, "open", config=cfg),
+    "hamiltonian.ed_report": lambda t, cfg: sz.ed_report(np.eye(2), config=cfg),
+    "linalg.herm_eig": lambda t, cfg: sz.herm_eig(np.eye(2), config=cfg),
+    "linalg.pos_def_eig":
+        lambda t, cfg: linalg.pos_def_eig(np.eye(2), sz.NotFaithful, "singular", config=cfg),
+    "linalg.herm_eigvals": lambda t, cfg: linalg.herm_eigvals(np.eye(2), config=cfg),
+    "linalg.peripheral_window":
+        lambda t, cfg: linalg.peripheral_window(np.array([1.0, 0.5]), config=cfg),
+    "linalg.peripheral_eigs": lambda t, cfg: sz.peripheral_eigs(np.eye(4), config=cfg),
+    "linalg.psd_power": lambda t, cfg: sz.psd_power(np.eye(2), 0.5, config=cfg),
+    "modular.schmidt": lambda t, cfg: sz.schmidt(_bell(), config=cfg),
+    "modular.swap_sign": lambda t, cfg: sz.swap_sign(_bell(), config=cfg),
+    "modular.modular_data": lambda t, cfg: sz.modular_data(_bell(), config=cfg),
+    "mps.require_normalized": lambda t, cfg: mps.require_normalized(t, config=cfg),
+    "mps.normalize": lambda t, cfg: sz.normalize(t.v, config=cfg),
+    "mps.primitivity": lambda t, cfg: sz.primitivity(t, config=cfg),
+    "mps.invariant_state": lambda t, cfg: sz.invariant_state(t, config=cfg),
+    "mps.marginal": lambda t, cfg: sz.marginal(t, np.eye(2) / 2, 1, config=cfg),
+    "mps.block": lambda t, cfg: sz.block(t, 2, config=cfg),
+    "reflection.reflected_tuple": lambda t, cfg: sz.reflected_tuple(t, np.eye(2) / 2, config=cfg),
+    "reflection.gauge_solve": lambda t, cfg: sz.gauge_solve(t, t, config=cfg),
+    "reflection.reflection_invariant": lambda t, cfg: sz.reflection_invariant(t, config=cfg),
+    "reflection.z2_index": lambda t, cfg: sz.z2_index(t, config=cfg),
+    "scan.check_grid": lambda t, cfg: check_grid(sz.family("deformed-aklt"), config=cfg),
+    "scan.scan": lambda t, cfg: sz.scan(sz.family("deformed-aklt", grid=2), config=cfg),
+}
+
+
+@pytest.mark.parametrize("bad", [None, {"eps_norm": 1e-9}, "x"], ids=["none", "dict", "text"])
+@pytest.mark.parametrize("name", sorted(f"{fn.__module__.rsplit('.', 1)[1]}.{fn.__name__}"
+                                        for fn in _config_takers()))
+def test_config_of_another_type_is_refused(name, bad, aklt):
+    # one rule, config.require_config: a typed refusal, not an AttributeError
+    # from the first field read; every function of the census has a call here
+    with pytest.raises(sz.SptError) as info:
+        CONFIG_CALLS[name](aklt, bad)
+    assert type(info.value) is sz.InvalidInput
+    assert info.value.payload["key"] == "config"
+    CONFIG_CALLS[name](aklt, sz.DEFAULT)  # the same call with a Config runs
 
 
 def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):

@@ -4,14 +4,15 @@ Each routed site is forced to refuse, by a negative tolerance in ``Config``,
 by an input whose residual overflows or is off (two different states, for the
 same-state test), or by a NaN standing in for a broken measurement. The
 refusal must keep its class, message, status and payload keys, and report the
-bound it applied as ``tolerance``.
+bound it applied as ``tolerance``. The census at the end reaches each
+exported refusal class from one minimal public-API input.
 """
 
 import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import modular, mps, reflection
+from spt_z2 import cli, modular, mps, reflection
 from spt_z2.config import Config
 from spt_z2.errors import within
 from spt_z2.linalg import HermEig, herm_eigvals, pos_def_eig, psd_power
@@ -277,3 +278,50 @@ def test_within_passes_only_values_at_most_the_bound(value, passes):
     assert info.value.message == "off"
     assert info.value.payload.keys() == {"residual", "tolerance"}
     assert info.value.payload["tolerance"] == 1e-8
+
+
+def _singular_gauge():
+    # G's dominant eigenmatrix is singular: mixed_radius 0.9999999998, sigma_min 0.0
+    t = sz.normalize(sz.zoo("aklt-breaker:1e3"))
+    return sz.gauge_solve(t, reflection._transposed(t))
+
+
+# one minimal public-API input per refusal class that spt_z2 exports
+REFUSALS = {
+    "AmbiguousSymmetry": lambda aklt: sz.z2_index(aklt, Config(eps_index=-1.0)),
+    "ConvergenceFailure": lambda aklt: sz.marginal(sz.as_mps(OVERFLOWING), np.eye(2) / 2, 1),
+    "DegenerateSupport": lambda aklt: sz.schmidt(_bell(), Config(rank_tol=1)),
+    "DimensionCap":
+        lambda aklt: sz.chain_hamiltonian(sz.parent_interaction(aklt, 2), 10 ** 8, "open"),
+    "Inconclusive": lambda aklt: sz.z2_index(aklt, Config(refl_marginal_tol=-1.0)),
+    "InvalidInput": lambda aklt: sz.as_mps(np.zeros((2, 0, 0))),
+    "NormalizationBroken": lambda aklt: sz.primitivity(sz.MpsTuple(v=2.0 * aklt.v)),
+    "NotFaithful": lambda aklt: sz.reflected_tuple(aklt, np.diag([1.0, 0.0])),
+    "NotHermitian": lambda aklt: sz.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]])),
+    "NotNormalizable": lambda aklt: sz.normalize(np.zeros((2, 2, 2))),
+    "NotPrimitive": lambda aklt: sz.z2_index(sz.zoo("ghz")),
+    "NotReflectionInvariant": lambda aklt: sz.z2_index(sz.zoo("aklt-breaker:1e3")),
+    "NotSameState": lambda aklt: sz.gauge_solve(aklt, sz.normalize(sz.zoo("deformed-aklt:0.7"))),
+    "NotUnitaryMultiple": lambda aklt: _singular_gauge(),
+    "RankDeficient": lambda aklt: psd_power(np.zeros((2, 2)), -0.5),
+    "ResourceLimit":
+        lambda aklt: sz.scan(sz.family("deformed-aklt", grid=3), Config(scan_cap=2)),
+    "UnknownModel": lambda aklt: sz.zoo("nope"),
+    "UsageError": lambda aklt: cli.build_parser().parse_args(["index", "--nope"]),
+    "WindowTooLarge": lambda aklt: sz.parent_interaction(aklt, m=10 ** 12),
+    "ZeroVector": lambda aklt: sz.as_bipartite(np.zeros((2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in sz.__all__ if isinstance(getattr(sz, name), type)
+    and issubclass(getattr(sz, name), sz.SptError) and getattr(sz, name) is not sz.SptError))
+def test_every_refusal_class_has_an_input(name, aklt):
+    # the envelope's error field names the class, so each one is reachable
+    with pytest.raises(sz.SptError) as info:
+        REFUSALS[name](aklt)
+    assert type(info.value).__name__ == name
+    assert info.value.describe()["error"] == name
+    if name == "NotUnitaryMultiple":
+        assert info.value.payload["sigma_min"] == 0.0
+        assert 1.0 - 1e-9 < info.value.payload["mixed_radius"] < 1.0
