@@ -22,7 +22,6 @@ from .errors import (
     NotPrimitive,
     NotReflectionInvariant,
     NotSameState,
-    NotUnitaryMultiple,
     RankDeficient,
     ResourceLimit,
     SptError,

@@ -19,12 +19,12 @@ Every number and array from outside is read by one rule each, all here:
 float), :func:`is_int` (no bool, magnitude below 2**63), :func:`numeric_array`
 (a float or complex array of numbers, never text), :func:`square_array` (its
 result, a nonempty square matrix, for the matrix entry points of
-:mod:`spt_z2.linalg` and ``ed_report``; the Hermitian solvers refuse a
-non-finite entry as ``NotHermitian``) and :func:`finite_array` (its result,
-with finite entries, as a C-contiguous complex array); tuple, vector and
-family files hold no null. Every public operation that takes ``config``
-passes it to :func:`require_config` first, which refuses anything but a
-``Config``. Refusals are :class:`InvalidInput` (``family``:
+:mod:`spt_z2.linalg`, ``as_bipartite`` and ``ed_report``; the Hermitian
+solvers refuse a non-finite entry as ``NotHermitian``) and
+:func:`finite_array` (its result, with finite entries, as a C-contiguous
+complex array); tuple, vector and family files hold no null. Every public
+operation that takes ``config`` passes it to :func:`require_config` first,
+which refuses anything but a ``Config``. Refusals are :class:`InvalidInput` (``family``:
 ``UnknownModel``).
 A representable but huge cap is still unbounded work.
 

@@ -91,20 +91,12 @@ class NotFaithful(SptError):
 class NotSameState(SptError):
     """Two primitive tuples do not generate the same state.
 
-    Raised by :func:`spt_z2.reflection.gauge_solve`. :func:`spt_z2.z2_index`
-    converts it: the gauge route then fails (its ``mixed_radius`` kept in the
-    evidence), and the index refuses as :class:`NotReflectionInvariant`, or as
+    Raised by :func:`spt_z2.reflection.gauge_solve`, when the dominant
+    eigenvalue of the mixed transfer map lies below the unit circle or its
+    eigenmatrix is singular. :func:`spt_z2.z2_index` converts it: the gauge
+    route then fails (its ``mixed_radius`` kept in the evidence), and the
+    index refuses as :class:`NotReflectionInvariant`, or as
     :class:`Inconclusive` when the marginal route disagrees.
-    """
-
-    status = "not_reflection_invariant"
-
-
-class NotUnitaryMultiple(SptError):
-    """Dominant eigenmatrix of the mixed transfer map is singular: no gauge.
-
-    Raised by :func:`spt_z2.reflection.gauge_solve`. :func:`spt_z2.z2_index`
-    converts it as it converts :class:`NotSameState`.
     """
 
     status = "not_reflection_invariant"
@@ -147,7 +139,7 @@ class RankDeficient(SptError):
 
     Also raised by ``psd_power`` for a negative power of the zero matrix.
     Inside :func:`spt_z2.reflection.gauge_solve` it becomes
-    :class:`NotUnitaryMultiple`, which :func:`spt_z2.z2_index` converts.
+    :class:`NotSameState`, which :func:`spt_z2.z2_index` converts.
     """
 
 

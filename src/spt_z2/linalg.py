@@ -37,7 +37,8 @@ check their input, read by :func:`spt_z2.config.square_array`: an empty,
 ragged, non-numeric or non-square matrix is :class:`InvalidInput`. A
 non-finite entry fails the Hermiticity check of the Hermitian solvers as
 :class:`NotHermitian`, and is :class:`InvalidInput` to :func:`peripheral_eigs`
-and :func:`polar_unitary`. Internal solves of matrices Hermitian by
+and :func:`polar_unitary`, as a size that is not a square k**2 is to
+:func:`peripheral_eigs`. Internal solves of matrices Hermitian by
 construction (a Gram matrix, or :meth:`HermitianFrame.matrix` of real
 coordinates) check nothing.
 
@@ -107,17 +108,11 @@ class HermitianFrame(NamedTuple):
 
     w: np.ndarray                # the unitary W
     wh: np.ndarray               # W^dagger
-    flat: np.ndarray | None      # real map of hermitian_real for k <= _SMALL_K
     identity: np.ndarray         # the identity's coordinates, which are vec(1)
 
     def matrix(self, c: np.ndarray) -> np.ndarray:
         """The Hermitian matrix ``unvec(W c)`` with real coordinates ``c``."""
         return unvec(np.dot(self.w, c))
-
-
-# k up to which one real product on the (re, im) pairs of vec(mat) beats the
-# two complex products of hermitian_real: call overhead dominates there
-_SMALL_K = 3
 
 
 @cache
@@ -132,17 +127,9 @@ def hermitian_frame(k: int) -> HermitianFrame:
             ab, ba = a + b * k, b + a * k  # vec positions of entries (a, b), (b, a)
             w[ab, ab] = w[ba, ab] = s
             w[ab, ba], w[ba, ba] = -1j * s, 1j * s
-    wh = np.ascontiguousarray(w.conj().T)
-    flat = None
-    if k <= _SMALL_K:
-        # row-major vec(W^dagger T W) = kron(W^dagger, W^T) vec(T), and
-        # Re(K t) = Re(K) Re(t) - Im(K) Im(t) on t's (re, im) pairs
-        kr = np.kron(wh, w.T)
-        flat = np.stack([kr.real, -kr.imag], axis=-1).reshape(n * n, 2 * n * n)
-    frame = HermitianFrame(w, wh, flat, vec(np.eye(k)))
+    frame = HermitianFrame(w, np.ascontiguousarray(w.conj().T), vec(np.eye(k)))
     for arr in frame:
-        if arr is not None:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
     return frame
 
 
@@ -152,18 +139,13 @@ def hermitian_real(mat: np.ndarray) -> np.ndarray:
     ``W`` is the unitary of :func:`hermitian_frame`. Each entry
     ``Tr(B_i mat(B_j))`` pairs two Hermitian matrices, so it is real when
     ``mat`` preserves Hermiticity, and the imaginary part dropped here is
-    rounding. Nothing checks that property: it is the caller's to state. Up
-    to k = 3 the real part is one real matrix-vector product, which costs
-    fewer calls.
+    rounding. Nothing checks that property: it is the caller's to state.
     """
     n = mat.shape[0]
     k = math.isqrt(n)
     if k * k != n:
         raise ValueError(f"superoperator size {n} is not a square")
     frame = hermitian_frame(k)
-    if frame.flat is not None:
-        pairs = np.asarray(mat, dtype=complex).reshape(-1).view(float)
-        return np.dot(frame.flat, pairs).reshape(n, n)
     return (frame.wh @ mat @ frame.w).real
 
 
@@ -308,12 +290,15 @@ def peripheral_eigs(mat: np.ndarray,
     then angle ascending. Eigenmatrices are unit Frobenius norm with the
     canonical phase, unvec'd in the basis ``mat`` is written in. A real
     ``mat``, such as a :func:`hermitian_real` matrix, is decomposed in real
-    arithmetic, with no copy; a non-finite entry is :class:`InvalidInput`.
+    arithmetic, with no copy. A non-finite entry and a size that is not a
+    square k**2, which has no k x k eigenmatrices, are :class:`InvalidInput`.
     """
     require_config(config)
     mat = square_array(mat)
     if not np.isfinite(mat).all():
         raise InvalidInput("matrix entries must be finite")
+    if math.isqrt(len(mat)) ** 2 != len(mat):
+        raise InvalidInput("matrix size must be a square k**2", shape=list(mat.shape))
     w, v = np.linalg.eig(mat)
     keep = np.nonzero(peripheral_window(w, config)[0])[0]
     keep = keep[eig_sort_key(w[keep])]

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, finite_array, require_config
+from .config import DEFAULT, Config, finite_array, require_config, square_array
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
@@ -70,12 +70,12 @@ class BipartiteVector(NamedTuple):
 
 
 def as_bipartite(matrix, normalized: bool = False) -> BipartiteVector:
-    """Wrap a coefficient matrix; ``normalized=True`` rescales to unit norm."""
-    m_arr = finite_array(matrix, "coefficient matrix")
-    if m_arr.ndim != 2 or m_arr.shape[0] != m_arr.shape[1]:
-        raise InvalidInput("coefficient matrix must be square", shape=list(m_arr.shape))
-    if m_arr.shape[0] < 1:
-        raise InvalidInput("coefficient matrix must be nonempty")
+    """Wrap a coefficient matrix; ``normalized=True`` rescales to unit norm.
+
+    The matrix is read by :func:`spt_z2.config.square_array`, with finite
+    entries, as :func:`spt_z2.linalg.polar_unitary` reads its input.
+    """
+    m_arr = finite_array(square_array(matrix), "coefficient matrix")
     norm = float(np.linalg.norm(m_arr))
     if norm < 1e-12:
         raise ZeroVector("bipartite vector has numerically zero norm", norm=norm)

@@ -44,7 +44,6 @@ from .errors import (
     NotFaithful,
     NotReflectionInvariant,
     NotSameState,
-    NotUnitaryMultiple,
     RankDeficient,
     within,
 )
@@ -100,8 +99,12 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
 
     X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger; ``t``
     must satisfy the channel condition, ``s`` need not. A modulus below
-    ``1 - peripheral_tol`` (the peripheral window at r = 1) raises :class:`NotSameState`
-    and a singular X :class:`NotUnitaryMultiple`, both with the measured ``mixed_radius``.
+    ``1 - peripheral_tol`` (the peripheral window at r = 1) or a singular X
+    raises :class:`NotSameState` with the measured ``mixed_radius``: two
+    primitive tuples that generate the same state have an invertible
+    intertwiner (the fundamental theorem of MPS), so a singular dominant
+    eigenmatrix means different states, and that refusal adds
+    ``sigma_min``, ``sigma_max`` and ``tolerance`` from :func:`polar_unitary`.
     The caller judges ``relation_residual``, the relation's largest
     Frobenius miss over ``||X||_F``, against ``eps_gauge``. ``U`` is the
     adjoint of X's unitary polar factor, with the canonical phase; for the
@@ -127,7 +130,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
     try:
         u = polar_unitary(x).conj().T
     except RankDeficient as exc:
-        raise NotUnitaryMultiple(
+        raise NotSameState(
             "dominant mixed eigenmatrix is singular",
             mixed_radius=radius,
             **exc.payload,
@@ -201,7 +204,7 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
         gauge = gauge_solve(v_eig, _transposed(v_eig), config=cfg)
         mixed_radius, gauge_residual = gauge.mixed_radius, gauge.relation_residual
         via_gauge = gauge_residual <= cfg.eps_gauge
-    except (NotSameState, NotUnitaryMultiple) as exc:
+    except NotSameState as exc:
         mixed_radius, gauge_residual = float(exc.payload["mixed_radius"]), None
         via_gauge = False
 

@@ -539,10 +539,57 @@ def _subclasses(cls):
 
 def test_every_error_exits_with_its_status_code():
     classes = [sz.SptError, *_subclasses(sz.SptError)]
-    assert len(classes) > 20
+    assert len(classes) == 20  # SptError and the 19 refusal classes spt_z2 exports
     for cls in classes:
         assert cls.status in STATUS_EXIT, cls.__name__
         assert cls("x").exit_code == STATUS_EXIT[cls.status], cls.__name__
+
+
+# one argv per exported refusal class that reaches the CLI; a callable takes tmp_path
+CLI_REFUSALS = {
+    "AmbiguousSymmetry": ["index", "--model", "aklt", "--eps-index", "-1"],
+    "ConvergenceFailure": ["index", "--model", "aklt", "--eps-norm", "-1"],
+    "DegenerateSupport":
+        lambda tmp: ["modular", "--vector", write_vector(tmp, np.eye(2) / np.sqrt(2)),
+                     "--rank-tol", "1"],
+    "DimensionCap": ["parent-ham", "--model", "aklt", "--n", "100000000"],
+    "Inconclusive": ["index", "--model", "aklt", "--refl-marginal-tol", "-1"],
+    "InvalidInput": ["modular", "--from-index", "aklt", "--modular-tol", "nan"],
+    "NotHermitian": ["index", "--model", "aklt", "--eps-herm", "-1"],
+    "NotNormalizable": lambda tmp: ["index", "--tuple", write_tuple(tmp, np.zeros((2, 2, 2)))],
+    "NotPrimitive": ["index", "--model", "ghz"],
+    "NotReflectionInvariant": ["index", "--model", "aklt-breaker:1e3"],
+    "ResourceLimit": ["scan", "--family", "deformed-aklt", "--grid", "3", "--scan-cap", "2"],
+    "UnknownModel": ["index", "--model", "nope"],
+    "UsageError": ["index", "--nope"],
+    "WindowTooLarge": ["parent-ham", "--model", "aklt", "--m", "1000000"],
+    "ZeroVector": lambda tmp: ["modular", "--vector", write_vector(tmp, np.zeros((2, 2)))],
+}
+
+# exported refusal classes that no argv reaches, and why
+CLI_UNREACHED = {
+    "NotSameState": "z2_index converts it into NotReflectionInvariant or Inconclusive",
+    "RankDeficient": "gauge_solve converts polar_unitary's into NotSameState, and the CLI "
+                     "takes psd_power only to the power 0.5",
+    "NormalizationBroken": "normalize leaves a channel residual of at most eps_norm, and "
+                           "require_normalized allows 10 eps_norm; only block can break it",
+    "NotFaithful": "primitivity refuses a singular invariant state as NotPrimitive or "
+                   "Inconclusive before reflected_tuple or marginal judges it",
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in sz.__all__ if isinstance(getattr(sz, name), type)
+    and issubclass(getattr(sz, name), sz.SptError) and getattr(sz, name) is not sz.SptError))
+def test_every_refusal_class_reaches_the_cli_or_says_why_not(name, tmp_path):
+    # a class that starts or stops reaching the CLI has to move between the two tables
+    assert (name in CLI_REFUSALS) != (name in CLI_UNREACHED)
+    if name in CLI_UNREACHED:
+        return
+    argv = CLI_REFUSALS[name]
+    code, env = run(argv(tmp_path) if callable(argv) else argv)
+    assert env["result"]["error"] == name
+    assert env["status"] == getattr(sz, name).status and code == STATUS_EXIT[env["status"]]
 
 
 def test_one_status_list():

@@ -239,7 +239,7 @@ def test_hermitian_basis_is_orthonormal_and_hermitian(k):
     assert np.array_equal(frame.matrix(frame.identity), np.eye(k))
 
 
-@pytest.mark.parametrize("k", [2, 4])  # one real product up to k = 3, two complex ones above
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_hermitian_real_of_a_channel_is_its_real_matrix(rng, k):
     a = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
     t, w = kraus_superop(a, a), hermitian_frame(k).w
@@ -248,10 +248,10 @@ def test_hermitian_real_of_a_channel_is_its_real_matrix(rng, k):
     assert frob((w.conj().T @ t @ w).imag) < 1e-13 * frob(t)
     # the adjoint is the transpose, and entry (i, j) is Tr(B_i E(B_j))
     assert frob(hermitian_real(t.conj().T) - real.T) < 1e-13 * frob(t)
-    for i, j in ((1, 2), (2, 1), (k * k - 1, 1)):
-        bi, bj = unvec(w[:, i]), unvec(w[:, j])
-        direct = np.trace(bi @ sum(m @ bj @ m.conj().T for m in a))
-        assert abs(real[i, j] - direct) < 1e-12
+    basis = [unvec(w[:, j]) for j in range(k * k)]
+    images = [sum(m @ b @ m.conj().T for m in a) for b in basis]
+    direct = np.array([[np.trace(bi @ image) for image in images] for bi in basis])
+    assert np.abs(real - direct).max() < 1e-12
 
 
 def test_peripheral_window_edge():

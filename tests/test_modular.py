@@ -13,11 +13,12 @@ RESIDUALS = ["left_isometry", "right_isometry", "reconstruction", "root_eigenvec
 # -- construction -------------------------------------------------------------
 
 def test_as_bipartite_validation():
-    with pytest.raises(sz.InvalidInput):
+    # one matrix rule, config.square_array, as polar_unitary reads its input
+    with pytest.raises(sz.InvalidInput, match="^matrix must be a nonempty square matrix$"):
         sz.as_bipartite(np.ones((2, 3)))
     with pytest.raises(sz.ZeroVector):
         sz.as_bipartite(np.zeros((2, 2)))
-    with pytest.raises(sz.InvalidInput, match="must be nonempty"):
+    with pytest.raises(sz.InvalidInput, match="^matrix must be a nonempty square matrix$"):
         sz.as_bipartite(np.zeros((0, 0)))
     with pytest.raises(sz.InvalidInput):
         sz.as_bipartite(2.0 * SINGLET)

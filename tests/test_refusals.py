@@ -250,6 +250,16 @@ def test_unusable_matrix_is_invalid_input(call, matrix, aklt):
     assert info.value.message.startswith("matrix ")
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_superoperator_of_a_size_that_is_not_a_square_is_invalid_input(n):
+    # peripheral_eigs unvecs each eigenvector into a k x k matrix, so n must be k**2
+    with pytest.raises(sz.SptError) as info:
+        sz.peripheral_eigs(np.eye(n))
+    assert type(info.value) is sz.InvalidInput
+    assert info.value.message.startswith("matrix ")
+    assert info.value.payload == {"shape": [n, n]}
+
+
 @pytest.mark.parametrize("call", [sz.polar_unitary, sz.peripheral_eigs],
                          ids=["polar_unitary", "peripheral_eigs"])
 def test_non_finite_matrix_is_invalid_input_outside_the_hermitian_solvers(call):
@@ -302,7 +312,6 @@ REFUSALS = {
     "NotPrimitive": lambda aklt: sz.z2_index(sz.zoo("ghz")),
     "NotReflectionInvariant": lambda aklt: sz.z2_index(sz.zoo("aklt-breaker:1e3")),
     "NotSameState": lambda aklt: sz.gauge_solve(aklt, sz.normalize(sz.zoo("deformed-aklt:0.7"))),
-    "NotUnitaryMultiple": lambda aklt: _singular_gauge(),
     "RankDeficient": lambda aklt: psd_power(np.zeros((2, 2)), -0.5),
     "ResourceLimit":
         lambda aklt: sz.scan(sz.family("deformed-aklt", grid=3), Config(scan_cap=2)),
@@ -322,6 +331,16 @@ def test_every_refusal_class_has_an_input(name, aklt):
         REFUSALS[name](aklt)
     assert type(info.value).__name__ == name
     assert info.value.describe()["error"] == name
-    if name == "NotUnitaryMultiple":
-        assert info.value.payload["sigma_min"] == 0.0
-        assert 1.0 - 1e-9 < info.value.payload["mixed_radius"] < 1.0
+
+
+def test_a_singular_gauge_is_not_same_state():
+    # two primitive tuples that generate the same state have an invertible
+    # intertwiner, so a singular dominant eigenmatrix is the same refusal as a
+    # mixed radius below 1, with polar_unitary's singular values added
+    with pytest.raises(sz.SptError) as info:
+        _singular_gauge()
+    assert type(info.value) is sz.NotSameState
+    assert info.value.message == "dominant mixed eigenmatrix is singular"
+    assert info.value.payload.keys() == {"mixed_radius", "sigma_min", "sigma_max", "tolerance"}
+    assert info.value.payload["sigma_min"] == 0.0
+    assert 1.0 - 1e-9 < info.value.payload["mixed_radius"] < 1.0
