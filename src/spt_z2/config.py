@@ -22,10 +22,15 @@ result, a nonempty square matrix, for the matrix entry points of
 :mod:`spt_z2.linalg`, ``as_bipartite`` and ``ed_report``; the Hermitian
 solvers refuse a non-finite entry as ``NotHermitian``) and
 :func:`finite_array` (its result, with finite entries, as a C-contiguous
-complex array); tuple, vector and family files hold no null. Every public
-operation that takes ``config`` passes it to :func:`require_config` first,
-which refuses anything but a ``Config``. Refusals are :class:`InvalidInput` (``family``:
-``UnknownModel``).
+complex array); tuple, vector and family files hold no null. Every tuple
+parameter of an exported function is read by :func:`spt_z2.mps.as_mps`,
+which passes an ``MpsTuple`` as it is and validates a raw array. Every
+record parameter (``config``, a ``BipartiteVector``, an ``IndexReport``, a
+``ParentInteraction``, a ``FamilySpec``) is read by :func:`require_record`,
+which refuses anything but an instance of its class with ``key`` naming the
+parameter and ``got`` the type it received; :func:`require_config` is that
+rule for ``config``. Refusals are :class:`InvalidInput` (``family`` and
+``zoo``: ``UnknownModel``).
 A representable but huge cap is still unbounded work.
 
 Not every threshold is here: the 13 fixed ones below (1e-300 division guards
@@ -191,9 +196,15 @@ class Config:
 DEFAULT = Config()
 
 
+def require_record(value, cls: type, key: str) -> None:
+    """Refuse an argument ``key`` that is not a ``cls`` as InvalidInput with
+    ``key`` and ``got``, the name of the type it is."""
+    if not isinstance(value, cls):
+        raise InvalidInput(f"{key} must be a {cls.__name__}", key=key,
+                           got=type(value).__name__)
+
+
 def require_config(value) -> None:
     """Refuse a ``config`` argument that is not a :class:`Config` (None, a dict
-    of settings, a file name) as InvalidInput with ``key="config"``."""
-    if not isinstance(value, Config):
-        raise InvalidInput("config must be a Config", key="config",
-                           got=type(value).__name__)
+    of settings, a file name) by :func:`require_record`, with ``key="config"``."""
+    require_record(value, Config, "config")

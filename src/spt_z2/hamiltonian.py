@@ -24,10 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, is_int, require_config, square_array
+from .config import DEFAULT, Config, is_int, require_config, require_record, square_array
 from .errors import DimensionCap, InvalidInput, WindowTooLarge
 from .linalg import frob, herm_eigvals, real_if_exact
-from .mps import MpsTuple, _append_letters, _word_count, primitivity, reverse_word_index
+from .mps import (MpsTuple, _append_letters, _word_count, as_mps, primitivity,
+                  reverse_word_index)
 
 
 class ParentInteraction(NamedTuple):
@@ -57,6 +58,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     kernel can exceed the boundary-state count, which sets ``range_warning``.
     """
     require_config(config)
+    t = as_mps(t)
     cert = primitivity(t, config=config)
     cert.require_primitive()
     if m is None:
@@ -112,6 +114,7 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     refuses it.
     """
     require_config(config)
+    require_record(hint, ParentInteraction, "hint")
     d, m = hint.d, hint.m
     if boundary not in ("open", "periodic"):
         raise InvalidInput("boundary must be open or periodic", boundary=boundary)
@@ -166,6 +169,7 @@ def ed_report(h_total: np.ndarray, config: Config = DEFAULT) -> EdReport:
 
 def reflection_check(hint: ParentInteraction) -> float:
     """Frobenius distance between the interaction and its pi-twisted reversal."""
+    require_record(hint, ParentInteraction, "hint")
     idx = reverse_word_index(hint.d, hint.m, hint.perm)
     rev = hint.h[np.ix_(idx, idx)]
     return frob(rev - hint.h)

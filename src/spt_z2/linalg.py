@@ -28,10 +28,11 @@ exactly when ``S conj(T) S = T``. The mixed reflection map
 not that, so it has no real form in this basis and stays complex.
 
 Hermitian eigensystems are returned with eigenvalues ascending (LAPACK order).
-Each eigenvector's phase is fixed so that its first component of significant
-modulus is real and positive; :class:`HermEig` applies that fix when its
-``vectors`` are first read, so a caller that reads only ``values`` never pays
-for it. The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
+:func:`herm_eig`, the public solver, fixes each eigenvector's phase at once,
+so that its first component of significant modulus is real and positive.
+Internal solves (:func:`_eigh`) keep LAPACK's vectors: their callers read
+only eigenvalues or build ``V f(D) V^dagger``, which no column phase changes.
+The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
 unitaries and Schmidt vectors follow it too. The public matrix entry points
 check their input, read by :func:`spt_z2.config.square_array`: an empty,
 ragged, non-numeric or non-square matrix is :class:`InvalidInput`. A
@@ -56,13 +57,13 @@ sign, which holds only when that miss is within the caller's bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, finite_array, require_config, square_array
+from .config import (DEFAULT, Config, finite_array, is_finite_real, require_config,
+                     square_array)
 from .errors import InvalidInput, NotHermitian, RankDeficient, SptError, within
 
 
@@ -163,20 +164,16 @@ def canonical_phases(v: np.ndarray) -> np.ndarray:
     return np.where(size > 0, np.conj(pivot) * (1.0 / np.where(size > 0, size, 1.0)), 1.0)
 
 
-@dataclass(frozen=True)
-class HermEig:
+class HermEig(NamedTuple):
     """Eigenvalues and orthonormal eigenvector columns of a Hermitian matrix.
 
-    ``values`` are real and ascending. ``vectors`` carry the canonical phase:
-    the fix runs on the first read of ``vectors`` and is cached, so a caller
-    that reads only ``values`` never pays for it.
+    ``values`` are real and ascending. ``vectors`` carry the canonical phase
+    when :func:`herm_eig` built the record, and LAPACK's phases when
+    :func:`_eigh` did.
     """
-    values: np.ndarray
-    eigh_vectors: np.ndarray = field(repr=False)  # as eigh returns them
 
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return self.eigh_vectors * canonical_phases(self.eigh_vectors)
+    values: np.ndarray
+    vectors: np.ndarray
 
 
 def _symmetrized(h: np.ndarray, cfg: Config) -> np.ndarray:
@@ -208,9 +205,8 @@ def _symmetrized(h: np.ndarray, cfg: Config) -> np.ndarray:
 
 
 def _eigh(h: np.ndarray) -> HermEig:
-    """One unchecked ``eigh`` of a matrix Hermitian by construction (internal solves)."""
-    w, u = np.linalg.eigh(h)
-    return HermEig(values=w, eigh_vectors=u)
+    """One unchecked ``eigh`` of a matrix Hermitian by construction; LAPACK's vectors."""
+    return HermEig(*np.linalg.eigh(h))
 
 
 def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
@@ -220,10 +216,12 @@ def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
     the norm; the symmetrized matrix is what gets diagonalized, so the
     returned system is exactly Hermitian-consistent. An exactly Hermitian
     input is diagonalized as it is, with no symmetrized copy. Makes one
-    ``eigh`` call; the phase fix waits for the first read of ``vectors``.
+    ``eigh`` call and fixes the vectors' phases at once, by
+    :func:`canonical_phases`.
     """
     require_config(config)
-    return _eigh(_symmetrized(square_array(h).astype(complex, copy=False), config))
+    w, u = _eigh(_symmetrized(square_array(h).astype(complex, copy=False), config))
+    return HermEig(w, u * canonical_phases(u))
 
 
 def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
@@ -235,13 +233,6 @@ def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
     if not (hi > 0 and lo > max(cfg.pos_def_tol, 0.0) * hi):
         raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)
     return sys
-
-
-def pos_def_eig(h: np.ndarray, refusal: type[SptError], message: str,
-                config: Config = DEFAULT) -> HermEig:
-    """:func:`herm_eig` of a matrix that must pass :func:`_positive_definite`."""
-    require_config(config)
-    return _positive_definite(herm_eig(h, config), refusal, message, config)
 
 
 def real_if_exact(x: np.ndarray) -> np.ndarray:
@@ -313,9 +304,12 @@ def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.nda
     Eigenvalues below ``rank_tol`` times the largest are treated as exact
     zeros: for negative powers they are pseudo-inverted to zero, for positive
     powers they contribute nothing. Negative eigenvalues beyond that window
-    are rejected.
+    are rejected, as is a power that is not a finite real number.
     """
     require_config(config)
+    if not is_finite_real(power):
+        raise InvalidInput("power must be a finite real number", key="power",
+                           got=type(power).__name__)
     sys = herm_eig(rho, config)
     w, u = sys.values, sys.vectors
     top = float(w.max(initial=0.0))

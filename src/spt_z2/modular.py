@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, finite_array, require_config, square_array
+from .config import DEFAULT, Config, finite_array, require_config, require_record, square_array
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
@@ -104,6 +104,7 @@ def schmidt(omega: BipartiteVector, config: Config = DEFAULT) -> SchmidtData:
     reconstruction residual is judged against ``modular_tol``.
     """
     require_config(config)
+    require_record(omega, BipartiteVector, "omega")
     mat = omega.M
     xi_full, s, vh = np.linalg.svd(mat)
     if s[0] <= 0:
@@ -131,6 +132,7 @@ def swap_sign(omega: BipartiteVector, config: Config = DEFAULT) -> int | None:
     only when that miss is at most ``modular_tol``, which also bounds kappa's.
     """
     require_config(config)
+    require_record(omega, BipartiteVector, "omega")
     return transpose_sign(omega.M, omega.M.T, config.modular_tol)[0]
 
 
@@ -155,6 +157,7 @@ def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularRep
     alone is a legitimate answer), and then must agree.
     """
     require_config(config)
+    require_record(omega, BipartiteVector, "omega")
     sch = schmidt(omega, config=config)
     r = sch.support_dim
     xi, z = sch.left, sch.right
@@ -201,5 +204,10 @@ def bond_vector(report) -> BipartiteVector:
     Built from the report's ``U`` and ``rho_diag`` alone. The swap sign of
     the result reproduces the reflection index.
     """
+    # imported here: at module level it reorders the package's imports, which
+    # measured 0.1-0.2 MB more peak RSS in a parent-ham process
+    from .reflection import IndexReport
+
+    require_record(report, IndexReport, "report")
     mat = report.U.conj().T @ np.diag(np.sqrt(report.rho_diag))
     return as_bipartite(mat, normalized=True)

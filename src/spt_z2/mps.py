@@ -139,6 +139,7 @@ def transfer_spectrum(t: MpsTuple) -> np.ndarray:
     Computed in real arithmetic, so real eigenvalues are exactly real and
     the others come in exact conjugate pairs; returned as complex.
     """
+    t = as_mps(t)
     w = np.linalg.eigvals(_real_transfer(t))
     return w[eig_sort_key(w)].astype(complex, copy=False)
 
@@ -154,8 +155,9 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
     is its Hermitian part, the real part of its coordinates. Returns ``r``, ``x``,
     the residual ``||mat x - r x|| / (r ||x||)`` (the same in coordinates,
     as the basis is orthonormal) and the positive definite eigensystem of
-    ``x``, solved unchecked: its entries (a, b) and (b, a) are
-    sqrt(1/2) (c_ab -+ i c_ba), exact conjugates. Every failure raises ``refusal``.
+    ``x``, solved unchecked and with LAPACK's phases: its entries (a, b) and
+    (b, a) are sqrt(1/2) (c_ab -+ i c_ba), exact conjugates. Every failure
+    raises ``refusal``.
     """
     w, vs = np.linalg.eig(mat)
     r = float(np.abs(w).max())
@@ -187,6 +189,8 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     transfer matrix), finds the positive definite fixed point ``e`` of the
     transfer map at its spectral radius ``r`` (:func:`_positive_fixed_point`,
     else :class:`NotNormalizable`) and returns ``r**-0.5 e**-0.5 v_mu e**0.5``.
+    The powers ``e**(+-0.5) = V D**(+-0.5) V^dagger`` come from the eigenvectors
+    as LAPACK returns them, as no column phase changes them.
     """
     require_config(config)
     t = as_mps(raw)
@@ -274,6 +278,7 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
     spectral route.
     """
     require_config(config)
+    t = as_mps(t)
     require_normalized(t, config)
     try:
         spectral_ok, periph, gap = True, 1, invariant_state(t, config).spectral_gap
@@ -340,6 +345,7 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
     sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel residual.
     """
     require_config(config)
+    t = as_mps(t)
     require_normalized(t, config)
     on, gap = peripheral_window(transfer_spectrum(t), config)
     periph = int(on.sum())
@@ -413,6 +419,7 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     (:func:`spt_z2.reflection._marginal_reversal_residual`).
     """
     require_config(config)
+    t = as_mps(t)
     if not (is_int(l) and l >= 1):
         raise InvalidInput("marginal needs an integer l >= 1", l=l)
     _word_count(t.d, l, config.dense_cap, WindowTooLarge, "marginal dimension")
@@ -470,6 +477,7 @@ def block(t: MpsTuple, b: int, config: Config = DEFAULT) -> MpsTuple:
     the old involution. Blocking preserves the channel condition exactly.
     """
     require_config(config)
+    t = as_mps(t)
     if not (is_int(b) and b >= 1):
         raise InvalidInput("block size must be an integer of at least 1", b=b)
     if b == 1:

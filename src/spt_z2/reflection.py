@@ -47,14 +47,15 @@ from .errors import (
     RankDeficient,
     within,
 )
-from .linalg import (canonical_phases, frob, kraus_superop, polar_unitary,
-                     pos_def_eig, transpose_sign, unvec)
+from .linalg import (_positive_definite, canonical_phases, frob, herm_eig, kraus_superop,
+                     polar_unitary, transpose_sign, unvec)
 from .mps import (
     InvariantState,
     MpsTuple,
     PrimitivityCertificate,
     _append_letters,
     _checked_gram_spectrum,
+    as_mps,
     invariant_state,
     marginal,
     normalize,
@@ -77,13 +78,17 @@ def reflected_tuple(t: MpsTuple, rho: np.ndarray,
                     config: Config = DEFAULT) -> ReflectedTuple:
     """The eigenbasis of rho in which U is classified; NotFaithful if rho is singular.
 
-    The reflected tuple itself is :func:`_transposed`, which gives ``t`` back
+    rho is solved by :func:`spt_z2.linalg.herm_eig`, so the basis carries the
+    canonical phase, and must pass the positive-definiteness rule of
+    :func:`spt_z2.linalg._positive_definite`. ``t`` is only validated. The
+    reflected tuple itself is :func:`_transposed`, which gives ``t`` back
     when applied twice and, for ``t`` in channel form, satisfies the dual
     condition ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
     """
     require_config(config)
-    sys = pos_def_eig(rho, NotFaithful,
-                      "invariant state is singular; reflected tuple undefined", config)
+    as_mps(t)
+    sys = _positive_definite(herm_eig(rho, config), NotFaithful,
+                             "invariant state is singular; reflected tuple undefined", config)
     return ReflectedTuple(basis=sys.vectors[:, ::-1].copy(), rho_diag=sys.values[::-1].copy())
 
 
@@ -115,6 +120,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
     reason the docstring of :mod:`spt_z2.linalg` gives.
     """
     require_config(config)
+    t, s = as_mps(t), as_mps(s)
     if t.d != s.d or t.k != s.k:
         raise InvalidInput("tuples must share (d, k)",
                            left=[t.d, t.k], right=[s.d, s.k])

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, is_finite_real, is_int, require_config
+from .config import DEFAULT, Config, is_finite_real, is_int, require_config, require_record
 from .errors import ResourceLimit, SptError, UnknownModel
 from .mps import normalize, primitivity
 from .reflection import _certify, _classify
@@ -84,14 +84,21 @@ def _parse_scalar(text: str) -> complex:
         raise UnknownModel(f"cannot parse model argument {text!r}", key="model") from exc
 
 
+def _model_name(name) -> str:
+    """``name`` stripped; anything but a string is :class:`UnknownModel`."""
+    if not isinstance(name, str):
+        raise UnknownModel("model name must be a string", key="model", got=type(name).__name__)
+    return name.strip()
+
+
 def parse_model(name: str) -> tuple[str, list]:
     """Base name and arguments of a model name; the one check of its arguments.
 
-    Arguments are finite; a one-parameter model gets one real one (a float)
-    and ``product`` at least two amplitudes, not all zero. Every refusal is
-    :class:`UnknownModel` with ``key`` ``"model"``.
+    The name is a string; arguments are finite; a one-parameter model gets
+    one real one (a float) and ``product`` at least two amplitudes, not all
+    zero. Every refusal is :class:`UnknownModel` with ``key`` ``"model"``.
     """
-    base, _, argstr = name.partition(":")
+    base, _, argstr = _model_name(name).partition(":")
     base = base.strip()
     if base not in MODELS:
         raise UnknownModel(f"unknown model {base!r}", key="model", known=sorted(MODELS))
@@ -139,9 +146,7 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     numbers and a grid other than an integer >= 2 are :class:`UnknownModel`,
     whose ``key`` names the argument (``model``, ``s0``, ``s1`` or ``grid``).
     """
-    if not isinstance(name, str):
-        raise UnknownModel("family model must be a string", key="model")
-    entry = MODELS.get(name.strip())
+    entry = MODELS.get(_model_name(name))
     if entry is not None and entry.family_range is not None:
         lo, hi = entry.family_range
         generator: Callable[[float], np.ndarray] = lambda s: entry.generator(float(s))
@@ -223,9 +228,11 @@ def scan(spec: FamilySpec, config: Config = DEFAULT) -> ScanReport:
     ``first_failure`` is the first point in grid order with no ``zeta``,
     whatever refused it, and ``constant_index`` means there is none and every
     point has the same index.
-    A grid above ``scan_cap`` is refused before any point runs.
+    A grid above ``scan_cap`` is refused before any point runs, and a
+    ``spec`` that is not a :class:`FamilySpec` before anything.
     """
     require_config(config)
+    require_record(spec, FamilySpec, "spec")
     check_grid(spec, config)
     values = np.linspace(spec.s0, spec.s1, spec.grid)
     points = [_scan_point(spec, float(s), config) for s in values]

@@ -743,7 +743,7 @@ def test_no_setting_is_none():
     for fn in takers:
         assert inspect.signature(fn).parameters["config"].default is sz.DEFAULT, fn.__qualname__
     exported = {value for value in map(sz.__dict__.get, sz.__all__) if inspect.isfunction(value)}
-    assert (len(takers), len(takers & exported)) == (24, 19)
+    assert (len(takers), len(takers & exported)) == (23, 19)
 
 
 def _bell():
@@ -757,8 +757,6 @@ CONFIG_CALLS = {
         lambda t, cfg: sz.chain_hamiltonian(sz.parent_interaction(t, 2), 2, "open", config=cfg),
     "hamiltonian.ed_report": lambda t, cfg: sz.ed_report(np.eye(2), config=cfg),
     "linalg.herm_eig": lambda t, cfg: sz.herm_eig(np.eye(2), config=cfg),
-    "linalg.pos_def_eig":
-        lambda t, cfg: linalg.pos_def_eig(np.eye(2), sz.NotFaithful, "singular", config=cfg),
     "linalg.herm_eigvals": lambda t, cfg: linalg.herm_eigvals(np.eye(2), config=cfg),
     "linalg.peripheral_window":
         lambda t, cfg: linalg.peripheral_window(np.array([1.0, 0.5]), config=cfg),

@@ -14,7 +14,6 @@ from spt_z2.linalg import (
     peripheral_eigs,
     peripheral_window,
     polar_unitary,
-    pos_def_eig,
     psd_power,
     real_if_exact,
     transpose_sign,
@@ -100,10 +99,12 @@ def test_herm_eig_vectors_are_the_eager_phase_fix(rng, monkeypatch, kind):
     fix = linalg.canonical_phases
     monkeypatch.setattr(linalg, "canonical_phases", lambda v: calls.append(1) or fix(v))
     sys = herm_eig(h)
+    assert len(calls) == 1  # fixed once, as the record is built
     assert np.array_equal(sys.values, w)
-    assert not calls  # reading values only never fixes a phase
     assert np.array_equal(sys.vectors, u * fix(u))
-    assert sys.vectors is sys.vectors and len(calls) == 1  # fixed once, then cached
+    # an internal solve keeps LAPACK's vectors, with no phase fix
+    raw = linalg._eigh(hc)
+    assert len(calls) == 1 and np.array_equal(raw.vectors, np.linalg.eigh(hc)[1])
 
 
 @pytest.mark.parametrize("x", [
@@ -313,10 +314,12 @@ def test_psd_power_zero_matrix():
 
 
 def test_pos_def_eig_rule():
+    # the positive-definiteness rule of a checked eigensystem, as reflected_tuple applies it
     def passes(diag, tol):
+        cfg = Config(pos_def_tol=tol)
         try:
-            sys = pos_def_eig(np.diag(diag), errors.NotFaithful, "singular",
-                              Config(pos_def_tol=tol))
+            sys = linalg._positive_definite(herm_eig(np.diag(diag), cfg), errors.NotFaithful,
+                                            "singular", cfg)
         except errors.NotFaithful as exc:
             assert exc.message == "singular"
             assert exc.payload == {"min_eigenvalue": min(diag), "max_eigenvalue": max(diag)}

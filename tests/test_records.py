@@ -1,4 +1,4 @@
-"""Result records are immutable NamedTuples, and only three classes stay dataclasses."""
+"""Result records are immutable NamedTuples, and only two classes stay dataclasses."""
 
 import dataclasses
 import importlib
@@ -12,9 +12,9 @@ import spt_z2 as sz
 from spt_z2 import cli
 
 # The classes that need dataclass machinery: Config (validation in __post_init__,
-# replace, and fields that drive the flags), MpsTuple (its cached channel
-# residual) and HermEig (its lazy vectors).
-DATACLASSES = {"Config", "MpsTuple", "HermEig"}
+# replace, and fields that drive the flags) and MpsTuple (its cached channel
+# residual).
+DATACLASSES = {"Config", "MpsTuple"}
 
 
 def _package_classes():
@@ -32,7 +32,7 @@ RECORDS = sorted((cls for _, cls in _package_classes()
                  key=lambda cls: cls.__name__)
 
 
-def test_only_three_classes_stay_dataclasses():
+def test_only_two_classes_stay_dataclasses():
     found = {name for name, cls in _package_classes() if dataclasses.is_dataclass(cls)}
     assert found == DATACLASSES, (
         f"dataclasses {sorted(found - DATACLASSES)} beyond {sorted(DATACLASSES)}: decorating "

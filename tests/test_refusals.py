@@ -15,7 +15,7 @@ import spt_z2 as sz
 from spt_z2 import cli, modular, mps, reflection
 from spt_z2.config import Config
 from spt_z2.errors import within
-from spt_z2.linalg import HermEig, herm_eigvals, pos_def_eig, psd_power
+from spt_z2.linalg import HermEig, _positive_definite, herm_eigvals, psd_power
 
 NAN_MATRIX = np.full((2, 2), np.nan)
 OVERFLOWING = np.full((2, 2, 2), 1e200 + 1e200j)  # products overflow to NaN inside einsum
@@ -55,7 +55,7 @@ def _invariant_state(mp, aklt):
 
 def _gram_floor(mp, aklt):
     mp.setattr(mps, "_eigh", lambda h: HermEig(
-        values=np.full(len(h), np.nan), eigh_vectors=np.eye(len(h))))
+        values=np.full(len(h), np.nan), vectors=np.eye(len(h))))
     sz.marginal(aklt, np.eye(2) / 2, 1)
 
 
@@ -234,7 +234,8 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
 @pytest.mark.parametrize("call", [
     lambda aklt, h: sz.herm_eig(h),
     lambda aklt, h: herm_eigvals(h),
-    lambda aklt, h: pos_def_eig(h, sz.NotFaithful, "singular"),
+    # the positive-definite eigensystem, as reflected_tuple solves it
+    lambda aklt, h: _positive_definite(sz.herm_eig(h), sz.NotFaithful, "singular", sz.DEFAULT),
     lambda aklt, h: psd_power(h, 0.5),
     lambda aklt, h: sz.reflected_tuple(aklt, h),
     lambda aklt, h: sz.ed_report(h),
@@ -344,3 +345,43 @@ def test_a_singular_gauge_is_not_same_state():
     assert info.value.payload.keys() == {"mixed_radius", "sigma_min", "sigma_max", "tolerance"}
     assert info.value.payload["sigma_min"] == 0.0
     assert 1.0 - 1e-9 < info.value.payload["mixed_radius"] < 1.0
+
+
+# one call per argument that takes a tuple or a record, with the argument
+# `x` in that place and accepted inputs elsewhere; the key the refusal names
+# (None for a tuple, read by mps.as_mps)
+ARGUMENTS = {
+    "primitivity": (lambda aklt, x: sz.primitivity(x), None),
+    "invariant_state": (lambda aklt, x: sz.invariant_state(x), None),
+    "block": (lambda aklt, x: sz.block(x, 2), None),
+    "parent_interaction": (lambda aklt, x: sz.parent_interaction(x), None),
+    "transfer_spectrum": (lambda aklt, x: sz.transfer_spectrum(x), None),
+    "marginal": (lambda aklt, x: sz.marginal(x, np.eye(2) / 2, 1), None),
+    "gauge_solve-t": (lambda aklt, x: sz.gauge_solve(x, aklt), None),
+    "gauge_solve-s": (lambda aklt, x: sz.gauge_solve(aklt, x), None),
+    "reflected_tuple": (lambda aklt, x: sz.reflected_tuple(x, np.eye(2) / 2), None),
+    "zoo": (lambda aklt, x: sz.zoo(x), "model"),
+    "psd_power": (lambda aklt, x: psd_power(np.eye(2), x), "power"),
+    "schmidt": (lambda aklt, x: sz.schmidt(x), "omega"),
+    "swap_sign": (lambda aklt, x: sz.swap_sign(x), "omega"),
+    "modular_data": (lambda aklt, x: sz.modular_data(x), "omega"),
+    "bond_vector": (lambda aklt, x: sz.bond_vector(x), "report"),
+    "chain_hamiltonian": (lambda aklt, x: sz.chain_hamiltonian(x, 2, "open"), "hint"),
+    "reflection_check": (lambda aklt, x: sz.reflection_check(x), "hint"),
+    "scan": (lambda aklt, x: sz.scan(x), "spec"),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "x", [[1, 2], [3]]], ids=["none", "text", "ragged"])
+@pytest.mark.parametrize("name", sorted(ARGUMENTS))
+def test_an_argument_of_another_type_is_a_typed_refusal(name, bad, aklt):
+    # not an AttributeError or TypeError from the first field read
+    call, key = ARGUMENTS[name]
+    with pytest.raises(sz.SptError) as info:
+        call(aklt, bad)
+    assert isinstance(info.value, sz.InvalidInput)
+    if key is not None:
+        assert info.value.payload["key"] == key
+    else:
+        assert type(info.value) is sz.InvalidInput
+        call(aklt, sz.zoo("aklt"))  # a raw array is validated and accepted

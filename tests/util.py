@@ -7,6 +7,8 @@ tests compare two different routes to the same quantity.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -231,3 +233,173 @@ def modular_identities_oracle(omega: sz.BipartiteVector, sch: sz.SchmidtData,
     fold("delta_fix", embed(half_delta(half_delta(omega_c))) - omega.M)
     fold("delta_fix", j_ambient(omega.M) - omega.M)
     return worst
+
+
+def _report_floats(rep: sz.IndexReport) -> dict:
+    """The scalar fields of an index report and its certificates, by name."""
+    certs, ev, prim = rep.certificates, rep.certificates.evidence, rep.certificates.primitivity
+    return {
+        "phase": rep.phase,
+        "sym_residual": rep.sym_residual,
+        "antisym_residual": rep.antisym_residual,
+        "phase_sq_residual": rep.phase_sq_residual,
+        "rho_commute_residual": rep.rho_commute_residual,
+        "invariant_residual": certs.invariant_residual,
+        "rho_min_eigenvalue": certs.rho_min_eigenvalue,
+        "gauge_residual": ev.gauge_residual,
+        "mixed_radius": ev.mixed_radius,
+        "marginal_residual": ev.marginal_residual,
+        "spectral_gap": prim.spectral_gap,
+    }
+
+
+def same_report(a: sz.IndexReport, b: sz.IndexReport) -> None:
+    """Assert that two index reports of one state agree up to a basis choice.
+
+    zeta, the certificates' flags and counts are equal; ``phase``,
+    ``rho_diag`` and every residual agree to 1e-12. The bases may differ only
+    by a unitary O = basis_a^dagger basis_b inside rho's equal-eigenvalue
+    blocks: O's entries outside those blocks are at most 1e-10, and
+    ``U_b = e^{i phi} O^T U_a O`` for one global phase, to 1e-10.
+    """
+    assert (a.zeta, a.d, a.k) == (b.zeta, b.d, b.k)
+    ea, eb = a.certificates.evidence, b.certificates.evidence
+    assert (ea.invariant, ea.via_gauge, ea.via_marginals, ea.marginal_lengths) == \
+        (eb.invariant, eb.via_gauge, eb.via_marginals, eb.marginal_lengths)
+    pa, pb = a.certificates.primitivity, b.certificates.primitivity
+    assert (pa.is_primitive, pa.injectivity_length, pa.peripheral_count) == \
+        (pb.is_primitive, pb.injectivity_length, pb.peripheral_count)
+    fa, fb = _report_floats(a), _report_floats(b)
+    for name in fa:
+        assert abs(fa[name] - fb[name]) <= 1e-12, (name, fa[name], fb[name])
+    assert np.abs(a.rho_diag - b.rho_diag).max() <= 1e-12
+    same_block = np.abs(a.rho_diag[:, None] - a.rho_diag[None, :]) <= 1e-10
+    o = a.basis.conj().T @ b.basis
+    assert np.abs(np.where(same_block, 0.0, o)).max(initial=0.0) <= 1e-10
+    moved = o.T @ a.U @ o
+    pivot = np.unravel_index(np.argmax(np.abs(moved)), moved.shape)
+    phase = b.U[pivot] / moved[pivot]
+    assert np.abs(b.U - phase * moved).max() <= 1e-10
+
+
+# -- exact oracle for Gaussian-integer tuples ---------------------------------
+# A vector over Q(i) is carried "realified": its real parts, then its imaginary
+# parts. A Q(i)-subspace is then the Q-span of the realified x and i x of its
+# vectors, so its Q-dimension is twice its dimension over Q(i). numpy only
+# builds integer matrices (exact for the small entries used here); every
+# elimination runs on Fractions, and nothing calls numpy.linalg.
+
+def _echelon(rows) -> tuple[list, list]:
+    """Reduced row echelon basis of the Q-span of ``rows``, and its pivot columns."""
+    basis, pivots = [], []
+    for row in rows:
+        if basis and len(basis) == len(basis[0]):
+            break  # the span is the whole space
+        row = [Fraction(x) for x in row]
+        for b, p in zip(basis, pivots):
+            if row[p]:
+                f = row[p]
+                row = [x - f * y if y else x for x, y in zip(row, b)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        row = [x / row[lead] for x in row]
+        for i, b in enumerate(basis):
+            if b[lead]:
+                f = b[lead]
+                basis[i] = [x - f * y if y else x for x, y in zip(b, row)]
+        basis.append(row)
+        pivots.append(lead)
+    return basis, pivots
+
+
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The integer matrix, on realified vectors, of the Q(i)-linear map ``m``."""
+    out = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    assert np.array_equal(out, np.rint(out)), "exact_verdict takes Gaussian-integer entries"
+    return np.rint(out).astype(int).astype(object)  # Python integers: no overflow
+
+
+def _integer_rows(basis: list) -> np.ndarray:
+    """Each Fraction row times the lcm of its denominators: the same span, in integers."""
+    out = []
+    for row in basis:
+        scale = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return np.array(out, dtype=object)
+
+
+def _exact_primitive(v: np.ndarray) -> bool:
+    """Whether the words of some length span M_k, over Q(i).
+
+    K_0 = span{1} and K_{l+1} = span{X v_mu : X in K_l}, with X held as its
+    row-major vec, on which X -> X v_mu is ``kron(1, v_mu^T)``. The span fills
+    M_k (primitive), or K_{l+p} falls inside K_l for a p <= k (it never
+    fills), or it is still short at length k**4, the quantum Wielandt bound.
+    """
+    k = v.shape[1]
+    steps = [_real_form(np.kron(np.eye(k), m.T)) for m in v]
+    span = _echelon(_real_form(np.eye(k).reshape(-1, 1)).T)[0]
+    recent = [span]
+    for _ in range(k ** 4):
+        rows = _integer_rows(span)
+        span = _echelon(r for step in steps for r in rows @ step.T)[0]
+        if len(span) == 2 * k * k:
+            return True
+        if any(len(_echelon(old + span)[0]) == len(old) for old in recent):
+            return False
+        recent = (recent + [span])[-k:]
+    return False
+
+
+def _exact_intertwiner_parity(v: np.ndarray, tilde: np.ndarray, c: int) -> int | None:
+    """Transpose parity of a nonzero Y with ``Y tilde_mu = c v_mu Y`` for every mu.
+
+    None when only Y = 0 solves it. On the row-major vec of Y the map is
+    ``kron(1, tilde_mu^T) - c kron(v_mu, 1)``. For a primitive tuple a
+    nonzero solution is invertible, unique up to a scalar, and symmetric or
+    antisymmetric.
+    """
+    k = v.shape[1]
+    n = k * k
+    one = np.eye(k)
+    equations = np.vstack([_real_form(np.kron(one, mt.T) - c * np.kron(m, one))
+                           for m, mt in zip(v, tilde)])
+    basis, pivots = _echelon(equations)
+    free = [j for j in range(2 * n) if j not in pivots]
+    if not free:
+        return None
+    assert len(free) == 2, "a primitive tuple has one intertwiner up to a scalar"
+    y = [Fraction(int(j == free[0])) for j in range(2 * n)]
+    for b, p in zip(basis, pivots):
+        y[p] = -b[free[0]]
+    parts = [np.array(y[:n], dtype=object).reshape(k, k),
+             np.array(y[n:], dtype=object).reshape(k, k)]
+    for sign in (1, -1):
+        if all((part.T == sign * part).all() for part in parts):
+            return sign
+    raise AssertionError("the intertwiner of a primitive tuple is symmetric or antisymmetric")
+
+
+def exact_verdict(v: np.ndarray, perm=None) -> int | str:
+    """The exact index of a Gaussian-integer tuple, or the status that refuses it.
+
+    ``"not_primitive"`` when no word length spans M_k over Q(i);
+    ``"not_reflection_invariant"`` when no nonzero Y satisfies
+    ``Y tilde v_mu = c v_mu Y``, with ``tilde v_mu = v_{pi(mu)}^T``, for c = +1
+    or -1; otherwise the transpose parity of that Y, which is zeta (for an
+    intertwiner Y the gauge unitary U of the index is its polar factor, up
+    to a change of gauge, which keeps the parity). For a primitive tuple c
+    is +1 or -1: reflecting twice gives back the tuple with the phase c^2,
+    which primitivity forces to 1.
+    """
+    v = np.asarray(v, dtype=complex)
+    if not _exact_primitive(v):
+        return "not_primitive"
+    pi = np.arange(len(v)) if perm is None else np.asarray(perm)
+    tilde = np.transpose(v[pi], (0, 2, 1))
+    for c in (1, -1):
+        sign = _exact_intertwiner_parity(v, tilde, c)
+        if sign is not None:
+            return sign
+    return "not_reflection_invariant"
