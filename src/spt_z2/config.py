@@ -33,7 +33,7 @@ rule for ``config``. Refusals are :class:`InvalidInput` (``family`` and
 ``zoo``: ``UnknownModel``).
 A representable but huge cap is still unbounded work.
 
-Not every threshold is here: the 13 fixed ones below (1e-300 division guards
+Not every threshold is here: the 12 fixed ones below (1e-300 division guards
 aside) sit in the code that applies them. The five marked (w) are bounds
 judged by :func:`spt_z2.errors.within`, whose refusals report them as
 ``tolerance``; the rest are cutoffs, input checks and a singular value floor.
@@ -45,8 +45,8 @@ judged by :func:`spt_z2.errors.within`, whose refusals report them as
   residual <= 1e-8 (w); ``_checked_gram_spectrum``, smallest eigenvalue
   >= -1e-8 (w), its trace judged at l times the bound of
   ``require_normalized``;
-  ``_word_space_step``, products of norm <= 1e-14 max(largest, 1) dropped,
-  singular values above max(rank_tol, 1e-13) times the largest counted;
+  ``_word_space_step``, singular values of the unscaled word products
+  above max(rank_tol, 1e-13) times the largest counted;
   ``primitivity``, a span within 1e-10 of one of the last k ends the search.
 - ``reflection.z2_index``: ``||U D - D U||_F <= 1e-6`` for rho's eigenvalues D (w).
 - ``modular``: ``as_bipartite`` norm >= 1e-12 and, unless normalizing,

@@ -62,7 +62,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     cert = primitivity(t, config=config)
     cert.require_primitive()
     if m is None:
-        m = (cert.injectivity_length or 1) + 1
+        m = cert.injectivity_length + 1
     if not (is_int(m) and m >= 1):
         raise InvalidInput("window must be an integer of at least one site", m=m)
     dim = _word_count(t.d, m, config.dense_cap, WindowTooLarge, "marginal dimension")
@@ -79,8 +79,8 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     h += np.conjugate(h.T, order="C")
     h *= 0.5
     return ParentInteraction(m=m, h=h, rank=dim - support, support_rank=support,
-                             range_warning=m < (cert.injectivity_length or 1) + 1,
-                             d=t.d, perm=t.perm())
+                             range_warning=m < cert.injectivity_length + 1,
+                             d=t.d, perm=t.reflect_perm)
 
 
 def _add_on_sites(acc: np.ndarray, op: np.ndarray, sites: list[int]) -> None:

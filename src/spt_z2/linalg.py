@@ -40,8 +40,8 @@ non-finite entry fails the Hermiticity check of the Hermitian solvers as
 :class:`NotHermitian`, and is :class:`InvalidInput` to :func:`peripheral_eigs`
 and :func:`polar_unitary`, as a size that is not a square k**2 is to
 :func:`peripheral_eigs`. Internal solves of matrices Hermitian by
-construction (a Gram matrix, or :meth:`HermitianFrame.matrix` of real
-coordinates) check nothing.
+construction (a Gram matrix, or the Hermitian matrix of real coordinates in
+the basis of :func:`hermitian_frame`) check nothing.
 
 Every tolerance these operations apply comes from the ``config`` they take
 (by default :data:`spt_z2.config.DEFAULT`); none has a tolerance keyword of
@@ -72,14 +72,9 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x).reshape(-1, order="F")
 
 
-def unvec(x: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`; square target unless k is given."""
-    x = np.asarray(x)
-    if k is None:
-        k = round(x.size ** 0.5)
-        if k * k != x.size:
-            raise ValueError(f"cannot unvec length {x.size} into a square matrix")
-    return x.reshape(k, -1, order="F")
+def unvec(x: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of :func:`vec`, into a matrix of k rows."""
+    return np.asarray(x).reshape(k, -1, order="F")
 
 
 def kraus_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,28 +92,16 @@ def kraus_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0).reshape(k * k, k * k)
 
 
-class HermitianFrame(NamedTuple):
-    """The read-only arrays of the Hermitian basis of the k x k matrices.
-
-    ``w`` is the unitary ``W`` whose column ``a + b k``, the vec position of
-    entry (a, b), holds ``E_aa`` on the diagonal, ``(E_ab + E_ba) / sqrt(2)``
-    above it (a < b) and ``i (E_ab - E_ba) / sqrt(2)`` below it (a > b).
-    ``identity`` holds the identity's coordinates, and :meth:`matrix` turns
-    real coordinates back into their Hermitian matrix.
-    """
-
-    w: np.ndarray                # the unitary W
-    wh: np.ndarray               # W^dagger
-    identity: np.ndarray         # the identity's coordinates, which are vec(1)
-
-    def matrix(self, c: np.ndarray) -> np.ndarray:
-        """The Hermitian matrix ``unvec(W c)`` with real coordinates ``c``."""
-        return unvec(np.dot(self.w, c))
-
-
 @cache
-def hermitian_frame(k: int) -> HermitianFrame:
-    """The :class:`HermitianFrame` of the k x k matrices, built once per k."""
+def hermitian_frame(k: int) -> np.ndarray:
+    """The read-only unitary ``W`` of the Hermitian basis of the k x k matrices, built once per k.
+
+    Column ``a + b k`` of ``W``, the vec position of entry (a, b), holds
+    ``E_aa`` on the diagonal, ``(E_ab + E_ba) / sqrt(2)`` above it (a < b) and
+    ``i (E_ab - E_ba) / sqrt(2)`` below it (a > b). Real coordinates ``c`` are
+    the Hermitian matrix ``unvec(W c, k)``, and the identity's coordinates are
+    ``vec(1)``.
+    """
     n = k * k
     w = np.zeros((n, n), dtype=complex)
     s = math.sqrt(0.5)
@@ -128,26 +111,21 @@ def hermitian_frame(k: int) -> HermitianFrame:
             ab, ba = a + b * k, b + a * k  # vec positions of entries (a, b), (b, a)
             w[ab, ab] = w[ba, ab] = s
             w[ab, ba], w[ba, ba] = -1j * s, 1j * s
-    frame = HermitianFrame(w, np.ascontiguousarray(w.conj().T), vec(np.eye(k)))
-    for arr in frame:
-        arr.flags.writeable = False
-    return frame
+    w.flags.writeable = False
+    return w
 
 
 def hermitian_real(mat: np.ndarray) -> np.ndarray:
     """Real matrix ``(W^dagger mat W).real`` of a Hermiticity-preserving superoperator.
 
-    ``W`` is the unitary of :func:`hermitian_frame`. Each entry
+    ``W`` is the unitary of :func:`hermitian_frame`, and ``mat`` a k**2 x k**2
+    transfer matrix. Each entry
     ``Tr(B_i mat(B_j))`` pairs two Hermitian matrices, so it is real when
     ``mat`` preserves Hermiticity, and the imaginary part dropped here is
     rounding. Nothing checks that property: it is the caller's to state.
     """
-    n = mat.shape[0]
-    k = math.isqrt(n)
-    if k * k != n:
-        raise ValueError(f"superoperator size {n} is not a square")
-    frame = hermitian_frame(k)
-    return (frame.wh @ mat @ frame.w).real
+    w = hermitian_frame(math.isqrt(mat.shape[0]))
+    return (w.conj().T @ mat @ w).real
 
 
 def canonical_phases(v: np.ndarray) -> np.ndarray:
@@ -288,14 +266,15 @@ def peripheral_eigs(mat: np.ndarray,
     mat = square_array(mat)
     if not np.isfinite(mat).all():
         raise InvalidInput("matrix entries must be finite")
-    if math.isqrt(len(mat)) ** 2 != len(mat):
+    k = math.isqrt(len(mat))
+    if k * k != len(mat):
         raise InvalidInput("matrix size must be a square k**2", shape=list(mat.shape))
     w, v = np.linalg.eig(mat)
     keep = np.nonzero(peripheral_window(w, config)[0])[0]
     keep = keep[eig_sort_key(w[keep])]
     mats = v[:, keep] / np.linalg.norm(v[:, keep], axis=0)
     mats = mats * canonical_phases(mats)
-    return [(complex(w[i]), unvec(mats[:, j])) for j, i in enumerate(keep)]
+    return [(complex(w[i]), unvec(mats[:, j], k)) for j, i in enumerate(keep)]
 
 
 def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.ndarray:

@@ -13,12 +13,13 @@ flattened row-major, not ``vec``-stacked. :func:`_append_letters` is the one
 place that extends words by letters, and :func:`reverse_word_index` the one
 place that reverses them.
 
-A tuple may carry ``reflect_perm``, an involution of the physical alphabet
-that spatial reflection applies on-site. Plain models have none (identity);
-blocking b sites makes the chain of blocks reflect by reversing block order
+Every tuple carries ``reflect_perm``, the involution of the physical
+alphabet that spatial reflection applies on-site, always as an integer array:
+``arange(d)`` (the identity) for plain models, which :func:`as_mps` fills in.
+Blocking b sites makes the chain of blocks reflect by reversing block order
 *and* the sites inside each block, and the intra-block reversal is exactly
 this involution on the blocked alphabet. Reflection machinery downstream
-honors it; with ``reflect_perm`` unset everything reduces to plain
+reads it as it is; with the identity everything reduces to plain
 transposition formulas.
 """
 
@@ -45,21 +46,22 @@ from .errors import (
     within,
 )
 from .linalg import (HermEig, _eigh, _positive_definite, eig_sort_key, frob, hermitian_frame,
-                     hermitian_real, kraus_superop, peripheral_eigs, peripheral_window)
+                     hermitian_real, kraus_superop, peripheral_eigs, peripheral_window, unvec,
+                     vec)
 
 
 @dataclass(frozen=True)
 class MpsTuple:
-    """Validated tuple of Kraus matrices, shape (d, k, k).
+    """Validated tuple of Kraus matrices, shape (d, k, k), and its reflection involution.
 
     Build through :func:`as_mps`; direct construction skips validation.
-    ``reflect_perm`` is either None (identity) or an involutive permutation of
-    ``range(d)`` stored as an integer array. ``v`` is not mutated after
+    ``reflect_perm`` is an involutive permutation of ``range(d)`` stored as an
+    integer array, ``arange(d)`` for the identity. ``v`` is not mutated after
     construction, so the channel residual is computed once per tuple and kept.
     """
 
     v: np.ndarray
-    reflect_perm: np.ndarray | None = None
+    reflect_perm: np.ndarray
 
     @property
     def d(self) -> int:
@@ -69,20 +71,15 @@ class MpsTuple:
     def k(self) -> int:
         return self.v.shape[1]
 
-    def perm(self) -> np.ndarray:
-        """Reflection involution as a concrete array (identity if unset)."""
-        if self.reflect_perm is None:
-            return np.arange(self.d)
-        return self.reflect_perm
-
     @cached_property
-    def _channel_residual(self) -> float:
+    def channel_residual(self) -> float:
+        """``||sum_mu v_mu v_mu^dagger - 1||_F``, evaluated on the tuple's first use."""
         s = np.einsum("mab,mcb->ac", self.v, self.v.conj())
         return frob(s - np.eye(self.k))
 
 
 def as_mps(obj, reflect_perm=None) -> MpsTuple:
-    """Validate and wrap raw matrices as an :class:`MpsTuple`."""
+    """Validate and wrap raw matrices as an :class:`MpsTuple`; no involution is the identity."""
     if isinstance(obj, MpsTuple):
         if reflect_perm is not None:
             raise InvalidInput("cannot override reflect_perm of an existing tuple")
@@ -95,13 +92,11 @@ def as_mps(obj, reflect_perm=None) -> MpsTuple:
         raise InvalidInput("physical dimension d must be at least 2", d=d)
     if k < 1:
         raise InvalidInput("bond dimension k must be at least 1", k=k)
-    perm = _validate_perm(reflect_perm, d)
+    perm = np.arange(d) if reflect_perm is None else _validate_perm(reflect_perm, d)
     return MpsTuple(v=v, reflect_perm=perm)
 
 
-def _validate_perm(perm, d: int) -> np.ndarray | None:
-    if perm is None:
-        return None
+def _validate_perm(perm, d: int) -> np.ndarray:
     p = np.asarray(perm, dtype=object)
     if p.shape != (d,) or not all(map(is_int, p)) or sorted(p.tolist()) != list(range(d)):
         raise InvalidInput("reflect_perm must be a permutation of range(d)", d=d)
@@ -111,14 +106,9 @@ def _validate_perm(perm, d: int) -> np.ndarray | None:
     return p
 
 
-def channel_residual(t: MpsTuple) -> float:
-    """``||sum_mu v_mu v_mu^dagger - 1||_F``, evaluated on the tuple's first use."""
-    return t._channel_residual
-
-
 def require_normalized(t: MpsTuple, config: Config = DEFAULT) -> None:
     require_config(config)
-    r = channel_residual(t)
+    r = t.channel_residual
     # small slack over eps_norm: blocked tuples accumulate a few ulps per site
     within(r, 10 * config.eps_norm, NormalizationBroken,
            "tuple does not satisfy the channel condition", residual=r)
@@ -170,14 +160,13 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
             "no transfer eigenvalue at the spectral radius on the positive axis",
             spectral_radius=r,
         )
-    frame = hermitian_frame(k)
     basis = vs[:, dom]
-    coeff, *_ = np.linalg.lstsq(basis, frame.identity, rcond=None)
+    coeff, *_ = np.linalg.lstsq(basis, vec(np.eye(k)), rcond=None)
     c = np.dot(basis, coeff).real
     res = frob(np.dot(mat, c) - r * c) / max(r * frob(c), 1e-300)
     within(res, 1e-7, refusal, "identity has no component along a positive fixed point",
            eigen_residual=res)
-    x = frame.matrix(c)
+    x = unvec(np.dot(hermitian_frame(k), c), k)
     return r, x, res, _positive_definite(_eigh(x), refusal, message, cfg)
 
 
@@ -194,7 +183,7 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     """
     require_config(config)
     t = as_mps(raw)
-    if channel_residual(t) <= config.eps_norm:
+    if t.channel_residual <= config.eps_norm:
         return t
 
     parts = t.v.view(float)
@@ -206,9 +195,9 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     root_inv = (sys.vectors * (1.0 / np.sqrt(sys.values))) @ sys.vectors.conj().T
     out = MpsTuple(  # built from a validated tuple; a NaN fails the residual check
         v=np.einsum("ab,mbc,cd->mad", root_inv, t.v, root) / np.sqrt(r),
-        reflect_perm=None if t.reflect_perm is None else t.reflect_perm.copy(),
+        reflect_perm=t.reflect_perm,
     )
-    res = channel_residual(out)
+    res = out.channel_residual
     within(res, config.eps_norm, ConvergenceFailure,
            "normalization residual above tolerance after rescaling", residual=res)
     return out
@@ -241,16 +230,13 @@ def _append_letters(rows: np.ndarray, mats: np.ndarray, l: int = 1) -> np.ndarra
 
 
 def _word_space_step(v: np.ndarray, basis: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis (rows) of span{ X v_mu : X in span(basis rows) }."""
-    k = v.shape[1]
-    prod = _append_letters(basis, v)
-    norms = np.linalg.norm(prod, axis=1)
-    top = norms.max(initial=0.0)
-    keep = norms > 1e-14 * max(top, 1.0)
-    prod = prod[keep] / norms[keep, None]
-    if prod.shape[0] == 0:
-        return np.zeros((0, k * k), dtype=complex)
-    _, s, vh = np.linalg.svd(prod, full_matrices=False)
+    """Orthonormal basis (rows) of span{ X v_mu : X in span(basis rows) }.
+
+    The products keep their scale: the rank counts the singular values above
+    ``max(rank_tol, 1e-13)`` times the largest, so a row that is only
+    cancellation noise adds no direction.
+    """
+    _, s, vh = np.linalg.svd(_append_letters(basis, v), full_matrices=False)
     rank = int(np.sum(s > max(rank_tol, 1e-13) * s[0]))
     return vh[:rank]
 
@@ -272,7 +258,11 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
     A span still short of the full algebra at length k^4 is also
     conclusively not primitive, by the quantum Wielandt bound (Sanz,
     Perez-Garcia, Wolf, Cirac, IEEE TIT 56, 4668, 2010), so the search always
-    ends in a verdict, at k^4 at the latest. Both :class:`Inconclusive`
+    ends in a verdict, at k^4 at the latest. The rank of each span counts
+    singular values of its products as they are, above ``max(rank_tol, 1e-13)``
+    times the largest, with no per-row rescale: a letter 1e10 or more below the
+    others enters the span late, so the injectivity length can exceed that
+    of the same tuple with the letter at full scale. Both :class:`Inconclusive`
     refusals it raises (the two peripheral counts differ, or the routes
     disagree) carry ``peripheral_count`` and ``spectral_gap`` from the
     spectral route.
@@ -485,6 +475,6 @@ def block(t: MpsTuple, b: int, config: Config = DEFAULT) -> MpsTuple:
     require_normalized(t, config)
     _word_count(t.d, b, config.dense_cap, WindowTooLarge, "blocked alphabet")
     out = MpsTuple(v=_append_letters(t.v.reshape(t.d, -1), t.v, b - 1).reshape(-1, t.k, t.k),
-                   reflect_perm=reverse_word_index(t.d, b, t.perm()))
+                   reflect_perm=reverse_word_index(t.d, b, t.reflect_perm))
     require_normalized(out, config)
     return out

@@ -66,7 +66,7 @@ from .mps import (
 
 def _transposed(t: MpsTuple) -> MpsTuple:
     """The transposed tuple ``v_{pi(mu)}^T``, with the same involution."""
-    return MpsTuple(v=np.transpose(t.v[t.perm()], (0, 2, 1)), reflect_perm=t.reflect_perm)
+    return MpsTuple(v=np.transpose(t.v[t.reflect_perm], (0, 2, 1)), reflect_perm=t.reflect_perm)
 
 
 class ReflectedTuple(NamedTuple):
@@ -74,19 +74,17 @@ class ReflectedTuple(NamedTuple):
     rho_diag: np.ndarray     # the descending eigenvalues
 
 
-def reflected_tuple(t: MpsTuple, rho: np.ndarray,
-                    config: Config = DEFAULT) -> ReflectedTuple:
+def reflected_tuple(rho: np.ndarray, config: Config = DEFAULT) -> ReflectedTuple:
     """The eigenbasis of rho in which U is classified; NotFaithful if rho is singular.
 
     rho is solved by :func:`spt_z2.linalg.herm_eig`, so the basis carries the
     canonical phase, and must pass the positive-definiteness rule of
-    :func:`spt_z2.linalg._positive_definite`. ``t`` is only validated. The
-    reflected tuple itself is :func:`_transposed`, which gives ``t`` back
-    when applied twice and, for ``t`` in channel form, satisfies the dual
-    condition ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
+    :func:`spt_z2.linalg._positive_definite`. The reflected tuple itself is
+    :func:`_transposed`, which gives a tuple back when applied twice and, for
+    a tuple in channel form, satisfies the dual condition
+    ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
     """
     require_config(config)
-    as_mps(t)
     sys = _positive_definite(herm_eig(rho, config), NotFaithful,
                              "invariant state is singular; reflected tuple undefined", config)
     return ReflectedTuple(basis=sys.vectors[:, ::-1].copy(), rho_diag=sys.values[::-1].copy())
@@ -200,7 +198,7 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
     # matrices per index, but that moves the call counts the benchmark pins, so it
     # waits for their re-pin (ROADMAP 1 and 3)
     inv = invariant_state(t, cfg)
-    refl = reflected_tuple(t, inv.rho, cfg)
+    refl = reflected_tuple(inv.rho, cfg)
     # the one rotation into the rho eigenbasis, where U is classified
     w = refl.basis
     v_eig = MpsTuple(v=np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w),
@@ -214,7 +212,7 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
         mixed_radius, gauge_residual = float(exc.payload["mixed_radius"]), None
         via_gauge = False
 
-    lengths = 2 * (cert.injectivity_length or 1)
+    lengths = 2 * cert.injectivity_length
     marg_res = _marginal_reversal_residual(t, inv.rho, lengths, cfg)
     via_marginals = marg_res <= cfg.refl_marginal_tol
     evidence = ReflectionEvidence(
@@ -279,7 +277,7 @@ def _classify(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
               refl: ReflectedTuple, evidence: ReflectionEvidence,
               gauge: GaugeSolution | None, cfg: Config) -> IndexReport:
     """The index of a certified tuple from its :func:`_certify` stages, or a refusal."""
-    if not evidence.invariant or gauge is None:
+    if not evidence.invariant:  # invariant needs via_gauge, so gauge is set past here
         raise NotReflectionInvariant(
             "state differs from its reflection",
             mixed_radius=evidence.mixed_radius,

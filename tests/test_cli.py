@@ -252,7 +252,7 @@ def test_tuple_file_round_trip(tmp_path, aklt):
 
 def test_tuple_file_with_reflect_perm(tmp_path, aklt):
     b2 = sz.block(aklt, 2)
-    path = write_tuple(tmp_path, b2.v, reflect_perm=b2.perm())
+    path = write_tuple(tmp_path, b2.v, reflect_perm=b2.reflect_perm)
     code, env = run(["index", "--tuple", path])
     assert code == 0
     assert env["result"]["zeta"] == -1
@@ -260,7 +260,7 @@ def test_tuple_file_with_reflect_perm(tmp_path, aklt):
 
 def test_parent_ham_tuple_file_with_reflect_perm(tmp_path, aklt):
     b2 = sz.block(aklt, 2)
-    path = write_tuple(tmp_path, b2.v, reflect_perm=b2.perm())
+    path = write_tuple(tmp_path, b2.v, reflect_perm=b2.reflect_perm)
     code, env = run(["parent-ham", "--tuple", path])
     assert code == 0
     res = env["result"]
@@ -771,7 +771,7 @@ CONFIG_CALLS = {
     "mps.invariant_state": lambda t, cfg: sz.invariant_state(t, config=cfg),
     "mps.marginal": lambda t, cfg: sz.marginal(t, np.eye(2) / 2, 1, config=cfg),
     "mps.block": lambda t, cfg: sz.block(t, 2, config=cfg),
-    "reflection.reflected_tuple": lambda t, cfg: sz.reflected_tuple(t, np.eye(2) / 2, config=cfg),
+    "reflection.reflected_tuple": lambda t, cfg: sz.reflected_tuple(np.eye(2) / 2, config=cfg),
     "reflection.gauge_solve": lambda t, cfg: sz.gauge_solve(t, t, config=cfg),
     "reflection.reflection_invariant": lambda t, cfg: sz.reflection_invariant(t, config=cfg),
     "reflection.z2_index": lambda t, cfg: sz.z2_index(t, config=cfg),

@@ -1,15 +1,16 @@
 """The index against an exact oracle, on tuples of Gaussian integers.
 
 :func:`util.exact_verdict` decides primitivity, reflection invariance and
-zeta over Q(i) with Fractions, with no floating point in any decision. Every
-``z2_index`` answer must equal it; a refusal must carry the exact verdict's
-status, or be named below with its class.
+zeta over Q(i) in integer and rational arithmetic, with no floating point in
+any decision. Every ``z2_index`` answer must equal it; a refusal must carry
+the exact verdict's status, or be named below with its class.
 """
 
 import numpy as np
 
 import spt_z2 as sz
-from util import exact_verdict
+from spt_z2.mps import reverse_word_index
+from util import exact_verdict, stack
 
 OMEGA = np.array([[0, 1], [-1, 0]])
 AKLT = np.array([[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]], dtype=complex)
@@ -69,12 +70,40 @@ def _ensemble():
     return cases
 
 
+def _derived():
+    """(cell, seed, tuple, involution) built from the planted tuples with k <= 2.
+
+    Each is stacked with aklt by :func:`util.stack` (k <= 4), and blocked at
+    b = 2 as its integer word products, with :func:`reverse_word_index` as
+    the involution. Stacking keeps a periodic tuple periodic, and blocking
+    can split a tuple into reducible blocks.
+    """
+    cases = []
+    for d in (2, 3):
+        for k, zeta in ((1, 1), (2, 1), (2, -1)):
+            for swap in (False, True):
+                for seed in range(3):
+                    rng = np.random.default_rng([seed, d, k, zeta + 1, swap])
+                    v, perm = _planted(rng, d, k, zeta, swap)
+                    pi = np.arange(d) if perm is None else np.asarray(perm)
+                    cell = f"d{d}k{k}{'+' if zeta > 0 else '-'}{'-swap' if swap else ''}"
+                    stacked = stack(v, AKLT, pi)
+                    cases.append((f"stackA-planted-{cell}", seed, stacked.v,
+                                  stacked.reflect_perm, None))
+                    cases.append((f"block2-planted-{cell}", seed,
+                                  np.einsum("mab,nbc->mnac", v, v).reshape(d * d, k, k),
+                                  reverse_word_index(d, 2, pi), None))
+    return cases
+
+
 # Refusals whose status is not the exact verdict's, by (cell, seed). Each tuple
 # is exactly not primitive, and normalize refuses it before primitivity is
 # asked: five are nilpotent with a computed transfer radius of exactly 0 (the
-# zero tuple, or strictly triangular), one is reducible with a singular
-# dominant fixed point (smallest eigenvalue -7e-17), and NILPOTENT's rounded
-# radius passes the 1e-300 floor, so its rescaling leaves a residual of 1.
+# zero tuple, or strictly triangular), five are reducible with a singular
+# dominant fixed point (the d=2/k=1 swap tuple, whose smallest eigenvalue is
+# -7e-17, and that tuple's seeds 0 and 2 stacked with aklt or blocked), and
+# NILPOTENT's rounded radius passes the 1e-300 floor, so its rescaling
+# leaves a residual of 1.
 NAMED = {
     ("nilpotent", 0): "ConvergenceFailure",
     ("random-d2k1", 0): "NotNormalizable",
@@ -83,12 +112,16 @@ NAMED = {
     ("random-d3k2", 0): "NotNormalizable",
     ("random-d3k2", 3): "NotNormalizable",
     ("planted-d2k1+-swap", 0): "NotNormalizable",
+    ("stackA-planted-d2k1+-swap", 0): "NotNormalizable",
+    ("stackA-planted-d2k1+-swap", 2): "NotNormalizable",
+    ("block2-planted-d2k1+-swap", 0): "NotNormalizable",
+    ("block2-planted-d2k1+-swap", 2): "NotNormalizable",
 }
 
 
 def test_index_matches_the_exact_verdict():
     misses, refused_otherwise = [], {}
-    for cell, seed, v, perm, planted in _ensemble():
+    for cell, seed, v, perm, planted in _ensemble() + _derived():
         exact = exact_verdict(v, perm)
         if planted is not None and exact != "not_primitive":
             assert exact == planted, (cell, seed)  # the oracle finds the planted sign
@@ -102,3 +135,14 @@ def test_index_matches_the_exact_verdict():
             misses.append((cell, seed, got, exact))
     assert not misses  # every answer is the exact one
     assert refused_otherwise == NAMED
+
+
+def test_stacked_periodic_tuple_is_not_primitive():
+    # the periodic planted tuple stacked with aklt: words of length 4 leave
+    # products of norm 2e-14 .. 7e-14 of the largest, cancellation noise that
+    # a per-row rescale once counted as new directions, so the word-space
+    # route called the tuple primitive against the spectral one
+    v, _ = _planted(np.random.default_rng([0, 2, 2, 0, False]), 2, 2, -1, False)
+    cert = sz.primitivity(sz.normalize(stack(v, AKLT)))
+    assert not cert.is_primitive
+    assert cert.peripheral_count == 2 and cert.injectivity_length is None

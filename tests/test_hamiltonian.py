@@ -67,7 +67,7 @@ def test_reflection_check_blocked_tuple(aklt):
     # the blocked alphabet's involution reverses each block; plain factor
     # reversal without it does not leave the interaction fixed
     hint = sz.parent_interaction(sz.block(aklt, 2))
-    assert np.array_equal(hint.perm, sz.block(aklt, 2).perm())
+    assert np.array_equal(hint.perm, sz.block(aklt, 2).reflect_perm)
     assert sz.reflection_check(hint) < 1e-12
 
 

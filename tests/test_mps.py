@@ -7,7 +7,7 @@ import spt_z2 as sz
 from spt_z2 import mps
 from spt_z2.config import DEFAULT
 from spt_z2.linalg import frob, hermitian_real, unvec, vec
-from spt_z2.mps import channel_residual, reverse_word_index, transfer_matrix
+from spt_z2.mps import reverse_word_index, transfer_matrix
 from spt_z2.reflection import _marginal_reversal_residual
 from util import (apply_adjoint, dense_marginal, haar_unitary, injectivity_length_oracle,
                   known_answer_tuple, marginal_oracle, random_channel_tuple, word_index)
@@ -86,14 +86,35 @@ def test_as_mps_perm_validation(aklt_raw):
         # a 3-cycle is a permutation but not an involution
         sz.as_mps(aklt_raw, reflect_perm=[1, 2, 0])
     t = sz.as_mps(aklt_raw, reflect_perm=[0, 2, 1])
-    assert np.array_equal(t.perm(), [0, 2, 1])
+    assert np.array_equal(t.reflect_perm, [0, 2, 1])
     with pytest.raises(sz.InvalidInput):
         sz.as_mps(t, reflect_perm=[0, 1, 2])
 
 
 def test_default_perm_is_identity(aklt):
-    assert aklt.reflect_perm is None
-    assert np.array_equal(aklt.perm(), [0, 1, 2])
+    assert aklt.reflect_perm.dtype.kind == "i"
+    assert np.array_equal(aklt.reflect_perm, [0, 1, 2])
+
+
+def test_every_tuple_carries_an_integer_involution(aklt_raw):
+    # one form whichever routine built the tuple: an integer involution of
+    # length d, arange(d) for the identity
+    swap = [2, 1, 0]
+    tuples = [sz.as_mps(aklt_raw), sz.as_mps(aklt_raw, reflect_perm=swap),
+              sz.normalize(aklt_raw),  # already normalized: the tuple as it is
+              sz.normalize(3.0 * aklt_raw),  # rescaled
+              sz.normalize(sz.as_mps(3.0 * aklt_raw, reflect_perm=swap)),
+              sz.block(sz.as_mps(aklt_raw), 2),
+              sz.block(sz.as_mps(aklt_raw, reflect_perm=swap), 3)]
+    for t in tuples:
+        p = t.reflect_perm
+        assert isinstance(p, np.ndarray) and p.dtype.kind == "i" and p.shape == (t.d,)
+        assert np.array_equal(p[p], np.arange(t.d))
+
+
+def test_a_tuple_is_never_built_without_its_involution(aklt_raw):
+    with pytest.raises(TypeError):
+        sz.MpsTuple(v=aklt_raw)
 
 
 # -- transfer channel --------------------------------------------------------
@@ -113,7 +134,7 @@ def test_channel_adjoint_duality(rng):
     for _ in range(8):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = np.trace(y.conj().T @ unvec(transfer_matrix(t) @ vec(x)))
+        lhs = np.trace(y.conj().T @ unvec(transfer_matrix(t) @ vec(x), 3))
         rhs = np.trace(apply_adjoint(t, y).conj().T @ x)
         assert abs(lhs - rhs) < 1e-12
 
@@ -166,7 +187,7 @@ def test_normalize_rescales_scaled_tuple():
 def test_normalize_preserves_reflect_perm():
     t = sz.as_mps(3.0 * sz.zoo("ghz"), reflect_perm=[1, 0])
     out = sz.normalize(t)
-    assert np.array_equal(out.perm(), [1, 0])
+    assert np.array_equal(out.reflect_perm, [1, 0])
 
 
 def test_normalize_reducible_unequal_blocks():
@@ -207,7 +228,7 @@ def test_normalize_large_entries(aklt_raw, s):
     raw = aklt_raw.copy()
     raw[1] = raw[1] + float(s) * np.eye(2)
     out = sz.normalize(raw)
-    assert channel_residual(out) <= 1e-9
+    assert out.channel_residual <= 1e-9
     assert np.allclose(out.v, sz.zoo(f"aklt-breaker:{s}"))
     # the transfer gap closes as 1/s, so the index refuses, but only later
     with pytest.raises(sz.Inconclusive):
@@ -220,7 +241,7 @@ def test_normalize_repairs_conjugated_tuple(rng):
                            + 1j * rng.standard_normal((3, 3)))
     raw = 1.7 * np.einsum("ab,mbc,cd->mad", s, base.v, np.linalg.inv(s))
     out = sz.normalize(raw)
-    assert channel_residual(out) <= 1e-9
+    assert out.channel_residual <= 1e-9
     # the transfer spectrum is a gauge invariant of the repaired state
     got = np.sort(np.abs(sz.transfer_spectrum(out)))
     want = np.sort(np.abs(sz.transfer_spectrum(base)))
@@ -349,15 +370,29 @@ def test_injectivity_length_matches_word_rank_oracle(aklt, case):
     assert cert.injectivity_length == injectivity_length_oracle(t, 6)
 
 
+def test_a_letter_far_below_the_others_enters_the_word_space_late():
+    # the rank counts singular values of the unscaled products against the
+    # largest, so a letter 1e-12 below the others adds its directions only at
+    # longer words: the injectivity length may grow (here from 2 to 4), and
+    # the index stays
+    raw = known_answer_tuple(np.random.default_rng([0, 3, 3]), 3, 3, 1)
+    scaled = raw.copy()
+    scaled[0] *= 1e-12
+    base, small = sz.z2_index(raw), sz.z2_index(scaled)
+    assert small.zeta == base.zeta == 1
+    lengths = [rep.certificates.primitivity.injectivity_length for rep in (base, small)]
+    assert lengths[1] >= lengths[0]
+
+
 def test_primitivity_requires_normalized(aklt):
     with pytest.raises(sz.NormalizationBroken):
-        sz.primitivity(sz.MpsTuple(v=2.0 * aklt.v))
+        sz.primitivity(sz.as_mps(2.0 * aklt.v))
 
 
 @pytest.mark.parametrize("f,refused", [(2e-9, False), (5e-9, True)])
 def test_require_normalized_reports_the_applied_bound(aklt, f, refused):
     # the bound is 10 * eps_norm = 1e-8; (1 + f) * aklt has residual 2 * sqrt(2) * f
-    t = sz.MpsTuple(v=(1.0 + f) * aklt.v)
+    t = sz.as_mps((1.0 + f) * aklt.v)
     if not refused:
         mps.require_normalized(t)
         return
@@ -387,7 +422,7 @@ def test_a_looser_eps_norm_governs_the_invariant_state():
     # radius 1 + 2e-8, inside the channel bound 10 * eps_norm = 1e-4; a
     # fixed 1e-8 on abs(r - 1) refused this tuple after require_normalized passed it
     raw = 1.00000001 * sz.zoo("aklt")
-    state = sz.invariant_state(sz.MpsTuple(v=raw), sz.Config(eps_norm=1e-5))
+    state = sz.invariant_state(sz.as_mps(raw), sz.Config(eps_norm=1e-5))
     assert abs(np.trace(state.rho) - 1.0) < 1e-12
     assert sz.z2_index(raw, sz.Config(eps_norm=1e-5)).zeta == -1
 
@@ -400,7 +435,7 @@ def test_a_looser_eps_norm_governs_the_marginal_trace(f):
     raw = (1 + f) * sz.zoo("aklt")
     loose = sz.Config(eps_norm=1e-5)
     assert sz.z2_index(raw, loose).zeta == -1
-    t = sz.MpsTuple(v=raw)
+    t = sz.as_mps(raw)
     assert sz.marginal(t, np.eye(2) / 2, 4, loose).rank == 4
     with pytest.raises(sz.ConvergenceFailure, match="marginal trace drifted from 1"):
         sz.marginal(t, np.eye(2) / 2, 1)
@@ -435,7 +470,7 @@ def test_invariant_state_not_faithful():
     # invariant_state adds the transfer gap, which primitivity reads
     (lambda: sz.invariant_state(sigma_plus_tuple()),
      (sz.NotFaithful, "invariant state is singular within tolerance", {"spectral_gap": 1.0})),
-    (lambda: sz.reflected_tuple(sigma_plus_tuple(), np.diag([0.0, 1.0])),
+    (lambda: sz.reflected_tuple(np.diag([0.0, 1.0])),
      (sz.NotFaithful, "invariant state is singular; reflected tuple undefined", {})),
     # primitivity reads the refusal as a failed spectral route
     (lambda: sz.primitivity(sigma_plus_tuple()).is_primitive, None),
@@ -507,7 +542,7 @@ def test_marginal_matches_oracle(rng):
     cfg = sz.Config()
     plain = random_channel_tuple(rng, 2, 2)
     blocked = sz.block(random_channel_tuple(rng, 2, 3), 2)
-    assert blocked.reflect_perm is not None
+    assert not np.array_equal(blocked.reflect_perm, np.arange(blocked.d))
     for t, lengths in ((plain, (1, 2, 3)), (blocked, (1, 2))):
         rho = sz.invariant_state(t).rho
         worst = 0.0
@@ -520,7 +555,7 @@ def test_marginal_matches_oracle(rng):
             assert frob(dense_marginal(m) - oracle) < 1e-10
             evals = np.linalg.eigvalsh(oracle)
             assert m.rank == int(np.sum(evals > cfg.rank_tol * evals.max()))
-            idx = reverse_word_index(t.d, l, t.perm())
+            idx = reverse_word_index(t.d, l, t.reflect_perm)
             worst = max(worst, frob(oracle[np.ix_(idx, idx)] - oracle))
             assert abs(_marginal_reversal_residual(t, rho, l, cfg) - worst) < 1e-12
     assert worst > 1e-3
@@ -602,7 +637,7 @@ def test_block_identity(aklt):
 def test_block_two_site_products(aklt):
     b2 = sz.block(aklt, 2)
     assert b2.d == 9 and b2.k == 2
-    assert channel_residual(b2) < 1e-12
+    assert b2.channel_residual < 1e-12
     for a in range(3):
         for b in range(3):
             # big-endian: site 0 is the most significant digit and the left factor
@@ -612,7 +647,7 @@ def test_block_two_site_products(aklt):
 
 def test_block_perm_reverses_words(aklt):
     b2 = sz.block(aklt, 2)
-    perm = b2.perm()
+    perm = b2.reflect_perm
     for a in range(3):
         for b in range(3):
             assert perm[word_index((a, b), 3)] == word_index((b, a), 3)
@@ -623,17 +658,17 @@ def test_block_perm_twisted(rng, b):
     pi = np.array([2, 1, 0])
     t = sz.as_mps(random_channel_tuple(rng, 3, 2).v, reflect_perm=pi)
     blocked = sz.block(t, b)
-    assert np.array_equal(blocked.perm(), reverse_word_index(3, b, pi))
+    assert np.array_equal(blocked.reflect_perm, reverse_word_index(3, b, pi))
     for word in itertools.product(range(3), repeat=b):
         twisted = tuple(int(pi[mu]) for mu in reversed(word))
-        assert blocked.perm()[word_index(word, 3)] == word_index(twisted, 3)
+        assert blocked.reflect_perm[word_index(word, 3)] == word_index(twisted, 3)
 
 
 def test_block_composes(aklt):
     twice = sz.block(sz.block(aklt, 2), 2)
     quad = sz.block(aklt, 4)
     assert frob(twice.v - quad.v) < 1e-12
-    assert np.array_equal(twice.perm(), quad.perm())
+    assert np.array_equal(twice.reflect_perm, quad.reflect_perm)
 
 
 def test_block_marginal_consistency(aklt, aklt_rho):

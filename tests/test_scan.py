@@ -8,7 +8,6 @@ import pytest
 import spt_z2 as sz
 from spt_z2 import mps
 from spt_z2.linalg import frob
-from spt_z2.mps import channel_residual
 
 
 # -- zoo ----------------------------------------------------------------------
@@ -16,7 +15,7 @@ from spt_z2.mps import channel_residual
 def test_zoo_aklt_is_normalized():
     raw = sz.zoo("aklt")
     assert raw.shape == (3, 2, 2)
-    assert channel_residual(sz.as_mps(raw)) < 1e-12
+    assert sz.as_mps(raw).channel_residual < 1e-12
 
 
 def test_zoo_product_normalizes_amplitudes():
@@ -35,7 +34,7 @@ def test_zoo_product_rejections():
 
 def test_zoo_breaker_is_renormalized(aklt_raw):
     raw = sz.zoo("aklt-breaker:0.05")
-    assert channel_residual(sz.as_mps(raw)) < 1e-9
+    assert sz.as_mps(raw).channel_residual < 1e-9
     assert frob(raw - aklt_raw) > 0.01
     assert np.allclose(sz.zoo("aklt-breaker:0"), aklt_raw, atol=1e-12)
 

@@ -287,27 +287,39 @@ def same_report(a: sz.IndexReport, b: sz.IndexReport) -> None:
 # parts. A Q(i)-subspace is then the Q-span of the realified x and i x of its
 # vectors, so its Q-dimension is twice its dimension over Q(i). numpy only
 # builds integer matrices (exact for the small entries used here); every
-# elimination runs on Fractions, and nothing calls numpy.linalg.
+# elimination runs fraction free on Python integers, and nothing calls
+# numpy.linalg.
+
+def _primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries; a zero row stays zero."""
+    g = math.gcd(*row) or 1
+    return [x // g for x in row]
+
 
 def _echelon(rows) -> tuple[list, list]:
-    """Reduced row echelon basis of the Q-span of ``rows``, and its pivot columns."""
+    """Reduced row echelon basis of the Q-span of integer ``rows``, and its pivot columns.
+
+    Each basis row is integer with no common factor, and zero in the pivot
+    column of every other basis row. Eliminating column p of ``r`` by the
+    basis row b is ``b[p] r - r[p] b``, which keeps every entry an integer.
+    """
     basis, pivots = [], []
     for row in rows:
         if basis and len(basis) == len(basis[0]):
             break  # the span is the whole space
-        row = [Fraction(x) for x in row]
+        row = [int(x) for x in row]
         for b, p in zip(basis, pivots):
             if row[p]:
-                f = row[p]
-                row = [x - f * y if y else x for x, y in zip(row, b)]
+                f, g = row[p], b[p]
+                row = _primitive([g * x - f * y for x, y in zip(row, b)])
         lead = next((j for j, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        row = [x / row[lead] for x in row]
+        row = _primitive(row)
         for i, b in enumerate(basis):
             if b[lead]:
-                f = b[lead]
-                basis[i] = [x - f * y if y else x for x, y in zip(b, row)]
+                f, g = b[lead], row[lead]
+                basis[i] = _primitive([g * x - f * y for x, y in zip(b, row)])
         basis.append(row)
         pivots.append(lead)
     return basis, pivots
@@ -318,15 +330,6 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     out = np.block([[m.real, -m.imag], [m.imag, m.real]])
     assert np.array_equal(out, np.rint(out)), "exact_verdict takes Gaussian-integer entries"
     return np.rint(out).astype(int).astype(object)  # Python integers: no overflow
-
-
-def _integer_rows(basis: list) -> np.ndarray:
-    """Each Fraction row times the lcm of its denominators: the same span, in integers."""
-    out = []
-    for row in basis:
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return np.array(out, dtype=object)
 
 
 def _exact_primitive(v: np.ndarray) -> bool:
@@ -342,7 +345,7 @@ def _exact_primitive(v: np.ndarray) -> bool:
     span = _echelon(_real_form(np.eye(k).reshape(-1, 1)).T)[0]
     recent = [span]
     for _ in range(k ** 4):
-        rows = _integer_rows(span)
+        rows = np.array(span, dtype=object)
         span = _echelon(r for step in steps for r in rows @ step.T)[0]
         if len(span) == 2 * k * k:
             return True
@@ -372,7 +375,7 @@ def _exact_intertwiner_parity(v: np.ndarray, tilde: np.ndarray, c: int) -> int |
     assert len(free) == 2, "a primitive tuple has one intertwiner up to a scalar"
     y = [Fraction(int(j == free[0])) for j in range(2 * n)]
     for b, p in zip(basis, pivots):
-        y[p] = -b[free[0]]
+        y[p] = Fraction(-b[free[0]], b[p])
     parts = [np.array(y[:n], dtype=object).reshape(k, k),
              np.array(y[n:], dtype=object).reshape(k, k)]
     for sign in (1, -1):
