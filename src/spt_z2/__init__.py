@@ -27,8 +27,6 @@ from .errors import (
     SptError,
     UnknownModel,
     UsageError,
-    WindowTooLarge,
-    ZeroVector,
 )
 from .hamiltonian import (EdReport, ParentInteraction, chain_hamiltonian, ed_report,
                           parent_interaction, reflection_check)

@@ -9,10 +9,13 @@ whatever the source (flags, a file, ``SPT_Z2_CONFIG`` or a library caller):
 every field is a plain number, never None. Every float is finite (negative
 values are legal and only force refusals), ``peripheral_tol`` lies in
 (0, 0.5) and every integer in [1, 2**63). One reading has one setting:
-``peripheral_tol`` also judges the same-state test, ``modular_tol`` both
-signs of the modular data, and ``dense_cap`` every dense space on x sites, of
-dimension d**x: an explicit marginal, a blocked alphabet, the parent window
-and the chain that ED diagonalizes.
+``rank_tol`` is the one relative eigenvalue floor (an eigenvalue at most
+``rank_tol`` times the largest counts as zero, for ranks, pseudo-inverses and
+positive definiteness), ``peripheral_tol`` also judges the same-state test,
+``modular_tol`` both signs of the modular data, and ``dense_cap`` every dense
+space on x sites, of dimension d**x: an explicit marginal, a blocked
+alphabet, the parent window and the chain that ED diagonalizes, each refused
+as ``DimensionCap`` above it.
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
@@ -33,7 +36,7 @@ rule for ``config``. Refusals are :class:`InvalidInput` (``family`` and
 ``zoo``: ``UnknownModel``).
 A representable but huge cap is still unbounded work.
 
-Not every threshold is here: the 12 fixed ones below (1e-300 division guards
+Not every threshold is here: the 11 fixed ones below (1e-300 division guards
 aside) sit in the code that applies them. The five marked (w) are bounds
 judged by :func:`spt_z2.errors.within`, whose refusals report them as
 ``tolerance``; the rest are cutoffs, input checks and a singular value floor.
@@ -52,7 +55,6 @@ judged by :func:`spt_z2.errors.within`, whose refusals report them as
 - ``modular``: ``as_bipartite`` norm >= 1e-12 and, unless normalizing,
   abs(norm - 1) <= 1e-10.
 - ``linalg.polar_unitary``: smallest singular value >= 1e-9 times the largest.
-- ``scan.parse_model``: product amplitudes of norm >= 1e-12.
 """
 
 from __future__ import annotations
@@ -142,8 +144,7 @@ class Config:
     eps_norm: float = 1e-9       # channel normalization residual
     eps_gauge: float = 1e-7      # gauge relation residual
     eps_index: float = 1e-7      # smaller sign miss of U against U^T (zeta)
-    rank_tol: float = 1e-12      # relative spectral cutoff for ranks/pseudo-inverses
-    pos_def_tol: float = 1e-10   # relative floor for positive definiteness
+    rank_tol: float = 1e-12      # one relative floor: ranks, pseudo-inverses, positive definite
     peripheral_tol: float = 1e-6 # unit-circle window (fraction of radius), transfer and mixed map
     modular_tol: float = 1e-8    # modular identity residuals, kappa's and sigma's sign misses
     refl_marginal_tol: float = 1e-8  # marginal reversal mismatch threshold

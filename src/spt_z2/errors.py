@@ -115,13 +115,9 @@ class AmbiguousSymmetry(SptError):
 
 
 class DegenerateSupport(SptError):
-    """Bipartite vector has no usable Schmidt support."""
+    """Bipartite vector has no singular value above zero, a zero vector included."""
 
     status = "degenerate_support"
-
-
-class ZeroVector(DegenerateSupport):
-    """Vector norm is numerically zero."""
 
 
 class Inconclusive(SptError):
@@ -144,17 +140,13 @@ class RankDeficient(SptError):
 
 
 class ResourceLimit(SptError):
-    """A computation would exceed a configured cap on its size."""
+    """A scan grid exceeds ``scan_cap``; the base of :class:`DimensionCap`."""
 
     status = "resource_limit"
 
 
-class WindowTooLarge(ResourceLimit):
-    """Marginal or interaction window exceeds the dense cap."""
-
-
 class DimensionCap(ResourceLimit):
-    """Chain Hilbert space exceeds the exact-diagonalization cap."""
+    """A dense space of dimension d**x exceeds ``dense_cap``."""
 
 
 class NotHermitian(SptError):

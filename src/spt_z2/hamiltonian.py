@@ -12,7 +12,7 @@ at least one more than the injectivity length the open-chain kernel is
 spanned by the tuple's boundary states (dimension k^2).
 
 Everything here is dense, and one setting caps it: ``dense_cap`` bounds the
-window's d^m (``WindowTooLarge``) and the chain's d^n (``DimensionCap``).
+window's d^m and the chain's d^n, each refused as ``DimensionCap`` above it.
 These are verification tools, not a simulation engine. A chain of a real
 interaction is built and diagonalized in real arithmetic, and dense ED holds
 at most two d^n x d^n matrices: the chain and LAPACK's working copy.
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, Config, is_int, require_config, require_record, square_array
-from .errors import DimensionCap, InvalidInput, WindowTooLarge
+from .errors import DimensionCap, InvalidInput
 from .linalg import frob, herm_eigvals, real_if_exact
 from .mps import (MpsTuple, _append_letters, _word_count, as_mps, primitivity,
                   reverse_word_index)
@@ -50,7 +50,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     matrix (rows ``V_w``) with squared singular value above ``rank_tol`` times
     the largest, as :func:`spt_z2.mps.marginal` counts Gram eigenvalues; h is
     1 - B B^dagger, symmetrized, and d^m above ``dense_cap`` is refused as
-    :class:`WindowTooLarge`. No ``||h^2 - h||_F`` bound is judged, as none
+    :class:`DimensionCap`. No ``||h^2 - h||_F`` bound is judged, as none
     could fail: LAPACK's B is orthonormal to about dim * eps, so the miss is
     of that order (9e-13 at ``dense_cap`` = 4096, 3e-15 for aklt at m = 7)
     where a bound would be 1e-9. The default window is injectivity length + 1;
@@ -65,7 +65,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
         m = cert.injectivity_length + 1
     if not (is_int(m) and m >= 1):
         raise InvalidInput("window must be an integer of at least one site", m=m)
-    dim = _word_count(t.d, m, config.dense_cap, WindowTooLarge, "marginal dimension")
+    dim = _word_count(t.d, m, config.dense_cap, "marginal dimension")
     words = _append_letters(t.v.reshape(t.d, -1), t.v, m - 1)
     u, s, _ = np.linalg.svd(words, full_matrices=False)
     support = int(np.sum(s * s > config.rank_tol * max(float(s[0] * s[0]), 1e-300)))
@@ -120,7 +120,7 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
         raise InvalidInput("boundary must be open or periodic", boundary=boundary)
     if not (is_int(n) and n >= m):
         raise InvalidInput("chain length must be an integer of at least the window", n=n, m=m)
-    dim = _word_count(d, n, config.dense_cap, DimensionCap, "chain dimension")
+    dim = _word_count(d, n, config.dense_cap, "chain dimension")
     h = real_if_exact(hint.h)
     h_total = np.zeros((d,) * (2 * n), dtype=np.result_type(h, float))
     last = n - m + 1 if boundary == "open" else n

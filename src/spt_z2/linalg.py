@@ -205,10 +205,11 @@ def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
 def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
                        cfg: Config) -> HermEig:
     """The one positive-definiteness rule: with eigenvalues ``lo <= .. <= hi`` the
-    matrix passes when ``hi > 0`` and ``lo > max(pos_def_tol, 0) * hi``; otherwise
+    matrix passes when ``hi > 0`` and ``lo > max(rank_tol, 0) * hi``, that is when
+    it has full rank by the floor :func:`psd_power` applies; otherwise
     ``refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)``."""
     lo, hi = float(sys.values[0]), float(sys.values[-1])
-    if not (hi > 0 and lo > max(cfg.pos_def_tol, 0.0) * hi):
+    if not (hi > 0 and lo > max(cfg.rank_tol, 0.0) * hi):
         raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)
     return sys
 
@@ -280,7 +281,7 @@ def peripheral_eigs(mat: np.ndarray,
 def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.ndarray:
     """Real power of a PSD matrix on its support.
 
-    Eigenvalues below ``rank_tol`` times the largest are treated as exact
+    Eigenvalues at most ``rank_tol`` times the largest are treated as exact
     zeros: for negative powers they are pseudo-inverted to zero, for positive
     powers they contribute nothing. Negative eigenvalues beyond that window
     are rejected, as is a power that is not a finite real number.

@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, Config, finite_array, require_config, require_record, square_array
-from .errors import DegenerateSupport, Inconclusive, InvalidInput, ZeroVector, within
+from .errors import DegenerateSupport, Inconclusive, InvalidInput, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
 
@@ -73,12 +73,13 @@ def as_bipartite(matrix, normalized: bool = False) -> BipartiteVector:
     """Wrap a coefficient matrix; ``normalized=True`` rescales to unit norm.
 
     The matrix is read by :func:`spt_z2.config.square_array`, with finite
-    entries, as :func:`spt_z2.linalg.polar_unitary` reads its input.
+    entries, as :func:`spt_z2.linalg.polar_unitary` reads its input; a norm
+    below 1e-12 has no Schmidt support, :class:`DegenerateSupport`.
     """
     m_arr = finite_array(square_array(matrix), "coefficient matrix")
     norm = float(np.linalg.norm(m_arr))
     if norm < 1e-12:
-        raise ZeroVector("bipartite vector has numerically zero norm", norm=norm)
+        raise DegenerateSupport("bipartite vector has numerically zero norm", norm=norm)
     if normalized:
         m_arr = m_arr / norm
     elif abs(norm - 1.0) > 1e-10:

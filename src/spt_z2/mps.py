@@ -35,6 +35,7 @@ import numpy as np
 from .config import DEFAULT, Config, finite_array, is_int, require_config
 from .errors import (
     ConvergenceFailure,
+    DimensionCap,
     Inconclusive,
     InvalidInput,
     NormalizationBroken,
@@ -42,7 +43,6 @@ from .errors import (
     NotNormalizable,
     NotPrimitive,
     SptError,
-    WindowTooLarge,
     within,
 )
 from .linalg import (HermEig, _eigh, _positive_definite, eig_sort_key, frob, hermitian_frame,
@@ -367,15 +367,15 @@ def reverse_word_index(d: int, l: int, pi: np.ndarray) -> np.ndarray:
                                 (d,) * l)
 
 
-def _word_count(d: int, l: int, cap: int, refusal: type[SptError], what: str) -> int:
-    """d**l, the number of words of length l, refused as ``refusal`` above ``cap``.
+def _word_count(d: int, l: int, cap: int, what: str) -> int:
+    """d**l, the number of words of length l, refused as :class:`DimensionCap` above ``cap``.
 
     The one cap rule: as d >= 2, d**l > cap once l exceeds the cap's bit length,
     so no larger power is formed, and the refusal's ``dimension`` is then None.
     """
     dim = d ** l if l <= cap.bit_length() else None
     if dim is None or dim > cap:
-        raise refusal(f"{what} exceeds the dense cap", dimension=dim, cap=cap)
+        raise DimensionCap(f"{what} exceeds the dense cap", dimension=dim, cap=cap)
     return dim
 
 
@@ -412,7 +412,7 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     t = as_mps(t)
     if not (is_int(l) and l >= 1):
         raise InvalidInput("marginal needs an integer l >= 1", l=l)
-    _word_count(t.d, l, config.dense_cap, WindowTooLarge, "marginal dimension")
+    _word_count(t.d, l, config.dense_cap, "marginal dimension")
     rho = finite_array(rho, "state")
     if rho.shape != (t.k, t.k):
         raise InvalidInput("state must be a k x k matrix", shape=list(rho.shape), k=t.k)
@@ -473,7 +473,7 @@ def block(t: MpsTuple, b: int, config: Config = DEFAULT) -> MpsTuple:
     if b == 1:
         return t
     require_normalized(t, config)
-    _word_count(t.d, b, config.dense_cap, WindowTooLarge, "blocked alphabet")
+    _word_count(t.d, b, config.dense_cap, "blocked alphabet")
     out = MpsTuple(v=_append_letters(t.v.reshape(t.d, -1), t.v, b - 1).reshape(-1, t.k, t.k),
                    reflect_perm=reverse_word_index(t.d, b, t.reflect_perm))
     require_normalized(out, config)

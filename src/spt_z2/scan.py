@@ -34,9 +34,10 @@ def _ghz() -> np.ndarray:
 
 
 def _product(*amps: complex) -> np.ndarray:
-    vec_arr = np.asarray(amps, dtype=complex)
-    vec_arr = vec_arr / np.linalg.norm(vec_arr)
-    return vec_arr.reshape(-1, 1, 1)
+    # an exact power-of-two scale first, as in normalize: the norm neither over- nor underflows
+    parts = np.asarray(amps, dtype=complex).view(float)
+    vec_arr = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+    return (vec_arr / np.linalg.norm(vec_arr)).reshape(-1, 1, 1)
 
 
 def _breaker(s: float) -> np.ndarray:
@@ -96,7 +97,7 @@ def parse_model(name: str) -> tuple[str, list]:
 
     The name is a string; arguments are finite; a one-parameter model gets
     one real one (a float) and ``product`` at least two amplitudes, not all
-    zero. Every refusal is :class:`UnknownModel` with ``key`` ``"model"``.
+    exactly zero. Every refusal is :class:`UnknownModel` with ``key`` ``"model"``.
     """
     base, _, argstr = _model_name(name).partition(":")
     base = base.strip()
@@ -117,7 +118,7 @@ def parse_model(name: str) -> tuple[str, list]:
         if len(args) < 2:
             raise UnknownModel("product model needs at least two amplitudes", key="model",
                                count=len(args))
-        if np.linalg.norm(np.asarray(args, dtype=complex)) < 1e-12:
+        if not any(args):
             raise UnknownModel("product amplitudes are all zero", key="model")
     return base, args
 
@@ -142,9 +143,10 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
 
     A bare one-parameter name runs its generator over ``family_range`` by
     default; any other name is a point model, parsed once here, and gives a
-    constant family, over [0, 1] by default. Endpoints other than finite
-    numbers and a grid other than an integer >= 2 are :class:`UnknownModel`,
-    whose ``key`` names the argument (``model``, ``s0``, ``s1`` or ``grid``).
+    constant family, over [0, 1] by default. Endpoints that are not finite
+    numbers, a range s1 - s0 that overflows (refused with ``key`` ``s1``) and
+    a grid other than an integer >= 2 are :class:`UnknownModel`, whose
+    ``key`` names the argument (``model``, ``s0``, ``s1`` or ``grid``).
     """
     entry = MODELS.get(_model_name(name))
     if entry is not None and entry.family_range is not None:
@@ -160,6 +162,8 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     for key, value in (("s0", s0), ("s1", s1)):
         if not is_finite_real(value):
             raise UnknownModel(f"family endpoint {key} must be finite", key=key)
+    if not is_finite_real(float(s1) - float(s0)):  # the grid's step would overflow
+        raise UnknownModel("family range s1 - s0 must be finite", key="s1")
     if not is_int(grid):
         raise UnknownModel("family grid must be an integer", key="grid", grid=grid)
     if grid < 2:

@@ -539,20 +539,23 @@ def _subclasses(cls):
 
 def test_every_error_exits_with_its_status_code():
     classes = [sz.SptError, *_subclasses(sz.SptError)]
-    assert len(classes) == 20  # SptError and the 19 refusal classes spt_z2 exports
+    assert len(classes) == 18  # SptError and the 17 refusal classes spt_z2 exports
     for cls in classes:
         assert cls.status in STATUS_EXIT, cls.__name__
         assert cls("x").exit_code == STATUS_EXIT[cls.status], cls.__name__
 
 
-# one argv per exported refusal class that reaches the CLI; a callable takes tmp_path
+# one argv (or a tuple of them) per exported refusal class that reaches the CLI; a
+# callable takes tmp_path
 CLI_REFUSALS = {
     "AmbiguousSymmetry": ["index", "--model", "aklt", "--eps-index", "-1"],
     "ConvergenceFailure": ["index", "--model", "aklt", "--eps-norm", "-1"],
     "DegenerateSupport":
         lambda tmp: ["modular", "--vector", write_vector(tmp, np.eye(2) / np.sqrt(2)),
                      "--rank-tol", "1"],
-    "DimensionCap": ["parent-ham", "--model", "aklt", "--n", "100000000"],
+    # every dense space: the chain and the parent window
+    "DimensionCap": (["parent-ham", "--model", "aklt", "--n", "100000000"],
+                     ["parent-ham", "--model", "aklt", "--m", "1000000"]),
     "Inconclusive": ["index", "--model", "aklt", "--refl-marginal-tol", "-1"],
     "InvalidInput": ["modular", "--from-index", "aklt", "--modular-tol", "nan"],
     "NotHermitian": ["index", "--model", "aklt", "--eps-herm", "-1"],
@@ -562,8 +565,6 @@ CLI_REFUSALS = {
     "ResourceLimit": ["scan", "--family", "deformed-aklt", "--grid", "3", "--scan-cap", "2"],
     "UnknownModel": ["index", "--model", "nope"],
     "UsageError": ["index", "--nope"],
-    "WindowTooLarge": ["parent-ham", "--model", "aklt", "--m", "1000000"],
-    "ZeroVector": lambda tmp: ["modular", "--vector", write_vector(tmp, np.zeros((2, 2)))],
 }
 
 # exported refusal classes that no argv reaches, and why
@@ -586,10 +587,11 @@ def test_every_refusal_class_reaches_the_cli_or_says_why_not(name, tmp_path):
     assert (name in CLI_REFUSALS) != (name in CLI_UNREACHED)
     if name in CLI_UNREACHED:
         return
-    argv = CLI_REFUSALS[name]
-    code, env = run(argv(tmp_path) if callable(argv) else argv)
-    assert env["result"]["error"] == name
-    assert env["status"] == getattr(sz, name).status and code == STATUS_EXIT[env["status"]]
+    argvs = CLI_REFUSALS[name]
+    for argv in argvs if isinstance(argvs, tuple) else (argvs,):
+        code, env = run(argv(tmp_path) if callable(argv) else argv)
+        assert env["result"]["error"] == name
+        assert env["status"] == getattr(sz, name).status and code == STATUS_EXIT[env["status"]]
 
 
 def test_one_status_list():
@@ -671,6 +673,27 @@ def test_closed_stdout_keeps_the_status_exit_code(argv, exit_code):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr.decode()) == (exit_code, "")
+
+
+def _raw_gauged_aklt(tmp_path):
+    # aklt under the gauge G = [[1, 0.5], [0, 2]], scaled by 3: normalize rescales it
+    g = np.array([[1.0, 0.5], [0.0, 2.0]])
+    return write_tuple(tmp_path, 3 * g @ sz.zoo("aklt") @ np.linalg.inv(g))
+
+
+@pytest.mark.parametrize("argv,holds", [
+    (lambda tmp: ["index", "--tuple", _raw_gauged_aklt(tmp)], lambda r: r["zeta"] == -1),
+    # a reflection disagreement after certified primitivity keeps primitive true
+    (lambda tmp: ["scan", "--family", "deformed-aklt", "--grid", "3",
+                  "--refl-marginal-tol", "-1"],
+     lambda r: len(r["points"]) == 3
+     and all(p["primitive"] and p["status"] == "inconclusive" for p in r["points"])),
+    # the evidence record is written as an object
+    (lambda tmp: ["check", "--model", "aklt"], lambda r: r["evidence"]["invariant"] is True),
+], ids=["raw-gauged-tuple", "scan-reflection-disagreement", "check"])
+def test_exit_zero_envelope_holds_its_answer(tmp_path, argv, holds):
+    code, env = run(argv(tmp_path))
+    assert code == 0 and holds(env["result"])
 
 
 # -- config plumbing ------------------------------------------------------------
@@ -806,14 +829,15 @@ def test_eps_lin_is_not_a_setting(monkeypatch, tmp_path):
 @pytest.mark.parametrize("argv", [["--seed", "0"], ["--panel-size", "16"],
                                   ["--swap-tol", "1e-8"], ["--mixed-tol", "1e-6"],
                                   ["--marginal-cap", "4096"], ["--ed-cap", "4096"],
-                                  ["--l-max", "1"]],
+                                  ["--l-max", "1"], ["--pos-def-tol", "1e-10"]],
                          ids=["seed", "panel-size", "swap-tol", "mixed-tol", "marginal-cap",
-                              "ed-cap", "l-max"])
+                              "ed-cap", "l-max", "pos-def-tol"])
 def test_panel_settings_are_gone(monkeypatch, tmp_path, argv):
     # modular_data checks its generators, not a seeded panel of draws; sigma's
     # sign miss is judged at modular_tol and the same-state test at peripheral_tol;
     # dense_cap bounds every dense multi-site space, the chain included; the
-    # word-space search always runs to its verdict, at k**4 at the latest
+    # word-space search always runs to its verdict, at k**4 at the latest;
+    # rank_tol is the one relative floor, positive definiteness included
     monkeypatch.delenv(ENV_VAR, raising=False)
     code, env = run(["modular", "--from-index", "aklt", *argv])
     assert code == 1 and env["result"]["error"] == "UsageError"
@@ -832,6 +856,7 @@ def test_help_lists_every_setting(command, capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
+    assert len(dataclasses.fields(sz.Config)) == 11
     for field in dataclasses.fields(sz.Config):
         flag = "--" + field.name.replace("_", "-")
         default = json.dumps(field.default)
@@ -961,7 +986,7 @@ def test_overlarge_config_integer_is_refused_before_any_loop(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value,error", [
-    ("--n", "100000000", "DimensionCap"), ("--m", "1000000000000", "WindowTooLarge")])
+    ("--n", "100000000", "DimensionCap"), ("--m", "1000000000000", "DimensionCap")])
 def test_huge_chain_or_window_is_refused_at_once(flag, value, error):
     start = time.perf_counter()
     code, env = run(["parent-ham", "--model", "aklt", flag, value])
@@ -1025,6 +1050,8 @@ USAGE = ("UsageError", None)
 
 @pytest.mark.parametrize("argv,content,refusal", [
     (["index", "--tuple"], b"\xff\xfe{", FILE),
+    (["index", "--tuple"], b'{"d": 2, "k": 1, "matrices": [[[[1, 0]]], [[[0, 0], [1, 0]]]]}',
+     FILE),
     (["check", "--tuple"], b"[" * 100000, FILE),
     (["modular", "--vector"], b'{"m": 1, "entries": [[[NaN, 0]]]}', FILE),
     (["scan", "--spec"], b'{"model": "deformed-aklt", "s0": NaN}', ("UnknownModel", "s0")),
@@ -1048,12 +1075,15 @@ USAGE = ("UsageError", None)
     (["index", "--model", "product:1,,0"], None, MODEL),
     (["index", "--model", "deformed-aklt:abc"], None, MODEL),
     (["scan", "--family", "product:0,0"], None, MODEL),
+    # s1 - s0 overflows, so the grid's step would be infinite
+    (["scan", "--family", "deformed-aklt", "--s0=-1e308", "--s1", "1e308", "--grid", "3"], None,
+     ("UnknownModel", "s1")),
     (["parent-ham", "--model", "aklt", "--m", "0"], None, USAGE),
     (["parent-ham", "--model", "aklt", "--n", "0"], None, USAGE),
-], ids=["utf8", "nesting", "nan-vector", "nan-spec", "inf-flag", "utf8-config", "huge-k",
+], ids=["utf8", "ragged", "nesting", "nan-vector", "nan-spec", "inf-flag", "utf8-config", "huge-k",
         "huge-int", "seed", "modular-tol", "kernel-tol", "zero-product", "complex-arg",
         "nan-arg", "inf-amplitude", "empty-arg", "unparsable-arg", "zero-product-family",
-        "window-0", "chain-0"])
+        "overflowing-range", "window-0", "chain-0"])
 def test_unusable_input_is_invalid_input(tmp_path, argv, content, refusal):
     """The full run and --validate-only refuse alike, each with its named error."""
     if content is not None:

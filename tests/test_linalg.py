@@ -3,6 +3,7 @@ import pytest
 
 from spt_z2 import errors, linalg
 from spt_z2.config import Config
+from spt_z2.reflection import reflected_tuple
 from spt_z2.linalg import (
     frob,
     herm_eig,
@@ -312,9 +313,10 @@ def test_psd_power_zero_matrix():
 
 
 def test_pos_def_eig_rule():
-    # the positive-definiteness rule of a checked eigensystem, as reflected_tuple applies it
+    # the positive-definiteness rule of a checked eigensystem, as reflected_tuple applies
+    # it: full rank by rank_tol, the one relative floor
     def passes(diag, tol):
-        cfg = Config(pos_def_tol=tol)
+        cfg = Config(rank_tol=tol)
         try:
             sys = linalg._positive_definite(herm_eig(np.diag(diag), cfg), errors.NotFaithful,
                                             "singular", cfg)
@@ -325,7 +327,7 @@ def test_pos_def_eig_rule():
         assert np.array_equal(sys.values, np.sort(diag))
         return True
 
-    # the boundary lo == pos_def_tol * hi refuses; the next float up passes
+    # the boundary lo == rank_tol * hi refuses; the next float up passes
     assert not passes([0.25, 1.0], 0.25)
     assert passes([np.nextafter(0.25, 1.0), 1.0], 0.25)
     assert not passes([0.5, 2.0], 0.25)
@@ -336,6 +338,17 @@ def test_pos_def_eig_rule():
         assert not passes(diag, -1.0)
     for diag in ([1e-300, 1.0], [0.5, 1.0]):
         assert passes(diag, 0.0) and passes(diag, -1.0)
+
+
+def test_faithful_means_full_rank_by_rank_tol():
+    # one floor: the state reflected_tuple accepts is the one psd_power inverts whole
+    kept = np.diag([1.0, 1e-11]) / (1.0 + 1e-11)
+    reflected_tuple(kept)
+    assert np.count_nonzero(np.diag(psd_power(kept, -0.5))) == 2
+    dropped = np.diag([1.0, 1e-13])
+    with pytest.raises(errors.NotFaithful):
+        reflected_tuple(dropped)
+    assert np.count_nonzero(np.diag(psd_power(dropped, -0.5))) == 1
 
 
 def test_kernel_ops_read_the_config_they_are_given(rng):

@@ -16,7 +16,7 @@ def test_as_bipartite_validation():
     # one matrix rule, config.square_array, as polar_unitary reads its input
     with pytest.raises(sz.InvalidInput, match="^matrix must be a nonempty square matrix$"):
         sz.as_bipartite(np.ones((2, 3)))
-    with pytest.raises(sz.ZeroVector):
+    with pytest.raises(sz.DegenerateSupport):
         sz.as_bipartite(np.zeros((2, 2)))
     with pytest.raises(sz.InvalidInput, match="^matrix must be a nonempty square matrix$"):
         sz.as_bipartite(np.zeros((0, 0)))
@@ -213,8 +213,11 @@ def test_bond_vector_aklt(aklt_report):
 
 @pytest.mark.parametrize("name", [
     "deformed-aklt:0", "deformed-aklt:0.5", "deformed-aklt:1", "product:1,0",
+    # amplitudes scaled by a power of two before the norm: none over- or underflows
+    "product:1e308,1e308", "product:1e-200,1e-200", "product:1e-13,0", "product:5e-324,0",
 ])
 def test_bond_vector_swap_matches_index(name):
     rep = sz.z2_index(sz.zoo(name))
+    assert rep.zeta == (1 if name.startswith("product") else -1)
     bv = sz.bond_vector(rep)
     assert sz.swap_sign(bv) == rep.zeta

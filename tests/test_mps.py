@@ -587,7 +587,7 @@ def test_marginal_singular_rho_not_faithful(aklt):
 
 def test_marginal_window_cap(aklt, aklt_rho):
     cfg = sz.Config(dense_cap=8)
-    with pytest.raises(sz.WindowTooLarge):
+    with pytest.raises(sz.DimensionCap):
         sz.marginal(aklt, aklt_rho.rho, 2, config=cfg)
 
 
@@ -609,7 +609,7 @@ def test_marginal_rejects_a_state_of_the_wrong_shape(aklt):
 ], ids=["marginal", "block"])
 def test_huge_length_is_refused_without_forming_the_power(aklt, aklt_rho, call):
     # 3**(10**12) would never finish; the cap's bit length stops the power first
-    with pytest.raises(sz.WindowTooLarge) as info:
+    with pytest.raises(sz.DimensionCap) as info:
         call(aklt, aklt_rho.rho, 10 ** 12)
     assert info.value.payload == {"dimension": None, "cap": 4096}
     # at 2**63 and above the length is no integer the boundary reads
@@ -621,10 +621,10 @@ def test_huge_length_is_refused_without_forming_the_power(aklt, aklt_rho, call):
 def test_word_count_is_exact_up_to_the_cap_bit_length():
     # d = 2, cap = 4096 (bit length 13): 2**12 passes, 2**13 is refused with its
     # dimension, and from l = 14 on no power is formed
-    assert mps._word_count(2, 12, 4096, sz.WindowTooLarge, "w") == 4096
+    assert mps._word_count(2, 12, 4096, "w") == 4096
     for l, dim in ((13, 8192), (14, None), (10 ** 400, None)):
-        with pytest.raises(sz.WindowTooLarge) as info:
-            mps._word_count(2, l, 4096, sz.WindowTooLarge, "w")
+        with pytest.raises(sz.DimensionCap) as info:
+            mps._word_count(2, l, 4096, "w")
         assert info.value.payload["dimension"] == dim
 
 
@@ -678,5 +678,5 @@ def test_block_marginal_consistency(aklt, aklt_rho):
 
 
 def test_block_dimension_cap(aklt):
-    with pytest.raises(sz.WindowTooLarge):
+    with pytest.raises(sz.DimensionCap):
         sz.block(aklt, 2, config=sz.Config(dense_cap=8))

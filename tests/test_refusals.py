@@ -185,6 +185,7 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.family("aklt", grid="x"), sz.UnknownModel, "grid"),
     (lambda aklt: sz.family("aklt", grid=2.5), sz.UnknownModel, "grid"),
     (lambda aklt: sz.family("aklt", s1=10 ** 400), sz.UnknownModel, "s1"),
+    (lambda aklt: sz.family("deformed-aklt", s0=-1e308, s1=1e308), sz.UnknownModel, "s1"),
     (lambda aklt: sz.parent_interaction(aklt, m=2.5), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 1.5), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
@@ -200,7 +201,7 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.block(aklt, 2 ** 63), sz.InvalidInput, "b"),
     (lambda aklt: sz.as_mps(np.zeros((2, 0, 0))), sz.InvalidInput, "k"),
 ], ids=["modular_tol-nan", "kernel_tol-nan", "kernel_tol-inf", "s0", "s0-text", "grid",
-        "grid-float", "s1-overlarge", "window", "marginal-length", "block-size",
+        "grid-float", "s1-overlarge", "range-overflow", "window", "marginal-length", "block-size",
         "scan_cap-overlarge", "kernel_tol-overlarge", "model-not-text", "model-unknown",
         "grid-overlarge", "window-overlarge",
         "marginal-length-overlarge", "block-size-overlarge", "bond-dimension-0"])
@@ -297,13 +298,18 @@ def _singular_gauge():
     return sz.gauge_solve(t, reflection._transposed(t))
 
 
-# one minimal public-API input per refusal class that spt_z2 exports
+# one minimal public-API input (or a tuple of them) per refusal class that spt_z2 exports
 REFUSALS = {
     "AmbiguousSymmetry": lambda aklt: sz.z2_index(aklt, Config(eps_index=-1.0)),
     "ConvergenceFailure": lambda aklt: sz.marginal(sz.as_mps(OVERFLOWING), np.eye(2) / 2, 1),
-    "DegenerateSupport": lambda aklt: sz.schmidt(_bell(), Config(rank_tol=1)),
-    "DimensionCap":
+    "DegenerateSupport": (lambda aklt: sz.schmidt(_bell(), Config(rank_tol=1)),
+                          lambda aklt: sz.as_bipartite(np.zeros((2, 2)))),
+    # every dense space of dimension d**x: a chain, a parent window, a marginal, a block
+    "DimensionCap": (
         lambda aklt: sz.chain_hamiltonian(sz.parent_interaction(aklt, 2), 10 ** 8, "open"),
+        lambda aklt: sz.parent_interaction(aklt, m=10 ** 12),
+        lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 10 ** 12),
+        lambda aklt: sz.block(aklt, 10 ** 12)),
     "Inconclusive": lambda aklt: sz.z2_index(aklt, Config(refl_marginal_tol=-1.0)),
     "InvalidInput": lambda aklt: sz.as_mps(np.zeros((2, 0, 0))),
     "NormalizationBroken": lambda aklt: sz.primitivity(sz.as_mps(2.0 * aklt.v)),
@@ -318,8 +324,6 @@ REFUSALS = {
         lambda aklt: sz.scan(sz.family("deformed-aklt", grid=3), Config(scan_cap=2)),
     "UnknownModel": lambda aklt: sz.zoo("nope"),
     "UsageError": lambda aklt: cli.build_parser().parse_args(["index", "--nope"]),
-    "WindowTooLarge": lambda aklt: sz.parent_interaction(aklt, m=10 ** 12),
-    "ZeroVector": lambda aklt: sz.as_bipartite(np.zeros((2, 2))),
 }
 
 
@@ -328,10 +332,12 @@ REFUSALS = {
     and issubclass(getattr(sz, name), sz.SptError) and getattr(sz, name) is not sz.SptError))
 def test_every_refusal_class_has_an_input(name, aklt):
     # the envelope's error field names the class, so each one is reachable
-    with pytest.raises(sz.SptError) as info:
-        REFUSALS[name](aklt)
-    assert type(info.value).__name__ == name
-    assert info.value.describe()["error"] == name
+    calls = REFUSALS[name]
+    for call in calls if isinstance(calls, tuple) else (calls,):
+        with pytest.raises(sz.SptError) as info:
+            call(aklt)
+        assert type(info.value).__name__ == name
+        assert info.value.describe()["error"] == name
 
 
 def test_a_singular_gauge_is_not_same_state():
