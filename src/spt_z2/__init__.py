@@ -16,17 +16,13 @@ from .errors import (
     Inconclusive,
     InvalidInput,
     NormalizationBroken,
-    NotFaithful,
     NotHermitian,
     NotNormalizable,
     NotPrimitive,
     NotReflectionInvariant,
-    NotSameState,
     RankDeficient,
     ResourceLimit,
     SptError,
-    UnknownModel,
-    UsageError,
 )
 from .hamiltonian import (EdReport, ParentInteraction, chain_hamiltonian, ed_report,
                           parent_interaction, reflection_check)

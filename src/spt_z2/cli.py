@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from .config import Config, is_finite_real, is_int, load_json
-from .errors import InvalidInput, SptError, UnknownModel, UsageError
+from .errors import InvalidInput, SptError
 from .hamiltonian import chain_hamiltonian, ed_report, parent_interaction, reflection_check
 from .modular import as_bipartite, bond_vector, modular_data
 from .mps import MpsTuple, as_mps, normalize, primitivity
@@ -201,9 +201,9 @@ def _one_of(args, a: str, b: str) -> str:
     flags = [f"--{name.replace('_', '-')}" for name in (a, b)]
     given = [name for name in (a, b) if getattr(args, name)]
     if len(given) == 2:
-        raise UsageError(f"give either {flags[0]} or {flags[1]}, not both")
+        raise InvalidInput(f"give either {flags[0]} or {flags[1]}, not both")
     if not given:
-        raise UsageError(f"one of {flags[0]} or {flags[1]} is required")
+        raise InvalidInput(f"one of {flags[0]} or {flags[1]} is required")
     return given[0]
 
 
@@ -272,7 +272,7 @@ def cmd_modular(args, cfg: Config, desc: dict):
         return lambda: _modular_result(bv, cfg)
     try:  # a model name first; a tuple file named like one is passed as ./name
         raw = _load_tuple(desc, "from_index", args.from_index, False)
-    except UnknownModel:
+    except InvalidInput:  # parse_model refuses nothing else
         if not os.path.exists(args.from_index):
             raise
         raw = _load_tuple(desc, "from_index_tuple", args.from_index, True)
@@ -371,7 +371,7 @@ def cmd_models(args, cfg: Config, desc: dict):
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InvalidInput(message)
 
 
 def positive_int(text: str) -> int:
@@ -446,7 +446,7 @@ def build_parser() -> Parser:
 
 
 def build_config(args) -> Config:
-    cfg = Config.from_file(args.config) if args.config else Config.from_env()
+    cfg = Config.from_file(args.config) if args.config else Config()
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Config)
                  if getattr(args, f.name) is not None}
     return cfg.replace(**overrides) if overrides else cfg
@@ -457,7 +457,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "cmd", None) is None:
-            raise UsageError("a subcommand is required (see --help)")
+            raise InvalidInput("a subcommand is required (see --help)")
         command, pretty = args.cmd, args.pretty
         cfg = build_config(args)
         compute = args.runner(args, cfg, desc)

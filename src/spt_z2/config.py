@@ -5,17 +5,17 @@ every envelope states the values that produced it. Every public operation,
 the kernel in :mod:`spt_z2.linalg` included, takes ``config``, by default
 :data:`DEFAULT` (one shared instance, as a ``Config`` is frozen); none takes a
 keyword that shadows a field. Construction is the one validity check,
-whatever the source (flags, a file, ``SPT_Z2_CONFIG`` or a library caller):
-every field is a plain number, never None. Every float is finite (negative
-values are legal and only force refusals), ``peripheral_tol`` lies in
-(0, 0.5) and every integer in [1, 2**63). One reading has one setting:
-``rank_tol`` is the one relative eigenvalue floor (an eigenvalue at most
-``rank_tol`` times the largest counts as zero, for ranks, pseudo-inverses and
-positive definiteness), ``peripheral_tol`` also judges the same-state test,
-``modular_tol`` both signs of the modular data, and ``dense_cap`` every dense
-space on x sites, of dimension d**x: an explicit marginal, a blocked
-alphabet, the parent window and the chain that ED diagonalizes, each refused
-as ``DimensionCap`` above it.
+whatever the source (flags, a ``--config`` file or a library caller): every
+field is a plain number, never None. Every float is finite (negative values
+are legal and only force refusals), ``rank_tol`` is at least 0,
+``peripheral_tol`` lies in (0, 0.5) and every integer in [1, 2**63). One
+reading has one setting: ``rank_tol`` is the one relative eigenvalue floor (an
+eigenvalue at most ``rank_tol`` times the largest counts as zero, for ranks,
+pseudo-inverses and positive definiteness), ``peripheral_tol`` also judges the
+same-state test, ``modular_tol`` both signs of the modular data, and
+``dense_cap`` every dense space on x sites, of dimension d**x: an explicit
+marginal, a blocked alphabet, the parent window and the chain that ED
+diagonalizes, each refused as ``DimensionCap`` above it.
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
@@ -32,8 +32,8 @@ record parameter (``config``, a ``BipartiteVector``, an ``IndexReport``, a
 ``ParentInteraction``, a ``FamilySpec``) is read by :func:`require_record`,
 which refuses anything but an instance of its class with ``key`` naming the
 parameter and ``got`` the type it received; :func:`require_config` is that
-rule for ``config``. Refusals are :class:`InvalidInput` (``family`` and
-``zoo``: ``UnknownModel``).
+rule for ``config``. Refusals are :class:`InvalidInput`, with ``key`` where a
+setting or a named argument is refused (``family`` and ``zoo`` included).
 A representable but huge cap is still unbounded work.
 
 Not every threshold is here: the 11 fixed ones below (1e-300 division guards
@@ -63,14 +63,11 @@ import dataclasses
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-
-ENV_VAR = "SPT_Z2_CONFIG"
 
 
 def load_json(path: str):
@@ -159,6 +156,8 @@ class Config:
             v = getattr(self, f.name)
             if f.name == "peripheral_tol":
                 ok, expected = is_real(v) and 0.0 < v < 0.5, "a number in (0, 0.5)"
+            elif f.name == "rank_tol":  # below 0, psd_power would refuse a PSD matrix
+                ok, expected = is_finite_real(v) and v >= 0.0, "a finite number >= 0"
             elif f.type == "float":
                 ok, expected = is_finite_real(v), "a finite number"
             else:
@@ -186,12 +185,6 @@ class Config:
     @classmethod
     def from_file(cls, path: str) -> "Config":
         return cls.from_dict(load_json(path))
-
-    @classmethod
-    def from_env(cls) -> "Config":
-        """Config from the file named by SPT_Z2_CONFIG, or defaults."""
-        path = os.environ.get(ENV_VAR)
-        return cls.from_file(path) if path else cls()
 
 
 DEFAULT = Config()

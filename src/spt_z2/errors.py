@@ -1,10 +1,17 @@
 """Error taxonomy.
 
-Every failure mode that callers are expected to branch on is a distinct
-exception class carrying a machine-readable ``payload`` dict, a ``status``
-string, and the process exit code used by the CLI. Anything not listed here
+Every failure mode that callers are expected to branch on is an exception
+class carrying a machine-readable ``payload`` dict, a ``status`` string, and
+the process exit code used by the CLI. Anything not listed here
 (programming errors, impossible states) is allowed to surface as a plain
 Python exception.
+
+A status has exactly one class, with two exceptions: the classes of
+``numerical_error`` name the contract that failed, and the classes of
+``resource_limit`` name the cap to raise. A refusal that only says where the
+status arose (a singular invariant state, a different state, an unknown
+model, a bad command line) is raised as the status's class, and the message
+and payload say the rest.
 
 A measured value is judged against its upper bound by :func:`within`, the one
 tolerance rule: the value passes only when it is at most the bound, so NaN
@@ -59,13 +66,9 @@ class SptError(Exception):
 
 
 class InvalidInput(SptError):
-    """Malformed tuple, vector, or file content."""
+    """Malformed tuple, vector, file content, model name or command line."""
 
     status = "io_error"
-
-
-class UnknownModel(InvalidInput):
-    """Model name not in the registry or arguments failed to parse."""
 
 
 class NotNormalizable(SptError):
@@ -77,33 +80,27 @@ class NormalizationBroken(SptError):
 
 
 class NotPrimitive(SptError):
-    """The tuple fails the primitivity certificate."""
+    """The tuple fails the primitivity certificate, a singular invariant state included.
 
-    status = "not_primitive"
-
-
-class NotFaithful(SptError):
-    """Invariant state is singular; reflected tuple is undefined."""
-
-    status = "not_primitive"
-
-
-class NotSameState(SptError):
-    """Two primitive tuples do not generate the same state.
-
-    Raised by :func:`spt_z2.reflection.gauge_solve`, when the dominant
-    eigenvalue of the mixed transfer map lies below the unit circle or its
-    eigenmatrix is singular. :func:`spt_z2.z2_index` converts it: the gauge
-    route then fails (its ``mixed_radius`` kept in the evidence), and the
-    index refuses as :class:`NotReflectionInvariant`, or as
-    :class:`Inconclusive` when the marginal route disagrees.
+    A primitive tuple's invariant state is faithful, so
+    :func:`spt_z2.invariant_state`, :func:`spt_z2.reflected_tuple` and
+    :func:`spt_z2.marginal` refuse a singular one as this class.
     """
 
-    status = "not_reflection_invariant"
+    status = "not_primitive"
 
 
 class NotReflectionInvariant(SptError):
-    """State is primitive but not equal to its reflection."""
+    """State is primitive but not equal to its reflection.
+
+    Also raised by :func:`spt_z2.reflection.gauge_solve` when two tuples do
+    not generate the same state: the dominant eigenvalue of the mixed
+    transfer map lies below the unit circle or its eigenmatrix is singular.
+    :func:`spt_z2.z2_index` catches that one around the gauge solve only: the
+    gauge route then fails (its ``mixed_radius`` kept in the evidence), and
+    the index refuses as this class when the marginal route agrees, or as
+    :class:`Inconclusive` when it disagrees.
+    """
 
     status = "not_reflection_invariant"
 
@@ -135,7 +132,7 @@ class RankDeficient(SptError):
 
     Also raised by ``psd_power`` for a negative power of the zero matrix.
     Inside :func:`spt_z2.reflection.gauge_solve` it becomes
-    :class:`NotSameState`, which :func:`spt_z2.z2_index` converts.
+    :class:`NotReflectionInvariant`, which :func:`spt_z2.z2_index` catches.
     """
 
 
@@ -151,10 +148,6 @@ class DimensionCap(ResourceLimit):
 
 class NotHermitian(SptError):
     """Matrix expected Hermitian is not, beyond tolerance."""
-
-
-class UsageError(InvalidInput):
-    """Bad command line; replaces argparse's default exit behavior."""
 
 
 def within(value: float, tol: float, refusal: type[SptError], message: str,

@@ -65,7 +65,7 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
         m = cert.injectivity_length + 1
     if not (is_int(m) and m >= 1):
         raise InvalidInput("window must be an integer of at least one site", m=m)
-    dim = _word_count(t.d, m, config.dense_cap, "marginal dimension")
+    dim = _word_count(t.d, m, config.dense_cap, "parent window dimension")
     words = _append_letters(t.v.reshape(t.d, -1), t.v, m - 1)
     u, s, _ = np.linalg.svd(words, full_matrices=False)
     support = int(np.sum(s * s > config.rank_tol * max(float(s[0] * s[0]), 1e-300)))

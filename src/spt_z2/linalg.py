@@ -205,11 +205,11 @@ def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
 def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
                        cfg: Config) -> HermEig:
     """The one positive-definiteness rule: with eigenvalues ``lo <= .. <= hi`` the
-    matrix passes when ``hi > 0`` and ``lo > max(rank_tol, 0) * hi``, that is when
+    matrix passes when ``hi > 0`` and ``lo > rank_tol * hi``, that is when
     it has full rank by the floor :func:`psd_power` applies; otherwise
     ``refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)``."""
     lo, hi = float(sys.values[0]), float(sys.values[-1])
-    if not (hi > 0 and lo > max(cfg.rank_tol, 0.0) * hi):
+    if not (hi > 0 and lo > cfg.rank_tol * hi):
         raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)
     return sys
 

@@ -39,7 +39,6 @@ from .errors import (
     Inconclusive,
     InvalidInput,
     NormalizationBroken,
-    NotFaithful,
     NotNormalizable,
     NotPrimitive,
     SptError,
@@ -272,7 +271,7 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
     require_normalized(t, config)
     try:
         spectral_ok, periph, gap = True, 1, invariant_state(t, config).spectral_gap
-    except (NotPrimitive, NotFaithful) as exc:
+    except NotPrimitive as exc:
         # a singular state comes after a simple peripheral eigenvalue
         spectral_ok, gap = False, exc.payload["spectral_gap"]
         periph = exc.payload.get("peripheral_count", 1)
@@ -328,7 +327,8 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
 
     The spectral primitivity route: a unique peripheral transfer eigenvalue
     (else :class:`NotPrimitive`) and a positive definite adjoint fixed point
-    from :func:`_positive_fixed_point` (else :class:`NotFaithful`); these and
+    from :func:`_positive_fixed_point` (else :class:`NotPrimitive` too, as a
+    primitive tuple's invariant state is faithful); these and
     a :class:`ConvergenceFailure` carry ``spectral_gap``. ``rho`` has trace one.
     The radius r is judged by :func:`require_normalized`'s bound, ``10 eps_norm``:
     for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with E(1) =
@@ -347,9 +347,9 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
         )
     try:
         r, x, res, sys = _positive_fixed_point(
-            _real_transfer(t).T, t.k, NotFaithful,
+            _real_transfer(t).T, t.k, NotPrimitive,
             "invariant state is singular within tolerance", config)
-    except NotFaithful as exc:
+    except NotPrimitive as exc:
         exc.payload["spectral_gap"] = gap
         raise
     for value, tol in ((abs(r - 1.0), 10 * config.eps_norm), (res, 1e-8)):
@@ -419,8 +419,8 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     try:
         chol = np.linalg.cholesky(0.5 * (rho + rho.conj().T))
     except np.linalg.LinAlgError as exc:
-        raise NotFaithful("state is not positive definite; no Cholesky factor",
-                          l=l) from exc
+        raise NotPrimitive("state is not positive definite; no Cholesky factor",
+                           l=l) from exc
     phi = _append_letters(chol.conj().T.reshape(1, t.k * t.k), t.v, l)
     evals = _checked_gram_spectrum(phi, l, config)
     rank = int(np.sum(evals > config.rank_tol * max(float(evals.max()), 1e-300)))

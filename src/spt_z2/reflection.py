@@ -41,9 +41,8 @@ from .errors import (
     AmbiguousSymmetry,
     Inconclusive,
     InvalidInput,
-    NotFaithful,
+    NotPrimitive,
     NotReflectionInvariant,
-    NotSameState,
     RankDeficient,
     within,
 )
@@ -75,7 +74,7 @@ class ReflectedTuple(NamedTuple):
 
 
 def reflected_tuple(rho: np.ndarray, config: Config = DEFAULT) -> ReflectedTuple:
-    """The eigenbasis of rho in which U is classified; NotFaithful if rho is singular.
+    """The eigenbasis of rho in which U is classified; NotPrimitive if rho is singular.
 
     rho is solved by :func:`spt_z2.linalg.herm_eig`, so the basis carries the
     canonical phase, and must pass the positive-definiteness rule of
@@ -85,7 +84,7 @@ def reflected_tuple(rho: np.ndarray, config: Config = DEFAULT) -> ReflectedTuple
     ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
     """
     require_config(config)
-    sys = _positive_definite(herm_eig(rho, config), NotFaithful,
+    sys = _positive_definite(herm_eig(rho, config), NotPrimitive,
                              "invariant state is singular; reflected tuple undefined", config)
     return ReflectedTuple(basis=sys.vectors[:, ::-1].copy(), rho_diag=sys.values[::-1].copy())
 
@@ -103,11 +102,11 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
     X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger; ``t``
     must satisfy the channel condition, ``s`` need not. A modulus below
     ``1 - peripheral_tol`` (the peripheral window at r = 1) or a singular X
-    raises :class:`NotSameState` with the measured ``mixed_radius``: two
-    primitive tuples that generate the same state have an invertible
-    intertwiner (the fundamental theorem of MPS), so a singular dominant
-    eigenmatrix means different states, and that refusal adds
-    ``sigma_min``, ``sigma_max`` and ``tolerance`` from :func:`polar_unitary`.
+    means different states, refused as :class:`NotReflectionInvariant` with
+    the measured ``mixed_radius``: two primitive tuples that generate the
+    same state have an invertible intertwiner (the fundamental theorem of
+    MPS). The singular-X refusal adds ``sigma_min``, ``sigma_max`` and
+    ``tolerance`` from :func:`polar_unitary`.
     The caller judges ``relation_residual``, the relation's largest
     Frobenius miss over ``||X||_F``, against ``eps_gauge``. ``U`` is the
     adjoint of X's unitary polar factor, with the canonical phase; for the
@@ -127,14 +126,14 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])
     radius = abs(lam)
-    within(1.0 - radius, config.peripheral_tol, NotSameState,
+    within(1.0 - radius, config.peripheral_tol, NotReflectionInvariant,
            "dominant mixed transfer eigenvalue below 1; different states",
            mixed_radius=radius)
     x = unvec(vs[:, i0], t.k)
     try:
         u = polar_unitary(x).conj().T
     except RankDeficient as exc:
-        raise NotSameState(
+        raise NotReflectionInvariant(
             "dominant mixed eigenmatrix is singular",
             mixed_radius=radius,
             **exc.payload,
@@ -206,11 +205,12 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
     gauge: GaugeSolution | None = None
     try:
         gauge = gauge_solve(v_eig, _transposed(v_eig), config=cfg)
-        mixed_radius, gauge_residual = gauge.mixed_radius, gauge.relation_residual
-        via_gauge = gauge_residual <= cfg.eps_gauge
-    except NotSameState as exc:
+    except NotReflectionInvariant as exc:  # a different state: the gauge route fails
         mixed_radius, gauge_residual = float(exc.payload["mixed_radius"]), None
         via_gauge = False
+    else:
+        mixed_radius, gauge_residual = gauge.mixed_radius, gauge.relation_residual
+        via_gauge = gauge_residual <= cfg.eps_gauge
 
     lengths = 2 * cert.injectivity_length
     marg_res = _marginal_reversal_residual(t, inv.rho, lengths, cfg)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT, Config, is_finite_real, is_int, require_config, require_record
-from .errors import ResourceLimit, SptError, UnknownModel
+from .errors import InvalidInput, ResourceLimit, SptError
 from .mps import normalize, primitivity
 from .reflection import _certify, _classify
 
@@ -74,7 +74,7 @@ MODELS = {
 def _parse_scalar(text: str) -> complex:
     text = text.strip().replace("I", "i")
     if not text:
-        raise UnknownModel("empty model argument", key="model")
+        raise InvalidInput("empty model argument", key="model")
     try:
         return complex(float(text))
     except ValueError:
@@ -82,13 +82,13 @@ def _parse_scalar(text: str) -> complex:
     try:
         return complex(text.replace("i", "j"))
     except ValueError as exc:
-        raise UnknownModel(f"cannot parse model argument {text!r}", key="model") from exc
+        raise InvalidInput(f"cannot parse model argument {text!r}", key="model") from exc
 
 
 def _model_name(name) -> str:
-    """``name`` stripped; anything but a string is :class:`UnknownModel`."""
+    """``name`` stripped; anything but a string is :class:`InvalidInput`, ``key`` ``"model"``."""
     if not isinstance(name, str):
-        raise UnknownModel("model name must be a string", key="model", got=type(name).__name__)
+        raise InvalidInput("model name must be a string", key="model", got=type(name).__name__)
     return name.strip()
 
 
@@ -97,29 +97,29 @@ def parse_model(name: str) -> tuple[str, list]:
 
     The name is a string; arguments are finite; a one-parameter model gets
     one real one (a float) and ``product`` at least two amplitudes, not all
-    exactly zero. Every refusal is :class:`UnknownModel` with ``key`` ``"model"``.
+    exactly zero. Every refusal is :class:`InvalidInput` with ``key`` ``"model"``.
     """
     base, _, argstr = _model_name(name).partition(":")
     base = base.strip()
     if base not in MODELS:
-        raise UnknownModel(f"unknown model {base!r}", key="model", known=sorted(MODELS))
+        raise InvalidInput(f"unknown model {base!r}", key="model", known=sorted(MODELS))
     args = [_parse_scalar(a) for a in argstr.split(",")] if argstr else []
     spec = MODELS[base].parameters
     if spec >= 0 and len(args) != spec:
-        raise UnknownModel(f"model {base!r} takes {spec} argument(s), got {len(args)}",
+        raise InvalidInput(f"model {base!r} takes {spec} argument(s), got {len(args)}",
                            key="model")
     if not np.isfinite(args).all():
-        raise UnknownModel("model arguments must be finite", key="model")
+        raise InvalidInput("model arguments must be finite", key="model")
     if spec == 1:
         if abs(args[0].imag) > 0:
-            raise UnknownModel(f"model {base!r} takes a real argument", key="model")
+            raise InvalidInput(f"model {base!r} takes a real argument", key="model")
         args = [float(args[0].real)]
     if base == "product":
         if len(args) < 2:
-            raise UnknownModel("product model needs at least two amplitudes", key="model",
+            raise InvalidInput("product model needs at least two amplitudes", key="model",
                                count=len(args))
         if not any(args):
-            raise UnknownModel("product amplitudes are all zero", key="model")
+            raise InvalidInput("product amplitudes are all zero", key="model")
     return base, args
 
 
@@ -145,7 +145,7 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     default; any other name is a point model, parsed once here, and gives a
     constant family, over [0, 1] by default. Endpoints that are not finite
     numbers, a range s1 - s0 that overflows (refused with ``key`` ``s1``) and
-    a grid other than an integer >= 2 are :class:`UnknownModel`, whose
+    a grid other than an integer >= 2 are :class:`InvalidInput`, whose
     ``key`` names the argument (``model``, ``s0``, ``s1`` or ``grid``).
     """
     entry = MODELS.get(_model_name(name))
@@ -161,13 +161,13 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     grid = 11 if grid is None else grid
     for key, value in (("s0", s0), ("s1", s1)):
         if not is_finite_real(value):
-            raise UnknownModel(f"family endpoint {key} must be finite", key=key)
+            raise InvalidInput(f"family endpoint {key} must be finite", key=key)
     if not is_finite_real(float(s1) - float(s0)):  # the grid's step would overflow
-        raise UnknownModel("family range s1 - s0 must be finite", key="s1")
+        raise InvalidInput("family range s1 - s0 must be finite", key="s1")
     if not is_int(grid):
-        raise UnknownModel("family grid must be an integer", key="grid", grid=grid)
+        raise InvalidInput("family grid must be an integer", key="grid", grid=grid)
     if grid < 2:
-        raise UnknownModel("family grid needs at least two points", key="grid", grid=grid)
+        raise InvalidInput("family grid needs at least two points", key="grid", grid=grid)
     return FamilySpec(name=name, s0=float(s0), s1=float(s1), grid=grid, generator=generator)
 
 

@@ -318,9 +318,9 @@ def test_pos_def_eig_rule():
     def passes(diag, tol):
         cfg = Config(rank_tol=tol)
         try:
-            sys = linalg._positive_definite(herm_eig(np.diag(diag), cfg), errors.NotFaithful,
+            sys = linalg._positive_definite(herm_eig(np.diag(diag), cfg), errors.NotPrimitive,
                                             "singular", cfg)
-        except errors.NotFaithful as exc:
+        except errors.NotPrimitive as exc:
             assert exc.message == "singular"
             assert exc.payload == {"min_eigenvalue": min(diag), "max_eigenvalue": max(diag)}
             return False
@@ -331,13 +331,19 @@ def test_pos_def_eig_rule():
     assert not passes([0.25, 1.0], 0.25)
     assert passes([np.nextafter(0.25, 1.0), 1.0], 0.25)
     assert not passes([0.5, 2.0], 0.25)
-    assert not passes([0.0, 0.0], -1.0)
-    # a negative tolerance counts as 0: it refuses every singular or indefinite
-    # matrix, and what passes at 0 passes at it
+    assert not passes([0.0, 0.0], 0.0)
+    # at 0 every singular or indefinite matrix is refused, and every positive
+    # definite one passes
     for diag in ([0.0, 1.0], [-1e-3, 1.0], [-1.0, -0.5]):
-        assert not passes(diag, -1.0)
+        assert not passes(diag, 0.0)
     for diag in ([1e-300, 1.0], [0.5, 1.0]):
-        assert passes(diag, 0.0) and passes(diag, -1.0)
+        assert passes(diag, 0.0)
+    # a negative floor would read two ways (psd_power would refuse diag(1, 0.5)),
+    # so Config refuses it before any rule reads it
+    for tol in (-1.0, -1e-300):
+        with pytest.raises(errors.InvalidInput) as info:
+            Config(rank_tol=tol)
+        assert info.value.payload == {"key": "rank_tol", "expected": "a finite number >= 0"}
 
 
 def test_faithful_means_full_rank_by_rank_tol():
@@ -346,7 +352,7 @@ def test_faithful_means_full_rank_by_rank_tol():
     reflected_tuple(kept)
     assert np.count_nonzero(np.diag(psd_power(kept, -0.5))) == 2
     dropped = np.diag([1.0, 1e-13])
-    with pytest.raises(errors.NotFaithful):
+    with pytest.raises(errors.NotPrimitive):
         reflected_tuple(dropped)
     assert np.count_nonzero(np.diag(psd_power(dropped, -0.5))) == 1
 

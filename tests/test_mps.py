@@ -304,7 +304,7 @@ def test_primitivity_refuses_disagreeing_routes(monkeypatch, aklt):
     # a singular invariant state after a simple peripheral eigenvalue: the spectral
     # route says not primitive, the word space fills at length 2
     def singular(*a, **kw):
-        raise sz.NotFaithful("invariant state is singular within tolerance", spectral_gap=2 / 3)
+        raise sz.NotPrimitive("invariant state is singular within tolerance", spectral_gap=2 / 3)
     monkeypatch.setattr(mps, "invariant_state", singular)
     with pytest.raises(sz.Inconclusive) as info:
         sz.primitivity(aklt)
@@ -457,8 +457,9 @@ def test_invariant_state_ghz_not_primitive():
 
 
 def test_invariant_state_not_faithful():
-    with pytest.raises(sz.NotFaithful):
+    with pytest.raises(sz.NotPrimitive) as info:
         sz.invariant_state(sigma_plus_tuple())
+    assert info.value.message == "invariant state is singular within tolerance"
 
 
 @pytest.mark.parametrize("call,refusal", [
@@ -469,9 +470,9 @@ def test_invariant_state_not_faithful():
       {"min_eigenvalue": -1.6653345369377348e-16})),
     # invariant_state adds the transfer gap, which primitivity reads
     (lambda: sz.invariant_state(sigma_plus_tuple()),
-     (sz.NotFaithful, "invariant state is singular within tolerance", {"spectral_gap": 1.0})),
+     (sz.NotPrimitive, "invariant state is singular within tolerance", {"spectral_gap": 1.0})),
     (lambda: sz.reflected_tuple(np.diag([0.0, 1.0])),
-     (sz.NotFaithful, "invariant state is singular; reflected tuple undefined", {})),
+     (sz.NotPrimitive, "invariant state is singular; reflected tuple undefined", {})),
     # primitivity reads the refusal as a failed spectral route
     (lambda: sz.primitivity(sigma_plus_tuple()).is_primitive, None),
 ])
@@ -502,12 +503,12 @@ def test_one_positive_fixed_point_routine(monkeypatch, aklt):
     assert sz.normalize(aklt) is aklt
     assert seen == [sz.NotNormalizable]
     sz.invariant_state(aklt)
-    assert seen == [sz.NotNormalizable, sz.NotFaithful]
+    assert seen == [sz.NotNormalizable, sz.NotPrimitive]
     # primitivity's spectral route is invariant_state
     assert sz.primitivity(aklt).spectral_gap == pytest.approx(2 / 3)
     assert len(seen) == 3
 
-    with pytest.raises(sz.NotFaithful) as info:
+    with pytest.raises(sz.NotPrimitive) as info:
         sz.invariant_state(sigma_plus_tuple())
     assert info.value.message == "invariant state is singular within tolerance"
     assert len(seen) == 4
@@ -581,8 +582,9 @@ def test_gram_spectra_take_the_smaller_side(monkeypatch, rng):
 
 
 def test_marginal_singular_rho_not_faithful(aklt):
-    with pytest.raises(sz.NotFaithful):
+    with pytest.raises(sz.NotPrimitive) as info:
         sz.marginal(aklt, np.diag([1.0, 0.0]), 2)
+    assert info.value.message == "state is not positive definite; no Cholesky factor"
 
 
 def test_marginal_window_cap(aklt, aklt_rho):

@@ -35,8 +35,9 @@ def test_reflected_tuple_involution(rng, aklt):
 
 
 def test_reflected_tuple_singular_rho(aklt):
-    with pytest.raises(sz.NotFaithful):
+    with pytest.raises(sz.NotPrimitive) as info:
         sz.reflected_tuple(np.diag([1.0, 0.0]))
+    assert info.value.message == "invariant state is singular; reflected tuple undefined"
 
 
 def test_marginal_reversal_identity(rng, aklt, aklt_rho):
@@ -186,8 +187,9 @@ def test_gauge_solve_global_phase(aklt):
 
 def test_gauge_solve_different_states(aklt):
     other = sz.normalize(sz.zoo("deformed-aklt:0.7"))
-    with pytest.raises(sz.NotSameState):
+    with pytest.raises(sz.NotReflectionInvariant) as info:
         sz.gauge_solve(aklt, other)
+    assert info.value.message == "dominant mixed transfer eigenvalue below 1; different states"
 
 
 def test_gauge_solve_shape_mismatch(aklt):

@@ -14,8 +14,9 @@ import pytest
 import spt_z2 as sz
 from spt_z2 import cli, modular, mps, reflection
 from spt_z2.config import Config
-from spt_z2.errors import within
+from spt_z2.errors import STATUS_EXIT, within
 from spt_z2.linalg import HermEig, _positive_definite, herm_eigvals, psd_power
+from util import refusal_classes_by_status
 
 NAN_MATRIX = np.full((2, 2), np.nan)
 OVERFLOWING = np.full((2, 2, 2), 1e200 + 1e200j)  # products overflow to NaN inside einsum
@@ -123,16 +124,16 @@ ROUTED = {
         sz.NotHermitian, "matrix is not Hermitian within tolerance", NUMERICAL,
         {"skew_residual"}, -1.0),
     "psd_power": (
-        lambda mp, aklt: psd_power(np.diag([1.0, 0.5]), 0.5, Config(rank_tol=-1.0)),
+        lambda mp, aklt: psd_power(np.diag([1.0, -0.5]), 0.5),
         sz.NotHermitian, "matrix has a significantly negative eigenvalue; not PSD", NUMERICAL,
-        {"min_eigenvalue", "cutoff"}, -1.0),
+        {"min_eigenvalue", "cutoff"}, 1e-12),
     "gauge_solve": (
         lambda mp, aklt: sz.gauge_solve(aklt, sz.as_mps(sz.zoo("deformed-aklt:0.5"))),
-        sz.NotSameState, "dominant mixed transfer eigenvalue below 1; different states",
+        sz.NotReflectionInvariant, "dominant mixed transfer eigenvalue below 1; different states",
         ("not_reflection_invariant", 3), {"mixed_radius"}, Config().peripheral_tol),
     "gauge_solve_breaker": (
         lambda mp, aklt: sz.gauge_solve(aklt, sz.as_mps(sz.zoo("aklt-breaker:0.05"))),
-        sz.NotSameState, "dominant mixed transfer eigenvalue below 1; different states",
+        sz.NotReflectionInvariant, "dominant mixed transfer eigenvalue below 1; different states",
         ("not_reflection_invariant", 3), {"mixed_radius"}, Config().peripheral_tol),
     "z2_index_ambiguity": (
         lambda mp, aklt: sz.z2_index(aklt, Config(eps_index=-1.0)),
@@ -180,12 +181,12 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
      "kernel_tol"),
     (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=float("inf"))), sz.InvalidInput,
      "kernel_tol"),
-    (lambda aklt: sz.family("aklt", s0="x"), sz.UnknownModel, "s0"),
-    (lambda aklt: sz.family("aklt", s0="1.5"), sz.UnknownModel, "s0"),
-    (lambda aklt: sz.family("aklt", grid="x"), sz.UnknownModel, "grid"),
-    (lambda aklt: sz.family("aklt", grid=2.5), sz.UnknownModel, "grid"),
-    (lambda aklt: sz.family("aklt", s1=10 ** 400), sz.UnknownModel, "s1"),
-    (lambda aklt: sz.family("deformed-aklt", s0=-1e308, s1=1e308), sz.UnknownModel, "s1"),
+    (lambda aklt: sz.family("aklt", s0="x"), sz.InvalidInput, "s0"),
+    (lambda aklt: sz.family("aklt", s0="1.5"), sz.InvalidInput, "s0"),
+    (lambda aklt: sz.family("aklt", grid="x"), sz.InvalidInput, "grid"),
+    (lambda aklt: sz.family("aklt", grid=2.5), sz.InvalidInput, "grid"),
+    (lambda aklt: sz.family("aklt", s1=10 ** 400), sz.InvalidInput, "s1"),
+    (lambda aklt: sz.family("deformed-aklt", s0=-1e308, s1=1e308), sz.InvalidInput, "s1"),
     (lambda aklt: sz.parent_interaction(aklt, m=2.5), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 1.5), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
@@ -193,9 +194,9 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
      "scan_cap"),
     (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=10 ** 400)), sz.InvalidInput,
      "kernel_tol"),
-    (lambda aklt: sz.family(10 ** 400), sz.UnknownModel, "model"),
-    (lambda aklt: sz.family("nope"), sz.UnknownModel, "model"),
-    (lambda aklt: sz.family("aklt", grid=10 ** 400), sz.UnknownModel, "grid"),
+    (lambda aklt: sz.family(10 ** 400), sz.InvalidInput, "model"),
+    (lambda aklt: sz.family("nope"), sz.InvalidInput, "model"),
+    (lambda aklt: sz.family("aklt", grid=10 ** 400), sz.InvalidInput, "grid"),
     (lambda aklt: sz.parent_interaction(aklt, m=2 ** 63), sz.InvalidInput, "m"),
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 10 ** 400), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2 ** 63), sz.InvalidInput, "b"),
@@ -212,7 +213,7 @@ def test_library_argument_is_refused(call, refusal, key, aklt):
     assert type(info.value) is refusal
     assert info.value.status == "io_error"
     assert key in info.value.payload or key in info.value.message
-    if refusal is sz.UnknownModel or "key" in info.value.payload:  # family or a Config field
+    if key in ("model", "s0", "s1", "grid") or "key" in info.value.payload:  # family, Config
         assert info.value.payload["key"] == key
 
 
@@ -236,7 +237,7 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
     lambda aklt, h: sz.herm_eig(h),
     lambda aklt, h: herm_eigvals(h),
     # the positive-definite eigensystem, as reflected_tuple solves it
-    lambda aklt, h: _positive_definite(sz.herm_eig(h), sz.NotFaithful, "singular", sz.DEFAULT),
+    lambda aklt, h: _positive_definite(sz.herm_eig(h), sz.NotPrimitive, "singular", sz.DEFAULT),
     lambda aklt, h: psd_power(h, 0.5),
     lambda aklt, h: sz.reflected_tuple(h),
     lambda aklt, h: sz.ed_report(h),
@@ -306,24 +307,31 @@ REFUSALS = {
                           lambda aklt: sz.as_bipartite(np.zeros((2, 2)))),
     # every dense space of dimension d**x: a chain, a parent window, a marginal, a block
     "DimensionCap": (
-        lambda aklt: sz.chain_hamiltonian(sz.parent_interaction(aklt, 2), 10 ** 8, "open"),
-        lambda aklt: sz.parent_interaction(aklt, m=10 ** 12),
-        lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 10 ** 12),
-        lambda aklt: sz.block(aklt, 10 ** 12)),
+        (lambda aklt: sz.chain_hamiltonian(sz.parent_interaction(aklt, 2), 10 ** 8, "open"),
+         "chain dimension exceeds the dense cap"),
+        (lambda aklt: sz.parent_interaction(aklt, m=10 ** 12),
+         "parent window dimension exceeds the dense cap"),
+        (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 10 ** 12),
+         "marginal dimension exceeds the dense cap"),
+        (lambda aklt: sz.block(aklt, 10 ** 12), "blocked alphabet exceeds the dense cap")),
     "Inconclusive": lambda aklt: sz.z2_index(aklt, Config(refl_marginal_tol=-1.0)),
-    "InvalidInput": lambda aklt: sz.as_mps(np.zeros((2, 0, 0))),
+    # a tuple, a model name, a bad command line
+    "InvalidInput": (lambda aklt: sz.as_mps(np.zeros((2, 0, 0))),
+                     lambda aklt: sz.zoo("nope"),
+                     lambda aklt: cli.build_parser().parse_args(["index", "--nope"])),
     "NormalizationBroken": lambda aklt: sz.primitivity(sz.as_mps(2.0 * aklt.v)),
-    "NotFaithful": lambda aklt: sz.reflected_tuple(np.diag([1.0, 0.0])),
     "NotHermitian": lambda aklt: sz.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]])),
     "NotNormalizable": lambda aklt: sz.normalize(np.zeros((2, 2, 2))),
-    "NotPrimitive": lambda aklt: sz.z2_index(sz.zoo("ghz")),
-    "NotReflectionInvariant": lambda aklt: sz.z2_index(sz.zoo("aklt-breaker:1e3")),
-    "NotSameState": lambda aklt: sz.gauge_solve(aklt, sz.normalize(sz.zoo("deformed-aklt:0.7"))),
+    # a reducible tuple, a singular invariant state
+    "NotPrimitive": (lambda aklt: sz.z2_index(sz.zoo("ghz")),
+                     lambda aklt: sz.reflected_tuple(np.diag([1.0, 0.0]))),
+    # a state that differs from its reflection, two different states
+    "NotReflectionInvariant": (
+        lambda aklt: sz.z2_index(sz.zoo("aklt-breaker:1e3")),
+        lambda aklt: sz.gauge_solve(aklt, sz.normalize(sz.zoo("deformed-aklt:0.7")))),
     "RankDeficient": lambda aklt: psd_power(np.zeros((2, 2)), -0.5),
     "ResourceLimit":
         lambda aklt: sz.scan(sz.family("deformed-aklt", grid=3), Config(scan_cap=2)),
-    "UnknownModel": lambda aklt: sz.zoo("nope"),
-    "UsageError": lambda aklt: cli.build_parser().parse_args(["index", "--nope"]),
 }
 
 
@@ -334,10 +342,25 @@ def test_every_refusal_class_has_an_input(name, aklt):
     # the envelope's error field names the class, so each one is reachable
     calls = REFUSALS[name]
     for call in calls if isinstance(calls, tuple) else (calls,):
+        call, message = call if isinstance(call, tuple) else (call, None)
         with pytest.raises(sz.SptError) as info:
             call(aklt)
         assert type(info.value).__name__ == name
         assert info.value.describe()["error"] == name
+        if message is not None:
+            assert info.value.message == message
+
+
+def test_one_refusal_class_per_status():
+    # the rule of errors.py: a status has one class, except that the classes of
+    # numerical_error name the failed contract and those of resource_limit the cap
+    multi = {"numerical_error": {"ConvergenceFailure", "NormalizationBroken", "NotHermitian",
+                                 "NotNormalizable", "RankDeficient"},
+             "resource_limit": {"ResourceLimit", "DimensionCap"}}
+    by_status = refusal_classes_by_status()
+    assert set(by_status) == set(STATUS_EXIT) - {"ok"}
+    for status, names in by_status.items():
+        assert (names == multi[status]) if status in multi else (len(names) == 1), status
 
 
 def test_a_singular_gauge_is_not_same_state():
@@ -346,7 +369,7 @@ def test_a_singular_gauge_is_not_same_state():
     # mixed radius below 1, with polar_unitary's singular values added
     with pytest.raises(sz.SptError) as info:
         _singular_gauge()
-    assert type(info.value) is sz.NotSameState
+    assert type(info.value) is sz.NotReflectionInvariant
     assert info.value.message == "dominant mixed eigenmatrix is singular"
     assert info.value.payload.keys() == {"mixed_radius", "sigma_min", "sigma_max", "tolerance"}
     assert info.value.payload["sigma_min"] == 0.0

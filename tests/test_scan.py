@@ -26,10 +26,10 @@ def test_zoo_product_normalizes_amplitudes():
 
 
 def test_zoo_product_rejections():
-    with pytest.raises(sz.UnknownModel):
-        sz.zoo("product:1")
-    with pytest.raises(sz.UnknownModel):
-        sz.zoo("product:0,0")
+    for name in ("product:1", "product:0,0"):
+        with pytest.raises(sz.InvalidInput) as info:
+            sz.zoo(name)
+        assert info.value.payload["key"] == "model"
 
 
 def test_zoo_breaker_is_renormalized(aklt_raw):
@@ -40,16 +40,10 @@ def test_zoo_breaker_is_renormalized(aklt_raw):
 
 
 def test_zoo_name_errors():
-    with pytest.raises(sz.UnknownModel):
-        sz.zoo("nope")
-    with pytest.raises(sz.UnknownModel):
-        sz.zoo("aklt:1")
-    with pytest.raises(sz.UnknownModel):
-        sz.zoo("deformed-aklt")
-    with pytest.raises(sz.UnknownModel):
-        sz.zoo("deformed-aklt:1+2i")
-    with pytest.raises(sz.UnknownModel):
-        sz.zoo("deformed-aklt:")
+    for name in ("nope", "aklt:1", "deformed-aklt", "deformed-aklt:1+2i", "deformed-aklt:"):
+        with pytest.raises(sz.InvalidInput) as info:
+            sz.zoo(name)
+        assert info.value.payload["key"] == "model"
 
 
 def test_complex_literal_arguments():
@@ -107,10 +101,12 @@ def test_family_constant_from_point_model():
 
 
 def test_family_validation():
-    with pytest.raises(sz.UnknownModel):
+    with pytest.raises(sz.InvalidInput) as info:
         sz.family("nope")
-    with pytest.raises(sz.UnknownModel):
+    assert info.value.payload["key"] == "model"
+    with pytest.raises(sz.InvalidInput) as info:
         sz.family("aklt", grid=1)
+    assert info.value.payload["key"] == "grid"
 
 
 # -- scans --------------------------------------------------------------------

@@ -15,6 +15,16 @@ import numpy as np
 import spt_z2 as sz
 
 
+def refusal_classes_by_status() -> dict[str, set[str]]:
+    """The names of the refusal classes spt_z2 exports, grouped by their status."""
+    by_status: dict[str, set[str]] = {}
+    for name in sz.__all__:
+        cls = getattr(sz, name)
+        if isinstance(cls, type) and issubclass(cls, sz.SptError) and cls is not sz.SptError:
+            by_status.setdefault(cls.status, set()).add(name)
+    return by_status
+
+
 def haar_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
     z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     q, r = np.linalg.qr(z)
