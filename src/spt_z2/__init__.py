@@ -24,8 +24,8 @@ from .errors import (
     ResourceLimit,
     SptError,
 )
-from .hamiltonian import (EdReport, ParentInteraction, chain_hamiltonian, ed_report,
-                          parent_interaction, reflection_check)
+from .hamiltonian import (ChainBlock, EdBlock, EdReport, ParentInteraction, chain_hamiltonian,
+                          ed_report, parent_interaction, reflection_check)
 from .linalg import herm_eig, peripheral_eigs, polar_unitary, psd_power
 from .modular import (
     BipartiteVector,

@@ -298,8 +298,7 @@ def cmd_parent_ham(args, cfg: Config, desc: dict):
         t = normalize(raw(), cfg)
         hint = parent_interaction(t, m=args.m, config=cfg)
         n = args.n if args.n is not None else hint.m
-        h_total = chain_hamiltonian(hint, n, args.boundary, cfg)
-        ed = ed_report(h_total, cfg)
+        ed = ed_report(chain_hamiltonian(hint, n, args.boundary, cfg), cfg)
         return {
             "m": hint.m,
             "rank": hint.rank,
@@ -313,6 +312,7 @@ def cmd_parent_ham(args, cfg: Config, desc: dict):
                 "kernel_dim": ed.kernel_dim,
                 "gap": ed.gap,
                 "spectrum_head": ed.spectrum_head,
+                "blocks": ed.blocks,
             },
         }
     return run

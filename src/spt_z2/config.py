@@ -29,9 +29,9 @@ complex array); tuple, vector and family files hold no null. Every tuple
 parameter of an exported function is read by :func:`spt_z2.mps.as_mps`,
 which passes an ``MpsTuple`` as it is and validates a raw array. Every
 record parameter (``config``, a ``BipartiteVector``, an ``IndexReport``, a
-``ParentInteraction``, a ``FamilySpec``) is read by :func:`require_record`,
-which refuses anything but an instance of its class with ``key`` naming the
-parameter and ``got`` the type it received; :func:`require_config` is that
+``ParentInteraction``, a ``ChainBlock``, a ``FamilySpec``) is read by
+:func:`require_record`, which refuses anything but an instance of its class
+with ``key`` naming the parameter and ``got`` the type it received; :func:`require_config` is that
 rule for ``config``. Refusals are :class:`InvalidInput`, with ``key`` where a
 setting or a named argument is refused (``family`` and ``zoo`` included).
 A representable but huge cap is still unbounded work.

@@ -13,19 +13,26 @@ spanned by the tuple's boundary states (dimension k^2).
 
 Everything here is dense, and one setting caps it: ``dense_cap`` bounds the
 window's d^m and the chain's d^n, each refused as ``DimensionCap`` above it.
-These are verification tools, not a simulation engine. A chain of a real
-interaction is built and diagonalized in real arithmetic, and dense ED holds
-at most two d^n x d^n matrices: the chain and LAPACK's working copy.
+These are verification tools, not a simulation engine. A reflection-symmetric
+interaction gives a chain that commutes with the pi-twisted site reversal R,
+so the chain is built and diagonalized as its two parity blocks, of
+dimensions (d^n + f)/2 and (d^n - f)/2 for f words with Rw = w (Pollmann,
+Berg, Turner, Oshikawa, PRB 81, 064439 (2010)), and no d^n x d^n matrix is
+formed; any other chain is one block. A real interaction gives real blocks, and
+dense ED holds at most two matrices of the largest block's size: the block
+and LAPACK's working copy.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT, Config, is_int, require_config, require_record, square_array
-from .errors import DimensionCap, InvalidInput
+from .errors import DimensionCap, InvalidInput, NotHermitian, NotReflectionInvariant, within
 from .linalg import frob, herm_eigvals, real_if_exact
 from .mps import (MpsTuple, _append_letters, _word_count, as_mps, primitivity,
                   reverse_word_index)
@@ -83,35 +90,105 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
                              d=t.d, perm=t.reflect_perm)
 
 
-def _add_on_sites(acc: np.ndarray, op: np.ndarray, sites: list[int]) -> None:
-    """Add ``op`` on ``sites`` (identity elsewhere) into a ``(d,)*2n`` tensor.
+class ChainBlock(NamedTuple):
+    """One diagonal block of a chain: its parity under the chain's involution, and its matrix."""
 
-    Axis s of ``acc`` is the row factor of site s and axis n + s its column
-    factor. Giving an untouched site's column axis its row label makes the
-    einsum a writable view of the entries where that site is diagonal; the
-    op is added there in place, so no d^n x d^n term is ever formed.
+    parity: int
+    h: np.ndarray
+
+
+def _offsets(places: np.ndarray, d: int) -> np.ndarray:
+    """Flat-index offset of every word on the sites whose place values are ``places``,
+    big-endian in their listed order."""
+    off = np.zeros(1, dtype=np.int64)
+    for place in places:
+        off = (off[:, None] + place * np.arange(d)).ravel()
+    return off
+
+
+def _assemble(h: np.ndarray, windows: list[list[int]], d: int, n: int,
+              col: np.ndarray, amp: np.ndarray, dim: int) -> np.ndarray:
+    """The block ``sum_w h_w`` in the basis whose column ``col[u]`` has entry
+    ``amp[u]`` at word u (``col[u] = -1``: u is outside the block).
+
+    One window row at one position is scattered at a time, at most d^n
+    entries, and only into the upper triangle; the lower triangle is then its
+    conjugate, so the block is exactly Hermitian for any summation order.
     """
-    n, d = acc.ndim // 2, acc.shape[0]
-    others = [s for s in range(n) if s not in sites]
-    cols = [n + s if s in sites else s for s in range(n)]
-    view = np.einsum(acc, list(range(n)) + cols,
-                     list(sites) + [n + s for s in sites] + others)
-    view += op.reshape((d,) * (2 * len(sites)) + (1,) * len(others))
+    block = np.zeros((dim, dim), dtype=h.dtype)
+    flat = block.reshape(-1)
+    places = d ** np.arange(n - 1, -1, -1)
+    for sites in windows:
+        rest = _offsets(places[[s for s in range(n) if s not in sites]], d)
+        win = _offsets(places[sites], d)
+        for x, row in enumerate(h):
+            ys = np.flatnonzero(row)
+            u = rest + win[x]
+            v = (rest[:, None] + win[ys]).ravel()
+            i, j = np.repeat(col[u], ys.size), col[v]
+            keep = (i >= 0) & (i <= j)
+            vals = np.repeat(amp[u], ys.size) * amp[v] * np.tile(row[ys], rest.size)
+            np.add.at(flat, i[keep] * dim + j[keep], vals[keep])
+    for r in range(1, dim):
+        block[r, :r] = block[:r, r].conj()
+    if np.iscomplexobj(block):
+        flat[:: dim + 1].imag = 0.0
+    return block
+
+
+def _parity_blocks(h: np.ndarray, windows: list[list[int]], d: int, n: int,
+                   rw: np.ndarray) -> Iterator[ChainBlock]:
+    """The chain's blocks under the involution ``rw`` on words, built one at a time.
+
+    A pair {w, Rw} gives (|w> + |Rw>)/sqrt(2) to the + block and
+    (|w> - |Rw>)/sqrt(2) to the - block; a fixed word gives |w> to the + block.
+    Columns follow the smaller word of each pair, ascending.
+    """
+    words = np.arange(rw.size)
+    fixed = words == rw
+    rep = np.minimum(words, rw)
+    for parity in (1, -1):
+        lead = words <= rw if parity == 1 else words < rw
+        dim = int(np.count_nonzero(lead))
+        if not dim:
+            continue
+        col = (np.cumsum(lead) - 1)[rep]
+        if parity == -1:
+            col[fixed] = -1
+        amp = np.where(fixed, 1.0, math.sqrt(0.5))
+        amp[words > rw] *= parity
+        yield ChainBlock(parity, _assemble(h, windows, d, n, col, amp, dim))
 
 
 def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
-                      config: Config = DEFAULT) -> np.ndarray:
-    """Dense translation sum of the interaction over an n-site open or periodic chain.
+                      config: Config = DEFAULT) -> Iterator[ChainBlock]:
+    """Translation sum of the interaction over an n-site open or periodic chain,
+    as the diagonal blocks of one involution.
 
-    Each term is added in place into one d^n x d^n accumulator (see
-    :func:`_add_on_sites`), so the accumulator is the only matrix built. It
-    is real when the interaction's imaginary part is exactly zero (as for
-    aklt), else complex. The sum is exactly Hermitian with no symmetrization
-    pass: :func:`parent_interaction` makes ``h`` exactly Hermitian, entries
-    (i, j) and (j, i) receive conjugate values from the same terms in the
-    same order, and rounding commutes with conjugation. An ``h`` built any
-    other way is summed as it is; :func:`ed_report` then symmetrizes or
-    refuses it.
+    When the interaction passes the reflection gate, the involution is the
+    pi-twisted site reversal R (:func:`spt_z2.mps.reverse_word_index` over the
+    n sites), which maps windows onto windows; the blocks are then the
+    parities +1 and -1, of dimensions (d^n + f)/2 and (d^n - f)/2 for f
+    words with Rw = w. Otherwise it is the identity: one block of parity +1,
+    the chain itself, with the same bits as the term-by-term sum. Each block
+    is summed directly from the window's entries, one window row at one
+    position at a time (at most d^n entries, see :func:`_assemble`), beside
+    word maps of O(n d^n) integers, so no matrix beyond the block is formed.
+    The blocks are built lazily, one per step of the returned iterator, so
+    :func:`ed_report` frees each before the next is built.
+
+    **The gate** is :func:`reflection_check`'s residual r = ||h - rev h||_F,
+    judged by :func:`spt_z2.errors.within` against ``eps_herm`` relative to
+    ``||h||_F`` floored at 1, the tolerance by which ED drops an
+    anti-Hermitian part. With T terms, H - RHR is the sum of the T window
+    copies of h - rev h, and the blocks hold exactly (H + RHR)/2, so each
+    eigenvalue moves by at most T r / 2 (Weyl) from the chain's own.
+
+    A block is real when the interaction's imaginary part is exactly zero (as
+    for aklt), else complex, and exactly Hermitian: only its upper triangle
+    is summed. An interaction whose anti-Hermitian part exceeds ``eps_herm``
+    (relative, floored at 1) is refused as :class:`NotHermitian`;
+    :func:`parent_interaction` makes h exactly Hermitian.
     """
     require_config(config)
     require_record(hint, ParentInteraction, "hint")
@@ -122,11 +199,27 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
         raise InvalidInput("chain length must be an integer of at least the window", n=n, m=m)
     dim = _word_count(d, n, config.dense_cap, "chain dimension")
     h = real_if_exact(hint.h)
-    h_total = np.zeros((d,) * (2 * n), dtype=np.result_type(h, float))
+    scale = max(frob(h), 1.0)
+    skew = math.hypot(*(frob(row - col.conj()) for row, col in zip(h, h.T))) / scale
+    within(skew, config.eps_herm, NotHermitian,
+           "interaction is not Hermitian within tolerance", skew_residual=skew)
+    residual = reflection_check(hint)
+    try:
+        within(residual / scale, config.eps_herm, NotReflectionInvariant,
+               "interaction is not reflection symmetric within tolerance", residual=residual)
+    except NotReflectionInvariant:
+        rw = np.arange(dim)
+    else:
+        rw = reverse_word_index(d, n, hint.perm)
     last = n - m + 1 if boundary == "open" else n
-    for p in range(last):
-        _add_on_sites(h_total, h, [(p + j) % n for j in range(m)])
-    return h_total.reshape(dim, dim)
+    windows = [[(p + j) % n for j in range(m)] for p in range(last)]
+    return _parity_blocks(h, windows, d, n, rw)
+
+
+class EdBlock(NamedTuple):
+    parity: int
+    dim: int
+    kernel_dim: int
 
 
 class EdReport(NamedTuple):
@@ -134,36 +227,52 @@ class EdReport(NamedTuple):
     kernel_dim: int
     gap: float
     spectrum_head: np.ndarray
+    blocks: tuple[EdBlock, ...]
 
 
-def ed_report(h_total: np.ndarray, config: Config = DEFAULT) -> EdReport:
-    """Dense spectrum summary: ground energy, kernel count, gap above it.
+def ed_report(blocks: Iterable[ChainBlock], config: Config = DEFAULT) -> EdReport:
+    """Dense spectrum summary of a chain's blocks: ground energy, kernel count, gap above it.
 
-    Only eigenvalues are computed (:func:`spt_z2.linalg.herm_eigvals`), in
-    real arithmetic when the matrix has no imaginary part. An exactly
-    Hermitian chain, as :func:`chain_hamiltonian` builds it, goes to
-    ``eigvalsh`` as it is, so ED holds two d^n x d^n matrices at most: the
-    chain and LAPACK's working copy. The kernel is the eigenvalues below
-    ``kernel_tol * (max(largest eigenvalue, 0) + 1)``: ``kernel_tol`` is
-    relative, as ``eps_herm`` is relative to the norm floored at 1. Below the
-    lowest eigenvalue (any negative value, for a frustration-free chain) the
-    kernel is empty and the gap is the lowest eigenvalue.
+    The blocks are diagonalized one at a time and each is released before
+    the next is drawn from ``blocks``, so with :func:`chain_hamiltonian`'s
+    lazy blocks ED holds two matrices of the largest block's size at most:
+    the block and the check buffer or, after it, LAPACK's working copy. Only
+    eigenvalues are computed (:func:`spt_z2.linalg.herm_eigvals`), in real
+    arithmetic when a block has no imaginary part, and an exactly Hermitian
+    block goes to ``eigvalsh`` as it is. The spectra are merged; the kernel
+    is the eigenvalues below ``kernel_tol * (max(largest eigenvalue, 0) + 1)``
+    (``kernel_tol`` is relative, as ``eps_herm`` is relative to the norm
+    floored at 1), counted in all and per block. Below the lowest eigenvalue
+    (any negative value, for a frustration-free chain) the kernel is empty
+    and the gap is the lowest eigenvalue.
     """
     require_config(config)
-    h_arr = square_array(h_total)
-    if h_arr.shape[0] > config.dense_cap:
-        raise DimensionCap("matrix exceeds the dense diagonalization cap",
-                           dimension=int(h_arr.shape[0]), cap=config.dense_cap)
-    evals = herm_eigvals(h_arr, config)
+    try:
+        items = iter(blocks)
+    except TypeError:
+        raise InvalidInput("blocks must be an iterable of ChainBlock", key="blocks",
+                           got=type(blocks).__name__) from None
+    spectra = []
+    for blk in items:
+        require_record(blk, ChainBlock, "block")
+        h = square_array(blk.h)
+        if h.shape[0] > config.dense_cap:
+            raise DimensionCap("matrix exceeds the dense diagonalization cap",
+                               dimension=int(h.shape[0]), cap=config.dense_cap)
+        spectra.append((blk.parity, herm_eigvals(h, config)))
+        del blk, h  # the block is freed before the next one is built
+    if not spectra:
+        raise InvalidInput("blocks must hold at least one ChainBlock", key="blocks")
+    evals = np.sort(np.concatenate([values for _, values in spectra]))
     kernel_tol = config.kernel_tol * (float(evals.max(initial=0.0)) + 1.0)
-    kernel = int(np.sum(evals < kernel_tol))
     above = evals[evals >= kernel_tol]
-    gap = float(above.min()) if above.size else 0.0
     return EdReport(
         ground_energy=float(evals[0]),
-        kernel_dim=kernel,
-        gap=gap,
+        kernel_dim=int(np.sum(evals < kernel_tol)),
+        gap=float(above.min()) if above.size else 0.0,
         spectrum_head=evals[: min(10, evals.size)].copy(),
+        blocks=tuple(EdBlock(parity, values.size, int(np.sum(values < kernel_tol)))
+                     for parity, values in spectra),
     )
 
 

@@ -442,6 +442,18 @@ def test_parent_ham_default_window_n6():
     assert (res["m"], res["rank"], res["support_rank"]) == (3, 23, 4)
     assert res["chain"]["kernel_dim"] == 4
     assert abs(res["chain"]["gap"] - 0.928646952736) < 1e-9
+    # the reflection blocks: aklt's zeta c^6 = -1 block holds 3 kernel states
+    assert res["chain"]["blocks"] == [{"parity": 1, "dim": 378, "kernel_dim": 1},
+                                      {"parity": -1, "dim": 351, "kernel_dim": 3}]
+
+
+def test_parent_ham_unreflected_chain_is_one_block():
+    code, env = run(["parent-ham", "--model", "aklt-breaker:0.3", "--n", "5"])
+    assert code == 0
+    res = env["result"]
+    assert res["reflection_residual"] > 1.0
+    assert res["chain"]["blocks"] == [{"parity": 1, "dim": 243,
+                                       "kernel_dim": res["chain"]["kernel_dim"]}]
 
 
 # -- scan ---------------------------------------------------------------------
@@ -793,7 +805,8 @@ CONFIG_CALLS = {
     "hamiltonian.parent_interaction": lambda t, cfg: sz.parent_interaction(t, 2, config=cfg),
     "hamiltonian.chain_hamiltonian":
         lambda t, cfg: sz.chain_hamiltonian(sz.parent_interaction(t, 2), 2, "open", config=cfg),
-    "hamiltonian.ed_report": lambda t, cfg: sz.ed_report(np.eye(2), config=cfg),
+    "hamiltonian.ed_report":
+        lambda t, cfg: sz.ed_report([sz.ChainBlock(1, np.eye(2))], config=cfg),
     "linalg.herm_eig": lambda t, cfg: sz.herm_eig(np.eye(2), config=cfg),
     "linalg.herm_eigvals": lambda t, cfg: linalg.herm_eigvals(np.eye(2), config=cfg),
     "linalg.peripheral_window":

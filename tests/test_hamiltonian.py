@@ -25,12 +25,67 @@ def complex_tuple():
     return sz.normalize(known_answer_tuple(np.random.default_rng([0, 2, 2]), 2, 2, +1))
 
 
+# The word maps and one window row's scatter that block assembly holds beside
+# the blocks, in eight-byte words per site and word of the chain.
+ASSEMBLY_WORDS = 8
+
+
 def _traced_peak(func, *args):
     """``func(*args)`` and the peak of traced memory while it ran; what earlier
     traced calls allocated and still hold counts too."""
     tracemalloc.reset_peak()
     out = func(*args)
     return out, tracemalloc.get_traced_memory()[1]
+
+
+def _one_block(h):
+    """A bare matrix as the one block ``ed_report`` reads."""
+    return [sz.ChainBlock(1, np.asarray(h))]
+
+
+def _chain_oracle(hint, n, boundary):
+    """The d^n x d^n chain as a sum of Kronecker-embedded terms; real when it has
+    no imaginary part."""
+    d, m = hint.d, hint.m
+    want = np.zeros((d ** n, d ** n), dtype=complex)
+    last = n - m + 1 if boundary == "open" else n
+    for p in range(last):
+        want += embed_sites_oracle(hint.h, [(p + j) % n for j in range(m)], n, d)
+    return want if want.imag.any() else want.real
+
+
+def _parity_pairs(hint, n, parity):
+    """The parity basis by an explicit loop over the words: column i is
+    ``lo_coef |lo> + hi_coef |hi>``, that is (|w> + parity |Rw>)/sqrt(2) for each
+    word w < Rw, and |w> (hi_coef 0) for Rw = w when parity is +1."""
+    rw = mps.reverse_word_index(hint.d, n, hint.perm)
+    cols = []
+    for w in range(rw.size):
+        if w < rw[w]:
+            cols.append((w, rw[w], np.sqrt(0.5), parity * np.sqrt(0.5)))
+        elif w == rw[w] and parity == 1:
+            cols.append((w, w, 1.0, 0.0))
+    lo, hi, lo_coef, hi_coef = map(np.array, zip(*cols))
+    return [(lo, lo_coef), (hi, hi_coef)]
+
+
+def _parity_basis(hint, n, parity):
+    """The parity basis as a d^n x dim matrix."""
+    pairs = _parity_pairs(hint, n, parity)
+    q = np.zeros((hint.d ** n, pairs[0][0].size))
+    for words, coefs in pairs:
+        q[words, np.arange(words.size)] += coefs
+    return q
+
+
+def _compressed(want, pairs):
+    """``q^T want q`` for the parity basis ``pairs``, by gathers of want's entries."""
+    return sum(np.outer(cx, cy) * want[np.ix_(x, y)] for x, cx in pairs for y, cy in pairs)
+
+
+def _fixed_words(hint, n):
+    rw = mps.reverse_word_index(hint.d, n, hint.perm)
+    return int(np.sum(rw == np.arange(rw.size)))
 
 
 # -- the interaction ----------------------------------------------------------
@@ -176,16 +231,14 @@ def test_huge_window_or_chain_is_refused_at_once(aklt, aklt_h2):
 
 @pytest.mark.parametrize("n,gap", [(4, 0.448956), (5, 0.413240), (6, 0.398451)])
 def test_open_chain_anchors(aklt_h2, n, gap):
-    h_total = sz.chain_hamiltonian(aklt_h2, n, "open")
-    rep = sz.ed_report(h_total)
+    rep = sz.ed_report(sz.chain_hamiltonian(aklt_h2, n, "open"))
     assert abs(rep.ground_energy) < 1e-9
     assert rep.kernel_dim == 4
     assert abs(rep.gap - gap) < 1e-5
 
 
 def test_periodic_chain_anchor(aklt_h2):
-    h_total = sz.chain_hamiltonian(aklt_h2, 4, "periodic")
-    rep = sz.ed_report(h_total)
+    rep = sz.ed_report(sz.chain_hamiltonian(aklt_h2, 4, "periodic"))
     assert abs(rep.ground_energy) < 1e-9
     assert rep.kernel_dim == 1
     assert abs(rep.gap - 1 / 3) < 1e-9
@@ -211,13 +264,16 @@ def test_product_chain():
 
 
 def test_open_chain_is_frustration_free(aklt_h2):
-    h_total = sz.chain_hamiltonian(aklt_h2, 4, "open")
-    evals, vecs = np.linalg.eigh(h_total)
-    kernel = vecs[:, evals < 1e-10]
-    assert kernel.shape[1] == 4
-    for p in range(3):
-        term = embed_sites_oracle(aklt_h2.h, [p, p + 1], 4, 3)
-        assert frob(term @ kernel) < 1e-8
+    # every kernel vector of every block, in the word basis, is annihilated by each term
+    found = 0
+    for blk in sz.chain_hamiltonian(aklt_h2, 4, "open"):
+        evals, vecs = np.linalg.eigh(blk.h)
+        kernel = _parity_basis(aklt_h2, 4, blk.parity) @ vecs[:, evals < 1e-10]
+        found += kernel.shape[1]
+        for p in range(3):
+            term = embed_sites_oracle(aklt_h2.h, [p, p + 1], 4, 3)
+            assert frob(term @ kernel) < 1e-8
+    assert found == 4
 
 
 def test_periodic_kernel_inside_open_kernel(aklt_h2):
@@ -243,34 +299,142 @@ def test_chain_validation(aklt_h2):
     ids=["3-6-open", "2-4-periodic", "2-7-open", "3-5-periodic",
          "complex-3-7-open", "complex-3-6-periodic"])
 def test_chain_matches_kron_oracle(aklt, complex_tuple, model, m, n, boundary):
+    # each reflection block is the oracle chain in its parity basis, and the
+    # merged spectrum is the oracle's
     hint = sz.parent_interaction(aklt if model == "aklt" else complex_tuple, m=m)
-    d = hint.d
-    want = np.zeros((d ** n, d ** n), dtype=complex)
-    last = n - m + 1 if boundary == "open" else n
-    for p in range(last):
-        want += embed_sites_oracle(hint.h, [(p + j) % n for j in range(m)], n, d)
-    got = sz.chain_hamiltonian(hint, n, boundary)
-    assert np.array_equal(got, want)
-    # exactly Hermitian with no symmetrization pass, and real when the interaction is
-    assert np.array_equal(got, got.conj().T)
-    assert got.dtype == (np.float64 if model == "aklt" else np.complex128)
+    want = _chain_oracle(hint, n, boundary)
+    blocks = list(sz.chain_hamiltonian(hint, n, boundary))
+    assert [blk.parity for blk in blocks] == [1, -1]
+    for blk in blocks:
+        oracle = _compressed(want, _parity_pairs(hint, n, blk.parity))
+        assert np.max(np.abs(blk.h - oracle)) < 1e-12
+    merged = np.sort(np.concatenate([np.linalg.eigvalsh(blk.h) for blk in blocks]))
+    assert np.max(np.abs(merged - np.linalg.eigvalsh(want))) < 1e-12
+
+
+@pytest.mark.parametrize("model,m,n,boundary", [
+    ("aklt", 3, 6, "open"), ("aklt", 2, 5, "periodic"), ("complex", 3, 7, "open"),
+    ("blocked", 2, 3, "open")], ids=["3-6-open", "2-5-periodic", "complex-3-7-open",
+                                     "blocked-2-3-open"])
+def test_reflection_blocks_are_exact(aklt, complex_tuple, model, m, n, boundary):
+    # exactly Hermitian, real for a real interaction, of dimensions (d^n +- f)/2
+    # for f words with Rw = w
+    t = {"aklt": aklt, "complex": complex_tuple, "blocked": sz.block(aklt, 2)}[model]
+    hint = sz.parent_interaction(t, m=m)
+    f = _fixed_words(hint, n)
+    blocks = list(sz.chain_hamiltonian(hint, n, boundary))
+    assert [(blk.parity, blk.h.shape) for blk in blocks] == [
+        (1, ((hint.d ** n + f) // 2,) * 2), (-1, ((hint.d ** n - f) // 2,) * 2)]
+    for blk in blocks:
+        assert np.array_equal(blk.h, blk.h.conj().T)
+        assert blk.h.dtype == (np.complex128 if model == "complex" else np.float64)
+
+
+def test_unreflected_chain_is_one_block(aklt):
+    # aklt-breaker:0.3 fails the reflection gate by far: its chain is one block,
+    # the oracle's sum with the same bits, exactly Hermitian as summed
+    hint = sz.parent_interaction(sz.normalize(sz.zoo("aklt-breaker:0.3")))
+    assert abs(sz.reflection_check(hint) - 2.35) < 0.01
+    (blk,) = sz.chain_hamiltonian(hint, 5, "open")
+    assert blk.parity == 1 and blk.h.dtype == np.float64
+    assert np.array_equal(blk.h, _chain_oracle(hint, 5, "open"))
+    assert np.array_equal(blk.h, blk.h.T)
+    rep = sz.ed_report([blk])
+    assert rep.blocks == (sz.EdBlock(1, 3 ** 5, rep.kernel_dim),)
+
+
+def test_near_symmetric_chain_stays_within_its_weyl_bound(aklt, rng):
+    # a reflection-odd Hermitian part inside the gate is dropped; each
+    # eigenvalue then moves by at most T ||h - rev h||_F / 2 (T = 4 terms)
+    hint = sz.parent_interaction(aklt)
+    a = rng.standard_normal(hint.h.shape)
+    odd = a + a.T
+    idx = mps.reverse_word_index(hint.d, hint.m, hint.perm)
+    odd -= odd[np.ix_(idx, idx)]
+    near = hint._replace(h=hint.h + 1e-10 * odd / frob(odd))
+    residual = sz.reflection_check(near)
+    assert 1e-11 < residual < sz.DEFAULT.eps_herm
+    rep = sz.ed_report(sz.chain_hamiltonian(near, 6, "open"))
+    assert [blk.parity for blk in rep.blocks] == [1, -1]
+    want = np.linalg.eigvalsh(_chain_oracle(near, 6, "open"))
+    assert np.max(np.abs(rep.spectrum_head - want[:10])) <= 4 * residual / 2 + 1e-12
+
+
+def test_non_hermitian_interaction_is_refused(aklt):
+    # the blocks are read from the upper triangle, so h itself is judged
+    hint = sz.parent_interaction(aklt)
+    skewed = hint.h.copy()
+    skewed[0, 1] += 1e-3
+    with pytest.raises(sz.NotHermitian) as info:
+        sz.chain_hamiltonian(hint._replace(h=skewed), 4, "open")
+    assert info.value.payload["tolerance"] == sz.DEFAULT.eps_herm
+
+
+def _index_sign(t):
+    rep = sz.z2_index(t)
+    c = round(rep.phase.real)
+    assert abs(rep.phase - c) < 1e-9
+    return rep.zeta, c
+
+
+@pytest.mark.parametrize("model,n", [
+    ("aklt", 4), ("aklt", 5), ("aklt", 6), ("aklt", 7), ("deformed-aklt:0.3", 5),
+    ("product:1,2", 4), ("blocked-aklt", 2), ("blocked-aklt", 3), ("d2-k2-zeta+1", 5),
+    ("d3-k2-zeta-1", 4), ("d3-k2-zeta-1", 5), ("d2-k3-zeta+1", 5)])
+def test_open_kernel_splits_by_zeta(aklt, model, n):
+    """A second reading of zeta from ED: k(k+1)/2 kernel states have parity zeta c^n.
+
+    :func:`spt_z2.reflection.gauge_solve` finds X with
+    ``X tilde v_mu^dagger = c v_mu^dagger X``, ``tilde v_mu = v_{pi(mu)}^T``
+    and c = ``IndexReport.phase`` = +-1; so ``v_{pi(mu)}^T = c Y v_mu Y^-1`` with
+    Y = X^dagger, and ``Y^T = zeta Y`` (Y is ``D^(1/2) U`` up to scale, U
+    commutes with D and ``U^T = zeta U``). The open-chain kernel is spanned
+    by ``|B> = sum_w Tr(B v_w)|w>``; R reverses the word and applies pi, and
+    transposing the trace gives ``R|B> = c^n |Y^-1 B^T Y>``. With B = M Y
+    that is ``M -> zeta c^n M^T``: the k(k+1)/2 symmetric M are the kernel's
+    states of parity zeta c^n, the k(k-1)/2 antisymmetric M those of parity
+    -zeta c^n.
+    """
+    kinds = {"blocked-aklt": lambda: sz.block(aklt, 2),
+             "d2-k2-zeta+1": lambda: known_answer_tuple(np.random.default_rng([0, 2, 2]), 2, 2, 1),
+             "d3-k2-zeta-1": lambda: known_answer_tuple(np.random.default_rng([7, 3]), 3, 2, -1),
+             "d2-k3-zeta+1": lambda: known_answer_tuple(np.random.default_rng([0, 2, 3]), 2, 3, 1)}
+    t = sz.normalize(kinds[model]() if model in kinds else sz.zoo(model))
+    zeta, c = _index_sign(t)
+    hint = sz.parent_interaction(t)
+    assert not hint.range_warning and n >= hint.m
+    rep = sz.ed_report(sz.chain_hamiltonian(hint, n, "open"))
+    kernels = {blk.parity: blk.kernel_dim for blk in rep.blocks}
+    k = t.k
+    assert kernels == {zeta * c ** n: k * (k + 1) // 2, -zeta * c ** n: k * (k - 1) // 2}
+    assert rep.kernel_dim == k * k
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_periodic_kernel_has_parity_c_to_the_n(aklt, n):
+    # the one periodic kernel state sum_w Tr(v_w)|w> is B = 1 above: parity c^n
+    zeta, c = _index_sign(aklt)
+    assert (zeta, c) == (-1, -1)
+    rep = sz.ed_report(sz.chain_hamiltonian(sz.parent_interaction(aklt), n, "periodic"))
+    assert {blk.parity: blk.kernel_dim for blk in rep.blocks} == {c ** n: 1, -c ** n: 0}
 
 
 @pytest.mark.parametrize("model,n", [("aklt", 6), ("complex", 9)])
 def test_dense_ed_holds_two_matrices(aklt, complex_tuple, model, n):
-    # the chain is built in its one accumulator; ED adds one check buffer and
-    # hands the chain itself to eigvalsh (whose LAPACK copy is not traced)
+    # building and diagonalizing the blocks one at a time holds two matrices of
+    # the largest block's size (the block and one check buffer; eigvalsh's
+    # LAPACK copy is not traced) beside the word maps and one window row's
+    # scatter, at most ASSEMBLY_WORDS * n * d^n eight-byte words
     hint = sz.parent_interaction(aklt if model == "aklt" else complex_tuple, m=3)
+    item = 8 if model == "aklt" else 16
+    largest = ((hint.d ** n + _fixed_words(hint, n)) // 2) ** 2 * item
     tracemalloc.start()
     try:
-        h_total, build = _traced_peak(sz.chain_hamiltonian, hint,
-                                      n, "open")
-        rep, ed = _traced_peak(sz.ed_report, h_total)
+        rep, peak = _traced_peak(lambda: sz.ed_report(sz.chain_hamiltonian(hint, n, "open")))
     finally:
         tracemalloc.stop()
-    assert h_total.dtype == (np.float64 if model == "aklt" else np.complex128)
-    assert build <= 1.1 * h_total.nbytes
-    assert ed <= 2.1 * h_total.nbytes
+    assert [blk.parity for blk in rep.blocks] == [1, -1]
+    assert peak <= 2.1 * largest + ASSEMBLY_WORDS * n * hint.d ** n * 8
     assert rep.kernel_dim == 4 and rep.gap > 0.1
 
 
@@ -278,30 +442,42 @@ def test_dense_ed_holds_two_matrices(aklt, complex_tuple, model, n):
 
 def test_ed_report_kernel_tolerance():
     h = np.diag([0.0, 1e-7, 1.0])
-    default = sz.ed_report(h)
+    default = sz.ed_report(_one_block(h))
     assert default.kernel_dim == 1
     assert abs(default.gap - 1e-7) < 1e-15
-    loose = sz.ed_report(h, sz.Config(kernel_tol=1e-6))
+    loose = sz.ed_report(_one_block(h), sz.Config(kernel_tol=1e-6))
     assert loose.kernel_dim == 2
     assert abs(loose.gap - 1.0) < 1e-12
 
 
 def test_ed_report_spectrum_head():
-    rep = sz.ed_report(np.diag(np.arange(12.0)))
+    rep = sz.ed_report(_one_block(np.diag(np.arange(12.0))))
     assert rep.spectrum_head.shape == (10,)
     assert np.allclose(rep.spectrum_head, np.arange(10.0))
 
 
 def test_ed_report_dimension_cap():
     with pytest.raises(sz.DimensionCap):
-        sz.ed_report(np.eye(4), config=sz.Config(dense_cap=2))
+        sz.ed_report(_one_block(np.eye(4)), config=sz.Config(dense_cap=2))
 
 
 def test_ed_report_rejects_non_hermitian():
     h = np.zeros((3, 3))
     h[0, 1] = 1.0
     with pytest.raises(sz.NotHermitian):
-        sz.ed_report(h)
+        sz.ed_report(_one_block(h))
+
+
+def test_ed_report_merges_blocks():
+    # one kernel threshold from the largest eigenvalue of all blocks, counted per block
+    rep = sz.ed_report([sz.ChainBlock(1, np.diag([0.0, 2.0])),
+                        sz.ChainBlock(-1, np.diag([0.0, 0.0, 1.0]))])
+    assert rep.ground_energy == 0.0 and rep.kernel_dim == 3 and rep.gap == 1.0
+    assert np.array_equal(rep.spectrum_head, [0.0, 0.0, 0.0, 1.0, 2.0])
+    assert rep.blocks == (sz.EdBlock(1, 2, 1), sz.EdBlock(-1, 3, 2))
+    for bad in ([], [np.eye(2)], None):
+        with pytest.raises(sz.InvalidInput):
+            sz.ed_report(bad)
 
 
 def test_ed_report_complex_hermitian(rng):
@@ -309,7 +485,7 @@ def test_ed_report_complex_hermitian(rng):
     h = a + a.conj().T
     assert np.abs(h.imag).max() > 0.1
     # any threshold below the lowest eigenvalue leaves the kernel empty
-    rep = sz.ed_report(h, sz.Config(kernel_tol=-1e300))
+    rep = sz.ed_report(_one_block(h), sz.Config(kernel_tol=-1e300))
     want = np.linalg.eigvalsh(h)
     assert np.max(np.abs(rep.spectrum_head - want)) < 1e-12
     assert abs(rep.ground_energy - want[0]) < 1e-12

@@ -173,13 +173,16 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     assert exc.payload["tolerance"] == tol
 
 
+EYE_BLOCK = [sz.ChainBlock(1, np.eye(2))]
+
+
 @pytest.mark.parametrize("call,refusal,key", [
     # settings are Config fields: Config refuses them before the call runs
     (lambda aklt: sz.modular_data(_bell(), Config(modular_tol=float("nan"))), sz.InvalidInput,
      "modular_tol"),
-    (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=float("nan"))), sz.InvalidInput,
+    (lambda aklt: sz.ed_report(EYE_BLOCK, Config(kernel_tol=float("nan"))), sz.InvalidInput,
      "kernel_tol"),
-    (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=float("inf"))), sz.InvalidInput,
+    (lambda aklt: sz.ed_report(EYE_BLOCK, Config(kernel_tol=float("inf"))), sz.InvalidInput,
      "kernel_tol"),
     (lambda aklt: sz.family("aklt", s0="x"), sz.InvalidInput, "s0"),
     (lambda aklt: sz.family("aklt", s0="1.5"), sz.InvalidInput, "s0"),
@@ -192,7 +195,7 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
     (lambda aklt: sz.scan(sz.family("aklt"), Config(scan_cap=2 ** 63)), sz.InvalidInput,
      "scan_cap"),
-    (lambda aklt: sz.ed_report(np.eye(2), Config(kernel_tol=10 ** 400)), sz.InvalidInput,
+    (lambda aklt: sz.ed_report(EYE_BLOCK, Config(kernel_tol=10 ** 400)), sz.InvalidInput,
      "kernel_tol"),
     (lambda aklt: sz.family(10 ** 400), sz.InvalidInput, "model"),
     (lambda aklt: sz.family("nope"), sz.InvalidInput, "model"),
@@ -240,7 +243,7 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
     lambda aklt, h: _positive_definite(sz.herm_eig(h), sz.NotPrimitive, "singular", sz.DEFAULT),
     lambda aklt, h: psd_power(h, 0.5),
     lambda aklt, h: sz.reflected_tuple(h),
-    lambda aklt, h: sz.ed_report(h),
+    lambda aklt, h: sz.ed_report([sz.ChainBlock(1, h)]),
     lambda aklt, h: sz.polar_unitary(h),
     lambda aklt, h: sz.peripheral_eigs(h),
 ], ids=["herm_eig", "herm_eigvals", "pos_def_eig", "psd_power", "reflected_tuple", "ed_report",
@@ -396,6 +399,7 @@ ARGUMENTS = {
     "bond_vector": (lambda aklt, x: sz.bond_vector(x), "report"),
     "chain_hamiltonian": (lambda aklt, x: sz.chain_hamiltonian(x, 2, "open"), "hint"),
     "reflection_check": (lambda aklt, x: sz.reflection_check(x), "hint"),
+    "ed_report": (lambda aklt, x: sz.ed_report([x]), "block"),
     "scan": (lambda aklt, x: sz.scan(x), "spec"),
 }
 
