@@ -41,8 +41,8 @@ from .config import Config, is_finite_real, is_int, load_json
 from .errors import InvalidInput, SptError
 from .hamiltonian import chain_hamiltonian, ed_report, parent_interaction, reflection_check
 from .modular import as_bipartite, bond_vector, modular_data
-from .mps import MpsTuple, as_mps, normalize, primitivity
-from .reflection import _certify, z2_index
+from .mps import MpsTuple, as_mps, normalize
+from .reflection import _stages, z2_index
 from .scan import MODELS, check_grid, family, parse_model, scan, zoo
 
 # SHA-256 from the interpreter's built-in module, the one hashlib itself falls
@@ -235,9 +235,9 @@ def cmd_check(args, cfg: Config, desc: dict):
     raw = _tuple_source(args, desc)
 
     def run():
-        t = normalize(raw(), cfg)
-        cert = primitivity(t, config=cfg)
-        evidence = _certify(t, cert, cfg)[2] if cert.is_primitive else None
+        stages = _stages(raw(), cfg)
+        cert = next(stages)
+        evidence = next(stages) if cert.is_primitive else None
         return {
             "primitive": cert.is_primitive,
             "injectivity_length": cert.injectivity_length,

@@ -28,6 +28,10 @@ invariant under site reversal composed with ``pi``). The marginal route forms
 no d^l-row matrix: each l-site marginal and its reversed copy are carried as
 one triangular factor with at most 2k^2 rows, advanced one site at a time by
 a QR of at most d * 2k^2 rows, so its cost is linear in l.
+
+The index's stage order is written once, in :func:`_stages`; ``z2_index``,
+``reflection_invariant``, ``check`` and each scan point stop after the stage
+they report.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .errors import (
 from .linalg import (_positive_definite, canonical_phases, frob, herm_eig, kraus_superop,
                      polar_unitary, transpose_sign, unvec)
 from .mps import (
-    InvariantState,
     MpsTuple,
     PrimitivityCertificate,
     _append_letters,
@@ -189,8 +192,35 @@ def _marginal_reversal_residual(t: MpsTuple, rho: np.ndarray, lengths: int,
     return worst
 
 
-def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
-    """Invariant state, reflected tuple, evidence and gauge of a certified tuple."""
+class IndexCertificates(NamedTuple):
+    primitivity: PrimitivityCertificate
+    invariant_residual: float
+    rho_min_eigenvalue: float
+    evidence: ReflectionEvidence
+
+
+class IndexReport(NamedTuple):
+    zeta: int
+    U: np.ndarray
+    phase: complex
+    sym_residual: float
+    antisym_residual: float
+    phase_sq_residual: float
+    rho_commute_residual: float
+    certificates: IndexCertificates
+    basis: np.ndarray
+    rho_diag: np.ndarray
+    d: int
+    k: int
+
+
+def _stages(raw, cfg: Config):
+    """Yield the :class:`PrimitivityCertificate`, then (past ``require_primitive``
+    and the routes' agreement) the :class:`ReflectionEvidence`, then (past
+    :class:`NotReflectionInvariant`) the :class:`IndexReport`; refusals propagate."""
+    t = normalize(raw, cfg)
+    cert = primitivity(t, config=cfg)
+    yield cert
     cert.require_primitive()
     # primitivity found this state already, and its second solve re-checks nothing;
     # taking it from there would save one eigvals, eig and eigh and two transfer
@@ -202,7 +232,6 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
     w = refl.basis
     v_eig = MpsTuple(v=np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w),
                      reflect_perm=t.reflect_perm)
-    gauge: GaugeSolution | None = None
     try:
         gauge = gauge_solve(v_eig, _transposed(v_eig), config=cfg)
     except NotReflectionInvariant as exc:  # a different state: the gauge route fails
@@ -227,56 +256,7 @@ def _certify(t: MpsTuple, cert: PrimitivityCertificate, cfg: Config):
     if via_gauge != via_marginals:
         raise Inconclusive("gauge and marginal reflection certificates disagree",
                            **{k: v for k, v in evidence._asdict().items() if k != "invariant"})
-    return inv, refl, evidence, gauge
-
-
-def reflection_invariant(raw, config: Config = DEFAULT) -> ReflectionEvidence:
-    """Dual-route reflection test of the state generated by a primitive tuple."""
-    require_config(config)
-    t = normalize(raw, config)
-    return _certify(t, primitivity(t, config=config), config)[2]
-
-
-class IndexCertificates(NamedTuple):
-    primitivity: PrimitivityCertificate
-    invariant_residual: float
-    rho_min_eigenvalue: float
-    evidence: ReflectionEvidence
-
-
-class IndexReport(NamedTuple):
-    zeta: int
-    U: np.ndarray
-    phase: complex
-    sym_residual: float
-    antisym_residual: float
-    phase_sq_residual: float
-    rho_commute_residual: float
-    certificates: IndexCertificates
-    basis: np.ndarray
-    rho_diag: np.ndarray
-    d: int
-    k: int
-
-
-def z2_index(raw, config: Config = DEFAULT) -> IndexReport:
-    """Full pipeline: normalize, certify, solve the gauge, classify U.
-
-    ``U`` is reported in the eigenbasis of the invariant state (descending
-    eigenvalues), where symmetry or antisymmetry of ``U`` is meaningful. The
-    index is +1 for symmetric, -1 for antisymmetric; anything in between at
-    tolerance ``eps_index`` raises :class:`AmbiguousSymmetry`.
-    """
-    require_config(config)
-    t = normalize(raw, config)
-    cert = primitivity(t, config=config)
-    return _classify(t, cert, *_certify(t, cert, config), config)
-
-
-def _classify(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
-              refl: ReflectedTuple, evidence: ReflectionEvidence,
-              gauge: GaugeSolution | None, cfg: Config) -> IndexReport:
-    """The index of a certified tuple from its :func:`_certify` stages, or a refusal."""
+    yield evidence
     if not evidence.invariant:  # invariant needs via_gauge, so gauge is set past here
         raise NotReflectionInvariant(
             "state differs from its reflection",
@@ -302,7 +282,7 @@ def _classify(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
         rho_min_eigenvalue=inv.min_eigenvalue,
         evidence=evidence,
     )
-    return IndexReport(
+    yield IndexReport(
         zeta=zeta,
         U=u,
         phase=complex(gauge.phase),
@@ -316,3 +296,24 @@ def _classify(t: MpsTuple, cert: PrimitivityCertificate, inv: InvariantState,
         d=t.d,
         k=t.k,
     )
+
+
+def reflection_invariant(raw, config: Config = DEFAULT) -> ReflectionEvidence:
+    """Dual-route reflection test of the state generated by a primitive tuple."""
+    require_config(config)
+    stages = _stages(raw, config)
+    next(stages)
+    return next(stages)
+
+
+def z2_index(raw, config: Config = DEFAULT) -> IndexReport:
+    """All of :func:`_stages`: normalize, certify, solve the gauge, classify U.
+
+    ``U`` is reported in the eigenbasis of the invariant state (descending
+    eigenvalues), where symmetry or antisymmetry of ``U`` is meaningful. The
+    index is +1 for symmetric, -1 for antisymmetric; anything in between at
+    tolerance ``eps_index`` raises :class:`AmbiguousSymmetry`.
+    """
+    require_config(config)
+    *_, report = _stages(raw, config)
+    return report

@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import DEFAULT, Config, is_finite_real, is_int, require_config, require_record
 from .errors import InvalidInput, ResourceLimit, SptError
-from .mps import normalize, primitivity
-from .reflection import _certify, _classify
+from .mps import normalize
+from .reflection import _stages
 
 def _deformed(s: float) -> np.ndarray:
     alpha = np.sqrt((2.0 - s) / 3.0 + 0j)
@@ -196,25 +196,20 @@ class ScanReport(NamedTuple):
 
 
 def _scan_point(spec: FamilySpec, s: float, cfg: Config) -> ScanPoint:
-    """The index's stages at one point; its flags are the certificates they returned."""
-    cert = evidence = zeta = error = None
-    periph, gap, status = 1, None, "ok"
+    """The index's stages at one point; its flags are the certificates they yielded."""
+    got, payload, status, error = [], {}, "ok", None
     try:
-        t = normalize(spec.generator(s), cfg)
-        try:
-            cert = primitivity(t, config=cfg)
-        except SptError as exc:
-            periph, gap = exc.payload.get("peripheral_count", 1), exc.payload.get("spectral_gap")
-            raise
-        periph, gap = cert.peripheral_count, cert.spectral_gap
-        inv, refl, evidence, gauge = _certify(t, cert, cfg)
-        zeta = _classify(t, cert, inv, refl, evidence, gauge, cfg).zeta
+        for stage in _stages(spec.generator(s), cfg):
+            got.append(stage)
     except SptError as exc:
-        status, error = exc.status, type(exc).__name__
+        payload, status, error = exc.payload, exc.status, type(exc).__name__
+    cert, evidence, report = got + [None] * (3 - len(got))
+    periph, gap = ((cert.peripheral_count, cert.spectral_gap) if cert is not None
+                   else (payload.get("peripheral_count", 1), payload.get("spectral_gap")))
     return ScanPoint(s=s, primitive=cert is not None and cert.is_primitive,
                      reflection_invariant=evidence is not None and evidence.invariant,
-                     zeta=zeta, transfer_gap=gap if periph == 1 else 0.0,
-                     status=status, error=error)
+                     zeta=None if report is None else report.zeta,
+                     transfer_gap=gap if periph == 1 else 0.0, status=status, error=error)
 
 
 def scan(spec: FamilySpec, config: Config = DEFAULT) -> ScanReport:

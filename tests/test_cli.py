@@ -1061,8 +1061,7 @@ def test_check_certifies_primitivity_once(monkeypatch):
         calls.append(args)
         return sz.primitivity(*args, **kwargs)
 
-    for module in (cli, reflection):
-        monkeypatch.setattr(module, "primitivity", spy)
+    monkeypatch.setattr(reflection, "primitivity", spy)
     code, env = run(["check", "--model", "aklt"])
     assert code == 0 and len(calls) == 1
     assert env == before
