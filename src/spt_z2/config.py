@@ -32,8 +32,12 @@ record parameter (``config``, a ``BipartiteVector``, an ``IndexReport``, a
 ``ParentInteraction``, a ``ChainBlock``, a ``FamilySpec``) is read by
 :func:`require_record`, which refuses anything but an instance of its class
 with ``key`` naming the parameter and ``got`` the type it received; :func:`require_config` is that
-rule for ``config``. Refusals are :class:`InvalidInput`, with ``key`` where a
-setting or a named argument is refused (``family`` and ``zoo`` included).
+rule for ``config``. The fields a function reads of a record (a
+``ParentInteraction``, a ``FamilySpec``, an ``IndexReport``) are read once
+where it enters, by the rules here, inside :func:`_record_fields`, so a field
+that does not fit is refused with the record's ``key`` too. Refusals are
+:class:`InvalidInput`, with ``key`` where a setting or a named argument is
+refused (``family`` and ``zoo`` included).
 A representable but huge cap is still unbounded work.
 
 Not every threshold is here: the 11 fixed ones below (1e-300 division guards
@@ -59,6 +63,7 @@ judged by :func:`spt_z2.errors.within`, whose refusals report them as
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -202,3 +207,14 @@ def require_config(value) -> None:
     """Refuse a ``config`` argument that is not a :class:`Config` (None, a dict
     of settings, a file name) by :func:`require_record`, with ``key="config"``."""
     require_record(value, Config, "config")
+
+
+@contextlib.contextmanager
+def _record_fields(key: str):
+    """Reading the fields of a record argument ``key``: an :class:`InvalidInput`
+    raised inside names the record as its ``key``."""
+    try:
+        yield
+    except InvalidInput as exc:
+        exc.payload["key"] = key
+        raise

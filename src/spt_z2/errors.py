@@ -96,10 +96,11 @@ class NotReflectionInvariant(SptError):
     Also raised by :func:`spt_z2.reflection.gauge_solve` when two tuples do
     not generate the same state: the dominant eigenvalue of the mixed
     transfer map lies below the unit circle or its eigenmatrix is singular.
-    :func:`spt_z2.z2_index` catches that one around the gauge solve only: the
-    gauge route then fails (its ``mixed_radius`` kept in the evidence), and
-    the index refuses as this class when the marginal route agrees, or as
-    :class:`Inconclusive` when it disagrees.
+    The index's stages (:func:`spt_z2.reflection._stages`, behind ``z2_index``,
+    ``reflection_invariant``, ``check`` and ``scan``) catch that one around the
+    gauge solve only: the gauge route then fails (its ``mixed_radius`` kept in
+    the evidence), and the index refuses as this class when the marginal route
+    agrees, or as :class:`Inconclusive` when it disagrees.
     """
 
     status = "not_reflection_invariant"
@@ -132,7 +133,7 @@ class RankDeficient(SptError):
 
     Also raised by ``psd_power`` for a negative power of the zero matrix.
     Inside :func:`spt_z2.reflection.gauge_solve` it becomes
-    :class:`NotReflectionInvariant`, which :func:`spt_z2.z2_index` catches.
+    :class:`NotReflectionInvariant`, which the index's stages catch.
     """
 
 

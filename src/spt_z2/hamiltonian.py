@@ -31,10 +31,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, is_int, require_config, require_record, square_array
+from .config import (DEFAULT, Config, _record_fields, is_int, require_config, require_record,
+                     square_array)
 from .errors import DimensionCap, InvalidInput, NotHermitian, NotReflectionInvariant, within
 from .linalg import frob, herm_eigvals, real_if_exact
-from .mps import (MpsTuple, _append_letters, _word_count, as_mps, primitivity,
+from .mps import (MpsTuple, _append_letters, _validate_perm, _word_count, as_mps, primitivity,
                   reverse_word_index)
 
 
@@ -88,6 +89,21 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     return ParentInteraction(m=m, h=h, rank=dim - support, support_rank=support,
                              range_warning=m < cert.injectivity_length + 1,
                              d=t.d, perm=t.reflect_perm)
+
+
+def _read_hint(hint) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """d, m, h and perm of a :class:`ParentInteraction` argument; fields that do not
+    fit (h other than d**m x d**m, perm no involution of range(d)) are refused."""
+    require_record(hint, ParentInteraction, "hint")
+    with _record_fields("hint"):
+        if not (is_int(hint.d) and hint.d >= 2 and is_int(hint.m) and hint.m >= 1):
+            raise InvalidInput("hint needs an integer d >= 2 and an integer window m >= 1")
+        d, m, h = int(hint.d), int(hint.m), square_array(hint.h)
+        n = h.shape[0]
+        # as d >= 2, d**m > n once d > n or m exceeds n's bit length: no larger power is formed
+        if d > n or m > n.bit_length() or d ** m != n:
+            raise InvalidInput("hint h must be d**m x d**m", shape=list(h.shape), d=d, m=m)
+        return d, m, h, _validate_perm(hint.perm, d)
 
 
 class ChainBlock(NamedTuple):
@@ -191,14 +207,13 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     :func:`parent_interaction` makes h exactly Hermitian.
     """
     require_config(config)
-    require_record(hint, ParentInteraction, "hint")
-    d, m = hint.d, hint.m
+    d, m, h, perm = _read_hint(hint)
     if boundary not in ("open", "periodic"):
         raise InvalidInput("boundary must be open or periodic", boundary=boundary)
     if not (is_int(n) and n >= m):
         raise InvalidInput("chain length must be an integer of at least the window", n=n, m=m)
     dim = _word_count(d, n, config.dense_cap, "chain dimension")
-    h = real_if_exact(hint.h)
+    h = real_if_exact(h)
     scale = max(frob(h), 1.0)
     skew = math.hypot(*(frob(row - col.conj()) for row, col in zip(h, h.T))) / scale
     within(skew, config.eps_herm, NotHermitian,
@@ -210,7 +225,7 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     except NotReflectionInvariant:
         rw = np.arange(dim)
     else:
-        rw = reverse_word_index(d, n, hint.perm)
+        rw = reverse_word_index(d, n, perm)
     last = n - m + 1 if boundary == "open" else n
     windows = [[(p + j) % n for j in range(m)] for p in range(last)]
     return _parity_blocks(h, windows, d, n, rw)
@@ -278,7 +293,6 @@ def ed_report(blocks: Iterable[ChainBlock], config: Config = DEFAULT) -> EdRepor
 
 def reflection_check(hint: ParentInteraction) -> float:
     """Frobenius distance between the interaction and its pi-twisted reversal."""
-    require_record(hint, ParentInteraction, "hint")
-    idx = reverse_word_index(hint.d, hint.m, hint.perm)
-    rev = hint.h[np.ix_(idx, idx)]
-    return frob(rev - hint.h)
+    d, m, h, perm = _read_hint(hint)
+    idx = reverse_word_index(d, m, perm)
+    return frob(h[np.ix_(idx, idx)] - h)

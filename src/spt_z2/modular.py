@@ -59,7 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, finite_array, require_config, require_record, square_array
+from .config import (DEFAULT, Config, _record_fields, finite_array, numeric_array,
+                     require_config, require_record, square_array)
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
 
@@ -202,13 +203,23 @@ def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularRep
 def bond_vector(report) -> BipartiteVector:
     """Bipartite vector U^dagger rho^{1/2} of an index report, in the rho eigenbasis.
 
-    Built from the report's ``U`` and ``rho_diag`` alone. The swap sign of
-    the result reproduces the reflection index.
+    Built from the report's ``U`` and ``rho_diag`` alone, read as a finite
+    k x k matrix and k finite numbers >= 0. The swap sign of the result
+    reproduces the reflection index.
     """
     # imported here: at module level it reorders the package's imports, which
     # measured 0.1-0.2 MB more peak RSS in a parent-ham process
     from .reflection import IndexReport
 
     require_record(report, IndexReport, "report")
-    mat = report.U.conj().T @ np.diag(np.sqrt(report.rho_diag))
+    with _record_fields("report"):
+        rho = numeric_array(report.rho_diag, "rho_diag")
+        if (rho.ndim != 1 or not rho.size or rho.dtype.kind != "f"
+                or not np.isfinite(rho).all() or (rho < 0).any()):
+            raise InvalidInput("report rho_diag must list finite real numbers >= 0")
+        u = numeric_array(report.U, "U")
+        if u.shape != (rho.size, rho.size) or not np.isfinite(u).all():
+            raise InvalidInput("report U must be a finite k x k matrix, k = len(rho_diag)",
+                               shape=list(u.shape), k=rho.size)
+    mat = u.conj().T @ np.diag(np.sqrt(rho))
     return as_bipartite(mat, normalized=True)

@@ -169,6 +169,13 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
     return r, x, res, _positive_definite(_eigh(x), refusal, message, cfg)
 
 
+def _pow2_scaled(z: np.ndarray) -> np.ndarray:
+    """A contiguous complex array times the power of two that brings its largest real or
+    imaginary magnitude into [0.5, 1): exact, as only the exponents change."""
+    parts = z.view(float)
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+
+
 def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     """Rescale a raw tuple into channel form.
 
@@ -185,9 +192,7 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     if t.channel_residual <= config.eps_norm:
         return t
 
-    parts = t.v.view(float)
-    t = MpsTuple(v=np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex),
-                 reflect_perm=t.reflect_perm)
+    t = MpsTuple(v=_pow2_scaled(t.v), reflect_perm=t.reflect_perm)
     r, _, _, sys = _positive_fixed_point(_real_transfer(t), t.k, NotNormalizable,
                                          "dominant fixed point is not positive definite", config)
     root = (sys.vectors * np.sqrt(sys.values)) @ sys.vectors.conj().T

@@ -299,7 +299,7 @@ def _stages(raw, cfg: Config):
 
 
 def reflection_invariant(raw, config: Config = DEFAULT) -> ReflectionEvidence:
-    """Dual-route reflection test of the state generated by a primitive tuple."""
+    """Dual-route reflection test of the state generated by a primitive tuple (stage 2)."""
     require_config(config)
     stages = _stages(raw, config)
     next(stages)

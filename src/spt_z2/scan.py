@@ -13,9 +13,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, is_finite_real, is_int, require_config, require_record
+from .config import (DEFAULT, Config, _record_fields, is_finite_real, is_int, require_config,
+                     require_record)
 from .errors import InvalidInput, ResourceLimit, SptError
-from .mps import normalize
+from .mps import _pow2_scaled, normalize
 from .reflection import _stages
 
 def _deformed(s: float) -> np.ndarray:
@@ -34,9 +35,8 @@ def _ghz() -> np.ndarray:
 
 
 def _product(*amps: complex) -> np.ndarray:
-    # an exact power-of-two scale first, as in normalize: the norm neither over- nor underflows
-    parts = np.asarray(amps, dtype=complex).view(float)
-    vec_arr = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+    # an exact power-of-two scale first: the norm neither over- nor underflows
+    vec_arr = _pow2_scaled(np.asarray(amps, dtype=complex))
     return (vec_arr / np.linalg.norm(vec_arr)).reshape(-1, 1, 1)
 
 
@@ -159,6 +159,12 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
     s0 = lo if s0 is None else s0
     s1 = hi if s1 is None else s1
     grid = 11 if grid is None else grid
+    _check_range(s0, s1, grid)
+    return FamilySpec(name=name, s0=float(s0), s1=float(s1), grid=grid, generator=generator)
+
+
+def _check_range(s0, s1, grid) -> None:
+    """The one check of a family's endpoints and grid, with ``key`` naming the argument."""
     for key, value in (("s0", s0), ("s1", s1)):
         if not is_finite_real(value):
             raise InvalidInput(f"family endpoint {key} must be finite", key=key)
@@ -168,12 +174,19 @@ def family(name: str, s0: float | None = None, s1: float | None = None,
         raise InvalidInput("family grid must be an integer", key="grid", grid=grid)
     if grid < 2:
         raise InvalidInput("family grid needs at least two points", key="grid", grid=grid)
-    return FamilySpec(name=name, s0=float(s0), s1=float(s1), grid=grid, generator=generator)
 
 
 def check_grid(spec: FamilySpec, config: Config = DEFAULT) -> None:
-    """Refuse a grid of more than ``scan_cap`` points as :class:`ResourceLimit`."""
+    """Refuse a ``spec`` that is not a :class:`FamilySpec`, or whose endpoints, grid
+    or generator :func:`family` would not give, as :class:`InvalidInput` with
+    ``key`` ``"spec"``, and a grid of more than ``scan_cap`` points as
+    :class:`ResourceLimit`."""
     require_config(config)
+    require_record(spec, FamilySpec, "spec")
+    with _record_fields("spec"):
+        _check_range(spec.s0, spec.s1, spec.grid)
+        if not callable(spec.generator):
+            raise InvalidInput("family generator must be callable")
     cap = config.scan_cap
     if spec.grid > cap:
         raise ResourceLimit("scan grid exceeds the point cap", grid=spec.grid, cap=cap)
@@ -228,10 +241,9 @@ def scan(spec: FamilySpec, config: Config = DEFAULT) -> ScanReport:
     whatever refused it, and ``constant_index`` means there is none and every
     point has the same index.
     A grid above ``scan_cap`` is refused before any point runs, and a
-    ``spec`` that is not a :class:`FamilySpec` before anything.
+    ``spec`` that is not a :class:`FamilySpec`, or whose fields do not fit,
+    before anything (:func:`check_grid`).
     """
-    require_config(config)
-    require_record(spec, FamilySpec, "spec")
     check_grid(spec, config)
     values = np.linspace(spec.s0, spec.s1, spec.grid)
     points = [_scan_point(spec, float(s), config) for s in values]

@@ -1067,6 +1067,52 @@ def test_check_certifies_primitivity_once(monkeypatch):
     assert env == before
 
 
+def _outcome(call):
+    """``(answer, None)`` or ``(None, refusal)`` of a library call."""
+    try:
+        return call(), None
+    except sz.SptError as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("model,overrides", [
+    ("aklt", {}), ("ghz", {}), ("aklt-breaker:0.05", {}), ("product:1,0", {}),
+    ("aklt", {"refl_marginal_tol": -1.0}), ("aklt", {"eps_index": -1.0}),
+], ids=["aklt", "ghz", "aklt-breaker", "product", "refl_marginal_tol", "eps_index"])
+def test_every_report_runs_the_index_stages(model, overrides):
+    # check, reflection_invariant, z2_index and a scan point stop at different
+    # stages of one order: where two answer, they read the same evidence, and a
+    # refusal of an earlier stage is the refusal of every later one
+    cfg = sz.Config(**overrides)
+    flags = [a for k, v in overrides.items() for a in (f"--{k.replace('_', '-')}", str(v))]
+    code, env = run(["check", "--model", model, *flags])
+    evidence, refl_exc = _outcome(lambda: sz.reflection_invariant(sz.zoo(model), cfg))
+    report, index_exc = _outcome(lambda: sz.z2_index(sz.zoo(model), cfg))
+    point = sz.scan(sz.family(model, grid=2), cfg).points[0]
+
+    if code != 0:  # check refused, so every later stage did too, the same way
+        assert env["result"] == refl_exc.describe() == index_exc.describe()
+        assert point.status == env["status"] and point.error == env["result"]["error"]
+        return
+    check = env["result"]
+    if not check["primitive"]:
+        assert check["evidence"] is None and type(refl_exc) is sz.NotPrimitive
+    else:
+        assert check["evidence"] == cli.jsonable(evidence)
+        assert check["reflection_invariant"] == evidence.invariant
+    if report is not None:
+        assert report.certificates.evidence == evidence
+    elif refl_exc is not None:
+        assert index_exc.describe() == refl_exc.describe()
+    assert point.status == ("ok" if report is not None else index_exc.status)
+    assert point.error == (None if report is not None else type(index_exc).__name__)
+    assert point.primitive == check["primitive"]
+    assert point.reflection_invariant == bool(check["reflection_invariant"])
+    assert point.zeta == (None if report is None else report.zeta)
+    assert point.transfer_gap == (check["spectral_gap"] if check["peripheral_count"] == 1
+                                  else 0.0)
+
+
 FILE = ("InvalidInput", None)   # a file refusal carries no Config key
 MODEL = ("InvalidInput", "model")
 USAGE = ("InvalidInput", None)  # a bad command line carries no key either

@@ -404,6 +404,54 @@ ARGUMENTS = {
 }
 
 
+def _hint(**fields):
+    base = sz.ParentInteraction(m=1, h=np.eye(2), rank=0, support_rank=2, range_warning=False,
+                                d=2, perm=np.arange(2))
+    return base._replace(**fields)
+
+
+def _family(**fields):
+    return sz.FamilySpec("aklt", 0.0, 1.0, 2, lambda s: sz.zoo("aklt"))._replace(**fields)
+
+
+# one record of the right class whose fields do not fit, per row: the call,
+# and the key its refusal names (not an IndexError, TypeError, ValueError or
+# AttributeError from the first field read, nor a RuntimeWarning from sqrt)
+MISFITS = {
+    "reflection_check-h-size": (lambda rep: sz.reflection_check(_hint(m=2, h=np.eye(3))),
+                                "hint"),
+    "chain_hamiltonian-h-size": (
+        lambda rep: sz.chain_hamiltonian(_hint(m=2, h=np.eye(3)), 2, "open"), "hint"),
+    "reflection_check-h-text": (lambda rep: sz.reflection_check(_hint(h="x")), "hint"),
+    "reflection_check-perm": (lambda rep: sz.reflection_check(_hint(perm=[0, 5])), "hint"),
+    "chain_hamiltonian-perm": (
+        lambda rep: sz.chain_hamiltonian(_hint(perm=[0, 5]), 2, "open"), "hint"),
+    "reflection_check-d": (lambda rep: sz.reflection_check(_hint(d=1.5)), "hint"),
+    "reflection_check-m-overlarge": (lambda rep: sz.reflection_check(_hint(m=2 ** 62)), "hint"),
+    "scan-grid-text": (lambda rep: sz.scan(_family(grid="2")), "spec"),
+    "scan-s0-nan": (lambda rep: sz.scan(_family(s0=float("nan"))), "spec"),
+    "scan-range-overflow": (lambda rep: sz.scan(_family(s0=-1e308, s1=1e308)), "spec"),
+    "scan-generator": (lambda rep: sz.scan(_family(generator=None)), "spec"),
+    "bond_vector-U-size": (lambda rep: sz.bond_vector(rep._replace(U=np.eye(3))), "report"),
+    "bond_vector-U-text": (lambda rep: sz.bond_vector(rep._replace(U="x")), "report"),
+    "bond_vector-U-nan": (lambda rep: sz.bond_vector(rep._replace(U=np.full((2, 2), np.nan))),
+                          "report"),
+    "bond_vector-rho-negative": (
+        lambda rep: sz.bond_vector(rep._replace(rho_diag=np.array([1.5, -0.5]))), "report"),
+    "bond_vector-rho-complex": (
+        lambda rep: sz.bond_vector(rep._replace(rho_diag=np.array([0.5, 0.5j]))), "report"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISFITS))
+def test_a_record_whose_fields_do_not_fit_is_invalid_input(name, aklt_report):
+    call, key = MISFITS[name]
+    with pytest.raises(sz.SptError) as info:
+        call(aklt_report)
+    assert type(info.value) is sz.InvalidInput
+    assert info.value.payload["key"] == key
+
+
 @pytest.mark.parametrize("bad", [None, "x", [[1, 2], [3]]], ids=["none", "text", "ragged"])
 @pytest.mark.parametrize("name", sorted(ARGUMENTS))
 def test_an_argument_of_another_type_is_a_typed_refusal(name, bad, aklt):
