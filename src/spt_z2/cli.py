@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import Config, is_finite_real, is_int, load_json
 from .errors import InvalidInput, SptError
-from .hamiltonian import chain_hamiltonian, ed_report, parent_interaction, reflection_check
+from .hamiltonian import ed_report, parent_interaction, reflection_check
 from .modular import as_bipartite, bond_vector, modular_data
 from .mps import MpsTuple, as_mps, normalize
 from .reflection import _stages, z2_index
@@ -298,7 +298,7 @@ def cmd_parent_ham(args, cfg: Config, desc: dict):
         t = normalize(raw(), cfg)
         hint = parent_interaction(t, m=args.m, config=cfg)
         n = args.n if args.n is not None else hint.m
-        ed = ed_report(chain_hamiltonian(hint, n, args.boundary, cfg), cfg)
+        ed = ed_report(hint, n, args.boundary, cfg)
         return {
             "m": hint.m,
             "rank": hint.rank,

@@ -22,22 +22,23 @@ Every number and array from outside is read by one rule each, all here:
 float), :func:`is_int` (no bool, magnitude below 2**63), :func:`numeric_array`
 (a float or complex array of numbers, never text), :func:`square_array` (its
 result, a nonempty square matrix, for the matrix entry points of
-:mod:`spt_z2.linalg`, ``as_bipartite`` and ``ed_report``; the Hermitian
-solvers refuse a non-finite entry as ``NotHermitian``) and
-:func:`finite_array` (its result, with finite entries, as a C-contiguous
-complex array); tuple, vector and family files hold no null. Every tuple
-parameter of an exported function is read by :func:`spt_z2.mps.as_mps`,
+:mod:`spt_z2.linalg` and ``as_bipartite``; the Hermitian solvers refuse a
+non-finite entry as ``NotHermitian``) and :func:`finite_array` (its
+result, with finite entries, as a C-contiguous complex array); tuple,
+vector and family files hold no null. Every tuple parameter of an exported
+function is read by :func:`spt_z2.mps.as_mps`,
 which passes an ``MpsTuple`` as it is and validates a raw array. Every
 record parameter (``config``, a ``BipartiteVector``, an ``IndexReport``, a
-``ParentInteraction``, a ``ChainBlock``, a ``FamilySpec``) is read by
+``ParentInteraction``, a ``FamilySpec``) is read by
 :func:`require_record`, which refuses anything but an instance of its class
 with ``key`` naming the parameter and ``got`` the type it received; :func:`require_config` is that
 rule for ``config``. The fields a function reads of a record (a
-``ParentInteraction``, a ``FamilySpec``, an ``IndexReport``) are read once
-where it enters, by the rules here, inside :func:`_record_fields`, so a field
-that does not fit is refused with the record's ``key`` too. Refusals are
-:class:`InvalidInput`, with ``key`` where a setting or a named argument is
-refused (``family`` and ``zoo`` included).
+``BipartiteVector``, a ``ParentInteraction``, a ``FamilySpec``, an
+``IndexReport``) are read once where it enters, by the rules here, inside
+:func:`_record_fields`, so a field that does not fit is refused with the
+record's ``key`` too. Refusals are :class:`InvalidInput`, with ``key``
+where a setting or a named argument is refused (``family`` and ``zoo``
+included).
 A representable but huge cap is still unbounded work.
 
 Not every threshold is here: the 11 fixed ones below (1e-300 division guards

@@ -18,23 +18,26 @@ interaction gives a chain that commutes with the pi-twisted site reversal R,
 so the chain is built and diagonalized as its two parity blocks, of
 dimensions (d^n + f)/2 and (d^n - f)/2 for f words with Rw = w (Pollmann,
 Berg, Turner, Oshikawa, PRB 81, 064439 (2010)), and no d^n x d^n matrix is
-formed; any other chain is one block. A real interaction gives real blocks, and
-dense ED holds at most two matrices of the largest block's size: the block
-and LAPACK's working copy.
+formed; any other chain is one block. :func:`ed_report`, the one ED entry,
+takes :func:`chain_hamiltonian`'s arguments and diagonalizes the blocks it
+builds, which are finite and exactly Hermitian as built, so ED checks no
+matrix of its own. A real interaction gives real blocks, and dense ED holds
+at most two matrices of the largest block's size: the block and LAPACK's
+working copy.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import (DEFAULT, Config, _record_fields, is_int, require_config, require_record,
                      square_array)
-from .errors import DimensionCap, InvalidInput, NotHermitian, NotReflectionInvariant, within
-from .linalg import frob, herm_eigvals, real_if_exact
+from .errors import InvalidInput, NotHermitian, NotReflectionInvariant, within
+from .linalg import frob, real_if_exact
 from .mps import (MpsTuple, _append_letters, _validate_perm, _word_count, as_mps, primitivity,
                   reverse_word_index)
 
@@ -193,12 +196,24 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     The blocks are built lazily, one per step of the returned iterator, so
     :func:`ed_report` frees each before the next is built.
 
-    **The gate** is :func:`reflection_check`'s residual r = ||h - rev h||_F,
-    judged by :func:`spt_z2.errors.within` against ``eps_herm`` relative to
-    ``||h||_F`` floored at 1, the tolerance by which ED drops an
-    anti-Hermitian part. With T terms, H - RHR is the sum of the T window
-    copies of h - rev h, and the blocks hold exactly (H + RHR)/2, so each
-    eigenvalue moves by at most T r / 2 (Weyl) from the chain's own.
+    **The gate** is the residual r = ||h - rev h||_F that
+    :func:`reflection_check` reports, judged by :func:`spt_z2.errors.within`
+    against ``eps_herm`` relative to ``||h||_F`` floored at 1, the tolerance
+    by which ED drops an anti-Hermitian part. With T terms, H - RHR is the
+    sum of the T window copies of h - rev h, and the blocks hold exactly
+    (H + RHR)/2, so each eigenvalue moves by at most T r / 2 (Weyl) from the
+    chain's own.
+
+    **The entry bound.** A block entry sums, over the T terms, the products
+    a_u a_v h_xy for the words u and v of its two columns (one word of
+    amplitude 1 or two of amplitude 1/sqrt(2), so sum |a_u| <= sqrt(2)), so
+    it is at most B = 2 T ||h||_F in modulus. When B is not finite (a NaN or
+    infinite entry included) the interaction is refused as
+    :class:`InvalidInput` with ``key`` ``hint``, the ``terms`` T and the
+    ``norm`` ||h||_F, before any block is built; such a norm would also void
+    the relative tolerances of both gates. A finite B is far from overflow:
+    T < 64 as d^n is capped below 2**63, and ||h||_F, summed as squares in
+    float64, is finite only below 1.4e154.
 
     A block is real when the interaction's imaginary part is exactly zero (as
     for aklt), else complex, and exactly Hermitian: only its upper triangle
@@ -213,12 +228,18 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     if not (is_int(n) and n >= m):
         raise InvalidInput("chain length must be an integer of at least the window", n=n, m=m)
     dim = _word_count(d, n, config.dense_cap, "chain dimension")
+    last = n - m + 1 if boundary == "open" else n
+    windows = [[(p + j) % n for j in range(m)] for p in range(last)]
     h = real_if_exact(h)
-    scale = max(frob(h), 1.0)
+    norm = frob(h)
+    if not math.isfinite(2.0 * last * norm):
+        raise InvalidInput("interaction gives chain entries with no finite bound", key="hint",
+                           terms=last, norm=norm)
+    scale = max(norm, 1.0)
     skew = math.hypot(*(frob(row - col.conj()) for row, col in zip(h, h.T))) / scale
     within(skew, config.eps_herm, NotHermitian,
            "interaction is not Hermitian within tolerance", skew_residual=skew)
-    residual = reflection_check(hint)
+    residual = _reversal_residual(d, m, h, perm)
     try:
         within(residual / scale, config.eps_herm, NotReflectionInvariant,
                "interaction is not reflection symmetric within tolerance", residual=residual)
@@ -226,8 +247,6 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
         rw = np.arange(dim)
     else:
         rw = reverse_word_index(d, n, perm)
-    last = n - m + 1 if boundary == "open" else n
-    windows = [[(p + j) % n for j in range(m)] for p in range(last)]
     return _parity_blocks(h, windows, d, n, rw)
 
 
@@ -245,39 +264,28 @@ class EdReport(NamedTuple):
     blocks: tuple[EdBlock, ...]
 
 
-def ed_report(blocks: Iterable[ChainBlock], config: Config = DEFAULT) -> EdReport:
-    """Dense spectrum summary of a chain's blocks: ground energy, kernel count, gap above it.
+def ed_report(hint: ParentInteraction, n: int, boundary: str,
+              config: Config = DEFAULT) -> EdReport:
+    """Dense spectrum summary of a chain: ground energy, kernel count, gap above it.
 
-    The blocks are diagonalized one at a time and each is released before
-    the next is drawn from ``blocks``, so with :func:`chain_hamiltonian`'s
-    lazy blocks ED holds two matrices of the largest block's size at most:
-    the block and the check buffer or, after it, LAPACK's working copy. Only
-    eigenvalues are computed (:func:`spt_z2.linalg.herm_eigvals`), in real
-    arithmetic when a block has no imaginary part, and an exactly Hermitian
-    block goes to ``eigvalsh`` as it is. The spectra are merged; the kernel
-    is the eigenvalues below ``kernel_tol * (max(largest eigenvalue, 0) + 1)``
+    The arguments are :func:`chain_hamiltonian`'s, which reads them and
+    refuses what does not fit. Its blocks need no check here: they are
+    finite (its entry bound) and exactly Hermitian (only the upper triangle
+    is summed) as built, so each goes to ``eigvalsh`` as it is, for
+    eigenvalues only, in real arithmetic when it has no imaginary part. They
+    are diagonalized one at a time and each is released before the next is
+    built, so ED holds two matrices of the largest block's size at most: the
+    block and LAPACK's working copy. The spectra are merged; the kernel is
+    the eigenvalues below ``kernel_tol * (max(largest eigenvalue, 0) + 1)``
     (``kernel_tol`` is relative, as ``eps_herm`` is relative to the norm
     floored at 1), counted in all and per block. Below the lowest eigenvalue
     (any negative value, for a frustration-free chain) the kernel is empty
     and the gap is the lowest eigenvalue.
     """
-    require_config(config)
-    try:
-        items = iter(blocks)
-    except TypeError:
-        raise InvalidInput("blocks must be an iterable of ChainBlock", key="blocks",
-                           got=type(blocks).__name__) from None
     spectra = []
-    for blk in items:
-        require_record(blk, ChainBlock, "block")
-        h = square_array(blk.h)
-        if h.shape[0] > config.dense_cap:
-            raise DimensionCap("matrix exceeds the dense diagonalization cap",
-                               dimension=int(h.shape[0]), cap=config.dense_cap)
-        spectra.append((blk.parity, herm_eigvals(h, config)))
-        del blk, h  # the block is freed before the next one is built
-    if not spectra:
-        raise InvalidInput("blocks must hold at least one ChainBlock", key="blocks")
+    for blk in chain_hamiltonian(hint, n, boundary, config):
+        spectra.append((blk.parity, np.linalg.eigvalsh(real_if_exact(blk.h))))
+        del blk  # the block is freed before the next one is built
     evals = np.sort(np.concatenate([values for _, values in spectra]))
     kernel_tol = config.kernel_tol * (float(evals.max(initial=0.0)) + 1.0)
     above = evals[evals >= kernel_tol]
@@ -291,8 +299,12 @@ def ed_report(blocks: Iterable[ChainBlock], config: Config = DEFAULT) -> EdRepor
     )
 
 
-def reflection_check(hint: ParentInteraction) -> float:
-    """Frobenius distance between the interaction and its pi-twisted reversal."""
-    d, m, h, perm = _read_hint(hint)
+def _reversal_residual(d: int, m: int, h: np.ndarray, perm: np.ndarray) -> float:
+    """||h - rev h||_F for the pi-twisted reversal of the m-site window."""
     idx = reverse_word_index(d, m, perm)
     return frob(h[np.ix_(idx, idx)] - h)
+
+
+def reflection_check(hint: ParentInteraction) -> float:
+    """Frobenius distance between the interaction and its pi-twisted reversal."""
+    return _reversal_residual(*_read_hint(hint))

@@ -155,13 +155,12 @@ class HermEig(NamedTuple):
 
 
 def _symmetrized(h: np.ndarray, cfg: Config) -> np.ndarray:
-    """Skew check shared by the Hermitian eigensolvers.
+    """Skew check of :func:`herm_eig`.
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
     the norm (floored at 1), non-finite inputs included, and returns the
     symmetrized matrix 0.5 (h + h^dagger), which is what gets diagonalized.
-    ``h`` is a :func:`spt_z2.config.square_array` result, float or complex; a
-    real input gives a real result.
+    ``h`` is a complex :func:`spt_z2.config.square_array` result.
 
     One d x d buffer holds h - h^dagger for the check and, when that is
     nonzero, the symmetrized matrix. When it is exactly zero, ``h`` itself
@@ -217,20 +216,6 @@ def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
 def real_if_exact(x: np.ndarray) -> np.ndarray:
     """The real part of ``x`` (a view) when its imaginary part is exactly zero, else ``x``."""
     return x.real if np.iscomplexobj(x) and not x.imag.any() else x
-
-
-def herm_eigvals(h: np.ndarray, config: Config = DEFAULT) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
-
-    Same checks as :func:`herm_eig`. A matrix whose imaginary part is exactly
-    zero is checked and diagonalized in real arithmetic, at about a quarter
-    of the complex cost and half the memory. An exactly Hermitian input goes
-    to ``eigvalsh`` as it is, so at most two d x d matrices are alive at
-    once: the input, and the check buffer or, after it, LAPACK's copy.
-    """
-    require_config(config)
-    hh = _symmetrized(real_if_exact(square_array(h)), config)
-    return np.linalg.eigvalsh(hh)
 
 
 def eig_sort_key(values: np.ndarray):

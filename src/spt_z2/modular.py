@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (DEFAULT, Config, _record_fields, finite_array, numeric_array,
+from .config import (DEFAULT, Config, _record_fields, finite_array, is_int, numeric_array,
                      require_config, require_record, square_array)
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, within
 from .linalg import canonical_phases, frob, psd_power, transpose_sign
@@ -89,6 +89,18 @@ def as_bipartite(matrix, normalized: bool = False) -> BipartiteVector:
     return BipartiteVector(m=m_arr.shape[0], M=m_arr)
 
 
+def _read_omega(omega) -> np.ndarray:
+    """M of a :class:`BipartiteVector` argument, read by :func:`as_bipartite`'s
+    rules; an ``m`` other than M's size is refused too."""
+    require_record(omega, BipartiteVector, "omega")
+    with _record_fields("omega"):
+        mat = as_bipartite(omega.M).M
+        if not (is_int(omega.m) and omega.m == mat.shape[0]):
+            raise InvalidInput("omega m must be the size of M", m=omega.m,
+                               shape=list(mat.shape))
+    return mat
+
+
 class SchmidtData(NamedTuple):
     lam: np.ndarray      # Schmidt weights, descending, summing to 1
     left: np.ndarray     # m x r, columns xi_k
@@ -106,8 +118,7 @@ def schmidt(omega: BipartiteVector, config: Config = DEFAULT) -> SchmidtData:
     reconstruction residual is judged against ``modular_tol``.
     """
     require_config(config)
-    require_record(omega, BipartiteVector, "omega")
-    mat = omega.M
+    mat = _read_omega(omega)
     xi_full, s, vh = np.linalg.svd(mat)
     if s[0] <= 0:
         raise DegenerateSupport("coefficient matrix has no singular values above zero")
@@ -134,8 +145,8 @@ def swap_sign(omega: BipartiteVector, config: Config = DEFAULT) -> int | None:
     only when that miss is at most ``modular_tol``, which also bounds kappa's.
     """
     require_config(config)
-    require_record(omega, BipartiteVector, "omega")
-    return transpose_sign(omega.M, omega.M.T, config.modular_tol)[0]
+    mat = _read_omega(omega)
+    return transpose_sign(mat, mat.T, config.modular_tol)[0]
 
 
 class ModularReport(NamedTuple):
@@ -159,18 +170,18 @@ def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularRep
     alone is a legitimate answer), and then must agree.
     """
     require_config(config)
-    require_record(omega, BipartiteVector, "omega")
+    mat = _read_omega(omega)
     sch = schmidt(omega, config=config)
     r = sch.support_dim
     xi, z = sch.left, sch.right
     dvec = np.sqrt(sch.lam)
-    root = psd_power(omega.M @ omega.M.conj().T, 0.5, config)
+    root = psd_power(mat @ mat.conj().T, 0.5, config)
     residuals = {
         "left_isometry": frob(xi.conj().T @ xi - np.eye(r)),
         "right_isometry": frob(z.conj().T @ z - np.eye(r)),
-        "reconstruction": frob(omega.M - (xi * dvec) @ z.T),
+        "reconstruction": frob(mat - (xi * dvec) @ z.T),
         "root_eigenvectors": frob(root @ xi - xi * dvec),
-        "polar": frob(root @ sch.u.T - omega.M),
+        "polar": frob(root @ sch.u.T - mat),
     }
     for value in residuals.values():
         within(value, config.modular_tol, Inconclusive, "modular identities exceed tolerance",

@@ -127,8 +127,7 @@ def test_criterion_08_parent_hamiltonian_spectra():
     assert sz.reflection_check(hint) < 1e-10
     start = time.perf_counter()
     for n in (4, 5, 6, 7):
-        h_total = sz.chain_hamiltonian(hint, n, "open")
-        rep = sz.ed_report(h_total)
+        rep = sz.ed_report(hint, n, "open")
         assert -1e-9 <= rep.ground_energy <= 1e-9
         assert rep.kernel_dim == 4
         assert rep.gap > 0.0

@@ -793,7 +793,7 @@ def test_no_setting_is_none():
     for fn in takers:
         assert inspect.signature(fn).parameters["config"].default is sz.DEFAULT, fn.__qualname__
     exported = {value for value in map(sz.__dict__.get, sz.__all__) if inspect.isfunction(value)}
-    assert (len(takers), len(takers & exported)) == (23, 19)
+    assert (len(takers), len(takers & exported)) == (22, 19)
 
 
 def _bell():
@@ -806,9 +806,8 @@ CONFIG_CALLS = {
     "hamiltonian.chain_hamiltonian":
         lambda t, cfg: sz.chain_hamiltonian(sz.parent_interaction(t, 2), 2, "open", config=cfg),
     "hamiltonian.ed_report":
-        lambda t, cfg: sz.ed_report([sz.ChainBlock(1, np.eye(2))], config=cfg),
+        lambda t, cfg: sz.ed_report(sz.parent_interaction(t, 2), 2, "open", config=cfg),
     "linalg.herm_eig": lambda t, cfg: sz.herm_eig(np.eye(2), config=cfg),
-    "linalg.herm_eigvals": lambda t, cfg: linalg.herm_eigvals(np.eye(2), config=cfg),
     "linalg.peripheral_window":
         lambda t, cfg: linalg.peripheral_window(np.array([1.0, 0.5]), config=cfg),
     "linalg.peripheral_eigs": lambda t, cfg: sz.peripheral_eigs(np.eye(4), config=cfg),

@@ -8,7 +8,7 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2.linalg import frob
-from spt_z2 import mps
+from spt_z2 import hamiltonian, mps
 from util import embed_sites_oracle, known_answer_tuple, marginal_oracle
 
 
@@ -38,9 +38,12 @@ def _traced_peak(func, *args):
     return out, tracemalloc.get_traced_memory()[1]
 
 
-def _one_block(h):
-    """A bare matrix as the one block ``ed_report`` reads."""
-    return [sz.ChainBlock(1, np.asarray(h))]
+def _site_hint(h, perm=None):
+    """A one-site interaction h: at n = 1 its chain is h itself, one block under the
+    identity ``perm`` and two under an involution that leaves h invariant."""
+    h = np.asarray(h)
+    return sz.ParentInteraction(m=1, h=h, rank=0, support_rank=0, range_warning=False,
+                                d=len(h), perm=np.arange(len(h)) if perm is None else perm)
 
 
 def _chain_oracle(hint, n, boundary):
@@ -231,14 +234,14 @@ def test_huge_window_or_chain_is_refused_at_once(aklt, aklt_h2):
 
 @pytest.mark.parametrize("n,gap", [(4, 0.448956), (5, 0.413240), (6, 0.398451)])
 def test_open_chain_anchors(aklt_h2, n, gap):
-    rep = sz.ed_report(sz.chain_hamiltonian(aklt_h2, n, "open"))
+    rep = sz.ed_report(aklt_h2, n, "open")
     assert abs(rep.ground_energy) < 1e-9
     assert rep.kernel_dim == 4
     assert abs(rep.gap - gap) < 1e-5
 
 
 def test_periodic_chain_anchor(aklt_h2):
-    rep = sz.ed_report(sz.chain_hamiltonian(aklt_h2, 4, "periodic"))
+    rep = sz.ed_report(aklt_h2, 4, "periodic")
     assert abs(rep.ground_energy) < 1e-9
     assert rep.kernel_dim == 1
     assert abs(rep.gap - 1 / 3) < 1e-9
@@ -248,7 +251,7 @@ def test_default_window_chain(aklt):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         hint = sz.parent_interaction(aklt)
-    rep = sz.ed_report(sz.chain_hamiltonian(hint, 4, "open"))
+    rep = sz.ed_report(hint, 4, "open")
     assert abs(rep.ground_energy) < 1e-9
     assert rep.kernel_dim == 4
     assert rep.gap > 0.3
@@ -258,7 +261,7 @@ def test_product_chain():
     t = sz.normalize(sz.zoo("product:1,0"))
     hint = sz.parent_interaction(t, m=1)
     assert hint.range_warning
-    rep = sz.ed_report(sz.chain_hamiltonian(hint, 3, "open"))
+    rep = sz.ed_report(hint, 3, "open")
     assert rep.kernel_dim == 1
     assert abs(rep.gap - 1.0) < 1e-12
 
@@ -277,10 +280,8 @@ def test_open_chain_is_frustration_free(aklt_h2):
 
 
 def test_periodic_kernel_inside_open_kernel(aklt_h2):
-    open_rep = sz.ed_report(
-        sz.chain_hamiltonian(aklt_h2, 4, "open"))
-    per_rep = sz.ed_report(
-        sz.chain_hamiltonian(aklt_h2, 4, "periodic"))
+    open_rep = sz.ed_report(aklt_h2, 4, "open")
+    per_rep = sz.ed_report(aklt_h2, 4, "periodic")
     assert per_rep.kernel_dim <= open_rep.kernel_dim
 
 
@@ -339,7 +340,7 @@ def test_unreflected_chain_is_one_block(aklt):
     assert blk.parity == 1 and blk.h.dtype == np.float64
     assert np.array_equal(blk.h, _chain_oracle(hint, 5, "open"))
     assert np.array_equal(blk.h, blk.h.T)
-    rep = sz.ed_report([blk])
+    rep = sz.ed_report(hint, 5, "open")
     assert rep.blocks == (sz.EdBlock(1, 3 ** 5, rep.kernel_dim),)
 
 
@@ -354,7 +355,7 @@ def test_near_symmetric_chain_stays_within_its_weyl_bound(aklt, rng):
     near = hint._replace(h=hint.h + 1e-10 * odd / frob(odd))
     residual = sz.reflection_check(near)
     assert 1e-11 < residual < sz.DEFAULT.eps_herm
-    rep = sz.ed_report(sz.chain_hamiltonian(near, 6, "open"))
+    rep = sz.ed_report(near, 6, "open")
     assert [blk.parity for blk in rep.blocks] == [1, -1]
     want = np.linalg.eigvalsh(_chain_oracle(near, 6, "open"))
     assert np.max(np.abs(rep.spectrum_head - want[:10])) <= 4 * residual / 2 + 1e-12
@@ -403,7 +404,7 @@ def test_open_kernel_splits_by_zeta(aklt, model, n):
     zeta, c = _index_sign(t)
     hint = sz.parent_interaction(t)
     assert not hint.range_warning and n >= hint.m
-    rep = sz.ed_report(sz.chain_hamiltonian(hint, n, "open"))
+    rep = sz.ed_report(hint, n, "open")
     kernels = {blk.parity: blk.kernel_dim for blk in rep.blocks}
     k = t.k
     assert kernels == {zeta * c ** n: k * (k + 1) // 2, -zeta * c ** n: k * (k - 1) // 2}
@@ -415,69 +416,96 @@ def test_periodic_kernel_has_parity_c_to_the_n(aklt, n):
     # the one periodic kernel state sum_w Tr(v_w)|w> is B = 1 above: parity c^n
     zeta, c = _index_sign(aklt)
     assert (zeta, c) == (-1, -1)
-    rep = sz.ed_report(sz.chain_hamiltonian(sz.parent_interaction(aklt), n, "periodic"))
+    rep = sz.ed_report(sz.parent_interaction(aklt), n, "periodic")
     assert {blk.parity: blk.kernel_dim for blk in rep.blocks} == {c ** n: 1, -c ** n: 0}
 
 
 @pytest.mark.parametrize("model,n", [("aklt", 6), ("complex", 9)])
 def test_dense_ed_holds_two_matrices(aklt, complex_tuple, model, n):
-    # building and diagonalizing the blocks one at a time holds two matrices of
-    # the largest block's size (the block and one check buffer; eigvalsh's
-    # LAPACK copy is not traced) beside the word maps and one window row's
-    # scatter, at most ASSEMBLY_WORDS * n * d^n eight-byte words
+    # building and diagonalizing the blocks one at a time holds one traced
+    # matrix of the largest block's size (eigvalsh's LAPACK copy is not
+    # traced) beside the word maps and one window row's scatter, at most
+    # ASSEMBLY_WORDS * n * d^n eight-byte words; a block kept past its
+    # eigvalsh would show as about twice the largest
     hint = sz.parent_interaction(aklt if model == "aklt" else complex_tuple, m=3)
     item = 8 if model == "aklt" else 16
     largest = ((hint.d ** n + _fixed_words(hint, n)) // 2) ** 2 * item
     tracemalloc.start()
     try:
-        rep, peak = _traced_peak(lambda: sz.ed_report(sz.chain_hamiltonian(hint, n, "open")))
+        rep, peak = _traced_peak(lambda: sz.ed_report(hint, n, "open"))
     finally:
         tracemalloc.stop()
     assert [blk.parity for blk in rep.blocks] == [1, -1]
-    assert peak <= 2.1 * largest + ASSEMBLY_WORDS * n * hint.d ** n * 8
+    assert peak <= 1.1 * largest + ASSEMBLY_WORDS * n * hint.d ** n * 8
     assert rep.kernel_dim == 4 and rep.gap > 0.1
+
+
+def test_chain_reads_its_interaction_once(aklt_h2, monkeypatch):
+    # the reflection gate judges the fields _read_hint returned, not a second reading
+    calls = []
+    read = hamiltonian._read_hint
+    monkeypatch.setattr(hamiltonian, "_read_hint", lambda hint: calls.append(1) or read(hint))
+    blocks = list(sz.chain_hamiltonian(aklt_h2, 4, "open"))
+    assert len(calls) == 1 and [blk.parity for blk in blocks] == [1, -1]
+    sz.ed_report(aklt_h2, 4, "open")
+    assert len(calls) == 2
+
+
+def test_overflowing_chain_is_refused():
+    # 1e308 entries: the chain's sums would overflow, so no block is built
+    hint = _site_hint(np.full((2, 2), 1e308))
+    for call in (sz.chain_hamiltonian, sz.ed_report):
+        with pytest.raises(sz.SptError) as info:
+            call(hint, 4, "open")
+        assert type(info.value) is sz.InvalidInput
+        assert info.value.payload == {"key": "hint", "terms": 4, "norm": float("inf")}
+    with pytest.raises(sz.InvalidInput) as info:
+        sz.ed_report(_site_hint(np.full((2, 2), np.nan)), 3, "periodic")
+    assert info.value.payload["terms"] == 3 and np.isnan(info.value.payload["norm"])
 
 
 # -- spectrum report ----------------------------------------------------------
 
 def test_ed_report_kernel_tolerance():
-    h = np.diag([0.0, 1e-7, 1.0])
-    default = sz.ed_report(_one_block(h))
+    hint = _site_hint(np.diag([0.0, 1e-7, 1.0]))
+    default = sz.ed_report(hint, 1, "open")
     assert default.kernel_dim == 1
     assert abs(default.gap - 1e-7) < 1e-15
-    loose = sz.ed_report(_one_block(h), sz.Config(kernel_tol=1e-6))
+    loose = sz.ed_report(hint, 1, "open", sz.Config(kernel_tol=1e-6))
     assert loose.kernel_dim == 2
     assert abs(loose.gap - 1.0) < 1e-12
 
 
 def test_ed_report_spectrum_head():
-    rep = sz.ed_report(_one_block(np.diag(np.arange(12.0))))
+    rep = sz.ed_report(_site_hint(np.diag(np.arange(12.0))), 1, "open")
     assert rep.spectrum_head.shape == (10,)
     assert np.allclose(rep.spectrum_head, np.arange(10.0))
 
 
 def test_ed_report_dimension_cap():
     with pytest.raises(sz.DimensionCap):
-        sz.ed_report(_one_block(np.eye(4)), config=sz.Config(dense_cap=2))
+        sz.ed_report(_site_hint(np.eye(4)), 1, "open", config=sz.Config(dense_cap=2))
 
 
 def test_ed_report_rejects_non_hermitian():
     h = np.zeros((3, 3))
     h[0, 1] = 1.0
     with pytest.raises(sz.NotHermitian):
-        sz.ed_report(_one_block(h))
+        sz.ed_report(_site_hint(h), 1, "open")
 
 
 def test_ed_report_merges_blocks():
-    # one kernel threshold from the largest eigenvalue of all blocks, counted per block
-    rep = sz.ed_report([sz.ChainBlock(1, np.diag([0.0, 2.0])),
-                        sz.ChainBlock(-1, np.diag([0.0, 0.0, 1.0]))])
-    assert rep.ground_energy == 0.0 and rep.kernel_dim == 3 and rep.gap == 1.0
-    assert np.array_equal(rep.spectrum_head, [0.0, 0.0, 0.0, 1.0, 2.0])
-    assert rep.blocks == (sz.EdBlock(1, 2, 1), sz.EdBlock(-1, 3, 2))
-    for bad in ([], [np.eye(2)], None):
-        with pytest.raises(sz.InvalidInput):
-            sz.ed_report(bad)
+    # one kernel threshold from the largest eigenvalue of all blocks, counted per
+    # block: the swaps 0 <-> 1 and 2 <-> 3 leave h invariant, so its + block is
+    # diag(0, 1, 0) and its - block diag(2, 0), up to the rounding of 1/sqrt(2)
+    h = np.zeros((5, 5))
+    h[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    h[2:4, 2:4] = 0.5
+    rep = sz.ed_report(_site_hint(h, perm=np.array([1, 0, 3, 2, 4])), 1, "open")
+    assert rep.ground_energy == 0.0 and rep.kernel_dim == 3
+    assert abs(rep.gap - 1.0) < 1e-15
+    assert np.allclose(rep.spectrum_head, [0.0, 0.0, 0.0, 1.0, 2.0], rtol=0, atol=1e-15)
+    assert rep.blocks == (sz.EdBlock(1, 3, 2), sz.EdBlock(-1, 2, 1))
 
 
 def test_ed_report_complex_hermitian(rng):
@@ -485,7 +513,8 @@ def test_ed_report_complex_hermitian(rng):
     h = a + a.conj().T
     assert np.abs(h.imag).max() > 0.1
     # any threshold below the lowest eigenvalue leaves the kernel empty
-    rep = sz.ed_report(_one_block(h), sz.Config(kernel_tol=-1e300))
+    rep = sz.ed_report(_site_hint(h), 1, "open", sz.Config(kernel_tol=-1e300))
     want = np.linalg.eigvalsh(h)
     assert np.max(np.abs(rep.spectrum_head - want)) < 1e-12
     assert abs(rep.ground_energy - want[0]) < 1e-12
+    assert rep.blocks == (sz.EdBlock(1, 7, 0),)

@@ -15,7 +15,7 @@ import spt_z2 as sz
 from spt_z2 import cli, modular, mps, reflection
 from spt_z2.config import Config
 from spt_z2.errors import STATUS_EXIT, within
-from spt_z2.linalg import HermEig, _positive_definite, herm_eigvals, psd_power
+from spt_z2.linalg import HermEig, _positive_definite, psd_power
 from util import refusal_classes_by_status
 
 NAN_MATRIX = np.full((2, 2), np.nan)
@@ -173,17 +173,14 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     assert exc.payload["tolerance"] == tol
 
 
-EYE_BLOCK = [sz.ChainBlock(1, np.eye(2))]
-
-
 @pytest.mark.parametrize("call,refusal,key", [
     # settings are Config fields: Config refuses them before the call runs
     (lambda aklt: sz.modular_data(_bell(), Config(modular_tol=float("nan"))), sz.InvalidInput,
      "modular_tol"),
-    (lambda aklt: sz.ed_report(EYE_BLOCK, Config(kernel_tol=float("nan"))), sz.InvalidInput,
-     "kernel_tol"),
-    (lambda aklt: sz.ed_report(EYE_BLOCK, Config(kernel_tol=float("inf"))), sz.InvalidInput,
-     "kernel_tol"),
+    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(kernel_tol=float("nan"))),
+     sz.InvalidInput, "kernel_tol"),
+    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(kernel_tol=float("inf"))),
+     sz.InvalidInput, "kernel_tol"),
     (lambda aklt: sz.family("aklt", s0="x"), sz.InvalidInput, "s0"),
     (lambda aklt: sz.family("aklt", s0="1.5"), sz.InvalidInput, "s0"),
     (lambda aklt: sz.family("aklt", grid="x"), sz.InvalidInput, "grid"),
@@ -195,8 +192,8 @@ EYE_BLOCK = [sz.ChainBlock(1, np.eye(2))]
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
     (lambda aklt: sz.scan(sz.family("aklt"), Config(scan_cap=2 ** 63)), sz.InvalidInput,
      "scan_cap"),
-    (lambda aklt: sz.ed_report(EYE_BLOCK, Config(kernel_tol=10 ** 400)), sz.InvalidInput,
-     "kernel_tol"),
+    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(kernel_tol=10 ** 400)),
+     sz.InvalidInput, "kernel_tol"),
     (lambda aklt: sz.family(10 ** 400), sz.InvalidInput, "model"),
     (lambda aklt: sz.family("nope"), sz.InvalidInput, "model"),
     (lambda aklt: sz.family("aklt", grid=10 ** 400), sz.InvalidInput, "grid"),
@@ -238,15 +235,14 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
                               "scalar", "empty", "3-d"])
 @pytest.mark.parametrize("call", [
     lambda aklt, h: sz.herm_eig(h),
-    lambda aklt, h: herm_eigvals(h),
     # the positive-definite eigensystem, as reflected_tuple solves it
     lambda aklt, h: _positive_definite(sz.herm_eig(h), sz.NotPrimitive, "singular", sz.DEFAULT),
     lambda aklt, h: psd_power(h, 0.5),
     lambda aklt, h: sz.reflected_tuple(h),
-    lambda aklt, h: sz.ed_report([sz.ChainBlock(1, h)]),
+    lambda aklt, h: sz.ed_report(_hint(h=h), 1, "open"),
     lambda aklt, h: sz.polar_unitary(h),
     lambda aklt, h: sz.peripheral_eigs(h),
-], ids=["herm_eig", "herm_eigvals", "pos_def_eig", "psd_power", "reflected_tuple", "ed_report",
+], ids=["herm_eig", "pos_def_eig", "psd_power", "reflected_tuple", "ed_report",
         "polar_unitary", "peripheral_eigs"])
 def test_unusable_matrix_is_invalid_input(call, matrix, aklt):
     # one rule, config.square_array: a 2-d, square, nonempty numeric array
@@ -399,7 +395,7 @@ ARGUMENTS = {
     "bond_vector": (lambda aklt, x: sz.bond_vector(x), "report"),
     "chain_hamiltonian": (lambda aklt, x: sz.chain_hamiltonian(x, 2, "open"), "hint"),
     "reflection_check": (lambda aklt, x: sz.reflection_check(x), "hint"),
-    "ed_report": (lambda aklt, x: sz.ed_report([x]), "block"),
+    "ed_report": (lambda aklt, x: sz.ed_report(x, 2, "open"), "hint"),
     "scan": (lambda aklt, x: sz.scan(x), "spec"),
 }
 
@@ -415,8 +411,9 @@ def _family(**fields):
 
 
 # one record of the right class whose fields do not fit, per row: the call,
-# and the key its refusal names (not an IndexError, TypeError, ValueError or
-# AttributeError from the first field read, nor a RuntimeWarning from sqrt)
+# and the key its refusal names (not an IndexError, TypeError, ValueError,
+# AttributeError or LinAlgError from the first field read, nor a RuntimeWarning
+# from sqrt, nor a silent answer)
 MISFITS = {
     "reflection_check-h-size": (lambda rep: sz.reflection_check(_hint(m=2, h=np.eye(3))),
                                 "hint"),
@@ -440,6 +437,15 @@ MISFITS = {
         lambda rep: sz.bond_vector(rep._replace(rho_diag=np.array([1.5, -0.5]))), "report"),
     "bond_vector-rho-complex": (
         lambda rep: sz.bond_vector(rep._replace(rho_diag=np.array([0.5, 0.5j]))), "report"),
+    "schmidt-M-text": (lambda rep: sz.schmidt(sz.BipartiteVector(2, "x")), "omega"),
+    "schmidt-m-size": (
+        lambda rep: sz.schmidt(sz.BipartiteVector(7, np.eye(2) / np.sqrt(2))), "omega"),
+    "swap_sign-M-3-d": (lambda rep: sz.swap_sign(sz.BipartiteVector(2, np.ones((2, 2, 2)))),
+                        "omega"),
+    "modular_data-M-nan": (
+        lambda rep: sz.modular_data(sz.BipartiteVector(2, np.full((2, 2), np.nan))), "omega"),
+    "modular_data-M-norm": (lambda rep: sz.modular_data(sz.BipartiteVector(2, 5 * np.eye(2))),
+                            "omega"),
 }
 
 
