@@ -22,7 +22,7 @@ Every number and array from outside is read by one rule each, all here:
 float), :func:`is_int` (no bool, magnitude below 2**63), :func:`numeric_array`
 (a float or complex array of numbers, never text), :func:`square_array` (its
 result, a nonempty square matrix, for the matrix entry points of
-:mod:`spt_z2.linalg` and ``as_bipartite``; the Hermitian solvers refuse a
+:mod:`spt_z2.linalg` and ``as_bipartite``; ``herm_eig`` refuses a
 non-finite entry as ``NotHermitian``) and :func:`finite_array` (its
 result, with finite entries, as a C-contiguous complex array); tuple,
 vector and family files hold no null. Every tuple parameter of an exported
@@ -46,13 +46,12 @@ aside) sit in the code that applies them. The five marked (w) are bounds
 judged by :func:`spt_z2.errors.within`, whose refusals report them as
 ``tolerance``; the rest are cutoffs, input checks and a singular value floor.
 
-- ``mps``: ``require_normalized``, channel residual <= 10 eps_norm (w), the
-  bound ``invariant_state`` also applies to abs(r - 1) of its radius r;
+- ``mps``: ``require_normalized``, channel residual <= 10 eps_norm (w);
   ``_positive_fixed_point``, eigenvalues within 1e-9 r of the radius r span
-  the fixed point, eigen-residual <= 1e-7 (w); ``invariant_state``,
-  residual <= 1e-8 (w); ``_checked_gram_spectrum``, smallest eigenvalue
-  >= -1e-8 (w), its trace judged at l times the bound of
-  ``require_normalized``;
+  the fixed point; ``normalize``, that fixed point's eigen-residual
+  <= 1e-7 (w); ``invariant_state``, residual <= 1e-8 (w);
+  ``_checked_gram_spectrum``, smallest eigenvalue >= -1e-8 (w), its trace
+  judged at l times the bound of ``require_normalized``;
   ``_word_space_step``, singular values of the unscaled word products
   above max(rank_tol, 1e-13) times the largest counted;
   ``primitivity``, a span within 1e-10 of one of the last k ends the search.

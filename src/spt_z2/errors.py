@@ -113,7 +113,8 @@ class AmbiguousSymmetry(SptError):
 
 
 class DegenerateSupport(SptError):
-    """Bipartite vector has no singular value above zero, a zero vector included."""
+    """Bipartite vector has no Schmidt support: a numerically zero vector, or no
+    singular value above the rank tolerance."""
 
     status = "degenerate_support"
 

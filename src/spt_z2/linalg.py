@@ -36,7 +36,7 @@ The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
 unitaries and Schmidt vectors follow it too. The public matrix entry points
 check their input, read by :func:`spt_z2.config.square_array`: an empty,
 ragged, non-numeric or non-square matrix is :class:`InvalidInput`. A
-non-finite entry fails the Hermiticity check of the Hermitian solvers as
+non-finite entry fails the Hermiticity check of :func:`herm_eig` as
 :class:`NotHermitian`, and is :class:`InvalidInput` to :func:`peripheral_eigs`
 and :func:`polar_unitary`, as a size that is not a square k**2 is to
 :func:`peripheral_eigs`. Internal solves of matrices Hermitian by
@@ -154,33 +154,6 @@ class HermEig(NamedTuple):
     vectors: np.ndarray
 
 
-def _symmetrized(h: np.ndarray, cfg: Config) -> np.ndarray:
-    """Skew check of :func:`herm_eig`.
-
-    Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
-    the norm (floored at 1), non-finite inputs included, and returns the
-    symmetrized matrix 0.5 (h + h^dagger), which is what gets diagonalized.
-    ``h`` is a complex :func:`spt_z2.config.square_array` result.
-
-    One d x d buffer holds h - h^dagger for the check and, when that is
-    nonzero, the symmetrized matrix. When it is exactly zero, ``h`` itself
-    is returned: 0.5 (h + h^dagger) then equals it entry for entry (a zero
-    may differ in sign only), and no second matrix is kept.
-    """
-    norm = frob(h)
-    buf = np.conjugate(h.T, order="C")
-    np.subtract(h, buf, out=buf)
-    skew = frob(buf) / max(norm, 1.0)
-    within(skew, cfg.eps_herm, NotHermitian,
-           "matrix is not Hermitian within tolerance", skew_residual=skew)
-    if not buf.any():
-        return h
-    np.conjugate(h.T, out=buf)
-    buf += h
-    buf *= 0.5
-    return buf
-
-
 def _eigh(h: np.ndarray) -> HermEig:
     """One unchecked ``eigh`` of a matrix Hermitian by construction; LAPACK's vectors."""
     return HermEig(*np.linalg.eigh(h))
@@ -190,26 +163,32 @@ def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
     """Eigensystem of a Hermitian matrix with the module's conventions.
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
-    the norm; the symmetrized matrix is what gets diagonalized, so the
-    returned system is exactly Hermitian-consistent. An exactly Hermitian
-    input is diagonalized as it is, with no symmetrized copy. Makes one
-    ``eigh`` call and fixes the vectors' phases at once, by
+    the norm (floored at 1), non-finite inputs included, as
+    :class:`NotHermitian`. The symmetrized matrix 0.5 (h + h^dagger) is what
+    gets diagonalized, so the returned system is exactly Hermitian-consistent.
+    Makes one ``eigh`` call and fixes the vectors' phases at once, by
     :func:`canonical_phases`.
     """
     require_config(config)
-    w, u = _eigh(_symmetrized(square_array(h).astype(complex, copy=False), config))
+    h = square_array(h).astype(complex, copy=False)
+    adj = h.conj().T
+    skew = frob(h - adj) / max(frob(h), 1.0)
+    within(skew, config.eps_herm, NotHermitian,
+           "matrix is not Hermitian within tolerance", skew_residual=skew)
+    # halves first: a sum of entries near the largest float would overflow
+    w, u = _eigh(0.5 * h + 0.5 * adj)
     return HermEig(w, u * canonical_phases(u))
 
 
 def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
-                       cfg: Config) -> HermEig:
+                       cfg: Config, **payload) -> HermEig:
     """The one positive-definiteness rule: with eigenvalues ``lo <= .. <= hi`` the
     matrix passes when ``hi > 0`` and ``lo > rank_tol * hi``, that is when
     it has full rank by the floor :func:`psd_power` applies; otherwise
-    ``refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)``."""
+    ``refusal(message, min_eigenvalue=lo, max_eigenvalue=hi, **payload)``."""
     lo, hi = float(sys.values[0]), float(sys.values[-1])
     if not (hi > 0 and lo > cfg.rank_tol * hi):
-        raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi)
+        raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi, **payload)
     return sys
 
 

@@ -120,8 +120,6 @@ def schmidt(omega: BipartiteVector, config: Config = DEFAULT) -> SchmidtData:
     require_config(config)
     mat = _read_omega(omega)
     xi_full, s, vh = np.linalg.svd(mat)
-    if s[0] <= 0:
-        raise DegenerateSupport("coefficient matrix has no singular values above zero")
     r = int(np.sum(s > config.rank_tol * s[0]))
     if r == 0:
         raise DegenerateSupport("Schmidt support is empty at this rank tolerance",
@@ -165,9 +163,10 @@ def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularRep
     order, are each judged against ``modular_tol``. ``kappa`` is the sign of
     u conj(u) on the support against the identity, read by
     :func:`spt_z2.linalg.transpose_sign` at ``modular_tol * max(1, sqrt(r))``,
-    and None when that gives none; ``sigma`` is :func:`swap_sign`, at
-    ``modular_tol`` too. The two are compared only when both are read (one
-    alone is a legitimate answer), and then must agree.
+    and None when that gives none; ``sigma`` is :func:`swap_sign`'s sign, read
+    by its rule from the M already held, at ``modular_tol`` too. The two are
+    compared only when both are read (one alone is a legitimate answer), and
+    then must agree. M is read here and once more in :func:`schmidt`.
     """
     require_config(config)
     mat = _read_omega(omega)
@@ -193,7 +192,7 @@ def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularRep
         g = z.conj().T @ xi
         kappa = transpose_sign(g @ g.conj(), np.eye(r), config.modular_tol * max(1.0, r ** 0.5))[0]
 
-    sigma = swap_sign(omega, config=config)
+    sigma = transpose_sign(mat, mat.T, config.modular_tol)[0]
     if kappa is not None and sigma is not None and kappa != sigma:
         raise Inconclusive(
             "antiunitary square and swap sign disagree",

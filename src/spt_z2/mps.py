@@ -133,9 +133,9 @@ def transfer_spectrum(t: MpsTuple) -> np.ndarray:
     return w[eig_sort_key(w)].astype(complex, copy=False)
 
 
-def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], message: str,
-                          cfg: Config) -> tuple[float, np.ndarray, float, HermEig]:
-    """Positive definite eigenmatrix ``x`` of ``mat`` at its spectral radius ``r``.
+def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError],
+                          **payload) -> tuple[float, np.ndarray, float, HermEig]:
+    """The fixed point ``x`` of ``mat`` at its spectral radius ``r``, measured, not judged.
 
     ``mat`` is a real superoperator matrix in the Hermitian basis of
     :func:`spt_z2.linalg.hermitian_frame`. ``x`` is the identity's orthogonal
@@ -143,30 +143,30 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError], mess
     (e.g. reducible tuples); that space is closed under the adjoint, so ``x``
     is its Hermitian part, the real part of its coordinates. Returns ``r``, ``x``,
     the residual ``||mat x - r x|| / (r ||x||)`` (the same in coordinates,
-    as the basis is orthonormal) and the positive definite eigensystem of
-    ``x``, solved unchecked and with LAPACK's phases: its entries (a, b) and
-    (b, a) are sqrt(1/2) (c_ab -+ i c_ba), exact conjugates. Every failure
-    raises ``refusal``.
+    as the basis is orthonormal) and the eigensystem of ``x``, solved
+    unchecked and with LAPACK's phases: its entries (a, b) and (b, a) are
+    sqrt(1/2) (c_ab -+ i c_ba), exact conjugates. The residual and the
+    eigensystem are the caller's to judge. Only a zero radius and the lack
+    of an eigenvalue at ``r`` itself, where there is no ``x`` to measure,
+    raise ``refusal``, with ``spectral_radius`` and ``payload``.
     """
     w, vs = np.linalg.eig(mat)
     r = float(np.abs(w).max())
     if r <= 1e-300:
-        raise refusal("tuple is numerically zero", spectral_radius=r)
+        raise refusal("tuple is numerically zero", spectral_radius=r, **payload)
     # fixed points at eigenvalue r itself (positive real), not just modulus r
     dom = np.nonzero(np.abs(w - r) <= 1e-9 * r)[0]
     if dom.size == 0:
         raise refusal(
             "no transfer eigenvalue at the spectral radius on the positive axis",
-            spectral_radius=r,
+            spectral_radius=r, **payload,
         )
     basis = vs[:, dom]
     coeff, *_ = np.linalg.lstsq(basis, vec(np.eye(k)), rcond=None)
     c = np.dot(basis, coeff).real
     res = frob(np.dot(mat, c) - r * c) / max(r * frob(c), 1e-300)
-    within(res, 1e-7, refusal, "identity has no component along a positive fixed point",
-           eigen_residual=res)
     x = unvec(np.dot(hermitian_frame(k), c), k)
-    return r, x, res, _positive_definite(_eigh(x), refusal, message, cfg)
+    return r, x, res, _eigh(x)
 
 
 def _pow2_scaled(z: np.ndarray) -> np.ndarray:
@@ -182,8 +182,10 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     Leaves an already-normalized tuple untouched. Otherwise scales the
     entries by a power of two (exact, and no scale over- or underflows the
     transfer matrix), finds the positive definite fixed point ``e`` of the
-    transfer map at its spectral radius ``r`` (:func:`_positive_fixed_point`,
-    else :class:`NotNormalizable`) and returns ``r**-0.5 e**-0.5 v_mu e**0.5``.
+    transfer map at its spectral radius ``r`` (:func:`_positive_fixed_point`)
+    and returns ``r**-0.5 e**-0.5 v_mu e**0.5``. The fixed point is judged
+    once, each test a :class:`NotNormalizable`: its eigen-residual against
+    1e-7, then its positive definiteness.
     The powers ``e**(+-0.5) = V D**(+-0.5) V^dagger`` come from the eigenvectors
     as LAPACK returns them, as no column phase changes them.
     """
@@ -193,8 +195,11 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
         return t
 
     t = MpsTuple(v=_pow2_scaled(t.v), reflect_perm=t.reflect_perm)
-    r, _, _, sys = _positive_fixed_point(_real_transfer(t), t.k, NotNormalizable,
-                                         "dominant fixed point is not positive definite", config)
+    r, _, res, sys = _positive_fixed_point(_real_transfer(t), t.k, NotNormalizable)
+    within(res, 1e-7, NotNormalizable, "identity has no component along a positive fixed point",
+           eigen_residual=res)
+    _positive_definite(sys, NotNormalizable, "dominant fixed point is not positive definite",
+                       config)
     root = (sys.vectors * np.sqrt(sys.values)) @ sys.vectors.conj().T
     root_inv = (sys.vectors * (1.0 / np.sqrt(sys.values))) @ sys.vectors.conj().T
     out = MpsTuple(  # built from a validated tuple; a NaN fails the residual check
@@ -250,7 +255,9 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
 
     The spectral route is :func:`invariant_state`: it demands a unique
     peripheral transfer eigenvalue *and* a faithful invariant state, since
-    peripheral uniqueness alone is not sufficient. Its peripheral count is
+    peripheral uniqueness alone is not sufficient. Only its
+    :class:`NotPrimitive` is a verdict of that route; a numerical miss of its
+    fixed point, :class:`ConvergenceFailure`, propagates. Its peripheral count is
     cross-checked against the eigenmatrices of :func:`peripheral_eigs`.
     The word-space route then grows the span of the words of length l,
     K_{l+1} = span{X v_mu : X in K_l} from K_0 = span{1}, until it fills the
@@ -331,13 +338,17 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
     """Faithful invariant state of a primitive tuple's adjoint channel.
 
     The spectral primitivity route: a unique peripheral transfer eigenvalue
-    (else :class:`NotPrimitive`) and a positive definite adjoint fixed point
-    from :func:`_positive_fixed_point` (else :class:`NotPrimitive` too, as a
-    primitive tuple's invariant state is faithful); these and
-    a :class:`ConvergenceFailure` carry ``spectral_gap``. ``rho`` has trace one.
-    The radius r is judged by :func:`require_normalized`'s bound, ``10 eps_norm``:
-    for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with E(1) =
-    sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel residual.
+    (else :class:`NotPrimitive`) and the adjoint fixed point ``x`` of
+    :func:`_positive_fixed_point`, judged once: positive definite (else
+    :class:`NotPrimitive` too, as a primitive tuple's invariant state is
+    faithful), then its eigen-residual against 1e-8 (else
+    :class:`ConvergenceFailure`, as are a zero radius and an empty window
+    at the radius, numerical misses too: by the Perron-Frobenius theorem for
+    positive maps the radius is an eigenvalue). Each of these refusals
+    carries ``spectral_gap``. ``rho`` has trace one. The radius r itself is
+    not judged: for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with
+    E(1) = sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel
+    residual, which :func:`require_normalized` bounds by ``10 eps_norm``.
     """
     require_config(config)
     t = as_mps(t)
@@ -350,16 +361,12 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
             peripheral_count=periph,
             spectral_gap=gap,
         )
-    try:
-        r, x, res, sys = _positive_fixed_point(
-            _real_transfer(t).T, t.k, NotPrimitive,
-            "invariant state is singular within tolerance", config)
-    except NotPrimitive as exc:
-        exc.payload["spectral_gap"] = gap
-        raise
-    for value, tol in ((abs(r - 1.0), 10 * config.eps_norm), (res, 1e-8)):
-        within(value, tol, ConvergenceFailure, "invariant state residual above tolerance",
-               spectral_radius=r, residual=res, spectral_gap=gap)
+    r, x, res, sys = _positive_fixed_point(_real_transfer(t).T, t.k, ConvergenceFailure,
+                                           spectral_gap=gap)
+    _positive_definite(sys, NotPrimitive, "invariant state is singular within tolerance",
+                       config, spectral_gap=gap)
+    within(res, 1e-8, ConvergenceFailure, "invariant state residual above tolerance",
+           spectral_radius=r, residual=res, spectral_gap=gap)
     tr = float(np.trace(x).real)
     return InvariantState(rho=x / tr, residual=res, min_eigenvalue=float(sys.values[0]) / tr,
                           spectral_gap=gap)

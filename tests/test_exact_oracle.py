@@ -38,8 +38,9 @@ def _unimodular(rng, k):
 
 
 def _planted(rng, d, k, zeta, swap):
-    """A tuple whose reflection is itself through Y = 1 (zeta = +1) or Omega
-    (zeta = -1), in an integer gauge; ``swap`` reflects letter 0 into letter 1."""
+    """A tuple whose reflection is itself through Y = 1 (zeta = +1) or
+    Omega (x) 1_{k/2} (zeta = -1, even k), in an integer gauge; ``swap``
+    reflects letter 0 into letter 1."""
     s = _gaussian(rng, (d, k, k), keep=1.0)
     s = s + s.transpose(0, 2, 1)
     perm = None
@@ -48,20 +49,20 @@ def _planted(rng, d, k, zeta, swap):
         s[1] = s[0].T
         perm = [1, 0, *range(2, d)]
     if zeta == -1:
-        s = np.einsum("ab,mbc->mac", OMEGA, s)
+        s = np.einsum("ab,mbc->mac", np.kron(OMEGA, np.eye(k // 2, dtype=int)), s)
     g, g_inv = _unimodular(rng, k)
     return np.einsum("ab,mbc,cd->mad", g, s, g_inv), perm
 
 
 def _ensemble():
-    """(cell, seed, tuple, involution, planted zeta or None), seeded, d and k <= 3."""
+    """(cell, seed, tuple, involution, planted zeta or None), seeded, d and k <= 4."""
     cases = [("aklt", 0, AKLT, None, -1), ("nilpotent", 0, NILPOTENT, [1, 0], None)]
-    for d in (2, 3):
-        for k in (1, 2, 3):
+    for d in (2, 3, 4):
+        for k in (1, 2, 3, 4):
             for seed in range(4):
                 rng = np.random.default_rng([seed, d, k])
                 cases.append((f"random-d{d}k{k}", seed, _gaussian(rng, (d, k, k)), None, None))
-        for k, zeta in ((1, 1), (2, 1), (3, 1), (2, -1)):
+        for k, zeta in ((1, 1), (2, 1), (3, 1), (4, 1), (2, -1), (4, -1)):
             for swap in (False, True):
                 for seed in range(2):
                     rng = np.random.default_rng([seed, d, k, zeta + 1, swap])
@@ -98,12 +99,12 @@ def _derived():
 
 # Refusals whose status is not the exact verdict's, by (cell, seed). Each tuple
 # is exactly not primitive, and normalize refuses it before primitivity is
-# asked: five are nilpotent with a computed transfer radius of exactly 0 (the
-# zero tuple, or strictly triangular), five are reducible with a singular
-# dominant fixed point (the d=2/k=1 swap tuple, whose smallest eigenvalue is
-# -7e-17, and that tuple's seeds 0 and 2 stacked with aklt or blocked), and
-# NILPOTENT's rounded radius passes the 1e-300 floor, so its rescaling
-# leaves a residual of 1.
+# asked: six are nilpotent with a computed transfer radius of exactly 0 (the
+# zero tuple, as the k = 1 ones are, or strictly triangular), five are
+# reducible with a singular dominant fixed point (the d=2/k=1 swap tuple,
+# whose smallest eigenvalue is -7e-17, and that tuple's seeds 0 and 2
+# stacked with aklt or blocked), and NILPOTENT's rounded radius passes the
+# 1e-300 floor, so its rescaling leaves a residual of 1.
 NAMED = {
     ("nilpotent", 0): "ConvergenceFailure",
     ("random-d2k1", 0): "NotNormalizable",
@@ -111,6 +112,7 @@ NAMED = {
     ("random-d3k1", 1): "NotNormalizable",
     ("random-d3k2", 0): "NotNormalizable",
     ("random-d3k2", 3): "NotNormalizable",
+    ("random-d4k1", 1): "NotNormalizable",
     ("planted-d2k1+-swap", 0): "NotNormalizable",
     ("stackA-planted-d2k1+-swap", 0): "NotNormalizable",
     ("stackA-planted-d2k1+-swap", 2): "NotNormalizable",

@@ -152,6 +152,13 @@ def test_herm_eig_rejects_skew(rng):
         herm_eig(a + 2j * np.eye(4))
 
 
+def test_herm_eig_symmetrizes_entries_near_the_largest_float():
+    # an exactly Hermitian h passes the skew check at any finite size, and
+    # h + h^dagger would overflow to inf here; its halves do not
+    values = herm_eig(np.array([[1e308, 1e307], [1e307, -1e308]])).values
+    assert np.allclose(values, [-1.00498756211e308, 1.00498756211e308], rtol=1e-10)
+
+
 @pytest.mark.parametrize("func", [herm_eig])
 def test_hermitian_solvers_reject_alike(rng, func):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -125,6 +125,20 @@ def test_modular_data_is_bitwise_repeatable(rng):
         assert np.array_equal(getattr(first.schmidt, name), getattr(second.schmidt, name))
 
 
+def test_modular_data_reads_omega_twice(monkeypatch, rng):
+    # once itself and once in schmidt, which the CLI reaches by its public
+    # name; sigma is read from the matrix already held, by swap_sign's rule
+    reads = []
+    inner = modular._read_omega
+    monkeypatch.setattr(modular, "_read_omega", lambda omega: reads.append(1) or inner(omega))
+    for symmetry in ("sym", "antisym", None):
+        omega = random_bipartite(rng, 4, symmetry=symmetry)
+        reads.clear()
+        report = sz.modular_data(omega)
+        assert len(reads) == 2
+        assert report.sigma == sz.swap_sign(omega)
+
+
 def test_modular_singlet():
     report = sz.modular_data(sz.as_bipartite(SINGLET))
     assert report.kappa == -1 and report.sigma == -1

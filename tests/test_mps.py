@@ -5,7 +5,6 @@ import pytest
 
 import spt_z2 as sz
 from spt_z2 import mps
-from spt_z2.config import DEFAULT
 from spt_z2.linalg import frob, hermitian_real, unvec, vec
 from spt_z2.mps import reverse_word_index, transfer_matrix
 from spt_z2.reflection import _marginal_reversal_residual
@@ -166,7 +165,7 @@ def test_real_transfer_route_matches_the_complex_one(rng, shape):
     assert _nearest_miss(spec, np.linalg.eigvals(complex_t)) < 1e-12
     # normalize's fixed point (of E) and invariant_state's (of its adjoint)
     for real, cplx in ((real_t, complex_t), (real_t.T, complex_t.conj().T)):
-        _, x, res, _ = mps._positive_fixed_point(real, t.k, sz.NotNormalizable, "", DEFAULT)
+        _, x, res, _ = mps._positive_fixed_point(real, t.k, sz.NotNormalizable)
         assert frob(x - _complex_fixed_point(cplx, t.k)) < 1e-12
         assert res < 1e-12 and np.array_equal(x, x.conj().T)
 
@@ -493,9 +492,9 @@ def test_one_positive_fixed_point_routine(monkeypatch, aklt):
     seen = []
     inner = mps._positive_fixed_point
 
-    def spy(mat, k, refusal, message, cfg):
+    def spy(mat, k, refusal, **payload):
         seen.append(refusal)
-        return inner(mat, k, refusal, message, cfg)
+        return inner(mat, k, refusal, **payload)
 
     monkeypatch.setattr(mps, "_positive_fixed_point", spy)
     sz.normalize(3.0 * aklt.v)
@@ -503,7 +502,7 @@ def test_one_positive_fixed_point_routine(monkeypatch, aklt):
     assert sz.normalize(aklt) is aklt
     assert seen == [sz.NotNormalizable]
     sz.invariant_state(aklt)
-    assert seen == [sz.NotNormalizable, sz.NotPrimitive]
+    assert seen == [sz.NotNormalizable, sz.ConvergenceFailure]
     # primitivity's spectral route is invariant_state
     assert sz.primitivity(aklt).spectral_gap == pytest.approx(2 / 3)
     assert len(seen) == 3
@@ -518,6 +517,48 @@ def test_one_positive_fixed_point_routine(monkeypatch, aklt):
     assert info.value.message == "dominant transfer eigenvalue is not simple"
     assert info.value.payload == {"peripheral_count": 2, "spectral_gap": 1.0}
     assert len(seen) == 4
+
+
+def test_each_fixed_point_is_judged_once(monkeypatch, aklt):
+    # _positive_fixed_point only measures: its callers judge the residual, once each
+    judged = []
+    inner = mps.within
+
+    def spy(value, tol, refusal, message, **payload):
+        judged.append((message, tol))
+        return inner(value, tol, refusal, message, **payload)
+
+    monkeypatch.setattr(mps, "within", spy)
+    with monkeypatch.context() as mp:
+        mp.setattr(mps, "_positive_definite", None)  # not reached either
+        mps._positive_fixed_point(mps._real_transfer(aklt), aklt.k, sz.NotNormalizable)
+    assert judged == []
+    sz.normalize(3.0 * aklt.v)
+    assert judged == [("identity has no component along a positive fixed point", 1e-7),
+                      ("normalization residual above tolerance after rescaling", 1e-9)]
+    judged.clear()
+    sz.invariant_state(aklt)
+    assert judged == [("tuple does not satisfy the channel condition", 1e-8),
+                      ("invariant state residual above tolerance", 1e-8)]
+
+
+def test_invariant_state_residual_miss_is_numerical(monkeypatch, aklt):
+    # an eigensolver whose radius is off by 1e-6 leaves the fixed point's
+    # residual at about 1e-6: a numerical miss, not a primitivity verdict
+    eig = np.linalg.eig
+
+    def off_radius(a):
+        w, v = eig(a)
+        return w * (1 + 1e-6), v
+
+    monkeypatch.setattr(np.linalg, "eig", off_radius)
+    for call in (sz.invariant_state, sz.primitivity):
+        with pytest.raises(sz.ConvergenceFailure) as info:
+            call(aklt)
+        assert info.value.message == "invariant state residual above tolerance"
+        assert info.value.payload["residual"] == pytest.approx(1e-6, rel=1e-3)
+        assert info.value.payload["spectral_gap"] == pytest.approx(2 / 3)
+        assert info.value.payload["tolerance"] == 1e-8
 
 
 # -- marginals ---------------------------------------------------------------

@@ -1,7 +1,9 @@
+import ast
 import itertools
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,17 +409,30 @@ def test_normalization_reads_no_eigenvector_phase(monkeypatch, make):
     same_report(plain, sz.z2_index(make()))
 
 
-def test_aklt_index_call_counts(monkeypatch):
-    """One aklt index: 4 eig, 2 eigvals, 7 eigh, 3 svd, 4 qr, 2 lstsq, 1 cholesky,
-    5 transfer matrices, 3 phase fixes, 1 Hermiticity check and 2 channel residuals.
+def _benchmark_aklt_calls() -> dict:
+    """``AKLT_CALLS`` of ``perfbench/run.py``, read from its source: importing the
+    script would pin BLAS threads and extend ``sys.path``."""
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    for node in ast.parse(run.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["AKLT_CALLS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py assigns no AKLT_CALLS")
 
-    The LAPACK and transfer-matrix counts mirror ``AKLT_CALLS`` in
-    ``perfbench/run.py``, which the traced benchmark self-check pins, so a
-    drift fails here before it does there; they move together with the re-pin
-    of ROADMAP item 1. Of the 7 ``eigh``, only ``reflected_tuple``'s checks its
-    input (the other 6 solve Gram matrices and fixed points, Hermitian by
-    construction), and each of the 2 tuples (the normalized one and its
-    rotation into the rho eigenbasis) evaluates its channel residual once.
+
+def test_aklt_index_call_counts(monkeypatch):
+    """One aklt index: the LAPACK and transfer-matrix counts of ``AKLT_CALLS``, and
+    4 qr, 2 lstsq, 1 cholesky, 3 phase fixes, 1 Hermiticity check and 2 channel
+    residuals.
+
+    ``AKLT_CALLS`` is the table in ``perfbench/run.py`` that the traced
+    benchmark self-check pins; it is read here from that file, so a drift
+    fails here before it does there, and a re-pin (ROADMAP item 1) is one
+    edit. Of the ``eigh`` calls, only ``reflected_tuple``'s, through
+    ``herm_eig``, checks its input (the others solve Gram matrices and fixed
+    points, Hermitian by construction), and each of the 2 tuples (the
+    normalized one and its rotation into the rho eigenbasis) evaluates its
+    channel residual once.
     """
     counts = Counter()
 
@@ -439,7 +454,7 @@ def test_aklt_index_call_counts(monkeypatch):
         count(getattr(np.linalg, name), name)
     count(mps.transfer_matrix, "transfer_matrix")
     count(linalg.canonical_phases, "canonical_phases")
-    count(linalg._symmetrized, "hermiticity_check")
+    count(linalg.herm_eig, "herm_eig")
     residual = mps.MpsTuple.__dict__["channel_residual"]  # a cached_property
     inner = residual.func
 
@@ -449,9 +464,10 @@ def test_aklt_index_call_counts(monkeypatch):
 
     monkeypatch.setattr(residual, "func", evaluated)
     sz.z2_index(sz.zoo("aklt"))
-    assert counts == {"eig": 4, "eigvals": 2, "eigh": 7, "svd": 3, "qr": 4, "lstsq": 2,
-                      "cholesky": 1, "transfer_matrix": 5, "canonical_phases": 3,
-                      "hermiticity_check": 1, "channel_residual": 2}
+    shared = {key.rpartition(".")[2]: n for key, n in _benchmark_aklt_calls().items()}
+    assert set(shared) == {"eig", "eigvals", "eigh", "svd", "transfer_matrix"}
+    assert counts == {**shared, "qr": 4, "lstsq": 2, "cholesky": 1, "canonical_phases": 3,
+                      "herm_eig": 1, "channel_residual": 2}
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):

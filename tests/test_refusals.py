@@ -48,10 +48,15 @@ def _ambiguity_nan(mp, aklt):
 
 
 def _invariant_state(mp, aklt):
-    # a NaN spectral radius, judged against the channel bound 10 * eps_norm
+    # a NaN fixed-point residual, judged against 1e-8
     fixed_point = mps._positive_fixed_point
-    mp.setattr(mps, "_positive_fixed_point", lambda *a: (float("nan"), *fixed_point(*a)[1:]))
-    sz.invariant_state(aklt, Config(eps_norm=1e-5))
+
+    def nan_residual(*a, **kw):
+        r, x, _, sys = fixed_point(*a, **kw)
+        return r, x, float("nan"), sys
+
+    mp.setattr(mps, "_positive_fixed_point", nan_residual)
+    sz.invariant_state(aklt)
 
 
 def _gram_floor(mp, aklt):
@@ -111,7 +116,7 @@ ROUTED = {
     "invariant_state": (
         _invariant_state,
         sz.ConvergenceFailure, "invariant state residual above tolerance", NUMERICAL,
-        {"spectral_radius", "residual", "spectral_gap"}, 10 * 1e-5),
+        {"spectral_radius", "residual", "spectral_gap"}, 1e-8),
     "marginal_trace": (
         lambda mp, aklt: sz.marginal(sz.as_mps(OVERFLOWING), np.eye(2) / 2, 1),
         sz.ConvergenceFailure, "marginal trace drifted from 1", NUMERICAL, {"trace", "l"}, 1e-8),
