@@ -310,6 +310,7 @@ def cmd_parent_ham(args, cfg: Config, desc: dict):
                 "boundary": args.boundary,
                 "ground_energy": ed.ground_energy,
                 "kernel_dim": ed.kernel_dim,
+                "kernel_cut": ed.kernel_cut,
                 "gap": ed.gap,
                 "spectrum_head": ed.spectrum_head,
                 "blocks": ed.blocks,

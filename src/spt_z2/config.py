@@ -150,7 +150,6 @@ class Config:
     peripheral_tol: float = 1e-6 # unit-circle window (fraction of radius), transfer and mixed map
     modular_tol: float = 1e-8    # modular identity residuals, kappa's and sigma's sign misses
     refl_marginal_tol: float = 1e-8  # marginal reversal mismatch threshold
-    kernel_tol: float = 1e-8     # ED kernel threshold, relative to (top eigenvalue + 1)
 
     # dense-computation limits
     dense_cap: int = 4096        # largest d**x for marginal, block, parent window and chain

@@ -19,9 +19,9 @@ so the chain is built and diagonalized as its two parity blocks, of
 dimensions (d^n + f)/2 and (d^n - f)/2 for f words with Rw = w (Pollmann,
 Berg, Turner, Oshikawa, PRB 81, 064439 (2010)), and no d^n x d^n matrix is
 formed; any other chain is one block. :func:`ed_report`, the one ED entry,
-takes :func:`chain_hamiltonian`'s arguments and diagonalizes the blocks it
-builds, which are finite and exactly Hermitian as built, so ED checks no
-matrix of its own. A real interaction gives real blocks, and dense ED holds
+diagonalizes the blocks :func:`chain_hamiltonian` builds, finite and exactly
+Hermitian as built, and cuts the kernel at the eigensolver's rounding bound,
+which it reports. A real interaction gives real blocks, and dense ED holds
 at most two matrices of the largest block's size: the block and LAPACK's
 working copy.
 """
@@ -259,6 +259,7 @@ class EdBlock(NamedTuple):
 class EdReport(NamedTuple):
     ground_energy: float
     kernel_dim: int
+    kernel_cut: float
     gap: float
     spectrum_head: np.ndarray
     blocks: tuple[EdBlock, ...]
@@ -268,33 +269,34 @@ def ed_report(hint: ParentInteraction, n: int, boundary: str,
               config: Config = DEFAULT) -> EdReport:
     """Dense spectrum summary of a chain: ground energy, kernel count, gap above it.
 
-    The arguments are :func:`chain_hamiltonian`'s, which reads them and
-    refuses what does not fit. Its blocks need no check here: they are
-    finite (its entry bound) and exactly Hermitian (only the upper triangle
-    is summed) as built, so each goes to ``eigvalsh`` as it is, for
-    eigenvalues only, in real arithmetic when it has no imaginary part. They
-    are diagonalized one at a time and each is released before the next is
-    built, so ED holds two matrices of the largest block's size at most: the
-    block and LAPACK's working copy. The spectra are merged; the kernel is
-    the eigenvalues below ``kernel_tol * (max(largest eigenvalue, 0) + 1)``
-    (``kernel_tol`` is relative, as ``eps_herm`` is relative to the norm
-    floored at 1), counted in all and per block. Below the lowest eigenvalue
-    (any negative value, for a frustration-free chain) the kernel is empty
-    and the gap is the lowest eigenvalue.
+    The blocks of :func:`chain_hamiltonian` (of these arguments) go to
+    ``eigvalsh`` as built, one at a time, in real arithmetic when real. The
+    kernel is every merged eigenvalue at or below ``kernel_cut`` =
+    N eps max|lambda| (N = d^n eigenvalues lambda), counted in all and per
+    block, and the gap is the smallest one above it (0.0 if none). The cut is
+    ``eigvalsh``'s rounding, not a setting: a computed eigenvalue of a
+    Hermitian H of at most N rows lies within p(N) eps ||H||_2 of the exact
+    one (LAPACK Users' Guide, 3rd ed., section 4.7), ||H||_2 = max|lambda|,
+    and the guide's own estimate takes p = 1. So p(N) = N gives a zero N
+    times that room, while the cut stays below ``dense_cap`` eps ||H||_2
+    (9.1e-13 ||H||_2 at the default), far under any reported gap. With ``<=``
+    the zero chain is all kernel; a negative eigenvalue (rounding, in a
+    frustration-free chain) is kernel.
     """
     spectra = []
     for blk in chain_hamiltonian(hint, n, boundary, config):
         spectra.append((blk.parity, np.linalg.eigvalsh(real_if_exact(blk.h))))
         del blk  # the block is freed before the next one is built
     evals = np.sort(np.concatenate([values for _, values in spectra]))
-    kernel_tol = config.kernel_tol * (float(evals.max(initial=0.0)) + 1.0)
-    above = evals[evals >= kernel_tol]
+    cut = float(evals.size * np.finfo(float).eps * np.abs(evals).max())
+    above = evals[evals > cut]
     return EdReport(
         ground_energy=float(evals[0]),
-        kernel_dim=int(np.sum(evals < kernel_tol)),
-        gap=float(above.min()) if above.size else 0.0,
+        kernel_dim=evals.size - above.size,
+        kernel_cut=cut,
+        gap=float(above[0]) if above.size else 0.0,
         spectrum_head=evals[: min(10, evals.size)].copy(),
-        blocks=tuple(EdBlock(parity, values.size, int(np.sum(values < kernel_tol)))
+        blocks=tuple(EdBlock(parity, values.size, int(np.sum(values <= cut)))
                      for parity, values in spectra),
     )
 

@@ -357,8 +357,8 @@ def test_inputs_that_change_the_result_change_the_digest():
     assert len(chains) == 2
     for key, argv, values in (
             ("modular_tol", ["modular", "--from-index", "aklt", "--modular-tol"], ("1e-8", "-1")),
-            ("kernel_tol", ["parent-ham", "--model", "aklt", "--n", "4", "--kernel-tol"],
-             ("1e-6", "-1"))):
+            ("eps_herm", ["parent-ham", "--model", "aklt", "--n", "4", "--eps-herm"],
+             ("1e-8", "-1"))):
         first, second = (run(argv + [value])[1] for value in values)
         assert first["config"][key] != second["config"][key]
         assert first["result"] != second["result"]
@@ -382,13 +382,13 @@ def test_setting_flags_are_accepted_by_every_command():
 def test_settings_load_from_a_config_file_and_the_environment(monkeypatch, tmp_path, argv):
     # flags and --config FILE are the two sources; the environment sets nothing
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"scan_cap": 3, "kernel_tol": 1e-6}))
-    _, by_flags = run(argv + ["--scan-cap", "3", "--kernel-tol", "1e-6"])
+    cfg_path.write_text(json.dumps({"scan_cap": 3, "eps_herm": 1e-6}))
+    _, by_flags = run(argv + ["--scan-cap", "3", "--eps-herm", "1e-6"])
     _, by_file = run(argv + ["--config", str(cfg_path)])
     _, by_default = run(argv)
     monkeypatch.setenv("SPT_Z2_CONFIG", str(cfg_path))
     _, by_env = run(argv)
-    assert (by_flags["config"]["scan_cap"], by_flags["config"]["kernel_tol"]) == (3, 1e-6)
+    assert (by_flags["config"]["scan_cap"], by_flags["config"]["eps_herm"]) == (3, 1e-6)
     assert by_flags == by_file
     assert by_env == by_default and by_env["config"] == sz.Config().as_dict()
 
@@ -442,6 +442,8 @@ def test_parent_ham_default_window_n6():
     assert (res["m"], res["rank"], res["support_rank"]) == (3, 23, 4)
     assert res["chain"]["kernel_dim"] == 4
     assert abs(res["chain"]["gap"] - 0.928646952736) < 1e-9
+    # the cut is 3^6 eps max|lambda|: above the kernel's rounding, far below the gap
+    assert max(map(abs, res["chain"]["spectrum_head"][:4])) <= res["chain"]["kernel_cut"] < 1e-11
     # the reflection blocks: aklt's zeta c^6 = -1 block holds 3 kernel states
     assert res["chain"]["blocks"] == [{"parity": 1, "dim": 378, "kernel_dim": 1},
                                       {"parity": -1, "dim": 351, "kernel_dim": 3}]
@@ -754,7 +756,7 @@ def test_bad_config_file_is_io_error(tmp_path):
 
 @pytest.mark.parametrize("data", [{"eps_norm": "x"}, {"eps_herm": True},
                                   {"dense_cap": 2.5}, {"scan_cap": None},
-                                  {"kernel_tol": None}])
+                                  {"refl_marginal_tol": None}])
 def test_config_values_are_type_checked(tmp_path, data):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data))
@@ -855,15 +857,17 @@ def test_eps_lin_is_not_a_setting(tmp_path):
 @pytest.mark.parametrize("argv", [["--seed", "0"], ["--panel-size", "16"],
                                   ["--swap-tol", "1e-8"], ["--mixed-tol", "1e-6"],
                                   ["--marginal-cap", "4096"], ["--ed-cap", "4096"],
-                                  ["--l-max", "1"], ["--pos-def-tol", "1e-10"]],
+                                  ["--l-max", "1"], ["--pos-def-tol", "1e-10"],
+                                  ["--kernel-tol", "1e-6"]],
                          ids=["seed", "panel-size", "swap-tol", "mixed-tol", "marginal-cap",
-                              "ed-cap", "l-max", "pos-def-tol"])
+                              "ed-cap", "l-max", "pos-def-tol", "kernel-tol"])
 def test_panel_settings_are_gone(tmp_path, argv):
     # modular_data checks its generators, not a seeded panel of draws; sigma's
     # sign miss is judged at modular_tol and the same-state test at peripheral_tol;
     # dense_cap bounds every dense multi-site space, the chain included; the
     # word-space search always runs to its verdict, at k**4 at the latest;
-    # rank_tol is the one relative floor, positive definiteness included
+    # rank_tol is the one relative floor, positive definiteness included; ED's
+    # kernel cut is the eigensolver's rounding bound, measured and reported
     code, env = run(["modular", "--from-index", "aklt", *argv])
     assert code == 1 and env["result"]["error"] == "InvalidInput"
     key = argv[0][2:].replace("-", "_")
@@ -881,7 +885,7 @@ def test_help_lists_every_setting(command, capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert len(dataclasses.fields(sz.Config)) == 11
+    assert len(dataclasses.fields(sz.Config)) == 10
     for field in dataclasses.fields(sz.Config):
         flag = "--" + field.name.replace("_", "-")
         default = json.dumps(field.default)
@@ -1134,9 +1138,8 @@ USAGE = ("InvalidInput", None)  # a bad command line carries no key either
     (["modular", "--from-index", "aklt", "--seed", "1"], None, USAGE),
     (["modular", "--from-index", "aklt", "--modular-tol", "nan"], None,
      ("InvalidInput", "modular_tol")),
-    # NaN compares false, so no state would count as a kernel state
-    (["parent-ham", "--model", "aklt", "--m", "2", "--kernel-tol", "nan"], None,
-     ("InvalidInput", "kernel_tol")),
+    # ED measures its kernel cut: --kernel-tol is no flag
+    (["parent-ham", "--model", "aklt", "--m", "2", "--kernel-tol", "nan"], None, USAGE),
     (["index", "--model", "product:0,0"], None, MODEL),
     (["index", "--model", "deformed-aklt:1i"], None, MODEL),
     (["index", "--model", "deformed-aklt:nan"], None, MODEL),
@@ -1190,7 +1193,7 @@ INPUT_FILES = {
     (["scan", "--spec", "spec", "--s1", "0.5"], {"spec": "spec", "s0": 0.0, "s1": 0.5, "grid": 3}),
     (["models"], {}),
     # a setting is stated in config, not echoed as input
-    (["parent-ham", "--model", "aklt", "--kernel-tol", "1e-6"],
+    (["parent-ham", "--model", "aklt", "--eps-herm", "1e-6"],
      {"model": "aklt", "boundary": "open"}),
     (["modular", "--vector", "vector", "--modular-tol", "1e-7"], {"vector": "vector"}),
 ])
@@ -1215,7 +1218,7 @@ def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, arg
 @pytest.mark.parametrize("key,value", [("eps_index", float("nan")), ("modular_tol", float("inf")),
                                        ("peripheral_tol", 0.7), ("peripheral_tol", 0.0),
                                        ("dense_cap", 0), ("scan_cap", 0), ("scan_cap", 2 ** 63),
-                                       ("kernel_tol", float("nan")), ("kernel_tol", float("inf")),
+                                       ("eps_herm", float("nan")), ("eps_herm", float("inf")),
                                        ("rank_tol", -1.0)])
 def test_config_values_are_range_checked(tmp_path, key, value):
     """Config's one check refuses the value from a flag, a file and a caller."""

@@ -87,7 +87,7 @@ VALID = {
                                                / np.sqrt(2.0))},
     "spec": {"model": "deformed-aklt", "s0": 0.0, "s1": 1.0, "grid": 3},
     "config": {"eps_norm": 1e-9, "peripheral_tol": 1e-6, "scan_cap": 4,
-               "dense_cap": 4096, "kernel_tol": 1e-8},
+               "dense_cap": 4096, "refl_marginal_tol": 1e-8},
 }
 FILE_SCHEMA = {"tuple": _validator("tuple"), "vector": _validator("vector"),
                "spec": _validator("family")}
@@ -101,7 +101,7 @@ ARGV = {
 
 # the README's rules for the fields of the valid config file
 CONFIG_RULES = {"eps_norm": "number", "peripheral_tol": "(0, 0.5)", "scan_cap": "int",
-                "dense_cap": "int", "kernel_tol": "number"}
+                "dense_cap": "int", "refl_marginal_tol": "number"}
 
 
 def _legal_config_value(rule, value) -> bool:

@@ -467,13 +467,20 @@ def test_overflowing_chain_is_refused():
 # -- spectrum report ----------------------------------------------------------
 
 def test_ed_report_kernel_tolerance():
-    hint = _site_hint(np.diag([0.0, 1e-7, 1.0]))
-    default = sz.ed_report(hint, 1, "open")
-    assert default.kernel_dim == 1
-    assert abs(default.gap - 1e-7) < 1e-15
-    loose = sz.ed_report(hint, 1, "open", sz.Config(kernel_tol=1e-6))
-    assert loose.kernel_dim == 2
-    assert abs(loose.gap - 1.0) < 1e-12
+    # the cut is N eps max|lambda| = 3 eps here: 1e-7 is above it, 1e-16 at or below
+    eps = np.finfo(float).eps
+    rep = sz.ed_report(_site_hint(np.diag([0.0, 1e-7, 1.0])), 1, "open")
+    assert (rep.kernel_dim, rep.kernel_cut, rep.gap) == (1, 3 * eps, 1e-7)
+    rep = sz.ed_report(_site_hint(np.diag([0.0, 1e-16, 3 * eps, 1.0])), 1, "open")
+    assert (rep.kernel_dim, rep.kernel_cut, rep.gap) == (3, 4 * eps, 1.0)
+    # a scaled chain scales its cut: the count is relative, as the bound is
+    rep = sz.ed_report(_site_hint(np.diag([0.0, 1e-7, 1e10])), 1, "open")
+    assert (rep.kernel_dim, rep.kernel_cut, rep.gap) == (2, 3 * eps * 1e10, 1e10)
+    # negative eigenvalues are kernel, and the zero chain is all kernel
+    rep = sz.ed_report(_site_hint(np.diag([-1.0, 0.0, 1.0])), 1, "open")
+    assert (rep.kernel_dim, rep.gap) == (2, 1.0)
+    rep = sz.ed_report(_site_hint(np.zeros((3, 3))), 2, "periodic")
+    assert (rep.kernel_dim, rep.kernel_cut, rep.gap) == (9, 0.0, 0.0)
 
 
 def test_ed_report_spectrum_head():
@@ -510,11 +517,12 @@ def test_ed_report_merges_blocks():
 
 def test_ed_report_complex_hermitian(rng):
     a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    h = a + a.conj().T
+    h = a @ a.conj().T + np.eye(7)
     assert np.abs(h.imag).max() > 0.1
-    # any threshold below the lowest eigenvalue leaves the kernel empty
-    rep = sz.ed_report(_site_hint(h), 1, "open", sz.Config(kernel_tol=-1e300))
+    # positive definite: every eigenvalue lies above the cut, so the kernel is empty
+    rep = sz.ed_report(_site_hint(h), 1, "open")
     want = np.linalg.eigvalsh(h)
+    assert rep.kernel_cut < want[0] and rep.gap == rep.ground_energy
     assert np.max(np.abs(rep.spectrum_head - want)) < 1e-12
     assert abs(rep.ground_energy - want[0]) < 1e-12
     assert rep.blocks == (sz.EdBlock(1, 7, 0),)

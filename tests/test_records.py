@@ -59,11 +59,12 @@ def test_records_refuse_assignment(cls):
 
 
 def test_jsonable_writes_a_record_as_an_object_in_field_order():
-    ed = sz.EdReport(ground_energy=0.0, kernel_dim=1, gap=0.5,
+    ed = sz.EdReport(ground_energy=0.0, kernel_dim=1, kernel_cut=1e-16, gap=0.5,
                      spectrum_head=np.array([0.0, 0.5]), blocks=(sz.EdBlock(1, 2, 1),))
     out = cli.jsonable({"ed": ed, "pair": (1, 2.5), "records": [ed]})
-    assert list(out["ed"]) == ["ground_energy", "kernel_dim", "gap", "spectrum_head", "blocks"]
-    assert out["ed"] == {"ground_energy": 0.0, "kernel_dim": 1, "gap": 0.5,
+    assert list(out["ed"]) == ["ground_energy", "kernel_dim", "kernel_cut", "gap",
+                               "spectrum_head", "blocks"]
+    assert out["ed"] == {"ground_energy": 0.0, "kernel_dim": 1, "kernel_cut": 1e-16, "gap": 0.5,
                          "spectrum_head": [0.0, 0.5],
                          "blocks": [{"parity": 1, "dim": 2, "kernel_dim": 1}]}
     assert out["pair"] == [1, 2.5]

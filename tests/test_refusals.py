@@ -182,10 +182,10 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     # settings are Config fields: Config refuses them before the call runs
     (lambda aklt: sz.modular_data(_bell(), Config(modular_tol=float("nan"))), sz.InvalidInput,
      "modular_tol"),
-    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(kernel_tol=float("nan"))),
-     sz.InvalidInput, "kernel_tol"),
-    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(kernel_tol=float("inf"))),
-     sz.InvalidInput, "kernel_tol"),
+    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(eps_herm=float("nan"))),
+     sz.InvalidInput, "eps_herm"),
+    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(eps_herm=float("inf"))),
+     sz.InvalidInput, "eps_herm"),
     (lambda aklt: sz.family("aklt", s0="x"), sz.InvalidInput, "s0"),
     (lambda aklt: sz.family("aklt", s0="1.5"), sz.InvalidInput, "s0"),
     (lambda aklt: sz.family("aklt", grid="x"), sz.InvalidInput, "grid"),
@@ -197,8 +197,8 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
     (lambda aklt: sz.scan(sz.family("aklt"), Config(scan_cap=2 ** 63)), sz.InvalidInput,
      "scan_cap"),
-    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(kernel_tol=10 ** 400)),
-     sz.InvalidInput, "kernel_tol"),
+    (lambda aklt: sz.ed_report(_hint(), 1, "open", Config(eps_herm=10 ** 400)),
+     sz.InvalidInput, "eps_herm"),
     (lambda aklt: sz.family(10 ** 400), sz.InvalidInput, "model"),
     (lambda aklt: sz.family("nope"), sz.InvalidInput, "model"),
     (lambda aklt: sz.family("aklt", grid=10 ** 400), sz.InvalidInput, "grid"),
@@ -206,9 +206,9 @@ def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
     (lambda aklt: sz.marginal(aklt, np.eye(2) / 2, 10 ** 400), sz.InvalidInput, "l"),
     (lambda aklt: sz.block(aklt, 2 ** 63), sz.InvalidInput, "b"),
     (lambda aklt: sz.as_mps(np.zeros((2, 0, 0))), sz.InvalidInput, "k"),
-], ids=["modular_tol-nan", "kernel_tol-nan", "kernel_tol-inf", "s0", "s0-text", "grid",
+], ids=["modular_tol-nan", "eps_herm-nan", "eps_herm-inf", "s0", "s0-text", "grid",
         "grid-float", "s1-overlarge", "range-overflow", "window", "marginal-length", "block-size",
-        "scan_cap-overlarge", "kernel_tol-overlarge", "model-not-text", "model-unknown",
+        "scan_cap-overlarge", "eps_herm-overlarge", "model-not-text", "model-unknown",
         "grid-overlarge", "window-overlarge",
         "marginal-length-overlarge", "block-size-overlarge", "bond-dimension-0"])
 def test_library_argument_is_refused(call, refusal, key, aklt):
