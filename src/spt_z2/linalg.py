@@ -159,24 +159,37 @@ def _eigh(h: np.ndarray) -> HermEig:
     return HermEig(*np.linalg.eigh(h))
 
 
+def _pow2_scaled(z: np.ndarray) -> tuple[np.ndarray, int]:
+    """The one exact scale: a contiguous complex array ``z`` as ``y * 2**e``, with the
+    largest real or imaginary magnitude of ``y`` in [0.5, 1) (e = 0 for a zero array).
+
+    Only the exponents change, so ``y`` carries ``z``'s bits, and norms of ``y``
+    neither over- nor underflow where those of ``z`` would."""
+    parts = z.view(float)
+    e = int(np.frexp(np.abs(parts).max())[1])
+    return np.ldexp(parts, -e).view(complex), e
+
+
 def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
     """Eigensystem of a Hermitian matrix with the module's conventions.
 
     Rejects inputs whose anti-Hermitian part exceeds ``eps_herm`` relative to
     the norm (floored at 1), non-finite inputs included, as
-    :class:`NotHermitian`. The symmetrized matrix 0.5 (h + h^dagger) is what
-    gets diagonalized, so the returned system is exactly Hermitian-consistent.
-    Makes one ``eigh`` call and fixes the vectors' phases at once, by
-    :func:`canonical_phases`.
+    :class:`NotHermitian`. That ratio is taken on the :func:`_pow2_scaled`
+    copy, its floor scaled alike, so it is finite for any finite entries (the
+    floor stops at 2**1023, which can only overstate a subnormal matrix's skew).
+    The symmetrized matrix 0.5 (h + h^dagger) is what gets diagonalized, so
+    the returned system is exactly Hermitian-consistent. Makes one ``eigh``
+    call and fixes the vectors' phases at once, by :func:`canonical_phases`.
     """
     require_config(config)
-    h = square_array(h).astype(complex, copy=False)
-    adj = h.conj().T
-    skew = frob(h - adj) / max(frob(h), 1.0)
+    h = np.ascontiguousarray(square_array(h), dtype=complex)
+    scaled, e = _pow2_scaled(h)
+    skew = frob(scaled - scaled.conj().T) / max(frob(scaled), math.ldexp(1.0, min(-e, 1023)))
     within(skew, config.eps_herm, NotHermitian,
            "matrix is not Hermitian within tolerance", skew_residual=skew)
     # halves first: a sum of entries near the largest float would overflow
-    w, u = _eigh(0.5 * h + 0.5 * adj)
+    w, u = _eigh(0.5 * h + 0.5 * h.conj().T)
     return HermEig(w, u * canonical_phases(u))
 
 

@@ -62,7 +62,7 @@ import numpy as np
 from .config import (DEFAULT, Config, _record_fields, finite_array, is_int, numeric_array,
                      require_config, require_record, square_array)
 from .errors import DegenerateSupport, Inconclusive, InvalidInput, within
-from .linalg import canonical_phases, frob, psd_power, transpose_sign
+from .linalg import _pow2_scaled, canonical_phases, frob, psd_power, transpose_sign
 
 
 class BipartiteVector(NamedTuple):
@@ -78,11 +78,14 @@ def as_bipartite(matrix, normalized: bool = False) -> BipartiteVector:
     below 1e-12 has no Schmidt support, :class:`DegenerateSupport`.
     """
     m_arr = finite_array(square_array(matrix), "coefficient matrix")
-    norm = float(np.linalg.norm(m_arr))
+    scaled, e = _pow2_scaled(m_arr)  # the norm is taken where it cannot overflow
+    unit = np.linalg.norm(scaled)
+    with np.errstate(over="ignore"):
+        norm = float(np.ldexp(unit, e))  # infinite past float64's range
     if norm < 1e-12:
         raise DegenerateSupport("bipartite vector has numerically zero norm", norm=norm)
     if normalized:
-        m_arr = m_arr / norm
+        m_arr = scaled / unit
     elif abs(norm - 1.0) > 1e-10:
         raise InvalidInput("bipartite vector must have unit norm within 1e-10",
                            norm=norm)

@@ -44,9 +44,9 @@ from .errors import (
     SptError,
     within,
 )
-from .linalg import (HermEig, _eigh, _positive_definite, eig_sort_key, frob, hermitian_frame,
-                     hermitian_real, kraus_superop, peripheral_eigs, peripheral_window, unvec,
-                     vec)
+from .linalg import (HermEig, _eigh, _positive_definite, _pow2_scaled, eig_sort_key, frob,
+                     hermitian_frame, hermitian_real, kraus_superop, peripheral_eigs,
+                     peripheral_window, unvec, vec)
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,6 @@ def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError],
     return r, x, res, _eigh(x)
 
 
-def _pow2_scaled(z: np.ndarray) -> np.ndarray:
-    """A contiguous complex array times the power of two that brings its largest real or
-    imaginary magnitude into [0.5, 1): exact, as only the exponents change."""
-    parts = z.view(float)
-    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
-
-
 def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     """Rescale a raw tuple into channel form.
 
@@ -194,7 +187,7 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     if t.channel_residual <= config.eps_norm:
         return t
 
-    t = MpsTuple(v=_pow2_scaled(t.v), reflect_perm=t.reflect_perm)
+    t = MpsTuple(v=_pow2_scaled(t.v)[0], reflect_perm=t.reflect_perm)
     r, _, res, sys = _positive_fixed_point(_real_transfer(t), t.k, NotNormalizable)
     within(res, 1e-7, NotNormalizable, "identity has no component along a positive fixed point",
            eigen_residual=res)

@@ -16,7 +16,8 @@ import numpy as np
 from .config import (DEFAULT, Config, _record_fields, is_finite_real, is_int, require_config,
                      require_record)
 from .errors import InvalidInput, ResourceLimit, SptError
-from .mps import _pow2_scaled, normalize
+from .linalg import _pow2_scaled
+from .mps import normalize
 from .reflection import _stages
 
 def _deformed(s: float) -> np.ndarray:
@@ -36,7 +37,7 @@ def _ghz() -> np.ndarray:
 
 def _product(*amps: complex) -> np.ndarray:
     # an exact power-of-two scale first: the norm neither over- nor underflows
-    vec_arr = _pow2_scaled(np.asarray(amps, dtype=complex))
+    vec_arr = _pow2_scaled(np.asarray(amps, dtype=complex))[0]
     return (vec_arr / np.linalg.norm(vec_arr)).reshape(-1, 1, 1)
 
 

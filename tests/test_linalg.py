@@ -159,6 +159,19 @@ def test_herm_eig_symmetrizes_entries_near_the_largest_float():
     assert np.allclose(values, [-1.00498756211e308, 1.00498756211e308], rtol=1e-10)
 
 
+def test_herm_eig_judges_skew_where_norms_cannot_overflow():
+    # ||h||_F overflows here; the skew ratio is taken on h * 2**-1024 (exact), so a
+    # nearly Hermitian h passes, and a tighter bound refuses it with a finite residual
+    h = np.array([[1e308, 1e307], [1.0000000000001e307, -1e308]])
+    values = herm_eig(h).values
+    assert np.allclose(values, [-1.00498756211e308, 1.00498756211e308], rtol=1e-10)
+    with pytest.raises(errors.NotHermitian) as info:
+        herm_eig(h, Config(eps_herm=1e-16))
+    small = np.ldexp(h, -1024)
+    assert info.value.payload["skew_residual"] == frob(small - small.T) / frob(small)
+    assert 1e-15 < info.value.payload["skew_residual"] < 1e-13
+
+
 @pytest.mark.parametrize("func", [herm_eig])
 def test_hermitian_solvers_reject_alike(rng, func):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

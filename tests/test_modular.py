@@ -26,6 +26,16 @@ def test_as_bipartite_validation():
     assert abs(frob(omega.M) - 1.0) < 1e-12
 
 
+def test_as_bipartite_normalizes_where_norms_cannot_overflow():
+    # ||M||_F overflows at 1e200 entries; the norm is taken on M * 2**-e (exact)
+    omega = sz.as_bipartite(1e200 * np.eye(2), normalized=True)
+    assert np.array_equal(omega.M, np.eye(2) / np.sqrt(2.0))
+    assert sz.modular_data(omega).support_dim == 2
+    with pytest.raises(sz.InvalidInput) as info:
+        sz.as_bipartite(1.5e308 * np.ones((2, 2)))
+    assert info.value.payload["norm"] == float("inf")
+
+
 # -- Schmidt form -------------------------------------------------------------
 
 def test_schmidt_diagonal():
