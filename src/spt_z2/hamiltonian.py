@@ -279,9 +279,9 @@ def ed_report(hint: ParentInteraction, n: int, boundary: str,
     one (LAPACK Users' Guide, 3rd ed., section 4.7), ||H||_2 = max|lambda|,
     and the guide's own estimate takes p = 1. So p(N) = N gives a zero N
     times that room, while the cut stays below ``dense_cap`` eps ||H||_2
-    (9.1e-13 ||H||_2 at the default), far under any reported gap. With ``<=``
-    the zero chain is all kernel; a negative eigenvalue (rounding, in a
-    frustration-free chain) is kernel.
+    (9.1e-13 ||H||_2 at the default). With ``<=`` the zero chain is all
+    kernel; a negative eigenvalue (rounding, in a frustration-free chain) is
+    kernel.
     """
     spectra = []
     for blk in chain_hamiltonian(hint, n, boundary, config):

@@ -160,11 +160,9 @@ def _eigh(h: np.ndarray) -> HermEig:
 
 
 def _pow2_scaled(z: np.ndarray) -> tuple[np.ndarray, int]:
-    """The one exact scale: a contiguous complex array ``z`` as ``y * 2**e``, with the
-    largest real or imaginary magnitude of ``y`` in [0.5, 1) (e = 0 for a zero array).
-
-    Only the exponents change, so ``y`` carries ``z``'s bits, and norms of ``y``
-    neither over- nor underflow where those of ``z`` would."""
+    """The one exact scale: a contiguous complex array ``z`` as ``y * 2**e``, the largest
+    real or imaginary magnitude of ``y`` in [0.5, 1) (e = 0 for zeros), so that norms of
+    ``y`` cannot overflow. Only exponents change: ``y`` keeps ``z``'s bits."""
     parts = z.view(float)
     e = int(np.frexp(np.abs(parts).max())[1])
     return np.ldexp(parts, -e).view(complex), e

@@ -9,7 +9,7 @@ import pytest
 import spt_z2 as sz
 from spt_z2.linalg import frob
 from spt_z2 import hamiltonian, mps
-from util import embed_sites_oracle, known_answer_tuple, marginal_oracle
+from util import embed_sites_oracle, known_answer_tuple, marginal_oracle, vbs
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +381,7 @@ def _index_sign(t):
 @pytest.mark.parametrize("model,n", [
     ("aklt", 4), ("aklt", 5), ("aklt", 6), ("aklt", 7), ("deformed-aklt:0.3", 5),
     ("product:1,2", 4), ("blocked-aklt", 2), ("blocked-aklt", 3), ("d2-k2-zeta+1", 5),
-    ("d3-k2-zeta-1", 4), ("d3-k2-zeta-1", 5), ("d2-k3-zeta+1", 5)])
+    ("d3-k2-zeta-1", 4), ("d3-k2-zeta-1", 5), ("d2-k3-zeta+1", 5), ("vbs-2", 4)])
 def test_open_kernel_splits_by_zeta(aklt, model, n):
     """A second reading of zeta from ED: k(k+1)/2 kernel states have parity zeta c^n.
 
@@ -399,7 +399,9 @@ def test_open_kernel_splits_by_zeta(aklt, model, n):
     kinds = {"blocked-aklt": lambda: sz.block(aklt, 2),
              "d2-k2-zeta+1": lambda: known_answer_tuple(np.random.default_rng([0, 2, 2]), 2, 2, 1),
              "d3-k2-zeta-1": lambda: known_answer_tuple(np.random.default_rng([7, 3]), 3, 2, -1),
-             "d2-k3-zeta+1": lambda: known_answer_tuple(np.random.default_rng([0, 2, 3]), 2, 3, 1)}
+             "d2-k3-zeta+1": lambda: known_answer_tuple(np.random.default_rng([0, 2, 3]), 2, 3, 1),
+             # d = 5, k = 3: kernel 9, split 6 : 3 under the measured cut
+             "vbs-2": lambda: vbs(2)}
     t = sz.normalize(kinds[model]() if model in kinds else sz.zoo(model))
     zeta, c = _index_sign(t)
     hint = sz.parent_interaction(t)
@@ -481,6 +483,7 @@ def test_ed_report_kernel_tolerance():
     assert (rep.kernel_dim, rep.gap) == (2, 1.0)
     rep = sz.ed_report(_site_hint(np.zeros((3, 3))), 2, "periodic")
     assert (rep.kernel_dim, rep.kernel_cut, rep.gap) == (9, 0.0, 0.0)
+    assert rep.blocks == (sz.EdBlock(1, 6, 6), sz.EdBlock(-1, 3, 3))
 
 
 def test_ed_report_spectrum_head():

@@ -226,6 +226,23 @@ def test_small_schmidt_coefficients_known_answer(rng, shape, eps):
     assert report.support_dim == mat.shape[0]
 
 
+def test_small_schmidt_band_is_refused():
+    # schmidt keeps s_min/s0 = r above rank_tol, psd_power keeps the weight r^2
+    # only above rank_tol, that is r above 1e-6; below that the two routes differ
+    # by about r, refused while it exceeds modular_tol = 1e-8. One cut for both
+    # (ROADMAP item 9) should shrink this band, which is pinned as it is
+    refused = set()
+    for r in (1e-5, 1e-6, 1e-7, 3e-8, 1e-8, 1e-11):
+        try:
+            report = sz.modular_data(sz.as_bipartite(np.diag([1.0, r]), normalized=True))
+        except sz.Inconclusive as exc:
+            assert exc.message == "modular identities exceed tolerance"
+            refused.add(r)
+        else:
+            assert report.kappa == 1 and report.sigma == 1
+    assert refused == {1e-6, 1e-7, 3e-8}
+
+
 # -- bond vector --------------------------------------------------------------
 
 def test_bond_vector_aklt(aklt_report):

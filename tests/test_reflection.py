@@ -13,9 +13,9 @@ from spt_z2 import linalg, mps
 from spt_z2.linalg import frob
 from spt_z2.mps import reverse_word_index
 from spt_z2.reflection import _marginal_reversal_residual, _transposed
-from util import (dense_marginal, haar_unitary, known_answer_tuple, marginal_oracle,
-                  phase_pi_sign_plus, phase_zero_sign_minus, random_channel_tuple, same_report,
-                  stack, word_product)
+from util import (_in_random_gauge, dense_marginal, haar_unitary, known_answer_tuple,
+                  marginal_oracle, phase_pi_sign_plus, phase_zero_sign_minus,
+                  random_channel_tuple, same_report, stack, vbs, word_product)
 
 
 # -- reflected tuple ----------------------------------------------------------
@@ -387,6 +387,23 @@ def test_stacked_chains_multiply_their_indices():
                                   _outcome(stack(bv.v, bw.v, bv.reflect_perm, bw.reflect_perm)))
         want["blocked", zv, zw] = (zv * zw, zv * zw)
     assert got == want
+
+
+@pytest.mark.parametrize("spin", [1, 2, 3, 4])
+def test_vbs_index_is_minus_one_to_the_spin(spin):
+    """The spin-S valence-bond solid has zeta = (-1)^S (Pollmann, Berg, Turner,
+    Oshikawa, PRB 81, 064439 (2010)) and gauge phase c = (-1)^S; blocked at
+    b = 2 the phase is c^2 = 1, and a gauge with a global phase changes nothing."""
+    want = (-1) ** spin
+    v = vbs(spin)
+    gauged = _in_random_gauge(np.random.default_rng([spin, 5]), v)
+    for t, phase in ((v, want), (sz.block(sz.normalize(v), 2), 1), (gauged, want)):
+        rep = sz.z2_index(t)
+        assert rep.zeta == want and abs(rep.phase - phase) < 1e-9
+
+
+def test_stacked_vbs_index_is_the_product():
+    assert sz.z2_index(stack(vbs(1), vbs(2))).zeta == -1
 
 
 def _phase_fixed_eigh(h):

@@ -114,6 +114,44 @@ def stack(v: np.ndarray, w: np.ndarray, pv=None, pw=None) -> sz.MpsTuple:
     return sz.as_mps(mats, reflect_perm=(pv[:, None] * dw + pw[None, :]).ravel())
 
 
+def clebsch_gordan(j1: Fraction, m1: Fraction, j2: Fraction, m2: Fraction,
+                   j: Fraction, m: Fraction) -> float:
+    """<j1 m1; j2 m2 | j m> by the Racah formula, in exact rationals until the root."""
+    if m1 + m2 != m:
+        return 0.0
+
+    def fact(x: Fraction) -> int:
+        return math.factorial(int(x))
+
+    pref = Fraction((2 * j + 1) * fact(j + j1 - j2) * fact(j - j1 + j2) * fact(j1 + j2 - j),
+                    fact(j1 + j2 + j + 1))
+    pref *= fact(j + m) * fact(j - m) * fact(j1 - m1) * fact(j1 + m1) * fact(j2 - m2) \
+        * fact(j2 + m2)
+    total = Fraction(0)
+    for k in range(int(j1 + j2 - j) + 1):
+        args = (j1 + j2 - j - k, j1 - m1 - k, j2 + m2 - k, j - j2 + m1 + k, j - j1 - m2 + k)
+        if min(args) >= 0:
+            den = math.factorial(k) * math.prod(fact(a) for a in args)
+            total += Fraction((-1) ** k, den)
+    return math.sqrt(pref) * float(total)
+
+
+def vbs(spin: int) -> np.ndarray:
+    """Raw tuple of the spin-S valence-bond solid (Affleck, Kennedy, Lieb, Tasaki,
+    CMP 115, 477 (1988)): d = 2S+1, k = S+1, index (-1)^S.
+
+    Each site projects two virtual spins S/2 onto spin S, ``C^M_ab = <S/2 a; S/2 b|S M>``,
+    and neighbouring virtual spins form the singlet ``eps_ab = (-1)^(S/2 - a) delta_(a,-b)``;
+    so ``v_M = C^M eps``, with M = S..-S and a, b = S/2..-S/2 in that order.
+    """
+    half, big = Fraction(spin, 2), Fraction(spin)
+    virtual = [half - a for a in range(spin + 1)]
+    cg = np.array([[[clebsch_gordan(half, a, half, b, big, big - m) for b in virtual]
+                    for a in virtual] for m in range(2 * spin + 1)])
+    singlet = np.fliplr(np.diag([(-1.0) ** a for a in range(spin + 1)]))
+    return np.einsum("mab,bc->mac", cg, singlet).astype(complex)
+
+
 def apply_adjoint(t: sz.MpsTuple, y: np.ndarray) -> np.ndarray:
     """Adjoint channel ``sum_mu v_mu^dagger y v_mu`` by direct contraction."""
     return np.einsum("mba,bc,mcd->ad", t.v.conj(), y, t.v)
