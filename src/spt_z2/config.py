@@ -8,14 +8,17 @@ keyword that shadows a field. Construction is the one validity check,
 whatever the source (flags, a ``--config`` file or a library caller): every
 field is a plain number, never None. Every float is finite (negative values
 are legal and only force refusals), ``rank_tol`` is at least 0,
-``peripheral_tol`` lies in (0, 0.5) and every integer in [1, 2**63). One
-reading has one setting: ``rank_tol`` is the one relative eigenvalue floor (an
-eigenvalue at most ``rank_tol`` times the largest counts as zero, for ranks,
-pseudo-inverses and positive definiteness), ``peripheral_tol`` also judges the
-same-state test, ``modular_tol`` both signs of the modular data, and
-``dense_cap`` every dense space on x sites, of dimension d**x: an explicit
-marginal, a blocked alphabet, the parent window and the chain that ED
-diagonalizes, each refused as ``DimensionCap`` above it.
+``peripheral_tol`` lies in (0, 0.5) and every integer in [1, 2**63). Each
+setting reads one quantity: ``rank_tol`` is the one relative floor on
+eigenvalues and weights (an eigenvalue of a PSD matrix, or a squared singular
+value, at most ``rank_tol`` times the largest counts as zero, for ranks,
+pseudo-inverses, Schmidt supports and positive definiteness),
+``peripheral_tol`` the width of the transfer spectrum's unit-circle window
+(:func:`spt_z2.linalg.peripheral_window` is its one reader), ``modular_tol``
+both signs of the modular data, and ``dense_cap`` every dense space on x
+sites, of dimension d**x: an explicit marginal, a blocked alphabet, the
+parent window and the chain that ED diagonalizes, each refused as
+``DimensionCap`` above it.
 
 Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
@@ -53,7 +56,7 @@ judged by :func:`spt_z2.errors.within`, whose refusals report them as
   ``_checked_gram_spectrum``, smallest eigenvalue >= -1e-8 (w), its trace
   judged at l times the bound of ``require_normalized``;
   ``_word_space_step``, singular values of the unscaled word products
-  above max(rank_tol, 1e-13) times the largest counted;
+  above the guard 1e-12 times the largest counted;
   ``primitivity``, a span within 1e-10 of one of the last k ends the search.
 - ``reflection.z2_index``: ``||U D - D U||_F <= 1e-6`` for rho's eigenvalues D (w).
 - ``modular``: ``as_bipartite`` norm >= 1e-12 and, unless normalizing,
@@ -146,8 +149,8 @@ class Config:
     eps_norm: float = 1e-9       # channel normalization residual
     eps_gauge: float = 1e-7      # gauge relation residual
     eps_index: float = 1e-7      # smaller sign miss of U against U^T (zeta)
-    rank_tol: float = 1e-12      # one relative floor: ranks, pseudo-inverses, positive definite
-    peripheral_tol: float = 1e-6 # unit-circle window (fraction of radius), transfer and mixed map
+    rank_tol: float = 1e-12      # one relative floor on eigenvalues and Schmidt weights
+    peripheral_tol: float = 1e-6 # transfer spectrum's unit-circle window (fraction of radius)
     modular_tol: float = 1e-8    # modular identity residuals, kappa's and sigma's sign misses
     refl_marginal_tol: float = 1e-8  # marginal reversal mismatch threshold
 

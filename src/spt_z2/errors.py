@@ -93,14 +93,15 @@ class NotPrimitive(SptError):
 class NotReflectionInvariant(SptError):
     """State is primitive but not equal to its reflection.
 
-    Also raised by :func:`spt_z2.reflection.gauge_solve` when two tuples do
-    not generate the same state: the dominant eigenvalue of the mixed
-    transfer map lies below the unit circle or its eigenmatrix is singular.
-    The index's stages (:func:`spt_z2.reflection._stages`, behind ``z2_index``,
-    ``reflection_invariant``, ``check`` and ``scan``) catch that one around the
-    gauge solve only: the gauge route then fails (its ``mixed_radius`` kept in
-    the evidence), and the index refuses as this class when the marginal route
-    agrees, or as :class:`Inconclusive` when it disagrees.
+    Also raised by :func:`spt_z2.reflection.gauge_solve` when the dominant
+    eigenmatrix of the mixed transfer map is singular, which no two tuples of
+    one state give; its radius is measured, not judged, as the relation
+    residual bounds it. The index's stages (:func:`spt_z2.reflection._stages`,
+    behind ``z2_index``, ``reflection_invariant``, ``check`` and ``scan``)
+    catch that one around the gauge solve only: the gauge route then fails
+    (its ``mixed_radius`` kept in the evidence, and ``gauge_residual`` null),
+    and the index refuses as this class when the marginal route agrees, or as
+    :class:`Inconclusive` when it disagrees.
     """
 
     status = "not_reflection_invariant"
@@ -134,7 +135,8 @@ class RankDeficient(SptError):
 
     Also raised by ``psd_power`` for a negative power of the zero matrix.
     Inside :func:`spt_z2.reflection.gauge_solve` it becomes
-    :class:`NotReflectionInvariant`, which the index's stages catch.
+    :class:`NotReflectionInvariant`, that function's one refusal, which the
+    index's stages catch.
     """
 
 

@@ -176,9 +176,11 @@ def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
     :class:`NotHermitian`. That ratio is taken on the :func:`_pow2_scaled`
     copy, its floor scaled alike, so it is finite for any finite entries (the
     floor stops at 2**1023, which can only overstate a subnormal matrix's skew).
-    The symmetrized matrix 0.5 (h + h^dagger) is what gets diagonalized, so
-    the returned system is exactly Hermitian-consistent. Makes one ``eigh``
-    call and fixes the vectors' phases at once, by :func:`canonical_phases`.
+    The symmetrized scaled copy 0.5 (y + y^dagger) is what gets diagonalized,
+    so the returned system is exactly Hermitian-consistent, and its
+    eigenvalues are scaled back by 2**e: no sum overflows and no subnormal
+    entry is halved to zero. Makes one ``eigh`` call and fixes the vectors'
+    phases at once, by :func:`canonical_phases`.
     """
     require_config(config)
     h = np.ascontiguousarray(square_array(h), dtype=complex)
@@ -186,9 +188,8 @@ def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
     skew = frob(scaled - scaled.conj().T) / max(frob(scaled), math.ldexp(1.0, min(-e, 1023)))
     within(skew, config.eps_herm, NotHermitian,
            "matrix is not Hermitian within tolerance", skew_residual=skew)
-    # halves first: a sum of entries near the largest float would overflow
-    w, u = _eigh(0.5 * h + 0.5 * h.conj().T)
-    return HermEig(w, u * canonical_phases(u))
+    w, u = _eigh(0.5 * (scaled + scaled.conj().T))
+    return HermEig(np.ldexp(w, e), u * canonical_phases(u))
 
 
 def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
@@ -218,7 +219,7 @@ def peripheral_window(values: np.ndarray,
     """Mask of the eigenvalues of modulus >= r - peripheral_tol * r, and the gap.
 
     r is the spectral radius; the gap is r minus the largest modulus outside
-    the window; :func:`spt_z2.reflection.gauge_solve` applies it at r = 1.
+    the window. This is the one reader of ``peripheral_tol``.
     """
     require_config(config)
     mods = np.abs(values)

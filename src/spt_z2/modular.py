@@ -5,11 +5,14 @@ matrix M through Omega = sum_ab M_ab e_a (x) e_b, so that
 (A (x) B) Omega has coefficient matrix A M B^T.
 
 SVD M = Xi diag(s) Z^T gives the Schmidt form Omega =
-sum_k s_k xi_k (x) zeta_k with lambda_k = s_k^2, left vectors xi_k (columns
-of Xi) and right vectors zeta_k (columns of Z). On the compressed space
-span(xi) (x) span(zeta), identified with r x r coefficient matrices C through
-the embedding C -> Xi C Z^T, the modular objects of the left factor algebra
-have closed forms:
+sum_k s_k xi_k (x) zeta_k with weights lambda_k = s_k^2, left vectors xi_k
+(columns of Xi) and right vectors zeta_k (columns of Z). The support keeps
+the r weights above ``rank_tol`` times the largest; a weight at or below it
+is zero, as it is to ``psd_power``, so Omega is read as its part P_L M on
+the support. On the compressed space span(xi) (x) span(zeta),
+identified with r x r coefficient matrices C through the embedding
+C -> Xi C Z^T, the modular objects of the left factor algebra have closed
+forms:
 
     S(C)       = D^{-1} C^dagger D        (D = diag(sqrt(lambda)))
     Delta(C)   = D^2 C D^{-2}
@@ -23,13 +26,16 @@ The closed forms are not sampled: :func:`modular_data` measures the facts
 they rest on, each a residual judged against ``modular_tol``.
 
     (I) Xi^dagger Xi = 1, Z^dagger Z = 1    left_isometry, right_isometry
-    (R) M = Xi D Z^T                        reconstruction
+    (R) Xi^dagger M = D Z^T                 reconstruction
     (E) rho^{1/2} Xi = Xi D                 root_eigenvectors
-    (P) rho^{1/2} u^T = M                   polar
+    (P) rho^{1/2} u^T = P_L M               polar
 
 for the reduced state rho = M M^dagger, whose root rho^{1/2} =
-``psd_power(rho, 0.5)`` is an ambient route independent of the SVD. From
-(I), u^T conj(u) = P_L and conj(u) u^T = P_R^T. Then:
+``psd_power(rho, 0.5)`` is an ambient route independent of the SVD. Both
+(R) and (P) are judged on the support: the dropped weights are neither kept
+by one route and cut by the other nor judged. From (I), u^T conj(u) = P_L
+and conj(u) u^T = P_R^T, and (R) gives P_L M = Xi D Z^T. Then, with M read
+as P_L M:
 
 - S sends (x (x) 1) Omega to (x^dagger (x) 1) Omega for every r x r x:
   J(Xi D x Z^T) = Xi Z^T conj(Z) x^dagger D Xi^dagger Xi Z^T
@@ -105,7 +111,7 @@ def _read_omega(omega) -> np.ndarray:
 
 
 class SchmidtData(NamedTuple):
-    lam: np.ndarray      # Schmidt weights, descending, summing to 1
+    lam: np.ndarray      # Schmidt weights on the support, descending
     left: np.ndarray     # m x r, columns xi_k
     right: np.ndarray    # m x r, columns zeta_k
     u: np.ndarray        # m x m partial isometry, u conj(xi_k) = zeta_k
@@ -113,29 +119,32 @@ class SchmidtData(NamedTuple):
 
 
 def schmidt(omega: BipartiteVector, config: Config = DEFAULT) -> SchmidtData:
-    """Schmidt decomposition with deterministic column phases.
+    """Schmidt decomposition on the support, with deterministic column phases.
 
-    The right vectors get the canonical phase of
+    The support keeps the weights s_k^2 above ``rank_tol`` times the largest,
+    the floor :func:`spt_z2.linalg.psd_power` applies to the eigenvalues of
+    rho = M M^dagger. The right vectors get the canonical phase of
     :func:`spt_z2.linalg.canonical_phases` and the left vectors absorb the
-    compensating factor, which keeps M = Xi diag(s) Z^T exact. The
-    reconstruction residual is judged against ``modular_tol``.
+    compensating factor, which keeps Xi^dagger M = diag(s) Z^T exact. That
+    reconstruction on the support, (R) of the module docstring, is judged
+    against ``modular_tol``.
     """
     require_config(config)
     mat = _read_omega(omega)
     xi_full, s, vh = np.linalg.svd(mat)
-    r = int(np.sum(s > config.rank_tol * s[0]))
+    lam = s * s
+    r = int(np.sum(lam > config.rank_tol * lam[0]))
     if r == 0:
         raise DegenerateSupport("Schmidt support is empty at this rank tolerance",
                                 rank_tol=config.rank_tol)
     phases = canonical_phases(vh[:r].T)
     z = vh[:r].T * phases
     xi = xi_full[:, :r] * phases.conj()
-    lam = (s[:r] ** 2).astype(float)
-    recon = frob(mat - xi @ (s[:r, None] * z.T))
+    recon = frob(xi.conj().T @ mat - s[:r, None] * z.T)
     within(recon, config.modular_tol, Inconclusive,
            "Schmidt reconstruction residual above tolerance", residual=recon)
     u = z @ xi.T
-    return SchmidtData(lam=lam, left=xi, right=z, u=u, support_dim=r)
+    return SchmidtData(lam=lam[:r], left=xi, right=z, u=u, support_dim=r)
 
 
 def swap_sign(omega: BipartiteVector, config: Config = DEFAULT) -> int | None:
@@ -178,12 +187,13 @@ def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularRep
     xi, z = sch.left, sch.right
     dvec = np.sqrt(sch.lam)
     root = psd_power(mat @ mat.conj().T, 0.5, config)
+    on_support = xi.conj().T @ mat
     residuals = {
         "left_isometry": frob(xi.conj().T @ xi - np.eye(r)),
         "right_isometry": frob(z.conj().T @ z - np.eye(r)),
-        "reconstruction": frob(mat - (xi * dvec) @ z.T),
+        "reconstruction": frob(on_support - dvec[:, None] * z.T),
         "root_eigenvectors": frob(root @ xi - xi * dvec),
-        "polar": frob(root @ sch.u.T - mat),
+        "polar": frob(root @ sch.u.T - xi @ on_support),
     }
     for value in residuals.values():
         within(value, config.modular_tol, Inconclusive, "modular identities exceed tolerance",

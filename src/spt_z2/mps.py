@@ -231,15 +231,15 @@ def _append_letters(rows: np.ndarray, mats: np.ndarray, l: int = 1) -> np.ndarra
     return rows
 
 
-def _word_space_step(v: np.ndarray, basis: np.ndarray, rank_tol: float) -> np.ndarray:
+def _word_space_step(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of span{ X v_mu : X in span(basis rows) }.
 
     The products keep their scale: the rank counts the singular values above
-    ``max(rank_tol, 1e-13)`` times the largest, so a row that is only
+    the fixed guard 1e-12 times the largest, so a row that is only
     cancellation noise adds no direction.
     """
     _, s, vh = np.linalg.svd(_append_letters(basis, v), full_matrices=False)
-    rank = int(np.sum(s > max(rank_tol, 1e-13) * s[0]))
+    rank = int(np.sum(s > 1e-12 * s[0]))
     return vh[:rank]
 
 
@@ -263,10 +263,11 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
     conclusively not primitive, by the quantum Wielandt bound (Sanz,
     Perez-Garcia, Wolf, Cirac, IEEE TIT 56, 4668, 2010), so the search always
     ends in a verdict, at k^4 at the latest. The rank of each span counts
-    singular values of its products as they are, above ``max(rank_tol, 1e-13)``
-    times the largest, with no per-row rescale: a letter 1e10 or more below the
-    others enters the span late, so the injectivity length can exceed that
-    of the same tuple with the letter at full scale. Both :class:`Inconclusive`
+    singular values of its products as they are, above the fixed guard 1e-12
+    times the largest (no setting moves it), with no per-row rescale: a
+    letter 1e10 or more below the others enters the span late, so the
+    injectivity length can exceed that of the same tuple with the letter at
+    full scale. Both :class:`Inconclusive`
     refusals it raises (the two peripheral counts differ, or the routes
     disagree) carry ``peripheral_count`` and ``spectral_gap`` from the
     spectral route.
@@ -295,7 +296,7 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
     verdict = False
     spans = deque([np.eye(k, dtype=complex).reshape(1, full) / np.sqrt(k)], maxlen=k)
     for length in range(1, k ** 4 + 1):
-        nxt = _word_space_step(t.v, spans[-1], config.rank_tol)
+        nxt = _word_space_step(t.v, spans[-1])
         if nxt.shape[0] == full:
             inj, verdict = length, True
             break

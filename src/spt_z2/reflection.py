@@ -22,12 +22,13 @@ Pollmann and Turner, PRB 86, 125441 (2012)). Reading it takes no power of
 ``rho``: only its eigenbasis, into which the tuple is rotated once.
 
 Invariance is certified by two independent routes that must agree: the gauge
-route (the radius of G, an invertible eigenmatrix and the relation residual)
-and the marginal route (marginals up to twice the injectivity length are
-invariant under site reversal composed with ``pi``). The marginal route forms
-no d^l-row matrix: each l-site marginal and its reversed copy are carried as
-one triangular factor with at most 2k^2 rows, advanced one site at a time by
-a QR of at most d * 2k^2 rows, so its cost is linear in l.
+route (an invertible dominant eigenmatrix of G and the relation residual,
+which bounds G's radius) and the marginal route (marginals up to twice the
+injectivity length are invariant under site reversal composed with ``pi``).
+The marginal route forms no d^l-row matrix: each l-site marginal and its
+reversed copy are carried as one triangular factor with at most 2k^2 rows,
+advanced one site at a time by a QR of at most d * 2k^2 rows, so its cost is
+linear in l.
 
 The index's stage order is written once, in :func:`_stages`; ``z2_index``,
 ``reflection_invariant``, ``check`` and each scan point stop after the stage
@@ -102,16 +103,31 @@ class GaugeSolution(NamedTuple):
 def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolution:
     """Gauge X and phase with ``X s_mu^dagger = phase * t_mu^dagger X``, if the states match.
 
-    X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger; ``t``
-    must satisfy the channel condition, ``s`` need not. A modulus below
-    ``1 - peripheral_tol`` (the peripheral window at r = 1) or a singular X
-    means different states, refused as :class:`NotReflectionInvariant` with
-    the measured ``mixed_radius``: two primitive tuples that generate the
-    same state have an invertible intertwiner (the fundamental theorem of
-    MPS). The singular-X refusal adds ``sigma_min``, ``sigma_max`` and
-    ``tolerance`` from :func:`polar_unitary`.
-    The caller judges ``relation_residual``, the relation's largest
-    Frobenius miss over ``||X||_F``, against ``eps_gauge``. ``U`` is the
+    X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger, with
+    eigenvalue lam and ``phase = lam / |lam|`` (1 when lam = 0, as any unit
+    phase gives the bound below); ``t`` must satisfy the channel
+    condition, ``s`` need not. The one refusal is a singular X, as
+    :class:`NotReflectionInvariant` with ``mixed_radius`` = |lam| and
+    ``sigma_min``, ``sigma_max`` and ``tolerance`` from :func:`polar_unitary`:
+    two primitive tuples that generate the same state have an invertible
+    intertwiner (the fundamental theorem of MPS). Otherwise the caller judges
+    ``relation_residual``, the relation's largest Frobenius miss over
+    ``||X||_F``, against ``eps_gauge``, and ``mixed_radius`` is reported, not
+    judged: the relation residual bounds it. With the misses
+    E_mu = X s_mu^dagger - phase t_mu^dagger X,
+
+        sum_mu t_mu E_mu = (lam - phase) X + phase (1 - sum_mu t_mu t_mu^dagger) X,
+
+    and |lam - phase| = |1 - |lam||. The channel check of
+    :func:`spt_z2.mps.require_normalized` bounds ``1 - sum_mu t_mu t_mu^dagger``
+    by 10 eps_norm in Frobenius norm, so the block row [t_1 .. t_d] has
+    operator norm at most sqrt(1 + 10 eps_norm), and
+
+        |1 - mixed_radius| <= sqrt((1 + 10 eps_norm) d) relation_residual + 10 eps_norm
+
+    for an exact eigenpair (eig's backward error adds rounding). A gauge that
+    passes the relation test is therefore on the unit circle within
+    sqrt(d) eps_gauge, up to the channel residual. ``U`` is the
     adjoint of X's unitary polar factor, with the canonical phase; for the
     transposed tuple in the rho eigenbasis, X is a multiple of
     ``U^dagger D^(1/2)``.
@@ -129,9 +145,6 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])
     radius = abs(lam)
-    within(1.0 - radius, config.peripheral_tol, NotReflectionInvariant,
-           "dominant mixed transfer eigenvalue below 1; different states",
-           mixed_radius=radius)
     x = unvec(vs[:, i0], t.k)
     try:
         u = polar_unitary(x).conj().T
@@ -142,7 +155,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
             **exc.payload,
         ) from exc
     u = u * canonical_phases(u.reshape(-1, 1))
-    phase = lam / radius
+    phase = lam / radius if radius > 0 else 1.0 + 0.0j
     miss = x @ s.v.conj().transpose(0, 2, 1) - phase * t.v.conj().transpose(0, 2, 1) @ x
     res = float(np.linalg.norm(miss, axis=(1, 2)).max()) / frob(x)
     return GaugeSolution(U=u, phase=phase, relation_residual=res, mixed_radius=radius)
@@ -234,7 +247,7 @@ def _stages(raw, cfg: Config):
                      reflect_perm=t.reflect_perm)
     try:
         gauge = gauge_solve(v_eig, _transposed(v_eig), config=cfg)
-    except NotReflectionInvariant as exc:  # a different state: the gauge route fails
+    except NotReflectionInvariant as exc:  # a singular gauge: the gauge route fails
         mixed_radius, gauge_residual = float(exc.payload["mixed_radius"]), None
         via_gauge = False
     else:

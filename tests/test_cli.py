@@ -863,11 +863,12 @@ def test_eps_lin_is_not_a_setting(tmp_path):
                               "ed-cap", "l-max", "pos-def-tol", "kernel-tol"])
 def test_panel_settings_are_gone(tmp_path, argv):
     # modular_data checks its generators, not a seeded panel of draws; sigma's
-    # sign miss is judged at modular_tol and the same-state test at peripheral_tol;
-    # dense_cap bounds every dense multi-site space, the chain included; the
-    # word-space search always runs to its verdict, at k**4 at the latest;
-    # rank_tol is the one relative floor, positive definiteness included; ED's
-    # kernel cut is the eigensolver's rounding bound, measured and reported
+    # sign miss is judged at modular_tol, and the mixed radius is measured, as
+    # the gauge relation residual bounds it; dense_cap bounds every dense
+    # multi-site space, the chain included; the word-space search always runs
+    # to its verdict, at k**4 at the latest; rank_tol is the one relative floor
+    # on eigenvalues and weights, positive definiteness included; ED's kernel
+    # cut is the eigensolver's rounding bound, measured and reported
     code, env = run(["modular", "--from-index", "aklt", *argv])
     assert code == 1 and env["result"]["error"] == "InvalidInput"
     key = argv[0][2:].replace("-", "_")

@@ -9,7 +9,9 @@ the exact verdict's status, or be named below with its class.
 import numpy as np
 
 import spt_z2 as sz
+from spt_z2.cli import tuple_from_data
 from spt_z2.mps import reverse_word_index
+from test_fuzz import ARRAY_CASES, CLI_CASES, SEED, VALID, mutate
 from util import exact_verdict, stack
 
 OMEGA = np.array([[0, 1], [-1, 0]])
@@ -148,3 +150,56 @@ def test_stacked_periodic_tuple_is_not_primitive():
     cert = sz.primitivity(sz.normalize(stack(v, AKLT)))
     assert not cert.is_primitive
     assert cert.peripheral_count == 2 and cert.injectivity_length is None
+
+
+# Disagreements among the fuzz's integer tuples, by (stream, case). Each holds
+# one entry of modulus 2**63 beside entries of modulus 1, and normalize
+# refuses it; the oracle reads it exactly.
+FUZZ_NAMED = {
+    ("file", 15): ("NotNormalizable", "not_reflection_invariant"),
+    ("array", 0): ("NotNormalizable", -1),
+    ("array", 22): ("NotNormalizable", -1),
+}
+
+
+def _fuzz_integer_tuples():
+    """(stream, case, tuple) for each Gaussian-integer tuple that test_fuzz's
+    mutations give, read as its reader reads it. The fuzz mutates a normalized
+    aklt, whose entries are not integers; here the same mutations, from the
+    same seeds, hit the integer aklt: ``file`` is the tuple-file stream of
+    ``test_mutated_file_ends_in_a_bound_envelope``, read by
+    :func:`spt_z2.cli.tuple_from_data`, and ``array`` the ``as_mps`` stream of
+    ``test_mutated_arrays_are_refused_or_read_by_the_library``."""
+    rows = [[[[int(x.real), int(x.imag)] for x in row] for row in m] for m in AKLT]
+    streams = [
+        ("file", np.random.default_rng([SEED, sorted(VALID).index("tuple")]), CLI_CASES,
+         {"d": 3, "k": 2, "matrices": rows, "reflect_perm": [0, 1, 2]}, tuple_from_data),
+        ("array", np.random.default_rng([SEED, len(VALID)]), ARRAY_CASES, AKLT.tolist(),
+         sz.as_mps),
+    ]
+    for stream, rng, cases, valid, read in streams:
+        for case in range(cases):
+            try:
+                t = read(mutate(rng, valid))
+            except sz.InvalidInput:
+                continue
+            if np.array_equal(t.v, np.rint(t.v.real) + 1j * np.rint(t.v.imag)):
+                yield stream, case, t
+
+
+def test_fuzz_integer_tuples_match_the_exact_verdict():
+    agree, disagree = [], {}
+    for stream, case, t in _fuzz_integer_tuples():
+        exact = exact_verdict(t.v, t.reflect_perm)
+        try:
+            got = sz.z2_index(t).zeta
+        except sz.SptError as exc:
+            if exc.status == exact:
+                agree.append((stream, case))
+            else:
+                disagree[stream, case] = (type(exc).__name__, exact)
+            continue
+        assert got == exact, (stream, case, got, exact)  # no answer is wrong
+        agree.append((stream, case))
+    assert agree == [("array", 13)]  # an entry read as False: not reflection invariant
+    assert disagree == FUZZ_NAMED

@@ -154,9 +154,17 @@ def test_herm_eig_rejects_skew(rng):
 
 def test_herm_eig_symmetrizes_entries_near_the_largest_float():
     # an exactly Hermitian h passes the skew check at any finite size, and
-    # h + h^dagger would overflow to inf here; its halves do not
+    # h + h^dagger would overflow to inf here; the scaled copy's sum does not
     values = herm_eig(np.array([[1e308, 1e307], [1e307, -1e308]])).values
     assert np.allclose(values, [-1.00498756211e308, 1.00498756211e308], rtol=1e-10)
+
+
+def test_herm_eig_keeps_subnormal_eigenvalues():
+    # a half of the smallest subnormal rounds to zero; the scaled copy's
+    # eigenvalues are scaled back by 2**e, exactly
+    assert herm_eig(5e-324 * np.eye(2)).values.tolist() == [5e-324, 5e-324]
+    values = herm_eig(np.diag([1e-310, -3e-320])).values
+    assert values.tolist() == [-3e-320, 1e-310]
 
 
 def test_herm_eig_judges_skew_where_norms_cannot_overflow():

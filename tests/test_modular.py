@@ -215,7 +215,8 @@ def test_root_of_the_reduced_state_is_checked(monkeypatch, rng):
 @pytest.mark.parametrize("shape,eps", [("diag", 1e-9), ("diag", 1e-10), ("diag", 1e-11),
                                        ("W", 1e-5), ("W", 3e-6), ("W", 1e-9)])
 def test_small_schmidt_coefficients_known_answer(rng, shape, eps):
-    # symmetric, so kappa = sigma = +1; the smallest coefficient is kept by schmidt
+    # symmetric, so kappa = sigma = +1; the support keeps a weight eps**2 only
+    # above rank_tol = 1e-12, as psd_power keeps an eigenvalue of M M^dagger
     if shape == "diag":
         mat = np.diag([1.0, eps])
     else:
@@ -223,24 +224,35 @@ def test_small_schmidt_coefficients_known_answer(rng, shape, eps):
         mat = w @ np.diag([1.0, 0.6, eps]) @ w.T
     report = sz.modular_data(sz.as_bipartite(mat, normalized=True))
     assert report.kappa == 1 and report.sigma == 1
-    assert report.support_dim == mat.shape[0]
+    assert report.support_dim == mat.shape[0] - (eps * eps <= 1e-12)
 
 
-def test_small_schmidt_band_is_refused():
-    # schmidt keeps s_min/s0 = r above rank_tol, psd_power keeps the weight r^2
-    # only above rank_tol, that is r above 1e-6; below that the two routes differ
-    # by about r, refused while it exceeds modular_tol = 1e-8. One cut for both
-    # (ROADMAP item 9) should shrink this band, which is pinned as it is
-    refused = set()
+def test_small_schmidt_band_is_closed():
+    # schmidt and psd_power cut the same weights, s_min**2 at or below rank_tol
+    # times s0**2, and (R) and (P) are judged on the support kept, so no
+    # coefficient between modular_tol and sqrt(rank_tol) is refused
     for r in (1e-5, 1e-6, 1e-7, 3e-8, 1e-8, 1e-11):
-        try:
-            report = sz.modular_data(sz.as_bipartite(np.diag([1.0, r]), normalized=True))
-        except sz.Inconclusive as exc:
-            assert exc.message == "modular identities exceed tolerance"
-            refused.add(r)
+        report = sz.modular_data(sz.as_bipartite(np.diag([1.0, r]), normalized=True))
+        assert report.kappa == 1 and report.sigma == 1
+        assert report.support_dim == (2 if r == 1e-5 else 1)
+
+
+def test_small_schmidt_tails_are_answered():
+    # (anti)symmetric 4 x 4 vectors M = W S W^T, W unitary, with two Schmidt
+    # coefficients scaled by 10**U(-12, -5): one pair of an antisymmetric
+    # vector's, so that kappa is still read on the support
+    rng = np.random.default_rng(1)
+    for case in range(400):
+        sign = 1 if case % 2 else -1
+        w = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        s = rng.uniform(0.5, 1.0, 4)
+        s[2:] *= 10.0 ** rng.uniform(-12, -5)
+        if sign == 1:
+            core = np.diag(s)
         else:
-            assert report.kappa == 1 and report.sigma == 1
-    assert refused == {1e-6, 1e-7, 3e-8}
+            core = np.kron(np.diag(s[::2]), [[0.0, 1.0], [-1.0, 0.0]])
+        report = sz.modular_data(sz.as_bipartite(w @ core @ w.T, normalized=True))
+        assert report.kappa == sign and report.sigma == sign, case
 
 
 # -- bond vector --------------------------------------------------------------

@@ -383,6 +383,19 @@ def test_a_letter_far_below_the_others_enters_the_word_space_late():
     assert lengths[1] >= lengths[0]
 
 
+def test_rank_tol_does_not_move_the_injectivity_length():
+    # rank_tol floors eigenvalues (weights), not the word-space singular
+    # values, whose cut is the fixed guard 1e-12: a letter 1e-4 below the
+    # others counts at every rank_tol, 1e-3 included
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    raw[2] *= 1e-4
+    t = sz.normalize(raw)
+    lengths = {tol: sz.primitivity(t, sz.Config(rank_tol=tol)).injectivity_length
+               for tol in (0.0, 1e-12, 1e-6, 1e-3)}
+    assert set(lengths.values()) == {2}, lengths
+
+
 def test_primitivity_requires_normalized(aklt):
     with pytest.raises(sz.NormalizationBroken):
         sz.primitivity(sz.as_mps(2.0 * aklt.v))

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import sys
 import time
 from collections import Counter
@@ -188,10 +189,65 @@ def test_gauge_solve_global_phase(aklt):
 
 
 def test_gauge_solve_different_states(aklt):
-    other = sz.normalize(sz.zoo("deformed-aklt:0.7"))
-    with pytest.raises(sz.NotReflectionInvariant) as info:
-        sz.gauge_solve(aklt, other)
-    assert info.value.message == "dominant mixed transfer eigenvalue below 1; different states"
+    # two different states: the mixed radius is measured, not judged, and the
+    # relation residual that the caller judges against eps_gauge is off
+    sol = sz.gauge_solve(aklt, sz.normalize(sz.zoo("deformed-aklt:0.7")))
+    assert abs(sol.mixed_radius - 0.972097) < 1e-5
+    assert abs(sol.relation_residual - 0.175422) < 1e-5
+
+
+def test_gauge_solve_nilpotent_mixed_map():
+    # G = 0 has radius 0 and, at k = 1, an invertible eigenmatrix: the phase
+    # is 1 and the relation residual is the whole miss ||t_mu^dagger||
+    t = sz.normalize(sz.zoo("product:1,2"))
+    sol = sz.gauge_solve(t, sz.as_mps(np.zeros_like(t.v)))
+    assert (sol.mixed_radius, sol.phase) == (0.0, 1.0)
+    assert abs(sol.relation_residual - np.abs(t.v).max()) < 1e-12
+    assert _radius_bound_holds(t, sz.as_mps(np.zeros_like(t.v)))
+
+
+def _radius_bound_holds(t, s, cfg=sz.DEFAULT):
+    """|1 - mixed_radius| <= sqrt((1 + 10 eps_norm) d) relation_residual + 10 eps_norm,
+    the bound of gauge_solve's docstring; whether the radius lies outside the
+    peripheral window (None for a singular gauge, which is refused)."""
+    try:
+        sol = sz.gauge_solve(t, s, cfg)
+    except sz.NotReflectionInvariant:
+        return None
+    miss = abs(1.0 - sol.mixed_radius)
+    bound = math.sqrt((1.0 + 10 * cfg.eps_norm) * t.d) * sol.relation_residual
+    assert miss <= bound + 10 * cfg.eps_norm, (miss, sol.relation_residual)
+    return miss > cfg.peripheral_tol
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-6, 1e-3, 1e-1])
+def test_relation_residual_bounds_the_mixed_radius(eps):
+    # the known-answer ensemble plus eps * max|v| * (complex Gaussian): a gauge
+    # that passes the relation test is on the unit circle, so gauge_solve
+    # needs no window of its own
+    outside = []
+    for d, k, zeta in itertools.product((2, 3, 4), (2, 3, 4, 5), (1, -1)):
+        if zeta == -1 and k % 2:
+            continue
+        for seed in range(2):
+            rng = np.random.default_rng([seed, d, k, zeta + 1])
+            raw = known_answer_tuple(rng, d, k, zeta)
+            raw = raw + eps * np.abs(raw).max() * (rng.standard_normal(raw.shape)
+                                                   + 1j * rng.standard_normal(raw.shape))
+            t = sz.normalize(raw)
+            outside.append(_radius_bound_holds(t, _transposed(t)))
+    assert None not in outside  # no singular gauge in this ensemble
+    # past eps = 1e-3 the deleted window would have refused some of them
+    assert any(outside) == (eps >= 1e-3)
+
+
+def test_relation_residual_bounds_the_breaker_radius():
+    outside = []
+    for s in [1e-6, 1e-3, *np.linspace(0.05, 1.0, 20)]:
+        t = sz.normalize(sz.zoo(f"aklt-breaker:{s}"))
+        outside.append(_radius_bound_holds(t, _transposed(t)))
+    # s >= 0.4 has a singular gauge; 0.05 .. 0.35 lie outside the window
+    assert outside == [False, True] + [True] * 7 + [None] * 13
 
 
 def test_gauge_solve_shape_mismatch(aklt):

@@ -1,8 +1,8 @@
 """Every residual judged against an upper bound goes through ``errors.within``.
 
 Each routed site is forced to refuse, by a negative tolerance in ``Config``,
-by an input whose residual overflows or is off (two different states, for the
-same-state test), or by a NaN standing in for a broken measurement. The
+by an input whose residual overflows or is off, or by a NaN standing in for a
+broken measurement. The
 refusal must keep its class, message, status and payload keys, and report the
 bound it applied as ``tolerance``. The census at the end reaches each
 exported refusal class from one minimal public-API input.
@@ -132,14 +132,6 @@ ROUTED = {
         lambda mp, aklt: psd_power(np.diag([1.0, -0.5]), 0.5),
         sz.NotHermitian, "matrix has a significantly negative eigenvalue; not PSD", NUMERICAL,
         {"min_eigenvalue", "cutoff"}, 1e-12),
-    "gauge_solve": (
-        lambda mp, aklt: sz.gauge_solve(aklt, sz.as_mps(sz.zoo("deformed-aklt:0.5"))),
-        sz.NotReflectionInvariant, "dominant mixed transfer eigenvalue below 1; different states",
-        ("not_reflection_invariant", 3), {"mixed_radius"}, Config().peripheral_tol),
-    "gauge_solve_breaker": (
-        lambda mp, aklt: sz.gauge_solve(aklt, sz.as_mps(sz.zoo("aklt-breaker:0.05"))),
-        sz.NotReflectionInvariant, "dominant mixed transfer eigenvalue below 1; different states",
-        ("not_reflection_invariant", 3), {"mixed_radius"}, Config().peripheral_tol),
     "z2_index_ambiguity": (
         lambda mp, aklt: sz.z2_index(aklt, Config(eps_index=-1.0)),
         sz.AmbiguousSymmetry, "gauge unitary is neither symmetric nor antisymmetric",
@@ -329,10 +321,10 @@ REFUSALS = {
     # a reducible tuple, a singular invariant state
     "NotPrimitive": (lambda aklt: sz.z2_index(sz.zoo("ghz")),
                      lambda aklt: sz.reflected_tuple(np.diag([1.0, 0.0]))),
-    # a state that differs from its reflection, two different states
+    # a state that differs from its reflection, a singular gauge
     "NotReflectionInvariant": (
         lambda aklt: sz.z2_index(sz.zoo("aklt-breaker:1e3")),
-        lambda aklt: sz.gauge_solve(aklt, sz.normalize(sz.zoo("deformed-aklt:0.7")))),
+        lambda aklt: _singular_gauge()),
     "RankDeficient": lambda aklt: psd_power(np.zeros((2, 2)), -0.5),
     "ResourceLimit":
         lambda aklt: sz.scan(sz.family("deformed-aklt", grid=3), Config(scan_cap=2)),
@@ -369,8 +361,8 @@ def test_one_refusal_class_per_status():
 
 def test_a_singular_gauge_is_not_same_state():
     # two primitive tuples that generate the same state have an invertible
-    # intertwiner, so a singular dominant eigenmatrix is the same refusal as a
-    # mixed radius below 1, with polar_unitary's singular values added
+    # intertwiner, so a singular dominant eigenmatrix is gauge_solve's one
+    # refusal, with G's radius and polar_unitary's singular values
     with pytest.raises(sz.SptError) as info:
         _singular_gauge()
     assert type(info.value) is sz.NotReflectionInvariant

@@ -334,8 +334,8 @@ def same_report(a: sz.IndexReport, b: sz.IndexReport) -> None:
 # A vector over Q(i) is carried "realified": its real parts, then its imaginary
 # parts. A Q(i)-subspace is then the Q-span of the realified x and i x of its
 # vectors, so its Q-dimension is twice its dimension over Q(i). numpy only
-# builds integer matrices (exact for the small entries used here); every
-# elimination runs fraction free on Python integers, and nothing calls
+# builds integer matrices, of Python integers (exact for entries of any size);
+# every elimination runs fraction free on Python integers, and nothing calls
 # numpy.linalg.
 
 def _primitive(row: list) -> list:
@@ -373,14 +373,21 @@ def _echelon(rows) -> tuple[list, list]:
     return basis, pivots
 
 
-def _real_form(m: np.ndarray) -> np.ndarray:
-    """The integer matrix, on realified vectors, of the Q(i)-linear map ``m``."""
-    out = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    assert np.array_equal(out, np.rint(out)), "exact_verdict takes Gaussian-integer entries"
-    return np.rint(out).astype(int).astype(object)  # Python integers: no overflow
+def _parts(v) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of a Gaussian-integer array, as Python integers."""
+    v = np.asarray(v, dtype=complex)
+    assert np.array_equal(v, np.rint(v.real) + 1j * np.rint(v.imag)), \
+        "exact_verdict takes Gaussian-integer entries"
+    to_int = np.frompyfunc(int, 1, 1)  # exact for a float of any size, unlike int64
+    return to_int(v.real), to_int(v.imag)
 
 
-def _exact_primitive(v: np.ndarray) -> bool:
+def _real_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The integer matrix, on realified vectors, of the Q(i)-linear map ``re + i im``."""
+    return np.block([[re, -im], [im, re]])
+
+
+def _exact_primitive(re: np.ndarray, im: np.ndarray) -> bool:
     """Whether the words of some length span M_k, over Q(i).
 
     K_0 = span{1} and K_{l+1} = span{X v_mu : X in K_l}, with X held as its
@@ -388,9 +395,10 @@ def _exact_primitive(v: np.ndarray) -> bool:
     M_k (primitive), or K_{l+p} falls inside K_l for a p <= k (it never
     fills), or it is still short at length k**4, the quantum Wielandt bound.
     """
-    k = v.shape[1]
-    steps = [_real_form(np.kron(np.eye(k), m.T)) for m in v]
-    span = _echelon(_real_form(np.eye(k).reshape(-1, 1)).T)[0]
+    k = re.shape[1]
+    one = np.eye(k, dtype=int).astype(object)
+    steps = [_real_form(np.kron(one, a.T), np.kron(one, b.T)) for a, b in zip(re, im)]
+    span = _echelon(_real_form(one.reshape(-1, 1), 0 * one.reshape(-1, 1)).T)[0]
     recent = [span]
     for _ in range(k ** 4):
         rows = np.array(span, dtype=object)
@@ -403,19 +411,21 @@ def _exact_primitive(v: np.ndarray) -> bool:
     return False
 
 
-def _exact_intertwiner_parity(v: np.ndarray, tilde: np.ndarray, c: int) -> int | None:
+def _exact_intertwiner_parity(v: tuple, tilde: tuple, c: int) -> int | None:
     """Transpose parity of a nonzero Y with ``Y tilde_mu = c v_mu Y`` for every mu.
 
     None when only Y = 0 solves it. On the row-major vec of Y the map is
     ``kron(1, tilde_mu^T) - c kron(v_mu, 1)``. For a primitive tuple a
     nonzero solution is invertible, unique up to a scalar, and symmetric or
-    antisymmetric.
+    antisymmetric. ``v`` and ``tilde`` are (real, imaginary) pairs of
+    :func:`_parts`.
     """
-    k = v.shape[1]
+    k = v[0].shape[1]
     n = k * k
-    one = np.eye(k)
-    equations = np.vstack([_real_form(np.kron(one, mt.T) - c * np.kron(m, one))
-                           for m, mt in zip(v, tilde)])
+    one = np.eye(k, dtype=int).astype(object)
+    equations = np.vstack([
+        _real_form(*(np.kron(one, t[mu].T) - c * np.kron(m[mu], one) for m, t in zip(v, tilde)))
+        for mu in range(len(v[0]))])
     basis, pivots = _echelon(equations)
     free = [j for j in range(2 * n) if j not in pivots]
     if not free:
@@ -444,11 +454,11 @@ def exact_verdict(v: np.ndarray, perm=None) -> int | str:
     is +1 or -1: reflecting twice gives back the tuple with the phase c^2,
     which primitivity forces to 1.
     """
-    v = np.asarray(v, dtype=complex)
-    if not _exact_primitive(v):
+    v = _parts(v)
+    if not _exact_primitive(*v):
         return "not_primitive"
-    pi = np.arange(len(v)) if perm is None else np.asarray(perm)
-    tilde = np.transpose(v[pi], (0, 2, 1))
+    pi = np.arange(len(v[0])) if perm is None else np.asarray(perm)
+    tilde = tuple(np.transpose(part[pi], (0, 2, 1)) for part in v)
     for c in (1, -1):
         sign = _exact_intertwiner_parity(v, tilde, c)
         if sign is not None:
