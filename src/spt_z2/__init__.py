@@ -1,10 +1,14 @@
 """Z2 reflection index of translation-invariant matrix product states.
 
-Public surface re-exported here: tuple handling and certificates
-(:mod:`.mps`), the reflection pipeline (:mod:`.reflection`), modular data of
-bipartite vectors (:mod:`.modular`), parent-Hamiltonian diagnostics
-(:mod:`.hamiltonian`), the model zoo and parameter scans (:mod:`.scan`), and
-the shared tolerance configuration (:mod:`.config`).
+``__all__`` is the library: the entries that README's "Library use", the CLI
+and the acceptance tests read, the records they take or return, and the
+refusal classes a caller can receive. Tuple handling and certificates come
+from :mod:`.mps`, the index from :mod:`.reflection`, modular data of
+bipartite vectors from :mod:`.modular`, parent-Hamiltonian diagnostics from
+:mod:`.hamiltonian`, the model zoo and parameter scans from :mod:`.scan`, and
+the shared tolerance configuration from :mod:`.config`. The stages behind
+them (``herm_eig``, ``gauge_solve``, ``marginal`` and the rest) stay in their
+modules and are not re-exported.
 """
 
 from .config import DEFAULT, Config
@@ -20,48 +24,37 @@ from .errors import (
     NotNormalizable,
     NotPrimitive,
     NotReflectionInvariant,
-    RankDeficient,
     ResourceLimit,
     SptError,
 )
-from .hamiltonian import (ChainBlock, EdBlock, EdReport, ParentInteraction, chain_hamiltonian,
-                          ed_report, parent_interaction, reflection_check)
-from .linalg import herm_eig, peripheral_eigs, polar_unitary, psd_power
-from .modular import (
-    BipartiteVector,
-    ModularReport,
-    SchmidtData,
-    as_bipartite,
-    bond_vector,
-    modular_data,
-    schmidt,
-    swap_sign,
-)
-from .mps import (
-    InvariantState,
-    Marginal,
-    MpsTuple,
-    PrimitivityCertificate,
-    as_mps,
-    block,
-    invariant_state,
-    marginal,
-    normalize,
-    primitivity,
-    transfer_spectrum,
-)
-from .reflection import (
-    GaugeSolution,
-    IndexReport,
-    ReflectedTuple,
-    ReflectionEvidence,
-    gauge_solve,
-    reflected_tuple,
-    reflection_invariant,
-    z2_index,
-)
+from .hamiltonian import (EdBlock, EdReport, ParentInteraction, ed_report, parent_interaction,
+                          reflection_check)
+from .modular import (BipartiteVector, ModularReport, SchmidtData, as_bipartite, bond_vector,
+                      modular_data, swap_sign)
+from .mps import (MpsTuple, PrimitivityCertificate, as_mps, block, normalize, primitivity,
+                  transfer_spectrum)
+from .reflection import IndexReport, ReflectionEvidence, reflection_invariant, z2_index
 from .scan import MODELS, FamilySpec, ScanPoint, ScanReport, family, scan, zoo
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # configuration
+    "Config", "DEFAULT",
+    # refusals
+    "SptError", "AmbiguousSymmetry", "ConvergenceFailure", "DegenerateSupport", "DimensionCap",
+    "Inconclusive", "InvalidInput", "NormalizationBroken", "NotHermitian", "NotNormalizable",
+    "NotPrimitive", "NotReflectionInvariant", "ResourceLimit",
+    # tuples and the index
+    "MpsTuple", "PrimitivityCertificate", "as_mps", "block", "normalize", "primitivity",
+    "transfer_spectrum",
+    "IndexReport", "ReflectionEvidence", "reflection_invariant", "z2_index",
+    # modular data
+    "BipartiteVector", "ModularReport", "SchmidtData", "as_bipartite", "bond_vector",
+    "modular_data", "swap_sign",
+    # parent Hamiltonian
+    "EdBlock", "EdReport", "ParentInteraction", "ed_report", "parent_interaction",
+    "reflection_check",
+    # models and scans
+    "MODELS", "FamilySpec", "ScanPoint", "ScanReport", "family", "scan", "zoo",
+]

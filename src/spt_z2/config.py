@@ -1,10 +1,10 @@
 """Tolerance and limit configuration, and the one input boundary.
 
 The tolerances and caps a user may set live in one frozen dataclass, and
-every envelope states the values that produced it. Every public operation,
-the kernel in :mod:`spt_z2.linalg` included, takes ``config``, by default
-:data:`DEFAULT` (one shared instance, as a ``Config`` is frozen); none takes a
-keyword that shadows a field. Construction is the one validity check,
+every envelope states the values that produced it. Every operation that
+applies a setting takes ``config``, by default :data:`DEFAULT` (one shared
+instance, as a ``Config`` is frozen); none takes a keyword that shadows a
+field. Construction is the one validity check,
 whatever the source (flags, a ``--config`` file or a library caller): every
 field is a plain number, never None. Every float is finite (negative values
 are legal and only force refusals), ``rank_tol`` is at least 0,
@@ -24,9 +24,7 @@ Every number and array from outside is read by one rule each, all here:
 :func:`is_finite_real` (no bool, NaN, infinity or integer too large for a
 float), :func:`is_int` (no bool, magnitude below 2**63), :func:`numeric_array`
 (a float or complex array of numbers, never text), :func:`square_array` (its
-result, a nonempty square matrix, for the matrix entry points of
-:mod:`spt_z2.linalg` and ``as_bipartite``; ``herm_eig`` refuses a
-non-finite entry as ``NotHermitian``) and :func:`finite_array` (its
+result, a nonempty square matrix) and :func:`finite_array` (its
 result, with finite entries, as a C-contiguous complex array); tuple,
 vector and family files hold no null. Every tuple parameter of an exported
 function is read by :func:`spt_z2.mps.as_mps`,
@@ -43,6 +41,11 @@ record's ``key`` too. Refusals are :class:`InvalidInput`, with ``key``
 where a setting or a named argument is refused (``family`` and ``zoo``
 included).
 A representable but huge cap is still unbounded work.
+
+These refusals are the contract of the names in ``spt_z2.__all__``. A
+module-level stage outside it (``herm_eig``, ``marginal``, ``gauge_solve``
+and the rest) takes values that an exported entry or an earlier stage has
+checked; what it still checks of them is no part of that contract.
 
 Not every threshold is here: the 11 fixed ones below (1e-300 division guards
 aside) sit in the code that applies them. The five marked (w) are bounds

@@ -82,9 +82,9 @@ class NormalizationBroken(SptError):
 class NotPrimitive(SptError):
     """The tuple fails the primitivity certificate, a singular invariant state included.
 
-    A primitive tuple's invariant state is faithful, so
-    :func:`spt_z2.invariant_state`, :func:`spt_z2.reflected_tuple` and
-    :func:`spt_z2.marginal` refuse a singular one as this class.
+    A primitive tuple's invariant state is faithful, so the index's stages
+    (:func:`spt_z2.mps.invariant_state`, :func:`spt_z2.reflection.reflected_tuple`
+    and :func:`spt_z2.mps.marginal`) refuse a singular one as this class.
     """
 
     status = "not_primitive"
@@ -133,10 +133,10 @@ class ConvergenceFailure(SptError):
 class RankDeficient(SptError):
     """Polar decomposition requested for a (numerically) singular matrix.
 
-    Also raised by ``psd_power`` for a negative power of the zero matrix.
-    Inside :func:`spt_z2.reflection.gauge_solve` it becomes
-    :class:`NotReflectionInvariant`, that function's one refusal, which the
-    index's stages catch.
+    Only :func:`spt_z2.linalg.polar_unitary` raises it, and its one caller,
+    :func:`spt_z2.reflection.gauge_solve`, turns it into
+    :class:`NotReflectionInvariant`, which the index's stages catch. It never
+    reaches a caller of the library, so ``spt_z2`` does not export it.
     """
 
 

@@ -28,14 +28,17 @@ exactly when ``S conj(T) S = T``. The mixed reflection map
 not that, so it has no real form in this basis and stays complex.
 
 Hermitian eigensystems are returned with eigenvalues ascending (LAPACK order).
-:func:`herm_eig`, the public solver, fixes each eigenvector's phase at once,
+:func:`herm_eig`, the checked solver, fixes each eigenvector's phase at once,
 so that its first component of significant modulus is real and positive.
 Internal solves (:func:`_eigh`) keep LAPACK's vectors: their callers read
 only eigenvalues or build ``V f(D) V^dagger``, which no column phase changes.
 The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
-unitaries and Schmidt vectors follow it too. The public matrix entry points
-check their input, read by :func:`spt_z2.config.square_array`: an empty,
-ragged, non-numeric or non-square matrix is :class:`InvalidInput`. A
+unitaries and Schmidt vectors follow it too. None of the functions here is
+in ``spt_z2.__all__``: the package's stages call them on matrices they built
+(rho, M M^dagger, a transfer matrix, a gauge eigenmatrix). The matrix
+functions read their input by :func:`spt_z2.config.square_array` all the
+same: an empty, ragged, non-numeric or non-square matrix is
+:class:`InvalidInput`. A
 non-finite entry fails the Hermiticity check of :func:`herm_eig` as
 :class:`NotHermitian`, and is :class:`InvalidInput` to :func:`peripheral_eigs`
 and :func:`polar_unitary`, as a size that is not a square k**2 is to
@@ -239,7 +242,6 @@ def peripheral_eigs(mat: np.ndarray,
     arithmetic, with no copy. A non-finite entry and a size that is not a
     square k**2, which has no k x k eigenmatrices, are :class:`InvalidInput`.
     """
-    require_config(config)
     mat = square_array(mat)
     if not np.isfinite(mat).all():
         raise InvalidInput("matrix entries must be finite")
@@ -259,22 +261,17 @@ def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.nda
 
     Eigenvalues at most ``rank_tol`` times the largest are treated as exact
     zeros: for negative powers they are pseudo-inverted to zero, for positive
-    powers they contribute nothing. Negative eigenvalues beyond that window
-    are rejected, as is a power that is not a finite real number.
+    powers they contribute nothing, so every power of the zero matrix is zero.
+    Negative eigenvalues beyond that window are rejected, as is a power that
+    is not a finite real number.
     """
-    require_config(config)
     if not is_finite_real(power):
         raise InvalidInput("power must be a finite real number", key="power",
                            got=type(power).__name__)
     sys = herm_eig(rho, config)
     w, u = sys.values, sys.vectors
-    top = float(w.max(initial=0.0))
-    if top <= 0.0:
-        if power < 0:
-            raise RankDeficient("psd_power of the zero matrix with negative exponent")
-        return np.zeros_like(np.asarray(rho, dtype=complex))
-    cut = config.rank_tol * top
-    lo = float(w.min())
+    cut = config.rank_tol * float(w[-1])
+    lo = float(w[0])
     within(-lo, cut, NotHermitian, "matrix has a significantly negative eigenvalue; not PSD",
            min_eigenvalue=lo, cutoff=cut)
     wp = np.zeros_like(w)

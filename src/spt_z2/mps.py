@@ -342,11 +342,12 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
     carries ``spectral_gap``. ``rho`` has trace one. The radius r itself is
     not judged: for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with
     E(1) = sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel
-    residual, which :func:`require_normalized` bounds by ``10 eps_norm``.
+    residual. Both callers pass a tuple whose residual :func:`primitivity`
+    has bounded by ``10 eps_norm`` (:func:`require_normalized`): primitivity
+    itself, and the index's stages after it, so that bound is not checked
+    again here.
     """
-    require_config(config)
     t = as_mps(t)
-    require_normalized(t, config)
     on, gap = peripheral_window(transfer_spectrum(t), config)
     periph = int(on.sum())
     if periph != 1:
@@ -410,15 +411,19 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     at a time, so memory stays O(d^l k^2) and no d^l x d^l matrix is formed.
     The nonzero spectrum, and so the rank, comes from the smaller of the Grams
     ``Phi Phi^dagger`` and ``Phi^dagger Phi``, at most k^2 x k^2. Indices are
-    big-endian words. The reflection check takes only the l = 1 factor and
-    advances it by QR
-    (:func:`spt_z2.reflection._marginal_reversal_residual`).
+    big-endian words. The reflection check, the one caller, takes only the
+    l = 1 factor and advances it by QR
+    (:func:`spt_z2.reflection._marginal_reversal_residual`). ``dense_cap``
+    prices the d^l rows from l = 2: the l = 1 factor has d rows of k^2
+    entries, the size of the tuple itself. The Cholesky factor of a singular
+    ``rho`` (reachable at ``rank_tol = 0``) is refused as :class:`NotPrimitive`.
     """
     require_config(config)
     t = as_mps(t)
     if not (is_int(l) and l >= 1):
         raise InvalidInput("marginal needs an integer l >= 1", l=l)
-    _word_count(t.d, l, config.dense_cap, "marginal dimension")
+    if l > 1:
+        _word_count(t.d, l, config.dense_cap, "marginal dimension")
     rho = finite_array(rho, "state")
     if rho.shape != (t.k, t.k):
         raise InvalidInput("state must be a k x k matrix", shape=list(rho.shape), k=t.k)

@@ -87,7 +87,6 @@ def reflected_tuple(rho: np.ndarray, config: Config = DEFAULT) -> ReflectedTuple
     a tuple in channel form, satisfies the dual condition
     ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
     """
-    require_config(config)
     sys = _positive_definite(herm_eig(rho, config), NotPrimitive,
                              "invariant state is singular; reflected tuple undefined", config)
     return ReflectedTuple(basis=sys.vectors[:, ::-1].copy(), rho_diag=sys.values[::-1].copy())
@@ -135,7 +134,6 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
     Unlike the transfer map, G is decomposed in complex arithmetic, for the
     reason the docstring of :mod:`spt_z2.linalg` gives.
     """
-    require_config(config)
     t, s = as_mps(t), as_mps(s)
     if t.d != s.d or t.k != s.k:
         raise InvalidInput("tuples must share (d, k)",

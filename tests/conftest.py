@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
+from spt_z2 import mps
 
 try:
     from numpy.exceptions import ComplexWarning
@@ -32,7 +33,7 @@ def aklt_report():
 
 @pytest.fixture(scope="session")
 def aklt_rho(aklt):
-    return sz.invariant_state(aklt)
+    return mps.invariant_state(aklt)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import cli, linalg, mps, reflection
+from spt_z2 import cli, hamiltonian, linalg, modular, mps, reflection
 from spt_z2.config import is_finite_real, is_int
 from spt_z2.errors import STATUS_EXIT
 from spt_z2.scan import check_grid
@@ -587,8 +587,6 @@ CLI_REFUSALS = {
 
 # exported refusal classes that no argv reaches, and why
 CLI_UNREACHED = {
-    "RankDeficient": "gauge_solve converts polar_unitary's into NotReflectionInvariant, and "
-                     "the CLI takes psd_power only to the power 0.5",
     "NormalizationBroken": "normalize leaves a channel residual of at most eps_norm, and "
                            "require_normalized allows 10 eps_norm; only block can break it",
 }
@@ -722,8 +720,16 @@ def test_env_config_pickup(tmp_path):
     # a config file is named by --config; its settings reach every stage
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"dense_cap": 2}))
-    code, env = run(["index", "--model", "aklt", "--config", str(cfg_path)])
+    code, env = run(["parent-ham", "--model", "aklt", "--config", str(cfg_path)])
     assert code == 8 and env["status"] == "resource_limit"
+    assert env["config"]["dense_cap"] == 2
+
+
+def test_dense_cap_does_not_shorten_the_index():
+    # the index forms no dense space of more than one site, and a one-site
+    # marginal is the size of the tuple, so no cap refuses it
+    code, env = run(["index", "--model", "aklt", "--dense-cap", "2"])
+    assert code == 0 and env["result"]["zeta"] == -1
     assert env["config"]["dense_cap"] == 2
 
 
@@ -790,12 +796,12 @@ def test_no_setting_is_none():
         assert field.type in ("float", "int"), field.name
         assert type(field.default) is {"float": float, "int": int}[field.type], field.name
     # every public operation that takes config shares one frozen default, the
-    # 19 that spt_z2 exports among them
+    # 10 that spt_z2 exports among them
     takers = _config_takers()
     for fn in takers:
         assert inspect.signature(fn).parameters["config"].default is sz.DEFAULT, fn.__qualname__
     exported = {value for value in map(sz.__dict__.get, sz.__all__) if inspect.isfunction(value)}
-    assert (len(takers), len(takers & exported)) == (22, 19)
+    assert (len(takers), len(takers & exported)) == (22, 10)
 
 
 def _bell():
@@ -806,25 +812,27 @@ def _bell():
 CONFIG_CALLS = {
     "hamiltonian.parent_interaction": lambda t, cfg: sz.parent_interaction(t, 2, config=cfg),
     "hamiltonian.chain_hamiltonian":
-        lambda t, cfg: sz.chain_hamiltonian(sz.parent_interaction(t, 2), 2, "open", config=cfg),
+        lambda t, cfg: hamiltonian.chain_hamiltonian(sz.parent_interaction(t, 2), 2, "open",
+                                                     config=cfg),
     "hamiltonian.ed_report":
         lambda t, cfg: sz.ed_report(sz.parent_interaction(t, 2), 2, "open", config=cfg),
-    "linalg.herm_eig": lambda t, cfg: sz.herm_eig(np.eye(2), config=cfg),
+    "linalg.herm_eig": lambda t, cfg: linalg.herm_eig(np.eye(2), config=cfg),
     "linalg.peripheral_window":
         lambda t, cfg: linalg.peripheral_window(np.array([1.0, 0.5]), config=cfg),
-    "linalg.peripheral_eigs": lambda t, cfg: sz.peripheral_eigs(np.eye(4), config=cfg),
-    "linalg.psd_power": lambda t, cfg: sz.psd_power(np.eye(2), 0.5, config=cfg),
-    "modular.schmidt": lambda t, cfg: sz.schmidt(_bell(), config=cfg),
+    "linalg.peripheral_eigs": lambda t, cfg: linalg.peripheral_eigs(np.eye(4), config=cfg),
+    "linalg.psd_power": lambda t, cfg: linalg.psd_power(np.eye(2), 0.5, config=cfg),
+    "modular.schmidt": lambda t, cfg: modular.schmidt(_bell(), config=cfg),
     "modular.swap_sign": lambda t, cfg: sz.swap_sign(_bell(), config=cfg),
     "modular.modular_data": lambda t, cfg: sz.modular_data(_bell(), config=cfg),
     "mps.require_normalized": lambda t, cfg: mps.require_normalized(t, config=cfg),
     "mps.normalize": lambda t, cfg: sz.normalize(t.v, config=cfg),
     "mps.primitivity": lambda t, cfg: sz.primitivity(t, config=cfg),
-    "mps.invariant_state": lambda t, cfg: sz.invariant_state(t, config=cfg),
-    "mps.marginal": lambda t, cfg: sz.marginal(t, np.eye(2) / 2, 1, config=cfg),
+    "mps.invariant_state": lambda t, cfg: mps.invariant_state(t, config=cfg),
+    "mps.marginal": lambda t, cfg: mps.marginal(t, np.eye(2) / 2, 1, config=cfg),
     "mps.block": lambda t, cfg: sz.block(t, 2, config=cfg),
-    "reflection.reflected_tuple": lambda t, cfg: sz.reflected_tuple(np.eye(2) / 2, config=cfg),
-    "reflection.gauge_solve": lambda t, cfg: sz.gauge_solve(t, t, config=cfg),
+    "reflection.reflected_tuple":
+        lambda t, cfg: reflection.reflected_tuple(np.eye(2) / 2, config=cfg),
+    "reflection.gauge_solve": lambda t, cfg: reflection.gauge_solve(t, t, config=cfg),
     "reflection.reflection_invariant": lambda t, cfg: sz.reflection_invariant(t, config=cfg),
     "reflection.z2_index": lambda t, cfg: sz.z2_index(t, config=cfg),
     "scan.check_grid": lambda t, cfg: check_grid(sz.family("deformed-aklt"), config=cfg),

@@ -203,3 +203,108 @@ def test_fuzz_integer_tuples_match_the_exact_verdict():
         agree.append((stream, case))
     assert agree == [("array", 13)]  # an entry read as False: not reflection invariant
     assert disagree == FUZZ_NAMED
+
+
+# -- the differential cell: exact verdicts under ill-conditioned integer gauges
+
+def _shear(v, m):
+    """``g v_mu g^-1`` for the unimodular shear g = 1 + m E_{0,k-1}, of condition
+    about m**2, computed in Python integers and exact in float64."""
+    k = v.shape[1]
+    g, g_inv = np.eye(k, dtype=object), np.eye(k, dtype=object)
+    g[0, k - 1], g_inv[0, k - 1] = m, -m
+    parts = [np.array([g @ x @ g_inv for x in np.rint(p).astype(int).astype(object)])
+             for p in (v.real, v.imag)]
+    assert max(abs(int(x)) for p in parts for x in p.flat) < 2 ** 53
+    return parts[0].astype(float) + 1j * parts[1].astype(float)
+
+
+def _cell():
+    """(name, tuple, involution) of the cell, k >= 2, each exactly primitive or not."""
+    cases = [("aklt", AKLT, None)]
+    for d, k, zeta in ((2, 2, 1), (2, 2, -1), (3, 2, 1), (3, 2, -1), (2, 3, 1), (2, 4, 1),
+                       (2, 4, -1)):
+        for seed in range(2):
+            rng = np.random.default_rng([seed, d, k, zeta + 1, False])
+            cases.append((f"planted-d{d}k{k}{zeta:+d}-{seed}",
+                          *_planted(rng, d, k, zeta, False)))
+    for d, k in ((2, 2), (3, 2), (2, 3)):
+        for seed in range(2):
+            rng = np.random.default_rng([seed, d, k, 9])
+            cases.append((f"random-d{d}k{k}-{seed}", _gaussian(rng, (d, k, k), keep=1.0), None))
+    periodic, _ = _planted(np.random.default_rng([0, 2, 2, 0, False]), 2, 2, -1, False)
+    cases += [
+        ("cycle", np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], dtype=complex), None),
+        ("ghz", np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=complex), None),
+        ("triangular", np.array([[[1, 1], [0, 1]], [[1, 0], [0, -1]]], dtype=complex), None),
+        ("stackA-periodic", stack(periodic, AKLT).v, None),
+    ]
+    return cases
+
+
+# Outcomes other than the exact verdict, by (tuple, m). Every one is refused
+# by normalize, before primitivity is asked: ConvergenceFailure when the
+# rescaled tuple misses the channel condition, NotNormalizable when the
+# dominant fixed point is singular or off the positive axis. At m = 1 these
+# are the two non-primitive tuples with a singular fixed point, as in NAMED.
+CELL_NAMED = {
+    **{(name, 16): "ConvergenceFailure" for name in (
+        "planted-d2k2-1-0", "planted-d3k2+1-0", "planted-d3k2+1-1", "planted-d3k2-1-0",
+        "planted-d2k3+1-0", "planted-d2k4+1-0", "planted-d2k4-1-0")},
+    **{(name, 4096): "NotNormalizable" for name in (
+        "aklt", "planted-d2k2+1-0", "planted-d2k2+1-1", "planted-d2k2-1-0", "planted-d2k2-1-1",
+        "planted-d3k2+1-0", "planted-d3k2+1-1", "planted-d3k2-1-0", "planted-d3k2-1-1",
+        "planted-d2k3+1-0", "planted-d2k3+1-1", "planted-d2k4+1-0", "planted-d2k4+1-1",
+        "planted-d2k4-1-0", "planted-d2k4-1-1", "random-d2k2-0", "random-d3k2-0",
+        "random-d3k2-1", "random-d2k3-0", "random-d2k3-1", "cycle", "stackA-periodic")},
+    **{("random-d2k2-1", m): "NotNormalizable" for m in (1, 16, 4096)},
+    **{("triangular", m): "NotNormalizable" for m in (1, 16)},
+    ("triangular", 4096): "ConvergenceFailure",
+}
+# aklt with the entry (1, 0) of its middle letter set to -2**e: primitive with
+# zeta = -1 for every e. The spectral route sees a second transfer eigenvalue
+# within peripheral_tol of 1 from e = 7, and the word span loses its third
+# direction under the 1e-12 guard from e = 27 (ROADMAP 19).
+TILTED_NAMED = {**{e: "Inconclusive" for e in range(7, 27)},
+                **{e: "NotPrimitive" for e in range(27, 40)},
+                **{e: "NotNormalizable" for e in range(40, 46)}}
+
+
+def _outcome(v, perm=None):
+    try:
+        return sz.z2_index(sz.as_mps(v, reflect_perm=perm)).zeta
+    except sz.SptError as exc:
+        return exc
+
+
+def test_ill_conditioned_integer_gauges_never_make_a_tuple_primitive():
+    named = {}
+    for name, v, perm in _cell():
+        exact = exact_verdict(v, perm)
+        for m in (1, 16, 4096):
+            w = _shear(v, m)
+            assert exact_verdict(w, perm) == exact, (name, m)  # the gauge is exact
+            got = _outcome(w, perm)
+            if isinstance(got, sz.SptError):
+                if exact == "not_primitive":  # no status past the primitivity certificate
+                    assert got.status in ("not_primitive", "numerical_error"), (name, m)
+                if got.status != exact:
+                    named[name, m] = type(got).__name__
+                continue
+            assert got == exact, (name, m, got, exact)  # no wrong sign, no false primitive
+    assert named == CELL_NAMED
+
+
+def test_the_tilted_aklt_family_is_named():
+    named = {}
+    for e in range(1, 46):
+        v = AKLT.copy()
+        v[1, 1, 0] = -(2 ** e)
+        exact = exact_verdict(v)
+        assert exact == -1, e
+        got = _outcome(v)
+        if isinstance(got, sz.SptError):
+            named[e] = type(got).__name__
+        else:
+            assert got == exact, e
+    assert named == TILTED_NAMED

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import cli
+from spt_z2 import cli, mps
 from spt_z2.errors import STATUS_EXIT
 
 SCHEMAS = Path(cli.__file__).parent / "schemas"
@@ -167,15 +167,15 @@ def test_hostile_values_are_refused_or_read_by_the_library():
         for key in ("s0", "s1", "grid"):
             _returns_or_refuses(sz.family, "deformed-aklt", **{key: value})
         _returns_or_refuses(sz.parent_interaction, AKLT, m=value)
-        _returns_or_refuses(sz.marginal, AKLT, RHO, value)
-        _returns_or_refuses(sz.marginal, AKLT, value, 1)
+        _returns_or_refuses(mps.marginal, AKLT, RHO, value)
+        _returns_or_refuses(mps.marginal, AKLT, value, 1)
         _returns_or_refuses(sz.block, AKLT, value)
 
 
 def test_mutated_arrays_are_refused_or_read_by_the_library():
     rng = np.random.default_rng([SEED, len(VALID)])
     calls = [(sz.as_mps, AKLT.v.tolist()), (sz.as_bipartite, (np.eye(2) / np.sqrt(2)).tolist()),
-             (lambda rho: sz.marginal(AKLT, rho, 2), RHO.tolist())]
+             (lambda rho: mps.marginal(AKLT, rho, 2), RHO.tolist())]
     for call, valid in calls:
         call(valid)
         for _ in range(ARRAY_CASES):

@@ -149,7 +149,7 @@ def test_word_span_is_the_marginal_support(aklt, complex_tuple, model):
          "d3-k3": sz.normalize(known_answer_tuple(np.random.default_rng([3, 3, 3]), 3, 3, +1))
          }[model]
     hint = sz.parent_interaction(t)
-    evals, vecs = np.linalg.eigh(marginal_oracle(t, sz.invariant_state(t).rho, hint.m))
+    evals, vecs = np.linalg.eigh(marginal_oracle(t, mps.invariant_state(t).rho, hint.m))
     support = vecs[:, evals > 1e-10 * evals[-1]]
     assert support.shape[1] == hint.support_rank
     want = np.eye(t.d ** hint.m) - support @ support.conj().T
@@ -221,11 +221,11 @@ def test_huge_window_or_chain_is_refused_at_once(aklt, aklt_h2):
         sz.parent_interaction(aklt, m=10 ** 12)
     assert info.value.payload == {"dimension": None, "cap": 4096}
     with pytest.raises(sz.DimensionCap) as info:
-        sz.chain_hamiltonian(aklt_h2, 10 ** 8, "open")
+        hamiltonian.chain_hamiltonian(aklt_h2, 10 ** 8, "open")
     assert info.value.payload == {"dimension": None, "cap": 4096}
     for n in (2.5, True, 2 ** 63):
         with pytest.raises(sz.InvalidInput):
-            sz.chain_hamiltonian(aklt_h2, n, "open")
+            hamiltonian.chain_hamiltonian(aklt_h2, n, "open")
     with pytest.raises(sz.InvalidInput):
         sz.parent_interaction(aklt, m=10 ** 400)
 
@@ -269,7 +269,7 @@ def test_product_chain():
 def test_open_chain_is_frustration_free(aklt_h2):
     # every kernel vector of every block, in the word basis, is annihilated by each term
     found = 0
-    for blk in sz.chain_hamiltonian(aklt_h2, 4, "open"):
+    for blk in hamiltonian.chain_hamiltonian(aklt_h2, 4, "open"):
         evals, vecs = np.linalg.eigh(blk.h)
         kernel = _parity_basis(aklt_h2, 4, blk.parity) @ vecs[:, evals < 1e-10]
         found += kernel.shape[1]
@@ -287,11 +287,11 @@ def test_periodic_kernel_inside_open_kernel(aklt_h2):
 
 def test_chain_validation(aklt_h2):
     with pytest.raises(sz.InvalidInput):
-        sz.chain_hamiltonian(aklt_h2, 4, "twisted")
+        hamiltonian.chain_hamiltonian(aklt_h2, 4, "twisted")
     with pytest.raises(sz.InvalidInput):
-        sz.chain_hamiltonian(aklt_h2, 1, "open")
+        hamiltonian.chain_hamiltonian(aklt_h2, 1, "open")
     with pytest.raises(sz.DimensionCap):
-        sz.chain_hamiltonian(aklt_h2, 8, "open")
+        hamiltonian.chain_hamiltonian(aklt_h2, 8, "open")
 
 
 @pytest.mark.parametrize("model,m,n,boundary", [
@@ -304,7 +304,7 @@ def test_chain_matches_kron_oracle(aklt, complex_tuple, model, m, n, boundary):
     # merged spectrum is the oracle's
     hint = sz.parent_interaction(aklt if model == "aklt" else complex_tuple, m=m)
     want = _chain_oracle(hint, n, boundary)
-    blocks = list(sz.chain_hamiltonian(hint, n, boundary))
+    blocks = list(hamiltonian.chain_hamiltonian(hint, n, boundary))
     assert [blk.parity for blk in blocks] == [1, -1]
     for blk in blocks:
         oracle = _compressed(want, _parity_pairs(hint, n, blk.parity))
@@ -323,7 +323,7 @@ def test_reflection_blocks_are_exact(aklt, complex_tuple, model, m, n, boundary)
     t = {"aklt": aklt, "complex": complex_tuple, "blocked": sz.block(aklt, 2)}[model]
     hint = sz.parent_interaction(t, m=m)
     f = _fixed_words(hint, n)
-    blocks = list(sz.chain_hamiltonian(hint, n, boundary))
+    blocks = list(hamiltonian.chain_hamiltonian(hint, n, boundary))
     assert [(blk.parity, blk.h.shape) for blk in blocks] == [
         (1, ((hint.d ** n + f) // 2,) * 2), (-1, ((hint.d ** n - f) // 2,) * 2)]
     for blk in blocks:
@@ -336,7 +336,7 @@ def test_unreflected_chain_is_one_block(aklt):
     # the oracle's sum with the same bits, exactly Hermitian as summed
     hint = sz.parent_interaction(sz.normalize(sz.zoo("aklt-breaker:0.3")))
     assert abs(sz.reflection_check(hint) - 2.35) < 0.01
-    (blk,) = sz.chain_hamiltonian(hint, 5, "open")
+    (blk,) = hamiltonian.chain_hamiltonian(hint, 5, "open")
     assert blk.parity == 1 and blk.h.dtype == np.float64
     assert np.array_equal(blk.h, _chain_oracle(hint, 5, "open"))
     assert np.array_equal(blk.h, blk.h.T)
@@ -367,7 +367,7 @@ def test_non_hermitian_interaction_is_refused(aklt):
     skewed = hint.h.copy()
     skewed[0, 1] += 1e-3
     with pytest.raises(sz.NotHermitian) as info:
-        sz.chain_hamiltonian(hint._replace(h=skewed), 4, "open")
+        hamiltonian.chain_hamiltonian(hint._replace(h=skewed), 4, "open")
     assert info.value.payload["tolerance"] == sz.DEFAULT.eps_herm
 
 
@@ -447,7 +447,7 @@ def test_chain_reads_its_interaction_once(aklt_h2, monkeypatch):
     calls = []
     read = hamiltonian._read_hint
     monkeypatch.setattr(hamiltonian, "_read_hint", lambda hint: calls.append(1) or read(hint))
-    blocks = list(sz.chain_hamiltonian(aklt_h2, 4, "open"))
+    blocks = list(hamiltonian.chain_hamiltonian(aklt_h2, 4, "open"))
     assert len(calls) == 1 and [blk.parity for blk in blocks] == [1, -1]
     sz.ed_report(aklt_h2, 4, "open")
     assert len(calls) == 2
@@ -456,7 +456,7 @@ def test_chain_reads_its_interaction_once(aklt_h2, monkeypatch):
 def test_overflowing_chain_is_refused():
     # 1e308 entries: the chain's sums would overflow, so no block is built
     hint = _site_hint(np.full((2, 2), 1e308))
-    for call in (sz.chain_hamiltonian, sz.ed_report):
+    for call in (hamiltonian.chain_hamiltonian, sz.ed_report):
         with pytest.raises(sz.SptError) as info:
             call(hint, 4, "open")
         assert type(info.value) is sz.InvalidInput

@@ -293,14 +293,16 @@ def test_psd_power_pseudo_inverse():
 
 
 def test_psd_power_rejects_negative():
-    with pytest.raises(errors.NotHermitian):
-        psd_power(np.diag([1.0, -0.5]), 0.5)
+    # a negative definite matrix too: no eigenvalue is positive, and none is zero
+    for rho in (np.diag([1.0, -0.5]), -np.eye(2), np.diag([-1.0, -2.0])):
+        with pytest.raises(errors.NotHermitian):
+            psd_power(rho, 0.5)
 
 
 def test_psd_power_zero_matrix():
-    assert np.allclose(psd_power(np.zeros((3, 3)), 0.5), 0.0)
-    with pytest.raises(errors.RankDeficient):
-        psd_power(np.zeros((3, 3)), -0.5)
+    # every eigenvalue is at the floor rank_tol * 0, so each power is the zero matrix
+    for power in (0.5, -0.5):
+        assert np.array_equal(psd_power(np.zeros((3, 3)), power), np.zeros((3, 3)))
 
 
 def test_pos_def_eig_rule():

@@ -40,7 +40,7 @@ def test_as_bipartite_normalizes_where_norms_cannot_overflow():
 
 def test_schmidt_diagonal():
     omega = sz.as_bipartite(np.diag([np.sqrt(0.7), np.sqrt(0.3)]))
-    sch = sz.schmidt(omega)
+    sch = modular.schmidt(omega)
     assert np.allclose(sch.lam, [0.7, 0.3], atol=1e-12)
     assert sch.support_dim == 2
     assert np.allclose(sch.u, np.eye(2), atol=1e-12)
@@ -48,7 +48,7 @@ def test_schmidt_diagonal():
 
 def test_schmidt_reconstruction_and_isometry(rng):
     omega = random_bipartite(rng, 4)
-    sch = sz.schmidt(omega)
+    sch = modular.schmidt(omega)
     assert sch.support_dim == 4
     assert abs(sch.lam.sum() - 1.0) < 1e-12
     assert np.all(np.diff(sch.lam) <= 1e-15)
@@ -59,7 +59,7 @@ def test_schmidt_reconstruction_and_isometry(rng):
 
 
 def test_schmidt_singlet_anchor():
-    sch = sz.schmidt(sz.as_bipartite(SINGLET))
+    sch = modular.schmidt(sz.as_bipartite(SINGLET))
     assert np.allclose(sch.lam, [0.5, 0.5], atol=1e-12)
     # the isometry is the antisymmetric off-diagonal unitary squaring to -1
     assert np.allclose(sch.u + sch.u.T, 0.0, atol=1e-12)
@@ -70,13 +70,13 @@ def test_schmidt_singlet_anchor():
 def test_schmidt_refuses_an_empty_support():
     # no singular value lies above rank_tol = 1 times the largest
     with pytest.raises(sz.DegenerateSupport, match="Schmidt support is empty") as info:
-        sz.schmidt(sz.as_bipartite(SINGLET), sz.Config(rank_tol=1))
+        modular.schmidt(sz.as_bipartite(SINGLET), sz.Config(rank_tol=1))
     assert info.value.payload == {"rank_tol": 1}
 
 
 def test_schmidt_antisymmetric_support_is_even(rng):
     omega = random_bipartite(rng, 5, symmetry="antisym")
-    sch = sz.schmidt(omega)
+    sch = modular.schmidt(omega)
     assert sch.support_dim == 4
 
 

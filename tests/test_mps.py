@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import mps
+from spt_z2 import mps, reflection
 from spt_z2.linalg import frob, hermitian_real, unvec, vec
 from spt_z2.mps import reverse_word_index, transfer_matrix
 from spt_z2.reflection import _marginal_reversal_residual
@@ -42,7 +42,7 @@ def test_as_mps_refuses_what_numpy_cannot_read(obj):
 
 @pytest.mark.parametrize("call", [
     lambda: sz.as_bipartite([["1"]]),
-    lambda: sz.marginal(sz.normalize(sz.zoo("aklt")), [["0.5", "0"], ["0", "0.5"]], 1),
+    lambda: mps.marginal(sz.normalize(sz.zoo("aklt")), [["0.5", "0"], ["0", "0.5"]], 1),
 ], ids=["as_bipartite", "marginal-state"])
 def test_text_entries_are_not_numbers(call):
     # numeric_array decides what an array entry is, for finite_array too
@@ -434,7 +434,7 @@ def test_a_looser_eps_norm_governs_the_invariant_state():
     # radius 1 + 2e-8, inside the channel bound 10 * eps_norm = 1e-4; a
     # fixed 1e-8 on abs(r - 1) refused this tuple after require_normalized passed it
     raw = 1.00000001 * sz.zoo("aklt")
-    state = sz.invariant_state(sz.as_mps(raw), sz.Config(eps_norm=1e-5))
+    state = mps.invariant_state(sz.as_mps(raw), sz.Config(eps_norm=1e-5))
     assert abs(np.trace(state.rho) - 1.0) < 1e-12
     assert sz.z2_index(raw, sz.Config(eps_norm=1e-5)).zeta == -1
 
@@ -448,14 +448,14 @@ def test_a_looser_eps_norm_governs_the_marginal_trace(f):
     loose = sz.Config(eps_norm=1e-5)
     assert sz.z2_index(raw, loose).zeta == -1
     t = sz.as_mps(raw)
-    assert sz.marginal(t, np.eye(2) / 2, 4, loose).rank == 4
+    assert mps.marginal(t, np.eye(2) / 2, 4, loose).rank == 4
     with pytest.raises(sz.ConvergenceFailure, match="marginal trace drifted from 1"):
-        sz.marginal(t, np.eye(2) / 2, 1)
+        mps.marginal(t, np.eye(2) / 2, 1)
 
 
 def test_invariant_state_oracle(rng):
     t = random_channel_tuple(rng, 2, 3)
-    state = sz.invariant_state(t)
+    state = mps.invariant_state(t)
     rho = state.rho
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert frob(rho - rho.conj().T) < 1e-12
@@ -465,12 +465,12 @@ def test_invariant_state_oracle(rng):
 
 def test_invariant_state_ghz_not_primitive():
     with pytest.raises(sz.NotPrimitive):
-        sz.invariant_state(sz.normalize(sz.zoo("ghz")))
+        mps.invariant_state(sz.normalize(sz.zoo("ghz")))
 
 
 def test_invariant_state_not_faithful():
     with pytest.raises(sz.NotPrimitive) as info:
-        sz.invariant_state(sigma_plus_tuple())
+        mps.invariant_state(sigma_plus_tuple())
     assert info.value.message == "invariant state is singular within tolerance"
 
 
@@ -481,9 +481,9 @@ def test_invariant_state_not_faithful():
      (sz.NotNormalizable, "dominant fixed point is not positive definite",
       {"min_eigenvalue": -1.6653345369377348e-16})),
     # invariant_state adds the transfer gap, which primitivity reads
-    (lambda: sz.invariant_state(sigma_plus_tuple()),
+    (lambda: mps.invariant_state(sigma_plus_tuple()),
      (sz.NotPrimitive, "invariant state is singular within tolerance", {"spectral_gap": 1.0})),
-    (lambda: sz.reflected_tuple(np.diag([0.0, 1.0])),
+    (lambda: reflection.reflected_tuple(np.diag([0.0, 1.0])),
      (sz.NotPrimitive, "invariant state is singular; reflected tuple undefined", {})),
     # primitivity reads the refusal as a failed spectral route
     (lambda: sz.primitivity(sigma_plus_tuple()).is_primitive, None),
@@ -514,19 +514,19 @@ def test_one_positive_fixed_point_routine(monkeypatch, aklt):
     assert seen == [sz.NotNormalizable]
     assert sz.normalize(aklt) is aklt
     assert seen == [sz.NotNormalizable]
-    sz.invariant_state(aklt)
+    mps.invariant_state(aklt)
     assert seen == [sz.NotNormalizable, sz.ConvergenceFailure]
     # primitivity's spectral route is invariant_state
     assert sz.primitivity(aklt).spectral_gap == pytest.approx(2 / 3)
     assert len(seen) == 3
 
     with pytest.raises(sz.NotPrimitive) as info:
-        sz.invariant_state(sigma_plus_tuple())
+        mps.invariant_state(sigma_plus_tuple())
     assert info.value.message == "invariant state is singular within tolerance"
     assert len(seen) == 4
     # a reducible tuple is refused before any fixed point is sought
     with pytest.raises(sz.NotPrimitive) as info:
-        sz.invariant_state(sz.normalize(sz.zoo("ghz")))
+        mps.invariant_state(sz.normalize(sz.zoo("ghz")))
     assert info.value.message == "dominant transfer eigenvalue is not simple"
     assert info.value.payload == {"peripheral_count": 2, "spectral_gap": 1.0}
     assert len(seen) == 4
@@ -550,9 +550,8 @@ def test_each_fixed_point_is_judged_once(monkeypatch, aklt):
     assert judged == [("identity has no component along a positive fixed point", 1e-7),
                       ("normalization residual above tolerance after rescaling", 1e-9)]
     judged.clear()
-    sz.invariant_state(aklt)
-    assert judged == [("tuple does not satisfy the channel condition", 1e-8),
-                      ("invariant state residual above tolerance", 1e-8)]
+    mps.invariant_state(aklt)  # the channel condition is its callers' to check
+    assert judged == [("invariant state residual above tolerance", 1e-8)]
 
 
 def test_invariant_state_residual_miss_is_numerical(monkeypatch, aklt):
@@ -565,7 +564,7 @@ def test_invariant_state_residual_miss_is_numerical(monkeypatch, aklt):
         return w * (1 + 1e-6), v
 
     monkeypatch.setattr(np.linalg, "eig", off_radius)
-    for call in (sz.invariant_state, sz.primitivity):
+    for call in (mps.invariant_state, sz.primitivity):
         with pytest.raises(sz.ConvergenceFailure) as info:
             call(aklt)
         assert info.value.message == "invariant state residual above tolerance"
@@ -577,13 +576,13 @@ def test_invariant_state_residual_miss_is_numerical(monkeypatch, aklt):
 # -- marginals ---------------------------------------------------------------
 
 def test_marginal_aklt_one_site(aklt, aklt_rho):
-    m = sz.marginal(aklt, aklt_rho.rho, 1)
+    m = mps.marginal(aklt, aklt_rho.rho, 1)
     assert np.allclose(dense_marginal(m), np.eye(3) / 3, atol=1e-12)
     assert m.rank == 3
 
 
 def test_marginal_aklt_two_site(aklt, aklt_rho):
-    m = sz.marginal(aklt, aklt_rho.rho, 2)
+    m = mps.marginal(aklt, aklt_rho.rho, 2)
     assert dense_marginal(m).shape == (9, 9)
     assert m.rank == 4
     assert abs(np.trace(dense_marginal(m)) - 1.0) < 1e-12
@@ -599,10 +598,10 @@ def test_marginal_matches_oracle(rng):
     blocked = sz.block(random_channel_tuple(rng, 2, 3), 2)
     assert not np.array_equal(blocked.reflect_perm, np.arange(blocked.d))
     for t, lengths in ((plain, (1, 2, 3)), (blocked, (1, 2))):
-        rho = sz.invariant_state(t).rho
+        rho = mps.invariant_state(t).rho
         worst = 0.0
         for l in lengths:
-            m = sz.marginal(t, rho, l)
+            m = mps.marginal(t, rho, l)
             oracle = marginal_oracle(t, rho, l)
             assert np.array_equal(m.root, np.tril(m.root))
             assert frob(m.root @ m.root.conj().T - 0.5 * (rho + rho.conj().T)) < 1e-14
@@ -619,7 +618,7 @@ def test_marginal_matches_oracle(rng):
 def test_gram_spectra_take_the_smaller_side(monkeypatch, rng):
     # d=2, k=5: the l-site Gram is 2^l x 2^l until 2^l reaches k^2 = 25
     t = random_channel_tuple(rng, 2, 5)
-    rho = sz.invariant_state(t).rho
+    rho = mps.invariant_state(t).rho
     sizes, inner = [], mps._eigh
 
     def spy(h):
@@ -627,8 +626,8 @@ def test_gram_spectra_take_the_smaller_side(monkeypatch, rng):
         return inner(h)
 
     monkeypatch.setattr(mps, "_eigh", spy)
-    assert sz.marginal(t, rho, 1).rank == 2
-    assert sz.marginal(t, rho, 5).rank == 25
+    assert mps.marginal(t, rho, 1).rank == 2
+    assert mps.marginal(t, rho, 5).rank == 25
     assert sizes == [(2, 2), (25, 25)]
     sizes.clear()
     _marginal_reversal_residual(t, rho, 5, sz.Config())
@@ -637,30 +636,42 @@ def test_gram_spectra_take_the_smaller_side(monkeypatch, rng):
 
 def test_marginal_singular_rho_not_faithful(aklt):
     with pytest.raises(sz.NotPrimitive) as info:
-        sz.marginal(aklt, np.diag([1.0, 0.0]), 2)
+        mps.marginal(aklt, np.diag([1.0, 0.0]), 2)
     assert info.value.message == "state is not positive definite; no Cholesky factor"
 
 
 def test_marginal_window_cap(aklt, aklt_rho):
     cfg = sz.Config(dense_cap=8)
     with pytest.raises(sz.DimensionCap):
-        sz.marginal(aklt, aklt_rho.rho, 2, config=cfg)
+        mps.marginal(aklt, aklt_rho.rho, 2, config=cfg)
+
+
+@pytest.mark.parametrize("d", [4097, 20000])
+def test_a_one_site_marginal_is_not_capped(d):
+    # at l = 1 the word factor has d rows of k^2 entries, the size of the tuple
+    # itself, so dense_cap (4096) does not refuse an alphabet larger than it
+    raw = np.full((d, 1, 1), 1.0 / np.sqrt(d))
+    one = mps.marginal(sz.as_mps(raw), np.eye(1), 1)
+    assert one.factor.shape == (d, 1) and one.rank == 1
+    rep = sz.z2_index(raw)
+    assert (rep.zeta, rep.d, rep.k) == (1, d, 1)
+    assert rep.certificates.evidence.marginal_lengths == 2
 
 
 def test_marginal_rejects_bad_length(aklt, aklt_rho):
     with pytest.raises(sz.InvalidInput):
-        sz.marginal(aklt, aklt_rho.rho, 0)
+        mps.marginal(aklt, aklt_rho.rho, 0)
 
 
 def test_marginal_rejects_a_state_of_the_wrong_shape(aklt):
     for rho in (np.eye(3) / 3, np.eye(2)[None] / 2):
         with pytest.raises(sz.InvalidInput) as info:
-            sz.marginal(aklt, rho, 1)
+            mps.marginal(aklt, rho, 1)
         assert info.value.payload["shape"] == list(rho.shape)
 
 
 @pytest.mark.parametrize("call", [
-    lambda aklt, rho, n: sz.marginal(aklt, rho, n),
+    lambda aklt, rho, n: mps.marginal(aklt, rho, n),
     lambda aklt, rho, n: sz.block(aklt, n),
 ], ids=["marginal", "block"])
 def test_huge_length_is_refused_without_forming_the_power(aklt, aklt_rho, call):
@@ -728,8 +739,8 @@ def test_block_composes(aklt):
 
 
 def test_block_marginal_consistency(aklt, aklt_rho):
-    m2 = sz.marginal(aklt, aklt_rho.rho, 2)
-    m1 = sz.marginal(sz.block(aklt, 2), aklt_rho.rho, 1)
+    m2 = mps.marginal(aklt, aklt_rho.rho, 2)
+    m1 = mps.marginal(sz.block(aklt, 2), aklt_rho.rho, 1)
     assert frob(dense_marginal(m1) - dense_marginal(m2)) < 1e-12
 
 

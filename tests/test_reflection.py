@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import linalg, mps
+from spt_z2 import linalg, mps, reflection
 from spt_z2.linalg import frob
 from spt_z2.mps import reverse_word_index
 from spt_z2.reflection import _marginal_reversal_residual, _transposed
@@ -25,7 +25,7 @@ def test_reflected_tuple_is_channel(aklt, aklt_rho):
     # the transposed tuple satisfies the dual channel condition
     tv = _transposed(aklt).v
     assert frob(np.einsum("mba,mbc->ac", tv.conj(), tv) - np.eye(2)) < 1e-12
-    refl = sz.reflected_tuple(aklt_rho.rho)
+    refl = reflection.reflected_tuple(aklt_rho.rho)
     assert np.allclose(refl.basis.conj().T @ refl.basis, np.eye(2), atol=1e-12)
     assert np.allclose(refl.rho_diag, [0.5, 0.5], atol=1e-12)
 
@@ -39,7 +39,7 @@ def test_reflected_tuple_involution(rng, aklt):
 
 def test_reflected_tuple_singular_rho(aklt):
     with pytest.raises(sz.NotPrimitive) as info:
-        sz.reflected_tuple(np.diag([1.0, 0.0]))
+        reflection.reflected_tuple(np.diag([1.0, 0.0]))
     assert info.value.message == "invariant state is singular; reflected tuple undefined"
 
 
@@ -49,11 +49,11 @@ def test_marginal_reversal_identity(rng, aklt, aklt_rho):
     # primitive tuple, reflection invariant or not
     for t, rho in [(aklt, aklt_rho.rho), (random_channel_tuple(rng, 2, 2), None)]:
         if rho is None:
-            rho = sz.invariant_state(t).rho
+            rho = mps.invariant_state(t).rho
         tv = _transposed(t).v
         kfac = np.linalg.cholesky(rho).conj()
         for l in (1, 2):
-            orig = dense_marginal(sz.marginal(t, rho, l))
+            orig = dense_marginal(mps.marginal(t, rho, l))
             psi = np.array([word_product(tv, w) @ kfac
                             for w in itertools.product(range(t.d), repeat=l)])
             psi = psi.reshape(t.d ** l, -1)
@@ -104,7 +104,7 @@ def test_reversal_residual_matches_oracle(case, lengths):
          "blocked": lambda: sz.block(_normalized_known_answer(2, 2, +1, 11), 2),
          "breaker": lambda: sz.normalize(sz.zoo("aklt-breaker:0.05"))}[case]()
     assert (not np.array_equal(t.reflect_perm, np.arange(t.d))) == (case == "blocked")
-    rho = sz.invariant_state(t).rho
+    rho = mps.invariant_state(t).rho
     worst = 0.0
     for l in range(1, lengths + 1):
         oracle = marginal_oracle(t, rho, l)
@@ -144,8 +144,8 @@ def test_reversal_route_checks_every_length():
     t = _normalized_known_answer(2, 4, -1, 11)
     rho = np.eye(4) / 4
     tilted = sz.as_mps(np.sqrt(1 + 1e-7 * np.array([1, 1, -1, -1]))[:, None] * t.v)
-    sz.marginal(tilted, rho, 1)
-    sz.marginal(tilted, rho, 2)
+    mps.marginal(tilted, rho, 1)
+    mps.marginal(tilted, rho, 2)
     with pytest.raises(sz.ConvergenceFailure, match="marginal trace drifted from 1") as exc:
         _marginal_reversal_residual(tilted, rho, 12, sz.Config())
     assert exc.value.payload["l"] == 3
@@ -172,7 +172,7 @@ def test_reverse_word_index():
 def test_gauge_solve_conjugated(rng, aklt):
     q = haar_unitary(rng, 2)
     s = sz.as_mps(np.einsum("ab,mbc,cd->mad", q, aklt.v, q.conj().T))
-    sol = sz.gauge_solve(aklt, s)
+    sol = reflection.gauge_solve(aklt, s)
     assert abs(sol.phase - 1.0) < 1e-8
     assert sol.relation_residual < 1e-10
     assert abs(sol.mixed_radius - 1.0) < 1e-10
@@ -183,7 +183,7 @@ def test_gauge_solve_conjugated(rng, aklt):
 
 def test_gauge_solve_global_phase(aklt):
     s = sz.as_mps(np.exp(0.3j) * aklt.v)
-    sol = sz.gauge_solve(aklt, s)
+    sol = reflection.gauge_solve(aklt, s)
     assert abs(sol.phase - np.exp(-0.3j)) < 1e-8
     assert sol.relation_residual < 1e-10
 
@@ -191,7 +191,7 @@ def test_gauge_solve_global_phase(aklt):
 def test_gauge_solve_different_states(aklt):
     # two different states: the mixed radius is measured, not judged, and the
     # relation residual that the caller judges against eps_gauge is off
-    sol = sz.gauge_solve(aklt, sz.normalize(sz.zoo("deformed-aklt:0.7")))
+    sol = reflection.gauge_solve(aklt, sz.normalize(sz.zoo("deformed-aklt:0.7")))
     assert abs(sol.mixed_radius - 0.972097) < 1e-5
     assert abs(sol.relation_residual - 0.175422) < 1e-5
 
@@ -200,7 +200,7 @@ def test_gauge_solve_nilpotent_mixed_map():
     # G = 0 has radius 0 and, at k = 1, an invertible eigenmatrix: the phase
     # is 1 and the relation residual is the whole miss ||t_mu^dagger||
     t = sz.normalize(sz.zoo("product:1,2"))
-    sol = sz.gauge_solve(t, sz.as_mps(np.zeros_like(t.v)))
+    sol = reflection.gauge_solve(t, sz.as_mps(np.zeros_like(t.v)))
     assert (sol.mixed_radius, sol.phase) == (0.0, 1.0)
     assert abs(sol.relation_residual - np.abs(t.v).max()) < 1e-12
     assert _radius_bound_holds(t, sz.as_mps(np.zeros_like(t.v)))
@@ -211,7 +211,7 @@ def _radius_bound_holds(t, s, cfg=sz.DEFAULT):
     the bound of gauge_solve's docstring; whether the radius lies outside the
     peripheral window (None for a singular gauge, which is refused)."""
     try:
-        sol = sz.gauge_solve(t, s, cfg)
+        sol = reflection.gauge_solve(t, s, cfg)
     except sz.NotReflectionInvariant:
         return None
     miss = abs(1.0 - sol.mixed_radius)
@@ -252,7 +252,7 @@ def test_relation_residual_bounds_the_breaker_radius():
 
 def test_gauge_solve_shape_mismatch(aklt):
     with pytest.raises(sz.InvalidInput):
-        sz.gauge_solve(aklt, sz.normalize(sz.zoo("ghz")))
+        reflection.gauge_solve(aklt, sz.normalize(sz.zoo("ghz")))
 
 
 def test_tampered_eigenmatrix_is_refused(monkeypatch):

@@ -1,0 +1,74 @@
+"""The export list is the library, and the benchmark's layer names stay reachable.
+
+``spt_z2.__all__`` holds what README's "Library use", the CLI and the
+acceptance tests read, the records those entries take or return, and the
+refusal classes a caller can receive. ``perfbench/tracing.py`` swaps each
+function of its ``LAYERS`` where the package holds it, so every such name must
+stay a module-level function of its home module, called by that name; the
+benchmark's traced self-check runs on one Python version only, so these tests
+keep the names honest on every version.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import spt_z2 as sz
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+SURFACE = {
+    "Config", "DEFAULT",
+    "SptError", "AmbiguousSymmetry", "ConvergenceFailure", "DegenerateSupport", "DimensionCap",
+    "Inconclusive", "InvalidInput", "NormalizationBroken", "NotHermitian", "NotNormalizable",
+    "NotPrimitive", "NotReflectionInvariant", "ResourceLimit",
+    "MpsTuple", "PrimitivityCertificate", "as_mps", "block", "normalize", "primitivity",
+    "transfer_spectrum", "IndexReport", "ReflectionEvidence", "reflection_invariant", "z2_index",
+    "BipartiteVector", "ModularReport", "SchmidtData", "as_bipartite", "bond_vector",
+    "modular_data", "swap_sign",
+    "EdBlock", "EdReport", "ParentInteraction", "ed_report", "parent_interaction",
+    "reflection_check",
+    "MODELS", "FamilySpec", "ScanPoint", "ScanReport", "family", "scan", "zoo",
+}
+
+
+def _assigned(path: Path, name: str):
+    """The literal value a module-level ``name = ...`` of a perfbench script holds, read
+    from its source: importing ``run.py`` would pin BLAS threads and extend ``sys.path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == [name]:
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_the_export_list_is_the_library():
+    assert isinstance(sz.__all__, list) and len(sz.__all__) == len(set(sz.__all__))
+    assert set(sz.__all__) == SURFACE
+    functions = [name for name in sz.__all__ if inspect.isfunction(getattr(sz, name))]
+    assert (len(sz.__all__), len(functions)) == (46, 17)
+
+
+def test_every_layer_is_a_module_level_function_of_its_home_module():
+    layers = ast.literal_eval(_assigned(PERFBENCH / "tracing.py", "LAYERS"))
+    for mod_name, names in layers.items():
+        home = importlib.import_module(f"spt_z2.{mod_name}")
+        for name in names:
+            fn = vars(home).get(name)
+            assert inspect.isfunction(fn), f"{mod_name}.{name}"
+            assert (fn.__module__, fn.__name__) == (home.__name__, name), f"{mod_name}.{name}"
+
+
+def test_one_index_fires_every_span_the_benchmark_requires():
+    # the tracer swaps functions where modules hold them by name, so a stage that
+    # stopped calling one by its module-level name would leave its span empty
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    reached = ast.literal_eval(_assigned(PERFBENCH / "run.py", "REACHED_BY_INDEX"))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert sz.z2_index(sz.zoo("aklt")).zeta == -1
+    assert reached <= {span[0] for span in tracer.spans}

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 import spt_z2 as sz
+from spt_z2 import mps
 
 
 def refusal_classes_by_status() -> dict[str, set[str]]:
@@ -157,7 +158,7 @@ def apply_adjoint(t: sz.MpsTuple, y: np.ndarray) -> np.ndarray:
     return np.einsum("mba,bc,mcd->ad", t.v.conj(), y, t.v)
 
 
-def dense_marginal(m: sz.Marginal) -> np.ndarray:
+def dense_marginal(m: mps.Marginal) -> np.ndarray:
     """The d^l x d^l marginal ``factor @ factor^dagger`` of a word factor."""
     return m.factor @ m.factor.conj().T
 
