@@ -259,23 +259,20 @@ def peripheral_eigs(mat: np.ndarray,
 def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.ndarray:
     """Real power of a PSD matrix on its support.
 
-    Eigenvalues at most ``rank_tol`` times the largest are treated as exact
-    zeros: for negative powers they are pseudo-inverted to zero, for positive
-    powers they contribute nothing, so every power of the zero matrix is zero.
-    Negative eigenvalues beyond that window are rejected, as is a power that
-    is not a finite real number.
+    ``rho`` is PSD by construction (M M^dagger, at the one caller), so only
+    :func:`herm_eig`'s Hermiticity check judges it. Eigenvalues at most
+    ``rank_tol`` times the largest, rounding below 0 included, are exact
+    zeros: pseudo-inverted to zero for negative powers, dropped for positive
+    ones, so every power of the zero matrix is zero. A power that is not a
+    finite real number is refused.
     """
     if not is_finite_real(power):
         raise InvalidInput("power must be a finite real number", key="power",
                            got=type(power).__name__)
     sys = herm_eig(rho, config)
     w, u = sys.values, sys.vectors
-    cut = config.rank_tol * float(w[-1])
-    lo = float(w[0])
-    within(-lo, cut, NotHermitian, "matrix has a significantly negative eigenvalue; not PSD",
-           min_eigenvalue=lo, cutoff=cut)
     wp = np.zeros_like(w)
-    on = w > cut
+    on = w > config.rank_tol * float(w[-1])
     wp[on] = w[on] ** power
     return (u * wp) @ u.conj().T
 

@@ -63,7 +63,6 @@ from .mps import (
     marginal,
     normalize,
     primitivity,
-    require_normalized,
 )
 
 
@@ -99,7 +98,7 @@ class GaugeSolution(NamedTuple):
     mixed_radius: float
 
 
-def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolution:
+def gauge_solve(t: MpsTuple, s: MpsTuple) -> GaugeSolution:
     """Gauge X and phase with ``X s_mu^dagger = phase * t_mu^dagger X``, if the states match.
 
     X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger, with
@@ -117,10 +116,11 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
 
         sum_mu t_mu E_mu = (lam - phase) X + phase (1 - sum_mu t_mu t_mu^dagger) X,
 
-    and |lam - phase| = |1 - |lam||. The channel check of
-    :func:`spt_z2.mps.require_normalized` bounds ``1 - sum_mu t_mu t_mu^dagger``
-    by 10 eps_norm in Frobenius norm, so the block row [t_1 .. t_d] has
-    operator norm at most sqrt(1 + 10 eps_norm), and
+    and |lam - phase| = |1 - |lam||. ``t`` is, at the one caller, a unitary
+    rotation of a tuple whose channel residual :func:`spt_z2.mps.primitivity`
+    has bounded by 10 eps_norm in Frobenius norm, and the rotation keeps it,
+    so the block row [t_1 .. t_d] has operator norm at most
+    sqrt(1 + 10 eps_norm), and
 
         |1 - mixed_radius| <= sqrt((1 + 10 eps_norm) d) relation_residual + 10 eps_norm
 
@@ -138,7 +138,6 @@ def gauge_solve(t: MpsTuple, s: MpsTuple, config: Config = DEFAULT) -> GaugeSolu
     if t.d != s.d or t.k != s.k:
         raise InvalidInput("tuples must share (d, k)",
                            left=[t.d, t.k], right=[s.d, s.k])
-    require_normalized(t, config)
     w, vs = np.linalg.eig(kraus_superop(t.v, s.v))
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])
@@ -244,7 +243,7 @@ def _stages(raw, cfg: Config):
     v_eig = MpsTuple(v=np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w),
                      reflect_perm=t.reflect_perm)
     try:
-        gauge = gauge_solve(v_eig, _transposed(v_eig), config=cfg)
+        gauge = gauge_solve(v_eig, _transposed(v_eig))
     except NotReflectionInvariant as exc:  # a singular gauge: the gauge route fails
         mixed_radius, gauge_residual = float(exc.payload["mixed_radius"]), None
         via_gauge = False

@@ -295,6 +295,16 @@ def test_modular_kappa_without_sigma(tmp_path):
     assert env["result"]["kappa"] == 1 and env["result"]["sigma"] is None
 
 
+def test_modular_reads_a_rank_one_vector_at_rank_tol_0(tmp_path):
+    # the all-ones vector at rank_tol = 0: the rounding of M M^dagger's zero
+    # eigenvalues below 0 is no refusal, and the support is the one direction
+    code, env = run(["modular", "--vector", write_vector(tmp_path, np.ones((3, 3)) / 3),
+                     "--rank-tol", "0"])
+    assert code == 0 and env["status"] == "ok"
+    res = env["result"]
+    assert (res["kappa"], res["sigma"], res["support_dim"]) == (1, 1, 1)
+
+
 def test_modular_rejects_unnormalized_vector(tmp_path):
     code, env = run(["modular", "--vector", write_vector(tmp_path, np.eye(2))])
     assert code == 1 and env["status"] == "io_error"
@@ -801,14 +811,17 @@ def test_no_setting_is_none():
     for fn in takers:
         assert inspect.signature(fn).parameters["config"].default is sz.DEFAULT, fn.__qualname__
     exported = {value for value in map(sz.__dict__.get, sz.__all__) if inspect.isfunction(value)}
-    assert (len(takers), len(takers & exported)) == (22, 10)
+    assert (len(takers), len(takers & exported)) == (21, 10)
 
 
 def _bell():
     return sz.as_bipartite(np.eye(2), normalized=True)
 
 
-# one call per public operation that takes config, with inputs it accepts
+# one call per public operation that takes config, with inputs it accepts: the
+# census is every module-level function of the package with a config parameter,
+# exported or not, and each refuses a config of another type; a stage that reads
+# no setting (gauge_solve) takes no config
 CONFIG_CALLS = {
     "hamiltonian.parent_interaction": lambda t, cfg: sz.parent_interaction(t, 2, config=cfg),
     "hamiltonian.chain_hamiltonian":
@@ -832,7 +845,6 @@ CONFIG_CALLS = {
     "mps.block": lambda t, cfg: sz.block(t, 2, config=cfg),
     "reflection.reflected_tuple":
         lambda t, cfg: reflection.reflected_tuple(np.eye(2) / 2, config=cfg),
-    "reflection.gauge_solve": lambda t, cfg: reflection.gauge_solve(t, t, config=cfg),
     "reflection.reflection_invariant": lambda t, cfg: sz.reflection_invariant(t, config=cfg),
     "reflection.z2_index": lambda t, cfg: sz.z2_index(t, config=cfg),
     "scan.check_grid": lambda t, cfg: check_grid(sz.family("deformed-aklt"), config=cfg),

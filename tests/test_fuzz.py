@@ -80,6 +80,7 @@ def complex_rows(arr):
 
 AKLT = sz.normalize(sz.zoo("aklt"))
 RHO = np.eye(2) / 2
+BELL = np.eye(2) / np.sqrt(2)
 VALID = {
     "tuple": {"d": 3, "k": 2, "matrices": [complex_rows(m) for m in AKLT.v],
               "reflect_perm": [0, 1, 2]},
@@ -170,12 +171,18 @@ def test_hostile_values_are_refused_or_read_by_the_library():
         _returns_or_refuses(mps.marginal, AKLT, RHO, value)
         _returns_or_refuses(mps.marginal, AKLT, value, 1)
         _returns_or_refuses(sz.block, AKLT, value)
+        # the exported entries that read a tuple and a vector's fields
+        _returns_or_refuses(sz.z2_index, value)
+        _returns_or_refuses(sz.modular_data, sz.BipartiteVector(2, value))
+        _returns_or_refuses(sz.modular_data, sz.BipartiteVector(value, BELL))
 
 
 def test_mutated_arrays_are_refused_or_read_by_the_library():
     rng = np.random.default_rng([SEED, len(VALID)])
-    calls = [(sz.as_mps, AKLT.v.tolist()), (sz.as_bipartite, (np.eye(2) / np.sqrt(2)).tolist()),
-             (lambda rho: mps.marginal(AKLT, rho, 2), RHO.tolist())]
+    calls = [(sz.as_mps, AKLT.v.tolist()), (sz.as_bipartite, BELL.tolist()),
+             (lambda rho: mps.marginal(AKLT, rho, 2), RHO.tolist()),
+             (sz.z2_index, AKLT.v.tolist()),
+             (lambda entries: sz.modular_data(sz.BipartiteVector(2, entries)), BELL.tolist())]
     for call, valid in calls:
         call(valid)
         for _ in range(ARRAY_CASES):

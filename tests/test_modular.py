@@ -255,6 +255,34 @@ def test_small_schmidt_tails_are_answered():
         assert report.kappa == sign and report.sigma == sign, case
 
 
+# the draws of the ensemble below refused at rank_tol = 0: each support keeps
+# the vector's third direction, a weight of rounding size, whose root in
+# psd_power (about 1e-8) misses the SVD's by more than modular_tol in (E) and (P)
+RANK_TOL_0_INCONCLUSIVE = (6, 24, 25, 29, 34, 39, 47, 67, 86, 106, 115, 119, 125, 128, 178,
+                           182, 184)
+
+
+def test_rank_deficient_vectors_are_read_at_rank_tol_0():
+    # symmetric rank-2 vectors at rank_tol = 0, a legal setting: M M^dagger is PSD
+    # by construction, so the rounding of its zero eigenvalue below 0 is no refusal
+    cfg = sz.Config(rank_tol=0.0)
+    rng = np.random.default_rng(1)
+    refused = []
+    for case in range(200):
+        a, b = rng.standard_normal((2, 3))
+        omega = sz.as_bipartite(np.outer(a, a) + np.outer(b, b), normalized=True)
+        try:
+            report = sz.modular_data(omega, cfg)
+        except sz.Inconclusive as exc:
+            payload = exc.payload
+            assert {k for k in RESIDUALS if payload[k] > payload["tolerance"]} == \
+                {"root_eigenvectors", "polar"}, case
+            refused.append(case)
+            continue
+        assert report.kappa == 1 and report.sigma == 1 and report.support_dim >= 2, case
+    assert tuple(refused) == RANK_TOL_0_INCONCLUSIVE
+
+
 # -- bond vector --------------------------------------------------------------
 
 def test_bond_vector_aklt(aklt_report):

@@ -211,7 +211,7 @@ def _radius_bound_holds(t, s, cfg=sz.DEFAULT):
     the bound of gauge_solve's docstring; whether the radius lies outside the
     peripheral window (None for a singular gauge, which is refused)."""
     try:
-        sol = reflection.gauge_solve(t, s, cfg)
+        sol = reflection.gauge_solve(t, s)
     except sz.NotReflectionInvariant:
         return None
     miss = abs(1.0 - sol.mixed_radius)
@@ -495,17 +495,17 @@ def _benchmark_aklt_calls() -> dict:
 
 def test_aklt_index_call_counts(monkeypatch):
     """One aklt index: the LAPACK and transfer-matrix counts of ``AKLT_CALLS``, and
-    4 qr, 2 lstsq, 1 cholesky, 3 phase fixes, 1 Hermiticity check and 2 channel
-    residuals.
+    4 qr, 2 lstsq, 1 cholesky, 3 phase fixes, 1 Hermiticity check and 1 channel
+    residual.
 
     ``AKLT_CALLS`` is the table in ``perfbench/run.py`` that the traced
     benchmark self-check pins; it is read here from that file, so a drift
     fails here before it does there, and a re-pin (ROADMAP item 1) is one
     edit. Of the ``eigh`` calls, only ``reflected_tuple``'s, through
     ``herm_eig``, checks its input (the others solve Gram matrices and fixed
-    points, Hermitian by construction), and each of the 2 tuples (the
-    normalized one and its rotation into the rho eigenbasis) evaluates its
-    channel residual once.
+    points, Hermitian by construction), and only the normalized tuple
+    evaluates its channel residual: ``gauge_solve`` does not judge it again on
+    the tuple's rotation into the rho eigenbasis.
     """
     counts = Counter()
 
@@ -540,7 +540,7 @@ def test_aklt_index_call_counts(monkeypatch):
     shared = {key.rpartition(".")[2]: n for key, n in _benchmark_aklt_calls().items()}
     assert set(shared) == {"eig", "eigvals", "eigh", "svd", "transfer_matrix"}
     assert counts == {**shared, "qr": 4, "lstsq": 2, "cholesky": 1, "canonical_phases": 3,
-                      "herm_eig": 1, "channel_residual": 2}
+                      "herm_eig": 1, "channel_residual": 1}
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):

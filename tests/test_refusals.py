@@ -129,10 +129,6 @@ ROUTED = {
         lambda mp, aklt: linalg.herm_eig(np.eye(2), Config(eps_herm=-1.0)),
         sz.NotHermitian, "matrix is not Hermitian within tolerance", NUMERICAL,
         {"skew_residual"}, -1.0),
-    "psd_power": (
-        lambda mp, aklt: psd_power(np.diag([1.0, -0.5]), 0.5),
-        sz.NotHermitian, "matrix has a significantly negative eigenvalue; not PSD", NUMERICAL,
-        {"min_eigenvalue", "cutoff"}, 1e-12),
     "z2_index_ambiguity": (
         lambda mp, aklt: sz.z2_index(aklt, Config(eps_index=-1.0)),
         sz.AmbiguousSymmetry, "gauge unitary is neither symmetric nor antisymmetric",
