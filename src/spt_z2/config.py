@@ -62,9 +62,10 @@ judged by :func:`spt_z2.errors.within`, whose refusals report them as
   above the guard 1e-12 times the largest counted;
   ``primitivity``, a span within 1e-10 of one of the last k ends the search.
 - ``reflection.z2_index``: ``||U D - D U||_F <= 1e-6`` for rho's eigenvalues D (w).
+- ``reflection.gauge_solve``: the gauge eigenmatrix's smallest singular value
+  >= 1e-9 times the largest, both measured by ``linalg.polar_unitary``.
 - ``modular``: ``as_bipartite`` norm >= 1e-12 and, unless normalizing,
   abs(norm - 1) <= 1e-10.
-- ``linalg.polar_unitary``: smallest singular value >= 1e-9 times the largest.
 """
 
 from __future__ import annotations

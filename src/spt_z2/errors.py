@@ -94,8 +94,10 @@ class NotReflectionInvariant(SptError):
     """State is primitive but not equal to its reflection.
 
     Also raised by :func:`spt_z2.reflection.gauge_solve` when the dominant
-    eigenmatrix of the mixed transfer map is singular, which no two tuples of
-    one state give; its radius is measured, not judged, as the relation
+    eigenmatrix of the mixed transfer map is singular (its smallest singular
+    value below 1e-9 times the largest, the one judgement of the singular
+    values :func:`spt_z2.linalg.polar_unitary` returns), which no two tuples
+    of one state give; its radius is measured, not judged, as the relation
     residual bounds it. The index's stages (:func:`spt_z2.reflection._stages`,
     behind ``z2_index``, ``reflection_invariant``, ``check`` and ``scan``)
     catch that one around the gauge solve only: the gauge route then fails
@@ -128,16 +130,6 @@ class Inconclusive(SptError):
 
 class ConvergenceFailure(SptError):
     """An eigensolver or iteration failed to meet its residual contract."""
-
-
-class RankDeficient(SptError):
-    """Polar decomposition requested for a (numerically) singular matrix.
-
-    Only :func:`spt_z2.linalg.polar_unitary` raises it, and its one caller,
-    :func:`spt_z2.reflection.gauge_solve`, turns it into
-    :class:`NotReflectionInvariant`, which the index's stages catch. It never
-    reaches a caller of the library, so ``spt_z2`` does not export it.
-    """
 
 
 class ResourceLimit(SptError):

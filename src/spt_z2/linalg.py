@@ -35,21 +35,20 @@ only eigenvalues or build ``V f(D) V^dagger``, which no column phase changes.
 The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
 unitaries and Schmidt vectors follow it too. None of the functions here is
 in ``spt_z2.__all__``: the package's stages call them on matrices they built
-(rho, M M^dagger, a transfer matrix, a gauge eigenmatrix). The matrix
-functions read their input by :func:`spt_z2.config.square_array` all the
-same: an empty, ragged, non-numeric or non-square matrix is
-:class:`InvalidInput`. A
-non-finite entry fails the Hermiticity check of :func:`herm_eig` as
-:class:`NotHermitian`, and is :class:`InvalidInput` to :func:`peripheral_eigs`
-and :func:`polar_unitary`, as a size that is not a square k**2 is to
-:func:`peripheral_eigs`. Internal solves of matrices Hermitian by
-construction (a Gram matrix, or the Hermitian matrix of real coordinates in
-the basis of :func:`hermitian_frame`) check nothing.
+(rho, M M^dagger, a transfer matrix, a gauge eigenmatrix). :func:`herm_eig`
+and :func:`peripheral_eigs` read their matrix by
+:func:`spt_z2.config.square_array` all the same: an empty, ragged,
+non-numeric or non-square matrix is :class:`InvalidInput`. A non-finite
+entry fails the Hermiticity check of :func:`herm_eig` as
+:class:`NotHermitian`, and is :class:`InvalidInput` to :func:`peripheral_eigs`,
+as a size that is not a square k**2 is. :func:`polar_unitary` and internal
+solves of matrices Hermitian by construction (a Gram matrix, or the
+Hermitian matrix of real coordinates in the basis of :func:`hermitian_frame`)
+check nothing.
 
 Every tolerance these operations apply comes from the ``config`` they take
 (by default :data:`spt_z2.config.DEFAULT`); none has a tolerance keyword of
-its own. The one fixed threshold is the 1e-9 singular
-value floor of :func:`polar_unitary`.
+its own.
 
 Every sign the package reports (the index zeta, the swap sign sigma and the
 antiunitary square kappa) is read by :func:`transpose_sign`, the one sign
@@ -65,9 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (DEFAULT, Config, finite_array, is_finite_real, require_config,
-                     square_array)
-from .errors import InvalidInput, NotHermitian, RankDeficient, SptError, within
+from .config import DEFAULT, Config, is_finite_real, require_config, square_array
+from .errors import InvalidInput, NotHermitian, SptError, within
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -277,24 +275,17 @@ def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.nda
     return (u * wp) @ u.conj().T
 
 
-def polar_unitary(x: np.ndarray) -> np.ndarray:
-    """Unitary polar factor U = X (X^dagger X)^{-1/2}.
+def polar_unitary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary polar factor U = X (X^dagger X)^{-1/2}, and X's singular values.
 
-    Raises :class:`InvalidInput` unless ``x`` is a nonempty square matrix of
-    finite entries, and :class:`RankDeficient` when the smallest singular
-    value is below 1e-9 times the largest, since the factor is then not
-    determined.
+    ``x`` is a square matrix of finite entries, the gauge eigenmatrix that
+    :func:`spt_z2.reflection.gauge_solve` built; nothing here reads or judges
+    it. The singular values come descending from the one ``svd`` that gives
+    U, so the caller judges whether U is determined: it is not when X is
+    singular.
     """
-    x = finite_array(square_array(x), "matrix")
     u, s, vh = np.linalg.svd(x)
-    if not (s[0] > 0.0 and s[-1] >= 1e-9 * s[0]):
-        raise RankDeficient(
-            "matrix is numerically singular; polar unitary undefined",
-            sigma_min=float(s[-1]),
-            sigma_max=float(s[0]),
-            tolerance=1e-9,
-        )
-    return u @ vh
+    return u @ vh, s
 
 
 def frob(x: np.ndarray) -> float:

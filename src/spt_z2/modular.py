@@ -80,7 +80,7 @@ def as_bipartite(matrix, normalized: bool = False) -> BipartiteVector:
     """Wrap a coefficient matrix; ``normalized=True`` rescales to unit norm.
 
     The matrix is read by :func:`spt_z2.config.square_array`, with finite
-    entries, as :func:`spt_z2.linalg.polar_unitary` reads its input; a norm
+    entries, as :func:`spt_z2.linalg.peripheral_eigs` reads its input; a norm
     below 1e-12 has no Schmidt support, :class:`DegenerateSupport`.
     """
     m_arr = finite_array(square_array(matrix), "coefficient matrix")

@@ -403,7 +403,7 @@ class Marginal(NamedTuple):
 
 
 def marginal(t: MpsTuple, rho: np.ndarray, l: int,
-             config: Config = DEFAULT) -> Marginal:
+             cfg: Config = DEFAULT) -> Marginal:
     """l-site reduced state as a word factor, entries Tr(rho V_mu V_nu^dagger).
 
     With ``rho = L L^dagger`` (Cholesky) the marginal is the Gram matrix
@@ -413,28 +413,28 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     ``Phi Phi^dagger`` and ``Phi^dagger Phi``, at most k^2 x k^2. Indices are
     big-endian words. The reflection check, the one caller, takes only the
     l = 1 factor and advances it by QR
-    (:func:`spt_z2.reflection._marginal_reversal_residual`). ``dense_cap``
-    prices the d^l rows from l = 2: the l = 1 factor has d rows of k^2
-    entries, the size of the tuple itself. The Cholesky factor of a singular
-    ``rho`` (reachable at ``rank_tol = 0``) is refused as :class:`NotPrimitive`.
+    (:func:`spt_z2.reflection._marginal_reversal_residual`). It passes what
+    the pipeline built and checked, an :class:`MpsTuple`, its k x k invariant
+    state and its settings, so none of them is read again here. The settings
+    come as ``cfg``, the private stages' name for a checked ``Config``, not
+    as a ``config`` that refuses a value of another type. ``l`` is checked, and
+    ``dense_cap`` prices the d^l rows from l = 2: the l = 1 factor has d rows
+    of k^2 entries, the size of the tuple itself. The Cholesky factor of a
+    singular ``rho`` (reachable at ``rank_tol = 0``) is refused as
+    :class:`NotPrimitive`.
     """
-    require_config(config)
-    t = as_mps(t)
     if not (is_int(l) and l >= 1):
         raise InvalidInput("marginal needs an integer l >= 1", l=l)
     if l > 1:
-        _word_count(t.d, l, config.dense_cap, "marginal dimension")
-    rho = finite_array(rho, "state")
-    if rho.shape != (t.k, t.k):
-        raise InvalidInput("state must be a k x k matrix", shape=list(rho.shape), k=t.k)
+        _word_count(t.d, l, cfg.dense_cap, "marginal dimension")
     try:
         chol = np.linalg.cholesky(0.5 * (rho + rho.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NotPrimitive("state is not positive definite; no Cholesky factor",
                            l=l) from exc
     phi = _append_letters(chol.conj().T.reshape(1, t.k * t.k), t.v, l)
-    evals = _checked_gram_spectrum(phi, l, config)
-    rank = int(np.sum(evals > config.rank_tol * max(float(evals.max()), 1e-300)))
+    evals = _checked_gram_spectrum(phi, l, cfg)
+    rank = int(np.sum(evals > cfg.rank_tol * max(float(evals.max()), 1e-300)))
     return Marginal(l=l, root=chol, factor=phi, rank=rank)
 
 

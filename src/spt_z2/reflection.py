@@ -48,7 +48,6 @@ from .errors import (
     InvalidInput,
     NotPrimitive,
     NotReflectionInvariant,
-    RankDeficient,
     within,
 )
 from .linalg import (_positive_definite, canonical_phases, frob, herm_eig, kraus_superop,
@@ -104,11 +103,13 @@ def gauge_solve(t: MpsTuple, s: MpsTuple) -> GaugeSolution:
     X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger, with
     eigenvalue lam and ``phase = lam / |lam|`` (1 when lam = 0, as any unit
     phase gives the bound below); ``t`` must satisfy the channel
-    condition, ``s`` need not. The one refusal is a singular X, as
-    :class:`NotReflectionInvariant` with ``mixed_radius`` = |lam| and
-    ``sigma_min``, ``sigma_max`` and ``tolerance`` from :func:`polar_unitary`:
-    two primitive tuples that generate the same state have an invertible
-    intertwiner (the fundamental theorem of MPS). Otherwise the caller judges
+    condition, ``s`` need not. The one refusal, judged here and only here,
+    is a singular X: a smallest singular value below 1e-9 times the largest,
+    both measured by the ``svd`` of :func:`polar_unitary`. It is
+    :class:`NotReflectionInvariant` with ``mixed_radius`` = |lam|,
+    ``sigma_min``, ``sigma_max`` and ``tolerance`` (1e-9): two primitive
+    tuples that generate the same state have an invertible intertwiner (the
+    fundamental theorem of MPS). Otherwise the caller judges
     ``relation_residual``, the relation's largest Frobenius miss over
     ``||X||_F``, against ``eps_gauge``, and ``mixed_radius`` is reported, not
     judged: the relation residual bounds it. With the misses
@@ -143,14 +144,12 @@ def gauge_solve(t: MpsTuple, s: MpsTuple) -> GaugeSolution:
     lam = complex(w[i0])
     radius = abs(lam)
     x = unvec(vs[:, i0], t.k)
-    try:
-        u = polar_unitary(x).conj().T
-    except RankDeficient as exc:
-        raise NotReflectionInvariant(
-            "dominant mixed eigenmatrix is singular",
-            mixed_radius=radius,
-            **exc.payload,
-        ) from exc
+    polar, sv = polar_unitary(x)
+    if not (sv[0] > 0.0 and sv[-1] >= 1e-9 * sv[0]):
+        raise NotReflectionInvariant("dominant mixed eigenmatrix is singular",
+                                     mixed_radius=radius, sigma_min=float(sv[-1]),
+                                     sigma_max=float(sv[0]), tolerance=1e-9)
+    u = polar.conj().T
     u = u * canonical_phases(u.reshape(-1, 1))
     phase = lam / radius if radius > 0 else 1.0 + 0.0j
     miss = x @ s.v.conj().transpose(0, 2, 1) - phase * t.v.conj().transpose(0, 2, 1) @ x

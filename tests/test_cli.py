@@ -564,7 +564,10 @@ def _subclasses(cls):
 
 def test_every_error_exits_with_its_status_code():
     classes = [sz.SptError, *_subclasses(sz.SptError)]
-    assert len(classes) == 14  # SptError and the 13 refusal classes spt_z2 exports
+    # no hidden refusal class: every one is exported, so a caller can catch it by name
+    exported = {getattr(sz, name) for name in sz.__all__ if isinstance(getattr(sz, name), type)
+                and issubclass(getattr(sz, name), sz.SptError)}
+    assert len(classes) == len(set(classes)) and set(classes) == exported
     for cls in classes:
         assert cls.status in STATUS_EXIT, cls.__name__
         assert cls("x").exit_code == STATUS_EXIT[cls.status], cls.__name__
@@ -811,7 +814,7 @@ def test_no_setting_is_none():
     for fn in takers:
         assert inspect.signature(fn).parameters["config"].default is sz.DEFAULT, fn.__qualname__
     exported = {value for value in map(sz.__dict__.get, sz.__all__) if inspect.isfunction(value)}
-    assert (len(takers), len(takers & exported)) == (21, 10)
+    assert (len(takers), len(takers & exported)) == (20, 10)
 
 
 def _bell():
@@ -821,7 +824,8 @@ def _bell():
 # one call per public operation that takes config, with inputs it accepts: the
 # census is every module-level function of the package with a config parameter,
 # exported or not, and each refuses a config of another type; a stage that reads
-# no setting (gauge_solve) takes no config
+# no setting (gauge_solve) takes no config, and one that reads its caller's
+# checked settings (marginal) takes them as cfg
 CONFIG_CALLS = {
     "hamiltonian.parent_interaction": lambda t, cfg: sz.parent_interaction(t, 2, config=cfg),
     "hamiltonian.chain_hamiltonian":
@@ -841,7 +845,6 @@ CONFIG_CALLS = {
     "mps.normalize": lambda t, cfg: sz.normalize(t.v, config=cfg),
     "mps.primitivity": lambda t, cfg: sz.primitivity(t, config=cfg),
     "mps.invariant_state": lambda t, cfg: mps.invariant_state(t, config=cfg),
-    "mps.marginal": lambda t, cfg: mps.marginal(t, np.eye(2) / 2, 1, config=cfg),
     "mps.block": lambda t, cfg: sz.block(t, 2, config=cfg),
     "reflection.reflected_tuple":
         lambda t, cfg: reflection.reflected_tuple(np.eye(2) / 2, config=cfg),

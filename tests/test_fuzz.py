@@ -169,7 +169,6 @@ def test_hostile_values_are_refused_or_read_by_the_library():
             _returns_or_refuses(sz.family, "deformed-aklt", **{key: value})
         _returns_or_refuses(sz.parent_interaction, AKLT, m=value)
         _returns_or_refuses(mps.marginal, AKLT, RHO, value)
-        _returns_or_refuses(mps.marginal, AKLT, value, 1)
         _returns_or_refuses(sz.block, AKLT, value)
         # the exported entries that read a tuple and a vector's fields
         _returns_or_refuses(sz.z2_index, value)
@@ -180,7 +179,6 @@ def test_hostile_values_are_refused_or_read_by_the_library():
 def test_mutated_arrays_are_refused_or_read_by_the_library():
     rng = np.random.default_rng([SEED, len(VALID)])
     calls = [(sz.as_mps, AKLT.v.tolist()), (sz.as_bipartite, BELL.tolist()),
-             (lambda rho: mps.marginal(AKLT, rho, 2), RHO.tolist()),
              (sz.z2_index, AKLT.v.tolist()),
              (lambda entries: sz.modular_data(sz.BipartiteVector(2, entries)), BELL.tolist())]
     for call, valid in calls:

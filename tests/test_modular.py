@@ -13,7 +13,7 @@ RESIDUALS = ["left_isometry", "right_isometry", "reconstruction", "root_eigenvec
 # -- construction -------------------------------------------------------------
 
 def test_as_bipartite_validation():
-    # one matrix rule, config.square_array, as polar_unitary reads its input
+    # one matrix rule, config.square_array, as peripheral_eigs reads its input
     with pytest.raises(sz.InvalidInput, match="^matrix must be a nonempty square matrix$"):
         sz.as_bipartite(np.ones((2, 3)))
     with pytest.raises(sz.DegenerateSupport):

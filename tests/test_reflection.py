@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import linalg, mps, reflection
+from spt_z2 import config, linalg, mps, reflection
 from spt_z2.linalg import frob
 from spt_z2.mps import reverse_word_index
 from spt_z2.reflection import _marginal_reversal_residual, _transposed
@@ -495,8 +495,8 @@ def _benchmark_aklt_calls() -> dict:
 
 def test_aklt_index_call_counts(monkeypatch):
     """One aklt index: the LAPACK and transfer-matrix counts of ``AKLT_CALLS``, and
-    4 qr, 2 lstsq, 1 cholesky, 3 phase fixes, 1 Hermiticity check and 1 channel
-    residual.
+    4 qr, 2 lstsq, 1 cholesky, 3 phase fixes, 1 Hermiticity check, 1 channel
+    residual, 1 finite read and 2 square reads.
 
     ``AKLT_CALLS`` is the table in ``perfbench/run.py`` that the traced
     benchmark self-check pins; it is read here from that file, so a drift
@@ -505,7 +505,11 @@ def test_aklt_index_call_counts(monkeypatch):
     ``herm_eig``, checks its input (the others solve Gram matrices and fixed
     points, Hermitian by construction), and only the normalized tuple
     evaluates its channel residual: ``gauge_solve`` does not judge it again on
-    the tuple's rotation into the rho eigenbasis.
+    the tuple's rotation into the rho eigenbasis. Only ``normalize`` reads the
+    tuple's entries by ``finite_array``; ``polar_unitary`` and ``marginal``
+    take the gauge eigenmatrix and rho as the pipeline built them, so the
+    square reads are ``herm_eig``'s of rho and ``peripheral_eigs``' of the
+    transfer matrix.
     """
     counts = Counter()
 
@@ -528,6 +532,8 @@ def test_aklt_index_call_counts(monkeypatch):
     count(mps.transfer_matrix, "transfer_matrix")
     count(linalg.canonical_phases, "canonical_phases")
     count(linalg.herm_eig, "herm_eig")
+    count(config.finite_array, "finite_array")
+    count(config.square_array, "square_array")
     residual = mps.MpsTuple.__dict__["channel_residual"]  # a cached_property
     inner = residual.func
 
@@ -540,7 +546,8 @@ def test_aklt_index_call_counts(monkeypatch):
     shared = {key.rpartition(".")[2]: n for key, n in _benchmark_aklt_calls().items()}
     assert set(shared) == {"eig", "eigvals", "eigh", "svd", "transfer_matrix"}
     assert counts == {**shared, "qr": 4, "lstsq": 2, "cholesky": 1, "canonical_phases": 3,
-                      "herm_eig": 1, "channel_residual": 1}
+                      "herm_eig": 1, "channel_residual": 1, "finite_array": 1,
+                      "square_array": 2}
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):
@@ -550,3 +557,26 @@ def test_z2_index_ambiguous_tolerance(aklt_raw):
     assert list(exc.value.payload) == ["sym_residual", "antisym_residual", "tolerance"]
     assert exc.value.payload["tolerance"] == -1.0
     assert exc.value.payload["sym_residual"] > exc.value.payload["antisym_residual"] >= 0.0
+
+
+def _near_invariant(eps, seed):
+    """A d=2/k=4/zeta=+1 known answer plus eps * max|v| * (complex Gaussian)."""
+    rng = np.random.default_rng([45, seed])
+    v = known_answer_tuple(rng, 2, 4, 1)
+    noise = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    return v + eps * np.abs(v).max() * noise
+
+
+def test_near_invariant_sweep():
+    # ROADMAP 5's input: each perturbed tuple is, exactly, not invariant, so no
+    # sign but +1 may come out, rounding-size noise keeps the answer, and noise
+    # far above eps_gauge and refl_marginal_tol never passes; in between, the
+    # routes may disagree or read the sign ambiguously, but refuse nothing else
+    allowed = {"Inconclusive", "NotReflectionInvariant", "AmbiguousSymmetry"}
+    for eps in (1e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6):
+        outcomes = [_outcome(_near_invariant(eps, seed)) for seed in range(20)]
+        assert set(outcomes) <= allowed | {1}, eps
+        if eps == 1e-9:
+            assert outcomes == [1] * 20
+        if eps >= 1e-7:
+            assert 1 not in outcomes, eps

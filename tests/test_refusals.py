@@ -234,10 +234,9 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
     lambda aklt, h: psd_power(h, 0.5),
     lambda aklt, h: reflection.reflected_tuple(h),
     lambda aklt, h: sz.ed_report(_hint(h=h), 1, "open"),
-    lambda aklt, h: linalg.polar_unitary(h),
     lambda aklt, h: linalg.peripheral_eigs(h),
 ], ids=["herm_eig", "pos_def_eig", "psd_power", "reflected_tuple", "ed_report",
-        "polar_unitary", "peripheral_eigs"])
+        "peripheral_eigs"])
 def test_unusable_matrix_is_invalid_input(call, matrix, aklt):
     # one rule, config.square_array: a 2-d, square, nonempty numeric array
     with pytest.raises(sz.SptError) as info:
@@ -256,8 +255,7 @@ def test_superoperator_of_a_size_that_is_not_a_square_is_invalid_input(n):
     assert info.value.payload == {"shape": [n, n]}
 
 
-@pytest.mark.parametrize("call", [linalg.polar_unitary, linalg.peripheral_eigs],
-                         ids=["polar_unitary", "peripheral_eigs"])
+@pytest.mark.parametrize("call", [linalg.peripheral_eigs], ids=["peripheral_eigs"])
 def test_non_finite_matrix_is_invalid_input_outside_the_hermitian_solvers(call):
     with pytest.raises(sz.SptError) as info:
         call(NAN_MATRIX)
@@ -378,7 +376,6 @@ ARGUMENTS = {
     "block": (lambda aklt, x: sz.block(x, 2), None),
     "parent_interaction": (lambda aklt, x: sz.parent_interaction(x), None),
     "transfer_spectrum": (lambda aklt, x: sz.transfer_spectrum(x), None),
-    "marginal": (lambda aklt, x: mps.marginal(x, np.eye(2) / 2, 1), None),
     "gauge_solve-t": (lambda aklt, x: reflection.gauge_solve(x, aklt), None),
     "gauge_solve-s": (lambda aklt, x: reflection.gauge_solve(aklt, x), None),
     "zoo": (lambda aklt, x: sz.zoo(x), "model"),
