@@ -1,10 +1,10 @@
 """Tolerance and limit configuration, and the one input boundary.
 
 The tolerances and caps a user may set live in one frozen dataclass, and
-every envelope states the values that produced it. Every operation that
-applies a setting takes ``config``, by default :data:`DEFAULT` (one shared
-instance, as a ``Config`` is frozen); none takes a keyword that shadows a
-field. Construction is the one validity check,
+every envelope states the values that produced it. Every exported operation
+that applies a setting takes ``config``, by default :data:`DEFAULT` (one
+shared instance, as a ``Config`` is frozen); none takes a keyword that
+shadows a field. Construction is the one validity check,
 whatever the source (flags, a ``--config`` file or a library caller): every
 field is a plain number, never None. Every float is finite (negative values
 are legal and only force refusals), ``rank_tol`` is at least 0,
@@ -42,10 +42,16 @@ where a setting or a named argument is refused (``family`` and ``zoo``
 included).
 A representable but huge cap is still unbounded work.
 
-These refusals are the contract of the names in ``spt_z2.__all__``. A
-module-level stage outside it (``herm_eig``, ``marginal``, ``gauge_solve``
-and the rest) takes values that an exported entry or an earlier stage has
-checked; what it still checks of them is no part of that contract.
+These refusals are the contract of the names in ``spt_z2.__all__``, and each
+input is read once, where it enters. A module-level stage outside it
+(``marginal``, ``gauge_solve``, ``invariant_state``, ``peripheral_eigs``,
+``schmidt`` and the rest) takes values that an exported entry or an earlier
+stage has checked and reads none of them again; one that applies settings
+takes them as ``cfg``, its caller's checked ``Config``. ``herm_eig`` keeps
+its ``config`` and its read of the matrix, as its skew judgement is the
+index's one Hermiticity check, and so do ``psd_power`` and
+``reflected_tuple``, which hand both to it. What a stage still checks is no
+part of the contract.
 
 Not every threshold is here: the 11 fixed ones below (1e-300 division guards
 aside) sit in the code that applies them. The five marked (w) are bounds

@@ -35,20 +35,18 @@ only eigenvalues or build ``V f(D) V^dagger``, which no column phase changes.
 The rule is :func:`canonical_phases`; peripheral eigenmatrices, gauge
 unitaries and Schmidt vectors follow it too. None of the functions here is
 in ``spt_z2.__all__``: the package's stages call them on matrices they built
-(rho, M M^dagger, a transfer matrix, a gauge eigenmatrix). :func:`herm_eig`
-and :func:`peripheral_eigs` read their matrix by
-:func:`spt_z2.config.square_array` all the same: an empty, ragged,
-non-numeric or non-square matrix is :class:`InvalidInput`. A non-finite
-entry fails the Hermiticity check of :func:`herm_eig` as
-:class:`NotHermitian`, and is :class:`InvalidInput` to :func:`peripheral_eigs`,
-as a size that is not a square k**2 is. :func:`polar_unitary` and internal
-solves of matrices Hermitian by construction (a Gram matrix, or the
-Hermitian matrix of real coordinates in the basis of :func:`hermitian_frame`)
-check nothing.
+(rho, M M^dagger, a transfer matrix, a gauge eigenmatrix), and only
+:func:`herm_eig` reads its matrix, by :func:`spt_z2.config.square_array`: an
+empty, ragged, non-numeric or non-square matrix is :class:`InvalidInput`,
+and a non-finite entry fails its Hermiticity check as :class:`NotHermitian`.
+That check is the index's one Hermiticity judgement. The other functions
+check nothing of what they are given.
 
-Every tolerance these operations apply comes from the ``config`` they take
-(by default :data:`spt_z2.config.DEFAULT`); none has a tolerance keyword of
-its own.
+Every tolerance these operations apply comes from the settings they take (by
+default :data:`spt_z2.config.DEFAULT`); none has a tolerance keyword of its
+own. :func:`herm_eig` and :func:`psd_power`, which hands its ``config`` to
+it, refuse a ``config`` that is not a :class:`~spt_z2.config.Config`; the
+peripheral stages take their caller's checked settings as ``cfg``.
 
 Every sign the package reports (the index zeta, the swap sign sigma and the
 antiunitary square kappa) is read by :func:`transpose_sign`, the one sign
@@ -64,8 +62,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Config, is_finite_real, require_config, square_array
-from .errors import InvalidInput, NotHermitian, SptError, within
+from .config import DEFAULT, Config, require_config, square_array
+from .errors import NotHermitian, SptError, within
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -83,11 +81,8 @@ def kraus_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     This is sum_i kron(conj(b_i), a_i), summed in order of i as a kron loop
     would: bases chosen inside degenerate transfer eigenspaces depend on
-    these bits.
+    these bits. Both callers pass the stacks of checked tuples, of one shape.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2] or not len(a):
-        raise ValueError(f"expected two nonempty (n, k, k) stacks, got {a.shape}, {b.shape}")
     k = a.shape[1]
     terms = b.conj()[:, :, None, :, None] * a[:, None, :, None, :]
     return terms.sum(axis=0).reshape(k * k, k * k)
@@ -215,39 +210,33 @@ def eig_sort_key(values: np.ndarray):
     return np.lexsort((np.angle(values), -np.abs(values)))
 
 
-def peripheral_window(values: np.ndarray,
-                      config: Config = DEFAULT) -> tuple[np.ndarray, float]:
+def peripheral_window(values: np.ndarray, cfg: Config = DEFAULT) -> tuple[np.ndarray, float]:
     """Mask of the eigenvalues of modulus >= r - peripheral_tol * r, and the gap.
 
     r is the spectral radius; the gap is r minus the largest modulus outside
-    the window. This is the one reader of ``peripheral_tol``.
+    the window. This is the one reader of ``peripheral_tol``, taken from the
+    caller's checked settings ``cfg``.
     """
-    require_config(config)
     mods = np.abs(values)
     r = float(mods.max(initial=0.0))
-    on = mods >= r - config.peripheral_tol * r
+    on = mods >= r - cfg.peripheral_tol * r
     return on, r - float(mods[~on].max(initial=0.0))
 
 
-def peripheral_eigs(mat: np.ndarray,
-                    config: Config = DEFAULT) -> list[tuple[complex, np.ndarray]]:
+def peripheral_eigs(mat: np.ndarray, cfg: Config = DEFAULT) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs of a superoperator matrix in the :func:`peripheral_window`.
 
     Returns (eigenvalue, eigenmatrix) pairs ordered by modulus descending
     then angle ascending. Eigenmatrices are unit Frobenius norm with the
     canonical phase, unvec'd in the basis ``mat`` is written in. A real
     ``mat``, such as a :func:`hermitian_real` matrix, is decomposed in real
-    arithmetic, with no copy. A non-finite entry and a size that is not a
-    square k**2, which has no k x k eigenmatrices, are :class:`InvalidInput`.
+    arithmetic, with no copy. The one caller, :func:`spt_z2.mps.primitivity`,
+    passes the k**2 x k**2 transfer matrix of a checked tuple and its checked
+    settings as ``cfg``, so nothing of them is read again here.
     """
-    mat = square_array(mat)
-    if not np.isfinite(mat).all():
-        raise InvalidInput("matrix entries must be finite")
     k = math.isqrt(len(mat))
-    if k * k != len(mat):
-        raise InvalidInput("matrix size must be a square k**2", shape=list(mat.shape))
     w, v = np.linalg.eig(mat)
-    keep = np.nonzero(peripheral_window(w, config)[0])[0]
+    keep = np.nonzero(peripheral_window(w, cfg)[0])[0]
     keep = keep[eig_sort_key(w[keep])]
     mats = v[:, keep] / np.linalg.norm(v[:, keep], axis=0)
     mats = mats * canonical_phases(mats)
@@ -261,12 +250,9 @@ def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.nda
     :func:`herm_eig`'s Hermiticity check judges it. Eigenvalues at most
     ``rank_tol`` times the largest, rounding below 0 included, are exact
     zeros: pseudo-inverted to zero for negative powers, dropped for positive
-    ones, so every power of the zero matrix is zero. A power that is not a
-    finite real number is refused.
+    ones, so every power of the zero matrix is zero. ``power`` is the one
+    caller's literal 0.5, so it is not checked.
     """
-    if not is_finite_real(power):
-        raise InvalidInput("power must be a finite real number", key="power",
-                           got=type(power).__name__)
     sys = herm_eig(rho, config)
     w, u = sys.values, sys.vectors
     wp = np.zeros_like(w)

@@ -79,10 +79,14 @@ class BipartiteVector(NamedTuple):
 def as_bipartite(matrix, normalized: bool = False) -> BipartiteVector:
     """Wrap a coefficient matrix; ``normalized=True`` rescales to unit norm.
 
-    The matrix is read by :func:`spt_z2.config.square_array`, with finite
-    entries, as :func:`spt_z2.linalg.peripheral_eigs` reads its input; a norm
-    below 1e-12 has no Schmidt support, :class:`DegenerateSupport`.
+    ``normalized`` is ``True`` or ``False``, else :class:`InvalidInput` with
+    ``key="normalized"``. The matrix is read by
+    :func:`spt_z2.config.square_array`, with finite entries; a norm below
+    1e-12 has no Schmidt support, :class:`DegenerateSupport`.
     """
+    if not isinstance(normalized, bool):
+        raise InvalidInput("normalized must be True or False", key="normalized",
+                           got=type(normalized).__name__)
     m_arr = finite_array(square_array(matrix), "coefficient matrix")
     scaled, e = _pow2_scaled(m_arr)  # the norm is taken where it cannot overflow
     unit = np.linalg.norm(scaled)
@@ -118,10 +122,13 @@ class SchmidtData(NamedTuple):
     support_dim: int
 
 
-def schmidt(omega: BipartiteVector, config: Config = DEFAULT) -> SchmidtData:
-    """Schmidt decomposition on the support, with deterministic column phases.
+def schmidt(mat: np.ndarray, cfg: Config = DEFAULT) -> SchmidtData:
+    """Schmidt decomposition of the coefficient matrix M on the support, with
+    deterministic column phases.
 
-    The support keeps the weights s_k^2 above ``rank_tol`` times the largest,
+    ``mat`` and ``cfg`` are the M and the settings that :func:`modular_data`,
+    the one caller, has read and checked; neither is read again here. The
+    support keeps the weights s_k^2 above ``rank_tol`` times the largest,
     the floor :func:`spt_z2.linalg.psd_power` applies to the eigenvalues of
     rho = M M^dagger. The right vectors get the canonical phase of
     :func:`spt_z2.linalg.canonical_phases` and the left vectors absorb the
@@ -129,19 +136,17 @@ def schmidt(omega: BipartiteVector, config: Config = DEFAULT) -> SchmidtData:
     reconstruction on the support, (R) of the module docstring, is judged
     against ``modular_tol``.
     """
-    require_config(config)
-    mat = _read_omega(omega)
     xi_full, s, vh = np.linalg.svd(mat)
     lam = s * s
-    r = int(np.sum(lam > config.rank_tol * lam[0]))
+    r = int(np.sum(lam > cfg.rank_tol * lam[0]))
     if r == 0:
         raise DegenerateSupport("Schmidt support is empty at this rank tolerance",
-                                rank_tol=config.rank_tol)
+                                rank_tol=cfg.rank_tol)
     phases = canonical_phases(vh[:r].T)
     z = vh[:r].T * phases
     xi = xi_full[:, :r] * phases.conj()
     recon = frob(xi.conj().T @ mat - s[:r, None] * z.T)
-    within(recon, config.modular_tol, Inconclusive,
+    within(recon, cfg.modular_tol, Inconclusive,
            "Schmidt reconstruction residual above tolerance", residual=recon)
     u = z @ xi.T
     return SchmidtData(lam=lam[:r], left=xi, right=z, u=u, support_dim=r)
@@ -178,11 +183,12 @@ def modular_data(omega: BipartiteVector, config: Config = DEFAULT) -> ModularRep
     and None when that gives none; ``sigma`` is :func:`swap_sign`'s sign, read
     by its rule from the M already held, at ``modular_tol`` too. The two are
     compared only when both are read (one alone is a legitimate answer), and
-    then must agree. M is read here and once more in :func:`schmidt`.
+    then must agree. M is read once, here, and :func:`schmidt` takes it as
+    read.
     """
     require_config(config)
     mat = _read_omega(omega)
-    sch = schmidt(omega, config=config)
+    sch = schmidt(mat, config)
     r = sch.support_dim
     xi, z = sch.left, sch.right
     dvec = np.sqrt(sch.lam)

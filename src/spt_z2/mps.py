@@ -105,11 +105,12 @@ def _validate_perm(perm, d: int) -> np.ndarray:
     return p
 
 
-def require_normalized(t: MpsTuple, config: Config = DEFAULT) -> None:
-    require_config(config)
+def require_normalized(t: MpsTuple, cfg: Config = DEFAULT) -> None:
+    """Refuse a tuple whose channel residual exceeds 10 eps_norm; ``t`` and
+    ``cfg`` are as :func:`primitivity` and :func:`block` checked them."""
     r = t.channel_residual
     # small slack over eps_norm: blocked tuples accumulate a few ulps per site
-    within(r, 10 * config.eps_norm, NormalizationBroken,
+    within(r, 10 * cfg.eps_norm, NormalizationBroken,
            "tuple does not satisfy the channel condition", residual=r)
 
 
@@ -328,7 +329,7 @@ class InvariantState(NamedTuple):
     spectral_gap: float
 
 
-def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
+def invariant_state(t: MpsTuple, cfg: Config = DEFAULT) -> InvariantState:
     """Faithful invariant state of a primitive tuple's adjoint channel.
 
     The spectral primitivity route: a unique peripheral transfer eigenvalue
@@ -342,13 +343,13 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
     carries ``spectral_gap``. ``rho`` has trace one. The radius r itself is
     not judged: for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with
     E(1) = sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel
-    residual. Both callers pass a tuple whose residual :func:`primitivity`
-    has bounded by ``10 eps_norm`` (:func:`require_normalized`): primitivity
-    itself, and the index's stages after it, so that bound is not checked
-    again here.
+    residual. Both callers pass an :class:`MpsTuple` whose residual
+    :func:`primitivity` has bounded by ``10 eps_norm``
+    (:func:`require_normalized`), and their checked settings as ``cfg``:
+    primitivity itself, and the index's stages after it, so neither is
+    checked again here.
     """
-    t = as_mps(t)
-    on, gap = peripheral_window(transfer_spectrum(t), config)
+    on, gap = peripheral_window(transfer_spectrum(t), cfg)
     periph = int(on.sum())
     if periph != 1:
         raise NotPrimitive(
@@ -359,7 +360,7 @@ def invariant_state(t: MpsTuple, config: Config = DEFAULT) -> InvariantState:
     r, x, res, sys = _positive_fixed_point(_real_transfer(t).T, t.k, ConvergenceFailure,
                                            spectral_gap=gap)
     _positive_definite(sys, NotPrimitive, "invariant state is singular within tolerance",
-                       config, spectral_gap=gap)
+                       cfg, spectral_gap=gap)
     within(res, 1e-8, ConvergenceFailure, "invariant state residual above tolerance",
            spectral_radius=r, residual=res, spectral_gap=gap)
     tr = float(np.trace(x).real)

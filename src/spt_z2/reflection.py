@@ -45,7 +45,6 @@ from .config import DEFAULT, Config, require_config
 from .errors import (
     AmbiguousSymmetry,
     Inconclusive,
-    InvalidInput,
     NotPrimitive,
     NotReflectionInvariant,
     within,
@@ -57,7 +56,6 @@ from .mps import (
     PrimitivityCertificate,
     _append_letters,
     _checked_gram_spectrum,
-    as_mps,
     invariant_state,
     marginal,
     normalize,
@@ -102,8 +100,10 @@ def gauge_solve(t: MpsTuple, s: MpsTuple) -> GaugeSolution:
 
     X is the dominant eigenmatrix of G(X) = sum_mu t_mu X s_mu^dagger, with
     eigenvalue lam and ``phase = lam / |lam|`` (1 when lam = 0, as any unit
-    phase gives the bound below); ``t`` must satisfy the channel
-    condition, ``s`` need not. The one refusal, judged here and only here,
+    phase gives the bound below). The one caller passes two
+    :class:`~spt_z2.mps.MpsTuple` of one (d, k): ``t``, which satisfies the
+    channel condition, and its :func:`_transposed`, which need not; neither
+    is read again here. The one refusal, judged here and only here,
     is a singular X: a smallest singular value below 1e-9 times the largest,
     both measured by the ``svd`` of :func:`polar_unitary`. It is
     :class:`NotReflectionInvariant` with ``mixed_radius`` = |lam|,
@@ -135,10 +135,6 @@ def gauge_solve(t: MpsTuple, s: MpsTuple) -> GaugeSolution:
     Unlike the transfer map, G is decomposed in complex arithmetic, for the
     reason the docstring of :mod:`spt_z2.linalg` gives.
     """
-    t, s = as_mps(t), as_mps(s)
-    if t.d != s.d or t.k != s.k:
-        raise InvalidInput("tuples must share (d, k)",
-                           left=[t.d, t.k], right=[s.d, s.k])
     w, vs = np.linalg.eig(kraus_superop(t.v, s.v))
     i0 = int(np.argmax(np.abs(w)))
     lam = complex(w[i0])

@@ -51,13 +51,6 @@ def test_map_superop_matches_sum(rng):
     assert np.array_equal(mat, oracle)
 
 
-def test_map_superop_empty():
-    with pytest.raises(ValueError):
-        kraus_superop(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
-    with pytest.raises(ValueError):
-        kraus_superop(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
-
-
 def test_herm_eig_contract(rng):
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = a + a.conj().T

@@ -13,7 +13,7 @@ RESIDUALS = ["left_isometry", "right_isometry", "reconstruction", "root_eigenvec
 # -- construction -------------------------------------------------------------
 
 def test_as_bipartite_validation():
-    # one matrix rule, config.square_array, as peripheral_eigs reads its input
+    # one matrix rule, config.square_array, as herm_eig reads its input
     with pytest.raises(sz.InvalidInput, match="^matrix must be a nonempty square matrix$"):
         sz.as_bipartite(np.ones((2, 3)))
     with pytest.raises(sz.DegenerateSupport):
@@ -40,7 +40,7 @@ def test_as_bipartite_normalizes_where_norms_cannot_overflow():
 
 def test_schmidt_diagonal():
     omega = sz.as_bipartite(np.diag([np.sqrt(0.7), np.sqrt(0.3)]))
-    sch = modular.schmidt(omega)
+    sch = modular.schmidt(omega.M)
     assert np.allclose(sch.lam, [0.7, 0.3], atol=1e-12)
     assert sch.support_dim == 2
     assert np.allclose(sch.u, np.eye(2), atol=1e-12)
@@ -48,7 +48,7 @@ def test_schmidt_diagonal():
 
 def test_schmidt_reconstruction_and_isometry(rng):
     omega = random_bipartite(rng, 4)
-    sch = modular.schmidt(omega)
+    sch = modular.schmidt(omega.M)
     assert sch.support_dim == 4
     assert abs(sch.lam.sum() - 1.0) < 1e-12
     assert np.all(np.diff(sch.lam) <= 1e-15)
@@ -59,7 +59,7 @@ def test_schmidt_reconstruction_and_isometry(rng):
 
 
 def test_schmidt_singlet_anchor():
-    sch = modular.schmidt(sz.as_bipartite(SINGLET))
+    sch = modular.schmidt(sz.as_bipartite(SINGLET).M)
     assert np.allclose(sch.lam, [0.5, 0.5], atol=1e-12)
     # the isometry is the antisymmetric off-diagonal unitary squaring to -1
     assert np.allclose(sch.u + sch.u.T, 0.0, atol=1e-12)
@@ -70,13 +70,13 @@ def test_schmidt_singlet_anchor():
 def test_schmidt_refuses_an_empty_support():
     # no singular value lies above rank_tol = 1 times the largest
     with pytest.raises(sz.DegenerateSupport, match="Schmidt support is empty") as info:
-        modular.schmidt(sz.as_bipartite(SINGLET), sz.Config(rank_tol=1))
+        modular.schmidt(sz.as_bipartite(SINGLET).M, sz.Config(rank_tol=1))
     assert info.value.payload == {"rank_tol": 1}
 
 
 def test_schmidt_antisymmetric_support_is_even(rng):
     omega = random_bipartite(rng, 5, symmetry="antisym")
-    sch = modular.schmidt(omega)
+    sch = modular.schmidt(omega.M)
     assert sch.support_dim == 4
 
 
@@ -135,9 +135,9 @@ def test_modular_data_is_bitwise_repeatable(rng):
         assert np.array_equal(getattr(first.schmidt, name), getattr(second.schmidt, name))
 
 
-def test_modular_data_reads_omega_twice(monkeypatch, rng):
-    # once itself and once in schmidt, which the CLI reaches by its public
-    # name; sigma is read from the matrix already held, by swap_sign's rule
+def test_modular_data_reads_omega_once(monkeypatch, rng):
+    # schmidt takes the matrix modular_data read; sigma is read from the same
+    # matrix, by swap_sign's rule
     reads = []
     inner = modular._read_omega
     monkeypatch.setattr(modular, "_read_omega", lambda omega: reads.append(1) or inner(omega))
@@ -145,7 +145,7 @@ def test_modular_data_reads_omega_twice(monkeypatch, rng):
         omega = random_bipartite(rng, 4, symmetry=symmetry)
         reads.clear()
         report = sz.modular_data(omega)
-        assert len(reads) == 2
+        assert len(reads) == 1
         assert report.sigma == sz.swap_sign(omega)
 
 
@@ -167,9 +167,9 @@ def test_closed_form_identities_hold_on_the_reported_schmidt_data(rng, symmetry)
         assert max(worst.values()) < 1e-10, (m, worst)
 
 
-def _tampered(sch, omega, what):
-    """Schmidt data with exactly one generator fact broken (see ``what``)."""
-    xi_full, _, vh = np.linalg.svd(omega.M)
+def _tampered(sch, mat, what):
+    """Schmidt data of ``mat`` with exactly one generator fact broken (see ``what``)."""
+    xi_full, _, vh = np.linalg.svd(mat)
     r = sch.support_dim
     left, right, lam, u = sch.left, sch.right, sch.lam, sch.u
     if what in ("left_isometry", "right_isometry"):
@@ -193,7 +193,7 @@ def test_broken_generator_is_refused(monkeypatch, rng, what):
     omega = random_bipartite(rng, 3, symmetry="antisym")
     real = modular.schmidt
     monkeypatch.setattr(modular, "schmidt",
-                        lambda om, config=sz.DEFAULT: _tampered(real(om, config), om, what))
+                        lambda mat, cfg: _tampered(real(mat, cfg), mat, what))
     with pytest.raises(sz.Inconclusive) as info:
         sz.modular_data(omega)
     payload = info.value.payload
