@@ -59,14 +59,15 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
     A tuple that is not primitive is refused as the index refuses it. The
     support's basis B is the left singular vectors of the d^m x k^2 word
     matrix (rows ``V_w``) with squared singular value above ``rank_tol`` times
-    the largest, as :func:`spt_z2.mps.marginal` counts Gram eigenvalues; h is
-    1 - B B^dagger, symmetrized, and d^m above ``dense_cap`` is refused as
-    :class:`DimensionCap`. No ``||h^2 - h||_F`` bound is judged, as none
-    could fail: LAPACK's B is orthonormal to about dim * eps, so the miss is
-    of that order (9e-13 at ``dense_cap`` = 4096, 3e-15 for aklt at m = 7)
-    where a bound would be 1e-9. The default window is injectivity length + 1;
-    a shorter one still gives a frustration-free interaction, but its chain
-    kernel can exceed the boundary-state count, which sets ``range_warning``.
+    the largest, the floor :func:`spt_z2.linalg.psd_power` applies to
+    eigenvalues; h is 1 - B B^dagger, symmetrized, and d^m above ``dense_cap``
+    is refused as :class:`DimensionCap`. No ``||h^2 - h||_F`` bound is
+    judged, as none could fail: LAPACK's B is orthonormal to about dim * eps,
+    so the miss is of that order (9e-13 at ``dense_cap`` = 4096, 3e-15 for
+    aklt at m = 7) where a bound would be 1e-9. The default window is
+    injectivity length + 1; a shorter one still gives a frustration-free
+    interaction, but its chain kernel can exceed the boundary-state count,
+    which sets ``range_warning``.
     """
     require_config(config)
     t = as_mps(t)

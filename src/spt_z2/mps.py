@@ -392,15 +392,11 @@ class Marginal(NamedTuple):
 
     ``root`` is the state's lower-triangular Cholesky factor L, with
     ``L L^dagger = 0.5 (rho + rho^dagger)``; ``factor`` is the d^l x k^2 word
-    factor whose row for word w holds the entries of ``L^dagger V_w``. ``rank``
-    counts the marginal's nonzero eigenvalues, read from the smaller Gram (at
-    most k^2 x k^2).
+    factor whose row for word w holds the entries of ``L^dagger V_w``.
     """
 
-    l: int
     root: np.ndarray
     factor: np.ndarray
-    rank: int
 
 
 def marginal(t: MpsTuple, rho: np.ndarray, l: int,
@@ -410,15 +406,16 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     With ``rho = L L^dagger`` (Cholesky) the marginal is the Gram matrix
     ``Phi Phi^dagger`` of the rows ``L^dagger V_w``. ``Phi`` is built one site
     at a time, so memory stays O(d^l k^2) and no d^l x d^l matrix is formed.
-    The nonzero spectrum, and so the rank, comes from the smaller of the Grams
-    ``Phi Phi^dagger`` and ``Phi^dagger Phi``, at most k^2 x k^2. Indices are
-    big-endian words. The reflection check, the one caller, takes only the
-    l = 1 factor and advances it by QR
-    (:func:`spt_z2.reflection._marginal_reversal_residual`). It passes what
-    the pipeline built and checked, an :class:`MpsTuple`, its k x k invariant
-    state and its settings, so none of them is read again here. The settings
-    come as ``cfg``, the private stages' name for a checked ``Config``, not
-    as a ``config`` that refuses a value of another type. ``l`` is checked, and
+    Its trace and the spectrum of the smaller of the Grams ``Phi Phi^dagger``
+    and ``Phi^dagger Phi`` (at most k^2 x k^2) are judged by
+    :func:`_checked_gram_spectrum`. Indices are big-endian words. The
+    reflection check, the one caller, takes only the l = 1 factor and
+    advances it by QR (:func:`spt_z2.reflection._marginal_reversal_residual`).
+    It passes what the pipeline built and checked, an :class:`MpsTuple`, its
+    k x k invariant state and its settings, so none of them is read again
+    here. The settings come as ``cfg``, the private stages' name for a
+    checked ``Config``, not as a ``config`` that refuses a value of another
+    type. ``l`` is checked, and
     ``dense_cap`` prices the d^l rows from l = 2: the l = 1 factor has d rows
     of k^2 entries, the size of the tuple itself. The Cholesky factor of a
     singular ``rho`` (reachable at ``rank_tol = 0``) is refused as
@@ -434,13 +431,12 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
         raise NotPrimitive("state is not positive definite; no Cholesky factor",
                            l=l) from exc
     phi = _append_letters(chol.conj().T.reshape(1, t.k * t.k), t.v, l)
-    evals = _checked_gram_spectrum(phi, l, cfg)
-    rank = int(np.sum(evals > cfg.rank_tol * max(float(evals.max()), 1e-300)))
-    return Marginal(l=l, root=chol, factor=phi, rank=rank)
+    _checked_gram_spectrum(phi, l, cfg)
+    return Marginal(root=chol, factor=phi)
 
 
-def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
-    """Eigenvalues of the smaller Gram of a factor of the l-site marginal.
+def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> None:
+    """Judge the trace and the Gram spectrum of a factor of the l-site marginal.
 
     ``phi`` is any matrix with ``M_l = Q phi phi^dagger Q^dagger`` for an
     isometry ``Q``, so the trace of ``M_l`` is ``||phi||_F^2`` and its nonzero
@@ -463,11 +459,9 @@ def _checked_gram_spectrum(phi: np.ndarray, l: int, cfg: Config) -> np.ndarray:
            "marginal trace drifted from 1", trace=tr, l=l)
     rows, cols = phi.shape
     gram = phi @ phi.conj().T if rows < cols else phi.conj().T @ phi
-    evals = _eigh(gram).values
-    lo = float(evals.min())
+    lo = float(_eigh(gram).values.min())
     within(-lo, 1e-8, ConvergenceFailure, "marginal has a significantly negative eigenvalue",
            min_eigenvalue=lo)
-    return evals
 
 
 def block(t: MpsTuple, b: int, config: Config = DEFAULT) -> MpsTuple:

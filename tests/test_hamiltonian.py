@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -9,7 +8,7 @@ import pytest
 import spt_z2 as sz
 from spt_z2.linalg import frob
 from spt_z2 import hamiltonian, mps
-from util import embed_sites_oracle, known_answer_tuple, marginal_oracle, vbs
+from util import count_calls, embed_sites_oracle, known_answer_tuple, marginal_oracle, vbs
 
 
 @pytest.fixture(scope="module")
@@ -165,23 +164,10 @@ def test_parent_interaction_call_counts(monkeypatch, aklt):
     its word-space steps and the third is the word span's basis.
     """
     counts = Counter()
-    holders = [np.linalg] + [mod for key, mod in sys.modules.items()
-                             if key.startswith("spt_z2")]
-
-    def count(fn, label):
-        def counted(*args, **kw):
-            counts[label] += 1
-            return fn(*args, **kw)
-
-        for mod in holders:
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
-
     for name in ("eig", "eigvals", "eigh", "lstsq", "svd", "cholesky"):
-        count(getattr(np.linalg, name), name)
+        count_calls(monkeypatch, counts, getattr(np.linalg, name), name)
     for name in ("transfer_matrix", "invariant_state", "marginal"):
-        count(getattr(mps, name), name)
+        count_calls(monkeypatch, counts, getattr(mps, name), name)
     sz.parent_interaction(aklt)
     assert counts == {"eig": 2, "eigvals": 1, "eigh": 1, "lstsq": 1, "svd": 3,
                       "transfer_matrix": 3, "invariant_state": 1}

@@ -1,7 +1,6 @@
 import ast
 import itertools
 import math
-import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -14,7 +13,7 @@ from spt_z2 import config, linalg, mps, reflection
 from spt_z2.linalg import frob
 from spt_z2.mps import reverse_word_index
 from spt_z2.reflection import _marginal_reversal_residual, _transposed
-from util import (_in_random_gauge, dense_marginal, haar_unitary, known_answer_tuple,
+from util import (_in_random_gauge, count_calls, dense_marginal, haar_unitary, known_answer_tuple,
                   marginal_oracle, phase_pi_sign_plus, phase_zero_sign_minus,
                   random_channel_tuple, same_report, stack, vbs, word_product)
 
@@ -507,28 +506,11 @@ def test_aklt_index_call_counts(monkeypatch):
     the pipeline built them.
     """
     counts = Counter()
-
-    holders = [np.linalg] + [mod for key, mod in sys.modules.items()
-                             if key.startswith("spt_z2")]
-
-    def count(fn, label):
-        def counted(*args, **kw):
-            counts[label] += 1
-            return fn(*args, **kw)
-
-        # swapped wherever it is held, as modules import functions by name
-        for mod in holders:
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
-
     for name in ("eig", "eigvals", "eigh", "svd", "qr", "lstsq", "cholesky"):
-        count(getattr(np.linalg, name), name)
-    count(mps.transfer_matrix, "transfer_matrix")
-    count(linalg.canonical_phases, "canonical_phases")
-    count(linalg.herm_eig, "herm_eig")
-    count(config.finite_array, "finite_array")
-    count(config.square_array, "square_array")
+        count_calls(monkeypatch, counts, getattr(np.linalg, name), name)
+    for fn in (mps.transfer_matrix, linalg.canonical_phases, linalg.herm_eig,
+               config.finite_array, config.square_array):
+        count_calls(monkeypatch, counts, fn, fn.__name__)
     residual = mps.MpsTuple.__dict__["channel_residual"]  # a cached_property
     inner = residual.func
 

@@ -1,162 +1,139 @@
 """Every residual judged against an upper bound goes through ``errors.within``.
 
-Each routed site is forced to refuse, by a negative tolerance in ``Config``,
-by an input whose residual overflows or is off, or by a NaN standing in for a
-broken measurement. The
-refusal must keep its class, message, status and payload keys, and report the
-bound it applied as ``tolerance``. The census at the end reaches each
-exported refusal class from one minimal input: an exported entry, except
-for the few messages that only a stage behind one raises.
+``ROUTED`` has a row for each ``within`` call in the package, as
+``util.within_sites`` finds them in the source, and a second for the commute
+value of ``reflection._stages``, whose one line judges two values. Each row
+calls an exported entry on a public input, and ``util.force_within`` judges
+NaN at that site alone, so the site refuses with its own class, message,
+status, payload keys and the bound it applied as ``tolerance``. Where a
+negative setting of ``Config`` makes a judgement refuse unforced, a row routes
+that setting too. The census at the end reaches each exported refusal class
+from one minimal input: an exported entry, except for the few messages that
+only a stage behind one raises.
 """
 
 import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import cli, hamiltonian, linalg, modular, mps, reflection
+from spt_z2 import cli, hamiltonian, linalg, mps, reflection
 from spt_z2.config import Config
 from spt_z2.errors import STATUS_EXIT, within
-from spt_z2.linalg import HermEig, _positive_definite, psd_power
-from util import refusal_classes_by_status
+from spt_z2.linalg import _positive_definite, psd_power
+from util import force_within, refusal_classes_by_status, within_sites
 
 NAN_MATRIX = np.full((2, 2), np.nan)
 OVERFLOWING = np.full((2, 2, 2), 1e200 + 1e200j)  # products overflow to NaN inside einsum
-
-
-def _nan(*_args, **_kw):
-    return float("nan")
 
 
 def _bell():
     return sz.as_bipartite(np.eye(2), normalized=True)
 
 
-def _positive_fixed_point(mp, aklt):
-    mp.setattr(mps, "frob", _nan)
-    sz.normalize(aklt.v)
-
-
-def _normalize_nan(mp, aklt):
-    mp.setattr(mps.MpsTuple, "channel_residual", property(_nan))
-    sz.normalize(aklt.v)
-
-
-def _ambiguity_nan(mp, aklt):
-    solve = reflection.gauge_solve
-    mp.setattr(reflection, "gauge_solve", lambda *a, **kw: solve(*a, **kw)._replace(
-        U=np.full((2, 2), np.nan)))
-    sz.z2_index(aklt)
-
-
-def _invariant_state(mp, aklt):
-    # a NaN fixed-point residual, judged against 1e-8
-    fixed_point = mps._positive_fixed_point
-
-    def nan_residual(*a, **kw):
-        r, x, _, sys = fixed_point(*a, **kw)
-        return r, x, float("nan"), sys
-
-    mp.setattr(mps, "_positive_fixed_point", nan_residual)
-    mps.invariant_state(aklt)
-
-
-def _gram_floor(mp, aklt):
-    mp.setattr(mps, "_eigh", lambda h: HermEig(
-        values=np.full(len(h), np.nan), vectors=np.eye(len(h))))
-    mps.marginal(aklt, np.eye(2) / 2, 1)
-
-
-def _phase(mp, aklt):
-    solve = reflection.gauge_solve
-    mp.setattr(reflection, "gauge_solve", lambda *a, **kw: solve(*a, **kw)._replace(
-        phase=complex(np.nan, 0.0)))
-    sz.z2_index(aklt)
-
-
-def _commute(mp, aklt):
-    reflect = reflection.reflected_tuple
-    mp.setattr(reflection, "reflected_tuple", lambda *a, **kw: reflect(*a, **kw)._replace(
-        rho_diag=np.full(2, np.nan)))
-    sz.z2_index(aklt)
-
-
-def _modular_data(mp, aklt):
-    # schmidt judges its reconstruction against modular_tol too, so a negative
-    # modular_tol is refused there; a wrong root reaches modular_data's own check
-    root = modular.psd_power
-    mp.setattr(modular, "psd_power", lambda *a: (1.0 + 1e-6) * root(*a))
-    sz.modular_data(_bell())
+def _chain(aklt):
+    return sz.ed_report(sz.parent_interaction(aklt, 2), 4, "open")
 
 
 NUMERICAL = ("numerical_error", 7)
 INCONCLUSIVE = ("inconclusive", 6)
 STRUCTURAL = "gauge solution violates a structural invariant"
+GATE = "interaction is not reflection symmetric within tolerance"
 
+# name: (the site forced, as (module, function, nth judgement of the message), or
+# None for a setting that refuses unforced; a call of an exported entry that
+# reaches it; the refusal's class, message, (status, exit), payload keys, tolerance)
 ROUTED = {
+    "chain_hamiltonian": (
+        ("hamiltonian", "chain_hamiltonian", 0), _chain, sz.NotHermitian,
+        "interaction is not Hermitian within tolerance", NUMERICAL, {"skew_residual"}, 1e-8),
+    # caught: ED keeps the chain whole, as for an interaction that is not symmetric
+    "reflection_gate": (
+        ("hamiltonian", "chain_hamiltonian", 0), _chain, sz.NotReflectionInvariant, GATE,
+        ("not_reflection_invariant", 3), {"residual"}, 1e-8),
+    "herm_eig": (
+        ("linalg", "herm_eig", 0), sz.z2_index, sz.NotHermitian,
+        "matrix is not Hermitian within tolerance", NUMERICAL, {"skew_residual"}, 1e-8),
+    "symmetrized": (
+        None, lambda aklt: sz.z2_index(aklt, Config(eps_herm=-1.0)), sz.NotHermitian,
+        "matrix is not Hermitian within tolerance", NUMERICAL, {"skew_residual"}, -1.0),
+    "require_normalized_nan": (
+        ("mps", "require_normalized", 0), sz.primitivity, sz.NormalizationBroken,
+        "tuple does not satisfy the channel condition", NUMERICAL, {"residual"}, 1e-8),
     "require_normalized": (
-        lambda mp, aklt: mps.require_normalized(aklt, Config(eps_norm=-1.0)),
-        sz.NormalizationBroken, "tuple does not satisfy the channel condition", NUMERICAL,
-        {"residual"}, -10.0),
+        None, lambda aklt: sz.primitivity(aklt, Config(eps_norm=-1.0)), sz.NormalizationBroken,
+        "tuple does not satisfy the channel condition", NUMERICAL, {"residual"}, -10.0),
     "positive_fixed_point": (
-        _positive_fixed_point,
-        sz.NotNormalizable, "identity has no component along a positive fixed point",
-        NUMERICAL, {"eigen_residual"}, 1e-7),
-    "normalize": (
-        lambda mp, aklt: sz.normalize(aklt.v, Config(eps_norm=-1.0)),
-        sz.ConvergenceFailure, "normalization residual above tolerance after rescaling",
-        NUMERICAL, {"residual"}, -1.0),
+        ("mps", "normalize", 0), lambda aklt: sz.normalize(3.0 * aklt.v), sz.NotNormalizable,
+        "identity has no component along a positive fixed point", NUMERICAL,
+        {"eigen_residual"}, 1e-7),
     "normalize_nan": (
-        _normalize_nan,
-        sz.ConvergenceFailure, "normalization residual above tolerance after rescaling",
-        NUMERICAL, {"residual"}, 1e-9),
+        ("mps", "normalize", 0), lambda aklt: sz.normalize(3.0 * aklt.v), sz.ConvergenceFailure,
+        "normalization residual above tolerance after rescaling", NUMERICAL, {"residual"}, 1e-9),
+    "normalize": (
+        None, lambda aklt: sz.normalize(aklt.v, Config(eps_norm=-1.0)), sz.ConvergenceFailure,
+        "normalization residual above tolerance after rescaling", NUMERICAL, {"residual"}, -1.0),
     "invariant_state": (
-        _invariant_state,
-        sz.ConvergenceFailure, "invariant state residual above tolerance", NUMERICAL,
+        ("mps", "invariant_state", 0), sz.z2_index, sz.ConvergenceFailure,
+        "invariant state residual above tolerance", NUMERICAL,
         {"spectral_radius", "residual", "spectral_gap"}, 1e-8),
     "marginal_trace": (
-        lambda mp, aklt: mps.marginal(sz.as_mps(OVERFLOWING), np.eye(2) / 2, 1),
-        sz.ConvergenceFailure, "marginal trace drifted from 1", NUMERICAL, {"trace", "l"}, 1e-8),
+        ("mps", "_checked_gram_spectrum", 0), sz.z2_index, sz.ConvergenceFailure,
+        "marginal trace drifted from 1", NUMERICAL, {"trace", "l"}, 1e-8),
     "marginal_gram_floor": (
-        _gram_floor,
-        sz.ConvergenceFailure, "marginal has a significantly negative eigenvalue", NUMERICAL,
-        {"min_eigenvalue"}, 1e-8),
-    "symmetrized": (
-        lambda mp, aklt: linalg.herm_eig(np.eye(2), Config(eps_herm=-1.0)),
-        sz.NotHermitian, "matrix is not Hermitian within tolerance", NUMERICAL,
-        {"skew_residual"}, -1.0),
+        ("mps", "_checked_gram_spectrum", 0), sz.z2_index, sz.ConvergenceFailure,
+        "marginal has a significantly negative eigenvalue", NUMERICAL, {"min_eigenvalue"}, 1e-8),
     "z2_index_ambiguity": (
-        lambda mp, aklt: sz.z2_index(aklt, Config(eps_index=-1.0)),
-        sz.AmbiguousSymmetry, "gauge unitary is neither symmetric nor antisymmetric",
-        ("ambiguous_symmetry", 4), {"sym_residual", "antisym_residual"}, -1.0),
-    "z2_index_ambiguity_nan": (
-        _ambiguity_nan,
-        sz.AmbiguousSymmetry, "gauge unitary is neither symmetric nor antisymmetric",
-        ("ambiguous_symmetry", 4), {"sym_residual", "antisym_residual"}, 1e-7),
+        None, lambda aklt: sz.z2_index(aklt, Config(eps_index=-1.0)), sz.AmbiguousSymmetry,
+        "gauge unitary is neither symmetric nor antisymmetric", ("ambiguous_symmetry", 4),
+        {"sym_residual", "antisym_residual"}, -1.0),
+    # one line judges the phase (against eps_index), then the commutator with rho
     "z2_index_phase": (
-        _phase, sz.Inconclusive, STRUCTURAL, INCONCLUSIVE,
+        ("reflection", "_stages", 0), sz.z2_index, sz.Inconclusive, STRUCTURAL, INCONCLUSIVE,
         {"phase_sq_residual", "rho_commute_residual"}, 1e-7),
     "z2_index_commute": (
-        _commute, sz.Inconclusive, STRUCTURAL, INCONCLUSIVE,
+        ("reflection", "_stages", 1), sz.z2_index, sz.Inconclusive, STRUCTURAL, INCONCLUSIVE,
         {"phase_sq_residual", "rho_commute_residual"}, 1e-6),
+    "schmidt_nan": (
+        ("modular", "schmidt", 0), lambda aklt: sz.modular_data(_bell()), sz.Inconclusive,
+        "Schmidt reconstruction residual above tolerance", INCONCLUSIVE, {"residual"}, 1e-8),
     # schmidt judges its reconstruction first, at a residual of exactly 0.0 here
     "schmidt": (
-        lambda mp, aklt: sz.modular_data(_bell(), Config(modular_tol=-1.0)),
-        sz.Inconclusive, "Schmidt reconstruction residual above tolerance", INCONCLUSIVE,
-        {"residual"}, -1.0),
+        None, lambda aklt: sz.modular_data(_bell(), Config(modular_tol=-1.0)), sz.Inconclusive,
+        "Schmidt reconstruction residual above tolerance", INCONCLUSIVE, {"residual"}, -1.0),
     "modular_data": (
-        _modular_data,
-        sz.Inconclusive, "modular identities exceed tolerance", INCONCLUSIVE,
+        ("modular", "modular_data", 0), lambda aklt: sz.modular_data(_bell()), sz.Inconclusive,
+        "modular identities exceed tolerance", INCONCLUSIVE,
         {"left_isometry", "right_isometry", "reconstruction", "root_eigenvectors", "polar"},
-        Config().modular_tol),
+        1e-8),
 }
 
 
-@pytest.mark.parametrize("site", sorted(ROUTED))
-def test_routed_refusal_reports_its_tolerance(site, monkeypatch, aklt):
-    force, refusal, message, status_exit, keys, tol = ROUTED[site]
-    with pytest.raises(sz.SptError) as info:
-        force(monkeypatch, aklt)
-    exc = info.value
+def test_every_within_site_has_a_forced_row():
+    # a new errors.within call without a row, or a row whose call is gone, fails here
+    sites = within_sites()
+    forced = [(force[0], force[1], message, force[2])
+              for force, _, _, message, *_ in ROUTED.values() if force]
+    assert len(set(sites)) == len(sites) and len(set(forced)) == len(forced)
+    assert {site[:3] for site in forced} == set(sites)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED))
+def test_routed_refusal_reports_its_tolerance(name, monkeypatch, aklt):
+    force, call, refusal, message, status_exit, keys, tol = ROUTED[name]
+    if force is None:
+        with pytest.raises(sz.SptError) as info:
+            call(aklt)
+        exc = info.value
+    else:
+        module, function, nth = force
+        judged = force_within(monkeypatch, module, function, message, nth)
+        if message == GATE:
+            assert call(aklt).blocks == (sz.EdBlock(parity=1, dim=81, kernel_dim=4),)
+        else:
+            with pytest.raises(sz.SptError) as info:
+                call(aklt)
+            assert info.value is judged.refusal
+        exc = judged.refusal
     assert type(exc) is refusal
     assert exc.message == message
     assert (exc.status, exc.exit_code) == status_exit

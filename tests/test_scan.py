@@ -1,4 +1,3 @@
-import importlib
 import re
 from pathlib import Path
 
@@ -8,6 +7,7 @@ import pytest
 import spt_z2 as sz
 from spt_z2 import mps
 from spt_z2.linalg import frob
+from util import force_within
 
 
 # -- zoo ----------------------------------------------------------------------
@@ -218,11 +218,9 @@ def test_scan_flags_survive_a_reflection_disagreement():
 
 
 def test_scan_structural_inconclusive_keeps_both_flags(monkeypatch):
-    # a gauge phase of i breaks phase^2 = 1 after both certificates held
-    reflection = importlib.import_module("spt_z2.reflection")
-    solve = reflection.gauge_solve
-    monkeypatch.setattr(reflection, "gauge_solve",
-                        lambda *a, **kw: solve(*a, **kw)._replace(phase=1j))
+    # the gauge's phase^2 = 1, judged after both certificates held, is forced to fail
+    force_within(monkeypatch, "reflection", "_stages",
+                 "gauge solution violates a structural invariant")
     rep = sz.scan(sz.family("deformed-aklt", grid=3))
     for p in rep.points:
         assert (p.status, p.error) == ("inconclusive", "Inconclusive")

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: random ensembles and independent oracles.
+"""Shared helpers for the test suite: random ensembles, independent oracles,
+and the probes that count calls and force ``errors.within`` judgements.
 
 Oracles here deliberately avoid the package's batched implementations so the
 tests compare two different routes to the same quantity.
@@ -6,14 +7,80 @@ tests compare two different routes to the same quantity.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 import spt_z2 as sz
-from spt_z2 import mps
+from spt_z2 import errors, mps
+
+
+def within_sites() -> list[tuple[str, str, str]]:
+    """Every ``within(...)`` call in ``spt_z2``, as (module, enclosing function, message)."""
+    def calls(node, function):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else function
+            func = getattr(child, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "within":
+                yield name, ast.literal_eval(child.args[3])
+            yield from calls(child, name)
+
+    return [(path.stem, function, message)
+            for path in sorted(Path(sz.__file__).parent.glob("*.py"))
+            for function, message in calls(ast.parse(path.read_text()), None)]
+
+
+class Judgements(list):
+    """The (message, tol) pairs ``within`` judged, in order; ``refusal`` is the
+    last refusal it raised, whether or not its caller caught it."""
+
+    refusal: sz.SptError | None = None
+
+
+def force_within(monkeypatch, module: str, function: str | None = None,
+                 message: str | None = None, nth: int = 0) -> Judgements:
+    """Wrap ``spt_z2.<module>.within`` and record what it judges.
+
+    In each run of ``function``, its ``nth`` judgement (from 0) of ``message``
+    is judged as NaN, so that site refuses with its own class, message,
+    payload and tolerance; with no ``function`` nothing is forced.
+    """
+    judged, runs = Judgements(), {}
+
+    def judge(value, tol, refusal, text, **payload):
+        judged.append((text, tol))
+        caller = sys._getframe(1)  # held as a key, so no later run reuses its id
+        if (caller.f_code.co_name, text) == (function, message):
+            runs[caller] = runs.get(caller, -1) + 1
+            if runs[caller] == nth:
+                value = float("nan")
+        try:
+            errors.within(value, tol, refusal, text, **payload)
+        except sz.SptError as exc:
+            judged.refusal = exc
+            raise
+
+    monkeypatch.setattr(importlib.import_module(f"spt_z2.{module}"), "within", judge)
+    return judged
+
+
+def count_calls(monkeypatch, counts, fn, label: str) -> None:
+    """Add each call of ``fn`` to ``counts[label]``; ``fn`` is swapped wherever
+    ``np.linalg`` or an ``spt_z2`` module holds it, as modules import functions by name."""
+    def counted(*args, **kw):
+        counts[label] += 1
+        return fn(*args, **kw)
+
+    for mod in [np.linalg] + [m for key, m in sys.modules.items() if key.startswith("spt_z2")]:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, counted)
 
 
 def refusal_classes_by_status() -> dict[str, set[str]]:
