@@ -12,7 +12,9 @@ are legal and only force refusals), ``rank_tol`` is at least 0,
 setting reads one quantity: ``rank_tol`` is the one relative floor on
 eigenvalues and weights (an eigenvalue of a PSD matrix, or a squared singular
 value, at most ``rank_tol`` times the largest counts as zero, for ranks,
-pseudo-inverses, Schmidt supports and positive definiteness),
+pseudo-inverses, Schmidt supports and positive definiteness; the
+pseudo-inverses and Schmidt supports of an m x m matrix floor at m eps at
+least, the eigensolver's rounding, which the default is above for m < 4504),
 ``peripheral_tol`` the width of the transfer spectrum's unit-circle window
 (:func:`spt_z2.linalg.peripheral_window` is its one reader), ``modular_tol``
 both signs of the modular data, and ``dense_cap`` every dense space on x

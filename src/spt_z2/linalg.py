@@ -248,15 +248,18 @@ def psd_power(rho: np.ndarray, power: float, config: Config = DEFAULT) -> np.nda
 
     ``rho`` is PSD by construction (M M^dagger, at the one caller), so only
     :func:`herm_eig`'s Hermiticity check judges it. Eigenvalues at most
-    ``rank_tol`` times the largest, rounding below 0 included, are exact
-    zeros: pseudo-inverted to zero for negative powers, dropped for positive
-    ones, so every power of the zero matrix is zero. ``power`` is the one
-    caller's literal 0.5, so it is not checked.
+    max(``rank_tol``, m eps) times the largest, for an m x m ``rho``, rounding
+    below 0 included, are exact zeros: pseudo-inverted to zero for negative
+    powers, dropped for positive ones, so every power of the zero matrix is
+    zero. m eps bounds the eigensolver's rounding of the eigenvalues relative
+    to the largest, so an eigenvalue of rounding size counts as zero at
+    ``rank_tol = 0`` too. ``power`` is the one caller's literal 0.5, so it is
+    not checked.
     """
     sys = herm_eig(rho, config)
     w, u = sys.values, sys.vectors
     wp = np.zeros_like(w)
-    on = w > config.rank_tol * float(w[-1])
+    on = w > max(config.rank_tol, w.size * np.finfo(float).eps) * float(w[-1])
     wp[on] = w[on] ** power
     return (u * wp) @ u.conj().T
 

@@ -128,17 +128,19 @@ def schmidt(mat: np.ndarray, cfg: Config = DEFAULT) -> SchmidtData:
 
     ``mat`` and ``cfg`` are the M and the settings that :func:`modular_data`,
     the one caller, has read and checked; neither is read again here. The
-    support keeps the weights s_k^2 above ``rank_tol`` times the largest,
-    the floor :func:`spt_z2.linalg.psd_power` applies to the eigenvalues of
-    rho = M M^dagger. The right vectors get the canonical phase of
-    :func:`spt_z2.linalg.canonical_phases` and the left vectors absorb the
-    compensating factor, which keeps Xi^dagger M = diag(s) Z^T exact. That
-    reconstruction on the support, (R) of the module docstring, is judged
-    against ``modular_tol``.
+    support keeps the weights s_k^2 above max(``rank_tol``, m eps) times the
+    largest, for an m x m M, the floor :func:`spt_z2.linalg.psd_power`
+    applies to the eigenvalues of rho = M M^dagger: m eps bounds the
+    eigensolver's rounding of those eigenvalues, so a weight of rounding
+    size is zero to both, at ``rank_tol = 0`` too. The right vectors get the
+    canonical phase of :func:`spt_z2.linalg.canonical_phases` and the left
+    vectors absorb the compensating factor, which keeps
+    Xi^dagger M = diag(s) Z^T exact. That reconstruction on the support, (R)
+    of the module docstring, is judged against ``modular_tol``.
     """
     xi_full, s, vh = np.linalg.svd(mat)
     lam = s * s
-    r = int(np.sum(lam > cfg.rank_tol * lam[0]))
+    r = int(np.sum(lam > max(cfg.rank_tol, len(lam) * np.finfo(float).eps) * lam[0]))
     if r == 0:
         raise DegenerateSupport("Schmidt support is empty at this rank tolerance",
                                 rank_tol=cfg.rank_tol)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import mps
 
 try:
     from numpy.exceptions import ComplexWarning
@@ -29,11 +28,6 @@ def aklt():
 @pytest.fixture(scope="session")
 def aklt_report():
     return sz.z2_index(sz.zoo("aklt"))
-
-
-@pytest.fixture(scope="session")
-def aklt_rho(aklt):
-    return mps.invariant_state(aklt)
 
 
 @pytest.fixture

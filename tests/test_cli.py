@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -18,11 +19,12 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import cli, hamiltonian, linalg, modular, reflection
+from spt_z2 import cli, hamiltonian, linalg, reflection
 from spt_z2.config import is_finite_real, is_int
 from spt_z2.errors import STATUS_EXIT
 from spt_z2.scan import check_grid
-from util import known_answer_tuple, refusal_classes_by_status
+from test_refusals import mutate
+from util import count_calls, known_answer_tuple, refusal_classes_by_status
 
 SCHEMAS = Path(cli.__file__).parent / "schemas"
 SCHEMA = json.loads((SCHEMAS / "report.schema.json").read_text())
@@ -169,10 +171,7 @@ def test_parent_ham_resource_limit():
 ], ids=["huge-grid", "grid-above-flag-cap"])
 def test_scan_grid_above_cap_is_resource_limit(monkeypatch, argv):
     """The full run and --validate-only refuse alike, before any point runs."""
-    def no_points(*args, **kw):
-        raise AssertionError("a scan point ran")
-
-    monkeypatch.setattr(importlib.import_module("spt_z2.scan"), "_scan_point", no_points)
+    mutate(monkeypatch, "no-scan-point")
     for extra in ([], ["--validate-only"]):
         code, env = run(["scan", "--family", "deformed-aklt"] + argv + extra)
         assert code == 8 and env["status"] == "resource_limit", extra
@@ -472,17 +471,7 @@ def test_parent_ham_unreflected_chain_is_one_block():
 
 def test_scan_records_a_refusing_generator(monkeypatch):
     # a generator that refuses for s > 0: the point is recorded and the scan goes on
-    scan_module = importlib.import_module("spt_z2.scan")
-    entry = scan_module.MODELS["aklt-breaker"]
-    breaker = entry.generator
-
-    def refusing(s):
-        if s > 0.0:
-            raise sz.NotNormalizable("no channel form", s=s)
-        return breaker(s)
-
-    monkeypatch.setitem(scan_module.MODELS, "aklt-breaker",
-                        entry._replace(generator=refusing))
+    mutate(monkeypatch, "refusing-generator")
     code, env = run(["scan", "--family", "aklt-breaker",
                      "--s0", "0", "--s1", "0.5", "--grid", "3"])
     assert code == 0
@@ -824,8 +813,8 @@ def _bell():
 # one call per public operation that takes config, with inputs it accepts: the
 # census is every module-level function of the package with a config parameter,
 # exported or not, and each refuses a config of another type; a stage that reads
-# no setting (gauge_solve) takes no config, and one that reads its caller's
-# checked settings (marginal, invariant_state, schmidt and the rest) takes them as cfg
+# no setting takes no config, and one that reads its caller's checked settings
+# takes them as cfg
 CONFIG_CALLS = {
     "hamiltonian.parent_interaction": lambda t, cfg: sz.parent_interaction(t, 2, config=cfg),
     "hamiltonian.chain_hamiltonian":
@@ -1075,17 +1064,18 @@ def test_jsonable_writes_non_finite_floats_as_text():
 
 
 def test_check_certifies_primitivity_once(monkeypatch):
-    _, before = run(["check", "--model", "aklt"])
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return sz.primitivity(*args, **kwargs)
-
-    monkeypatch.setattr(reflection, "primitivity", spy)
+    # check runs the index's stages up to the evidence, and classifying the
+    # gauge takes no LAPACK call: so it makes the index's calls, with
+    # primitivity's word-space and spectral solves once
+    counts = Counter()
+    for name in ("eig", "eigvals", "eigh", "svd", "qr", "lstsq", "cholesky"):
+        count_calls(monkeypatch, counts, getattr(np.linalg, name), name)
+    run(["index", "--model", "aklt"])
+    index = counts.copy()
+    counts.clear()
     code, env = run(["check", "--model", "aklt"])
-    assert code == 0 and len(calls) == 1
-    assert env == before
+    assert code == 0 and env["result"]["primitive"] is True
+    assert counts == index
 
 
 def _outcome(call):
@@ -1222,11 +1212,7 @@ def test_validate_only_echoes_input_without_computing(monkeypatch, tmp_path, arg
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("computation ran under --validate-only")
-
-    for name in ("zoo", "normalize", "z2_index", "scan", "modular_data"):
-        monkeypatch.setattr(cli, name, refuse)
+    mutate(monkeypatch, "no-computation")
     code, env = run([str(paths[a]) if a in paths else a for a in argv] + ["--validate-only"])
     expected = {k: INPUT_FILES.get(v, v) if isinstance(v, str) else v for k, v in desc.items()}
     assert code == 0 and env["status"] == "ok"

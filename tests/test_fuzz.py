@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import cli, mps
+from spt_z2 import cli
 from spt_z2.errors import STATUS_EXIT
 
 SCHEMAS = Path(cli.__file__).parent / "schemas"
@@ -79,7 +79,6 @@ def complex_rows(arr):
 
 
 AKLT = sz.normalize(sz.zoo("aklt"))
-RHO = np.eye(2) / 2
 BELL = np.eye(2) / np.sqrt(2)
 VALID = {
     "tuple": {"d": 3, "k": 2, "matrices": [complex_rows(m) for m in AKLT.v],
@@ -168,7 +167,6 @@ def test_hostile_values_are_refused_or_read_by_the_library():
         for key in ("s0", "s1", "grid"):
             _returns_or_refuses(sz.family, "deformed-aklt", **{key: value})
         _returns_or_refuses(sz.parent_interaction, AKLT, m=value)
-        _returns_or_refuses(mps.marginal, AKLT, RHO, value)
         _returns_or_refuses(sz.block, AKLT, value)
         # the exported entries that read a tuple and a vector's fields
         _returns_or_refuses(sz.z2_index, value)

@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 import spt_z2 as sz
 from spt_z2.linalg import frob
 from spt_z2 import hamiltonian, mps
-from util import count_calls, embed_sites_oracle, known_answer_tuple, marginal_oracle, vbs
+from util import embed_sites_oracle, known_answer_tuple, marginal_oracle, vbs
 
 
 @pytest.fixture(scope="module")
@@ -144,33 +143,18 @@ def test_parent_interaction_is_the_dense_formula(aklt, complex_tuple, model):
 @pytest.mark.parametrize("model", ["aklt", "complex", "blocked", "d3-k3"])
 def test_word_span_is_the_marginal_support(aklt, complex_tuple, model):
     # the complement of h projects onto the support of the brute-force marginal
+    # of the state the index reports
     t = {"aklt": aklt, "complex": complex_tuple, "blocked": sz.block(aklt, 2),
          "d3-k3": sz.normalize(known_answer_tuple(np.random.default_rng([3, 3, 3]), 3, 3, +1))
          }[model]
     hint = sz.parent_interaction(t)
-    evals, vecs = np.linalg.eigh(marginal_oracle(t, mps.invariant_state(t).rho, hint.m))
+    rep = sz.z2_index(t)
+    rho = (rep.basis * rep.rho_diag) @ rep.basis.conj().T
+    evals, vecs = np.linalg.eigh(marginal_oracle(t, rho, hint.m))
     support = vecs[:, evals > 1e-10 * evals[-1]]
     assert support.shape[1] == hint.support_rank
     want = np.eye(t.d ** hint.m) - support @ support.conj().T
     assert frob(hint.h - want) < 1e-10
-
-
-def test_parent_interaction_call_counts(monkeypatch, aklt):
-    """One aklt interaction: primitivity's calls and one svd, with no state or marginal.
-
-    2 eig, 1 eigvals, 1 eigh, 1 lstsq and 3 transfer matrices are the
-    spectral route and the peripheral cross-check inside ``primitivity``
-    (whose one ``invariant_state`` call is that route); 2 of the 3 svd are
-    its word-space steps and the third is the word span's basis.
-    """
-    counts = Counter()
-    for name in ("eig", "eigvals", "eigh", "lstsq", "svd", "cholesky"):
-        count_calls(monkeypatch, counts, getattr(np.linalg, name), name)
-    for name in ("transfer_matrix", "invariant_state", "marginal"):
-        count_calls(monkeypatch, counts, getattr(mps, name), name)
-    sz.parent_interaction(aklt)
-    assert counts == {"eig": 2, "eigvals": 1, "eigh": 1, "lstsq": 1, "svd": 3,
-                      "transfer_matrix": 3, "invariant_state": 1}
 
 
 def test_parent_interaction_refuses_like_the_index():
@@ -371,7 +355,7 @@ def _index_sign(t):
 def test_open_kernel_splits_by_zeta(aklt, model, n):
     """A second reading of zeta from ED: k(k+1)/2 kernel states have parity zeta c^n.
 
-    :func:`spt_z2.reflection.gauge_solve` finds X with
+    The index's gauge is an X with
     ``X tilde v_mu^dagger = c v_mu^dagger X``, ``tilde v_mu = v_{pi(mu)}^T``
     and c = ``IndexReport.phase`` = +-1; so ``v_{pi(mu)}^T = c Y v_mu Y^-1`` with
     Y = X^dagger, and ``Y^T = zeta Y`` (Y is ``D^(1/2) U`` up to scale, U
@@ -426,17 +410,6 @@ def test_dense_ed_holds_two_matrices(aklt, complex_tuple, model, n):
     assert [blk.parity for blk in rep.blocks] == [1, -1]
     assert peak <= 1.1 * largest + ASSEMBLY_WORDS * n * hint.d ** n * 8
     assert rep.kernel_dim == 4 and rep.gap > 0.1
-
-
-def test_chain_reads_its_interaction_once(aklt_h2, monkeypatch):
-    # the reflection gate judges the fields _read_hint returned, not a second reading
-    calls = []
-    read = hamiltonian._read_hint
-    monkeypatch.setattr(hamiltonian, "_read_hint", lambda hint: calls.append(1) or read(hint))
-    blocks = list(hamiltonian.chain_hamiltonian(aklt_h2, 4, "open"))
-    assert len(calls) == 1 and [blk.parity for blk in blocks] == [1, -1]
-    sz.ed_report(aklt_h2, 4, "open")
-    assert len(calls) == 2
 
 
 def test_overflowing_chain_is_refused():

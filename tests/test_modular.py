@@ -4,6 +4,7 @@ import pytest
 import spt_z2 as sz
 from spt_z2 import modular
 from spt_z2.linalg import frob
+from test_refusals import mutate
 from util import modular_identities_oracle, random_bipartite
 
 SINGLET = np.array([[0.0, -1.0], [1.0, 0.0]]) / np.sqrt(2.0)
@@ -83,9 +84,10 @@ def test_schmidt_antisymmetric_support_is_even(rng):
 # -- swap sign ----------------------------------------------------------------
 
 def test_swap_sign_cases(rng):
-    assert sz.swap_sign(random_bipartite(rng, 4, symmetry="sym")) == 1
-    assert sz.swap_sign(random_bipartite(rng, 4, symmetry="antisym")) == -1
-    assert sz.swap_sign(random_bipartite(rng, 4)) is None
+    # modular_data's sigma is the same rule, read from the matrix it holds
+    for symmetry, sign in (("sym", 1), ("antisym", -1), ("none", None)):
+        omega = random_bipartite(rng, 4, symmetry=symmetry)
+        assert sz.swap_sign(omega) == sz.modular_data(omega).sigma == sign
     assert sz.swap_sign(sz.as_bipartite(SINGLET)) == -1
 
 
@@ -135,20 +137,6 @@ def test_modular_data_is_bitwise_repeatable(rng):
         assert np.array_equal(getattr(first.schmidt, name), getattr(second.schmidt, name))
 
 
-def test_modular_data_reads_omega_once(monkeypatch, rng):
-    # schmidt takes the matrix modular_data read; sigma is read from the same
-    # matrix, by swap_sign's rule
-    reads = []
-    inner = modular._read_omega
-    monkeypatch.setattr(modular, "_read_omega", lambda omega: reads.append(1) or inner(omega))
-    for symmetry in ("sym", "antisym", None):
-        omega = random_bipartite(rng, 4, symmetry=symmetry)
-        reads.clear()
-        report = sz.modular_data(omega)
-        assert len(reads) == 1
-        assert report.sigma == sz.swap_sign(omega)
-
-
 def test_modular_singlet():
     report = sz.modular_data(sz.as_bipartite(SINGLET))
     assert report.kappa == -1 and report.sigma == -1
@@ -167,33 +155,12 @@ def test_closed_form_identities_hold_on_the_reported_schmidt_data(rng, symmetry)
         assert max(worst.values()) < 1e-10, (m, worst)
 
 
-def _tampered(sch, mat, what):
-    """Schmidt data of ``mat`` with exactly one generator fact broken (see ``what``)."""
-    xi_full, _, vh = np.linalg.svd(mat)
-    r = sch.support_dim
-    left, right, lam, u = sch.left, sch.right, sch.lam, sch.u
-    if what in ("left_isometry", "right_isometry"):
-        # one more column of zero weight, in the kernels of M M^dagger and M^T conj(M),
-        # of norm 2 on one side: (R), (E) and (P) still hold
-        scale = (2.0, 1.0) if what == "left_isometry" else (1.0, 2.0)
-        left = np.column_stack([left, scale[0] * xi_full[:, r]])
-        right = np.column_stack([right, scale[1] * vh[r]])
-        lam, u, r = np.append(lam, 0.0), right @ left.T, r + 1
-    elif what == "reconstruction":
-        right = right * np.where(np.arange(r) == 0, -1.0, 1.0)  # u is kept
-    elif what == "polar":
-        u = -u
-    return sz.SchmidtData(lam=lam, left=left, right=right, u=u, support_dim=r)
-
-
 @pytest.mark.parametrize("what", ["left_isometry", "right_isometry", "reconstruction",
                                   "polar"])
 def test_broken_generator_is_refused(monkeypatch, rng, what):
     # odd m: a support of dimension 2 inside C^3, so a zero-weight column fits
     omega = random_bipartite(rng, 3, symmetry="antisym")
-    real = modular.schmidt
-    monkeypatch.setattr(modular, "schmidt",
-                        lambda mat, cfg: _tampered(real(mat, cfg), mat, what))
+    mutate(monkeypatch, "tampered-schmidt", what)
     with pytest.raises(sz.Inconclusive) as info:
         sz.modular_data(omega)
     payload = info.value.payload
@@ -203,8 +170,7 @@ def test_broken_generator_is_refused(monkeypatch, rng, what):
 
 def test_root_of_the_reduced_state_is_checked(monkeypatch, rng):
     # a wrong ambient root breaks (E) and (P), and only those
-    real = modular.psd_power
-    monkeypatch.setattr(modular, "psd_power", lambda *a: (1.0 + 1e-6) * real(*a))
+    mutate(monkeypatch, "scaled-root")
     with pytest.raises(sz.Inconclusive) as info:
         sz.modular_data(random_bipartite(rng, 4))
     payload = info.value.payload
@@ -255,32 +221,17 @@ def test_small_schmidt_tails_are_answered():
         assert report.kappa == sign and report.sigma == sign, case
 
 
-# the draws of the ensemble below refused at rank_tol = 0: each support keeps
-# the vector's third direction, a weight of rounding size, whose root in
-# psd_power (about 1e-8) misses the SVD's by more than modular_tol in (E) and (P)
-RANK_TOL_0_INCONCLUSIVE = (6, 24, 25, 29, 34, 39, 47, 67, 86, 106, 115, 119, 125, 128, 178,
-                           182, 184)
-
-
 def test_rank_deficient_vectors_are_read_at_rank_tol_0():
-    # symmetric rank-2 vectors at rank_tol = 0, a legal setting: M M^dagger is PSD
-    # by construction, so the rounding of its zero eigenvalue below 0 is no refusal
+    # symmetric rank-2 vectors at rank_tol = 0, a legal setting: schmidt and
+    # psd_power floor the weights at m eps times the largest, the eigensolver's
+    # rounding, so the third weight (s_3/s_1 <= 1.4e-16 here) is zero to both
     cfg = sz.Config(rank_tol=0.0)
     rng = np.random.default_rng(1)
-    refused = []
     for case in range(200):
         a, b = rng.standard_normal((2, 3))
-        omega = sz.as_bipartite(np.outer(a, a) + np.outer(b, b), normalized=True)
-        try:
-            report = sz.modular_data(omega, cfg)
-        except sz.Inconclusive as exc:
-            payload = exc.payload
-            assert {k for k in RESIDUALS if payload[k] > payload["tolerance"]} == \
-                {"root_eigenvectors", "polar"}, case
-            refused.append(case)
-            continue
-        assert report.kappa == 1 and report.sigma == 1 and report.support_dim >= 2, case
-    assert tuple(refused) == RANK_TOL_0_INCONCLUSIVE
+        report = sz.modular_data(sz.as_bipartite(np.outer(a, a) + np.outer(b, b),
+                                                 normalized=True), cfg)
+        assert (report.kappa, report.sigma, report.support_dim) == (1, 1, 2), case
 
 
 # -- bond vector --------------------------------------------------------------

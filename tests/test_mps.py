@@ -4,22 +4,14 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import mps, reflection
+from spt_z2 import mps
 from spt_z2.linalg import frob, hermitian_real, unvec, vec
 from spt_z2.mps import reverse_word_index, transfer_matrix
 from spt_z2.reflection import _marginal_reversal_residual
-from util import (apply_adjoint, dense_marginal, force_within, haar_unitary,
-                  injectivity_length_oracle, known_answer_tuple, marginal_oracle,
-                  random_channel_tuple, word_index)
-
-
-def sigma_plus_tuple():
-    # unique peripheral eigenvalue but singular invariant state: the spectral
-    # route must not call this primitive on peripheral counting alone
-    v = np.zeros((2, 2, 2), dtype=complex)
-    v[0, 0, 1] = 1.0
-    v[1, 1, 1] = 1.0
-    return sz.as_mps(v)
+from test_refusals import mutate
+from util import (apply_adjoint, dense_marginal, force_within, injectivity_length_oracle,
+                  known_answer_tuple, marginal_oracle, random_channel_tuple, rotation_tuple,
+                  sigma_plus_tuple, state_oracle, word_index)
 
 
 # -- validation --------------------------------------------------------------
@@ -163,7 +155,7 @@ def test_real_transfer_route_matches_the_complex_one(rng, shape):
     spec = sz.transfer_spectrum(t)
     assert spec.dtype == complex and len(spec) == t.k ** 2
     assert _nearest_miss(spec, np.linalg.eigvals(complex_t)) < 1e-12
-    # normalize's fixed point (of E) and invariant_state's (of its adjoint)
+    # normalize's fixed point (of E) and the invariant state's (of its adjoint)
     for real, cplx in ((real_t, complex_t), (real_t.T, complex_t.conj().T)):
         _, x, res, _ = mps._positive_fixed_point(real, t.k, sz.NotNormalizable)
         assert frob(x - _complex_fixed_point(cplx, t.k)) < 1e-12
@@ -288,7 +280,7 @@ def test_primitivity_blocked_aklt(aklt):
 
 def test_primitivity_refuses_disagreeing_peripheral_counts(monkeypatch):
     # the eigenmatrix route finds no peripheral eigenvalue where the spectral route finds one
-    monkeypatch.setattr(mps, "peripheral_eigs", lambda *a, **kw: [])
+    mutate(monkeypatch, "no-peripheral-eigenmatrix")
     t = sz.normalize(sz.zoo("deformed-aklt:0.5"))
     with pytest.raises(sz.Inconclusive) as info:
         sz.primitivity(t)
@@ -323,31 +315,13 @@ def test_primitivity_periodic_tuple_not_primitive():
         sz.z2_index(raw)
 
 
-def rotation_tuple(k):
-    # (0.6 R, 0.8 R) with R unitary and eigenphases sqrt(2) j: every word of
-    # length l is a multiple of R^l, so the word space stays one-dimensional
-    # and neither stalls nor cycles, and all k^2 transfer eigenvalues are
-    # peripheral
-    q = haar_unitary(np.random.default_rng(k), k)
-    r = (q * np.exp(1j * np.sqrt(2) * np.arange(k))) @ q.conj().T
-    return np.stack([0.6 * r, 0.8 * r])
-
-
-def count_word_space_steps(monkeypatch):
-    calls = []
-    step = mps._word_space_step
-    monkeypatch.setattr(mps, "_word_space_step", lambda *a: calls.append(1) or step(*a))
-    return calls
-
-
 @pytest.mark.parametrize("k", [2, 3])
-def test_primitivity_wielandt_stop(monkeypatch, k):
-    calls = count_word_space_steps(monkeypatch)
+def test_primitivity_wielandt_stop(k):
+    # the search stops at length k^4 (its svd steps are the mirror's wielandt rows)
     cert = sz.primitivity(sz.normalize(rotation_tuple(k)))
     assert not cert.is_primitive
     assert cert.injectivity_length is None
     assert cert.peripheral_count == k * k
-    assert len(calls) == k ** 4
     with pytest.raises(sz.NotPrimitive):
         sz.z2_index(rotation_tuple(k))
 
@@ -421,54 +395,58 @@ def test_require_normalized_refuses_a_nan_residual():
 
 # -- invariant state ---------------------------------------------------------
 
-def test_invariant_state_aklt(aklt_rho):
-    assert np.allclose(aklt_rho.rho, np.eye(2) / 2, atol=1e-12)
-    assert aklt_rho.residual < 1e-12
-    assert abs(aklt_rho.min_eigenvalue - 0.5) < 1e-12
+def test_invariant_state_aklt(aklt_report):
+    certs = aklt_report.certificates
+    assert np.allclose(aklt_report.rho_diag, [0.5, 0.5], atol=1e-12)
+    assert certs.invariant_residual < 1e-12
+    assert abs(certs.rho_min_eigenvalue - 0.5) < 1e-12
 
 
 def test_a_looser_eps_norm_governs_the_invariant_state():
     # radius 1 + 2e-8, inside the channel bound 10 * eps_norm = 1e-4; a
     # fixed 1e-8 on abs(r - 1) refused this tuple after require_normalized passed it
     raw = 1.00000001 * sz.zoo("aklt")
-    state = mps.invariant_state(sz.as_mps(raw), sz.Config(eps_norm=1e-5))
-    assert abs(np.trace(state.rho) - 1.0) < 1e-12
-    assert sz.z2_index(raw, sz.Config(eps_norm=1e-5)).zeta == -1
+    loose = sz.Config(eps_norm=1e-5)
+    assert sz.primitivity(sz.as_mps(raw), loose).is_primitive
+    rep = sz.z2_index(raw, loose)
+    assert rep.zeta == -1 and abs(rep.rho_diag.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("f", [1e-8, 3e-8, 1e-7, 1e-6])
 def test_a_looser_eps_norm_governs_the_marginal_trace(f):
     # Tr M_l = (1 + f)^(2l) is off 1 by about 2 f l: inside l * 10 eps_norm =
-    # l * 1e-4, where a fixed 1e-7 refused every f here but 1e-8; outside the
-    # default l * 1e-8
+    # l * 1e-4 up to l = 4, where a fixed 1e-7 refused every f here but 1e-8
+    # (the default bound l * 1e-8 is forced in test_refusals' ROUTED)
     raw = (1 + f) * sz.zoo("aklt")
-    loose = sz.Config(eps_norm=1e-5)
-    assert sz.z2_index(raw, loose).zeta == -1
-    t = sz.as_mps(raw)
-    mps.marginal(t, np.eye(2) / 2, 4, loose)
-    with pytest.raises(sz.ConvergenceFailure, match="marginal trace drifted from 1"):
-        mps.marginal(t, np.eye(2) / 2, 1)
+    ev = sz.z2_index(raw, sz.Config(eps_norm=1e-5)).certificates.evidence
+    assert ev.via_marginals and ev.marginal_lengths == 4
 
 
-def test_invariant_state_oracle(rng):
-    t = random_channel_tuple(rng, 2, 3)
-    state = mps.invariant_state(t)
-    rho = state.rho
+def test_invariant_state_oracle():
+    # the reported state of a known answer is the adjoint channel's fixed point
+    t = sz.normalize(known_answer_tuple(np.random.default_rng([0, 2, 3]), 2, 3, 1))
+    rep = sz.z2_index(t)
+    rho = (rep.basis * rep.rho_diag) @ rep.basis.conj().T
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert frob(rho - rho.conj().T) < 1e-12
     assert frob(apply_adjoint(t, rho) - rho) < 1e-10
-    assert state.min_eigenvalue > 0
+    assert rep.rho_diag.min() > 0
+    assert abs(rep.certificates.rho_min_eigenvalue - rep.rho_diag.min()) < 1e-12
 
 
 def test_invariant_state_ghz_not_primitive():
-    with pytest.raises(sz.NotPrimitive):
-        mps.invariant_state(sz.normalize(sz.zoo("ghz")))
+    # two peripheral eigenvalues: the spectral route's count is the refusal's
+    with pytest.raises(sz.NotPrimitive) as info:
+        sz.z2_index(sz.zoo("ghz"))
+    assert info.value.payload == {"peripheral_count": 2, "spectral_gap": 1.0}
 
 
 def test_invariant_state_not_faithful():
+    # one peripheral eigenvalue, but the state diag(0, 1) is singular
     with pytest.raises(sz.NotPrimitive) as info:
-        mps.invariant_state(sigma_plus_tuple())
-    assert info.value.message == "invariant state is singular within tolerance"
+        sz.z2_index(sigma_plus_tuple())
+    assert info.value.message == "tuple is not primitive"
+    assert info.value.payload == {"peripheral_count": 1, "spectral_gap": 1.0}
 
 
 @pytest.mark.parametrize("call,refusal", [
@@ -476,72 +454,41 @@ def test_invariant_state_not_faithful():
     # sqrt(2) entries round; the payload is pinned to those exact bits
     (lambda: sz.normalize(np.full((2, 2, 2), 1.0)),
      (sz.NotNormalizable, "dominant fixed point is not positive definite",
-      {"min_eigenvalue": -1.6653345369377348e-16})),
-    # invariant_state adds the transfer gap, which primitivity reads
-    (lambda: mps.invariant_state(sigma_plus_tuple()),
-     (sz.NotPrimitive, "invariant state is singular within tolerance", {"spectral_gap": 1.0})),
-    (lambda: reflection.reflected_tuple(np.diag([0.0, 1.0])),
-     (sz.NotPrimitive, "invariant state is singular; reflected tuple undefined", {})),
-    # primitivity reads the refusal as a failed spectral route
+      {"min_eigenvalue": -1.6653345369377348e-16, "max_eigenvalue": 1.0})),
+    # a singular invariant state after a simple peripheral eigenvalue: the index
+    # refuses it with the spectral route's count and gap
+    (lambda: sz.z2_index(sigma_plus_tuple()),
+     (sz.NotPrimitive, "tuple is not primitive", {"peripheral_count": 1, "spectral_gap": 1.0})),
+    # the index normalizes first, so it refuses normalize's fixed point bit for bit
+    (lambda: sz.z2_index(np.full((2, 2, 2), 1.0)),
+     (sz.NotNormalizable, "dominant fixed point is not positive definite",
+      {"min_eigenvalue": -1.6653345369377348e-16, "max_eigenvalue": 1.0})),
+    # primitivity reads the singular state as a failed spectral route
     (lambda: sz.primitivity(sigma_plus_tuple()).is_primitive, None),
 ])
 def test_faithful_state_refusals(call, refusal):
-    # every site that applies the shared positive-definiteness rule keeps its
-    # own refusal class and message, with the eigenvalue payload
+    # a state that is not positive definite is refused by each entry with its
+    # own class and message, and the payload that entry reports
     if refusal is None:
         assert call() is False
         return
     with pytest.raises(refusal[0]) as info:
         call()
     assert info.value.message == refusal[1]
-    assert info.value.payload == {"min_eigenvalue": 0.0, "max_eigenvalue": 1.0, **refusal[2]}
-
-
-def test_one_positive_fixed_point_routine(monkeypatch, aklt):
-    # normalize and invariant_state share one fixed-point routine
-    seen = []
-    inner = mps._positive_fixed_point
-
-    def spy(mat, k, refusal, **payload):
-        seen.append(refusal)
-        return inner(mat, k, refusal, **payload)
-
-    monkeypatch.setattr(mps, "_positive_fixed_point", spy)
-    sz.normalize(3.0 * aklt.v)
-    assert seen == [sz.NotNormalizable]
-    assert sz.normalize(aklt) is aklt
-    assert seen == [sz.NotNormalizable]
-    mps.invariant_state(aklt)
-    assert seen == [sz.NotNormalizable, sz.ConvergenceFailure]
-    # primitivity's spectral route is invariant_state
-    assert sz.primitivity(aklt).spectral_gap == pytest.approx(2 / 3)
-    assert len(seen) == 3
-
-    with pytest.raises(sz.NotPrimitive) as info:
-        mps.invariant_state(sigma_plus_tuple())
-    assert info.value.message == "invariant state is singular within tolerance"
-    assert len(seen) == 4
-    # a reducible tuple is refused before any fixed point is sought
-    with pytest.raises(sz.NotPrimitive) as info:
-        mps.invariant_state(sz.normalize(sz.zoo("ghz")))
-    assert info.value.message == "dominant transfer eigenvalue is not simple"
-    assert info.value.payload == {"peripheral_count": 2, "spectral_gap": 1.0}
-    assert len(seen) == 4
+    assert info.value.payload == refusal[2]
 
 
 def test_each_fixed_point_is_judged_once(monkeypatch, aklt):
-    # _positive_fixed_point only measures: its callers judge the residual, once each
+    # normalize judges its fixed point's residual, then the channel residual of
+    # what it built; primitivity the tuple's channel residual, then the state's
     judged = force_within(monkeypatch, "mps")
-    with monkeypatch.context() as mp:
-        mp.setattr(mps, "_positive_definite", None)  # not reached either
-        mps._positive_fixed_point(mps._real_transfer(aklt), aklt.k, sz.NotNormalizable)
-    assert judged == []
     sz.normalize(3.0 * aklt.v)
     assert judged == [("identity has no component along a positive fixed point", 1e-7),
                       ("normalization residual above tolerance after rescaling", 1e-9)]
     judged.clear()
-    mps.invariant_state(aklt)  # the channel condition is its callers' to check
-    assert judged == [("invariant state residual above tolerance", 1e-8)]
+    sz.primitivity(aklt)
+    assert judged == [("tuple does not satisfy the channel condition", 1e-8),
+                      ("invariant state residual above tolerance", 1e-8)]
 
 
 def test_invariant_state_residual_miss_is_numerical(monkeypatch, aklt):
@@ -554,7 +501,7 @@ def test_invariant_state_residual_miss_is_numerical(monkeypatch, aklt):
         return w * (1 + 1e-6), v
 
     monkeypatch.setattr(np.linalg, "eig", off_radius)
-    for call in (mps.invariant_state, sz.primitivity):
+    for call in (sz.primitivity, sz.z2_index):
         with pytest.raises(sz.ConvergenceFailure) as info:
             call(aklt)
         assert info.value.message == "invariant state residual above tolerance"
@@ -564,18 +511,19 @@ def test_invariant_state_residual_miss_is_numerical(monkeypatch, aklt):
 
 
 # -- marginals ---------------------------------------------------------------
+# Oracle tests: util.marginal_oracle forms each word product; aklt's state is 1/2.
 
-def test_marginal_aklt_one_site(aklt, aklt_rho):
-    m = mps.marginal(aklt, aklt_rho.rho, 1)
+def test_marginal_aklt_one_site(aklt):
+    m = mps.marginal(aklt, np.eye(2) / 2, 1)
     assert np.allclose(dense_marginal(m), np.eye(3) / 3, atol=1e-12)
 
 
-def test_marginal_aklt_two_site(aklt, aklt_rho):
-    m = mps.marginal(aklt, aklt_rho.rho, 2)
+def test_marginal_aklt_two_site(aklt):
+    m = mps.marginal(aklt, np.eye(2) / 2, 2)
     assert dense_marginal(m).shape == (9, 9)
     assert np.linalg.matrix_rank(dense_marginal(m), hermitian=True) == 4
     assert abs(np.trace(dense_marginal(m)) - 1.0) < 1e-12
-    oracle = marginal_oracle(aklt, aklt_rho.rho, 2)
+    oracle = marginal_oracle(aklt, np.eye(2) / 2, 2)
     assert frob(dense_marginal(m) - oracle) < 1e-12
 
 
@@ -587,7 +535,7 @@ def test_marginal_matches_oracle(rng):
     blocked = sz.block(random_channel_tuple(rng, 2, 3), 2)
     assert not np.array_equal(blocked.reflect_perm, np.arange(blocked.d))
     for t, lengths in ((plain, (1, 2, 3)), (blocked, (1, 2))):
-        rho = mps.invariant_state(t).rho
+        rho = state_oracle(t)
         worst = 0.0
         for l in lengths:
             m = mps.marginal(t, rho, l)
@@ -602,67 +550,61 @@ def test_marginal_matches_oracle(rng):
     assert worst > 1e-3
 
 
-def test_gram_spectra_take_the_smaller_side(monkeypatch, rng):
-    # d=2, k=5: the l-site Gram is 2^l x 2^l until 2^l reaches k^2 = 25
-    t = random_channel_tuple(rng, 2, 5)
-    rho = mps.invariant_state(t).rho
-    sizes, inner = [], mps._eigh
-
-    def spy(h):
-        sizes.append(h.shape)
-        return inner(h)
-
-    monkeypatch.setattr(mps, "_eigh", spy)
-    mps.marginal(t, rho, 1)
-    mps.marginal(t, rho, 5)
-    assert sizes == [(2, 2), (25, 25)]
-    sizes.clear()
-    _marginal_reversal_residual(t, rho, 5, sz.Config())
-    assert sizes == [(2, 2), (4, 4), (8, 8), (16, 16), (25, 25)]
+def test_gram_spectra_take_the_smaller_side(monkeypatch):
+    # d=2, k=5: after the two 5 x 5 fixed points and rho, the reversal check
+    # solves one Gram per length, 2^l x 2^l until 2^l reaches k^2 = 25
+    t = sz.normalize(known_answer_tuple(np.random.default_rng([0, 2, 5]), 2, 5, 1))
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(len(h)) or eigh(h))
+    lengths = sz.z2_index(t).certificates.evidence.marginal_lengths
+    assert lengths == 10
+    assert sizes == [5, 5, 5] + [min(2 ** l, 25) for l in range(1, lengths + 1)]
 
 
-def test_marginal_singular_rho_not_faithful(aklt):
+def test_marginal_singular_rho_not_faithful():
+    # no marginal of a singular state is formed: the parent window, the m-site
+    # marginal's support, refuses the tuple as the index does
     with pytest.raises(sz.NotPrimitive) as info:
-        mps.marginal(aklt, np.diag([1.0, 0.0]), 2)
-    assert info.value.message == "state is not positive definite; no Cholesky factor"
+        sz.parent_interaction(sigma_plus_tuple())
+    assert info.value.message == "tuple is not primitive"
 
 
-def test_marginal_window_cap(aklt, aklt_rho):
-    cfg = sz.Config(dense_cap=8)
-    with pytest.raises(sz.DimensionCap):
-        mps.marginal(aklt, aklt_rho.rho, 2, cfg)
+def test_marginal_window_cap(aklt):
+    # the parent window holds the words of the m-site marginal: 9 > dense_cap 8
+    with pytest.raises(sz.DimensionCap) as info:
+        sz.parent_interaction(aklt, 2, sz.Config(dense_cap=8))
+    assert info.value.payload == {"dimension": 9, "cap": 8}
 
 
 @pytest.mark.parametrize("d", [4097, 20000])
 def test_a_one_site_marginal_is_not_capped(d):
     # at l = 1 the word factor has d rows of k^2 entries, the size of the tuple
     # itself, so dense_cap (4096) does not refuse an alphabet larger than it
-    raw = np.full((d, 1, 1), 1.0 / np.sqrt(d))
-    one = mps.marginal(sz.as_mps(raw), np.eye(1), 1)
-    assert one.factor.shape == (d, 1)
-    rep = sz.z2_index(raw)
+    rep = sz.z2_index(np.full((d, 1, 1), 1.0 / np.sqrt(d)))
     assert (rep.zeta, rep.d, rep.k) == (1, d, 1)
     assert rep.certificates.evidence.marginal_lengths == 2
 
 
-def test_marginal_rejects_bad_length(aklt, aklt_rho):
-    with pytest.raises(sz.InvalidInput):
-        mps.marginal(aklt, aklt_rho.rho, 0)
+def test_marginal_rejects_bad_length(aklt):
+    with pytest.raises(sz.InvalidInput) as info:
+        sz.parent_interaction(aklt, m=0)
+    assert info.value.payload == {"m": 0}
 
 
 @pytest.mark.parametrize("call", [
-    lambda aklt, rho, n: mps.marginal(aklt, rho, n),
-    lambda aklt, rho, n: sz.block(aklt, n),
+    # the parent window of m sites, the support of the m-site marginal
+    lambda aklt, n: sz.parent_interaction(aklt, m=n),
+    lambda aklt, n: sz.block(aklt, n),
 ], ids=["marginal", "block"])
-def test_huge_length_is_refused_without_forming_the_power(aklt, aklt_rho, call):
+def test_huge_length_is_refused_without_forming_the_power(aklt, call):
     # 3**(10**12) would never finish; the cap's bit length stops the power first
     with pytest.raises(sz.DimensionCap) as info:
-        call(aklt, aklt_rho.rho, 10 ** 12)
+        call(aklt, 10 ** 12)
     assert info.value.payload == {"dimension": None, "cap": 4096}
     # at 2**63 and above the length is no integer the boundary reads
     for n in (2 ** 63, 10 ** 400):
         with pytest.raises(sz.InvalidInput):
-            call(aklt, aklt_rho.rho, n)
+            call(aklt, n)
 
 
 def test_word_count_is_exact_up_to_the_cap_bit_length():
@@ -718,10 +660,10 @@ def test_block_composes(aklt):
     assert np.array_equal(twice.reflect_perm, quad.reflect_perm)
 
 
-def test_block_marginal_consistency(aklt, aklt_rho):
-    m2 = mps.marginal(aklt, aklt_rho.rho, 2)
-    m1 = mps.marginal(sz.block(aklt, 2), aklt_rho.rho, 1)
-    assert frob(dense_marginal(m1) - dense_marginal(m2)) < 1e-12
+def test_block_marginal_consistency(aklt):
+    # one site of the blocked chain is two of the chain
+    two = marginal_oracle(aklt, np.eye(2) / 2, 2)
+    assert frob(marginal_oracle(sz.block(aklt, 2), np.eye(2) / 2, 1) - two) < 1e-12
 
 
 def test_block_dimension_cap(aklt):

@@ -13,20 +13,23 @@ from spt_z2 import config, linalg, mps, reflection
 from spt_z2.linalg import frob
 from spt_z2.mps import reverse_word_index
 from spt_z2.reflection import _marginal_reversal_residual, _transposed
-from util import (_in_random_gauge, count_calls, dense_marginal, haar_unitary, known_answer_tuple,
+from test_refusals import mutate
+from util import (_in_random_gauge, count_calls, haar_unitary, known_answer_tuple,
                   marginal_oracle, phase_pi_sign_plus, phase_zero_sign_minus,
-                  random_channel_tuple, same_report, stack, vbs, word_product)
+                  random_channel_tuple, rotation_tuple, same_report, sigma_plus_tuple, stack,
+                  state_oracle, vbs, word_product)
 
 
 # -- reflected tuple ----------------------------------------------------------
 
-def test_reflected_tuple_is_channel(aklt, aklt_rho):
-    # the transposed tuple satisfies the dual channel condition
+def test_reflected_tuple_is_channel(aklt, aklt_report):
+    # the transposed tuple satisfies the dual channel condition; the index
+    # classifies in an orthonormal eigenbasis of rho
     tv = _transposed(aklt).v
     assert frob(np.einsum("mba,mbc->ac", tv.conj(), tv) - np.eye(2)) < 1e-12
-    refl = reflection.reflected_tuple(aklt_rho.rho)
-    assert np.allclose(refl.basis.conj().T @ refl.basis, np.eye(2), atol=1e-12)
-    assert np.allclose(refl.rho_diag, [0.5, 0.5], atol=1e-12)
+    basis = aklt_report.basis
+    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
+    assert np.allclose(aklt_report.rho_diag, [0.5, 0.5], atol=1e-12)
 
 
 def test_reflected_tuple_involution(rng, aklt):
@@ -36,23 +39,24 @@ def test_reflected_tuple_involution(rng, aklt):
         assert np.array_equal(twice.reflect_perm, t.reflect_perm)
 
 
-def test_reflected_tuple_singular_rho(aklt):
+def test_reflected_tuple_singular_rho():
+    # no tuple is reflected in the eigenbasis of a singular state, diag(0, 1):
+    # the reflection test refuses the tuple as not primitive first
     with pytest.raises(sz.NotPrimitive) as info:
-        reflection.reflected_tuple(np.diag([1.0, 0.0]))
-    assert info.value.message == "invariant state is singular; reflected tuple undefined"
+        sz.reflection_invariant(sigma_plus_tuple())
+    assert info.value.message == "tuple is not primitive"
 
 
-def test_marginal_reversal_identity(rng, aklt, aklt_rho):
+def test_marginal_reversal_identity(rng, aklt):
     # the transposed tuple's words W_w, as rows vec(W_w K) with K = conj(L)
     # and rho = L L^dagger, give the index-reversed marginal, for any
     # primitive tuple, reflection invariant or not
-    for t, rho in [(aklt, aklt_rho.rho), (random_channel_tuple(rng, 2, 2), None)]:
-        if rho is None:
-            rho = mps.invariant_state(t).rho
+    for t in [aklt, random_channel_tuple(rng, 2, 2)]:
+        rho = state_oracle(t)
         tv = _transposed(t).v
         kfac = np.linalg.cholesky(rho).conj()
         for l in (1, 2):
-            orig = dense_marginal(mps.marginal(t, rho, l))
+            orig = marginal_oracle(t, rho, l)
             psi = np.array([word_product(tv, w) @ kfac
                             for w in itertools.product(range(t.d), repeat=l)])
             psi = psi.reshape(t.d ** l, -1)
@@ -103,7 +107,7 @@ def test_reversal_residual_matches_oracle(case, lengths):
          "blocked": lambda: sz.block(_normalized_known_answer(2, 2, +1, 11), 2),
          "breaker": lambda: sz.normalize(sz.zoo("aklt-breaker:0.05"))}[case]()
     assert (not np.array_equal(t.reflect_perm, np.arange(t.d))) == (case == "blocked")
-    rho = mps.invariant_state(t).rho
+    rho = state_oracle(t)
     worst = 0.0
     for l in range(1, lengths + 1):
         oracle = marginal_oracle(t, rho, l)
@@ -114,26 +118,17 @@ def test_reversal_residual_matches_oracle(case, lengths):
 
 
 def test_reversal_route_never_forms_word_rows(monkeypatch):
-    # d=2, k=6: lengths up to 12, yet every QR has at most d * 2k^2 rows and
-    # the only marginal is the l = 1 seed
+    # d=2, k=6: lengths up to 12, yet every QR has at most d * 2k^2 rows, and
+    # the only marginal is the l = 1 seed: one Cholesky factor of rho, and d
+    # word rows in the first QR
     raw = known_answer_tuple(np.random.default_rng([11, 2, 6]), 2, 6, +1)
-    rows, lengths = [], []
-    qr, marginal = np.linalg.qr, sz.reflection.marginal
-
-    def spy_qr(a, *args, **kw):
-        rows.append(np.shape(a)[0])
-        return qr(a, *args, **kw)
-
-    def spy_marginal(t, rho, l, *args, **kw):
-        lengths.append(l)
-        return marginal(t, rho, l, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "qr", spy_qr)
-    monkeypatch.setattr(sz.reflection, "marginal", spy_marginal)
+    rows, roots, qr, cholesky = [], [], np.linalg.qr, np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: rows.append(len(a)) or qr(a, mode))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: roots.append(a.shape) or cholesky(a))
     rep = sz.z2_index(raw)
     assert rep.certificates.evidence.marginal_lengths == 12
-    assert len(rows) == 12 and max(rows) <= 2 * 2 * 6 ** 2
-    assert lengths == [1]
+    assert len(rows) == 12 and rows[0] == 2 and max(rows) <= 2 * 2 * 6 ** 2
+    assert roots == [(6, 6)]
 
 
 def test_reversal_route_checks_every_length():
@@ -143,8 +138,6 @@ def test_reversal_route_checks_every_length():
     t = _normalized_known_answer(2, 4, -1, 11)
     rho = np.eye(4) / 4
     tilted = sz.as_mps(np.sqrt(1 + 1e-7 * np.array([1, 1, -1, -1]))[:, None] * t.v)
-    mps.marginal(tilted, rho, 1)
-    mps.marginal(tilted, rho, 2)
     with pytest.raises(sz.ConvergenceFailure, match="marginal trace drifted from 1") as exc:
         _marginal_reversal_residual(tilted, rho, 12, sz.Config())
     assert exc.value.payload["l"] == 3
@@ -167,6 +160,8 @@ def test_reverse_word_index():
 
 
 # -- gauge relation -----------------------------------------------------------
+# Oracle tests of the gauge stage: the relation on tuples whose gauge and phase
+# are known, and the bound of its docstring on the known-answer ensemble.
 
 def test_gauge_solve_conjugated(rng, aklt):
     q = haar_unitary(rng, 2)
@@ -252,13 +247,7 @@ def test_relation_residual_bounds_the_breaker_radius():
 def test_tampered_eigenmatrix_is_refused(monkeypatch):
     # the symmetric part of a zeta = -1 eigenmatrix is no gauge: the index
     # must refuse, not read zeta = +1 from it
-    unvec = sz.reflection.unvec
-
-    def symmetric_part(x, k):
-        m = unvec(x, k)
-        return 0.5 * (m + m.T)
-
-    monkeypatch.setattr(sz.reflection, "unvec", symmetric_part)
+    mutate(monkeypatch, "symmetric-gauge")
     for raw in [sz.zoo("aklt"),
                 known_answer_tuple(np.random.default_rng([11, 3, 4]), 3, 4, -1)]:
         with pytest.raises(sz.Inconclusive) as exc:
@@ -456,12 +445,6 @@ def test_stacked_vbs_index_is_the_product():
     assert sz.z2_index(stack(vbs(1), vbs(2))).zeta == -1
 
 
-def _phase_fixed_eigh(h):
-    """``mps._eigh`` with the canonical phase applied to LAPACK's vectors."""
-    w, u = np.linalg.eigh(h)
-    return linalg.HermEig(w, u * linalg.canonical_phases(u))
-
-
 @pytest.mark.parametrize("make", [
     lambda: known_answer_tuple(np.random.default_rng([0, 2, 4]), 2, 4, -1),
     # the benchmark's seed-7 tuple file for ``index --tuple`` (d=3, k=2, zeta=-1)
@@ -469,10 +452,16 @@ def _phase_fixed_eigh(h):
 ], ids=["d2k4-", "index-tuple"])
 def test_normalization_reads_no_eigenvector_phase(monkeypatch, make):
     # normalize's e^{+-1/2} = V f(D) V^dagger holds for any column phases, so
-    # phase-fixing its eigenvectors changes the report only by a rotation
-    # inside rho's degenerate eigenspaces
+    # eigenvectors of other phases change the report only by a rotation inside
+    # rho's degenerate eigenspaces
     plain = sz.z2_index(make())
-    monkeypatch.setattr(mps, "_eigh", _phase_fixed_eigh)
+    eigh, phases = np.linalg.eigh, np.random.default_rng(0)
+
+    def rephased(h):
+        w, u = eigh(h)
+        return w, u * np.exp(2j * np.pi * phases.random(len(w)))
+
+    monkeypatch.setattr(np.linalg, "eigh", rephased)
     same_report(plain, sz.z2_index(make()))
 
 
@@ -487,26 +476,11 @@ def _benchmark_aklt_calls() -> dict:
     raise AssertionError("perfbench/run.py assigns no AKLT_CALLS")
 
 
-def test_aklt_index_call_counts(monkeypatch):
-    """One aklt index: the LAPACK and transfer-matrix counts of ``AKLT_CALLS``, and
-    4 qr, 2 lstsq, 1 cholesky, 3 phase fixes, 1 Hermiticity check, 1 channel
-    residual, 1 finite read and 1 square read.
-
-    ``AKLT_CALLS`` is the table in ``perfbench/run.py`` that the traced
-    benchmark self-check pins; it is read here from that file, so a drift
-    fails here before it does there, and a re-pin (ROADMAP item 1) is one
-    edit. Of the ``eigh`` calls, only ``reflected_tuple``'s, through
-    ``herm_eig``, checks its input (the others solve Gram matrices and fixed
-    points, Hermitian by construction), and only the normalized tuple
-    evaluates its channel residual: ``gauge_solve`` does not judge it again on
-    the tuple's rotation into the rho eigenbasis. Only ``normalize`` reads the
-    tuple's entries by ``finite_array``, and only ``herm_eig`` reads a matrix
-    by ``square_array``, rho's: ``peripheral_eigs``, ``polar_unitary`` and
-    ``marginal`` take the transfer matrix, the gauge eigenmatrix and rho as
-    the pipeline built them.
-    """
+def _counted(monkeypatch, call, *args) -> Counter:
+    """The calls ``call(*args)`` makes: of LAPACK, of transfer matrices, phase
+    fixes, Hermiticity checks and channel residuals, and of the input readers."""
     counts = Counter()
-    for name in ("eig", "eigvals", "eigh", "svd", "qr", "lstsq", "cholesky"):
+    for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd", "qr", "lstsq", "cholesky"):
         count_calls(monkeypatch, counts, getattr(np.linalg, name), name)
     for fn in (mps.transfer_matrix, linalg.canonical_phases, linalg.herm_eig,
                config.finite_array, config.square_array):
@@ -519,12 +493,72 @@ def test_aklt_index_call_counts(monkeypatch):
         return inner(t)
 
     monkeypatch.setattr(residual, "func", evaluated)
-    sz.z2_index(sz.zoo("aklt"))
+    call(*args)
+    return counts
+
+
+def test_aklt_index_call_counts(monkeypatch):
+    """One aklt index: the LAPACK and transfer-matrix counts of ``AKLT_CALLS``, and
+    4 qr, 2 lstsq, 1 cholesky, 3 phase fixes, 1 Hermiticity check, 1 channel
+    residual, 1 finite read and 1 square read.
+
+    ``AKLT_CALLS`` is the table in ``perfbench/run.py`` that the traced
+    benchmark self-check pins; it is read here from that file, so a drift
+    fails here before it does there, and a re-pin (ROADMAP item 1) is one
+    edit. Of the ``eigh`` calls only the solve of rho checks its input (the
+    others solve Gram matrices and fixed points, Hermitian by construction),
+    only the normalized tuple evaluates its channel residual, and only
+    ``normalize`` reads the tuple's entries and the solve of rho a matrix.
+    """
+    counts = _counted(monkeypatch, sz.z2_index, sz.zoo("aklt"))
     shared = {key.rpartition(".")[2]: n for key, n in _benchmark_aklt_calls().items()}
     assert set(shared) == {"eig", "eigvals", "eigh", "svd", "transfer_matrix"}
     assert counts == {**shared, "qr": 4, "lstsq": 2, "cholesky": 1, "canonical_phases": 3,
                       "herm_eig": 1, "channel_residual": 1, "finite_array": 1,
                       "square_array": 1}
+
+
+# primitivity's spectrum and eigenmatrix cross-check, when no state is solved
+NO_STATE = {"eigvals": 1, "eig": 1, "canonical_phases": 1, "transfer_matrix": 2}
+
+# The call-count mirror beside the index's: name: (the arguments, built
+# uncounted; the exported entry; every count of _counted it makes). A change
+# that moves a count re-pins its row here.
+CALL_COUNTS = {
+    # one fixed point (eig, lstsq, eigh); the raw and the built tuple's residuals
+    "normalize": (lambda: (3.0 * sz.zoo("aklt"),), sz.normalize,
+                  {"eig": 1, "lstsq": 1, "eigh": 1, "transfer_matrix": 1, "finite_array": 1,
+                   "channel_residual": 2}),
+    "normalize-in-channel-form": (lambda: (sz.zoo("aklt"),), sz.normalize,
+                                  {"finite_array": 1, "channel_residual": 1}),
+    # two peripheral eigenvalues refuse the spectral route before its fixed point
+    "primitivity-ghz": (lambda: (sz.normalize(sz.zoo("ghz")),), sz.primitivity,
+                        {**NO_STATE, "svd": 2}),
+    # a word space that neither fills, stalls nor cycles: k^4 word-space steps
+    "wielandt-k2": (lambda: (sz.normalize(rotation_tuple(2)),), sz.primitivity,
+                    {**NO_STATE, "svd": 16}),
+    "wielandt-k3": (lambda: (sz.normalize(rotation_tuple(3)),), sz.primitivity,
+                    {**NO_STATE, "svd": 81}),
+    # primitivity's (one state, its spectral route) and the word span's svd: no
+    # Cholesky factor, so no marginal
+    "parent_interaction": (lambda: (sz.normalize(sz.zoo("aklt")),), sz.parent_interaction,
+                           {"eig": 2, "eigvals": 1, "eigh": 1, "lstsq": 1, "svd": 3,
+                            "transfer_matrix": 3, "canonical_phases": 1}),
+    # one read of the interaction, for the reflection gate and the blocks alike,
+    # and one eigvalsh per parity block
+    "ed_report": (lambda: (sz.parent_interaction(sz.normalize(sz.zoo("aklt")), 2), 4, "open"),
+                  sz.ed_report, {"square_array": 1, "eigvalsh": 2}),
+    # omega is read once (finite_array); the second square read is psd_power's rho
+    "modular_data": (lambda: (sz.as_bipartite(np.eye(3), normalized=True),), sz.modular_data,
+                     {"finite_array": 1, "square_array": 2, "svd": 1, "eigh": 1, "herm_eig": 1,
+                      "canonical_phases": 2}),
+}
+
+
+@pytest.mark.parametrize("name", CALL_COUNTS)
+def test_call_counts(monkeypatch, name):
+    arguments, entry, want = CALL_COUNTS[name]
+    assert _counted(monkeypatch, entry, *arguments()) == want
 
 
 def test_z2_index_ambiguous_tolerance(aklt_raw):

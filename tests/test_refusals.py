@@ -7,20 +7,22 @@ calls an exported entry on a public input, and ``util.force_within`` judges
 NaN at that site alone, so the site refuses with its own class, message,
 status, payload keys and the bound it applied as ``tolerance``. Where a
 negative setting of ``Config`` makes a judgement refuse unforced, a row routes
-that setting too. The census at the end reaches each exported refusal class
-from one minimal input: an exported entry, except for the few messages that
-only a stage behind one raises.
+that setting too. ``MUTATIONS`` holds every fault a test injects by replacing
+a package name, and :func:`mutate` applies them. The census at the end reaches
+each exported refusal class from one minimal input to an exported entry.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import cli, hamiltonian, linalg, mps, reflection
+from spt_z2 import cli, hamiltonian, linalg, modular, mps, reflection
 from spt_z2.config import Config
 from spt_z2.errors import STATUS_EXIT, within
 from spt_z2.linalg import _positive_definite, psd_power
-from util import force_within, refusal_classes_by_status, within_sites
+from util import force_within, refusal_classes_by_status, sigma_plus_tuple, within_sites
 
 NAN_MATRIX = np.full((2, 2), np.nan)
 OVERFLOWING = np.full((2, 2, 2), 1e200 + 1e200j)  # products overflow to NaN inside einsum
@@ -108,6 +110,73 @@ ROUTED = {
 }
 
 
+def _tampered(sch, mat, what):
+    """Schmidt data of ``mat`` with exactly one generator fact broken (see ``what``)."""
+    xi_full, _, vh = np.linalg.svd(mat)
+    r = sch.support_dim
+    left, right, lam, u = sch.left, sch.right, sch.lam, sch.u
+    if what in ("left_isometry", "right_isometry"):
+        # one more column of zero weight, in the kernels of M M^dagger and M^T conj(M),
+        # of norm 2 on one side: (R), (E) and (P) still hold
+        scale = (2.0, 1.0) if what == "left_isometry" else (1.0, 2.0)
+        left = np.column_stack([left, scale[0] * xi_full[:, r]])
+        right = np.column_stack([right, scale[1] * vh[r]])
+        lam, u, r = np.append(lam, 0.0), right @ left.T, r + 1
+    elif what == "reconstruction":
+        right = right * np.where(np.arange(r) == 0, -1.0, 1.0)  # u is kept
+    elif what == "polar":
+        u = -u
+    return sz.SchmidtData(lam=lam, left=left, right=right, u=u, support_dim=r)
+
+
+def _never(message):
+    """A fault: the replaced function fails the test if it is called."""
+    def called(*args, **kwargs):
+        raise AssertionError(message)
+    return lambda real: called
+
+
+def _refusing_above_0(entry):
+    """A fault: the registry entry's generator refuses for s > 0."""
+    def generator(s):
+        if s > 0.0:
+            raise sz.NotNormalizable("no channel form", s=s)
+        return entry.generator(s)
+    return entry._replace(generator=generator)
+
+
+SCAN = importlib.import_module("spt_z2.scan")  # the attribute spt_z2.scan is the function
+
+# name: (the package object, the names in it replaced, the fault: a function of
+# the replaced value and mutate's extra arguments that builds the replacement)
+MUTATIONS = {
+    # primitivity's eigenmatrix route finds no peripheral eigenvalue
+    "no-peripheral-eigenmatrix": (mps, ("peripheral_eigs",), lambda real: lambda *a, **kw: []),
+    # the gauge eigenmatrix's symmetric part, which is no gauge at zeta = -1
+    "symmetric-gauge": (reflection, ("unvec",),
+                        lambda real: lambda x, k: 0.5 * (real(x, k) + real(x, k).T)),
+    # Schmidt data with the one generator fact named by mutate's argument broken
+    "tampered-schmidt": (modular, ("schmidt",), lambda real, what:
+                         lambda mat, cfg: _tampered(real(mat, cfg), mat, what)),
+    # an ambient root of the reduced state 1e-6 too large
+    "scaled-root": (modular, ("psd_power",), lambda real: lambda *a: (1.0 + 1e-6) * real(*a)),
+    "no-scan-point": (SCAN, ("_scan_point",), _never("a scan point ran")),
+    "no-computation": (cli, ("zoo", "normalize", "z2_index", "scan", "modular_data"),
+                       _never("computation ran under --validate-only")),
+    "refusing-generator": (SCAN.MODELS, ("aklt-breaker",), _refusing_above_0),
+}
+
+
+def mutate(monkeypatch, name, *args):
+    """Inject the fault ``MUTATIONS[name]`` for the rest of the test."""
+    target, names, fault = MUTATIONS[name]
+    for key in names:
+        if isinstance(target, dict):
+            monkeypatch.setitem(target, key, fault(target[key], *args))
+        else:
+            monkeypatch.setattr(target, key, fault(getattr(target, key), *args))
+
+
 def test_every_within_site_has_a_forced_row():
     # a new errors.within call without a row, or a row whose call is gone, fails here
     sites = within_sites()
@@ -156,7 +225,7 @@ def test_routed_refusal_reports_its_tolerance(name, monkeypatch, aklt):
     (lambda aklt: sz.family("aklt", s1=10 ** 400), sz.InvalidInput, "s1"),
     (lambda aklt: sz.family("deformed-aklt", s0=-1e308, s1=1e308), sz.InvalidInput, "s1"),
     (lambda aklt: sz.parent_interaction(aklt, m=2.5), sz.InvalidInput, "m"),
-    (lambda aklt: mps.marginal(aklt, np.eye(2) / 2, 1.5), sz.InvalidInput, "l"),
+    (lambda aklt: sz.parent_interaction(aklt, m=0), sz.InvalidInput, "m"),
     (lambda aklt: sz.block(aklt, 2.5), sz.InvalidInput, "b"),
     (lambda aklt: sz.scan(sz.family("aklt"), Config(scan_cap=2 ** 63)), sz.InvalidInput,
      "scan_cap"),
@@ -166,7 +235,7 @@ def test_routed_refusal_reports_its_tolerance(name, monkeypatch, aklt):
     (lambda aklt: sz.family("nope"), sz.InvalidInput, "model"),
     (lambda aklt: sz.family("aklt", grid=10 ** 400), sz.InvalidInput, "grid"),
     (lambda aklt: sz.parent_interaction(aklt, m=2 ** 63), sz.InvalidInput, "m"),
-    (lambda aklt: mps.marginal(aklt, np.eye(2) / 2, 10 ** 400), sz.InvalidInput, "l"),
+    (lambda aklt: sz.parent_interaction(aklt, m=10 ** 400), sz.InvalidInput, "m"),
     (lambda aklt: sz.block(aklt, 2 ** 63), sz.InvalidInput, "b"),
     (lambda aklt: sz.as_mps(np.zeros((2, 0, 0))), sz.InvalidInput, "k"),
 ], ids=["modular_tol-nan", "eps_herm-nan", "eps_herm-inf", "s0", "s0-text", "grid",
@@ -203,7 +272,7 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
                               "scalar", "empty", "3-d"])
 @pytest.mark.parametrize("call", [
     lambda aklt, h: linalg.herm_eig(h),
-    # the positive-definite eigensystem, as reflected_tuple solves it
+    # the positive-definite eigensystem, as the index solves its invariant state
     lambda aklt, h: _positive_definite(linalg.herm_eig(h), sz.NotPrimitive, "singular", sz.DEFAULT),
     lambda aklt, h: psd_power(h, 0.5),
     lambda aklt, h: reflection.reflected_tuple(h),
@@ -218,10 +287,14 @@ def test_unusable_matrix_is_invalid_input(call, matrix, aklt):
 
 
 def test_overflowing_marginal_is_a_typed_refusal():
-    # the trace is NaN; the Gram matrix would overflow and eigh would raise
-    with pytest.raises(sz.ConvergenceFailure) as info:
-        mps.marginal(sz.as_mps(OVERFLOWING), np.eye(2) / 2, 1)
-    assert np.isnan(info.value.payload["trace"])
+    # products of these entries overflow to NaN, so no marginal of them is
+    # formed: primitivity refuses the tuple by its NaN channel residual, and the
+    # index first scales it by an exact power of two
+    with pytest.raises(sz.NormalizationBroken) as info:
+        sz.primitivity(sz.as_mps(OVERFLOWING))
+    assert np.isnan(info.value.payload["residual"])
+    with pytest.raises(sz.NotNormalizable):
+        sz.z2_index(OVERFLOWING)
 
 
 @pytest.mark.parametrize("value,passes", [
@@ -238,27 +311,18 @@ def test_within_passes_only_values_at_most_the_bound(value, passes):
     assert info.value.payload["tolerance"] == 1e-8
 
 
-def _singular_gauge():
-    # G's dominant eigenmatrix is singular: mixed_radius 0.9999999998, sigma_min 0.0
-    t = sz.normalize(sz.zoo("aklt-breaker:1e3"))
-    return reflection.gauge_solve(t, reflection._transposed(t))
-
-
 # one minimal input (or a tuple of them) per refusal class that spt_z2 exports
 REFUSALS = {
     "AmbiguousSymmetry": lambda aklt: sz.z2_index(aklt, Config(eps_index=-1.0)),
     "ConvergenceFailure": lambda aklt: sz.normalize(aklt.v, Config(eps_norm=-1.0)),
     "DegenerateSupport": (lambda aklt: sz.modular_data(_bell(), Config(rank_tol=1)),
                           lambda aklt: sz.as_bipartite(np.zeros((2, 2)))),
-    # every dense space of dimension d**x: a chain, a parent window, a marginal
-    # (of two or more sites, which only the stage itself forms), a block
+    # every dense space of dimension d**x an entry forms: a chain, a parent window, a block
     "DimensionCap": (
         (lambda aklt: sz.ed_report(sz.parent_interaction(aklt, 2), 10 ** 8, "open"),
          "chain dimension exceeds the dense cap"),
         (lambda aklt: sz.parent_interaction(aklt, m=10 ** 12),
          "parent window dimension exceeds the dense cap"),
-        (lambda aklt: mps.marginal(aklt, np.eye(2) / 2, 10 ** 12),
-         "marginal dimension exceeds the dense cap"),
         (lambda aklt: sz.block(aklt, 10 ** 12), "blocked alphabet exceeds the dense cap")),
     "Inconclusive": lambda aklt: sz.z2_index(aklt, Config(refl_marginal_tol=-1.0)),
     # a tuple, a model name, a bad command line
@@ -268,13 +332,11 @@ REFUSALS = {
     "NormalizationBroken": lambda aklt: sz.primitivity(sz.as_mps(2.0 * aklt.v)),
     "NotHermitian": lambda aklt: sz.z2_index(aklt, Config(eps_herm=-1.0)),
     "NotNormalizable": lambda aklt: sz.normalize(np.zeros((2, 2, 2))),
-    # a reducible tuple, a singular invariant state (the stage that solves it)
+    # a reducible tuple, a singular invariant state
     "NotPrimitive": (lambda aklt: sz.z2_index(sz.zoo("ghz")),
-                     lambda aklt: reflection.reflected_tuple(np.diag([1.0, 0.0]))),
-    # a state that differs from its reflection, a singular gauge
-    "NotReflectionInvariant": (
-        lambda aklt: sz.z2_index(sz.zoo("aklt-breaker:1e3")),
-        lambda aklt: _singular_gauge()),
+                     lambda aklt: sz.z2_index(sigma_plus_tuple())),
+    # a state that differs from its reflection, by a singular gauge
+    "NotReflectionInvariant": lambda aklt: sz.z2_index(sz.zoo("aklt-breaker:1e3")),
     "ResourceLimit":
         lambda aklt: sz.scan(sz.family("deformed-aklt", grid=3), Config(scan_cap=2)),
 }
@@ -310,15 +372,14 @@ def test_one_refusal_class_per_status():
 
 def test_a_singular_gauge_is_not_same_state():
     # two primitive tuples that generate the same state have an invertible
-    # intertwiner, so a singular dominant eigenmatrix is gauge_solve's one
-    # refusal, with G's radius and polar_unitary's singular values
-    with pytest.raises(sz.SptError) as info:
-        _singular_gauge()
-    assert type(info.value) is sz.NotReflectionInvariant
-    assert info.value.message == "dominant mixed eigenmatrix is singular"
-    assert info.value.payload.keys() == {"mixed_radius", "sigma_min", "sigma_max", "tolerance"}
-    assert info.value.payload["sigma_min"] == 0.0
-    assert 1.0 - 1e-9 < info.value.payload["mixed_radius"] < 1.0
+    # intertwiner, so a singular dominant eigenmatrix of G fails the gauge
+    # route: no relation residual is reported, only G's radius
+    ev = sz.reflection_invariant(sz.zoo("aklt-breaker:1e3"))
+    assert (ev.invariant, ev.via_gauge, ev.gauge_residual) == (False, False, None)
+    assert 1.0 - 1e-9 < ev.mixed_radius < 1.0
+    with pytest.raises(sz.NotReflectionInvariant) as info:
+        sz.z2_index(sz.zoo("aklt-breaker:1e3"))
+    assert info.value.payload["mixed_radius"] == ev.mixed_radius
 
 
 # one call per argument that takes a tuple, a record or a flag, with the

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import spt_z2 as sz
-from spt_z2 import mps
 from spt_z2.linalg import frob
+from test_refusals import mutate
 from util import force_within
 
 
@@ -186,7 +186,7 @@ def test_scan_records_status_and_keeps_going(aklt):
 
 def test_scan_inconclusive_points(monkeypatch):
     # no peripheral eigenmatrix: the two peripheral counts disagree at every point
-    monkeypatch.setattr(mps, "peripheral_eigs", lambda *a, **kw: [])
+    mutate(monkeypatch, "no-peripheral-eigenmatrix")
     rep = sz.scan(sz.family("deformed-aklt", grid=3))
     for p in rep.points:
         assert p.status == "inconclusive" and p.error == "Inconclusive"

@@ -1,4 +1,5 @@
-"""The export list is the library, and the benchmark's layer names stay reachable.
+"""The export list is the library, the benchmark's layer names stay reachable,
+and the tests patch the package in two places only.
 
 ``spt_z2.__all__`` holds what README's "Library use", the CLI and the
 acceptance tests read, the records those entries take or return, and the
@@ -6,7 +7,9 @@ refusal classes a caller can receive. ``perfbench/tracing.py`` swaps each
 function of its ``LAYERS`` where the package holds it, so every such name must
 stay a module-level function of its home module, called by that name; the
 benchmark's traced self-check runs on one Python version only, so these tests
-keep the names honest on every version.
+keep the names honest on every version. A test that patched a stage by name
+would fail when the stage goes, though no public behaviour moved: faults go
+through ``test_refusals.MUTATIONS``, call counts through ``test_reflection``'s mirror.
 """
 
 import ast
@@ -17,7 +20,12 @@ from pathlib import Path
 
 import spt_z2 as sz
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
+
+# (test file, function) of the only patches of the package: the mutation
+# table's applier and the call-count mirror's counter
+PATCH_SITES = {("test_refusals.py", "mutate"), ("test_reflection.py", "_counted")}
 
 SURFACE = {
     "Config", "DEFAULT",
@@ -72,3 +80,30 @@ def test_one_index_fires_every_span_the_benchmark_requires():
     with tracing.installed(tracer):
         assert sz.z2_index(sz.zoo("aklt")).zeta == -1
     assert reached <= {span[0] for span in tracer.spans}
+
+
+def _patches(path: Path):
+    """(file, function, line) of each ``monkeypatch`` or ``mp`` setattr, setitem or delattr
+    whose target is not numpy's: the tests patch nothing but numpy and the package."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else function
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr in ("setattr", "setitem", "delattr")
+                    and getattr(func.value, "id", None) in ("monkeypatch", "mp")):
+                root = child.args[0]
+                while isinstance(root, (ast.Attribute, ast.Subscript, ast.Call)):
+                    root = root.func if isinstance(root, ast.Call) else root.value
+                if getattr(root, "id", None) not in ("np", "numpy"):
+                    yield path.name, name, child.lineno
+            yield from walk(child, name)
+
+    return list(walk(ast.parse(path.read_text()), None))
+
+
+def test_only_the_two_tables_patch_the_package():
+    # a new patch of a package name outside the mutation table and the call-count
+    # mirror fails here, and so does a table whose applier is gone
+    found = [site for path in sorted(TESTS.glob("test_*.py")) for site in _patches(path)]
+    assert [site for site in found if site[:2] not in PATCH_SITES] == []
+    assert {site[:2] for site in found} == PATCH_SITES

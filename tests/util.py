@@ -220,6 +220,32 @@ def vbs(spin: int) -> np.ndarray:
     return np.einsum("mab,bc->mac", cg, singlet).astype(complex)
 
 
+def sigma_plus_tuple() -> sz.MpsTuple:
+    """One peripheral transfer eigenvalue, but the singular state diag(0, 1): not primitive."""
+    v = np.zeros((2, 2, 2), dtype=complex)
+    v[0, 0, 1] = 1.0
+    v[1, 1, 1] = 1.0
+    return sz.as_mps(v)
+
+
+def rotation_tuple(k: int) -> np.ndarray:
+    """(0.6 R, 0.8 R), R unitary of eigenphases sqrt(2) j: each word is a multiple of a
+    power of R, so the word space stays one-dimensional, never stalls nor cycles."""
+    q = haar_unitary(np.random.default_rng(k), k)
+    r = (q * np.exp(1j * np.sqrt(2) * np.arange(k))) @ q.conj().T
+    return np.stack([0.6 * r, 0.8 * r])
+
+
+def state_oracle(t: sz.MpsTuple) -> np.ndarray:
+    """The invariant state of a primitive tuple: the eigenvector of the adjoint
+    channel ``sum_mu kron(v_mu^T, v_mu^dagger)`` (column stacking) at the
+    eigenvalue nearest 1, Hermitian and of unit trace."""
+    w, vs = np.linalg.eig(sum(np.kron(m.T, m.conj().T) for m in t.v))
+    rho = vs[:, np.argmin(np.abs(w - 1.0))].reshape(t.k, t.k, order="F")
+    rho = rho / np.trace(rho)
+    return 0.5 * (rho + rho.conj().T)
+
+
 def apply_adjoint(t: sz.MpsTuple, y: np.ndarray) -> np.ndarray:
     """Adjoint channel ``sum_mu v_mu^dagger y v_mu`` by direct contraction."""
     return np.einsum("mba,bc,mcd->ad", t.v.conj(), y, t.v)
