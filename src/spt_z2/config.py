@@ -17,8 +17,8 @@ pseudo-inverses and Schmidt supports of an m x m matrix floor at m eps at
 least, the eigensolver's rounding, which the default is above for m < 4504),
 ``peripheral_tol`` the width of the transfer spectrum's unit-circle window
 (:func:`spt_z2.linalg.peripheral_window` is its one reader), ``modular_tol``
-both signs of the modular data, and ``dense_cap`` every dense space on x
-sites, of dimension d**x: an explicit marginal, a blocked alphabet, the
+both signs of the modular data and its five identities, and ``dense_cap``
+every dense space on x sites, of dimension d**x: a blocked alphabet, the
 parent window and the chain that ED diagonalizes, each refused as
 ``DimensionCap`` above it.
 
@@ -53,7 +53,11 @@ takes them as ``cfg``, its caller's checked ``Config``. ``herm_eig`` keeps
 its ``config`` and its read of the matrix, as its skew judgement is the
 index's one Hermiticity check, and so do ``psd_power`` and
 ``reflected_tuple``, which hand both to it. What a stage still checks is no
-part of the contract.
+part of the contract, and a stage raises no refusal for its caller to catch:
+it returns what it measures (the spectral route's outcome, a singular gauge,
+whether an interaction passes the reflection gate). A refusal is caught
+only to become an envelope (``cli.main``, a scan point), to gain its record's
+``key`` (:func:`_record_fields`) or to read a model argument as a file name.
 
 Not every threshold is here: the 11 fixed ones below (1e-300 division guards
 aside) sit in the code that applies them. The five marked (w) are bounds

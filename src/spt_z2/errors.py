@@ -82,9 +82,10 @@ class NormalizationBroken(SptError):
 class NotPrimitive(SptError):
     """The tuple fails the primitivity certificate, a singular invariant state included.
 
-    A primitive tuple's invariant state is faithful, so the index's stages
-    (:func:`spt_z2.mps.invariant_state`, :func:`spt_z2.reflection.reflected_tuple`
-    and :func:`spt_z2.mps.marginal`) refuse a singular one as this class.
+    A primitive tuple's invariant state is faithful, so a singular one fails
+    the spectral route of :func:`spt_z2.mps.primitivity`, and
+    :func:`spt_z2.mps.marginal` refuses a state with no Cholesky factor as
+    this class.
     """
 
     status = "not_primitive"
@@ -93,17 +94,13 @@ class NotPrimitive(SptError):
 class NotReflectionInvariant(SptError):
     """State is primitive but not equal to its reflection.
 
-    Also raised by :func:`spt_z2.reflection.gauge_solve` when the dominant
-    eigenmatrix of the mixed transfer map is singular (its smallest singular
-    value below 1e-9 times the largest, the one judgement of the singular
-    values :func:`spt_z2.linalg.polar_unitary` returns), which no two tuples
-    of one state give; its radius is measured, not judged, as the relation
-    residual bounds it. The index's stages (:func:`spt_z2.reflection._stages`,
-    behind ``z2_index``, ``reflection_invariant``, ``check`` and ``scan``)
-    catch that one around the gauge solve only: the gauge route then fails
-    (its ``mixed_radius`` kept in the evidence, and ``gauge_residual`` null),
-    and the index refuses as this class when the marginal route agrees, or as
-    :class:`Inconclusive` when it disagrees.
+    Raised by the index's stages (:func:`spt_z2.reflection._stages`, behind
+    ``z2_index``, ``check`` and ``scan``) when both reflection routes fail.
+    A singular dominant eigenmatrix of the mixed transfer map, which no two
+    tuples of one state give, is one way the gauge route fails:
+    :func:`spt_z2.reflection.gauge_solve` then returns no relation residual
+    (``gauge_residual`` null in the evidence) and keeps the measured
+    ``mixed_radius``.
     """
 
     status = "not_reflection_invariant"

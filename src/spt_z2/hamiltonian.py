@@ -18,10 +18,12 @@ interaction gives a chain that commutes with the pi-twisted site reversal R,
 so the chain is built and diagonalized as its two parity blocks, of
 dimensions (d^n + f)/2 and (d^n - f)/2 for f words with Rw = w (Pollmann,
 Berg, Turner, Oshikawa, PRB 81, 064439 (2010)), and no d^n x d^n matrix is
-formed; any other chain is one block. :func:`ed_report`, the one ED entry,
-diagonalizes the blocks :func:`chain_hamiltonian` builds, finite and exactly
-Hermitian as built, and cuts the kernel at the eigensolver's rounding bound,
-which it reports. A real interaction gives real blocks, and dense ED holds
+formed. Whether an interaction counts as symmetric is a gate, not a refusal:
+the residual of :func:`reflection_check`, relative to ||h||_F floored at 1,
+is at most ``eps_herm``; any other chain is one block. :func:`ed_report`,
+the one ED entry, diagonalizes the blocks :func:`chain_hamiltonian` builds,
+finite and exactly Hermitian as built, and cuts the kernel at the
+eigensolver's rounding bound, which it reports. A real interaction gives real blocks, and dense ED holds
 at most two matrices of the largest block's size: the block and LAPACK's
 working copy.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from .config import (DEFAULT, Config, _record_fields, is_int, require_config, require_record,
                      square_array)
-from .errors import InvalidInput, NotHermitian, NotReflectionInvariant, within
+from .errors import InvalidInput, NotHermitian, within
 from .linalg import frob, real_if_exact
 from .mps import (MpsTuple, _append_letters, _validate_perm, _word_count, as_mps, primitivity,
                   reverse_word_index)
@@ -97,7 +99,8 @@ def parent_interaction(t: MpsTuple, m: int | None = None,
 
 def _read_hint(hint) -> tuple[int, int, np.ndarray, np.ndarray]:
     """d, m, h and perm of a :class:`ParentInteraction` argument; fields that do not
-    fit (h other than d**m x d**m, perm no involution of range(d)) are refused."""
+    fit (h other than d**m x d**m, or of no finite ``norm`` ||h||_F, which bounds
+    every chain entry, perm no involution of range(d)) are refused."""
     require_record(hint, ParentInteraction, "hint")
     with _record_fields("hint"):
         if not (is_int(hint.d) and hint.d >= 2 and is_int(hint.m) and hint.m >= 1):
@@ -107,6 +110,9 @@ def _read_hint(hint) -> tuple[int, int, np.ndarray, np.ndarray]:
         # as d >= 2, d**m > n once d > n or m exceeds n's bit length: no larger power is formed
         if d > n or m > n.bit_length() or d ** m != n:
             raise InvalidInput("hint h must be d**m x d**m", shape=list(h.shape), d=d, m=m)
+        norm = frob(h)
+        if not math.isfinite(norm):
+            raise InvalidInput("interaction gives chain entries with no finite bound", norm=norm)
         return d, m, h, _validate_perm(hint.perm, d)
 
 
@@ -198,9 +204,10 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     :func:`ed_report` frees each before the next is built.
 
     **The gate** is the residual r = ||h - rev h||_F that
-    :func:`reflection_check` reports, judged by :func:`spt_z2.errors.within`
-    against ``eps_herm`` relative to ``||h||_F`` floored at 1, the tolerance
-    by which ED drops an anti-Hermitian part. With T terms, H - RHR is the
+    :func:`reflection_check` reports: it passes when r is at most ``eps_herm``
+    relative to ``||h||_F`` floored at 1, the tolerance by which ED drops an
+    anti-Hermitian part. It is a switch, not a refusal: a chain that fails
+    it is built as one block. With T terms, H - RHR is the
     sum of the T window copies of h - rev h, and the blocks hold exactly
     (H + RHR)/2, so each eigenvalue moves by at most T r / 2 (Weyl) from the
     chain's own.
@@ -208,13 +215,11 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     **The entry bound.** A block entry sums, over the T terms, the products
     a_u a_v h_xy for the words u and v of its two columns (one word of
     amplitude 1 or two of amplitude 1/sqrt(2), so sum |a_u| <= sqrt(2)), so
-    it is at most B = 2 T ||h||_F in modulus. When B is not finite (a NaN or
-    infinite entry included) the interaction is refused as
-    :class:`InvalidInput` with ``key`` ``hint``, the ``terms`` T and the
-    ``norm`` ||h||_F, before any block is built; such a norm would also void
-    the relative tolerances of both gates. A finite B is far from overflow:
-    T < 64 as d^n is capped below 2**63, and ||h||_F, summed as squares in
-    float64, is finite only below 1.4e154.
+    it is at most B = 2 T ||h||_F in modulus. B is finite exactly when
+    ||h||_F is, as T < 64 (d^n is capped below 2**63) and ||h||_F, summed as
+    squares in float64, is finite only below 1.4e154; the hint's reader
+    refuses any other ||h||_F (a NaN or infinite entry included) as
+    :class:`InvalidInput` with ``key`` ``hint``, before any block is built.
 
     A block is real when the interaction's imaginary part is exactly zero (as
     for aklt), else complex, and exactly Hermitian: only its upper triangle
@@ -232,22 +237,12 @@ def chain_hamiltonian(hint: ParentInteraction, n: int, boundary: str,
     last = n - m + 1 if boundary == "open" else n
     windows = [[(p + j) % n for j in range(m)] for p in range(last)]
     h = real_if_exact(h)
-    norm = frob(h)
-    if not math.isfinite(2.0 * last * norm):
-        raise InvalidInput("interaction gives chain entries with no finite bound", key="hint",
-                           terms=last, norm=norm)
-    scale = max(norm, 1.0)
+    scale = max(frob(h), 1.0)
     skew = math.hypot(*(frob(row - col.conj()) for row, col in zip(h, h.T))) / scale
     within(skew, config.eps_herm, NotHermitian,
            "interaction is not Hermitian within tolerance", skew_residual=skew)
-    residual = _reversal_residual(d, m, h, perm)
-    try:
-        within(residual / scale, config.eps_herm, NotReflectionInvariant,
-               "interaction is not reflection symmetric within tolerance", residual=residual)
-    except NotReflectionInvariant:
-        rw = np.arange(dim)
-    else:
-        rw = reverse_word_index(d, n, perm)
+    symmetric = _reversal_residual(d, m, h, perm) / scale <= config.eps_herm
+    rw = reverse_word_index(d, n, perm) if symmetric else np.arange(dim)
     return _parity_blocks(h, windows, d, n, rw)
 
 

@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, Config, require_config, square_array
-from .errors import NotHermitian, SptError, within
+from .errors import NotHermitian, within
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -188,16 +188,13 @@ def herm_eig(h: np.ndarray, config: Config = DEFAULT) -> HermEig:
     return HermEig(np.ldexp(w, e), u * canonical_phases(u))
 
 
-def _positive_definite(sys: HermEig, refusal: type[SptError], message: str,
-                       cfg: Config, **payload) -> HermEig:
+def _positive_definite(sys: HermEig, cfg: Config) -> bool:
     """The one positive-definiteness rule: with eigenvalues ``lo <= .. <= hi`` the
     matrix passes when ``hi > 0`` and ``lo > rank_tol * hi``, that is when
-    it has full rank by the floor :func:`psd_power` applies; otherwise
-    ``refusal(message, min_eigenvalue=lo, max_eigenvalue=hi, **payload)``."""
+    it has full rank by the floor :func:`psd_power` applies. A predicate: each
+    caller names its own refusal."""
     lo, hi = float(sys.values[0]), float(sys.values[-1])
-    if not (hi > 0 and lo > cfg.rank_tol * hi):
-        raise refusal(message, min_eigenvalue=lo, max_eigenvalue=hi, **payload)
-    return sys
+    return hi > 0 and lo > cfg.rank_tol * hi
 
 
 def real_if_exact(x: np.ndarray) -> np.ndarray:

@@ -127,11 +127,16 @@ def transfer_spectrum(t: MpsTuple) -> np.ndarray:
     """Transfer eigenvalues, modulus descending then angle ascending.
 
     Computed in real arithmetic, so real eigenvalues are exactly real and
-    the others come in exact conjugate pairs; returned as complex.
+    the others come in exact conjugate pairs; returned as complex. The tuple
+    is decomposed at the exact scale of :func:`spt_z2.linalg._pow2_scaled`, so
+    no transfer entry overflows; past float64's range an eigenvalue is inf.
     """
     t = as_mps(t)
-    w = np.linalg.eigvals(_real_transfer(t))
-    return w[eig_sort_key(w)].astype(complex, copy=False)
+    y, e = _pow2_scaled(t.v)
+    w = np.linalg.eigvals(_real_transfer(MpsTuple(v=y, reflect_perm=t.reflect_perm)))
+    w = w[eig_sort_key(w)].astype(complex, copy=False)
+    with np.errstate(over="ignore"):
+        return np.ldexp(w.view(float), 2 * e).view(complex)
 
 
 def _positive_fixed_point(mat: np.ndarray, k: int, refusal: type[SptError],
@@ -192,8 +197,10 @@ def normalize(raw, config: Config = DEFAULT) -> MpsTuple:
     r, _, res, sys = _positive_fixed_point(_real_transfer(t), t.k, NotNormalizable)
     within(res, 1e-7, NotNormalizable, "identity has no component along a positive fixed point",
            eigen_residual=res)
-    _positive_definite(sys, NotNormalizable, "dominant fixed point is not positive definite",
-                       config)
+    if not _positive_definite(sys, config):
+        raise NotNormalizable("dominant fixed point is not positive definite",
+                              min_eigenvalue=float(sys.values[0]),
+                              max_eigenvalue=float(sys.values[-1]))
     root = (sys.vectors * np.sqrt(sys.values)) @ sys.vectors.conj().T
     root_inv = (sys.vectors * (1.0 / np.sqrt(sys.values))) @ sys.vectors.conj().T
     out = MpsTuple(  # built from a validated tuple; a NaN fails the residual check
@@ -249,9 +256,9 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
 
     The spectral route is :func:`invariant_state`: it demands a unique
     peripheral transfer eigenvalue *and* a faithful invariant state, since
-    peripheral uniqueness alone is not sufficient. Only its
-    :class:`NotPrimitive` is a verdict of that route; a numerical miss of its
-    fixed point, :class:`ConvergenceFailure`, propagates. Its peripheral count is
+    peripheral uniqueness alone is not sufficient, and it passes when it
+    returns a state; a numerical miss of its fixed point,
+    :class:`ConvergenceFailure`, propagates. Its peripheral count is
     cross-checked against the eigenmatrices of :func:`peripheral_eigs`.
     The word-space route then grows the span of the words of length l,
     K_{l+1} = span{X v_mu : X in K_l} from K_0 = span{1}, until it fills the
@@ -276,16 +283,12 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
     require_config(config)
     t = as_mps(t)
     require_normalized(t, config)
-    try:
-        spectral_ok, periph, gap = True, 1, invariant_state(t, config).spectral_gap
-    except NotPrimitive as exc:
-        # a singular state comes after a simple peripheral eigenvalue
-        spectral_ok, gap = False, exc.payload["spectral_gap"]
-        periph = exc.payload.get("peripheral_count", 1)
-    spectrum = {"peripheral_count": periph, "spectral_gap": gap}
+    inv = invariant_state(t, config)
+    spectral_ok = inv.rho is not None
+    spectrum = {"peripheral_count": inv.peripheral_count, "spectral_gap": inv.spectral_gap}
     # cross-check the peripheral window against the eigenmatrix route
     pairs = peripheral_eigs(_real_transfer(t), config)
-    if len(pairs) != periph:
+    if len(pairs) != inv.peripheral_count:
         raise Inconclusive("peripheral eigenvalue counts disagree between routes",
                            **spectrum, from_eigenmatrices=len(pairs))
     k = t.k
@@ -323,24 +326,27 @@ def primitivity(t: MpsTuple, config: Config = DEFAULT) -> PrimitivityCertificate
 
 
 class InvariantState(NamedTuple):
-    rho: np.ndarray
-    residual: float
-    min_eigenvalue: float
+    """The spectral route's outcome; ``rho`` and its two numbers are None when it fails."""
+
+    peripheral_count: int
     spectral_gap: float
+    rho: np.ndarray | None = None
+    residual: float | None = None
+    min_eigenvalue: float | None = None
 
 
 def invariant_state(t: MpsTuple, cfg: Config = DEFAULT) -> InvariantState:
-    """Faithful invariant state of a primitive tuple's adjoint channel.
+    """The spectral primitivity route: the faithful invariant state of the adjoint channel.
 
-    The spectral primitivity route: a unique peripheral transfer eigenvalue
-    (else :class:`NotPrimitive`) and the adjoint fixed point ``x`` of
-    :func:`_positive_fixed_point`, judged once: positive definite (else
-    :class:`NotPrimitive` too, as a primitive tuple's invariant state is
-    faithful), then its eigen-residual against 1e-8 (else
-    :class:`ConvergenceFailure`, as are a zero radius and an empty window
-    at the radius, numerical misses too: by the Perron-Frobenius theorem for
-    positive maps the radius is an eigenvalue). Each of these refusals
-    carries ``spectral_gap``. ``rho`` has trace one. The radius r itself is
+    Returns the transfer spectrum's peripheral count and gap always, and
+    ``rho``, its eigen-residual and its smallest eigenvalue only when the
+    count is one and the adjoint fixed point ``x`` of
+    :func:`_positive_fixed_point` is positive definite (a primitive tuple's
+    invariant state is faithful). That residual is judged against 1e-8; a
+    miss, a zero radius and an empty window at the radius are the only
+    refusal, :class:`ConvergenceFailure` with ``spectral_gap``: by the
+    Perron-Frobenius theorem for positive maps the radius is an eigenvalue.
+    ``rho`` has trace one. The radius r itself is
     not judged: for x >= 0 of unit trace, r - 1 = Tr(x (E(1) - 1)) with
     E(1) = sum_mu v_mu v_mu^dagger, so abs(r - 1) is at most the channel
     residual. Both callers pass an :class:`MpsTuple` whose residual
@@ -352,20 +358,16 @@ def invariant_state(t: MpsTuple, cfg: Config = DEFAULT) -> InvariantState:
     on, gap = peripheral_window(transfer_spectrum(t), cfg)
     periph = int(on.sum())
     if periph != 1:
-        raise NotPrimitive(
-            "dominant transfer eigenvalue is not simple",
-            peripheral_count=periph,
-            spectral_gap=gap,
-        )
+        return InvariantState(periph, gap)
     r, x, res, sys = _positive_fixed_point(_real_transfer(t).T, t.k, ConvergenceFailure,
                                            spectral_gap=gap)
-    _positive_definite(sys, NotPrimitive, "invariant state is singular within tolerance",
-                       cfg, spectral_gap=gap)
+    if not _positive_definite(sys, cfg):
+        return InvariantState(periph, gap)
     within(res, 1e-8, ConvergenceFailure, "invariant state residual above tolerance",
            spectral_radius=r, residual=res, spectral_gap=gap)
     tr = float(np.trace(x).real)
-    return InvariantState(rho=x / tr, residual=res, min_eigenvalue=float(sys.values[0]) / tr,
-                          spectral_gap=gap)
+    return InvariantState(periph, gap, rho=x / tr, residual=res,
+                          min_eigenvalue=float(sys.values[0]) / tr)
 
 
 def reverse_word_index(d: int, l: int, pi: np.ndarray) -> np.ndarray:
@@ -412,19 +414,12 @@ def marginal(t: MpsTuple, rho: np.ndarray, l: int,
     reflection check, the one caller, takes only the l = 1 factor and
     advances it by QR (:func:`spt_z2.reflection._marginal_reversal_residual`).
     It passes what the pipeline built and checked, an :class:`MpsTuple`, its
-    k x k invariant state and its settings, so none of them is read again
-    here. The settings come as ``cfg``, the private stages' name for a
-    checked ``Config``, not as a ``config`` that refuses a value of another
-    type. ``l`` is checked, and
-    ``dense_cap`` prices the d^l rows from l = 2: the l = 1 factor has d rows
-    of k^2 entries, the size of the tuple itself. The Cholesky factor of a
-    singular ``rho`` (reachable at ``rank_tol = 0``) is refused as
-    :class:`NotPrimitive`.
+    k x k invariant state, l = 1 (d rows of k^2 entries, the tuple's size,
+    so no cap prices it; the benchmark's tracer reads ``l``) and its settings
+    as ``cfg``, the private stages' name for a checked ``Config``; none is
+    read again here. The Cholesky factor of a singular ``rho`` (reachable at
+    ``rank_tol = 0``) is refused as :class:`NotPrimitive`.
     """
-    if not (is_int(l) and l >= 1):
-        raise InvalidInput("marginal needs an integer l >= 1", l=l)
-    if l > 1:
-        _word_count(t.d, l, cfg.dense_cap, "marginal dimension")
     try:
         chol = np.linalg.cholesky(0.5 * (rho + rho.conj().T))
     except np.linalg.LinAlgError as exc:

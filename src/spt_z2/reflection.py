@@ -42,15 +42,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, Config, require_config
-from .errors import (
-    AmbiguousSymmetry,
-    Inconclusive,
-    NotPrimitive,
-    NotReflectionInvariant,
-    within,
-)
-from .linalg import (_positive_definite, canonical_phases, frob, herm_eig, kraus_superop,
-                     polar_unitary, transpose_sign, unvec)
+from .errors import AmbiguousSymmetry, Inconclusive, NotReflectionInvariant, within
+from .linalg import (canonical_phases, frob, herm_eig, kraus_superop, polar_unitary,
+                     transpose_sign, unvec)
 from .mps import (
     MpsTuple,
     PrimitivityCertificate,
@@ -74,24 +68,24 @@ class ReflectedTuple(NamedTuple):
 
 
 def reflected_tuple(rho: np.ndarray, config: Config = DEFAULT) -> ReflectedTuple:
-    """The eigenbasis of rho in which U is classified; NotPrimitive if rho is singular.
+    """The eigenbasis of rho in which U is classified.
 
     rho is solved by :func:`spt_z2.linalg.herm_eig`, so the basis carries the
-    canonical phase, and must pass the positive-definiteness rule of
-    :func:`spt_z2.linalg._positive_definite`. The reflected tuple itself is
+    canonical phase. Its positive definiteness is not judged again: the one
+    caller passes the state that :func:`spt_z2.mps.invariant_state` has just
+    found faithful by the same rule. The reflected tuple itself is
     :func:`_transposed`, which gives a tuple back when applied twice and, for
     a tuple in channel form, satisfies the dual condition
     ``sum_mu tilde v_mu^dagger tilde v_mu = 1``, not the channel one.
     """
-    sys = _positive_definite(herm_eig(rho, config), NotPrimitive,
-                             "invariant state is singular; reflected tuple undefined", config)
+    sys = herm_eig(rho, config)
     return ReflectedTuple(basis=sys.vectors[:, ::-1].copy(), rho_diag=sys.values[::-1].copy())
 
 
 class GaugeSolution(NamedTuple):
-    U: np.ndarray
-    phase: complex
-    relation_residual: float
+    U: np.ndarray | None             # None, as are phase and relation_residual, for a singular X
+    phase: complex | None
+    relation_residual: float | None
     mixed_radius: float
 
 
@@ -103,13 +97,13 @@ def gauge_solve(t: MpsTuple, s: MpsTuple) -> GaugeSolution:
     phase gives the bound below). The one caller passes two
     :class:`~spt_z2.mps.MpsTuple` of one (d, k): ``t``, which satisfies the
     channel condition, and its :func:`_transposed`, which need not; neither
-    is read again here. The one refusal, judged here and only here,
-    is a singular X: a smallest singular value below 1e-9 times the largest,
-    both measured by the ``svd`` of :func:`polar_unitary`. It is
-    :class:`NotReflectionInvariant` with ``mixed_radius`` = |lam|,
-    ``sigma_min``, ``sigma_max`` and ``tolerance`` (1e-9): two primitive
-    tuples that generate the same state have an invertible intertwiner (the
-    fundamental theorem of MPS). Otherwise the caller judges
+    is read again here. One judgement is made here and only here, of a
+    singular X: a smallest singular value below 1e-9 times the largest, both
+    measured by the ``svd`` of :func:`polar_unitary`. Two primitive tuples
+    that generate the same state have an invertible intertwiner (the
+    fundamental theorem of MPS), so a singular X fails the gauge route: only
+    ``mixed_radius`` = |lam| is returned, and ``U``, ``phase`` and
+    ``relation_residual`` are None. Otherwise the caller judges
     ``relation_residual``, the relation's largest Frobenius miss over
     ``||X||_F``, against ``eps_gauge``, and ``mixed_radius`` is reported, not
     judged: the relation residual bounds it. With the misses
@@ -142,9 +136,7 @@ def gauge_solve(t: MpsTuple, s: MpsTuple) -> GaugeSolution:
     x = unvec(vs[:, i0], t.k)
     polar, sv = polar_unitary(x)
     if not (sv[0] > 0.0 and sv[-1] >= 1e-9 * sv[0]):
-        raise NotReflectionInvariant("dominant mixed eigenmatrix is singular",
-                                     mixed_radius=radius, sigma_min=float(sv[-1]),
-                                     sigma_max=float(sv[0]), tolerance=1e-9)
+        return GaugeSolution(U=None, phase=None, relation_residual=None, mixed_radius=radius)
     u = polar.conj().T
     u = u * canonical_phases(u.reshape(-1, 1))
     phase = lam / radius if radius > 0 else 1.0 + 0.0j
@@ -237,14 +229,9 @@ def _stages(raw, cfg: Config):
     w = refl.basis
     v_eig = MpsTuple(v=np.einsum("ab,mbc,cd->mad", w.conj().T, t.v, w),
                      reflect_perm=t.reflect_perm)
-    try:
-        gauge = gauge_solve(v_eig, _transposed(v_eig))
-    except NotReflectionInvariant as exc:  # a singular gauge: the gauge route fails
-        mixed_radius, gauge_residual = float(exc.payload["mixed_radius"]), None
-        via_gauge = False
-    else:
-        mixed_radius, gauge_residual = gauge.mixed_radius, gauge.relation_residual
-        via_gauge = gauge_residual <= cfg.eps_gauge
+    gauge = gauge_solve(v_eig, _transposed(v_eig))
+    gauge_residual = gauge.relation_residual
+    via_gauge = gauge_residual is not None and gauge_residual <= cfg.eps_gauge
 
     lengths = 2 * cert.injectivity_length
     marg_res = _marginal_reversal_residual(t, inv.rho, lengths, cfg)
@@ -254,7 +241,7 @@ def _stages(raw, cfg: Config):
         via_gauge=via_gauge,
         via_marginals=via_marginals,
         gauge_residual=gauge_residual,
-        mixed_radius=mixed_radius,
+        mixed_radius=gauge.mixed_radius,
         marginal_residual=marg_res,
         marginal_lengths=lengths,
     )
@@ -262,7 +249,7 @@ def _stages(raw, cfg: Config):
         raise Inconclusive("gauge and marginal reflection certificates disagree",
                            **{k: v for k, v in evidence._asdict().items() if k != "invariant"})
     yield evidence
-    if not evidence.invariant:  # invariant needs via_gauge, so gauge is set past here
+    if not evidence.invariant:  # invariant needs via_gauge, so gauge.U is set past here
         raise NotReflectionInvariant(
             "state differs from its reflection",
             mixed_radius=evidence.mixed_radius,

@@ -178,7 +178,8 @@ def test_mutated_arrays_are_refused_or_read_by_the_library():
     rng = np.random.default_rng([SEED, len(VALID)])
     calls = [(sz.as_mps, AKLT.v.tolist()), (sz.as_bipartite, BELL.tolist()),
              (sz.z2_index, AKLT.v.tolist()),
-             (lambda entries: sz.modular_data(sz.BipartiteVector(2, entries)), BELL.tolist())]
+             (lambda entries: sz.modular_data(sz.BipartiteVector(2, entries)), BELL.tolist()),
+             (sz.transfer_spectrum, AKLT.v.tolist())]
     for call, valid in calls:
         call(valid)
         for _ in range(ARRAY_CASES):

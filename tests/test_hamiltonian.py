@@ -413,16 +413,17 @@ def test_dense_ed_holds_two_matrices(aklt, complex_tuple, model, n):
 
 
 def test_overflowing_chain_is_refused():
-    # 1e308 entries: the chain's sums would overflow, so no block is built
+    # 1e308 entries: the chain's sums would overflow, so the hint's reader
+    # refuses the interaction's norm before any block is built
     hint = _site_hint(np.full((2, 2), 1e308))
     for call in (hamiltonian.chain_hamiltonian, sz.ed_report):
         with pytest.raises(sz.SptError) as info:
             call(hint, 4, "open")
         assert type(info.value) is sz.InvalidInput
-        assert info.value.payload == {"key": "hint", "terms": 4, "norm": float("inf")}
+        assert info.value.payload == {"key": "hint", "norm": float("inf")}
     with pytest.raises(sz.InvalidInput) as info:
         sz.ed_report(_site_hint(np.full((2, 2), np.nan)), 3, "periodic")
-    assert info.value.payload["terms"] == 3 and np.isnan(info.value.payload["norm"])
+    assert info.value.payload["key"] == "hint" and np.isnan(info.value.payload["norm"])
 
 
 # -- spectrum report ----------------------------------------------------------

@@ -290,15 +290,9 @@ def test_pos_def_eig_rule():
     # it to its invariant state: full rank by rank_tol, the one relative floor
     def passes(diag, tol):
         cfg = Config(rank_tol=tol)
-        try:
-            sys = linalg._positive_definite(herm_eig(np.diag(diag), cfg), errors.NotPrimitive,
-                                            "singular", cfg)
-        except errors.NotPrimitive as exc:
-            assert exc.message == "singular"
-            assert exc.payload == {"min_eigenvalue": min(diag), "max_eigenvalue": max(diag)}
-            return False
+        sys = herm_eig(np.diag(diag), cfg)
         assert np.array_equal(sys.values, np.sort(diag))
-        return True
+        return linalg._positive_definite(sys, cfg)
 
     # the boundary lo == rank_tol * hi refuses; the next float up passes
     assert not passes([0.25, 1.0], 0.25)
@@ -323,14 +317,13 @@ def test_faithful_means_full_rank_by_rank_tol():
     # one floor: the state the positive-definiteness rule accepts is the one
     # psd_power inverts whole
     def faithful(rho):
-        linalg._positive_definite(herm_eig(rho), errors.NotPrimitive, "singular", DEFAULT)
+        return linalg._positive_definite(herm_eig(rho), DEFAULT)
 
     kept = np.diag([1.0, 1e-11]) / (1.0 + 1e-11)
-    faithful(kept)
+    assert faithful(kept)
     assert np.count_nonzero(np.diag(psd_power(kept, -0.5))) == 2
     dropped = np.diag([1.0, 1e-13])
-    with pytest.raises(errors.NotPrimitive):
-        faithful(dropped)
+    assert not faithful(dropped)
     assert np.count_nonzero(np.diag(psd_power(dropped, -0.5))) == 1
 
 

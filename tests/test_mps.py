@@ -120,6 +120,18 @@ def test_transfer_spectrum_ghz():
     assert np.allclose(spec, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
 
 
+def test_transfer_spectrum_does_not_overflow():
+    # the tuple is decomposed scaled by a power of two: a strictly upper
+    # triangular tuple whose transfer entries overflow float64 keeps its exact
+    # spectrum, and a radius past float64's range is infinite
+    v = np.zeros((2, 2, 2))
+    v[:, 0, 1] = [1.0, 2.0]
+    for scale in (1.0, 2.0 ** 520):
+        assert np.array_equal(sz.transfer_spectrum(scale * v), np.zeros(4))
+    spec = sz.transfer_spectrum(np.full((2, 2, 2), 1e160))
+    assert spec[0] == np.inf and np.isfinite(spec[1:]).all()
+
+
 def test_channel_adjoint_duality(rng):
     t = random_channel_tuple(rng, 3, 3)
     for _ in range(8):

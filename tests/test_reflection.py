@@ -203,10 +203,9 @@ def test_gauge_solve_nilpotent_mixed_map():
 def _radius_bound_holds(t, s, cfg=sz.DEFAULT):
     """|1 - mixed_radius| <= sqrt((1 + 10 eps_norm) d) relation_residual + 10 eps_norm,
     the bound of gauge_solve's docstring; whether the radius lies outside the
-    peripheral window (None for a singular gauge, which is refused)."""
-    try:
-        sol = reflection.gauge_solve(t, s)
-    except sz.NotReflectionInvariant:
+    peripheral window (None for a singular gauge, which has no relation residual)."""
+    sol = reflection.gauge_solve(t, s)
+    if sol.relation_residual is None:
         return None
     miss = abs(1.0 - sol.mixed_radius)
     bound = math.sqrt((1.0 + 10 * cfg.eps_norm) * t.d) * sol.relation_residual

@@ -39,7 +39,6 @@ def _chain(aklt):
 NUMERICAL = ("numerical_error", 7)
 INCONCLUSIVE = ("inconclusive", 6)
 STRUCTURAL = "gauge solution violates a structural invariant"
-GATE = "interaction is not reflection symmetric within tolerance"
 
 # name: (the site forced, as (module, function, nth judgement of the message), or
 # None for a setting that refuses unforced; a call of an exported entry that
@@ -48,10 +47,6 @@ ROUTED = {
     "chain_hamiltonian": (
         ("hamiltonian", "chain_hamiltonian", 0), _chain, sz.NotHermitian,
         "interaction is not Hermitian within tolerance", NUMERICAL, {"skew_residual"}, 1e-8),
-    # caught: ED keeps the chain whole, as for an interaction that is not symmetric
-    "reflection_gate": (
-        ("hamiltonian", "chain_hamiltonian", 0), _chain, sz.NotReflectionInvariant, GATE,
-        ("not_reflection_invariant", 3), {"residual"}, 1e-8),
     "herm_eig": (
         ("linalg", "herm_eig", 0), sz.z2_index, sz.NotHermitian,
         "matrix is not Hermitian within tolerance", NUMERICAL, {"skew_residual"}, 1e-8),
@@ -95,15 +90,15 @@ ROUTED = {
     "z2_index_commute": (
         ("reflection", "_stages", 1), sz.z2_index, sz.Inconclusive, STRUCTURAL, INCONCLUSIVE,
         {"phase_sq_residual", "rho_commute_residual"}, 1e-6),
-    "schmidt_nan": (
-        ("modular", "schmidt", 0), lambda aklt: sz.modular_data(_bell()), sz.Inconclusive,
-        "Schmidt reconstruction residual above tolerance", INCONCLUSIVE, {"residual"}, 1e-8),
-    # schmidt judges its reconstruction first, at a residual of exactly 0.0 here
-    "schmidt": (
+    # the five identities are judged in order, and the first refuses at a negative bound
+    "modular_data_negative_tol": (
         None, lambda aklt: sz.modular_data(_bell(), Config(modular_tol=-1.0)), sz.Inconclusive,
-        "Schmidt reconstruction residual above tolerance", INCONCLUSIVE, {"residual"}, -1.0),
+        "modular identities exceed tolerance", INCONCLUSIVE,
+        {"left_isometry", "right_isometry", "reconstruction", "root_eigenvectors", "polar"},
+        -1.0),
+    # the third of the five identities is the reconstruction, judged here alone
     "modular_data": (
-        ("modular", "modular_data", 0), lambda aklt: sz.modular_data(_bell()), sz.Inconclusive,
+        ("modular", "modular_data", 2), lambda aklt: sz.modular_data(_bell()), sz.Inconclusive,
         "modular identities exceed tolerance", INCONCLUSIVE,
         {"left_isometry", "right_isometry", "reconstruction", "root_eigenvectors", "polar"},
         1e-8),
@@ -196,12 +191,9 @@ def test_routed_refusal_reports_its_tolerance(name, monkeypatch, aklt):
     else:
         module, function, nth = force
         judged = force_within(monkeypatch, module, function, message, nth)
-        if message == GATE:
-            assert call(aklt).blocks == (sz.EdBlock(parity=1, dim=81, kernel_dim=4),)
-        else:
-            with pytest.raises(sz.SptError) as info:
-                call(aklt)
-            assert info.value is judged.refusal
+        with pytest.raises(sz.SptError) as info:
+            call(aklt)
+        assert info.value is judged.refusal
         exc = judged.refusal
     assert type(exc) is refusal
     assert exc.message == message
@@ -272,8 +264,8 @@ def test_nan_matrix_is_not_hermitian(call, aklt):
                               "scalar", "empty", "3-d"])
 @pytest.mark.parametrize("call", [
     lambda aklt, h: linalg.herm_eig(h),
-    # the positive-definite eigensystem, as the index solves its invariant state
-    lambda aklt, h: _positive_definite(linalg.herm_eig(h), sz.NotPrimitive, "singular", sz.DEFAULT),
+    # the positive-definiteness predicate, as the index applies it to its invariant state
+    lambda aklt, h: _positive_definite(linalg.herm_eig(h), sz.DEFAULT),
     lambda aklt, h: psd_power(h, 0.5),
     lambda aklt, h: reflection.reflected_tuple(h),
     lambda aklt, h: sz.ed_report(_hint(h=h), 1, "open"),
@@ -409,6 +401,13 @@ def _hint(**fields):
     return base._replace(**fields)
 
 
+def _overflowing_pair():
+    """d = 2, m = 2, h = 1e200 at entries (0, 1) and (1, 0): ||h||_F overflows."""
+    h = np.zeros((4, 4))
+    h[0, 1] = h[1, 0] = 1e200
+    return h
+
+
 def _family(**fields):
     return sz.FamilySpec("aklt", 0.0, 1.0, 2, lambda s: sz.zoo("aklt"))._replace(**fields)
 
@@ -428,6 +427,12 @@ MISFITS = {
         lambda rep: hamiltonian.chain_hamiltonian(_hint(perm=[0, 5]), 2, "open"), "hint"),
     "reflection_check-d": (lambda rep: sz.reflection_check(_hint(d=1.5)), "hint"),
     "reflection_check-m-overlarge": (lambda rep: sz.reflection_check(_hint(m=2 ** 62)), "hint"),
+    # an interaction with no finite norm, which ed_report refuses alike
+    "reflection_check-h-nan": (
+        lambda rep: sz.reflection_check(_hint(h=np.array([[1.0, np.nan], [0.0, 1.0]]))),
+        "hint"),
+    "reflection_check-h-overflow": (
+        lambda rep: sz.reflection_check(_hint(m=2, h=_overflowing_pair())), "hint"),
     "scan-grid-text": (lambda rep: sz.scan(_family(grid="2")), "spec"),
     "scan-s0-nan": (lambda rep: sz.scan(_family(s0=float("nan"))), "spec"),
     "scan-range-overflow": (lambda rep: sz.scan(_family(s0=-1e308, s1=1e308)), "spec"),

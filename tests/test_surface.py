@@ -1,5 +1,6 @@
 """The export list is the library, the benchmark's layer names stay reachable,
-and the tests patch the package in two places only.
+the tests patch the package in two places only, and only the envelopes catch
+a refusal.
 
 ``spt_z2.__all__`` holds what README's "Library use", the CLI and the
 acceptance tests read, the records those entries take or return, and the
@@ -10,6 +11,9 @@ benchmark's traced self-check runs on one Python version only, so these tests
 keep the names honest on every version. A test that patched a stage by name
 would fail when the stage goes, though no public behaviour moved: faults go
 through ``test_refusals.MUTATIONS``, call counts through ``test_reflection``'s mirror.
+A stage returns what it measures instead of raising a refusal for its caller
+to catch, so an ``except`` that names a refusal class sits only where a
+refusal becomes an envelope or gains a field.
 """
 
 import ast
@@ -19,6 +23,7 @@ import inspect
 from pathlib import Path
 
 import spt_z2 as sz
+from spt_z2 import errors
 
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
@@ -107,3 +112,36 @@ def test_only_the_two_tables_patch_the_package():
     found = [site for path in sorted(TESTS.glob("test_*.py")) for site in _patches(path)]
     assert [site for site in found if site[:2] not in PATCH_SITES] == []
     assert {site[:2] for site in found} == PATCH_SITES
+
+
+# (module, function) of the only handlers of a refusal in the package: the CLI's
+# envelope, the model-or-file fallback of modular --from-index, a scan point's
+# envelope, and the reader that adds a record's key to a refusal of its fields
+CATCHERS = {("cli", "main"), ("cli", "cmd_modular"), ("scan", "_scan_point"),
+            ("config", "_record_fields")}
+
+
+def _refusal_handlers(path: Path):
+    """(module, function) of each ``except`` in ``path`` that names a refusal class."""
+    refusals = {name for name, value in vars(errors).items()
+                if isinstance(value, type) and issubclass(value, errors.SptError)}
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else function
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(getattr(t, "id", getattr(t, "attr", None)) in refusals for t in types):
+                    yield path.stem, name
+            yield from walk(child, name)
+
+    return list(walk(ast.parse(path.read_text()), None))
+
+
+def test_only_the_envelopes_catch_a_refusal():
+    # a stage that raised a refusal for its caller to catch and turn back into
+    # a flag fails here: it returns the measurement instead
+    package = Path(sz.__file__).parent
+    found = [site for path in sorted(package.glob("*.py")) for site in _refusal_handlers(path)]
+    assert [site for site in found if site not in CATCHERS] == []
+    assert set(found) == CATCHERS
